@@ -19,6 +19,7 @@ import (
 	"namecoherence/internal/core"
 	"namecoherence/internal/dirtree"
 	"namecoherence/internal/experiments"
+	"namecoherence/internal/faultnet"
 	"namecoherence/internal/nameserver"
 	"namecoherence/internal/netsim"
 	"namecoherence/internal/pqi"
@@ -327,12 +328,20 @@ func BenchmarkNameServerPipelined(b *testing.B) {
 		}
 		paths[i] = core.ParsePath(p)
 	}
+	// Reads and writes that reach the connection are counted on both ends.
+	// Timings on a shared host drift; these do not, so they are what a
+	// -benchtime=1x smoke run can still be compared on.
+	var clientIO, serverIO faultnet.Counts
 	run := func(b *testing.B, addr string, depth int) {
-		client, err := nameserver.Dial("tcp", addr)
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
+		client := nameserver.NewClient(faultnet.CountConn(conn, &clientIO))
 		defer client.Close()
+		if err := client.Err(); err != nil {
+			b.Fatal(err)
+		}
 		procs := runtime.GOMAXPROCS(0)
 		b.SetParallelism((depth+procs-1)/procs + 1)
 		sem := make(chan struct{}, depth)
@@ -352,13 +361,39 @@ func BenchmarkNameServerPipelined(b *testing.B) {
 		})
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "names/s")
+
+		// The counted rows come from a pass of fixed size, off the clock
+		// and on one P: depth callers, countedRounds calls each, whatever
+		// b.N and -cpu were. On one P the schedule repeats, and the counts
+		// with it (to the third digit); on several they wander twofold,
+		// which no regression gate could use.
+		const countedRounds = 32
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		cw, sw := clientIO.Writes.Load(), serverIO.Writes.Load()
+		var wg sync.WaitGroup
+		for g := 0; g < depth; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < countedRounds; i++ {
+					if _, err := client.Resolve(paths[(g+i)%len(paths)]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		ops := float64(depth * countedRounds)
+		b.ReportMetric(float64(clientIO.Writes.Load()-cw)/ops, "client-writes/op")
+		b.ReportMetric(float64(serverIO.Writes.Load()-sw)/ops, "server-writes/op")
 	}
 	server := nameserver.NewServer(w, tr.RootContext(), nameserver.WithWorkers(8))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	go server.Serve(ln)
+	go server.Serve(faultnet.CountListener(ln, &serverIO))
 	defer server.Close()
 	proxied := delayProxy(b, ln.Addr().String(), time.Millisecond)
 	for _, depth := range []int{1, 8, 64} {

@@ -15,9 +15,12 @@
 // the same benchmark (-count > 1) are averaged.
 //
 // Compare mode diffs two documents previously written by convert: every
-// benchmark present in both gets a ns/op and allocs/op delta line, and any
-// regression beyond -max-regress percent (default 10) makes the exit
-// status nonzero so CI can gate on it. Benchmarks present in only one
+// benchmark present in both gets a ns/op and allocs/op delta line, plus one
+// delta per custom metric counted per operation (a unit ending in "/op",
+// such as client-writes/op: a cost, lower is better, and — unlike a rate
+// such as names/s — steady on a shared runner). Any regression beyond
+// -max-regress percent (default 10) makes the exit status nonzero so CI
+// can gate on it. Benchmarks and metrics present in only one
 // document are listed but never fail the gate — adding and retiring
 // benchmarks is routine, silently shifting their numbers is not.
 package main
@@ -190,7 +193,8 @@ func pctLabel(p float64) string {
 }
 
 // compareDocs writes one delta line per benchmark and reports whether any
-// ns/op or allocs/op regression exceeds maxRegress percent.
+// ns/op, allocs/op or counted per-op metric regression exceeds maxRegress
+// percent.
 func compareDocs(oldDoc, newDoc map[string]result, maxRegress float64, out io.Writer) (regressed bool) {
 	names := make([]string, 0, len(newDoc))
 	for name := range newDoc {
@@ -214,6 +218,21 @@ func compareDocs(oldDoc, newDoc map[string]result, maxRegress float64, out io.Wr
 			ap := pct(*o.AllocsPerOp, *n.AllocsPerOp)
 			line += fmt.Sprintf("; allocs/op %.1f -> %.1f (%s)", *o.AllocsPerOp, *n.AllocsPerOp, pctLabel(ap))
 			if ap > maxRegress {
+				regressed = true
+				line += " REGRESSION"
+			}
+		}
+		units := make([]string, 0, len(n.Metrics))
+		for unit := range n.Metrics {
+			if _, ok := o.Metrics[unit]; ok && strings.HasSuffix(unit, "/op") {
+				units = append(units, unit)
+			}
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			mp := pct(o.Metrics[unit], n.Metrics[unit])
+			line += fmt.Sprintf("; %s %.4g -> %.4g (%s)", unit, o.Metrics[unit], n.Metrics[unit], pctLabel(mp))
+			if mp > maxRegress {
 				regressed = true
 				line += " REGRESSION"
 			}

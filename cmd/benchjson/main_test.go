@@ -162,6 +162,22 @@ func TestCompareGate(t *testing.T) {
 	if !compareDocs(oldDoc, newDoc, 1000, &out) {
 		t.Errorf("allocs on a zero-alloc path passed the gate:\n%s", out.String())
 	}
+
+	// Counted per-op metrics gate like allocs/op; rates are reported by
+	// convert but never compared — a 1x run's names/s is noise.
+	out.Reset()
+	oldDoc = map[string]result{"BenchmarkPipe-4": {NsPerOp: 100,
+		Metrics: map[string]float64{"client-writes/op": 0.016, "names/s": 9000}}}
+	newDoc = map[string]result{"BenchmarkPipe-4": {NsPerOp: 100,
+		Metrics: map[string]float64{"client-writes/op": 0.017, "names/s": 300, "server-writes/op": 1}}}
+	if compareDocs(oldDoc, newDoc, 50, &out) {
+		t.Errorf("a steady count, a noisy rate and a metric without a baseline tripped the gate:\n%s", out.String())
+	}
+	out.Reset()
+	newDoc["BenchmarkPipe-4"].Metrics["client-writes/op"] = 1
+	if !compareDocs(oldDoc, newDoc, 50, &out) || !strings.Contains(out.String(), "client-writes/op 0.016 -> 1") {
+		t.Errorf("a frame-per-write regression passed the gate:\n%s", out.String())
+	}
 }
 
 func TestConvertIgnoresNoise(t *testing.T) {

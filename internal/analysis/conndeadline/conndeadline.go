@@ -19,7 +19,10 @@
 //     reported at the call site — across package boundaries, via facts.
 //   - Idle-loop reads are exempt: a decode/read in a `for {}` loop of a
 //     method whose owner's Close closes the conn (the server's idle
-//     accept-and-wait pattern) blocks on purpose; Close unhangs it.
+//     accept-and-wait pattern) blocks on purpose; Close unhangs it. So
+//     does the read a `Read([]byte) (int, error)` method of such an owner
+//     forwards to the conn: it is the loop's read, reached through the
+//     decoder's buffer.
 package conndeadline
 
 import (

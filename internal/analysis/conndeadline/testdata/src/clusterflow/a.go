@@ -134,3 +134,57 @@ func okCross(conn net.Conn) error {
 	var n int
 	return inner.RoundTrip(conn, 1, &n)
 }
+
+// flushingConn is an io.Reader adapter over its conn: the serve loop's
+// buffered decoder fills through Read, which does its bookkeeping and
+// passes the caller's slice on. It is the idle read one call further
+// down, and flushingConn.Close closes the conn under it: exempt.
+type flushingConn struct {
+	conn   net.Conn
+	parked bool
+}
+
+func (f *flushingConn) Close() error {
+	return f.conn.Close()
+}
+
+func (f *flushingConn) Read(p []byte) (int, error) {
+	f.parked = true
+	n, err := f.conn.Read(p)
+	f.parked = false
+	return n, err
+}
+
+// leakyReader has the same shape, but its Close closes no conn, so
+// nothing can unhang the forwarded read: the exemption does not apply.
+type leakyReader struct {
+	conn net.Conn
+	done bool
+}
+
+func (l *leakyReader) Close() error {
+	l.done = true
+	return nil
+}
+
+func (l *leakyReader) Read(p []byte) (int, error) {
+	return l.conn.Read(p) // want `conn read without a preceding SetDeadline in Read`
+}
+
+// header is owned like flushingConn but is no adapter: it reads into a
+// buffer of its own, for a caller that did not ask to block on the conn.
+type header struct {
+	conn net.Conn
+}
+
+func (h *header) Close() error {
+	return h.conn.Close()
+}
+
+func (h *header) Read(p []byte) (int, error) {
+	var magic [4]byte
+	if _, err := h.conn.Read(magic[:]); err != nil { // want `conn read without a preceding SetDeadline in Read`
+		return 0, err
+	}
+	return copy(p, magic[:]), nil
+}

@@ -163,16 +163,19 @@ func valueReferences(pkg *Package, pf *PackageFacts) map[*types.Func]bool {
 	return refs
 }
 
-// idleExempt reports whether io is an idle-loop read: a decode/read inside
-// an unconditional for-loop of a method whose receiver type's Close
-// (transitively, same package) closes a conn-shaped value. Such a read
-// blocks until the peer speaks or the owner's Close closes the conn under
-// it — a deadline would turn idle connections into spurious errors.
+// idleExempt reports whether io is an idle read: a decode/read inside an
+// unconditional for-loop of a method whose receiver type's Close
+// (transitively, same package) closes a conn-shaped value — or the read an
+// io.Reader adapter on such a type forwards (see forwardsRead), which is
+// the same idle read one call further down: the loop's decoder fills
+// through it. Such a read blocks until the peer speaks or the owner's
+// Close closes the conn under it — a deadline would turn idle connections
+// into spurious errors.
 func idleExempt(pkg *Package, pf *PackageFacts, ff *FuncFacts, io ioAtom) bool {
 	if !io.read || ff.Decl.Recv == nil || len(ff.Decl.Recv.List) == 0 {
 		return false
 	}
-	if !inBareLoop(ff.Decl.Body, io.pos) {
+	if !inBareLoop(ff.Decl.Body, io.pos) && !forwardsRead(pkg, ff, io.pos) {
 		return false
 	}
 	recv := pkg.Info.Defs[recvIdent(ff.Decl)]
@@ -188,6 +191,39 @@ func idleExempt(pkg *Package, pf *PackageFacts, ff *FuncFacts, io ioAtom) bool {
 		return false
 	}
 	return closeClosesConn(pkg, pf, named)
+}
+
+// forwardsRead reports whether the conn read at pos is an io.Reader
+// adapter passing its own call on: ff is a `Read([]byte) (int, error)`
+// method and the read hands that same slice to the conn. Whatever the
+// method does around the read (flush, count, flag), it blocks exactly as
+// long as the conn does, for a caller that asked to read.
+func forwardsRead(pkg *Package, ff *FuncFacts, pos token.Pos) bool {
+	sig := ff.Fn.Type().(*types.Signature)
+	if ff.Fn.Name() != "Read" || sig.Params().Len() != 1 || sig.Results().Len() != 2 {
+		return false
+	}
+	buf := sig.Params().At(0)
+	if elem, ok := buf.Type().(*types.Slice); !ok || !types.Identical(elem.Elem(), types.Typ[types.Byte]) {
+		return false
+	}
+	if !types.Identical(sig.Results().At(0).Type(), types.Typ[types.Int]) ||
+		!types.Identical(sig.Results().At(1).Type(), types.Universe.Lookup("error").Type()) {
+		return false
+	}
+	forwards := false
+	ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() != pos {
+			return !forwards
+		}
+		if len(call.Args) == 1 {
+			arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+			forwards = ok && pkg.Info.Uses[arg] == buf
+		}
+		return false
+	})
+	return forwards
 }
 
 // recvIdent returns the receiver's name identifier, or nil for `func (T)`.

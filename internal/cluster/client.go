@@ -105,18 +105,6 @@ func WithLRU(n int) ClientOption {
 	return lruOption(n)
 }
 
-type poolOption int
-
-func (poolOption) apply(*Client) {}
-
-// WithPoolSize is a no-op kept for compatibility: requests to one shard
-// used to check out exclusive pooled connections, but the multiplexed
-// wire client pipelines concurrent requests over one shared connection
-// per replica, so there is no idle pool left to size.
-func WithPoolSize(n int) ClientOption {
-	return poolOption(n)
-}
-
 type timeoutOption time.Duration
 
 func (o timeoutOption) apply(c *Client) {

@@ -8,4 +8,8 @@
 // cluster client (deadlines, retry, replica failover, circuit breaking):
 // a replica behind a faultnet.Listener in Reset or Hang mode looks exactly
 // like a crashed or wedged name server.
+//
+// CountConn and CountListener are the observing counterpart: they inject
+// nothing and count the reads and writes that reach the connection, for
+// tests and benchmarks that hold a path to a syscalls-per-operation floor.
 package faultnet

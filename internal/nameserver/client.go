@@ -8,9 +8,9 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"namecoherence/internal/core"
@@ -48,9 +48,10 @@ type pendingCall struct {
 // cache. One Client multiplexes any number of concurrent callers over a
 // single connection: each call is tagged with a fresh ID and parked in a
 // pending table, then the caller itself encodes the request under a
-// capacity-1 write token — when other callers are already queued for the
-// token the flush is left to the last of them, so a burst of pipelined
-// requests rides one syscall. Responses come back in whatever order the
+// capacity-1 write token — and, when the connection is carrying a
+// pipeline, yields the processor once before flushing, so the callers a
+// leader has just woken append their frames and a burst of requests rides
+// one syscall (see send). Responses come back in whatever order the
 // server finished them and are dispatched by tag. Reading is
 // leader/followers: one waiting caller at a time holds the read token and
 // decodes for everyone, so the serial case pays no goroutine handoffs at
@@ -63,21 +64,20 @@ type pendingCall struct {
 // held across wire I/O (lockheld).
 type Client struct {
 	conn    net.Conn
-	bw      *bufio.Writer // guarded by wtoken
+	bw      *bufio.Writer // guarded by wtoken; drains through wd
+	wd      deadlineWriter
 	br      *bufio.Reader // guarded by rtoken (and by NewClient during negotiation)
 	enc     *gob.Encoder  // guarded by wtoken; nil unless the codec is gob
 	dec     *gob.Decoder  // guarded by rtoken; nil unless the codec is gob
 	codec   Codec         // immutable after NewClient (negotiation settles it)
 	timeout time.Duration // per-call bound; immutable after the options run
 
-	wtoken    chan struct{} // capacity 1; held while encoding and flushing
-	rtoken    chan struct{} // capacity 1; held by the leading reader
-	wq        atomic.Int32  // declared write intents; >0 after our encode elides our flush
-	wdeadline time.Time     // armed write deadline; guarded by wtoken
-	wbuf      []byte        // binary encode scratch; guarded by wtoken
-	rresp     response      // lead's reusable decode target; guarded by rtoken
-	rbuf      []byte        // binary frame scratch; guarded by rtoken
-	errs      strIntern     // decode-side error-string intern table; guarded by rtoken
+	wtoken chan struct{} // capacity 1; held while encoding and flushing
+	rtoken chan struct{} // capacity 1; held by the leading reader
+	wbuf   []byte        // binary encode scratch; guarded by wtoken
+	rresp  response      // lead's reusable decode target; guarded by rtoken
+	rbuf   []byte        // binary frame scratch; guarded by rtoken
+	errs   strIntern     // decode-side error-string intern table; guarded by rtoken
 
 	closeOnce sync.Once
 
@@ -185,7 +185,6 @@ func WithTimeout(d time.Duration) ClientOption {
 func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 	c := &Client{
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
 		br:      bufio.NewReader(conn),
 		wtoken:  make(chan struct{}, 1),
 		rtoken:  make(chan struct{}, 1),
@@ -194,6 +193,13 @@ func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 	for _, o := range opts {
 		o.apply(c)
 	}
+	// A hung peer must fail a write within the call timeout, or within
+	// clientWriteTimeout without one (see deadlineWriter).
+	c.wd = deadlineWriter{conn: conn, bound: clientWriteTimeout}
+	if c.timeout > 0 && c.timeout < c.wd.bound {
+		c.wd.bound = c.timeout
+	}
+	c.bw = bufio.NewWriter(&c.wd)
 	if c.codec == CodecBinary {
 		if err := c.negotiate(); err != nil {
 			c.fail(fmt.Errorf("codec negotiation: %w", err))
@@ -271,30 +277,34 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 	return c, nil
 }
 
-// send encodes pc's request while holding the write token, then releases
-// the token. The flush is elided when another caller has already declared
-// a write intent (wq): that caller cannot abandon the token wait in
-// no-timeout mode, so its own flush is guaranteed to carry our bytes and
-// a pipelined burst coalesces into one syscall. With a per-call timeout a
-// queued caller may abandon the wait, so every send flushes.
+// send encodes pc's request into the write buffer and sees it onto the
+// wire. It is entered holding the write token and returns without it.
 //
-// The write deadline is a bound, not a precise timer: a hung peer must
-// fail the write within the call timeout (or clientWriteTimeout without
-// one), and anywhere inside that bound is correct. So it is re-armed
-// lazily at half horizon and rides across sends — a stuck write dies
-// between half the bound and the full bound after it starts, and the
-// hot path almost never touches the runtime timer.
+// Buffered bytes are flushed by whoever is about to stop using the CPU,
+// never per frame. A caller outside a pipeline is about to wait for its
+// own response: it flushes at once — one write per call, exactly the
+// serial protocol. A pipelined caller (see call for what the pending table
+// has to show) instead lets go of the token and yields the processor once:
+// the callers a leader has just woken are runnable, and each appends its
+// own frame before the scheduler comes back here. Back from the yield,
+// every caller takes the token again and flushes whatever is still
+// buffered, so the first one back carries the burst in one syscall and the
+// rest find nothing to do.
+//
+// Batching is opportunistic, delivery is not. At any GOMAXPROCS, if nobody
+// else ran during the yield the caller simply flushes alone. And when the
+// token is busy on the way back, its holder took it after our frame was
+// buffered and is past every point where a call can be abandoned (only
+// the wait for the token gives up on a timeout): it leaves through this
+// same tail, flushing what it finds or handing on to a later holder in
+// turn, and the last of them finds the token free. So the busy case
+// returns rather than queue — which is what keeps a caller whose request
+// may already be at the server from ever blocking here instead of reading:
+// over an unbuffered transport the server's flush, the token holder's
+// write and this wait would otherwise close a cycle.
 //
 //namingvet:allocfree
-func (c *Client) send(pc *pendingCall) error {
-	d := clientWriteTimeout
-	if c.timeout > 0 && c.timeout < d {
-		d = c.timeout
-	}
-	if now := time.Now(); c.wdeadline.Sub(now) < d/2 {
-		c.wdeadline = now.Add(d)
-		_ = c.conn.SetWriteDeadline(c.wdeadline)
-	}
+func (c *Client) send(pc *pendingCall, pipelined bool) error {
 	var err error
 	if c.codec == CodecBinary {
 		// Append-encode into the token-guarded scratch: the request's
@@ -302,10 +312,22 @@ func (c *Client) send(pc *pendingCall) error {
 		c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
 		err = writeFrame(c.bw, c.wbuf)
 	} else {
+		// gob writes from inside Encode, so its bound is armed where
+		// conndeadline can see it, once per message.
+		c.wd.arm()
 		//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
 		err = c.enc.Encode(&pc.req)
 	}
-	if rem := c.wq.Add(-1); err == nil && (rem == 0 || c.timeout > 0) {
+	if err == nil && pipelined {
+		<-c.wtoken
+		runtime.Gosched()
+		select {
+		case c.wtoken <- struct{}{}:
+		default:
+			return nil
+		}
+	}
+	if err == nil && c.bw.Buffered() > 0 {
 		err = c.bw.Flush()
 	}
 	<-c.wtoken
@@ -519,6 +541,14 @@ func (c *Client) call(req request) (response, error) {
 	c.nextID++
 	pc.req.ID = c.nextID
 	c.pending[pc.req.ID] = pc
+	// At least two other calls in flight is what counts as a pipeline (see
+	// send). The table only ever holds callers parked on the wire, so it
+	// cannot say who is about to send; its depth is a proxy for how many
+	// callers share the connection. With one other call that proxy reads
+	// "both of two callers accounted for": a yield then gathers nobody and
+	// only lets every unrelated runnable goroutine's traffic overtake this
+	// request (DESIGN §5a has the measurement that drew the line here).
+	pipelined := len(c.pending) > 2
 	c.pmu.Unlock()
 
 	// The timer is created lazily, on the first wait that actually needs
@@ -543,7 +573,6 @@ func (c *Client) call(req request) (response, error) {
 		}
 	}()
 
-	c.wq.Add(1)
 	select {
 	case c.wtoken <- struct{}{}:
 		// Uncontended fast path: the token was free.
@@ -558,16 +587,17 @@ func (c *Client) call(req request) (response, error) {
 			case c.wtoken <- struct{}{}:
 			case <-pc.done:
 				// The client failed before we could write.
-				c.wq.Add(-1)
 				return c.finish(pc)
 			case <-timeoutC:
-				c.wq.Add(-1)
 				return c.expire(pc)
 			}
 		}
 	}
-	if err := c.send(pc); err != nil {
+	if err := c.send(pc, pipelined); err != nil {
 		c.fail(fmt.Errorf("send request: %w", err))
+		// fail leaves no call pending, but the one that took pc out of the
+		// table — a reader, or a concurrent fail — may still be delivering.
+		<-pc.done
 		return c.finish(pc)
 	}
 

@@ -110,7 +110,7 @@ var (
 )
 
 // writeFrame writes one length-prefixed frame to bw. Flushing is the
-// caller's business (the flush-elision discipline in send/respond).
+// caller's business (whoever is about to wait flushes: send, connState).
 // The header goes out byte-at-a-time: a local array sliced into
 // bw.Write escapes to the heap, and this sits on the per-request path.
 func writeFrame(bw *bufio.Writer, body []byte) error {

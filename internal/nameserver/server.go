@@ -76,14 +76,17 @@ type Server struct {
 	// is torn-proof by construction.
 	wmu sync.Mutex
 
+	// The request path reads these without s.mu. Writers of rev still hold
+	// s.mu, so an advance and its fan-out to subscribers stay one step.
+	rev      atomic.Uint64
+	served   atomic.Int64
+	resolved atomic.Int64
+
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	subs     map[*connState]struct{} // connections subscribed for push invalidation
 	closed   bool
-	served   int
-	resolved int
-	rev      uint64
 	routes   *RouteInfo
 	// onMutation, when set, is called under wmu after each locally
 	// originated mutation commits — in commit order, which is what a
@@ -193,19 +196,32 @@ func (s *Server) Serve(ln net.Listener) {
 // The decoder is guarded by dtoken and the encoder by wtoken — capacity-1
 // token channels rather than mutexes, because encoding to the peer is
 // wire I/O and no sync.Mutex may be held across wire I/O (lockheld).
+//
+// Responses are only ever encoded into bw; when they leave follows one
+// rule: buffered bytes are flushed by whoever is about to stop using the
+// CPU, never per frame. A worker flushes at the two points where it can
+// wait on something other than the processor — immediately before the
+// conn's underlying Read (see Read) and before a mutation queues for the
+// write mutex — while a responder that finds another worker already
+// parked in that Read, and every invalidation push, flushes itself. So no
+// byte sits in bw unless a runnable worker of this connection is on its
+// way to a flush point.
 type connState struct {
-	conn      net.Conn
-	codec     Codec         // settled by negotiation; immutable afterwards
-	br        *bufio.Reader // guarded by dtoken
-	dec       *gob.Decoder  // guarded by dtoken; nil unless the codec is gob
-	bw        *bufio.Writer // guarded by wtoken
-	enc       *gob.Encoder  // guarded by wtoken; nil unless the codec is gob
-	dtoken    chan struct{} // capacity 1; held by the worker currently decoding
-	wtoken    chan struct{} // capacity 1; held while encoding and flushing
-	wq        atomic.Int32  // declared write intents; >0 after our encode elides our flush
-	wdeadline time.Time     // armed write deadline; guarded by wtoken
-	wbuf      []byte        // binary encode scratch; guarded by wtoken
-	deadOnce  sync.Once
+	conn   net.Conn
+	codec  Codec         // settled by negotiation; immutable afterwards
+	br     *bufio.Reader // guarded by dtoken; fills through Read below
+	dec    *gob.Decoder  // guarded by dtoken; nil unless the codec is gob
+	bw     *bufio.Writer // guarded by wtoken; drains through wd
+	wd     deadlineWriter
+	enc    *gob.Encoder  // guarded by wtoken; nil unless the codec is gob
+	dtoken chan struct{} // capacity 1; held by the worker currently decoding
+	wtoken chan struct{} // capacity 1; held while encoding and flushing
+	// parked is set while the decode-token holder is inside Read: it has
+	// flushed and is (about to be) waiting for the peer, so nobody else
+	// is on the way to flush what a responder encodes now.
+	parked    atomic.Bool
+	wbuf      []byte // binary encode scratch; guarded by wtoken
+	closeOnce sync.Once
 	// invalC carries revisions to this connection's pusher goroutine.
 	// Capacity 1 with drop-and-replace offers: consecutive bumps coalesce
 	// into one frame carrying the newest revision, so a write burst costs a
@@ -213,6 +229,38 @@ type connState struct {
 	// cares about the latest revision anyway). Closed by ServeConn after
 	// the connection leaves the subscriber set.
 	invalC chan uint64
+}
+
+// Read is what br fills from: the decode-token holder lands here exactly
+// when the bytes already buffered do not hold the rest of what it is
+// decoding — an empty buffer or a partial frame alike, it is about to
+// wait for the peer. It declares itself parked, then flushes, then reads.
+// A responder samples parked after encoding, under the same write token
+// the flush takes, so either it sees the flag and flushes its own bytes
+// or its encode preceded this flush and rides it. An idle read blocks
+// until the peer speaks; closing the conn (Close here, or Server.Close)
+// unblocks it.
+func (st *connState) Read(p []byte) (int, error) {
+	st.parked.Store(true)
+	st.flush()
+	n, err := st.conn.Read(p)
+	st.parked.Store(false)
+	return n, err
+}
+
+// flush writes out whatever responses are buffered. A failed flush kills
+// the conn, so the caller's next read or write fails instead of queueing
+// answers nobody will receive.
+func (st *connState) flush() {
+	st.wtoken <- struct{}{}
+	var err error
+	if st.bw.Buffered() > 0 {
+		err = st.bw.Flush()
+	}
+	<-st.wtoken
+	if err != nil {
+		st.Close()
+	}
 }
 
 // offer queues rev for push without ever blocking: if a frame is already
@@ -232,12 +280,12 @@ func (st *connState) offer(rev uint64) {
 	}
 }
 
-// die marks the stream unusable: the conn closes, failing any in-progress
-// read or write, and each worker's next decode errors out — the decode
-// token keeps circulating through the failing decodes, so the whole pool
-// drains.
-func (st *connState) die() {
-	st.deadOnce.Do(func() {
+// Close marks the stream unusable: the conn closes, failing any
+// in-progress read or write, and each worker's next decode errors out —
+// the decode token keeps circulating through the failing decodes, so the
+// whole pool drains.
+func (st *connState) Close() {
+	st.closeOnce.Do(func() {
 		_ = st.conn.Close()
 	})
 }
@@ -255,25 +303,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	codec, err := negotiateServer(conn, br, s.codec)
-	if err != nil {
+	st := &connState{
+		conn:   conn,
+		wd:     deadlineWriter{conn: conn, bound: serveWriteTimeout},
+		dtoken: make(chan struct{}, 1),
+		wtoken: make(chan struct{}, 1),
+		invalC: make(chan uint64, 1),
+	}
+	st.br = bufio.NewReader(st)
+	st.bw = bufio.NewWriter(&st.wd)
+	var err error
+	if st.codec, err = negotiateServer(conn, st.br, s.codec); err != nil {
 		// The peer vanished before its first byte, or died mid-handshake.
 		return
 	}
-	st := &connState{
-		conn:   conn,
-		codec:  codec,
-		br:     br,
-		bw:     bufio.NewWriter(conn),
-		dtoken: make(chan struct{}, 1),
-		wtoken: make(chan struct{}, 1),
-	}
-	if codec == CodecGob {
-		st.dec = gob.NewDecoder(br)
+	if st.codec == CodecGob {
+		st.dec = gob.NewDecoder(st.br)
 		st.enc = gob.NewEncoder(st.bw)
 	}
-	st.invalC = make(chan uint64, 1)
 	var pushWG sync.WaitGroup
 	pushWG.Add(1)
 	go func() {
@@ -385,8 +432,8 @@ func (s *Server) serveRequests(st *connState) {
 		if st.codec == CodecBinary {
 			// Read the raw frame under the token, parse it after release:
 			// the stream stays single-streamed while workers parse (and
-			// resolve) in parallel. An idle read blocks until the peer
-			// speaks; Close unblocks it by closing the conn.
+			// resolve) in parallel. When the buffer runs dry the read
+			// flushes first, then blocks until the peer speaks (st.Read).
 			var body []byte
 			body, err = readFrame(st.br, &sc.frame)
 			<-st.dtoken
@@ -398,26 +445,33 @@ func (s *Server) serveRequests(st *connState) {
 			// value, so a field the next message omits would leak the
 			// previous one.
 			sc.req = request{}
-			// An idle read blocks until the peer speaks; Close unblocks it by
-			// closing the conn (conndeadline's idle-loop exemption knows this).
+			// An idle read flushes, then blocks until the peer speaks; Close
+			// unblocks it by closing the conn (conndeadline's idle-read
+			// exemption knows both this loop and st.Read).
 			//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
 			err = st.dec.Decode(&sc.req)
 			<-st.dtoken
 		}
 		if err != nil {
-			st.die() // EOF, broken peer, or torn frame; drain the rest of the pool
+			st.Close() // EOF, broken peer, or torn frame; drain the rest of the pool
 			return
 		}
-		if sc.req.Subscribe {
+		switch {
+		case sc.req.Subscribe:
 			// Subscription needs the connection identity, so it is handled
 			// here rather than in handle. From the moment the connection
 			// joins the set, every bump is offered to it; the ack carries
 			// the current revision so the client starts from a known point.
 			s.mu.Lock()
 			s.subs[st] = struct{}{}
-			resp = response{Rev: s.rev}
+			resp = response{Rev: s.rev.Load()}
 			s.mu.Unlock()
-		} else {
+		case sc.req.Op != opNone:
+			// A mutation queues for the write mutex, behind other writers
+			// or a snapshot: answers already encoded must not wait with it.
+			st.flush()
+			resp = s.handleMutation(&sc.req)
+		default:
 			resp = s.handle(&sc)
 		}
 		resp.ID = sc.req.ID
@@ -425,29 +479,21 @@ func (s *Server) serveRequests(st *connState) {
 		if sc.req.Paths == nil && !sc.req.Routes {
 			names = 1
 		}
-		s.mu.Lock()
-		s.served++
-		s.resolved += names
-		s.mu.Unlock()
+		s.served.Add(1)
+		s.resolved.Add(int64(names))
 		s.respond(st, &resp)
 	}
 }
 
-// respond writes one response under the connection's write token. The
-// flush is elided when another worker has already declared a write
-// intent — workers never abandon a declared intent, so that worker's own
-// flush is guaranteed to carry our bytes and a burst of pipelined
-// responses rides one syscall.
+// respond encodes one response into the connection's write buffer under
+// the write token. Only a frame with nobody behind it to flush it leaves
+// at once: an invalidation push (the pusher is not a worker, and a
+// subscriber's staleness bound is this frame's flight time), or a response
+// encoded while another worker is parked in the conn's Read. Any other
+// response is flushed by its own worker at its next flush point (see
+// connState), so a pipelined burst rides one syscall.
 func (s *Server) respond(st *connState, resp *response) {
-	st.wq.Add(1)
 	st.wtoken <- struct{}{}
-	now := time.Now()
-	if st.wdeadline.Sub(now) < serveWriteTimeout/2 {
-		// The write bound is a liveness backstop, not a precise timer, so
-		// re-arm it lazily at half horizon and let it ride across writes.
-		st.wdeadline = now.Add(serveWriteTimeout)
-		_ = st.conn.SetWriteDeadline(st.wdeadline)
-	}
 	var err error
 	if st.codec == CodecBinary {
 		// Append-encode into the token-guarded scratch: the response's
@@ -455,24 +501,25 @@ func (s *Server) respond(st *connState, resp *response) {
 		st.wbuf = appendResponse(st.wbuf[:0], resp)
 		err = writeFrame(st.bw, st.wbuf)
 	} else {
+		// gob writes from inside Encode, so its bound is armed where
+		// conndeadline can see it, once per message.
+		st.wd.arm()
 		//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
 		err = st.enc.Encode(resp)
 	}
-	if rem := st.wq.Add(-1); err == nil && rem == 0 {
-		// Flush at the message boundary: gob alone issues several small
-		// writes per message, each a syscall on a real conn.
+	if err == nil && (resp.Invalidation || st.parked.Load()) {
 		err = st.bw.Flush()
 	}
 	<-st.wtoken
 	if err != nil {
 		// The stream died mid-message; kill the conn so the decoders stop
 		// instead of queueing answers nobody will read.
-		st.die()
+		st.Close()
 	}
 }
 
-// handle serves one wire request from sc.req, resolving into the worker's
-// scratch buffers.
+// handle serves one non-mutating wire request from sc.req, resolving into
+// the worker's scratch buffers.
 //
 // The resolve cases return a revision consistent with the bindings they
 // read, re-resolving until the revision settles. The revision is sampled
@@ -489,8 +536,6 @@ func (s *Server) respond(st *connState, resp *response) {
 func (s *Server) handle(sc *workerScratch) response {
 	req := &sc.req
 	switch {
-	case req.Op != opNone:
-		return s.handleMutation(req)
 	case req.Routes:
 		s.mu.Lock()
 		routes := s.routes
@@ -564,8 +609,7 @@ func (s *Server) resolveOne(scratch *core.Path, raw []string) result {
 func (s *Server) Bump() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rev++
-	s.notifyLocked(s.rev)
+	s.notifyLocked(s.rev.Add(1))
 }
 
 // notifyLocked offers rev to every subscribed connection's pusher.
@@ -577,11 +621,7 @@ func (s *Server) notifyLocked(rev uint64) {
 }
 
 // Revision returns the current binding revision.
-func (s *Server) Revision() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rev
-}
+func (s *Server) Revision() uint64 { return s.rev.Load() }
 
 // SetRevision advances the binding revision to at least rev. Recovery
 // uses it to resume a restored shard at the revision its snapshot was
@@ -595,9 +635,9 @@ func (s *Server) Revision() uint64 {
 func (s *Server) SetRevision(rev uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rev > s.rev {
-		s.rev = rev
-		s.notifyLocked(s.rev)
+	if rev > s.rev.Load() {
+		s.rev.Store(rev)
+		s.notifyLocked(rev)
 	}
 }
 
@@ -649,19 +689,11 @@ func (s *Server) exportWatch(_ core.Name, e core.Entity) {
 
 // Served returns the number of wire requests handled so far (a batch
 // counts once — that is the point of batching).
-func (s *Server) Served() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
-}
+func (s *Server) Served() int { return int(s.served.Load()) }
 
 // Resolved returns the number of names resolved so far (every element of a
 // batch counts).
-func (s *Server) Resolved() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resolved
-}
+func (s *Server) Resolved() int { return int(s.resolved.Load()) }
 
 // Close stops the listener, closes active connections, and waits for
 // connection handlers started by Serve to finish.

@@ -264,8 +264,6 @@ var (
 	NewShardedClient = cluster.NewClient
 	// WithShardLRU enables the revision-tracked per-shard LRU cache.
 	WithShardLRU = cluster.WithLRU
-	// WithShardPoolSize caps idle pooled connections per shard.
-	WithShardPoolSize = cluster.WithPoolSize
 	// WithShardTimeout bounds every dial and round-trip of a cluster
 	// client (the failure-model deadline).
 	WithShardTimeout = cluster.WithTimeout
