@@ -10,8 +10,10 @@
 // Two exemptions keep the rule precise:
 //
 //  1. Context implementations themselves (methods on a context-shaped
-//     receiver, e.g. WatchedContext.Bind wrapping BasicContext.Bind) are
-//     the mutation primitives being guarded, not clients of them.
+//     receiver, e.g. UnionContext.Bind writing through to its first
+//     layer's Bind) are the mutation primitives being guarded, not clients
+//     of them. A watched BasicContext needs no exemption of its own: its
+//     change hook is a field of the primitive, not a wrapper around it.
 //  2. Construction-time code that reaches no revision state at all is
 //     outside the server packages' scope by definition — the Scope list
 //     names only packages that serve live clients.

@@ -17,14 +17,14 @@ func (c *BasicContext) Bind(n Name, e Entity) { c.m[n] = e }
 func (c *BasicContext) Unbind(n Name)         { delete(c.m, n) }
 func (c *BasicContext) Names() []Name         { return nil }
 
-// WatchedContext wraps a context; its own Bind/Unbind are exempt — they
-// ARE the primitive, the obligation sits with their callers.
-type WatchedContext struct{ inner *BasicContext }
+// UnionContext writes through to a layer; its own Bind/Unbind are exempt —
+// they ARE the primitive, the obligation sits with their callers.
+type UnionContext struct{ inner *BasicContext }
 
-func (c *WatchedContext) Lookup(n Name) Entity  { return c.inner.Lookup(n) }
-func (c *WatchedContext) Bind(n Name, e Entity) { c.inner.Bind(n, e) }
-func (c *WatchedContext) Unbind(n Name)         { c.inner.Unbind(n) }
-func (c *WatchedContext) Names() []Name         { return c.inner.Names() }
+func (c *UnionContext) Lookup(n Name) Entity  { return c.inner.Lookup(n) }
+func (c *UnionContext) Bind(n Name, e Entity) { c.inner.Bind(n, e) }
+func (c *UnionContext) Unbind(n Name)         { c.inner.Unbind(n) }
+func (c *UnionContext) Names() []Name         { return c.inner.Names() }
 
 // Server owns the revision.
 type Server struct {
@@ -73,8 +73,8 @@ func (s *Server) sneakBind(n Name, e Entity) {
 }
 
 // sneakUnbind is the same hole through Unbind, on a wrapped context.
-func (s *Server) sneakUnbind(w *WatchedContext, n Name) {
-	w.Unbind(n) // want `sneakUnbind mutates a binding \(WatchedContext\.Unbind\) but never reaches a revision bump`
+func (s *Server) sneakUnbind(w *UnionContext, n Name) {
+	w.Unbind(n) // want `sneakUnbind mutates a binding \(UnionContext\.Unbind\) but never reaches a revision bump`
 }
 
 // renameBoth has two unbumped mutations; each is reported.

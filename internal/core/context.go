@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -29,6 +30,7 @@ type Context interface {
 type BasicContext struct {
 	mu       sync.RWMutex
 	bindings map[Name]Entity
+	onChange func(Name, Entity) // change hook, nil until SetWatch; never replaced
 }
 
 var _ Context = (*BasicContext)(nil)
@@ -41,27 +43,35 @@ func NewContext() *BasicContext {
 // Lookup returns the entity bound to name, or Undefined.
 func (c *BasicContext) Lookup(n Name) Entity {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.bindings[n]
+	e := c.bindings[n]
+	c.mu.RUnlock()
+	return e
 }
 
 // Bind binds name to entity. Binding to Undefined removes the binding, so
 // that Len and Names reflect only defined bindings.
+//
+// The key is stored as its own compact copy: names usually arrive as
+// substrings of something much larger (a spec line, a wire frame), and
+// sibling keys allocated together are compared within a cache line or two
+// instead of one line each — and do not keep the larger text alive.
 func (c *BasicContext) Bind(n Name, e Entity) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e.IsUndefined() {
 		delete(c.bindings, n)
-		return
+	} else {
+		c.bindings[Name(strings.Clone(string(n)))] = e
 	}
-	c.bindings[n] = e
+	hook := c.onChange
+	c.mu.Unlock()
+	if hook != nil {
+		hook(n, e)
+	}
 }
 
 // Unbind removes the binding for name.
 func (c *BasicContext) Unbind(n Name) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.bindings, n)
+	c.Bind(n, Undefined)
 }
 
 // Names returns the bound names in sorted order.
@@ -83,17 +93,11 @@ func (c *BasicContext) Len() int {
 	return len(c.bindings)
 }
 
-// Clone returns an independent copy of the context. Parent/child context
-// inheritance (a child "inherits the context of its parent", §5.1) is
-// modelled by cloning at fork time.
+// Clone returns an independent, unwatched copy of the context. Parent/child
+// context inheritance (a child "inherits the context of its parent", §5.1)
+// is modelled by cloning at fork time.
 func (c *BasicContext) Clone() *BasicContext {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d := &BasicContext{bindings: make(map[Name]Entity, len(c.bindings))}
-	for n, e := range c.bindings {
-		d.bindings[n] = e
-	}
-	return d
+	return &BasicContext{bindings: c.Snapshot()}
 }
 
 // Snapshot returns a copy of the binding map.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Edge is one labelled edge of the naming graph: context object From binds
@@ -17,22 +16,19 @@ type Edge struct {
 // Graph returns a snapshot of the naming graph: one edge per binding of
 // every context object in the World. Edges are ordered by (From.ID, Label).
 func (w *World) Graph() []Edge {
-	w.mu.RLock()
 	type node struct {
 		e Entity
 		c Context
 	}
-	nodes := make([]node, 0)
-	for id, s := range w.states {
-		c, ok := s.(Context)
-		if !ok {
-			continue
+	w.mu.RLock()
+	var nodes []node // in table order, which is ID order
+	w.eachRow(func(e Entity, r *entityRow) {
+		if r.ctx != nil {
+			nodes = append(nodes, node{e, r.ctx})
 		}
-		nodes = append(nodes, node{Entity{ID: id, Kind: w.kinds[id]}, c})
-	}
+	})
 	w.mu.RUnlock()
 
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].e.ID < nodes[j].e.ID })
 	var edges []Edge
 	for _, nd := range nodes {
 		for _, n := range nd.c.Names() {

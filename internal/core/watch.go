@@ -1,69 +1,50 @@
 package core
 
-// WatchedContext wraps a Context and invokes a callback after every
-// mutation. Schemes use it to propagate binding changes — for example, the
-// name server bumps its revision (invalidating coherent client caches)
-// when any watched directory of its exported tree changes.
-type WatchedContext struct {
-	inner    Context
-	onChange func(Name, Entity)
+// SetWatch installs onChange as the context's change hook: every later Bind
+// and Unbind calls it with the name and its new binding (Undefined after an
+// Unbind), after the mutation is visible and outside the context's lock —
+// so the hook may read the context, or bind other names in it. Schemes use
+// it to propagate binding changes; the name server bumps its revision
+// (invalidating coherent client caches) when a watched directory of its
+// exported tree changes.
+//
+// There is one hook per context and the first installer wins: SetWatch on
+// an already-watched context changes nothing and reports false.
+func (c *BasicContext) SetWatch(onChange func(Name, Entity)) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.onChange != nil || onChange == nil {
+		return false
+	}
+	c.onChange = onChange
+	return true
 }
 
-var _ Context = (*WatchedContext)(nil)
-
-// Watch wraps inner so that every Bind and Unbind invokes onChange with
-// the name and its new binding (Undefined after Unbind). The callback runs
-// synchronously after the mutation; it must not mutate the same context.
-func Watch(inner Context, onChange func(Name, Entity)) *WatchedContext {
-	return &WatchedContext{inner: inner, onChange: onChange}
+// IsWatched reports whether c is a BasicContext with a change hook
+// installed.
+func IsWatched(c Context) bool {
+	bc, ok := c.(*BasicContext)
+	if !ok {
+		return false
+	}
+	bc.mu.RLock()
+	defer bc.mu.RUnlock()
+	return bc.onChange != nil
 }
 
-// Unwrap returns the wrapped context.
-func (c *WatchedContext) Unwrap() Context { return c.inner }
-
-// Lookup implements Context.
-func (c *WatchedContext) Lookup(n Name) Entity { return c.inner.Lookup(n) }
-
-// Bind implements Context, notifying the watcher.
-func (c *WatchedContext) Bind(n Name, e Entity) {
-	c.inner.Bind(n, e)
-	c.onChange(n, e)
-}
-
-// Unbind implements Context, notifying the watcher.
-func (c *WatchedContext) Unbind(n Name) {
-	c.inner.Unbind(n)
-	c.onChange(n, Undefined)
-}
-
-// Names implements Context.
-func (c *WatchedContext) Names() []Name { return c.inner.Names() }
-
-// Len implements Context.
-func (c *WatchedContext) Len() int { return c.inner.Len() }
-
-// WatchReachable wraps the context of every context object reachable from
-// root (including root itself, if it is a context object) with the given
-// callback, and returns how many contexts were wrapped. Context objects
-// created or attached afterwards are not watched — call again to cover
-// them. Already-watched contexts are not double-wrapped.
+// WatchReachable installs onChange on the directory of every context object
+// reachable from root (including root itself, if it is one) and returns how
+// many it newly watched. Directories created or attached afterwards are not
+// covered — call again to cover them; already-watched ones keep the hook
+// they have and are not counted. Only BasicContext states can be watched;
+// other Context implementations are skipped.
 func (w *World) WatchReachable(root Entity, onChange func(Name, Entity)) int {
-	wrapped := 0
+	watched := 0
 	for id := range w.Reachable(root) {
-		e := Entity{ID: id, Kind: KindObject}
-		if !w.Exists(e) {
-			continue
-		}
-		ctx, ok := w.ContextOf(e)
-		if !ok {
-			continue
-		}
-		if _, already := ctx.(*WatchedContext); already {
-			continue
-		}
-		if err := w.SetState(e, Watch(ctx, onChange)); err == nil {
-			wrapped++
+		ctx, _ := w.ContextOf(Entity{ID: id, Kind: KindObject})
+		if bc, ok := ctx.(*BasicContext); ok && bc.SetWatch(onChange) {
+			watched++
 		}
 	}
-	return wrapped
+	return watched
 }

@@ -108,10 +108,10 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 	if err != nil {
 		return core.Undefined, 0, err
 	}
-	// A watched directory bumps the revision from inside Bind/Unbind; an
+	// A watched directory bumps the revision from its change hook; an
 	// unwatched one (server without WatchExport) needs an explicit Bump so
 	// the discipline holds either way.
-	_, watched := ctx.(*core.WatchedContext)
+	watched := core.IsWatched(ctx)
 	replica := m.atRev > 0
 
 	var created core.Entity
@@ -151,7 +151,7 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 				// Watch the new directory before it becomes reachable, so
 				// there is no window in which a bind inside it could skip
 				// the revision bump.
-				_ = s.world.SetState(dirE, core.Watch(dirCtx, s.exportWatch))
+				dirCtx.SetWatch(s.exportWatch)
 			}
 			created = dirE
 			ctx.Bind(m.name, dirE)
@@ -194,18 +194,9 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 }
 
 // mutationContext resolves the directory a mutation applies to. The
-// empty path means the export root — resolved through the watch wrapper
-// when the export is watched, so root-level mutations bump too.
+// empty path means the export root itself.
 func (s *Server) mutationContext(dir core.Path) (core.Context, error) {
 	if len(dir) == 0 {
-		s.mu.Lock()
-		watching, root := s.watching, s.exportRoot
-		s.mu.Unlock()
-		if watching {
-			if ctx, ok := s.world.ContextOf(root); ok {
-				return ctx, nil
-			}
-		}
 		return s.export, nil
 	}
 	e, err := s.world.Resolve(s.export, dir)

@@ -143,6 +143,10 @@ func TestMkcontextAutoWatch(t *testing.T) {
 	s := NewServer(w, tr.RootContext())
 	s.WatchExport(tr.Root)
 	c := pipeClient(t, s, WithCoherentCache(16))
+	pushed := make(chan uint64, 16)
+	if err := c.Subscribe(func(rev uint64) { pushed <- rev }); err != nil {
+		t.Fatal(err)
+	}
 
 	dir, _, err := c.Mkcontext(core.ParsePath("usr"), "fresh")
 	if err != nil {
@@ -152,16 +156,23 @@ func TestMkcontextAutoWatch(t *testing.T) {
 	if !ok {
 		t.Fatal("created entity is not a context")
 	}
-	if _, watched := ctx.(*core.WatchedContext); !watched {
-		t.Fatal("freshly made context is not watched: later binds will not bump the revision")
-	}
 
 	// Mutate the fresh directory directly through the world — the path a
-	// server-local writer takes, where only the watch can bump.
+	// server-local writer takes, where only the watch can bump — and
+	// require the bump to reach the push subscriber.
 	before := s.Revision()
 	ctx.Bind("tool", f)
-	if got := s.Revision(); got <= before {
-		t.Fatalf("Revision = %d after bind in fresh context, want > %d", got, before)
+	after := s.Revision()
+	if after != before+1 {
+		t.Fatalf("Revision = %d after bind in fresh context, want %d (exactly one bump)", after, before+1)
+	}
+	deadline := time.After(5 * time.Second)
+	for rev := uint64(0); rev < after; {
+		select {
+		case rev = <-pushed:
+		case <-deadline:
+			t.Fatalf("no push at revision %d reached the subscriber", after)
+		}
 	}
 
 	// The coherent cache must see the change after one round-trip: prime
@@ -181,6 +192,51 @@ func TestMkcontextAutoWatch(t *testing.T) {
 	}
 	if _, err := c.Resolve(p); err == nil {
 		t.Fatal("stale cache served an unbound name")
+	}
+}
+
+// TestWatchExportSharedDirectory covers a directory bound under two paths
+// (a link to a directory): it is one context, watched once, and a bind
+// through either path — over the wire or server-local — bumps exactly once.
+func TestWatchExportSharedDirectory(t *testing.T) {
+	w, tr, f := exportedTree(t)
+	bin, err := tr.Lookup(core.ParsePath("usr/bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Attach(nil, "bin", bin); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(w, tr.RootContext())
+	if got := s.WatchExport(tr.Root); got != 3 {
+		t.Fatalf("watching %d directories, want 3 (root, usr, and bin once)", got)
+	}
+	c := pipeClient(t, s)
+
+	for _, via := range []struct {
+		dir  string
+		name core.Name
+	}{{"usr/bin", "via-usr"}, {"bin", "via-link"}} {
+		before := s.Revision()
+		rev, err := c.Bind(core.ParsePath(via.dir), via.name, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rev != before+1 || s.Revision() != before+1 {
+			t.Fatalf("bind through %q committed at %d (server at %d), want exactly %d",
+				via.dir, rev, s.Revision(), before+1)
+		}
+	}
+	binCtx, _ := w.ContextOf(bin)
+	before := s.Revision()
+	binCtx.Bind("local", f)
+	if got := s.Revision(); got != before+1 {
+		t.Fatalf("server-local bind moved the revision %d → %d, want one bump", before, got)
+	}
+	for _, p := range []string{"usr/bin/local", "bin/local", "bin/via-usr", "usr/bin/via-link"} {
+		if got, err := c.Resolve(core.ParsePath(p)); err != nil || got != f {
+			t.Fatalf("resolve %q = %v, %v", p, got, err)
+		}
 	}
 }
 

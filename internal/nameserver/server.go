@@ -92,10 +92,6 @@ type Server struct {
 	// originated mutation commits — in commit order, which is what a
 	// primary-per-shard replicator needs to keep backups convergent.
 	onMutation func(AppliedMutation)
-	// exportRoot is the watched export root (set by WatchExport); watching
-	// reports whether the export is under revision watch at all.
-	exportRoot core.Entity
-	watching   bool
 	wg         sync.WaitGroup
 }
 
@@ -661,7 +657,7 @@ func (s *Server) SetRoutes(routes *RouteInfo) {
 	s.routes = routes.Clone()
 }
 
-// WatchExport wraps every directory reachable from root so that any
+// WatchExport hooks every directory reachable from root so that any
 // binding change bumps the server revision, and returns how many
 // directories are now watched. The watch is self-extending: when a
 // binding introduces an entity, every directory reachable through it is
@@ -669,10 +665,6 @@ func (s *Server) SetRoutes(routes *RouteInfo) {
 // cannot mutate silently — the hole that once let a bind in a freshly
 // made context leave client caches stale.
 func (s *Server) WatchExport(root core.Entity) int {
-	s.mu.Lock()
-	s.exportRoot = root
-	s.watching = true
-	s.mu.Unlock()
 	return s.world.WatchReachable(root, s.exportWatch)
 }
 

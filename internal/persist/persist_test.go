@@ -205,14 +205,16 @@ func TestWatchedContextSavedAsBindings(t *testing.T) {
 	d, ctx := w.NewContextObject("dir")
 	leaf := w.NewObject("leaf")
 	ctx.Bind("leaf", leaf)
-	// Wrap with instrumentation; Save must still see the bindings.
-	if err := w.SetState(d, core.Watch(ctx, func(core.Name, core.Entity) {})); err != nil {
-		t.Fatal(err)
-	}
+	// A change hook is run-time state: Save sees the bindings, and the
+	// loaded directory comes back unwatched.
+	ctx.SetWatch(func(core.Name, core.Entity) {})
 	w2 := roundTripWorld(t, w)
 	ctx2, ok := w2.ContextOf(core.Entity{ID: d.ID, Kind: core.KindObject})
 	if !ok {
 		t.Fatal("watched context not persisted as context")
+	}
+	if core.IsWatched(ctx2) {
+		t.Fatal("loaded context carries a watch")
 	}
 	if got := ctx2.Lookup("leaf"); got.ID != leaf.ID {
 		t.Fatalf("binding lost: %v", got)

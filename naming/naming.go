@@ -34,16 +34,12 @@ type (
 	NotFoundError = core.NotFoundError
 	// NotContextError reports resolution through a non-context entity.
 	NotContextError = core.NotContextError
-	// WatchedContext notifies a callback on every binding change.
-	WatchedContext = core.WatchedContext
 	// UnionContext overlays contexts, Plan 9 union-directory style.
 	UnionContext = core.UnionContext
 )
 
 // Context combinators.
 var (
-	// Watch wraps a context so every Bind/Unbind invokes a callback.
-	Watch = core.Watch
 	// Union overlays contexts; earlier layers shadow later ones.
 	Union = core.Union
 )
