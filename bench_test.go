@@ -494,9 +494,15 @@ func BenchmarkE14ShardedCluster(b *testing.B) {
 // BenchmarkWriteChurn measures wire mutation throughput through the
 // cluster write path: each iteration is one bind/unbind cycle against the
 // owning shard's primary, with asynchronous replication to the backup and
-// — in the readers>0 variants — subscribed push-invalidated readers whose
-// caches the churn keeps purging. writes/s is the figure of merit;
-// invals/op shows the push fan-out cost riding on each commit.
+// — in the readers>0 variants — subscribed push-invalidated readers that
+// keep resolving their 32 cached names while the churn goes on beside
+// them. writes/s is the figure of merit; the rest says what the push cost
+// and what the readers kept, and is exact: invals/op is 2 × readers (one
+// frame per commit per subscriber — frames no longer coalesce below the
+// server's pending bound), and since no churned name is one a reader
+// holds, entries-purged/op and whole-purges/op are 0 and reader-hit-ratio
+// is 1. Under the whole-shard rule every commit emptied half of each
+// reader's cache.
 func BenchmarkWriteChurn(b *testing.B) {
 	var spec strings.Builder
 	paths := make([]core.Path, 0, 32)
@@ -538,6 +544,41 @@ func BenchmarkWriteChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// counters sums the readers' {hits, misses, frames consumed,
+			// entries purged, whole-shard purges}.
+			counters := func() (c [5]int) {
+				for _, r := range subs {
+					hits, misses := r.Stats()
+					for i, v := range []int{hits, misses, r.Invalidations(), r.EntriesPurged(), r.Purges()} {
+						c[i] += v
+					}
+				}
+				return c
+			}
+			before := counters()
+			// One goroutine reads for all the readers: a pass over every
+			// cached name of each, then a pause, so it samples the caches
+			// a few thousand times a second without taking a CPU from the
+			// writer it runs beside.
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for {
+					for _, r := range subs {
+						for _, p := range paths {
+							if _, err := r.Resolve(p); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}
+					select {
+					case <-stop:
+						return
+					case <-time.After(200 * time.Microsecond):
+					}
+				}
+			}()
 			dir := core.ParsePath("sub00")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -550,14 +591,22 @@ func BenchmarkWriteChurn(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			close(stop)
+			<-stopped
 			cl.DrainReplication()
 			b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "writes/s")
 			if readers > 0 {
-				invals := 0
-				for _, r := range subs {
-					invals += r.Invalidations()
+				// Every frame is owed; give the last few their flight time.
+				after := counters()
+				for deadline := time.Now().Add(5 * time.Second); after[2]-before[2] < 2*b.N*readers && time.Now().Before(deadline); after = counters() {
+					time.Sleep(time.Millisecond)
 				}
-				b.ReportMetric(float64(invals)/float64(b.N), "invals/op")
+				perOp := func(i int) float64 { return float64(after[i]-before[i]) / float64(b.N) }
+				b.ReportMetric(perOp(2), "invals/op")
+				b.ReportMetric(perOp(3), "entries-purged/op")
+				b.ReportMetric(perOp(4), "whole-purges/op")
+				hits, misses := after[0]-before[0], after[1]-before[1]
+				b.ReportMetric(float64(hits)/float64(max(1, hits+misses)), "reader-hit-ratio")
 			}
 		})
 	}

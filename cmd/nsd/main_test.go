@@ -63,7 +63,7 @@ func resolveAll(t *testing.T, addr string, paths []string) []answer {
 	defer func() { _ = cl.Close() }()
 	out := make([]answer, 0, len(paths))
 	for _, p := range paths {
-		e, rev, err := cl.ResolveRev(core.ParsePath(p))
+		e, _, rev, err := cl.ResolveRev(core.ParsePath(p))
 		if err != nil {
 			t.Fatalf("resolve %q: %v", p, err)
 		}

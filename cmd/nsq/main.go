@@ -11,7 +11,10 @@
 // binding, "mkcontext PATH" creates a directory. In cluster mode writes
 // route to the owning shard's primary. -push subscribes the client for
 // server-pushed invalidations before resolving (useful with -cache
-// -coherent -n, where repeated reads would otherwise revalidate by poll).
+// -coherent -n, where repeated reads would otherwise revalidate by poll)
+// and prints each frame as it is consumed: "rev N: dir #ID name" for a
+// commit that rebound one non-directory name, "rev N: everything" for any
+// other — what this subscriber was told, and when it stopped being stale.
 //
 // Usage:
 //
@@ -100,7 +103,9 @@ func run(args []string) error {
 		return mutateSingle(client, verb, rest)
 	}
 	if *push {
-		if err := client.Subscribe(nil); err != nil {
+		if _, err := client.SubscribeFrames(func(iv nameserver.Invalidation) {
+			fmt.Println(describeFrame(iv))
+		}); err != nil {
 			return fmt.Errorf("subscribe: %w", err)
 		}
 	}
@@ -123,6 +128,15 @@ func run(args []string) error {
 		fmt.Printf("push: %d invalidations\n", client.Invalidations())
 	}
 	return nil
+}
+
+// describeFrame renders one consumed push frame: what the server said
+// changed at that revision.
+func describeFrame(iv nameserver.Invalidation) string {
+	if iv.Dir == 0 {
+		return fmt.Sprintf("rev %d: everything", iv.Rev)
+	}
+	return fmt.Sprintf("rev %d: dir #%d %s", iv.Rev, iv.Dir, iv.Name)
 }
 
 // splitVerb peels a leading mutation verb off the positional arguments

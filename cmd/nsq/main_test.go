@@ -109,3 +109,19 @@ func TestVerbsCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestDescribeFrame pins the two lines -push prints: a frame that names
+// the binding it changed, and one that can only say the revision moved.
+func TestDescribeFrame(t *testing.T) {
+	for _, tc := range []struct {
+		give nameserver.Invalidation
+		want string
+	}{
+		{nameserver.Invalidation{Rev: 12, Dir: 7, Name: "ls"}, "rev 12: dir #7 ls"},
+		{nameserver.Invalidation{Rev: 13}, "rev 13: everything"},
+	} {
+		if got := describeFrame(tc.give); got != tc.want {
+			t.Errorf("describeFrame(%+v) = %q, want %q", tc.give, got, tc.want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"time"
 
@@ -32,19 +33,20 @@ type Client struct {
 	// flipping closed, so no request goroutine outlives the client.
 	wg sync.WaitGroup
 
-	mu        sync.Mutex
-	closed    bool
-	cache     *lru.Cache[string, cacheEntry]
-	revs      []uint64 // per-shard binding revision last seen
-	flights   map[string]*flight
-	hits      int
-	misses    int
-	coalesced int
-	purges    int
-	failovers int
+	mu            sync.Mutex
+	closed        bool
+	cache         *lru.Cache[string, cacheEntry]
+	revs          []uint64 // per-shard binding revision the cache is current to
+	flights       map[string]*flight
+	hits          int
+	misses        int
+	coalesced     int
+	purges        int // whole-shard purges that removed something
+	entriesPurged int // entries removed by any purge, whole-shard or single-binding
+	failovers     int
 	// push invalidation (see WithPushInvalidation): every shared
-	// connection subscribes on dial, and pushed revisions feed the
-	// per-shard purge rule without waiting for the next miss.
+	// connection subscribes on dial, and pushed frames feed the per-shard
+	// purge rule without waiting for the next miss.
 	push          bool
 	invalidations int
 }
@@ -55,10 +57,17 @@ type Client struct {
 var batchJoinHook func()
 
 // cacheEntry tags each cached binding with its shard, so a revision
-// advance purges exactly the entries that shard vouched for.
+// advance purges only entries that shard vouched for — and with where the
+// name's final component was looked up, so a pushed frame that names the
+// binding it changed purges only entries that binding could have answered.
+// dir is the answering server's entity for that directory (0: the server
+// could not say); it means something only next to frames from the same
+// replica, since every replica numbers its own copy of the subtree.
 type cacheEntry struct {
-	entity core.Entity
-	shard  int
+	entity  core.Entity
+	dir     core.EntityID
+	shard   int32
+	replica int32
 }
 
 // flight is one in-progress resolution that concurrent identical lookups
@@ -269,25 +278,25 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	c.mu.Unlock()
 
 	shard := c.routes.ShardFor(p)
-	e, rev, err := c.resolveAtShard(shard, p)
+	entry, rev, err := c.resolveAtShard(shard, p)
 
 	c.mu.Lock()
-	c.noteRevision(shard, rev, err)
-	if err == nil && c.cache != nil {
-		c.cache.Put(key, cacheEntry{entity: e, shard: shard})
+	if c.noteRevision(shard, rev, err) && err == nil {
+		c.cache.Put(key, entry)
 	}
 	delete(c.flights, key)
 	c.mu.Unlock()
-	f.e, f.err = e, err
+	f.e, f.err = entry.entity, err
 	close(f.done)
-	return e, err
+	return entry.entity, err
 }
 
 // resolveAtShard runs one single-name round-trip against the shard, with
 // bounded retry: each transport failure retires the poisoned shared
 // connection, records it against the replica's breaker, backs off, and
-// prefers a different replica on the next attempt.
-func (c *Client) resolveAtShard(shard int, p core.Path) (core.Entity, uint64, error) {
+// prefers a different replica on the next attempt. The answer comes back as
+// the cache would keep it.
+func (c *Client) resolveAtShard(shard int, p core.Path) (cacheEntry, uint64, error) {
 	set := c.shards[shard]
 	var lastErr error
 	avoid := -1
@@ -298,15 +307,15 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (core.Entity, uint64, er
 		conn, err := set.get(avoid)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
-				return core.Undefined, 0, err
+				return cacheEntry{}, 0, err
 			}
 			lastErr = fmt.Errorf("shard %d: %w", shard, err)
 			continue
 		}
-		e, rev, err := conn.ResolveRev(p)
+		e, dir, rev, err := conn.ResolveRev(p)
 		if err == nil || isRemote(err) {
 			set.ok(conn.replica)
-			return e, rev, err
+			return cacheEntry{entity: e, dir: dir, shard: int32(shard), replica: int32(conn.replica)}, rev, err
 		}
 		// Transport failure: the shared connection is poisoned, retire it
 		// and charge the replica's breaker.
@@ -315,11 +324,12 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (core.Entity, uint64, er
 		avoid = conn.replica
 		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
-	return core.Undefined, 0, lastErr
+	return cacheEntry{}, 0, lastErr
 }
 
-// batchAtShard is resolveAtShard for one wire batch.
-func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, uint64, error) {
+// batchAtShard is resolveAtShard for one wire batch; it also reports which
+// replica answered.
+func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, int, uint64, error) {
 	set := c.shards[shard]
 	var lastErr error
 	avoid := -1
@@ -330,7 +340,7 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, uint6
 		conn, err := set.get(avoid)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
 			lastErr = fmt.Errorf("shard %d: %w", shard, err)
 			continue
@@ -338,14 +348,14 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, uint6
 		results, rev, err := conn.ResolveBatchRev(keys)
 		if err == nil {
 			set.ok(conn.replica)
-			return results, rev, nil
+			return results, conn.replica, rev, nil
 		}
 		set.retire(conn)
 		c.noteFailover(attempt)
 		avoid = conn.replica
 		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
-	return nil, 0, lastErr
+	return nil, 0, 0, lastErr
 }
 
 // backoffDelay returns the wait before retry attempt (1-based): the base
@@ -370,24 +380,76 @@ func (c *Client) noteFailover(int) {
 	c.mu.Unlock()
 }
 
-// noteRevision applies the per-shard purge rule. Callers hold c.mu. The
-// revision is trusted only from successful or remote-failed responses
+// noteRevision applies the per-shard purge rule to a response's revision
+// and reports whether the response may fill the cache. Callers hold c.mu.
+// The revision is trusted only from successful or remote-failed responses
 // (rev 0 from a transport error must not purge anything).
-func (c *Client) noteRevision(shard int, rev uint64, err error) {
-	if err != nil && !isRemote(err) {
-		return
+//
+// Polling, the revision is all the client ever learns: any response whose
+// revision differs from the shard's says the subtree changed since the
+// shard's entries were fetched, and everything that shard vouched for goes
+// before anything new is trusted. Subscribed, frames move revs (see
+// pushed), and a response only confirms it: one at revs[shard] fills; one
+// ahead of it outran its frames — a connection whose subscription failed —
+// and falls back to the purge; one behind it is the caller's answer but
+// not the cache's. The reader consumes a frame the moment it arrives while
+// the caller of an earlier response may not have run yet: that answer can
+// predate the commit the frame announced, so it is not admitted, and it
+// purges nothing — and revs never moves backwards, or the next frame would
+// read as a gap and purge the shard a second time.
+func (c *Client) noteRevision(shard int, rev uint64, err error) bool {
+	if c.cache == nil || (err != nil && !isRemote(err)) {
+		return false
 	}
-	if c.cache == nil || rev == c.revs[shard] {
-		return
+	switch {
+	case rev == c.revs[shard]:
+	case c.push && rev < c.revs[shard]:
+		return false
+	default:
+		c.purgeShard(shard)
+		c.revs[shard] = rev
 	}
-	// The shard's subtree changed since its entries were fetched: purge
-	// everything that shard vouched for before trusting anything new.
-	if removed := c.cache.DeleteFunc(func(_ string, e cacheEntry) bool {
-		return e.shard != shard
-	}); removed > 0 {
+	return true
+}
+
+// purgeShard removes everything the shard vouched for. Callers hold c.mu.
+func (c *Client) purgeShard(shard int) {
+	removed := c.cache.DeleteFunc(func(_ string, e cacheEntry) bool {
+		return int(e.shard) != shard
+	})
+	if removed > 0 {
 		c.purges++
+		c.entriesPurged += removed
 	}
-	c.revs[shard] = rev
+}
+
+// purgeBinding removes the shard's entries that the binding name in
+// directory dir, as numbered by replica, can have answered: those whose
+// final component was looked up as exactly that pair, and those whose
+// directory is unknown — the server could not say, or another replica
+// said, in its own numbers. The directory is an entity, not a path prefix:
+// bound under two paths it is still one directory, and names cached through
+// either go. Callers hold c.mu.
+func (c *Client) purgeBinding(shard, replica int, dir core.EntityID, name core.Name) {
+	c.entriesPurged += c.cache.DeleteFunc(func(key string, e cacheEntry) bool {
+		if int(e.shard) != shard {
+			return true
+		}
+		if e.dir == 0 || int(e.replica) != replica {
+			return false
+		}
+		return e.dir != dir || !endsWithComponent(key, string(name))
+	})
+}
+
+// endsWithComponent reports whether the last component of the cache key
+// (a path rendered with core.Separator) is name.
+func endsWithComponent(key, name string) bool {
+	if !strings.HasSuffix(key, name) {
+		return false
+	}
+	rest := key[:len(key)-len(name)]
+	return rest == "" || strings.HasSuffix(rest, core.Separator)
 }
 
 // BatchResult is one outcome of a batched cluster resolution.
@@ -462,6 +524,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	// One concurrent wire batch per shard.
 	type shardAnswer struct {
 		shard   int
+		replica int
 		results []BatchResult
 		rev     uint64
 		err     error
@@ -471,8 +534,8 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		if batchJoinHook != nil {
 			defer batchJoinHook()
 		}
-		results, rev, err := c.batchAtShard(shard, w.keys)
-		answers <- shardAnswer{shard: shard, results: results, rev: rev, err: err}
+		results, replica, rev, err := c.batchAtShard(shard, w.keys)
+		answers <- shardAnswer{shard: shard, replica: replica, results: results, rev: rev, err: err}
 	}
 	for shard, w := range work {
 		if len(work) == 1 {
@@ -509,11 +572,11 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			continue
 		}
 		c.mu.Lock()
-		c.noteRevision(a.shard, a.rev, nil)
+		fill := c.noteRevision(a.shard, a.rev, nil)
 		for k, res := range a.results {
 			key := w.keys[k].String()
-			if res.Err == nil && c.cache != nil {
-				c.cache.Put(key, cacheEntry{entity: res.Entity, shard: a.shard})
+			if fill && res.Err == nil {
+				c.cache.Put(key, cacheEntry{entity: res.Entity, dir: res.Dir, shard: int32(a.shard), replica: int32(a.replica)})
 			}
 			for _, i := range w.index[key] {
 				out[i] = res
@@ -544,12 +607,23 @@ func (c *Client) Coalesced() int {
 	return c.coalesced
 }
 
-// Purges returns how many times a shard revision advance purged that
-// shard's cache entries.
+// Purges returns how many times a shard's cache entries were purged
+// wholesale: by a revision advance the client learned of from a response,
+// a pushed frame that named no binding or left a gap, or a freshly
+// subscribed connection (see EntriesPurged for what single-binding frames
+// remove).
 func (c *Client) Purges() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.purges
+}
+
+// EntriesPurged returns how many cache entries invalidation has removed so
+// far, whole-shard purges and single-binding frames together.
+func (c *Client) EntriesPurged() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entriesPurged
 }
 
 // Failovers returns how many transport failures triggered a retry or
@@ -638,6 +712,13 @@ func (p *replicaSet) get(avoid int) (*sharedConn, error) {
 	if p.closed {
 		p.mu.Unlock()
 		return nil, ErrClientClosed
+	}
+	// Every miss comes through here, and nearly every one finds the primary
+	// up with nothing held against it: the first candidate the search below
+	// would pick, found without reading the clock or building the list.
+	if conn := p.conns[0]; conn != nil && avoid != 0 && p.breakers[0].failures == 0 {
+		p.mu.Unlock()
+		return conn, nil
 	}
 	now := time.Now()
 	candidates := make([]int, 0, len(p.addrs))
@@ -749,7 +830,9 @@ func (p *replicaSet) dialReplica(r int) (*sharedConn, error) {
 // ok resets a replica's breaker after a successful round-trip.
 func (p *replicaSet) ok(replica int) {
 	p.mu.Lock()
-	p.breakers[replica] = breaker{}
+	if p.breakers[replica].failures != 0 {
+		p.breakers[replica] = breaker{}
+	}
 	p.mu.Unlock()
 }
 

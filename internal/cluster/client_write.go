@@ -21,19 +21,39 @@ type pushOption struct{}
 func (pushOption) apply(c *Client) { c.push = true }
 
 // WithPushInvalidation subscribes every shared connection for server-push
-// invalidation frames: each shard's revision advances reach the client as
-// unsolicited frames that purge that shard's cache entries immediately,
-// instead of at the next cache miss. The cache goes from poll-validated
-// to push-invalidated; staleness after a write shrinks from "until my
-// next round-trip to that shard" to one frame's flight time.
+// invalidation frames: each of a shard's commits reaches the client as an
+// unsolicited frame that says which binding it changed, and purges the
+// cache entries that binding could have answered — immediately, instead of
+// the shard's every entry at the next cache miss. The cache goes from
+// poll-validated to push-invalidated; staleness after a write shrinks from
+// "until my next round-trip to that shard" to one frame's flight time, and
+// a write costs the reader the names it rebound, not the shard.
 func WithPushInvalidation() ClientOption {
 	return pushOption{}
 }
 
+// subscription is the purge rule's view of one subscribed connection.
+// Guarded by Client.mu.
+type subscription struct {
+	replica int
+	// based is set once the subscription's ack has re-based the shard (see
+	// maybeSubscribe). Frames consumed before that — the reader can run
+	// ahead of the subscribing goroutine — purge the shard, and early keeps
+	// the newest of their revisions for the re-base to start from.
+	based bool
+	early uint64
+}
+
 // maybeSubscribe runs on each freshly installed shared connection (the
-// replicaSet's onDial hook, outside any lock). A subscription failure is
-// not fatal: the connection still resolves, and the cache falls back to
-// poll validation on it.
+// replicaSet's onDial hook, outside any lock). A new connection — first
+// dial, re-dial, failover to a backup — is a new history: nothing says its
+// server's revisions continue the last one's (a shard restarted from a
+// snapshot resumes below what a surviving client has seen). So the shard's
+// entries go, once, and revs restarts from the subscription's ack; from
+// then on the connection's frames carry it forward one commit at a time. A
+// subscription failure is not fatal: the connection still resolves, revs
+// restarts from zero, and every response's revision purges as it would
+// polling.
 func (c *Client) maybeSubscribe(shard int, conn *sharedConn) {
 	c.mu.Lock()
 	push := c.push
@@ -41,17 +61,45 @@ func (c *Client) maybeSubscribe(shard int, conn *sharedConn) {
 	if !push {
 		return
 	}
-	_ = conn.Subscribe(func(rev uint64) { c.pushRevision(shard, rev) })
+	sub := &subscription{replica: conn.replica}
+	ack, _ := conn.SubscribeFrames(func(iv nameserver.Invalidation) { c.pushed(shard, sub, iv) })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cache != nil {
+		c.purgeShard(shard)
+		c.revs[shard] = max(ack, sub.early)
+	}
+	sub.based = true
 }
 
-// pushRevision consumes one pushed invalidation: count it and feed the
-// per-shard purge rule, exactly as a response carrying this revision
-// would have.
-func (c *Client) pushRevision(shard int, rev uint64) {
+// pushed consumes one invalidation frame. A frame that names its binding
+// and is the very next commit after the one the cache is current to
+// removes the entries that binding can have answered, and nothing else.
+// Everything short of that falls back to purging the shard: a frame that
+// names nothing (a directory came or went, the server lost count of a slow
+// subscriber, a revision jump), and a gap — frames skipped, so commits
+// whose bindings nobody named. A frame at or below revs[shard] is old
+// news, from a backup trailing the primary whose frames the cache already
+// followed: every entry was admitted at a revision that covers it.
+func (c *Client) pushed(shard int, sub *subscription, iv nameserver.Invalidation) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.invalidations++
-	c.noteRevision(shard, rev, nil)
-	c.mu.Unlock()
+	if c.cache == nil {
+		return
+	}
+	switch {
+	case !sub.based:
+		sub.early = iv.Rev
+		c.purgeShard(shard)
+	case iv.Rev <= c.revs[shard]:
+	case iv.Dir != 0 && iv.Rev == c.revs[shard]+1:
+		c.purgeBinding(shard, sub.replica, iv.Dir, iv.Name)
+		c.revs[shard] = iv.Rev
+	default:
+		c.purgeShard(shard)
+		c.revs[shard] = iv.Rev
+	}
 }
 
 // Invalidations returns how many pushed invalidation frames this client

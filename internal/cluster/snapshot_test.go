@@ -80,7 +80,7 @@ func TestClusterRecoversFromSnapStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	_, gotRev, err := cl.ResolveRev(core.ParsePath("usr/bin/ls"))
+	_, _, gotRev, err := cl.ResolveRev(core.ParsePath("usr/bin/ls"))
 	if err != nil {
 		t.Fatalf("restored shard cannot resolve: %v", err)
 	}

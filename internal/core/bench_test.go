@@ -37,7 +37,7 @@ func nsloadTree(tb testing.TB) (w *World, root *BasicContext, leaves []Path, wat
 			}
 		}
 	}
-	watched = w.WatchReachable(rootE, func(Name, Entity) {})
+	watched, _ = w.WatchReachable(rootE, func(Change) {})
 	return w, root, leaves, watched
 }
 
@@ -73,12 +73,12 @@ func TestResolveAllocFloor(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := w.Resolve(root, leaves[(i*7919)%len(leaves)]); err != nil {
-			t.Fatal(err)
+		if _, dir, err := w.ResolveIn(root, leaves[(i*7919)%len(leaves)]); err != nil || dir.IsUndefined() {
+			t.Fatal(dir, err)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("Resolve on a watched tree: %v allocs/op, want 0", allocs)
+		t.Fatalf("ResolveIn on a watched tree: %v allocs/op, want 0", allocs)
 	}
 }

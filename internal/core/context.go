@@ -30,7 +30,8 @@ type Context interface {
 type BasicContext struct {
 	mu       sync.RWMutex
 	bindings map[Name]Entity
-	onChange func(Name, Entity) // change hook, nil until SetWatch; never replaced
+	onChange func(Change) // change hook, nil until SetWatch; never replaced
+	watchDir Entity       // the directory the hook was installed for (see SetWatch)
 }
 
 var _ Context = (*BasicContext)(nil)
@@ -48,6 +49,15 @@ func (c *BasicContext) Lookup(n Name) Entity {
 	return e
 }
 
+// lookupWatched is Lookup that also reports the entity the context's watch
+// was installed for (Undefined while unwatched), read under the one lock.
+func (c *BasicContext) lookupWatched(n Name) (e, dir Entity) {
+	c.mu.RLock()
+	e, dir = c.bindings[n], c.watchDir
+	c.mu.RUnlock()
+	return e, dir
+}
+
 // Bind binds name to entity. Binding to Undefined removes the binding, so
 // that Len and Names reflect only defined bindings.
 //
@@ -57,15 +67,20 @@ func (c *BasicContext) Lookup(n Name) Entity {
 // instead of one line each — and do not keep the larger text alive.
 func (c *BasicContext) Bind(n Name, e Entity) {
 	c.mu.Lock()
+	hook := c.onChange
+	var old Entity
+	if hook != nil {
+		old = c.bindings[n]
+	}
 	if e.IsUndefined() {
 		delete(c.bindings, n)
 	} else {
 		c.bindings[Name(strings.Clone(string(n)))] = e
 	}
-	hook := c.onChange
+	dir := c.watchDir
 	c.mu.Unlock()
 	if hook != nil {
-		hook(n, e)
+		hook(Change{Dir: dir, Name: n, Old: old, New: e})
 	}
 }
 

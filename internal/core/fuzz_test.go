@@ -267,7 +267,7 @@ func FuzzWorldOps(f *testing.F) {
 		var ents []Entity
 		var ctxs []*refContext
 		hooked, wantHooked := 0, 0
-		hook := func(Name, Entity) { hooked++ }
+		hook := func(Change) { hooked++ }
 		labels := []string{"", "a", "dir", "a long label that is not compact at all"}
 		// Enough names that one directory outgrows the runtime map's
 		// single-group form several times over.
@@ -400,7 +400,8 @@ func FuzzWorldOps(f *testing.F) {
 				}
 			case 9:
 				root := pick(next())
-				same(t, "WatchReachable", w.WatchReachable(root, hook), ref.watch(root))
+				watched, _ := w.WatchReachable(root, hook)
+				same(t, "WatchReachable", watched, ref.watch(root))
 			}
 
 			same(t, "hook calls", hooked, wantHooked)

@@ -43,35 +43,23 @@ func (e *NotContextError) Error() string {
 //
 // It returns the denoted entity, or Undefined together with a *NotFoundError
 // or *NotContextError describing where resolution failed.
-//
-// The loop deliberately duplicates ResolveTrail rather than delegating to
-// it: this is the server's per-request resolution path, and the trail —
-// which that variant must heap-allocate to return — would be built and
-// discarded on every wire resolve. Only the failure branches allocate,
-// constructing their errors.
 func (w *World) Resolve(c Context, p Path) (Entity, error) {
-	if len(p) == 0 {
-		return Undefined, ErrEmptyPath
-	}
-	cur := c
-	for i, n := range p {
-		e := cur.Lookup(n)
-		if e.IsUndefined() {
-			//namingvet:allocfree-exempt -- cold: failed resolution constructs its error
-			return Undefined, &NotFoundError{Path: p.Clone(), Depth: i}
-		}
-		if i == len(p)-1 {
-			return e, nil
-		}
-		next, ok := w.ContextOf(e)
-		if !ok {
-			//namingvet:allocfree-exempt -- cold: failed resolution constructs its error
-			return Undefined, &NotContextError{Entity: e, Path: p.Clone(), Depth: i}
-		}
-		cur = next
-	}
-	// Unreachable: the loop returns on the last component.
-	return Undefined, ErrEmptyPath
+	e, _, err := w.walk(c, p, nil)
+	return e, err
+}
+
+// ResolveIn is Resolve, and also reports the directory the final component
+// was looked up in, under the name its watch knows it by: the entity that
+// context's hook was installed for (see SetWatch), which every Change the
+// hook is told carries as Dir. dir is Undefined when that context is not a
+// watched *BasicContext — when nothing will report a change to the binding.
+//
+// An object's identity is not any one path to it: a directory bound under
+// two names is reported as the same dir whichever name the walk came by,
+// which is what lets a cache key its entries on (dir, last name) and purge
+// every alias of a rebound name at once.
+func (w *World) ResolveIn(c Context, p Path) (e, dir Entity, err error) {
+	return w.walk(c, p, nil)
 }
 
 // ResolveTrail resolves p in c and additionally returns the trail of
@@ -86,25 +74,54 @@ func (w *World) ResolveTrail(c Context, p Path) (Entity, []Entity, error) {
 	if len(p) == 0 {
 		return Undefined, nil, ErrEmptyPath
 	}
-	trail := make([]Entity, 0, len(p))
+	trail := make([]Entity, len(p))
+	e, _, err := w.walk(c, p, trail)
+	n := 0
+	for n < len(trail) && !trail[n].IsUndefined() {
+		n++
+	}
+	return e, trail[:n], err
+}
+
+// walk is the one resolution loop. A non-nil trail has room for len(p)
+// entities and receives the one each prefix of p denotes; the walk itself
+// never allocates on success — this is the server's per-request path — and
+// only the failure branches do, constructing their errors.
+func (w *World) walk(c Context, p Path, trail []Entity) (Entity, Entity, error) {
+	if len(p) == 0 {
+		return Undefined, Undefined, ErrEmptyPath
+	}
 	cur := c
 	for i, n := range p {
-		e := cur.Lookup(n)
+		e, dir := lookupIn(cur, n)
 		if e.IsUndefined() {
-			return Undefined, trail, &NotFoundError{Path: p.Clone(), Depth: i}
+			//namingvet:allocfree-exempt -- cold: failed resolution constructs its error
+			return Undefined, Undefined, &NotFoundError{Path: p.Clone(), Depth: i}
 		}
-		trail = append(trail, e)
+		if trail != nil {
+			trail[i] = e
+		}
 		if i == len(p)-1 {
-			return e, trail, nil
+			return e, dir, nil
 		}
 		next, ok := w.ContextOf(e)
 		if !ok {
-			return Undefined, trail, &NotContextError{Entity: e, Path: p.Clone(), Depth: i}
+			//namingvet:allocfree-exempt -- cold: failed resolution constructs its error
+			return Undefined, Undefined, &NotContextError{Entity: e, Path: p.Clone(), Depth: i}
 		}
 		cur = next
 	}
 	// Unreachable: the loop returns on the last component.
-	return Undefined, trail, ErrEmptyPath
+	return Undefined, Undefined, ErrEmptyPath
+}
+
+// lookupIn is c.Lookup(n) together with the entity c is watched as (see
+// BasicContext.lookupWatched); Undefined for any other implementation.
+func lookupIn(c Context, n Name) (e, dir Entity) {
+	if bc, ok := c.(*BasicContext); ok {
+		return bc.lookupWatched(n)
+	}
+	return c.Lookup(n), Undefined
 }
 
 // MustResolve resolves p in c and panics on failure. It is intended for

@@ -67,6 +67,70 @@ func TestResolveCompoundName(t *testing.T) {
 	}
 }
 
+// ResolveIn reports the directory the last component was looked up in as
+// its watch knows it: the same entity by whichever alias the walk reached
+// it — or by whichever entity shares its state — and nothing for a
+// directory no hook covers (unwatched, or not a BasicContext) or on failure.
+func TestResolveInReportsFinalDirectory(t *testing.T) {
+	w, rootCtx, ents := buildTree(t)
+	rootCtx.Bind("alias", ents["bin"]) // bin is now /usr/bin and /alias
+	twin := w.NewObject("twin")        // a second entity with bin's context as its state
+	if err := w.SetState(twin, mustContext(t, w, ents["bin"])); err != nil {
+		t.Fatal(err)
+	}
+	layered := w.NewObject("layered")
+	if err := w.SetState(layered, Union(NewContext(), mustContext(t, w, ents["bin"]))); err != nil {
+		t.Fatal(err)
+	}
+	rootCtx.Bind("layered", layered)
+	unwatched, unwatchedCtx := w.NewContextObject("unwatched")
+	unwatchedCtx.Bind("ls", ents["ls"])
+
+	var changed []Change
+	if watched, opaque := w.WatchReachable(ents["root"], func(ch Change) { changed = append(changed, ch) }); watched != 4 || opaque != 1 {
+		t.Fatalf("watched, opaque = %d, %d; want root, usr, bin, etc and the union", watched, opaque)
+	}
+	// Attached after the watch: bin stays watched as bin, and nobody
+	// watches the new directory.
+	rootCtx.Bind("twin", twin)
+	rootCtx.Bind("unwatched", unwatched)
+	for _, tt := range []struct {
+		give      string
+		want, dir Entity
+	}{
+		{give: "usr/bin/ls", want: ents["ls"], dir: ents["bin"]},
+		{give: "alias/ls", want: ents["ls"], dir: ents["bin"]},
+		{give: "twin/ls", want: ents["ls"], dir: ents["bin"]}, // what the hook will call it
+		{give: "usr/bin", want: ents["bin"], dir: ents["usr"]},
+		{give: "usr", want: ents["usr"], dir: ents["root"]},
+		{give: "layered/ls", want: ents["ls"]},   // looked up in a union
+		{give: "unwatched/ls", want: ents["ls"]}, // looked up where no hook listens
+	} {
+		e, dir, err := w.ResolveIn(rootCtx, ParsePath(tt.give))
+		if err != nil || e != tt.want || dir != tt.dir {
+			t.Errorf("ResolveIn(%q) = %v in %v, %v; want %v in %v", tt.give, e, dir, err, tt.want, tt.dir)
+		}
+	}
+	if e, dir, err := w.ResolveIn(rootCtx, ParsePath("usr/bin/nope")); err == nil || !e.IsUndefined() || !dir.IsUndefined() {
+		t.Errorf("failed ResolveIn = %v in %v, %v", e, dir, err)
+	}
+	// The directory a resolve reports is the one its changes are reported
+	// under, by construction: rebind through the twin.
+	mustContext(t, w, twin).Unbind("ls")
+	if last := changed[len(changed)-1]; last.Dir != ents["bin"] || last.Name != "ls" || last.Old != ents["ls"] {
+		t.Fatalf("unbind through the twin reported %+v, want dir %v", last, ents["bin"])
+	}
+}
+
+func mustContext(t *testing.T, w *World, e Entity) Context {
+	t.Helper()
+	c, ok := w.ContextOf(e)
+	if !ok {
+		t.Fatalf("%v is not a context object", e)
+	}
+	return c
+}
+
 func TestResolveNotFound(t *testing.T) {
 	w, rootCtx, _ := buildTree(t)
 	got, err := w.Resolve(rootCtx, ParsePath("usr/missing/x"))

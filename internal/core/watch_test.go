@@ -17,8 +17,13 @@ func TestWatchedContextNotifies(t *testing.T) {
 	if IsWatched(c) {
 		t.Fatal("fresh context reports watched")
 	}
-	if !c.SetWatch(func(n Name, ent Entity) {
-		gotName, gotEnt = n, ent
+	dir := w.NewObject("dir")
+	var gotOld Entity
+	if !c.SetWatch(dir, func(ch Change) {
+		if ch.Dir != dir {
+			t.Errorf("hook told dir %v, installed for %v", ch.Dir, dir)
+		}
+		gotName, gotOld, gotEnt = ch.Name, ch.Old, ch.New
 		calls++
 	}) {
 		t.Fatal("SetWatch on an unwatched context reported false")
@@ -28,20 +33,31 @@ func TestWatchedContextNotifies(t *testing.T) {
 	}
 
 	c.Bind("x", e)
-	if calls != 1 || gotName != "x" || gotEnt != e {
-		t.Fatalf("after bind: calls=%d name=%q ent=%v", calls, gotName, gotEnt)
+	if calls != 1 || gotName != "x" || gotEnt != e || !gotOld.IsUndefined() {
+		t.Fatalf("after bind: calls=%d name=%q old=%v new=%v", calls, gotName, gotOld, gotEnt)
 	}
 	if c.Lookup("x") != e || c.Len() != 1 || len(c.Names()) != 1 {
 		t.Fatal("watched context lost its binding")
 	}
 	c.Unbind("x")
-	if calls != 2 || !gotEnt.IsUndefined() {
-		t.Fatalf("after unbind: calls=%d ent=%v", calls, gotEnt)
+	if calls != 2 || !gotEnt.IsUndefined() || gotOld != e {
+		t.Fatalf("after unbind: calls=%d old=%v new=%v", calls, gotOld, gotEnt)
 	}
-	// Bind to Undefined is an unbind and reports as one.
+	// A no-op unbind still reports, as a transition from nothing to nothing.
+	c.Unbind("x")
+	if calls != 3 || !gotEnt.IsUndefined() || !gotOld.IsUndefined() {
+		t.Fatalf("after no-op unbind: calls=%d old=%v new=%v", calls, gotOld, gotEnt)
+	}
+	// Bind to Undefined is an unbind and reports as one; a rebind reports
+	// the binding it replaced.
+	other := w.NewObject("other")
 	c.Bind("x", e)
+	c.Bind("x", other)
+	if calls != 5 || gotOld != e || gotEnt != other {
+		t.Fatalf("after rebind: calls=%d old=%v new=%v", calls, gotOld, gotEnt)
+	}
 	c.Bind("x", Undefined)
-	if calls != 4 || gotName != "x" || !gotEnt.IsUndefined() {
+	if calls != 6 || gotOld != other || gotName != "x" || !gotEnt.IsUndefined() {
 		t.Fatalf("after bind-to-undefined: calls=%d name=%q ent=%v", calls, gotName, gotEnt)
 	}
 }
@@ -50,11 +66,11 @@ func TestWatchedContextNotifies(t *testing.T) {
 func TestSetWatchKeepsFirstHook(t *testing.T) {
 	first, second := 0, 0
 	c := NewContext()
-	c.SetWatch(func(Name, Entity) { first++ })
-	if c.SetWatch(func(Name, Entity) { second++ }) {
+	c.SetWatch(Undefined, func(Change) { first++ })
+	if c.SetWatch(Undefined, func(Change) { second++ }) {
 		t.Fatal("SetWatch on a watched context reported true")
 	}
-	if c.SetWatch(nil) || NewContext().SetWatch(nil) {
+	if c.SetWatch(Undefined, nil) || NewContext().SetWatch(Undefined, nil) {
 		t.Fatal("SetWatch(nil) reported an installed hook")
 	}
 	c.Unbind("absent")
@@ -90,7 +106,7 @@ func TestWatchHookMayReenterContext(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewContext()
-			c.SetWatch(func(n Name, ent Entity) { tc.hook(c, n, ent) })
+			c.SetWatch(Undefined, func(ch Change) { tc.hook(c, ch.Name, ch.New) })
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -111,7 +127,7 @@ func TestWatchedContextResolvesNormally(t *testing.T) {
 	dir, dirCtx := w.NewContextObject("dir")
 	leaf := w.NewObject("leaf")
 	dirCtx.Bind("leaf", leaf)
-	dirCtx.SetWatch(func(Name, Entity) {})
+	dirCtx.SetWatch(dir, func(Change) {})
 
 	root := NewContext()
 	root.Bind("dir", dir)
@@ -133,7 +149,8 @@ func TestWatchReachable(t *testing.T) {
 	subCtx.Bind("leaf", leaf)
 
 	changes := 0
-	watched := w.WatchReachable(root, func(Name, Entity) { changes++ })
+	var last Change
+	watched, _ := w.WatchReachable(root, func(ch Change) { changes++; last = ch })
 	if watched != 2 {
 		t.Fatalf("watched = %d, want 2 (root and sub)", watched)
 	}
@@ -141,8 +158,14 @@ func TestWatchReachable(t *testing.T) {
 	// Mutating either directory now notifies, through the context the
 	// caller already held as much as through the World's.
 	subCtx.Bind("extra", leaf)
+	if want := (Change{Dir: sub, Name: "extra", New: leaf}); last != want {
+		t.Fatalf("bind in sub reported %+v, want %+v", last, want)
+	}
 	rootWatched, _ := w.ContextOf(root)
 	rootWatched.Unbind("sub")
+	if want := (Change{Dir: root, Name: "sub", Old: sub}); last != want {
+		t.Fatalf("unbind in root reported %+v, want %+v", last, want)
+	}
 	if changes != 2 {
 		t.Fatalf("changes = %d, want 2", changes)
 	}
@@ -150,7 +173,7 @@ func TestWatchReachable(t *testing.T) {
 	// Idempotent: nothing is watched twice, and the first hook stays. (sub
 	// is now unreachable from root after the unbind, so re-watch from sub
 	// directly.)
-	if again := w.WatchReachable(sub, func(Name, Entity) { t.Error("second hook ran") }); again != 0 {
+	if again, _ := w.WatchReachable(sub, func(Change) { t.Error("second hook ran") }); again != 0 {
 		t.Fatalf("re-watch = %d, want 0", again)
 	}
 	subCtx.Unbind("extra")
@@ -169,7 +192,7 @@ func TestWatchReachableSharedDirectory(t *testing.T) {
 	rootCtx.Bind("b", shared)
 
 	changes := 0
-	if watched := w.WatchReachable(root, func(Name, Entity) { changes++ }); watched != 2 {
+	if watched, _ := w.WatchReachable(root, func(Change) { changes++ }); watched != 2 {
 		t.Fatalf("watched = %d, want 2 (root and the shared directory once)", watched)
 	}
 	leaf := w.NewObject("leaf")
@@ -199,8 +222,8 @@ func TestWatchReachableSkipsActivitiesAndFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	rootCtx.Bind("union", union)
-	if watched := w.WatchReachable(root, func(Name, Entity) {}); watched != 1 {
-		t.Fatalf("watched = %d, want 1 (only root)", watched)
+	if watched, opaque := w.WatchReachable(root, func(Change) {}); watched != 1 || opaque != 1 {
+		t.Fatalf("watched, opaque = %d, %d; want 1 (only root) and 1 (the union)", watched, opaque)
 	}
 }
 
@@ -215,7 +238,7 @@ func TestResolveRacesGrowthAndRebinds(t *testing.T) {
 	rootCtx.Bind("usr", usr)
 	usrCtx.Bind("bin", bin)
 	binCtx.Bind("ls", ls)
-	w.WatchReachable(usr, func(Name, Entity) {})
+	w.WatchReachable(usr, func(Change) {})
 	path := ParsePath("usr/bin/ls")
 
 	const rounds = 2000

@@ -80,7 +80,7 @@ func TestKilledShardRecoversAndServesEqualAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, rev, err := cl.ResolveRev(p)
+			e, _, rev, err := cl.ResolveRev(p)
 			_ = cl.Close()
 			if err != nil {
 				t.Fatalf("resolve %q: %v", p, err)

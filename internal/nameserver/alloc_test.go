@@ -9,6 +9,8 @@
 package nameserver
 
 import (
+	"bufio"
+	"io"
 	"testing"
 
 	"namecoherence/internal/core"
@@ -176,6 +178,32 @@ func TestErrInternAllocFree(t *testing.T) {
 	allocFloor(t, "parseResponse/interned-err", 0, func() {
 		if err := parseResponse(body, &resp, &errs); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestRespondDrainsFramesAllocFree: a steady stream of frames, each naming
+// its binding, drained by the responder ahead of its own answer — the
+// pending list and its spare swap arrays, the frame is encoded from the
+// connection's scratch, and nothing reaches the heap.
+func TestRespondDrainsFramesAllocFree(t *testing.T) {
+	st := &connState{
+		bw:     bufio.NewWriter(io.Discard),
+		wtoken: make(chan struct{}, 1),
+		pushC:  make(chan struct{}, 1),
+	}
+	s := &Server{}
+	resp := response{ID: 9, Ent: 4, Kind: 2, Rev: 1, Dir: 3}
+	rev := uint64(0)
+	allocFloor(t, "respond behind four pending frames", 0, func() {
+		for i := 0; i < 4; i++ {
+			rev++
+			st.queue(invalidation{rev: rev, dir: 3, name: "victim"})
+		}
+		resp.Rev = rev
+		s.respond(st, &resp, false)
+		if st.queued.Load() {
+			t.Fatal("respond left frames pending")
 		}
 	})
 }

@@ -39,7 +39,7 @@ func TestClientRejectsNonCanonical(t *testing.T) {
 		if _, err := c.Resolve(p); !errors.Is(err, ErrNotCanonical) {
 			t.Fatalf("Resolve(%q) err = %v, want ErrNotCanonical", p, err)
 		}
-		if _, _, err := c.ResolveRev(p); !errors.Is(err, ErrNotCanonical) {
+		if _, _, _, err := c.ResolveRev(p); !errors.Is(err, ErrNotCanonical) {
 			t.Fatalf("ResolveRev(%q) err = %v, want ErrNotCanonical", p, err)
 		}
 		if _, _, err := c.ResolveBatchRev([]core.Path{p}); !errors.Is(err, ErrNotCanonical) {

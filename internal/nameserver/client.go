@@ -77,7 +77,7 @@ type Client struct {
 	wbuf   []byte        // binary encode scratch; guarded by wtoken
 	rresp  response      // lead's reusable decode target; guarded by rtoken
 	rbuf   []byte        // binary frame scratch; guarded by rtoken
-	errs   strIntern     // decode-side error-string intern table; guarded by rtoken
+	errs   strIntern     // decode-side intern table (error strings, pushed names); guarded by rtoken
 
 	closeOnce sync.Once
 
@@ -97,7 +97,7 @@ type Client struct {
 	// subscription state (see Subscribe): push frames are consumed by a
 	// standing reader goroutine, joined by Close via readerWG.
 	subscribed    bool
-	onInval       func(rev uint64)
+	onInval       func(Invalidation)
 	invalidations int
 
 	readerWG sync.WaitGroup
@@ -461,7 +461,7 @@ func (c *Client) dispatch(resp *response) {
 		onInval := c.onInval
 		c.mu.Unlock()
 		if onInval != nil {
-			onInval(resp.Rev)
+			onInval(Invalidation{Rev: resp.Rev, Dir: core.EntityID(resp.Dir), Name: core.Name(resp.Name)})
 		}
 		return
 	}
@@ -754,22 +754,25 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 }
 
 // ResolveRev resolves p at the server, bypassing the client's own cache,
-// and returns the binding revision the response carried. Cluster clients
-// use it to drive a revision-tracked cache that spans many connections.
-func (c *Client) ResolveRev(p core.Path) (core.Entity, uint64, error) {
+// and returns with the entity what a cache spanning many connections needs
+// to keep it coherent (cluster clients drive theirs with it): the binding
+// revision the response carried, and the server's entity for the directory
+// p's final component was looked up in — 0 when the server cannot say, in
+// which case every pushed Invalidation concerns the answer.
+func (c *Client) ResolveRev(p core.Path) (e core.Entity, dir core.EntityID, rev uint64, err error) {
 	raw, err := CanonicalWirePath(p)
 	if err != nil {
-		return core.Undefined, 0, err
+		return core.Undefined, 0, 0, err
 	}
 	req := request{Path: raw}
 	resp, err := c.call(req)
 	if err != nil {
-		return core.Undefined, 0, err
+		return core.Undefined, 0, 0, err
 	}
 	if resp.Err != "" {
-		return core.Undefined, resp.Rev, &RemoteError{Msg: resp.Err}
+		return core.Undefined, 0, resp.Rev, &RemoteError{Msg: resp.Err}
 	}
-	return core.Entity{ID: core.EntityID(resp.Ent), Kind: core.Kind(resp.Kind)}, resp.Rev, nil
+	return core.Entity{ID: core.EntityID(resp.Ent), Kind: core.Kind(resp.Kind)}, core.EntityID(resp.Dir), resp.Rev, nil
 }
 
 // ResolveBatchRev resolves every path in one round-trip, bypassing the
@@ -794,7 +797,7 @@ func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, erro
 			out[k] = BatchResult{Entity: core.Undefined, Err: &RemoteError{Msg: res.Err}}
 			continue
 		}
-		out[k] = BatchResult{Entity: core.Entity{ID: core.EntityID(res.ID), Kind: core.Kind(res.Kind)}}
+		out[k] = BatchResult{Entity: core.Entity{ID: core.EntityID(res.ID), Kind: core.Kind(res.Kind)}, Dir: core.EntityID(res.Dir)}
 	}
 	return out, resp.Rev, nil
 }
@@ -805,6 +808,9 @@ type BatchResult struct {
 	Entity core.Entity
 	// Err is the per-name failure (*RemoteError), nil on success.
 	Err error
+	// Dir is the server's entity for the directory the name's final
+	// component was looked up in (see ResolveRev); set by ResolveBatchRev.
+	Dir core.EntityID
 }
 
 // ResolveBatch resolves every path in one round-trip (cache hits are

@@ -116,33 +116,60 @@ func (c *Client) noteMutationRev(rev uint64) {
 	c.mu.Unlock()
 }
 
+// Invalidation is one consumed push frame: the server committed revision
+// Rev. When Dir is non-zero the commit bound or unbound Name in the
+// directory the server numbers Dir, and neither target was a directory —
+// so of everything resolved before it, only answers whose final component
+// was looked up as (Dir, Name), or in a directory the server could not
+// name (ResolveRev's dir 0), can differ now. A zero Dir names no binding:
+// anything may have changed.
+type Invalidation struct {
+	Rev  uint64
+	Dir  core.EntityID
+	Name core.Name
+}
+
 // Subscribe switches this client from poll-validated to push-invalidated
-// coherence: the server fans every revision advance out to the connection
-// as an unsolicited frame, and the client consumes it straight into the
-// coherent cache's purge rule. Staleness then stops being "one round-trip
+// coherence: the server sends one unsolicited frame per revision advance,
+// and the client consumes it straight into the coherent cache's purge rule
+// (which purges everything, whatever the frame says — purging by binding
+// belongs to the cluster client's cache). Staleness then stops being "one round-trip
 // after the next miss" and becomes one frame's flight time, even for a
 // reader that hits its cache forever.
 //
 // onInval, if non-nil, is called after each consumed frame with the
-// pushed revision (cluster clients hook their shard-level purge in here).
-// It runs on whichever goroutine decoded the frame and must not call back
-// into this client.
+// pushed revision. It runs on whichever goroutine decoded the frame and
+// must not call back into this client.
 //
 // Subscribing starts one standing reader goroutine — the only goroutine
 // this otherwise caller-driven client ever runs — which Close joins.
 func (c *Client) Subscribe(onInval func(rev uint64)) error {
+	var onFrame func(Invalidation)
+	if onInval != nil {
+		onFrame = func(iv Invalidation) { onInval(iv.Rev) }
+	}
+	_, err := c.SubscribeFrames(onFrame)
+	return err
+}
+
+// SubscribeFrames is Subscribe with everything a frame says handed to the
+// callback (cluster clients hook their per-binding purge in here), and the
+// revision the subscription starts from returned: every commit above it
+// arrives as a frame, in commit order, and on this connection no response
+// overtakes the frame of a commit its revision covers.
+func (c *Client) SubscribeFrames(onFrame func(Invalidation)) (uint64, error) {
 	c.mu.Lock()
 	if c.subscribed {
 		c.mu.Unlock()
-		return errors.New("nameserver: already subscribed")
+		return 0, errors.New("nameserver: already subscribed")
 	}
 	c.subscribed = true
-	c.onInval = onInval
+	c.onInval = onFrame
 	c.mu.Unlock()
 
 	resp, err := c.call(request{Subscribe: true})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// The ack's revision is the subscription's starting point: everything
 	// cached below it is purged, everything after arrives as a push.
@@ -153,7 +180,7 @@ func (c *Client) Subscribe(onInval func(rev uint64)) error {
 		defer c.readerWG.Done()
 		c.readLoop()
 	}()
-	return nil
+	return resp.Rev, nil
 }
 
 // readLoop is the standing reader of a subscribed client: it claims the

@@ -28,15 +28,18 @@
 //
 // # Negotiation
 //
-// A binary-codec client opens with a single magic byte (0xB1) and waits
-// for the server's one-byte choice before sending any frame. The magic
-// can never begin a gob stream — a gob message starts with its byte
-// count, which is either a small literal (0x00–0x7F) or a negated count
-// byte (0xF8–0xFF) — so a server can sniff the first byte: magic means
-// "negotiate", anything else means a legacy gob client, served as
-// before. The server answers 0xB1 (speak binary) or 0xB0 (fall back to
-// gob, the policy of WithServerCodec(CodecGob)), keeping both
-// directions of the old/new pairing working for one release.
+// A binary-codec client opens with a single hello byte and waits for the
+// server's one-byte choice before sending any frame. The hello is the
+// protocol version: 0xB2 offers the layout this file encodes, 0xB1 was the
+// layout before responses carried Dir and Name. Neither can begin a gob
+// stream — a gob message starts with its byte count, which is either a
+// small literal (0x00–0x7F) or a negated count byte (0xF8–0xFF) — so a
+// server can sniff the first byte: a hello means "negotiate", anything
+// else means a legacy gob client, served as before. The server echoes the
+// hello it speaks (0xB2) or answers 0xB0 — fall back to gob, which
+// tolerates added fields — to a client offering the old layout and, under
+// WithServerCodec(CodecGob), to every offer; so old and new peers meet on
+// gob in both directions for as long as gob stays selectable.
 package nameserver
 
 import (
@@ -85,8 +88,12 @@ func ParseCodec(s string) (Codec, error) {
 const (
 	// binaryMagic is the client's opening byte offering the binary
 	// codec; doubling as the server's "binary accepted" reply keeps the
-	// handshake a one-byte echo in the common case.
-	binaryMagic byte = 0xB1
+	// handshake a one-byte echo in the common case. It is the protocol's
+	// version: a change of layout takes the next value.
+	binaryMagic byte = 0xB2
+	// binaryMagicV1 offered the previous layout (no Dir, no Name). A
+	// server answers it with replyGob.
+	binaryMagicV1 byte = 0xB1
 	// replyGob is the server's "fall back to gob" reply.
 	replyGob byte = 0xB0
 )
@@ -414,6 +421,7 @@ func appendResult(b []byte, res *result) []byte {
 	b = appendUvarint(b, res.ID)
 	b = append(b, res.Kind)
 	b = appendString(b, res.Err)
+	b = appendUvarint(b, res.Dir)
 	return b
 }
 
@@ -432,6 +440,9 @@ func parseResult(r *frameReader, res *result, errs *strIntern) error {
 		return err
 	}
 	res.Err = errs.get(eb)
+	if res.Dir, err = r.uvarint(); err != nil {
+		return err
+	}
 	return nil
 }
 
@@ -454,12 +465,15 @@ func appendResponse(b []byte, resp *response) []byte {
 		b = appendRouteInfo(b, resp.Routes)
 	}
 	b = appendBool(b, resp.Invalidation)
+	b = appendUvarint(b, resp.Dir)
+	b = appendString(b, resp.Name)
 	return b
 }
 
 // parseResponse decodes one response body into resp. Results reuses
 // resp's own backing array (the caller owns resp, so nothing aliases),
-// and error strings intern via errs.
+// and error strings — and the few names a writer keeps rebinding, which
+// is what pushed frames carry — intern via errs.
 func parseResponse(data []byte, resp *response, errs *strIntern) error {
 	r := frameReader{b: data}
 	var err error
@@ -516,6 +530,14 @@ func parseResponse(data []byte, resp *response, errs *strIntern) error {
 	if resp.Invalidation, err = r.readBool(); err != nil {
 		return err
 	}
+	if resp.Dir, err = r.uvarint(); err != nil {
+		return err
+	}
+	nb, err := r.bytes()
+	if err != nil {
+		return err
+	}
+	resp.Name = errs.get(nb)
 	if r.remaining() != 0 {
 		return errTrailingData
 	}

@@ -113,8 +113,7 @@ type rawConn struct {
 }
 
 // rawPipe serves one end of a pipe (counting the server's side of it) and
-// negotiates the binary codec on the other. Reads on the raw end carry a
-// deadline, so a frame that never comes fails the test instead of hanging.
+// negotiates the binary codec on the other (see rawOver).
 func rawPipe(t *testing.T, s *Server) (*rawConn, *faultnet.Counts) {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
@@ -129,27 +128,40 @@ func rawPipe(t *testing.T, s *Server) (*rawConn, *faultnet.Counts) {
 		_ = clientEnd.Close()
 		wg.Wait()
 	})
-	_ = clientEnd.SetDeadline(time.Now().Add(10 * time.Second))
-	r := &rawConn{t: t, conn: clientEnd, br: bufio.NewReader(clientEnd)}
-	if _, err := clientEnd.Write([]byte{binaryMagic}); err != nil {
+	return rawOver(t, clientEnd), counts
+}
+
+// rawOver negotiates the binary codec on conn and hands back a hand-driven
+// peer. Reads and writes on it carry a deadline, so a frame that never
+// comes fails the test instead of hanging.
+func rawOver(t *testing.T, conn net.Conn) *rawConn {
+	t.Helper()
+	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
+	r := &rawConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+	if _, err := conn.Write([]byte{binaryMagic}); err != nil {
 		t.Fatal(err)
 	}
 	if b, err := r.br.ReadByte(); err != nil || b != binaryMagic {
 		t.Fatalf("codec choice = %#x, %v", b, err)
 	}
-	return r, counts
+	return r
 }
 
-// send writes the requests as one Write.
-func (r *rawConn) send(reqs ...request) {
-	r.t.Helper()
+// framed is the requests' frames, back to back.
+func framed(reqs ...request) []byte {
 	var out, body []byte
 	for i := range reqs {
 		body = appendRequest(body[:0], &reqs[i])
 		out = appendUvarint(out, uint64(len(body)))
 		out = append(out, body...)
 	}
-	if _, err := r.conn.Write(out); err != nil {
+	return out
+}
+
+// send writes the requests as one Write.
+func (r *rawConn) send(reqs ...request) {
+	r.t.Helper()
+	if _, err := r.conn.Write(framed(reqs...)); err != nil {
 		r.t.Fatal(err)
 	}
 }

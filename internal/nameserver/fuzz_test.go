@@ -52,6 +52,9 @@ func FuzzBinaryResponse(f *testing.F) {
 	f.Add(appendResponse(nil, &resp))
 	f.Add(appendResponse(nil, &response{ID: 1, Rev: 9}))
 	f.Add(appendResponse(nil, &response{ID: 0, Invalidation: true}))
+	f.Add(appendResponse(nil, &response{Rev: 7, Invalidation: true, Dir: 3, Name: "v07"})) // a frame that names its binding
+	f.Add(appendResponse(nil, &response{ID: 3, Ent: 12, Kind: 2, Rev: 7, Dir: 1 << 40}))   // a resolve that says where
+	f.Add(appendResponse(nil, &response{ID: 4, Rev: 7, Results: []result{{ID: 1, Kind: 2, Dir: 9}, {Err: "missing"}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x80}, 12)) // non-terminating varint
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,6 +94,14 @@ func FuzzBinaryFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
+	framed.Reset()
+	if err := writeFrame(bw, appendResponse(nil, &response{Rev: 7, Invalidation: true, Dir: 3, Name: "v07"})); err != nil {
+		f.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(framed.Bytes()))          // a push frame that names its binding
 	f.Add([]byte{0})                            // empty frame
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // length far past maxFrame
 	f.Fuzz(func(t *testing.T, data []byte) {

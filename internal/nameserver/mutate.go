@@ -151,7 +151,7 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 				// Watch the new directory before it becomes reachable, so
 				// there is no window in which a bind inside it could skip
 				// the revision bump.
-				dirCtx.SetWatch(s.exportWatch)
+				dirCtx.SetWatch(dirE, s.exportWatch)
 			}
 			created = dirE
 			ctx.Bind(m.name, dirE)

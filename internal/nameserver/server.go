@@ -81,6 +81,12 @@ type Server struct {
 	rev      atomic.Uint64
 	served   atomic.Int64
 	resolved atomic.Int64
+	// coarse is set once the export is known to reach a directory that is
+	// not a *core.BasicContext. A UnionContext answers a name from whichever
+	// layer binds it first, so binding a file in one layer can turn what was
+	// a directory into a dead end: "only the names ending at this binding
+	// changed" no longer follows, and every frame says "everything".
+	coarse atomic.Bool
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -218,14 +224,38 @@ type connState struct {
 	parked    atomic.Bool
 	wbuf      []byte // binary encode scratch; guarded by wtoken
 	closeOnce sync.Once
-	// invalC carries revisions to this connection's pusher goroutine.
-	// Capacity 1 with drop-and-replace offers: consecutive bumps coalesce
-	// into one frame carrying the newest revision, so a write burst costs a
-	// slow subscriber at most one queued frame (the cache purge rule only
-	// cares about the latest revision anyway). Closed by ServeConn after
-	// the connection leaves the subscriber set.
-	invalC chan uint64
+
+	// Push invalidation. pending holds the frames this subscriber is owed,
+	// oldest first: every revision advance appends one before the new
+	// revision becomes readable (see bump), and whoever next holds the write
+	// token — a responder, or the pusher the append woke — encodes them all
+	// ahead of anything else. So in the connection's stream no response at
+	// revision r precedes the invalidation of a mutation committed at or
+	// below r. Nothing here is allocated before the first frame is queued.
+	pmu     sync.Mutex
+	pending []invalidation // guarded by pmu
+	queued  atomic.Bool    // len(pending) != 0, for the responder's check
+	spare   []invalidation // guarded by wtoken: the array the last drain emptied
+	frame   response       // guarded by wtoken: the drain's encode scratch
+	// pushC wakes the pusher goroutine. Closed by ServeConn after the
+	// connection leaves the subscriber set.
+	pushC chan struct{}
 }
+
+// invalidation is one push frame owed to a subscriber: the revision that
+// was committed and, when the commit's cause is known to be a leaf binding,
+// which one (a zero dir says "everything").
+type invalidation struct {
+	rev  uint64
+	dir  core.EntityID
+	name core.Name
+}
+
+// maxPendingInvalidations bounds a subscriber's pending list. A subscriber
+// that far behind has stopped reading; what it missed collapses to one
+// "everything" frame — which is also cheaper for it to apply than a
+// thousand single purges.
+const maxPendingInvalidations = 1024
 
 // Read is what br fills from: the decode-token holder lands here exactly
 // when the bytes already buffered do not hold the rest of what it is
@@ -259,21 +289,56 @@ func (st *connState) flush() {
 	}
 }
 
-// offer queues rev for push without ever blocking: if a frame is already
-// queued it is superseded — the newer revision strictly dominates it.
-// Called with Server.mu held (channel ops are not wire I/O).
-func (st *connState) offer(rev uint64) {
-	for {
-		select {
-		case st.invalC <- rev:
-			return
-		default:
-		}
-		select {
-		case <-st.invalC: // drop the superseded frame
-		default:
-		}
+// queue appends one frame to the subscriber's pending list and wakes its
+// pusher, without ever blocking. Called with Server.mu held, before the
+// frame's revision becomes readable.
+func (st *connState) queue(iv invalidation) {
+	st.pmu.Lock()
+	if len(st.pending) >= maxPendingInvalidations {
+		st.pending = st.pending[:0]
+		iv = invalidation{rev: iv.rev}
 	}
+	st.pending = append(st.pending, iv)
+	st.queued.Store(true)
+	st.pmu.Unlock()
+	select {
+	case st.pushC <- struct{}{}:
+	default: // a wake-up is already on its way
+	}
+}
+
+// drain encodes every pending invalidation into the write buffer. The
+// caller holds the write token. The emptied array becomes the next drain's
+// spare, so a steady stream of frames allocates nothing.
+func (st *connState) drain() error {
+	st.pmu.Lock()
+	batch := st.pending
+	st.pending = st.spare[:0]
+	st.queued.Store(false)
+	st.pmu.Unlock()
+	var err error
+	for i := 0; i < len(batch) && err == nil; i++ {
+		st.frame = response{Rev: batch[i].rev, Invalidation: true, Dir: uint64(batch[i].dir), Name: string(batch[i].name)}
+		err = st.encode(&st.frame)
+	}
+	st.spare = batch[:0]
+	return err
+}
+
+// encode writes one message into the write buffer. The caller holds the
+// write token.
+func (st *connState) encode(resp *response) error {
+	if st.codec == CodecBinary {
+		// Append-encode into the token-guarded scratch: the message's
+		// bytes are built and written with zero heap traffic.
+		st.wbuf = appendResponse(st.wbuf[:0], resp)
+		return writeFrame(st.bw, st.wbuf)
+	}
+	// gob writes from inside Encode, so its bound is armed where
+	// conndeadline can see it, once per message.
+	st.wd.arm()
+	//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
+	return st.enc.Encode(resp)
 }
 
 // Close marks the stream unusable: the conn closes, failing any
@@ -304,7 +369,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		wd:     deadlineWriter{conn: conn, bound: serveWriteTimeout},
 		dtoken: make(chan struct{}, 1),
 		wtoken: make(chan struct{}, 1),
-		invalC: make(chan uint64, 1),
+		pushC:  make(chan struct{}, 1),
 	}
 	st.br = bufio.NewReader(st)
 	st.bw = bufio.NewWriter(&st.wd)
@@ -333,22 +398,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	wg.Wait()
 	// The workers have drained: the conn is dead. Leave the subscriber set
-	// first (under mu, so no Bump can offer concurrently), then close the
+	// first (under mu, so no bump can queue concurrently), then close the
 	// channel to stop the pusher, then join it.
 	s.mu.Lock()
 	delete(s.subs, st)
 	s.mu.Unlock()
-	close(st.invalC)
+	close(st.pushC)
 	pushWG.Wait()
 }
 
 // negotiateServer settles a fresh connection's codec by sniffing its
-// first byte. The binary magic can never begin a gob stream (a gob
-// message opens with a small length byte or a negated byte count — see
-// the package comment in codec.go), so the sniff is unambiguous: magic
-// means a negotiating client, answered with this server's policy;
-// anything else is a legacy client, served as raw gob with nothing
-// consumed and nothing written. The wait for the first byte is the
+// first byte. A hello byte can never begin a gob stream (a gob message
+// opens with a small length byte or a negated byte count — see the
+// package comment in codec.go), so the sniff is unambiguous: the current
+// hello means a negotiating client, answered with this server's policy;
+// the previous version's hello is a client whose binary layout this
+// server no longer speaks, answered with the gob fallback; anything else
+// is a legacy client, served as raw gob with nothing consumed and nothing
+// written. The wait for the first byte is the
 // connection's ordinary idle state — Close unblocks it by closing the
 // conn, exactly as it unblocks a worker's idle decode.
 func negotiateServer(conn net.Conn, br *bufio.Reader, policy Codec) (Codec, error) {
@@ -356,13 +423,13 @@ func negotiateServer(conn net.Conn, br *bufio.Reader, policy Codec) (Codec, erro
 	if err != nil {
 		return 0, err
 	}
-	if first[0] != binaryMagic {
+	if first[0] != binaryMagic && first[0] != binaryMagicV1 {
 		return CodecGob, nil
 	}
 	_, _ = br.Discard(1)
 	chosen := policy
 	reply := [1]byte{binaryMagic}
-	if chosen != CodecBinary {
+	if chosen != CodecBinary || first[0] != binaryMagic {
 		chosen = CodecGob
 		reply[0] = replyGob
 	}
@@ -373,17 +440,29 @@ func negotiateServer(conn net.Conn, br *bufio.Reader, policy Codec) (Codec, erro
 	return chosen, nil
 }
 
-// pushInvalidations is a connection's push goroutine: it forwards every
-// revision offered on invalC to the peer as an unsolicited Invalidation
-// frame. Frames share the connection's write token with ordinary
-// responses, so a push can never tear a response mid-message. The
+// pushInvalidations is a connection's push goroutine: woken by every
+// frame queued for the connection, it takes the write token, encodes
+// whatever is still pending and flushes at once — a subscriber's staleness
+// bound is a frame's flight time, whatever else the connection is doing.
+// Frames share the write token with ordinary responses, so a push can never
+// tear a response mid-message; a responder that got to the token first has
+// already sent them (see respond), and the pusher finds nothing to do. The
 // goroutine runs for every connection but stays parked until the peer
-// subscribes (only subscribers receive offers); it exits when ServeConn
-// closes invalC — or early, if the peer dies mid-push.
+// subscribes (only subscribers are queued for); it exits when ServeConn
+// closes pushC.
 func (s *Server) pushInvalidations(st *connState) {
-	for rev := range st.invalC {
-		resp := response{Rev: rev, Invalidation: true}
-		s.respond(st, &resp)
+	for range st.pushC {
+		st.wtoken <- struct{}{}
+		var err error
+		if st.queued.Load() {
+			if err = st.drain(); err == nil {
+				err = st.bw.Flush()
+			}
+		}
+		<-st.wtoken
+		if err != nil {
+			st.Close()
+		}
 	}
 }
 
@@ -455,13 +534,8 @@ func (s *Server) serveRequests(st *connState) {
 		switch {
 		case sc.req.Subscribe:
 			// Subscription needs the connection identity, so it is handled
-			// here rather than in handle. From the moment the connection
-			// joins the set, every bump is offered to it; the ack carries
-			// the current revision so the client starts from a known point.
-			s.mu.Lock()
-			s.subs[st] = struct{}{}
-			resp = response{Rev: s.rev.Load()}
-			s.mu.Unlock()
+			// where the ack is written rather than in handle (see respond).
+			resp = response{}
 		case sc.req.Op != opNone:
 			// A mutation queues for the write mutex, behind other writers
 			// or a snapshot: answers already encoded must not wait with it.
@@ -477,33 +551,44 @@ func (s *Server) serveRequests(st *connState) {
 		}
 		s.served.Add(1)
 		s.resolved.Add(int64(names))
-		s.respond(st, &resp)
+		s.respond(st, &resp, sc.req.Subscribe)
 	}
 }
 
 // respond encodes one response into the connection's write buffer under
-// the write token. Only a frame with nobody behind it to flush it leaves
-// at once: an invalidation push (the pusher is not a worker, and a
-// subscriber's staleness bound is this frame's flight time), or a response
-// encoded while another worker is parked in the conn's Read. Any other
-// response is flushed by its own worker at its next flush point (see
-// connState), so a pipelined burst rides one syscall.
-func (s *Server) respond(st *connState, resp *response) {
+// the write token, behind every invalidation queued before it: the
+// response's revision was read after those frames were queued (see bump),
+// so nothing it vouches for can overtake the news that made it stale. The
+// steady path pays one atomic load for that. Only bytes with nobody behind
+// them to flush them leave at once: invalidation frames (a subscriber's
+// staleness bound is their flight time), or a response encoded while
+// another worker is parked in the conn's Read. Any other response is
+// flushed by its own worker at its next flush point (see connState), so a
+// pipelined burst rides one syscall.
+//
+// With subscribe set, resp acknowledges a subscription, and the connection
+// joins the subscriber set here, under the write token: the ack — which
+// carries the revision the subscription starts from — is encoded before
+// any frame the join entitles the connection to can be, and from there on
+// every commit is queued for it, in order. The client starts from a known
+// point and misses nothing.
+func (s *Server) respond(st *connState, resp *response, subscribe bool) {
 	st.wtoken <- struct{}{}
 	var err error
-	if st.codec == CodecBinary {
-		// Append-encode into the token-guarded scratch: the response's
-		// bytes are built and written with zero heap traffic.
-		st.wbuf = appendResponse(st.wbuf[:0], resp)
-		err = writeFrame(st.bw, st.wbuf)
-	} else {
-		// gob writes from inside Encode, so its bound is armed where
-		// conndeadline can see it, once per message.
-		st.wd.arm()
-		//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-		err = st.enc.Encode(resp)
+	pushed := st.queued.Load()
+	if pushed {
+		err = st.drain()
 	}
-	if err == nil && (resp.Invalidation || st.parked.Load()) {
+	if subscribe {
+		s.mu.Lock()
+		s.subs[st] = struct{}{}
+		resp.Rev = s.rev.Load()
+		s.mu.Unlock()
+	}
+	if err == nil {
+		err = st.encode(resp)
+	}
+	if err == nil && (pushed || st.parked.Load()) {
 		err = st.bw.Flush()
 	}
 	<-st.wtoken
@@ -568,7 +653,7 @@ func (s *Server) handle(sc *workerScratch) response {
 			}
 			rev = after
 		}
-		return response{Ent: res.ID, Kind: res.Kind, Rev: rev, Err: res.Err}
+		return response{Ent: res.ID, Kind: res.Kind, Rev: rev, Err: res.Err, Dir: res.Dir}
 	}
 }
 
@@ -587,32 +672,42 @@ func (s *Server) resolveOne(scratch *core.Path, raw []string) result {
 	if err := checkWireCanonical(p); err != nil {
 		return result{Err: err.Error()}
 	}
-	e, err := s.world.Resolve(s.export, p)
+	e, dir, err := s.world.ResolveIn(s.export, p)
 	if err != nil {
 		return result{Err: err.Error()}
 	}
-	return result{ID: uint64(e.ID), Kind: uint8(e.Kind)}
+	return result{ID: uint64(e.ID), Kind: uint8(e.Kind), Dir: uint64(dir.ID)}
 }
 
-// Bump advances the server's binding revision and fans the new revision
-// out to subscribed connections. Coherent client caches purge their
-// entries at the next round-trip after a bump — or on the pushed frame
-// itself when subscribed — bounding cache staleness to one request. Call
-// it whenever the exported naming graph changes, or let WatchExport do so
-// automatically.
+// Bump advances the server's binding revision and tells subscribed
+// connections that anything may have changed. Coherent client caches purge
+// their entries at the next round-trip after a bump — or on the pushed
+// frame itself when subscribed — bounding cache staleness to one request.
+// Call it whenever the exported naming graph changes in a way no watch
+// reports; WatchExport bumps automatically, and its frames say what changed.
 //
 //namingvet:revbump
-func (s *Server) Bump() {
+func (s *Server) Bump() { s.bump(invalidation{}) }
+
+// bump commits one revision advance: the frame that announces it is queued
+// for every subscriber first, and only then does the new revision become
+// readable. A response that carries the new revision therefore finds the
+// frame already pending on its own connection, and is written behind it.
+//
+//namingvet:revbump
+func (s *Server) bump(what invalidation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.notifyLocked(s.rev.Add(1))
+	what.rev = s.rev.Load() + 1
+	s.notifyLocked(what)
+	s.rev.Store(what.rev)
 }
 
-// notifyLocked offers rev to every subscribed connection's pusher.
-// Callers hold s.mu; offers never block (see connState.offer).
-func (s *Server) notifyLocked(rev uint64) {
+// notifyLocked queues what for every subscribed connection. Callers hold
+// s.mu; queueing never blocks (see connState.queue).
+func (s *Server) notifyLocked(what invalidation) {
 	for st := range s.subs {
-		st.offer(rev)
+		st.queue(what)
 	}
 }
 
@@ -625,15 +720,16 @@ func (s *Server) Revision() uint64 { return s.rev.Load() }
 // revision tag. It never moves the revision backwards: a client that
 // already observed a higher revision must not see this server "rewind"
 // past it, or the coherent-cache purge rule would admit stale entries as
-// current. An advance notifies subscribers exactly like Bump.
+// current. An advance notifies subscribers exactly like Bump: a jump says
+// nothing about what changed on the way.
 //
 //namingvet:revbump
 func (s *Server) SetRevision(rev uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rev > s.rev.Load() {
+		s.notifyLocked(invalidation{rev: rev})
 		s.rev.Store(rev)
-		s.notifyLocked(rev)
 	}
 }
 
@@ -665,17 +761,36 @@ func (s *Server) SetRoutes(routes *RouteInfo) {
 // cannot mutate silently — the hole that once let a bind in a freshly
 // made context leave client caches stale.
 func (s *Server) WatchExport(root core.Entity) int {
-	return s.world.WatchReachable(root, s.exportWatch)
+	watched, opaque := s.world.WatchReachable(root, s.exportWatch)
+	if opaque > 0 {
+		s.coarse.Store(true)
+	}
+	return watched
 }
 
 // exportWatch is the watch callback installed on every exported
-// directory: bump the revision, then extend the watch over whatever the
-// change made reachable. The recursion terminates because WatchReachable
-// skips already-watched directories.
-func (s *Server) exportWatch(_ core.Name, e core.Entity) {
-	s.Bump()
-	if !e.IsUndefined() {
-		s.world.WatchReachable(e, s.exportWatch)
+// directory, and the one place a revision advance learns its cause —
+// wire mutations, replicated applies and in-process Binds all arrive here.
+// It bumps the revision, then extends the watch over whatever the change
+// made reachable (the recursion terminates because WatchReachable skips
+// already-watched directories).
+//
+// A change whose old and new targets are both non-directories can only
+// move names whose final lookup is this (directory, name) pair: to matter
+// as an intermediate step a binding must yield a context object, before or
+// after, and failed resolutions are never cached. Such a change is
+// announced precisely; anything else — a directory bound or unbound, an
+// export that reaches a union — says "everything".
+func (s *Server) exportWatch(ch core.Change) {
+	_, wasDir := s.world.ContextOf(ch.Old)
+	_, isDir := s.world.ContextOf(ch.New)
+	var what invalidation
+	if !wasDir && !isDir && !ch.Dir.IsUndefined() && !s.coarse.Load() {
+		what = invalidation{dir: ch.Dir.ID, name: ch.Name}
+	}
+	s.bump(what)
+	if isDir {
+		s.WatchExport(ch.New)
 	}
 }
 

@@ -224,10 +224,9 @@ func TestServeOverTCP(t *testing.T) {
 // TestServerCloseDuringSubscribePush closes the server while a subscribed
 // connection is being pushed to, with Bumps racing the teardown the whole
 // way. The shutdown chain — conn close fails the workers' decodes, workers
-// drain, ServeConn leaves the subscriber set under mu, closes invalC, and
+// drain, ServeConn leaves the subscriber set under mu, closes pushC, and
 // joins the pusher — must neither deadlock Close (which waits for every
-// handler) nor leak the pusher goroutine parked on the capacity-1
-// coalescing channel.
+// handler) nor leak the pusher goroutine parked on its wake-up channel.
 func TestServerCloseDuringSubscribePush(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())

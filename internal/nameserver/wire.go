@@ -29,7 +29,7 @@ const (
 // resolve (Path with Op zero), a batched resolve (Paths — one round-trip
 // resolves every element), a routing fetch (Routes — cluster clients
 // bootstrap the shard map from any member), a subscription (Subscribe —
-// the server pushes invalidation frames on every revision advance for the
+// the server pushes one invalidation frame per revision advance for the
 // rest of the connection), or a mutation (Op non-zero — bind, unbind or
 // mkcontext against the exported graph, under the revision discipline).
 type request struct {
@@ -77,6 +77,9 @@ type result struct {
 	Kind uint8
 	// Err carries the failure message, empty on success.
 	Err string
+	// Dir is the entity of the directory the name's final component was
+	// looked up in, as response.Dir reports it for a single resolve.
+	Dir uint64
 }
 
 // response is the server's answer — or, with Invalidation set, a
@@ -105,6 +108,20 @@ type response struct {
 	// graph changed and caches vouched for below Rev are stale. Sent only
 	// on subscribed connections (see request.Subscribe).
 	Invalidation bool
+	// Dir, on a resolve, is the entity of the directory the final component
+	// was looked up in, as that directory's watch knows it — what a cache
+	// needs to know to tell which pushed frames concern the answer. Zero is
+	// "unknown": a directory no watch covers, whose changes no frame will
+	// name; every frame concerns such an answer.
+	// On an invalidation frame Dir and Name say which binding changed: the
+	// commit at Rev bound or unbound Name in directory Dir, and neither the
+	// old nor the new target is a directory, so only names whose final
+	// lookup is that pair can resolve differently. A frame with Dir zero
+	// says only that the revision advanced: anything may have changed.
+	Dir uint64
+	// Name is the binding an invalidation frame reports (see Dir); empty
+	// on every other message.
+	Name string
 }
 
 // RouteInfo describes a sharded deployment of one logical naming graph:

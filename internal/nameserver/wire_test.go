@@ -29,6 +29,7 @@ func populated() map[string]any {
 			ID:   42,
 			Kind: 3,
 			Err:  "no such name",
+			Dir:  40,
 		},
 		"response": response{
 			ID:   7,
@@ -37,7 +38,7 @@ func populated() map[string]any {
 			Rev:  99,
 			Err:  "boom",
 			Results: []result{
-				{ID: 1, Kind: 2, Err: ""},
+				{ID: 1, Kind: 2, Err: "", Dir: 6},
 				{ID: 0, Kind: 0, Err: "missing"},
 			},
 			Routes: &RouteInfo{
@@ -46,6 +47,9 @@ func populated() map[string]any {
 				Addrs:    []string{"a:1", "b:2", "c:3"},
 				Replicas: [][]string{{"a:1", "a:9"}, {"b:2"}, {"c:3"}},
 			},
+			Invalidation: true,
+			Dir:          6,
+			Name:         "ls",
 		},
 		"RouteInfo": RouteInfo{
 			Prefixes: map[string]int{"x": 4},

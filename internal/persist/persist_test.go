@@ -207,7 +207,7 @@ func TestWatchedContextSavedAsBindings(t *testing.T) {
 	ctx.Bind("leaf", leaf)
 	// A change hook is run-time state: Save sees the bindings, and the
 	// loaded directory comes back unwatched.
-	ctx.SetWatch(func(core.Name, core.Entity) {})
+	ctx.SetWatch(core.Undefined, func(core.Change) {})
 	w2 := roundTripWorld(t, w)
 	ctx2, ok := w2.ContextOf(core.Entity{ID: d.ID, Kind: core.KindObject})
 	if !ok {
