@@ -1,5 +1,5 @@
 // Package namecoherence holds the top-level benchmark harness: one
-// benchmark per experiment table (E1..E14, A1..A5 — see DESIGN.md and
+// benchmark per experiment table (E1..E17, A1..A5 — see DESIGN.md and
 // EXPERIMENTS.md) plus the microbenchmark ablations (A2: resolution cost
 // vs. path depth; name-server round-trips with and without caching;
 // sharded-cluster throughput vs. batch size).
@@ -23,7 +23,6 @@ import (
 	"namecoherence/internal/nameserver"
 	"namecoherence/internal/netsim"
 	"namecoherence/internal/pqi"
-	"namecoherence/internal/remote"
 )
 
 // benchTable runs a table-producing experiment once per iteration.
@@ -612,65 +611,43 @@ func BenchmarkWriteChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkRemoteResolve compares in-process resolution of a cross-machine
-// name against resolution through the target machine's name server over
-// TCP loopback, with and without the client cache.
+// BenchmarkRemoteResolve compares in-process resolution of a name against
+// resolution through its shard's name server over TCP loopback, with and
+// without the cluster client's cache.
 func BenchmarkRemoteResolve(b *testing.B) {
 	w := core.NewWorld()
-	c, err := remote.NewCluster(w, "m1", "m2")
+	cl, err := cluster.New(w, `file /etc/passwd "x"`, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
-	m2, err := c.System.Machine("m2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m2.Tree.Create(core.ParsePath("etc/passwd"), "x"); err != nil {
-		b.Fatal(err)
-	}
-	const name = "/../m2/etc/passwd"
+	defer cl.Close()
+	p := core.ParsePath("etc/passwd")
 
 	b.Run("in-process", func(b *testing.B) {
-		p, err := c.Spawn("m1", "direct")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		proc := p.Process()
-		b.ResetTimer()
+		ctx := cl.Trees[0].RootContext()
 		for i := 0; i < b.N; i++ {
-			if _, err := proc.Resolve(name); err != nil {
+			if _, err := w.Resolve(ctx, p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("wire-uncached", func(b *testing.B) {
-		p, err := c.Spawn("m1", "wire")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Resolve(name); err != nil {
+	overWire := func(opts ...cluster.ClientOption) func(b *testing.B) {
+		return func(b *testing.B) {
+			client, err := cluster.Dial("tcp", cl.Addrs()[0], opts...)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("wire-cached", func(b *testing.B) {
-		p, err := c.Spawn("m1", "wire-cache", nameserver.WithCache(16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Resolve(name); err != nil {
-				b.Fatal(err)
+			defer client.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.Resolve(p); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("wire-uncached", overWire())
+	b.Run("wire-cached", overWire(cluster.WithLRU(16)))
 }
 
 // BenchmarkPIDMap measures the R(sender) boundary mapping of one pid.

@@ -1,5 +1,5 @@
 // Command cohbench regenerates every experiment table of the reproduction:
-// one table per paper figure/claim (E1..E14) plus the ablations (A1..A5).
+// one table per paper figure/claim (E1..E17) plus the ablations (A1..A5).
 //
 // Usage:
 //

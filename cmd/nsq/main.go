@@ -57,13 +57,7 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	retries := fs.Int("retries", 2, "with -cluster: extra attempts after a transport failure")
 	push := fs.Bool("push", false, "subscribe for server-pushed cache invalidations")
-	codecName := fs.String("codec", "binary",
-		"wire codec: binary (negotiate, gob fallback) or gob (pin the legacy codec)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	codec, err := nameserver.ParseCodec(*codecName)
-	if err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
@@ -80,10 +74,10 @@ func run(args []string) error {
 		return err
 	}
 	if *clustered {
-		return runCluster(*addr, *cacheSize, *batch, *repeat, *timeout, *retries, *push, codec, verb, rest)
+		return runCluster(*addr, *cacheSize, *batch, *repeat, *timeout, *retries, *push, verb, rest)
 	}
 
-	opts := []nameserver.ClientOption{nameserver.WithCodec(codec)}
+	var opts []nameserver.ClientOption
 	switch {
 	case *coherent && *cacheSize > 0:
 		opts = append(opts, nameserver.WithCoherentCache(*cacheSize))
@@ -240,12 +234,10 @@ func mutateCluster(client *cluster.Client, verb string, args []string) error {
 // revision-tracked per-shard LRU; requests run under the deadline and
 // retry/failover policy.
 func runCluster(addr string, cacheSize int, batch bool, repeat int,
-	timeout time.Duration, retries int, push bool, codec nameserver.Codec,
-	verb string, args []string) error {
+	timeout time.Duration, retries int, push bool, verb string, args []string) error {
 	opts := []cluster.ClientOption{
 		cluster.WithTimeout(timeout),
 		cluster.WithRetries(retries),
-		cluster.WithCodec(codec),
 	}
 	if cacheSize > 0 {
 		opts = append(opts, cluster.WithLRU(cacheSize))

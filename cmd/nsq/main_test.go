@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"net"
+	"strings"
 	"testing"
 
 	"namecoherence/internal/cluster"
@@ -122,6 +124,40 @@ func TestDescribeFrame(t *testing.T) {
 	} {
 		if got := describeFrame(tc.give); got != tc.want {
 			t.Errorf("describeFrame(%+v) = %q, want %q", tc.give, got, tc.want)
+		}
+	}
+}
+
+// TestRefusedByOtherVersion: against a server that answers the handshake
+// with another protocol version, run fails (main exits non-zero on any
+// error) with a message naming both versions, plain or -cluster.
+func TestRefusedByOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hello [1]byte
+			if _, err := conn.Read(hello[:]); err == nil {
+				_, _ = conn.Write([]byte{0xB3})
+			}
+			_ = conn.Close()
+		}
+	}()
+	for _, args := range [][]string{
+		{"-addr", ln.Addr().String(), "/usr/bin/ls"},
+		{"-cluster", "-addr", ln.Addr().String(), "/usr/bin/ls"},
+	} {
+		err := run(args)
+		if !errors.Is(err, nameserver.ErrProtocolVersion) ||
+			!strings.Contains(err.Error(), "0xB2") || !strings.Contains(err.Error(), "0xB3") {
+			t.Errorf("nsq %v: error = %v; want ErrProtocolVersion naming 0xB2 and 0xB3", args, err)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Nameservice: exports a naming tree over real TCP with the gob protocol,
+// Nameservice: exports a naming tree over real TCP with the binary wire protocol,
 // then demonstrates the coherence hazard of name caches — a plain cache
 // serves a stale meaning after a rebinding, while the revision-tracked
 // coherent cache converges after one round-trip.

@@ -3,7 +3,7 @@
 // composite literals and new/make whose result escapes, interface boxing,
 // string↔[]byte conversions, growing appends, map/chan/closure creation,
 // go statements, and calls into known allocator packages (fmt, reflect,
-// gob, json) — then runs a monotone fixpoint so Allocates/EscapesToHeap
+// json) — then runs a monotone fixpoint so Allocates/EscapesToHeap
 // facts flow through calls and across packages, exactly like the deadline
 // and canon facts.
 //
@@ -37,7 +37,6 @@ import (
 var allocPkgs = map[string]bool{
 	"fmt":           true,
 	"reflect":       true,
-	"encoding/gob":  true,
 	"encoding/json": true,
 }
 

@@ -4,7 +4,7 @@
 // image has no module proxy). Testdata packages live under
 // <analyzer>/testdata/src/<pkg> inside the module, so the go toolchain can
 // compile their dependencies and hand us real export data — the analyzers
-// see genuine net.Conn, sync.Mutex, and gob types, not mocks.
+// see genuine net.Conn and sync.Mutex types, not mocks.
 //
 // Fixtures may nest helper packages under testdata/src/<pkg>/…: the whole
 // tree is loaded in dependency order with interprocedural facts flowing

@@ -1,7 +1,6 @@
 // Package conndeadline enforces the transport-deadline invariant of the
 // fault-tolerant cluster (DESIGN §3a): inside internal/cluster and
-// internal/nameserver, every net.Conn read/write — including the gob
-// encode/decode calls that carry the wire protocol — must be preceded by a
+// internal/nameserver, every net.Conn read/write must be preceded by a
 // SetDeadline/SetReadDeadline/SetWriteDeadline call, and raw net.Dial is
 // forbidden in favor of net.DialTimeout (or DialContext). An unbounded
 // round-trip against a hung replica turns one wedged server into a wedged
@@ -17,7 +16,7 @@
 //   - The obligation flows the other way too: calling a function whose
 //     exported UnguardedIO fact is set, without a preceding deadline, is
 //     reported at the call site — across package boundaries, via facts.
-//   - Idle-loop reads are exempt: a decode/read in a `for {}` loop of a
+//   - Idle-loop reads are exempt: a read in a `for {}` loop of a
 //     method whose owner's Close closes the conn (the server's idle
 //     accept-and-wait pattern) blocks on purpose; Close unhangs it. So
 //     does the read a `Read([]byte) (int, error)` method of such an owner
@@ -41,7 +40,7 @@ var Scope = []string{"cluster", "nameserver"}
 // Analyzer is the conndeadline analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "conndeadline",
-	Doc:  "requires a SetDeadline before net.Conn/gob wire I/O (caller deadlines satisfy callees) and forbids raw net.Dial in transport packages",
+	Doc:  "requires a SetDeadline before net.Conn wire I/O (caller deadlines satisfy callees) and forbids raw net.Dial in transport packages",
 	Run:  run,
 }
 

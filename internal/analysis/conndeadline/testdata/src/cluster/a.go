@@ -5,23 +5,21 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"net"
 	"time"
 )
 
 type client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 }
 
 // badRoundTrip does wire I/O with no deadline anywhere in the function.
-func (c *client) badRoundTrip(req, resp any) error {
-	if err := c.enc.Encode(req); err != nil { // want `gob encode without a preceding SetDeadline`
+func (c *client) badRoundTrip(req, resp []byte) error {
+	if _, err := c.conn.Write(req); err != nil { // want `conn write without a preceding SetDeadline`
 		return err
 	}
-	return c.dec.Decode(resp) // want `gob decode without a preceding SetDeadline`
+	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline`
+	return err
 }
 
 // badRead reads the conn raw.
@@ -35,15 +33,16 @@ func badDial(addr string) (net.Conn, error) {
 }
 
 // okRoundTrip bounds the exchange first.
-func (c *client) okRoundTrip(req, resp any, d time.Duration) error {
+func (c *client) okRoundTrip(req, resp []byte, d time.Duration) error {
 	if err := c.conn.SetDeadline(time.Now().Add(d)); err != nil {
 		return err
 	}
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	if err := c.enc.Encode(req); err != nil {
+	if _, err := c.conn.Write(req); err != nil {
 		return err
 	}
-	return c.dec.Decode(resp)
+	_, err := c.conn.Read(resp)
+	return err
 }
 
 // okDial uses the bounded dialer.
@@ -59,27 +58,28 @@ func (c *client) okIgnored(buf []byte) (int, error) {
 
 // okLazyRearm re-arms the write deadline only when less than half the
 // horizon remains — the pipelined client's amortized write bound. The
-// Set is condition-wrapped but still lexically precedes the encode, which
+// Set is condition-wrapped but still lexically precedes the write, which
 // is what the analyzer requires: the deadline is a bound, not a precise
 // timer, so an armed-in-the-past branch never runs unguarded.
-func (c *client) okLazyRearm(req any, wdeadline *time.Time, bound time.Duration) error {
+func (c *client) okLazyRearm(req []byte, wdeadline *time.Time, bound time.Duration) error {
 	if now := time.Now(); wdeadline.Sub(now) < bound/2 {
 		*wdeadline = now.Add(bound)
 		_ = c.conn.SetWriteDeadline(*wdeadline)
 	}
-	return c.enc.Encode(req)
+	_, err := c.conn.Write(req)
+	return err
 }
 
 // okLeaderRead arms the connection's read deadline with the leading
-// call's expiry before entering the decode loop — the pipelined client's
+// call's expiry before entering the read loop — the pipelined client's
 // timeout mode, where the leader cannot select on a timer while blocked
-// in Decode.
-func (c *client) okLeaderRead(resp any, deadline time.Time) error {
+// in Read.
+func (c *client) okLeaderRead(resp []byte, deadline time.Time) error {
 	if !deadline.IsZero() {
 		_ = c.conn.SetReadDeadline(deadline)
 	}
 	for {
-		if err := c.dec.Decode(resp); err != nil {
+		if _, err := c.conn.Read(resp); err != nil {
 			return err
 		}
 	}

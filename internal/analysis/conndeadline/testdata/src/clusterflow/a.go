@@ -7,7 +7,6 @@
 package clusterflow
 
 import (
-	"encoding/gob"
 	"net"
 	"time"
 
@@ -16,26 +15,25 @@ import (
 
 type client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 }
 
 // roundTrip is exonerated: unexported, never used as a value, and both of
 // its call sites set a deadline first. Its I/O is the callers' obligation,
 // and they meet it.
-func (c *client) roundTrip(req, resp any) error {
-	if err := c.enc.Encode(req); err != nil {
+func (c *client) roundTrip(req, resp []byte) error {
+	if _, err := c.conn.Write(req); err != nil {
 		return err
 	}
-	return c.dec.Decode(resp)
+	_, err := c.conn.Read(resp)
+	return err
 }
 
-func (c *client) caller1(req, resp any) error {
+func (c *client) caller1(req, resp []byte) error {
 	_ = c.conn.SetDeadline(time.Now().Add(time.Second))
 	return c.roundTrip(req, resp)
 }
 
-func (c *client) caller2(req, resp any) error {
+func (c *client) caller2(req, resp []byte) error {
 	if err := c.conn.SetWriteDeadline(time.Now().Add(time.Second)); err != nil {
 		return err
 	}
@@ -44,37 +42,40 @@ func (c *client) caller2(req, resp any) error {
 
 // leaky has one unguarded call site, so exoneration fails: the helper is
 // reported at its I/O and the bad caller at its call.
-func (c *client) leaky(resp any) error {
-	return c.dec.Decode(resp) // want `gob decode without a preceding SetDeadline in leaky`
+func (c *client) leaky(resp []byte) error {
+	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in leaky`
+	return err
 }
 
-func (c *client) badCaller(resp any) error {
+func (c *client) badCaller(resp []byte) error {
 	return c.leaky(resp) // want `call to leaky, which performs wire I/O without its own deadline, must follow a SetDeadline in badCaller`
 }
 
-func (c *client) okCaller(resp any) error {
+func (c *client) okCaller(resp []byte) error {
 	_ = c.conn.SetReadDeadline(time.Now().Add(time.Second))
 	return c.leaky(resp)
 }
 
 // Exported functions are never exonerated — out-of-package callers are
 // invisible here — even when every local call site is guarded.
-func (c *client) Exported(resp any) error {
-	return c.dec.Decode(resp) // want `gob decode without a preceding SetDeadline in Exported`
+func (c *client) Exported(resp []byte) error {
+	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in Exported`
+	return err
 }
 
-func (c *client) callsExported(resp any) error {
+func (c *client) callsExported(resp []byte) error {
 	_ = c.conn.SetDeadline(time.Now().Add(time.Second))
 	return c.Exported(resp)
 }
 
 // asValue is stored as a function value, so call-site accounting cannot
 // see every invocation: no exoneration.
-func (c *client) asValue(resp any) error {
-	return c.dec.Decode(resp) // want `gob decode without a preceding SetDeadline in asValue`
+func (c *client) asValue(resp []byte) error {
+	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in asValue`
+	return err
 }
 
-func (c *client) storesValue(resp any) error {
+func (c *client) storesValue(resp []byte) error {
 	_ = c.conn.SetDeadline(time.Now().Add(time.Second))
 	f := c.asValue
 	return f(resp)
@@ -84,7 +85,6 @@ func (c *client) storesValue(resp any) error {
 // server.Close closes the conn out from under it.
 type server struct {
 	conn net.Conn
-	dec  *gob.Decoder
 }
 
 func (s *server) Close() error {
@@ -93,8 +93,8 @@ func (s *server) Close() error {
 
 func (s *server) serveLoop() error {
 	for {
-		var req int
-		if err := s.dec.Decode(&req); err != nil {
+		var req [1]byte
+		if _, err := s.conn.Read(req[:]); err != nil {
 			return err
 		}
 	}
@@ -103,7 +103,7 @@ func (s *server) serveLoop() error {
 // leakyServer looks like the idle pattern, but its Close closes no conn,
 // so nothing can ever unhang the read: the exemption does not apply.
 type leakyServer struct {
-	dec  *gob.Decoder
+	conn net.Conn
 	done bool
 }
 
@@ -114,8 +114,8 @@ func (s *leakyServer) Close() error {
 
 func (s *leakyServer) loop() error {
 	for {
-		var req int
-		if err := s.dec.Decode(&req); err != nil { // want `gob decode without a preceding SetDeadline in loop`
+		var req [1]byte
+		if _, err := s.conn.Read(req[:]); err != nil { // want `conn read without a preceding SetDeadline in loop`
 			return err
 		}
 	}
@@ -124,19 +124,19 @@ func (s *leakyServer) loop() error {
 // badCross calls the imported helper unguarded: the UnguardedIO fact
 // crossed the package boundary to get this reported.
 func badCross(conn net.Conn) error {
-	var n int
-	return inner.RoundTrip(conn, 1, &n) // want `call to inner\.RoundTrip, which performs wire I/O without its own deadline, must follow a SetDeadline in badCross`
+	var n [1]byte
+	return inner.RoundTrip(conn, n[:], n[:]) // want `call to inner\.RoundTrip, which performs wire I/O without its own deadline, must follow a SetDeadline in badCross`
 }
 
 // okCross guards the same call.
 func okCross(conn net.Conn) error {
 	_ = conn.SetDeadline(time.Now().Add(time.Second))
-	var n int
-	return inner.RoundTrip(conn, 1, &n)
+	var n [1]byte
+	return inner.RoundTrip(conn, n[:], n[:])
 }
 
 // flushingConn is an io.Reader adapter over its conn: the serve loop's
-// buffered decoder fills through Read, which does its bookkeeping and
+// buffered reader fills through Read, which does its bookkeeping and
 // passes the caller's slice on. It is the idle read one call further
 // down, and flushingConn.Close closes the conn under it: exempt.
 type flushingConn struct {

@@ -3,17 +3,15 @@
 // fact must reach the importing package.
 package inner
 
-import (
-	"encoding/gob"
-	"net"
-)
+import "net"
 
 // RoundTrip performs wire I/O without setting a deadline. Being exported,
 // it is never exonerated — it is reported here, and every unguarded call
 // to it is reported at the call site via the exported fact.
-func RoundTrip(conn net.Conn, req, resp any) error {
-	if err := gob.NewEncoder(conn).Encode(req); err != nil { // want `gob encode without a preceding SetDeadline in RoundTrip`
+func RoundTrip(conn net.Conn, req, resp []byte) error {
+	if _, err := conn.Write(req); err != nil { // want `conn write without a preceding SetDeadline in RoundTrip`
 		return err
 	}
-	return gob.NewDecoder(conn).Decode(resp) // want `gob decode without a preceding SetDeadline in RoundTrip`
+	_, err := conn.Read(resp) // want `conn read without a preceding SetDeadline in RoundTrip`
+	return err
 }

@@ -1,6 +1,6 @@
 // Package goroleak requires every goroutine spawned in the serving
-// packages (internal/cluster, internal/nameserver, internal/replsvc,
-// internal/remote) to be joinable before its owner's Close returns: the
+// packages (internal/cluster, internal/nameserver) to be joinable before
+// its owner's Close returns: the
 // goroutine must signal a sync.WaitGroup whose Add precedes the spawn,
 // close a done channel that the spawner actually consumes or stores, or
 // block on a stop/context signal. A goroutine nothing waits for outlives
@@ -18,7 +18,7 @@ import (
 )
 
 // Scope limits the analyzer to the long-running serving packages.
-var Scope = []string{"cluster", "nameserver", "replsvc", "remote"}
+var Scope = []string{"cluster", "nameserver"}
 
 // Analyzer is the goroleak analyzer.
 var Analyzer = &analysis.Analyzer{

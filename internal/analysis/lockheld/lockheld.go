@@ -1,6 +1,6 @@
 // Package lockheld flags blocking I/O reachable while a sync.Mutex or
-// sync.RWMutex is held: gob encode/decode, net.Conn reads and writes,
-// Dial-ish calls, and time.Sleep. A name server that blocks on the network
+// sync.RWMutex is held: net.Conn reads and writes, Dial-ish calls, and
+// time.Sleep. A name server that blocks on the network
 // while holding the lock that guards its caches or connection pool wedges
 // every other request behind one slow peer — the repo's hot paths
 // (connPool, Server, cluster Client) must never do it.
@@ -24,7 +24,7 @@ import (
 // Analyzer is the lockheld analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockheld",
-	Doc:  "flags blocking I/O (gob, net.Conn, Dial*, Sleep) while a sync mutex is held",
+	Doc:  "flags blocking I/O (net.Conn, Dial*, Sleep) while a sync mutex is held",
 	Run:  run,
 }
 
@@ -107,14 +107,6 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	switch fn.Name() {
-	case "Encode":
-		if recv != nil && analysis.IsNamedType(recv.Type(), "encoding/gob", "Encoder") {
-			return "gob encode"
-		}
-	case "Decode":
-		if recv != nil && analysis.IsNamedType(recv.Type(), "encoding/gob", "Decoder") {
-			return "gob decode"
-		}
 	case "Read", "Write":
 		// os.File passes the conn duck test (it has SetDeadline for
 		// pipes), but a file write blocks for one disk flush, not for as

@@ -1,9 +1,8 @@
-// Package a exercises lockheld: blocking I/O (gob, net.Conn, Dial*,
+// Package a exercises lockheld: blocking I/O (net.Conn, Dial*,
 // Sleep) must not be reachable while a sync mutex is held.
 package a
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"time"
@@ -12,25 +11,24 @@ import (
 type server struct {
 	mu   sync.Mutex
 	rwmu sync.RWMutex
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 	conn net.Conn
 	n    int
 }
 
 // direct I/O between Lock and Unlock is flagged.
-func (s *server) badDirect(v any) error {
+func (s *server) badDirect(v []byte) error {
 	s.mu.Lock()
-	err := s.enc.Encode(v) // want `gob encode while s\.mu is held`
+	_, err := s.conn.Write(v) // want `net\.Conn Write while s\.mu is held`
 	s.mu.Unlock()
 	return err
 }
 
 // a deferred unlock keeps the lock held to the end of the function.
-func (s *server) badDeferred(v any) error {
+func (s *server) badDeferred(v []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dec.Decode(v) // want `gob decode while s\.mu is held`
+	_, err := s.conn.Read(v) // want `net\.Conn Read while s\.mu is held`
+	return err
 }
 
 // read locks count too, and conn I/O and dials are in the blocking set.
@@ -44,21 +42,22 @@ func (s *server) badConn(buf []byte) {
 
 // roundTrip performs I/O with no lock of its own: fine here, but it
 // taints callers that hold a lock (transitive closure).
-func (s *server) roundTrip(v any) error {
-	if err := s.enc.Encode(v); err != nil {
+func (s *server) roundTrip(v []byte) error {
+	if _, err := s.conn.Write(v); err != nil {
 		return err
 	}
-	return s.dec.Decode(v)
+	_, err := s.conn.Read(v)
+	return err
 }
 
-func (s *server) badIndirect(v any) error {
+func (s *server) badIndirect(v []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.roundTrip(v) // want `call to roundTrip, which performs blocking I/O, while s\.mu is held`
 }
 
 // okAfterUnlock releases before the round-trip: the early-exit idiom.
-func (s *server) okAfterUnlock(v any) error {
+func (s *server) okAfterUnlock(v []byte) error {
 	s.mu.Lock()
 	if s.n == 0 {
 		s.mu.Unlock()
@@ -70,7 +69,7 @@ func (s *server) okAfterUnlock(v any) error {
 }
 
 // okGoroutine: a spawned goroutine does not inherit the creator's locks.
-func (s *server) okGoroutine(v any) {
+func (s *server) okGoroutine(v []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	go func() {

@@ -4,25 +4,25 @@
 package depth
 
 import (
-	"encoding/gob"
+	"net"
 	"sync"
 	"time"
 )
 
 type server struct {
-	mu  sync.Mutex
-	enc *gob.Encoder
-	n   int
+	mu   sync.Mutex
+	conn net.Conn
+	n    int
 }
 
 // l1..l5 is a five-deep chain whose I/O lives only at the bottom.
-func (s *server) l5(v any) error { return s.enc.Encode(v) }
-func (s *server) l4(v any) error { return s.l5(v) }
-func (s *server) l3(v any) error { return s.l4(v) }
-func (s *server) l2(v any) error { return s.l3(v) }
-func (s *server) l1(v any) error { return s.l2(v) }
+func (s *server) l5(v []byte) error { _, err := s.conn.Write(v); return err }
+func (s *server) l4(v []byte) error { return s.l5(v) }
+func (s *server) l3(v []byte) error { return s.l4(v) }
+func (s *server) l2(v []byte) error { return s.l3(v) }
+func (s *server) l1(v []byte) error { return s.l2(v) }
 
-func (s *server) badDeep(v any) error {
+func (s *server) badDeep(v []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.l1(v) // want `call to l1, which performs blocking I/O, while s\.mu is held`
@@ -61,6 +61,6 @@ func (s *server) okPure() int {
 }
 
 // okUnlocked runs the deep chain with no lock held.
-func (s *server) okUnlocked(v any) error {
+func (s *server) okUnlocked(v []byte) error {
 	return s.l1(v)
 }

@@ -28,7 +28,7 @@ import (
 
 // Scope limits the analyzer to packages that serve live clients, where an
 // unbumped mutation means stale caches rather than a tree under assembly.
-var Scope = []string{"nameserver", "cluster", "replsvc"}
+var Scope = []string{"nameserver", "cluster"}
 
 // Analyzer is the mutbump analyzer.
 var Analyzer = &analysis.Analyzer{

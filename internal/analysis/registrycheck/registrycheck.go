@@ -1,20 +1,16 @@
-// Package registrycheck keeps the gob wire registry exhaustive. The
+// Package registrycheck keeps the wire registry exhaustive. The
 // nameserver's wire.go declares a wireTypes map naming every struct that
-// crosses the wire; gob silently accepts unregistered concrete types until
-// the first mixed-version peer decodes garbage, so the registry — not the
-// encoder — is the source of truth. The analyzer computes the closure of
-// package-local struct types reachable from gob Encode/Decode call
-// arguments through exported struct fields and demands it equal the
-// registry, in both directions. It also checks handler exhaustiveness:
-// every field of the request struct must be read somewhere in the package,
-// or a request kind exists that the server silently ignores.
-//
-// Packages that hand-roll a binary codec beside gob get a third rule: once
-// any registered type has an append<T>/parse<T> codec function, every
-// registered type must have both, and each must touch every field of its
-// type — a field the binary encoder skips is silently dropped from frames
-// with no runtime error, exactly the corruption mode the registry exists
-// to prevent. Packages with no such functions (gob-only) are unaffected.
+// crosses the wire, and codec.go hand-rolls an append<T>/parse<T> pair per
+// type; nothing at run time connects the two, so a type one of them forgot
+// is a frame that silently drops data. The analyzer computes the closure of
+// package-local struct types reachable, through struct fields, from the
+// types the codec functions are named for, and demands it equal the
+// registry, in both directions. Every type in both needs the full
+// append<T>/parse<T> pair, and each function must touch every field of its
+// type — a field the encoder skips vanishes from frames with no runtime
+// error. It also checks handler exhaustiveness: every field of the request
+// struct must be read somewhere in the package, or a request kind exists
+// that the server silently ignores.
 package registrycheck
 
 import (
@@ -40,7 +36,7 @@ const RequestType = "request"
 // Analyzer is the registrycheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "registrycheck",
-	Doc:  "requires every gob-encoded wire type to appear in the wireTypes registry, every request field to be handled, and every registered type's binary codec functions to cover all fields",
+	Doc:  "requires every type the binary codec encodes to appear in the wireTypes registry, every request field to be handled, and every registered type's codec functions to cover all fields",
 	Run:  run,
 }
 
@@ -53,13 +49,14 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 
-	reachable := wireClosure(pass)
+	decls := topLevelFuncs(pass)
+	reachable := wireClosure(pass, decls)
 
 	// Direction 1: every type that crosses the wire is registered.
 	for _, named := range sortedTypes(reachable) {
 		if !registry[named] {
 			pass.Reportf(reachable[named].Pos(),
-				"wire type %s reaches a gob encoder/decoder but is missing from the %s registry",
+				"wire type %s is reachable from the binary codec but is missing from the %s registry",
 				named.Obj().Name(), RegistryVar)
 		}
 	}
@@ -67,14 +64,27 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, named := range sortedTypes(positions) {
 		if _, ok := reachable[named]; !ok {
 			pass.Reportf(positions[named].Pos(),
-				"%s entry %s never reaches a gob encoder/decoder; dead registry entries hide real gaps",
+				"%s entry %s is not reachable from any binary codec function; dead registry entries hide real gaps",
 				RegistryVar, named.Obj().Name())
 		}
 	}
 
-	checkRequestFields(pass)
-	checkBinaryCodec(pass, positions)
+	checkRequestFields(pass, decls)
+	checkBinaryCodec(pass, decls, positions, reachable)
 	return nil, nil
+}
+
+// topLevelFuncs indexes the package's plain functions by name.
+func topLevelFuncs(pass *analysis.Pass) map[string]*ast.FuncDecl {
+	decls := make(map[string]*ast.FuncDecl)
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				decls[fd.Name.Name] = fd
+			}
+		}
+	}
+	return decls
 }
 
 // codecFuncNames maps a registered type name to its binary codec function
@@ -84,39 +94,19 @@ func codecFuncNames(typeName string) (appendName, parseName string) {
 	return "append" + upper, "parse" + upper
 }
 
-// checkBinaryCodec enforces binary-codec completeness over the registry.
-// The rule arms only once the package defines an append<T> or parse<T>
-// function for some registered type; from then on every registered type
-// needs the full pair, and each function must touch every field of its
-// type. "Touch" is any selection of the field in the function body —
-// encoders read fields, decoders assign them, and either appears as a
-// selector — so a new wire field that only one side handles is caught at
-// the side that forgot it.
-func checkBinaryCodec(pass *analysis.Pass, positions map[*types.Named]ast.Node) {
-	decls := make(map[string]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-				decls[fd.Name.Name] = fd
-			}
-		}
-	}
-	armed := false
-	for named := range positions {
-		a, p := codecFuncNames(named.Obj().Name())
-		if decls[a] != nil || decls[p] != nil {
-			armed = true
-			break
-		}
-	}
-	if !armed {
-		return
-	}
+// checkBinaryCodec enforces codec completeness over the registered types
+// that cross the wire (a dead entry has been reported as such already):
+// each needs the full append<T>/parse<T> pair, and each function must
+// touch every field of its type. "Touch" is any selection of the field in
+// the function body — encoders read fields, decoders assign them, and
+// either appears as a selector — so a new wire field that only one side
+// handles is caught at the side that forgot it.
+func checkBinaryCodec(pass *analysis.Pass, decls map[string]*ast.FuncDecl, positions, reachable map[*types.Named]ast.Node) {
 	for _, named := range sortedTypes(positions) {
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
+		if _, crosses := reachable[named]; !crosses {
 			continue
 		}
+		st := named.Underlying().(*types.Struct)
 		appendName, parseName := codecFuncNames(named.Obj().Name())
 		for _, fnName := range []string{appendName, parseName} {
 			fd := decls[fnName]
@@ -214,27 +204,26 @@ func registryEntries(pass *analysis.Pass) (map[*types.Named]bool, map[*types.Nam
 	return set, where
 }
 
-// wireClosure finds every package-local named struct type reachable from a
-// gob Encode/Decode argument through struct fields, mapped to the position
-// of the type's declaration (falling back to the call site for types whose
-// declaration is not in this package's files).
-func wireClosure(pass *analysis.Pass) map[*types.Named]ast.Node {
+// wireClosure finds every package-local named struct type the binary
+// codec can put on the wire: the type T of each append<T>/parse<T> function
+// (first letter in either case, as codecFuncNames maps it), and whatever
+// those reach through struct fields. Each is mapped to the position of its
+// declaration.
+func wireClosure(pass *analysis.Pass, decls map[string]*ast.FuncDecl) map[*types.Named]ast.Node {
 	out := make(map[*types.Named]ast.Node)
 	var add func(t types.Type, at ast.Node)
 	add = func(t types.Type, at ast.Node) {
 		named := localNamed(pass, t)
 		if named == nil {
-			if t != nil {
-				switch u := t.(type) {
-				case *types.Pointer:
-					add(u.Elem(), at)
-				case *types.Slice:
-					add(u.Elem(), at)
-				case *types.Array:
-					add(u.Elem(), at)
-				case *types.Map:
-					add(u.Elem(), at)
-				}
+			switch u := t.(type) {
+			case *types.Pointer:
+				add(u.Elem(), at)
+			case *types.Slice:
+				add(u.Elem(), at)
+			case *types.Array:
+				add(u.Elem(), at)
+			case *types.Map:
+				add(u.Elem(), at)
 			}
 			return
 		}
@@ -242,36 +231,23 @@ func wireClosure(pass *analysis.Pass) map[*types.Named]ast.Node {
 			return
 		}
 		out[named] = declNode(pass, named, at)
-		if st, ok := named.Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				add(st.Field(i).Type(), at)
-			}
+		st := named.Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			add(st.Field(i).Type(), at)
 		}
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
+	scope := pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		appendName, parseName := codecFuncNames(name)
+		for _, fd := range []*ast.FuncDecl{decls[appendName], decls[parseName]} {
+			if fd != nil {
+				add(tn.Type(), fd)
 			}
-			callee := analysis.CalleeFunc(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			recv := callee.Type().(*types.Signature).Recv()
-			if recv == nil {
-				return true
-			}
-			isEnc := callee.Name() == "Encode" && analysis.IsNamedType(recv.Type(), "encoding/gob", "Encoder")
-			isDec := callee.Name() == "Decode" && analysis.IsNamedType(recv.Type(), "encoding/gob", "Decoder")
-			if !isEnc && !isDec {
-				return true
-			}
-			if tv, ok := pass.TypesInfo.Types[call.Args[0]]; ok {
-				add(tv.Type, call)
-			}
-			return true
-		})
+		}
 	}
 	return out
 }
@@ -297,8 +273,10 @@ func declNode(pass *analysis.Pass, named *types.Named, fallback ast.Node) ast.No
 }
 
 // checkRequestFields demands that every field of the request struct is
-// read (as an rvalue selector) somewhere in the package.
-func checkRequestFields(pass *analysis.Pass) {
+// read (as an rvalue selector) somewhere in the package — outside the
+// request's own codec functions, which read every field in order to encode
+// it and handle none.
+func checkRequestFields(pass *analysis.Pass, decls map[string]*ast.FuncDecl) {
 	scope := pass.Pkg.Scope()
 	obj, ok := scope.Lookup(RequestType).(*types.TypeName)
 	if !ok {
@@ -312,9 +290,13 @@ func checkRequestFields(pass *analysis.Pass) {
 	if !ok {
 		return
 	}
+	appendName, parseName := codecFuncNames(RequestType)
 	read := make(map[*types.Var]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok && (fd == decls[appendName] || fd == decls[parseName]) {
+				return false
+			}
 			if assign, ok := n.(*ast.AssignStmt); ok {
 				for _, lhs := range assign.Lhs {
 					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {

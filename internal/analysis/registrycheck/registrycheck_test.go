@@ -11,10 +11,8 @@ func TestRegistrycheck(t *testing.T) {
 	analysistest.Run(t, registrycheck.Analyzer, "nameserver")
 }
 
-// TestRegistrycheckBinaryCodec covers the completeness rule for packages
-// that hand-roll a binary codec beside gob: missing append/parse pairs
-// and skipped fields are errors there, while the gob-only fixture above
-// proves the rule stays silent when no codec functions exist.
+// TestRegistrycheckBinaryCodec covers the completeness rule: a missing
+// append/parse function and a skipped field are errors.
 func TestRegistrycheckBinaryCodec(t *testing.T) {
 	analysistest.Run(t, registrycheck.Analyzer, "nameserver_binary")
 }

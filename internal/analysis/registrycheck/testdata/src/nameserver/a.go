@@ -1,16 +1,12 @@
 // Package nameserver exercises registrycheck: the wireTypes registry must
-// list exactly the package-local structs reachable from gob encoders, and
-// every request field must be read by some handler. (The directory is
-// named nameserver so the testdata package path lands in the analyzer's
-// scope.)
+// list exactly the package-local structs the codec functions can put on
+// the wire, and every request field must be read by some handler. (The
+// directory is named nameserver so the testdata package path lands in the
+// analyzer's scope.)
 package nameserver
 
-import (
-	"encoding/gob"
-	"io"
-)
-
-// request is the wire request; Watch is a kind no handler ever looks at.
+// request is the wire request; Watch is a kind no handler ever looks at —
+// the encoder reading it to put it on the wire is not handling it.
 type request struct {
 	Op    string
 	Path  []string
@@ -28,12 +24,12 @@ type result struct {
 	Addr string
 }
 
-// orphan crosses the wire below but was never registered.
-type orphan struct { // want `wire type orphan reaches a gob encoder/decoder but is missing from the wireTypes registry`
+// orphan has an encoder below but was never registered.
+type orphan struct { // want `wire type orphan is reachable from the binary codec but is missing from the wireTypes registry`
 	X int
 }
 
-// stale is registered but nothing ever encodes or decodes it.
+// stale is registered but no codec function encodes or reaches it.
 type stale struct {
 	Y int
 }
@@ -47,28 +43,52 @@ var wireTypes = map[string]any{
 	"request":  request{},
 	"response": response{},
 	"result":   result{},
-	"stale":    stale{}, // want `wireTypes entry stale never reaches a gob encoder/decoder; dead registry entries hide real gaps`
+	"stale":    stale{}, // want `wireTypes entry stale is not reachable from any binary codec function; dead registry entries hide real gaps`
 }
 
-func serve(rw io.ReadWriter) error {
-	dec := gob.NewDecoder(rw)
-	enc := gob.NewEncoder(rw)
-	var req request
-	if err := dec.Decode(&req); err != nil {
-		return err
+func appendRequest(b []byte, req *request) []byte {
+	b = append(b, req.Op...)
+	for _, s := range req.Path {
+		b = append(b, s...)
 	}
-	var resp response
+	if req.Watch {
+		b = append(b, 1)
+	}
+	return b
+}
+
+func parseRequest(data []byte, req *request) {
+	req.Op = string(data[:1])
+	req.Path = []string{string(data[1:])}
+	req.Watch = false
+}
+
+func appendResponse(b []byte, resp *response) []byte {
+	for i := range resp.Results {
+		b = appendResult(b, &resp.Results[i])
+	}
+	return append(b, resp.Err...)
+}
+
+func parseResponse(data []byte, resp *response) {
+	resp.Results = make([]result, 1)
+	parseResult(data, &resp.Results[0])
+	resp.Err = ""
+}
+
+func appendResult(b []byte, res *result) []byte { return append(b, res.Addr...) }
+
+func parseResult(data []byte, res *result) { res.Addr = string(data) }
+
+func appendOrphan(b []byte, o *orphan) []byte { return append(b, byte(o.X)) }
+
+func serve(req *request) response {
 	switch req.Op {
 	case "resolve":
-		resp.Results = []result{{Addr: join(req.Path)}}
+		return response{Results: []result{{Addr: join(req.Path)}}}
 	default:
-		resp.Err = "unknown op"
+		return response{Err: "unknown op"}
 	}
-	return enc.Encode(&resp)
-}
-
-func leak(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(orphan{X: 1})
 }
 
 func join(parts []string) string {

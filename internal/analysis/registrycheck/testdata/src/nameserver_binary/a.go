@@ -1,15 +1,8 @@
-// Package nameserver exercises registrycheck's binary-codec completeness
-// rule: once a package defines append<T>/parse<T> for any registered wire
-// type, every registered type needs both functions and each must touch
-// every field. (The directory path contains "nameserver" so the package
-// lands in the analyzer's scope; the gob-only fixture next door proves
-// the rule stays silent without codec functions.)
+// Package nameserver exercises registrycheck's codec completeness rule:
+// every registered wire type needs both append<T> and parse<T>, and each
+// must touch every field. (The directory path contains "nameserver" so the
+// package lands in the analyzer's scope.)
 package nameserver
-
-import (
-	"encoding/gob"
-	"io"
-)
 
 // request has a binary codec pair below; the encoder forgets Seq.
 type request struct {
@@ -18,8 +11,7 @@ type request struct {
 	Seq  uint64
 }
 
-// ack is registered and crosses the gob wire but has no binary codec
-// functions at all — with the rule armed, that is two missing functions.
+// ack is registered and has an encoder, but nothing can decode it.
 type ack struct {
 	OK bool
 }
@@ -29,15 +21,9 @@ var wireTypes = map[string]any{
 	"ack":     ack{}, // want `wire type ack has no binary codec function`
 }
 
-func serve(rw io.ReadWriter) error {
-	dec := gob.NewDecoder(rw)
-	enc := gob.NewEncoder(rw)
-	var req request
-	if err := dec.Decode(&req); err != nil {
-		return err
-	}
+func serve(req *request) ack {
 	use(req.ID, req.Path, req.Seq)
-	return enc.Encode(&ack{OK: true})
+	return ack{OK: true}
 }
 
 func use(...any) {}
@@ -58,4 +44,11 @@ func parseRequest(data []byte, req *request) error {
 	req.Path = []string{string(data[1:])}
 	req.Seq = 0
 	return nil
+}
+
+func appendAck(b []byte, a *ack) []byte {
+	if a.OK {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }

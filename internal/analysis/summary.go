@@ -21,8 +21,8 @@ type FuncSummary struct {
 	// path that matters to us — it calls Set(Read|Write)?Deadline, or a
 	// function whose summary says so (transitive).
 	SetsDeadline bool `json:",omitempty"`
-	// ConnIO: the function reaches wire I/O — gob encode/decode, a
-	// Read/Write on a conn-shaped value, or a Dial* call (transitive).
+	// ConnIO: the function reaches wire I/O — a Read/Write on a
+	// conn-shaped value, or a Dial* call (transitive).
 	ConnIO bool `json:",omitempty"`
 	// Blocks: the function reaches a call that can block indefinitely
 	// (ConnIO or time.Sleep, transitive). Used by lockheld to taint
@@ -96,7 +96,7 @@ func FuncKey(fn *types.Func) string { return fn.FullName() }
 // summary says it performs unguarded wire I/O.
 type WireEvent struct {
 	Pos  token.Pos
-	Desc string // "gob encode", "conn read", …
+	Desc string // "conn read", "conn write"
 	// Callee is non-nil when the event is a call to an UnguardedIO
 	// function rather than direct I/O.
 	Callee *types.Func
@@ -363,14 +363,6 @@ func collectAtoms(pkg *Package, decl *ast.FuncDecl) *atoms {
 			case "Sleep":
 				if callee.Pkg() != nil && callee.Pkg().Path() == "time" {
 					a.sleeps = true
-				}
-			case "Encode":
-				if recv != nil && IsNamedType(recv.Type(), "encoding/gob", "Encoder") {
-					a.ios = append(a.ios, ioAtom{node.Pos(), "gob encode", false})
-				}
-			case "Decode":
-				if recv != nil && IsNamedType(recv.Type(), "encoding/gob", "Decoder") {
-					a.ios = append(a.ios, ioAtom{node.Pos(), "gob decode", true})
 				}
 			case "Read", "Write":
 				// os.File passes the conn duck test (it has SetDeadline

@@ -6,7 +6,6 @@
 package nameserver
 
 import (
-	"encoding/gob"
 	"net"
 	"time"
 
@@ -108,7 +107,8 @@ func badReassigned(p core.Path) request {
 // badBoundary takes a name to the wire without any conversion on the way.
 func badBoundary(conn net.Conn, p core.Path) error { // want `badBoundary takes a core\.Path and reaches wire I/O but never canonicalizes a name`
 	_ = conn.SetDeadline(time.Now().Add(time.Second))
-	return gob.NewEncoder(conn).Encode(len(p))
+	_, err := conn.Write([]byte{byte(len(p))})
+	return err
 }
 
 // okBoundary canonicalizes before encoding.
@@ -118,7 +118,9 @@ func okBoundary(conn net.Conn, p core.Path) error {
 		return err
 	}
 	_ = conn.SetDeadline(time.Now().Add(time.Second))
-	return gob.NewEncoder(conn).Encode(request{Path: raw})
+	req := request{Path: raw}
+	_, err = conn.Write([]byte(req.Path[0]))
+	return err
 }
 
 // okBoundaryTransitive reaches the canonicalizer through a helper.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -466,44 +467,32 @@ func ExampleClient_ResolveBatch() {
 	// Output: 2 true true
 }
 
-// TestClusterCodecInterop runs the cross-version cluster matrix: a
-// gob-pinned client against binary-default servers (the hello is never
-// sent, the servers fall back per connection), and a default binary
-// client against gob-pinned servers (the hello is answered with the
-// downgrade byte). Both fleets must resolve across shards and mutate.
-func TestClusterCodecInterop(t *testing.T) {
-	run := func(t *testing.T, serverOpts []Option, clientOpts []ClientOption) {
-		w := core.NewWorld()
-		cl, err := New(w, testSpec, 2, serverOpts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		client, err := Dial("tcp", cl.Addrs()[0], clientOpts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		for _, raw := range testPaths {
-			if _, err := client.Resolve(core.ParsePath(raw)); err != nil {
-				t.Fatalf("Resolve(%s): %v", raw, err)
-			}
-		}
-		target, err := client.Resolve(core.ParsePath("usr/bin/ls"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := client.Bind(core.ParsePath("usr/bin"), "twin", target); err != nil {
-			t.Fatalf("Bind: %v", err)
-		}
-		if got, err := client.Resolve(core.ParsePath("usr/bin/twin")); err != nil || got != target {
-			t.Fatalf("Resolve of bound name = %v, %v; want %v", got, err, target)
-		}
+// TestDialRefusedByOtherVersion: a seed that answers the handshake with
+// another protocol version fails the bootstrap with ErrProtocolVersion —
+// there is no codec to fall back to.
+func TestDialRefusedByOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Run("gob-client/binary-servers", func(t *testing.T) {
-		run(t, nil, []ClientOption{WithCodec(nameserver.CodecGob)})
-	})
-	t.Run("binary-client/gob-servers", func(t *testing.T) {
-		run(t, []Option{WithServerOptions(nameserver.WithServerCodec(nameserver.CodecGob))}, nil)
-	})
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hello [1]byte
+		if _, err := conn.Read(hello[:]); err == nil {
+			_, _ = conn.Write([]byte{0xB3})
+		}
+	}()
+	client, err := Dial("tcp", ln.Addr().String())
+	if err == nil {
+		client.Close()
+		t.Fatal("bootstrap from a seed of another version succeeded")
+	}
+	if !errors.Is(err, nameserver.ErrProtocolVersion) {
+		t.Fatalf("Dial error = %v; want ErrProtocolVersion", err)
+	}
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
-	"namecoherence/internal/replsvc"
+	"namecoherence/internal/faultnet"
+	"namecoherence/internal/nameserver"
 )
 
 // E11Config parameterizes experiment E11: weak coherence of a replicated
@@ -25,10 +27,10 @@ file /usr/bin/ls "#!ls"
 file /etc/passwd "root:0"
 `
 
-// E11 drives resolutions through a rotating replica pool: strict coherence
-// fails (distinct replica entities come back), weak coherence holds (all
-// results are replicas of one another), and after one replica dies the
-// pool keeps answering via failover.
+// E11 drives resolutions round the replicas of a one-shard replicated
+// cluster: strict coherence fails (distinct replica entities come back),
+// weak coherence holds (all results are replicas of one another), and after
+// one replica dies a failover client keeps answering.
 func E11(cfg E11Config) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
@@ -45,55 +47,61 @@ func E11(cfg E11Config) (*Table, error) {
 		},
 	}
 	for _, n := range cfg.ReplicaCounts {
-		w := core.NewWorld()
-		rs, err := replsvc.NewReplicaSet(w, e11Spec, n)
+		distinct, weak, succ, err := e11Run(n, cfg.Resolutions)
 		if err != nil {
 			return nil, err
 		}
-		pool, err := replsvc.NewPool(rs.Addrs())
-		if err != nil {
-			rs.Close()
-			return nil, err
-		}
-
-		p := core.ParsePath("usr/bin/ls")
-		distinct := make(map[core.EntityID]bool)
-		weak := 0
-		var first core.Entity
-		for i := 0; i < cfg.Resolutions; i++ {
-			e, err := pool.Resolve(p)
-			if err != nil {
-				pool.Close()
-				rs.Close()
-				return nil, err
-			}
-			if i == 0 {
-				first = e
-			}
-			distinct[e.ID] = true
-			if w.SameReplica(first, e) {
-				weak++
-			}
-		}
-
-		// Kill replica 0; count post-failure successes.
-		if err := rs.StopReplica(0); err != nil {
-			pool.Close()
-			rs.Close()
-			return nil, err
-		}
-		succ := 0
-		for i := 0; i < cfg.Resolutions; i++ {
-			if _, err := pool.Resolve(p); err == nil {
-				succ++
-			}
-		}
-		pool.Close()
-		rs.Close()
-
-		t.AddRow(itoa(n), itoa(cfg.Resolutions), itoa(len(distinct)),
+		t.AddRow(itoa(n), itoa(cfg.Resolutions), itoa(distinct),
 			f2(float64(weak)/float64(cfg.Resolutions)),
 			f2(float64(succ)/float64(cfg.Resolutions)))
 	}
 	return t, nil
+}
+
+// e11Run measures one row: n replicas of one shard, resolutions per phase.
+func e11Run(n, resolutions int) (distinct, weak, succ int, err error) {
+	w := core.NewWorld()
+	cl, err := cluster.NewReplicated(w, e11Spec, 1, n)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer cl.Close()
+
+	// cluster.Client sticks to a shard's primary by design, so the rotation
+	// over the replicas is the experiment's own: one connection per address.
+	p := core.ParsePath("usr/bin/ls")
+	addrs := cl.Routes().Replicas[0]
+	conns := make([]*nameserver.Client, len(addrs))
+	for i, addr := range addrs {
+		if conns[i], err = nameserver.Dial("tcp", addr); err != nil {
+			return 0, 0, 0, err
+		}
+		defer conns[i].Close()
+	}
+	seen := make(map[core.EntityID]bool)
+	var first core.Entity
+	for i := 0; i < resolutions; i++ {
+		e, err := conns[i%len(conns)].Resolve(p)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if i == 0 {
+			first = e
+		}
+		seen[e.ID] = true
+		if w.SameReplica(first, e) {
+			weak++
+		}
+	}
+
+	// Kill replica 0; count post-failure successes through one client.
+	cl.Fault(0, 0).SetMode(faultnet.Reset)
+	client := cluster.NewClient("tcp", cl.Routes())
+	defer client.Close()
+	for i := 0; i < resolutions; i++ {
+		if _, err := client.Resolve(p); err == nil {
+			succ++
+		}
+	}
+	return len(seen), weak, succ, nil
 }

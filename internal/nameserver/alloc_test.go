@@ -2,7 +2,7 @@
 
 // Allocation-floor regression tests for the //namingvet:allocfree wire
 // roots. allocfree proves the annotated paths reach no allocating code
-// outside the exempted gob calls; these tests pin the measured floors at
+// outside their exempted cold calls; these tests pin the measured floors at
 // runtime, so a change that reintroduces a per-request allocation fails
 // go test even if nobody reads a benchmark. Excluded under -race: the race
 // runtime adds its own allocations and would skew every floor.
@@ -29,7 +29,7 @@ func allocFloor(t *testing.T, name string, want float64, f func()) {
 // TestServerResolveAllocFree pins the server's whole resolve path —
 // handle → resolveOne → checkWireCanonical → World.Resolve — at zero
 // allocations once the worker's scratch has warmed up. This is the
-// decode→resolve→encode worker loop minus the two exempted gob calls.
+// decode→resolve→encode worker loop minus decode and encode.
 func TestServerResolveAllocFree(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -100,11 +100,11 @@ func TestCachedResolveAllocFloor(t *testing.T) {
 
 // TestRoundTripAllocFloor pins the full uncached round-trip — call
 // bookkeeping, send, the server worker pool, lead — at the measured
-// floor under the binary codec. The three remaining allocations are all
+// floor. The three remaining allocations are all
 // per-call bookkeeping (the pendingCall, its done channel, and the
 // canonical wire path the request retains until its response): encode
-// and decode themselves allocate nothing on either end. The gob floor
-// before this codec was 13; EXPERIMENTS.md records the trajectory.
+// and decode themselves allocate nothing on either end (EXPERIMENTS.md
+// records the trajectory).
 func TestRoundTripAllocFloor(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -115,24 +115,6 @@ func TestRoundTripAllocFloor(t *testing.T) {
 		t.Fatalf("prime Resolve = %v, %v", got, err)
 	}
 	allocFloor(t, "Resolve/round-trip", 3, func() {
-		if _, err := c.Resolve(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestRoundTripAllocFloorGob pins the legacy codec's floor so the gob
-// fallback cannot quietly regress while it remains selectable.
-func TestRoundTripAllocFloorGob(t *testing.T) {
-	w, tr, f := exportedTree(t)
-	s := NewServer(w, tr.RootContext(), WithServerCodec(CodecGob))
-	c := pipeClient(t, s, WithCodec(CodecGob))
-
-	p := core.ParsePath("usr/bin/ls")
-	if got, err := c.Resolve(p); err != nil || got != f {
-		t.Fatalf("prime Resolve = %v, %v", got, err)
-	}
-	allocFloor(t, "Resolve/round-trip-gob", 13, func() {
 		if _, err := c.Resolve(p); err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,8 @@
 package nameserver
 
 import (
-	"encoding/gob"
 	"errors"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"namecoherence/internal/core"
@@ -81,48 +78,24 @@ func TestBatchNonCanonicalSlots(t *testing.T) {
 	}
 }
 
-// TestServerRevalidatesWirePaths bypasses the client and speaks raw gob:
+// TestServerRevalidatesWirePaths bypasses the client and frames by hand:
 // the server must reject non-canonical paths itself (§6 — coherence is
 // checked where the name is used, not only where it was made).
 func TestServerRevalidatesWirePaths(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
-	serverEnd, clientEnd := net.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.ServeConn(serverEnd)
-	}()
-	t.Cleanup(func() {
-		_ = clientEnd.Close()
-		wg.Wait()
-	})
-
-	enc := gob.NewEncoder(clientEnd)
-	dec := gob.NewDecoder(clientEnd)
+	r, _ := rawPipe(t, s)
 
 	for _, raw := range [][]string{{"usr", "bin/ls"}, {"usr", ""}, nil} {
-		if err := enc.Encode(request{Path: raw}); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(resp.Err, "not wire-canonical") {
+		r.send(request{ID: 1, Path: raw})
+		if resp := r.recv(); !strings.Contains(resp.Err, "not wire-canonical") {
 			t.Fatalf("handcrafted request %q: Err = %q, want wire-canonical rejection", raw, resp.Err)
 		}
 	}
 
 	// A batch gets per-result rejections; the good element still resolves.
-	if err := enc.Encode(request{Paths: [][]string{{"usr", "bin", "ls"}, {"usr", "bin/ls"}}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	r.send(request{ID: 2, Paths: [][]string{{"usr", "bin", "ls"}, {"usr", "bin/ls"}}})
+	resp := r.recv()
 	if len(resp.Results) != 2 {
 		t.Fatalf("Results = %d, want 2", len(resp.Results))
 	}

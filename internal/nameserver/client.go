@@ -2,7 +2,6 @@ package nameserver
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -67,15 +66,12 @@ type Client struct {
 	bw      *bufio.Writer // guarded by wtoken; drains through wd
 	wd      deadlineWriter
 	br      *bufio.Reader // guarded by rtoken (and by NewClient during negotiation)
-	enc     *gob.Encoder  // guarded by wtoken; nil unless the codec is gob
-	dec     *gob.Decoder  // guarded by rtoken; nil unless the codec is gob
-	codec   Codec         // immutable after NewClient (negotiation settles it)
 	timeout time.Duration // per-call bound; immutable after the options run
 
 	wtoken chan struct{} // capacity 1; held while encoding and flushing
 	rtoken chan struct{} // capacity 1; held by the leading reader
 	wbuf   []byte        // binary encode scratch; guarded by wtoken
-	rresp  response      // lead's reusable decode target; guarded by rtoken
+	rresp  response      // decode target for frames no live call owns; guarded by rtoken
 	rbuf   []byte        // binary frame scratch; guarded by rtoken
 	errs   strIntern     // decode-side intern table (error strings, pushed names); guarded by rtoken
 
@@ -144,24 +140,6 @@ type timeoutOption time.Duration
 
 func (o timeoutOption) apply(c *Client) { c.timeout = time.Duration(o) }
 
-type codecOption Codec
-
-func (o codecOption) apply(c *Client) { c.codec = Codec(o) }
-
-// WithCodec pins the client's wire codec. The default, CodecBinary,
-// negotiates: the client offers the binary codec and falls back to gob
-// if the server insists (see WithServerCodec). WithCodec(CodecGob)
-// skips the offer entirely and speaks raw gob from the first byte —
-// wire-identical to a pre-codec client, the escape hatch for servers
-// that predate the negotiation.
-func WithCodec(codec Codec) ClientOption {
-	return codecOption(codec)
-}
-
-// Codec reports the codec this connection settled on. Immutable once
-// NewClient returns.
-func (c *Client) Codec() Codec { return c.codec }
-
 // WithTimeout bounds every call: a per-call timer starts when the call is
 // issued and, on expiry, fails that call with a timeout error (satisfying
 // errors.Is(err, os.ErrDeadlineExceeded) and net.Error's Timeout) and
@@ -177,11 +155,10 @@ func WithTimeout(d time.Duration) ClientOption {
 // NewClient wraps an established connection. The client spawns no
 // goroutines: callers themselves take turns decoding (see call).
 //
-// Unless WithCodec(CodecGob) pins the legacy stream, NewClient runs the
-// one-byte codec negotiation before returning (the server must already
-// be serving the connection). A failed negotiation poisons the client —
-// every call reports the failure — rather than error out here, keeping
-// the signature; Dial surfaces the error directly.
+// NewClient runs the one-byte version handshake before returning (the
+// server must already be serving the connection). A failed handshake
+// poisons the client — every call reports the failure — rather than error
+// out here, keeping the signature; Dial surfaces the error directly.
 func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 	c := &Client{
 		conn:    conn,
@@ -200,22 +177,16 @@ func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 		c.wd.bound = c.timeout
 	}
 	c.bw = bufio.NewWriter(&c.wd)
-	if c.codec == CodecBinary {
-		if err := c.negotiate(); err != nil {
-			c.fail(fmt.Errorf("codec negotiation: %w", err))
-		}
-	}
-	if c.codec == CodecGob {
-		c.enc = gob.NewEncoder(c.bw)
-		c.dec = gob.NewDecoder(c.br)
+	if err := c.negotiate(); err != nil {
+		c.fail(fmt.Errorf("version handshake: %w", err))
 	}
 	return c
 }
 
-// negotiate offers the binary codec and adopts the server's one-byte
-// choice. The handshake is bounded by the call timeout (or the dial
-// default): a server that never answers — or a pre-codec server that
-// chokes on the magic byte — must fail the client promptly, not hang it.
+// negotiate sends the protocol version this client speaks and requires the
+// server to answer with the same byte. The handshake is bounded by the
+// call timeout (or the dial default): a server that never answers must
+// fail the client promptly, not hang it.
 func (c *Client) negotiate() error {
 	d := defaultDialTimeout
 	if c.timeout > 0 && c.timeout < d {
@@ -224,26 +195,21 @@ func (c *Client) negotiate() error {
 	_ = c.conn.SetDeadline(time.Now().Add(d))
 	hello := [1]byte{binaryMagic}
 	if _, err := c.conn.Write(hello[:]); err != nil {
-		return fmt.Errorf("send codec offer: %w", err)
+		return fmt.Errorf("send version: %w", err)
 	}
-	choice, err := c.br.ReadByte()
+	theirs, err := c.br.ReadByte()
 	if err != nil {
-		return fmt.Errorf("read codec choice: %w", err)
+		return fmt.Errorf("read server version: %w", err)
 	}
 	_ = c.conn.SetDeadline(time.Time{})
-	switch choice {
-	case binaryMagic:
-		c.codec = CodecBinary
-	case replyGob:
-		c.codec = CodecGob
-	default:
-		return fmt.Errorf("server sent unknown codec choice 0x%02x", choice)
+	if theirs != binaryMagic {
+		return fmt.Errorf("%w: client speaks 0x%02X, server speaks 0x%02X", ErrProtocolVersion, binaryMagic, theirs)
 	}
 	return nil
 }
 
 // Err returns the client's sticky failure: nil while the stream is
-// healthy, the poisoning error once it is not (negotiation failure,
+// healthy, the poisoning error once it is not (handshake failure,
 // transport death, timeout poisoning, or Close).
 func (c *Client) Err() error {
 	c.pmu.Lock()
@@ -270,7 +236,7 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 	}
 	c := NewClient(conn, opts...)
 	if err := c.Err(); err != nil {
-		// Codec negotiation failed; don't hand out a poisoned client.
+		// The handshake failed; don't hand out a poisoned client.
 		_ = c.Close()
 		return nil, fmt.Errorf("dial name server: %w", err)
 	}
@@ -305,19 +271,10 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 //
 //namingvet:allocfree
 func (c *Client) send(pc *pendingCall, pipelined bool) error {
-	var err error
-	if c.codec == CodecBinary {
-		// Append-encode into the token-guarded scratch: the request's
-		// bytes are built and written with zero heap traffic.
-		c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
-		err = writeFrame(c.bw, c.wbuf)
-	} else {
-		// gob writes from inside Encode, so its bound is armed where
-		// conndeadline can see it, once per message.
-		c.wd.arm()
-		//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-		err = c.enc.Encode(&pc.req)
-	}
+	// Append-encode into the token-guarded scratch: the request's bytes
+	// are built and written with zero heap traffic.
+	c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
+	err := writeFrame(c.bw, c.wbuf)
 	if err == nil && pipelined {
 		<-c.wtoken
 		runtime.Gosched()
@@ -339,17 +296,12 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 // With no deadline an idle read blocks until the server speaks; Close
 // unblocks it by closing the conn (conndeadline's idle-loop exemption
 // knows this). With a per-call timeout the leader cannot select on its
-// timer while blocked in Decode, so it arms the connection's read
+// timer while blocked in the read, so it arms the connection's read
 // deadline with its own call's expiry instead: a deadline-failed read
 // poisons the client exactly as expire would have — a call timeout always
-// poisons, so trading the wrecked gob stream for a dead conn loses
-// nothing. Each leader re-arms on taking the token, so the deadline in
-// force is always the current leader's.
-//
-// The decode target is a scratch field reused across iterations and
-// leaders (rtoken guards it, and dispatch copies the response out before
-// the next decode), so the response struct itself stays off the heap on
-// every delivery.
+// poisons, so trading the torn stream for a dead conn loses nothing. Each
+// leader re-arms on taking the token, so the deadline in force is always
+// the current leader's.
 //
 //namingvet:allocfree
 func (c *Client) lead(pc *pendingCall, deadline time.Time) {
@@ -362,36 +314,22 @@ func (c *Client) lead(pc *pendingCall, deadline time.Time) {
 			return
 		default:
 		}
-		if c.codec == CodecBinary {
-			if err := c.readOneBinary(); err != nil {
-				c.fail(recvFailure(err))
-				return
-			}
-			continue
-		}
-		// Zero the scratch before reuse: gob merges into an existing value,
-		// so a field the next message omits would leak the previous one.
-		c.rresp = response{}
-		//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-		if err := c.dec.Decode(&c.rresp); err != nil {
+		if err := c.readOne(); err != nil {
 			c.fail(recvFailure(err))
 			return
 		}
-		c.dispatch(&c.rresp)
 	}
 }
 
-// readOneBinary reads and delivers one binary frame while holding the
-// read token. A response for a live call is parsed directly into that
-// call's own response struct — so the Results backing array the parse
-// fills belongs to the caller outright, never aliased by the scratch
-// the next frame reuses (gob got this for free by allocating fresh;
-// the binary codec gets it by choosing the parse target first). Push
-// frames and responses to abandoned calls parse into the token-guarded
-// scratch instead.
+// readOne reads and delivers one frame while holding the read token. A
+// response for a live call is parsed directly into that call's own
+// response struct — so the Results backing array the parse fills belongs
+// to the caller outright, never aliased by the scratch the next frame
+// reuses. Push frames and responses to abandoned calls parse into the
+// token-guarded scratch instead.
 //
 //namingvet:allocfree
-func (c *Client) readOneBinary() error {
+func (c *Client) readOne() error {
 	body, err := readFrame(c.br, &c.rbuf)
 	if err != nil {
 		return err
@@ -420,13 +358,13 @@ func (c *Client) readOneBinary() error {
 	}
 	// ID 0 (a push frame — clients never assign it) or an abandoned
 	// call: parse into the scratch, both to validate the stream and, for
-	// pushes, to feed the invalidation through dispatch.
+	// pushes, to consume the invalidation.
 	c.rresp = response{}
 	if err := parseResponse(body, &c.rresp, &c.errs); err != nil {
 		return err
 	}
 	if c.rresp.Invalidation {
-		c.dispatch(&c.rresp)
+		c.invalidate(&c.rresp)
 	}
 	return nil
 }
@@ -448,32 +386,19 @@ func recvFailure(err error) error {
 	}
 }
 
-// dispatch delivers a decoded response to its pending call. Responses
-// whose call has been abandoned are dropped. Push invalidation frames
-// answer no call: they feed the coherent cache's purge rule directly —
-// that is the whole point of subscribing — and then the optional
-// notification callback, outside c.mu.
-func (c *Client) dispatch(resp *response) {
-	if resp.Invalidation {
-		c.mu.Lock()
-		c.invalidations++
-		c.admitRevision(resp.Rev)
-		onInval := c.onInval
-		c.mu.Unlock()
-		if onInval != nil {
-			onInval(Invalidation{Rev: resp.Rev, Dir: core.EntityID(resp.Dir), Name: core.Name(resp.Name)})
-		}
-		return
+// invalidate consumes a push invalidation frame. It answers no call: it
+// feeds the coherent cache's purge rule directly — that is the whole point
+// of subscribing — and then the optional notification callback, outside
+// c.mu.
+func (c *Client) invalidate(resp *response) {
+	c.mu.Lock()
+	c.invalidations++
+	c.admitRevision(resp.Rev)
+	onInval := c.onInval
+	c.mu.Unlock()
+	if onInval != nil {
+		onInval(Invalidation{Rev: resp.Rev, Dir: core.EntityID(resp.Dir), Name: core.Name(resp.Name)})
 	}
-	c.pmu.Lock()
-	pc := c.pending[resp.ID]
-	delete(c.pending, resp.ID)
-	c.pmu.Unlock()
-	if pc == nil {
-		return
-	}
-	pc.resp = *resp
-	close(pc.done)
 }
 
 // fail poisons the client with err: every pending call fails now, future

@@ -6,7 +6,6 @@ package nameserver
 // design both deadlocked until the server answered.
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -19,23 +18,20 @@ import (
 func stallServer(t *testing.T, conn net.Conn, n int, release <-chan struct{}) {
 	t.Helper()
 	go func() {
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		for k := 0; k < n; k++ {
+		defer conn.Close()
+		r, ok := fakeServer(conn, binaryMagic)
+		for k := 0; ok && k < n; k++ {
 			var req request
-			if dec.Decode(&req) != nil {
-				return
-			}
-			if enc.Encode(response{ID: req.ID, Ent: uint64(k + 1), Kind: 1, Rev: 1}) != nil {
-				return
+			if req, ok = r.recvReq(); ok {
+				ok = r.sendResp(response{ID: req.ID, Ent: uint64(k + 1), Kind: 1, Rev: 1})
 			}
 		}
-		var req request
-		if dec.Decode(&req) != nil {
-			return
+		if ok {
+			_, ok = r.recvReq()
 		}
-		<-release // hold the round-trip open
-		_ = conn.Close()
+		if ok {
+			<-release // hold the round-trip open
+		}
 	}()
 }
 
@@ -59,9 +55,7 @@ func TestStatsNotBlockedByInflightResolve(t *testing.T) {
 	release := make(chan struct{})
 	stallServer(t, serverConn, 0, release)
 
-	// The fake server speaks raw gob, so pin the codec (negotiating
-	// against it would hang on the one-byte hello).
-	c := NewClient(clientConn, WithCache(4), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithCache(4))
 	defer c.Close()
 
 	inflight := make(chan struct{})
@@ -86,8 +80,7 @@ func TestCacheHitNotBlockedByInflightResolve(t *testing.T) {
 	release := make(chan struct{})
 	stallServer(t, serverConn, 1, release)
 
-	// The fake server speaks raw gob, so pin the codec.
-	c := NewClient(clientConn, WithCache(4), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithCache(4))
 	defer c.Close()
 
 	// Warm the cache with the one answered request.

@@ -1,9 +1,7 @@
 // Binary wire codec: a hand-rolled, length-prefixed encoding for the
-// closed wire-type set in wire.go, replacing gob on the hot path. gob's
-// reflection-driven encode/decode was the dominant per-frame cost once
-// PR 8 removed the other steady-path allocations; this codec encodes by
-// appending to a reused buffer and decodes by slicing a reused frame,
-// so a steady resolve round-trip touches the allocator zero times.
+// closed wire-type set in wire.go, and the only one the protocol has. It
+// encodes by appending to a reused buffer and decodes by slicing a reused
+// frame, so a steady resolve round-trip touches the allocator zero times.
 //
 // # Framing
 //
@@ -17,86 +15,41 @@
 //   - bools are one byte, strictly 0 or 1
 //   - strings are a uvarint length followed by the bytes
 //   - slices are a uvarint count followed by the elements; a zero count
-//     decodes to nil (nil and empty collapse, exactly as gob's
-//     zero-value omission collapsed them, so no caller can tell)
+//     decodes to nil (nil and empty collapse; no caller tells them apart)
 //   - the one pointer field (response.Routes) is a presence byte, then
 //     the RouteInfo body if present
 //
 // Which message type a frame holds is positional, never encoded:
-// clients only send requests and servers only send responses, the same
-// property the gob streams relied on.
+// clients only send requests and servers only send responses.
 //
 // # Negotiation
 //
-// A binary-codec client opens with a single hello byte and waits for the
-// server's one-byte choice before sending any frame. The hello is the
-// protocol version: 0xB2 offers the layout this file encodes, 0xB1 was the
-// layout before responses carried Dir and Name. Neither can begin a gob
-// stream — a gob message starts with its byte count, which is either a
-// small literal (0x00–0x7F) or a negated count byte (0xF8–0xFF) — so a
-// server can sniff the first byte: a hello means "negotiate", anything
-// else means a legacy gob client, served as before. The server echoes the
-// hello it speaks (0xB2) or answers 0xB0 — fall back to gob, which
-// tolerates added fields — to a client offering the old layout and, under
-// WithServerCodec(CodecGob), to every offer; so old and new peers meet on
-// gob in both directions for as long as gob stays selectable.
+// A connection opens with a version handshake, one byte each way, before
+// any frame. The client sends the version of the layout it speaks; the
+// server answers with the one version it speaks, whatever it was sent.
+// Equal bytes mean both ends encode the layout in this file and frames
+// follow. Anything else is a refusal: the server closes the connection
+// after its byte, and the client fails with ErrProtocolVersion naming both
+// versions — there is no second codec to fall back to. The version is
+// 0xB2 (0xB1 was the layout before responses carried Dir and Name); a
+// change of layout takes the next value.
 package nameserver
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 )
 
-// Codec identifies the wire encoding of one connection.
-type Codec uint8
+// binaryMagic is the protocol version: the byte each end opens with (see
+// the package comment's Negotiation section).
+const binaryMagic byte = 0xB2
 
-const (
-	// CodecBinary is the hand-rolled length-prefixed binary codec
-	// (default; negotiated down to gob when the server insists).
-	CodecBinary Codec = iota
-	// CodecGob is the legacy gob stream, wire-identical to the previous
-	// release. Selectable for one release while peers upgrade.
-	CodecGob
-)
-
-// String names the codec for flags and error messages.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	}
-	return fmt.Sprintf("Codec(%d)", uint8(c))
-}
-
-// ParseCodec converts a -codec flag value to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return 0, fmt.Errorf("unknown codec %q (want binary or gob)", s)
-}
-
-const (
-	// binaryMagic is the client's opening byte offering the binary
-	// codec; doubling as the server's "binary accepted" reply keeps the
-	// handshake a one-byte echo in the common case. It is the protocol's
-	// version: a change of layout takes the next value.
-	binaryMagic byte = 0xB2
-	// binaryMagicV1 offered the previous layout (no Dir, no Name). A
-	// server answers it with replyGob.
-	binaryMagicV1 byte = 0xB1
-	// replyGob is the server's "fall back to gob" reply.
-	replyGob byte = 0xB0
-)
+// ErrProtocolVersion reports a peer that speaks another version of the
+// wire protocol. The connection is unusable; upgrade the older end.
+var ErrProtocolVersion = errors.New("nameserver: wire protocol version mismatch")
 
 // maxFrame bounds a frame body. Requests and responses are small (the
 // largest realistic frame is a batch of resolutions); a length beyond

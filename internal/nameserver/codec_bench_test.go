@@ -1,16 +1,12 @@
 package nameserver
 
 // Codec micro-benchmarks: one encode+decode cycle per op for the typical
-// steady-path messages, with no transport underneath — the isolated cost
-// the binary codec replaced. BenchmarkNameServerRoundTrip (root package)
-// measures the same work end-to-end, where transport synchronization
-// dominates; this pair is where the codec swap itself is visible.
+// steady-path messages, with no transport underneath.
+// BenchmarkNameServerRoundTrip (root package) measures the same work
+// end-to-end, where transport synchronization dominates; this pair is
+// where the codec itself is visible.
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
+import "testing"
 
 // codecBenchMessages returns the steady-path message pair: a depth-3
 // resolve request and its successful response (mirrors the round-trip
@@ -35,22 +31,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("request/gob", func(b *testing.B) {
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		dec := gob.NewDecoder(&stream)
-		var out request
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(&req); err != nil {
-				b.Fatal(err)
-			}
-			out = request{}
-			if err := dec.Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("response/binary", func(b *testing.B) {
 		var buf []byte
 		var errs strIntern
@@ -59,22 +39,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf = appendResponse(buf[:0], &resp)
 			if err := parseResponse(buf, &out, &errs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("response/gob", func(b *testing.B) {
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		dec := gob.NewDecoder(&stream)
-		var out response
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(&resp); err != nil {
-				b.Fatal(err)
-			}
-			out = response{}
-			if err := dec.Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

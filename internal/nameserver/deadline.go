@@ -20,14 +20,10 @@ type deadlineWriter struct {
 	armed time.Time // the deadline currently set on conn
 }
 
-func (w *deadlineWriter) arm() {
+func (w *deadlineWriter) Write(p []byte) (int, error) {
 	if now := time.Now(); w.armed.Sub(now) < w.bound/2 {
 		w.armed = now.Add(w.bound)
 		_ = w.conn.SetWriteDeadline(w.armed)
 	}
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	w.arm()
 	return w.conn.Write(p)
 }

@@ -1,6 +1,7 @@
 // Package nameserver provides a distributed name-resolution substrate: a
 // per-machine server that resolves compound names in an exported context,
-// speaking a gob-encoded request/response protocol over any net.Conn (TCP
+// speaking a tagged, length-framed binary request/response protocol
+// (wire.go is the schema, codec.go the encoding) over any net.Conn (TCP
 // loopback in the benchmarks, net.Pipe in unit tests).
 //
 // The paper's schemes assume that resolving a name bound on another machine

@@ -101,9 +101,9 @@ func TestSerialCallIsOneWriteOneRead(t *testing.T) {
 	})
 }
 
-// rawConn is a hand-driven binary-codec peer: the tests that need to say
-// exactly which bytes share a write, or read the server's frames one at a
-// time, speak the wire format themselves.
+// rawConn is a hand-driven peer: the tests that need to say exactly which
+// bytes share a write, read the server's frames one at a time, or play a
+// server that misbehaves on purpose, speak the wire format themselves.
 type rawConn struct {
 	t    *testing.T
 	conn net.Conn
@@ -113,7 +113,7 @@ type rawConn struct {
 }
 
 // rawPipe serves one end of a pipe (counting the server's side of it) and
-// negotiates the binary codec on the other (see rawOver).
+// shakes hands on the other (see rawOver).
 func rawPipe(t *testing.T, s *Server) (*rawConn, *faultnet.Counts) {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
@@ -131,9 +131,9 @@ func rawPipe(t *testing.T, s *Server) (*rawConn, *faultnet.Counts) {
 	return rawOver(t, clientEnd), counts
 }
 
-// rawOver negotiates the binary codec on conn and hands back a hand-driven
-// peer. Reads and writes on it carry a deadline, so a frame that never
-// comes fails the test instead of hanging.
+// rawOver runs the client's half of the version handshake on conn and
+// hands back a hand-driven peer. Reads and writes on it carry a deadline,
+// so a frame that never comes fails the test instead of hanging.
 func rawOver(t *testing.T, conn net.Conn) *rawConn {
 	t.Helper()
 	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
@@ -142,9 +142,38 @@ func rawOver(t *testing.T, conn net.Conn) *rawConn {
 		t.Fatal(err)
 	}
 	if b, err := r.br.ReadByte(); err != nil || b != binaryMagic {
-		t.Fatalf("codec choice = %#x, %v", b, err)
+		t.Fatalf("server version = %#x, %v", b, err)
 	}
 	return r
+}
+
+// fakeServer runs the server's half of the handshake on conn, answering
+// with version, and hands back the peer to play a server with: recvReq and
+// sendResp report failure instead of failing the test, because fake servers
+// run off the test's goroutine and end when the client hangs up.
+func fakeServer(conn net.Conn, version byte) (*rawConn, bool) {
+	r := &rawConn{conn: conn, br: bufio.NewReader(conn)}
+	if _, err := r.br.ReadByte(); err != nil {
+		return nil, false
+	}
+	_, err := conn.Write([]byte{version})
+	return r, err == nil
+}
+
+// recvReq reads the next request; its slices are the caller's to keep.
+func (r *rawConn) recvReq() (req request, ok bool) {
+	body, err := readFrame(r.br, &r.buf)
+	if err != nil {
+		return req, false
+	}
+	return req, parseRequest(body, &req, new(workerScratch)) == nil
+}
+
+// sendResp writes one response frame.
+func (r *rawConn) sendResp(resp response) bool {
+	body := appendResponse(nil, &resp)
+	_, err := r.conn.Write(append(appendUvarint(nil, uint64(len(body))), body...))
+	return err == nil
 }
 
 // framed is the requests' frames, back to back.

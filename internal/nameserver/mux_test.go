@@ -6,7 +6,6 @@ package nameserver
 // cache miss served).
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"os"
@@ -77,7 +76,7 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 	}
 }
 
-// selectiveServer speaks raw gob on conn: it answers every request except
+// selectiveServer plays the server on conn: it answers every request except
 // single resolves of holdPath, which it withholds until release is
 // closed (and then answers, late). It exercises the client against a
 // server that is slow on one call but healthy on the rest — something
@@ -85,30 +84,24 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 func selectiveServer(t *testing.T, conn net.Conn, holdPath string, release <-chan struct{}) {
 	t.Helper()
 	go func() {
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
+		defer conn.Close()
+		r, ok := fakeServer(conn, binaryMagic)
 		var held []request
-		answer := func(req request) bool {
-			return enc.Encode(response{ID: req.ID, Ent: 7, Kind: 1, Rev: 1}) == nil
-		}
-		for {
+		for ok {
 			var req request
-			if dec.Decode(&req) != nil {
+			if req, ok = r.recvReq(); !ok {
 				break
 			}
 			if len(req.Path) == 1 && req.Path[0] == holdPath {
 				held = append(held, req)
 				continue
 			}
-			if !answer(req) {
-				break
-			}
+			ok = r.sendResp(response{ID: req.ID, Ent: 7, Kind: 1, Rev: 1})
 		}
 		<-release
 		for _, req := range held {
-			_ = enc.Encode(response{ID: req.ID, Ent: 9, Kind: 1, Rev: 1})
+			r.sendResp(response{ID: req.ID, Ent: 9, Kind: 1, Rev: 1})
 		}
-		_ = conn.Close()
 	}()
 }
 
@@ -121,8 +114,7 @@ func TestTimeoutFailsOnlyHungCall(t *testing.T) {
 	release := make(chan struct{})
 	selectiveServer(t, serverConn, "hang", release)
 
-	// The fake server speaks raw gob, so pin the codec.
-	c := NewClient(clientConn, WithTimeout(time.Second), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithTimeout(time.Second))
 	defer c.Close()
 
 	hungErr := make(chan error, 1)
@@ -178,8 +170,7 @@ func TestLateResponseAfterTimeoutIsDiscarded(t *testing.T) {
 	release := make(chan struct{})
 	selectiveServer(t, serverConn, "hang", release)
 
-	// The fake server speaks raw gob, so pin the codec.
-	c := NewClient(clientConn, WithTimeout(100*time.Millisecond), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithTimeout(100*time.Millisecond))
 	defer c.Close()
 
 	if _, err := c.Resolve(core.Path{"hang"}); !errors.Is(err, os.ErrDeadlineExceeded) {

@@ -1,15 +1,12 @@
 package nameserver
 
 import (
-	"encoding/gob"
-	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"namecoherence/internal/core"
-	"namecoherence/internal/faultnet"
 )
 
 // What an invalidation frame carries, and where in the stream it goes
@@ -323,58 +320,24 @@ func TestNoResponseOvertakesItsInvalidation(t *testing.T) {
 	}
 }
 
-// TestInteropOldHelloLandsOnGob: a peer offering the previous binary
-// layout's hello byte is answered with the gob fallback, and served — the
-// frames it is pushed say what changed there too, in fields its decoder
-// skips if it does not know them.
-func TestInteropOldHelloLandsOnGob(t *testing.T) {
+// TestInteropInvalidationPush verifies the push path (server-initiated
+// ID-0 frames) end to end through the client: a subscribed client must see
+// the invalidation a mutation triggers.
+func TestInteropInvalidationPush(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
-	s.WatchExport(tr.Root)
-	serverEnd, clientEnd := net.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.ServeConn(faultnet.CountConn(serverEnd, new(faultnet.Counts)))
-	}()
-	t.Cleanup(func() {
-		_ = clientEnd.Close()
-		wg.Wait()
-	})
-	_ = clientEnd.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := clientEnd.Write([]byte{binaryMagicV1}); err != nil {
-		t.Fatal(err)
+	c := pipeClient(t, s, WithCoherentCache(8))
+
+	seen := make(chan uint64, 4)
+	if err := c.Subscribe(func(rev uint64) { seen <- rev }); err != nil {
+		t.Fatalf("subscribe: %v", err)
 	}
-	var choice [1]byte
-	if _, err := io.ReadFull(clientEnd, choice[:]); err != nil || choice[0] != replyGob {
-		t.Fatalf("reply to the old hello = %#x, %v; want the gob fallback %#x", choice[0], err, replyGob)
+	if _, err := c.Bind(core.ParsePath("usr/bin"), "pushed", f); err != nil {
+		t.Fatalf("bind: %v", err)
 	}
-	enc, dec := gob.NewEncoder(clientEnd), gob.NewDecoder(clientEnd)
-	call := func(req request) response {
-		t.Helper()
-		if err := enc.Encode(&req); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if resp := call(resolveReq(1, core.ParsePath("usr/bin/ls"))); resp.ID != 1 || resp.Ent != uint64(f.ID) || resp.Err != "" {
-		t.Fatalf("resolve over the fallback = %+v", resp)
-	}
-	ack := call(request{ID: 2, Subscribe: true})
-	bin, _ := tr.Lookup(core.ParsePath("usr/bin"))
-	if _, err := s.Bind(core.ParsePath("usr/bin"), "twin", f); err != nil {
-		t.Fatal(err)
-	}
-	var push response
-	if err := dec.Decode(&push); err != nil {
-		t.Fatal(err)
-	}
-	if !push.Invalidation || push.Rev != ack.Rev+1 || push.Dir != uint64(bin.ID) || push.Name != "twin" {
-		t.Fatalf("push over the fallback = %+v", push)
+	select {
+	case <-seen:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no invalidation push arrived")
 	}
 }

@@ -2,7 +2,6 @@ package nameserver
 
 import (
 	"bufio"
-	"encoding/gob"
 	"net"
 	"runtime"
 	"sync"
@@ -64,9 +63,8 @@ const serveWriteTimeout = time.Minute
 type Server struct {
 	world    *core.World
 	export   core.Context
-	workers  int   // per-connection resolver pool size; immutable after NewServer
-	readonly bool  // immutable after NewServer; mutations are refused
-	codec    Codec // negotiation policy (see WithServerCodec); immutable after NewServer
+	workers  int  // per-connection resolver pool size; immutable after NewServer
+	readonly bool // immutable after NewServer; mutations are refused
 
 	// wmu serializes every binding mutation applied through this server
 	// (the wire write path and Stable). It is never held across wire I/O;
@@ -125,20 +123,6 @@ func WithWorkers(n int) ServerOption {
 type readonlyOption struct{}
 
 func (readonlyOption) apply(s *Server) { s.readonly = true }
-
-type serverCodecOption Codec
-
-func (o serverCodecOption) apply(s *Server) { s.codec = Codec(o) }
-
-// WithServerCodec sets the codec policy for negotiating clients. The
-// default, CodecBinary, accepts a client's binary offer; CodecGob makes
-// the server answer every offer with the gob fallback — the rollback
-// lever while the binary codec is proving itself. Legacy clients that
-// never offer (raw gob from the first byte) are served as gob under
-// either policy.
-func WithServerCodec(codec Codec) ServerOption {
-	return serverCodecOption(codec)
-}
 
 // WithReadOnly refuses every wire mutation with a clean error while
 // leaving resolution untouched. Useful for serving a frozen snapshot or
@@ -210,19 +194,16 @@ func (s *Server) Serve(ln net.Listener) {
 // way to a flush point.
 type connState struct {
 	conn   net.Conn
-	codec  Codec         // settled by negotiation; immutable afterwards
 	br     *bufio.Reader // guarded by dtoken; fills through Read below
-	dec    *gob.Decoder  // guarded by dtoken; nil unless the codec is gob
 	bw     *bufio.Writer // guarded by wtoken; drains through wd
 	wd     deadlineWriter
-	enc    *gob.Encoder  // guarded by wtoken; nil unless the codec is gob
 	dtoken chan struct{} // capacity 1; held by the worker currently decoding
 	wtoken chan struct{} // capacity 1; held while encoding and flushing
 	// parked is set while the decode-token holder is inside Read: it has
 	// flushed and is (about to be) waiting for the peer, so nobody else
 	// is on the way to flush what a responder encodes now.
 	parked    atomic.Bool
-	wbuf      []byte // binary encode scratch; guarded by wtoken
+	wbuf      []byte // encode scratch; guarded by wtoken
 	closeOnce sync.Once
 
 	// Push invalidation. pending holds the frames this subscriber is owed,
@@ -325,20 +306,12 @@ func (st *connState) drain() error {
 	return err
 }
 
-// encode writes one message into the write buffer. The caller holds the
-// write token.
+// encode writes one message into the write buffer, append-encoding into
+// the token-guarded scratch: the message's bytes are built and written
+// with zero heap traffic. The caller holds the write token.
 func (st *connState) encode(resp *response) error {
-	if st.codec == CodecBinary {
-		// Append-encode into the token-guarded scratch: the message's
-		// bytes are built and written with zero heap traffic.
-		st.wbuf = appendResponse(st.wbuf[:0], resp)
-		return writeFrame(st.bw, st.wbuf)
-	}
-	// gob writes from inside Encode, so its bound is armed where
-	// conndeadline can see it, once per message.
-	st.wd.arm()
-	//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-	return st.enc.Encode(resp)
+	st.wbuf = appendResponse(st.wbuf[:0], resp)
+	return writeFrame(st.bw, st.wbuf)
 }
 
 // Close marks the stream unusable: the conn closes, failing any
@@ -373,14 +346,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	st.br = bufio.NewReader(st)
 	st.bw = bufio.NewWriter(&st.wd)
-	var err error
-	if st.codec, err = negotiateServer(conn, st.br, s.codec); err != nil {
-		// The peer vanished before its first byte, or died mid-handshake.
+	if !negotiateServer(conn, st.br) {
+		// The peer vanished before its first byte, died mid-handshake, or
+		// speaks another version and has been told so.
 		return
-	}
-	if st.codec == CodecGob {
-		st.dec = gob.NewDecoder(st.br)
-		st.enc = gob.NewEncoder(st.bw)
 	}
 	var pushWG sync.WaitGroup
 	pushWG.Add(1)
@@ -407,37 +376,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 	pushWG.Wait()
 }
 
-// negotiateServer settles a fresh connection's codec by sniffing its
-// first byte. A hello byte can never begin a gob stream (a gob message
-// opens with a small length byte or a negated byte count — see the
-// package comment in codec.go), so the sniff is unambiguous: the current
-// hello means a negotiating client, answered with this server's policy;
-// the previous version's hello is a client whose binary layout this
-// server no longer speaks, answered with the gob fallback; anything else
-// is a legacy client, served as raw gob with nothing consumed and nothing
-// written. The wait for the first byte is the
-// connection's ordinary idle state — Close unblocks it by closing the
-// conn, exactly as it unblocks a worker's idle decode.
-func negotiateServer(conn net.Conn, br *bufio.Reader, policy Codec) (Codec, error) {
-	first, err := br.Peek(1)
+// negotiateServer runs the server's half of the version handshake: it
+// answers the connection's first byte, whatever it is, with the one
+// version this server speaks, and reports whether the peer offered that
+// same version. A false return is a refusal — the peer has the byte that
+// says why, and the caller closes the connection. The wait for the first
+// byte is the connection's ordinary idle state — Close unblocks it by
+// closing the conn, exactly as it unblocks a worker's idle decode.
+func negotiateServer(conn net.Conn, br *bufio.Reader) bool {
+	hello, err := br.ReadByte()
 	if err != nil {
-		return 0, err
-	}
-	if first[0] != binaryMagic && first[0] != binaryMagicV1 {
-		return CodecGob, nil
-	}
-	_, _ = br.Discard(1)
-	chosen := policy
-	reply := [1]byte{binaryMagic}
-	if chosen != CodecBinary || first[0] != binaryMagic {
-		chosen = CodecGob
-		reply[0] = replyGob
+		return false
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(serveWriteTimeout))
+	reply := [1]byte{binaryMagic}
 	if _, err := conn.Write(reply[:]); err != nil {
-		return 0, err
+		return false
 	}
-	return chosen, nil
+	return hello == binaryMagic
 }
 
 // pushInvalidations is a connection's push goroutine: woken by every
@@ -468,15 +424,15 @@ func (s *Server) pushInvalidations(st *connState) {
 
 // workerScratch is one resolver goroutine's reusable state: the frame
 // and decode buffers a request is parsed into, and the path/results
-// buffers resolution fills. Workers never share a scratch, so with the
-// binary codec steady-state serving touches the allocator not at all —
+// buffers resolution fills. Workers never share a scratch, so
+// steady-state serving touches the allocator not at all —
 // every buffer reaches its high-water mark and is reused, and the
 // intern table absorbs the connection's recurring names.
 type workerScratch struct {
 	req     request
 	path    core.Path
 	results []result
-	// Binary-codec decode state: the raw frame (filled under dtoken,
+	// Decode state: the raw frame (filled under dtoken,
 	// parsed after release, so workers parse in parallel), the backing
 	// arrays for the decoded request's Path/Paths, and the intern table
 	// for its strings.
@@ -502,30 +458,17 @@ func (s *Server) serveRequests(st *connState) {
 	// overwrites it wholesale before use.
 	var resp response
 	for {
+		// Read the raw frame under the token, parse it after release: the
+		// stream stays single-streamed while workers parse (and resolve) in
+		// parallel. When the buffer runs dry the read flushes first, then
+		// blocks until the peer speaks (st.Read); Close unblocks it by
+		// closing the conn (conndeadline's idle-read exemption knows both
+		// this loop and st.Read).
 		st.dtoken <- struct{}{}
-		var err error
-		if st.codec == CodecBinary {
-			// Read the raw frame under the token, parse it after release:
-			// the stream stays single-streamed while workers parse (and
-			// resolve) in parallel. When the buffer runs dry the read
-			// flushes first, then blocks until the peer speaks (st.Read).
-			var body []byte
-			body, err = readFrame(st.br, &sc.frame)
-			<-st.dtoken
-			if err == nil {
-				err = parseRequest(body, &sc.req, &sc)
-			}
-		} else {
-			// Zero the scratch before reuse: gob merges into an existing
-			// value, so a field the next message omits would leak the
-			// previous one.
-			sc.req = request{}
-			// An idle read flushes, then blocks until the peer speaks; Close
-			// unblocks it by closing the conn (conndeadline's idle-read
-			// exemption knows both this loop and st.Read).
-			//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-			err = st.dec.Decode(&sc.req)
-			<-st.dtoken
+		body, err := readFrame(st.br, &sc.frame)
+		<-st.dtoken
+		if err == nil {
+			err = parseRequest(body, &sc.req, &sc)
 		}
 		if err != nil {
 			st.Close() // EOF, broken peer, or torn frame; drain the rest of the pool

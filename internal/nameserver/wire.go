@@ -1,7 +1,7 @@
 // Wire protocol of the name service: every type that crosses a
-// connection is declared (and gob-registered) here, in one place, so the
-// protocol surface is auditable at a glance and the round-trip test in
-// wire_test.go cannot miss a type.
+// connection is declared (and listed in wireTypes) here, in one place, so
+// the protocol surface is auditable at a glance and the round-trip tests
+// cannot miss a type.
 //
 // The protocol is tagged and multiplexed: every request carries a
 // client-assigned ID, the server echoes it in the response, and neither
@@ -10,8 +10,6 @@
 // them on a worker pool and writes answers as they complete.
 
 package nameserver
-
-import "encoding/gob"
 
 // Mutation opcodes carried in request.Op. Zero means "not a mutation":
 // the request is a resolve, batch, routing fetch, or subscription. The
@@ -145,21 +143,12 @@ type RouteInfo struct {
 }
 
 // wireTypes enumerates every type that crosses the wire, keyed by a
-// stable name. New wire types must be added here: registration below and
-// the round-trip test in wire_test.go both iterate this table.
+// stable name. New wire types must be added here: registrycheck holds the
+// table equal to what the codec functions in codec.go encode, and the
+// round-trip tests iterate it.
 var wireTypes = map[string]any{
 	"request":   request{},
 	"result":    result{},
 	"response":  response{},
 	"RouteInfo": RouteInfo{},
-}
-
-func init() {
-	// Concrete struct types do not strictly need registration (only
-	// interface-valued fields do), but registering pins the wire names so
-	// a future rename or interface-typed field cannot silently change the
-	// protocol.
-	for _, v := range wireTypes {
-		gob.Register(v)
-	}
 }

@@ -1,5 +1,5 @@
 // Package persist serializes worlds — entities, labels, context bindings,
-// file payloads and replica groups — to a gob snapshot and reconstructs
+// file payloads and replica groups — to a canonical binary snapshot (see persist.go) and reconstructs
 // them, preserving entity identity (IDs are stable across a round trip).
 //
 // Context states are snapshotted through the Context interface, so wrapped

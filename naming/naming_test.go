@@ -184,25 +184,33 @@ func TestFacadePersistRoundTrip(t *testing.T) {
 
 func TestFacadeReplicatedService(t *testing.T) {
 	w := naming.NewWorld()
-	rs, err := naming.NewReplicaSet(w, `file /f "x"`, 2)
+	cl, err := naming.NewReplicatedCluster(w, `file /f "x"`, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
-	pool, err := naming.NewReplicaPool(rs.Addrs())
+	defer cl.Close()
+	var es []naming.Entity
+	for _, addr := range cl.Routes().Replicas[0] {
+		c, err := naming.DialNameServer("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := c.Resolve(naming.ParsePath("f"))
+		_ = c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		es = append(es, e)
+	}
+	if es[0] == es[1] || !w.SameReplica(es[0], es[1]) {
+		t.Fatalf("replicas answered %v and %v; want distinct, weakly coherent entities", es[0], es[1])
+	}
+	client, err := naming.DialShardedCluster("tcp", cl.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
-	e1, err := pool.Resolve(naming.ParsePath("f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := pool.Resolve(naming.ParsePath("f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.SameReplica(e1, e2) {
-		t.Fatal("pool results not weakly coherent")
+	defer client.Close()
+	if e, err := client.Resolve(naming.ParsePath("f")); err != nil || !w.SameReplica(es[0], e) {
+		t.Fatalf("cluster client resolved %v, %v; want a replica of %v", e, err, es[0])
 	}
 }

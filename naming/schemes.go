@@ -14,8 +14,6 @@ import (
 	"namecoherence/internal/perproc"
 	"namecoherence/internal/persist"
 	"namecoherence/internal/pqi"
-	"namecoherence/internal/remote"
-	"namecoherence/internal/replsvc"
 	"namecoherence/internal/sharedns"
 	"namecoherence/internal/treespec"
 )
@@ -227,18 +225,6 @@ type (
 // means identity).
 var NewExchanger = exchange.NewExchanger
 
-// Wire-backed Newcastle cluster: per-machine name servers on TCP loopback.
-type (
-	// Cluster is a Newcastle system whose machines export their trees
-	// through name servers.
-	Cluster = remote.Cluster
-	// WireProc resolves cross-machine names over the wire.
-	WireProc = remote.Proc
-)
-
-// NewCluster builds a wire-backed Newcastle system.
-var NewCluster = remote.NewCluster
-
 // Sharded naming cluster: one logical graph partitioned across name
 // servers by prefix (§5.2, Fig. 4 at deployment scale).
 type (
@@ -283,22 +269,6 @@ var (
 // ErrShardedClientClosed fails requests racing or following Close.
 var ErrShardedClientClosed = cluster.ErrClientClosed
 
-// Replicated name service (weak coherence at the service level).
-type (
-	// ReplicaSet is a group of servers exporting replicas of one tree.
-	ReplicaSet = replsvc.ReplicaSet
-	// ReplicaPool rotates resolution over a replica set with failover.
-	ReplicaPool = replsvc.Pool
-)
-
-// Replicated-service constructors.
-var (
-	// NewReplicaSet builds and serves n replicas of a treespec.
-	NewReplicaSet = replsvc.NewReplicaSet
-	// NewReplicaPool returns a rotating client pool.
-	NewReplicaPool = replsvc.NewPool
-)
-
 // Tree specifications and consistency checking.
 type (
 	// CheckReport is the result of a consistency check.
@@ -309,7 +279,7 @@ type (
 
 // Persistence.
 var (
-	// SaveWorld writes a gob snapshot of a world.
+	// SaveWorld writes a canonical binary snapshot of a world.
 	SaveWorld = persist.Save
 	// LoadWorld reconstructs a world from a snapshot.
 	LoadWorld = persist.Load
