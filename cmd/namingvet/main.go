@@ -27,7 +27,6 @@ import (
 	"namecoherence/internal/analysis/goroleak"
 	"namecoherence/internal/analysis/lockblock"
 	"namecoherence/internal/analysis/lockexit"
-	"namecoherence/internal/analysis/lockheld"
 	"namecoherence/internal/analysis/lockorder"
 	"namecoherence/internal/analysis/mutbump"
 	"namecoherence/internal/analysis/registrycheck"
@@ -36,7 +35,6 @@ import (
 
 // suite is the full analyzer set; shared with the benchmark.
 var suite = []*analysis.Analyzer{
-	lockheld.Analyzer,
 	lockorder.Analyzer,
 	lockblock.Analyzer,
 	lockexit.Analyzer,

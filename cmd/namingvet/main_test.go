@@ -62,19 +62,21 @@ func TestStandaloneFindsSeededBugs(t *testing.T) {
 		t.Skip("builds a binary and type-checks a fixture")
 	}
 	bin := buildVet(t)
-	// The lockheld analysistest fixture is a real compilable package with
-	// known violations; standalone mode must report them and exit 2.
-	fixture := filepath.Join(repoRoot(t), "internal", "analysis", "lockheld", "testdata", "src", "a")
-	cmd := exec.Command(bin, ".")
-	cmd.Dir = fixture
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("standalone run on a buggy fixture exited clean:\n%s", out)
-	}
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "lockheld") {
-		t.Fatalf("diagnostics missing analyzer name:\n%s", out)
+	// The analysistest fixtures are real compilable packages with known
+	// violations; standalone mode must report them, tagged with their
+	// analyzer, and exit 2. One per reporter over the shared held-set scan.
+	for _, tc := range []struct{ analyzer, pkg string }{
+		{"lockblock", "wire"},
+		{"lockexit", "a"},
+	} {
+		cmd := exec.Command(bin, ".")
+		cmd.Dir = filepath.Join(repoRoot(t), "internal", "analysis", tc.analyzer, "testdata", "src", tc.pkg)
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("%s fixture: exit = %v, want exit status 2\n%s", tc.analyzer, err, out)
+		}
+		if !strings.Contains(string(out), ": "+tc.analyzer+": ") {
+			t.Fatalf("%s fixture: diagnostics missing analyzer tag:\n%s", tc.analyzer, out)
+		}
 	}
 }

@@ -302,7 +302,7 @@ func IsNamedType(t types.Type, pkgPath, name string) bool {
 }
 
 // HasMethods reports whether t's method set includes every named method
-// (by name only — the conn-ish duck test used by lockheld/conndeadline).
+// (by name only — the conn-ish duck test parkingCall and conndeadline use).
 func HasMethods(t types.Type, names ...string) bool {
 	ms := types.NewMethodSet(t)
 	if _, ok := t.Underlying().(*types.Interface); !ok {

@@ -17,10 +17,11 @@ const ModulePath = "namecoherence"
 // costs one line and makes a stale or foreign file decode to "no facts"
 // instead of garbage.
 // v2 added the allocation facts (Allocates/EscapesToHeap/AllocVia); v3
-// added the lock-order facts (AcquiresLocks/LockEdges/ChanBlocks). A file
-// from an older tool build decodes to "no facts" rather than a table that
-// silently lacks them.
-var factsMagic = []byte("namingvet-facts-v3\n")
+// added the lock-order facts (AcquiresLocks/LockEdges/ChanBlocks); v4
+// folded Blocks and ChanBlocks into MayPark and dropped the facts nobody
+// read. A file from another tool build decodes to "no facts" rather than
+// a table whose fields mean something else.
+var factsMagic = []byte("namingvet-facts-v4\n")
 
 // EncodeFacts serializes summaries for a .vetx facts file. Keys are sorted
 // so the output is deterministic (detrand would want nothing less).

@@ -61,7 +61,7 @@ func checkGo(pass *analysis.Pass, decl *ast.FuncDecl, g *ast.GoStmt) {
 	if !ok {
 		pass.Reportf(g.Pos(),
 			"go %s spawns a named function with no join; wrap it in a func literal that signals a WaitGroup or closes a done channel",
-			exprText(g.Call.Fun))
+			analysis.ExprText(g.Call.Fun))
 		return
 	}
 
@@ -133,7 +133,7 @@ func wgDoneRecv(pass *analysis.Pass, body *ast.BlockStmt) string {
 			return true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			out = exprText(sel.X)
+			out = analysis.ExprText(sel.X)
 		}
 		return false
 	})
@@ -160,7 +160,7 @@ func addBefore(pass *analysis.Pass, decl *ast.FuncDecl, wg string, goPos token.P
 		if recv == nil || !analysis.IsNamedType(recv.Type(), "sync", "WaitGroup") {
 			return true
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && exprText(sel.X) == wg {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && analysis.ExprText(sel.X) == wg {
 			found = true
 		}
 		return false
@@ -232,7 +232,7 @@ func receivesStop(pass *analysis.Pass, body *ast.BlockStmt) bool {
 			}
 			return
 		}
-		name := strings.ToLower(exprText(e))
+		name := strings.ToLower(analysis.ExprText(e))
 		for _, hint := range []string{"stop", "quit", "done", "closing", "shutdown"} {
 			if strings.Contains(name, hint) {
 				found = true
@@ -267,7 +267,7 @@ func sentChan(body *ast.BlockStmt) string {
 			return false
 		}
 		if send, ok := n.(*ast.SendStmt); ok {
-			out = exprText(send.Chan)
+			out = analysis.ExprText(send.Chan)
 			return false
 		}
 		return true
@@ -297,21 +297,4 @@ func receiverHasClose(pass *analysis.Pass, decl *ast.FuncDecl) bool {
 		return false
 	}
 	return analysis.HasMethods(t, "Close")
-}
-
-// exprText renders a selector chain for matching and messages.
-func exprText(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprText(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return exprText(x.X) + "[…]"
-	case *ast.StarExpr:
-		return exprText(x.X)
-	case *ast.UnaryExpr:
-		return exprText(x.X)
-	}
-	return "?"
 }

@@ -55,7 +55,7 @@ func (s *S) SelectUnderLock(other chan int) {
 }
 
 // blocker parks on a channel; callers under a lock inherit the hazard
-// through its ChanBlocks summary.
+// through its MayPark summary.
 func (s *S) blocker() {
 	<-s.ch
 }
@@ -152,7 +152,7 @@ func (s *S) NoLockNoReport(other chan int) {
 
 // SpawnedBlockingIsNotTheSpawner: the pusher-goroutine pattern — the
 // literal parks on the channel, but the spawner returns immediately, so
-// calling Spawn under a lock is fine (no ChanBlocks propagation from
+// calling Spawn under a lock is fine (no MayPark propagation from
 // go-literals).
 func (s *S) Spawn() {
 	go func() {

@@ -1,4 +1,4 @@
-// Package depth exercises lockheld's transitive closure: taint must
+// Package depth exercises lockblock's transitive closure: taint must
 // propagate through call chains of arbitrary depth and converge on
 // mutual recursion.
 package depth
@@ -25,7 +25,7 @@ func (s *server) l1(v []byte) error { return s.l2(v) }
 func (s *server) badDeep(v []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.l1(v) // want `call to l1, which performs blocking I/O, while s\.mu is held`
+	return s.l1(v) // want `call to l1, which may block \(calls \(\*depth\.server\)\.l2: calls \(\*depth\.server\)\.l3: calls \(\*depth\.server\)\.l4: calls \(\*depth\.server\)\.l5: conn write \(a\.go:19\)\), while \(\*depth\.server\)\.mu is held`
 }
 
 // ping and pong call each other; the closure must converge and taint
@@ -45,7 +45,7 @@ func (s *server) pong(n int) {
 
 func (s *server) badMutual() {
 	s.mu.Lock()
-	s.pong(3) // want `call to pong, which performs blocking I/O, while s\.mu is held`
+	s.pong(3) // want `call to pong, which may block \(calls \(\*depth\.server\)\.ping: time\.Sleep \(a\.go:37\)\), while \(\*depth\.server\)\.mu is held`
 	s.mu.Unlock()
 }
 

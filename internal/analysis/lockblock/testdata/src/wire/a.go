@@ -1,5 +1,5 @@
-// Package a exercises lockheld: blocking I/O (net.Conn, Dial*,
-// Sleep) must not be reachable while a sync mutex is held.
+// Package a exercises lockblock's wire half: blocking I/O (net.Conn,
+// Dial*, Sleep) must not be reachable while a sync mutex is held.
 package a
 
 import (
@@ -18,7 +18,7 @@ type server struct {
 // direct I/O between Lock and Unlock is flagged.
 func (s *server) badDirect(v []byte) error {
 	s.mu.Lock()
-	_, err := s.conn.Write(v) // want `net\.Conn Write while s\.mu is held`
+	_, err := s.conn.Write(v) // want `conn write while \(\*a\.server\)\.mu is held`
 	s.mu.Unlock()
 	return err
 }
@@ -27,16 +27,16 @@ func (s *server) badDirect(v []byte) error {
 func (s *server) badDeferred(v []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.conn.Read(v) // want `net\.Conn Read while s\.mu is held`
+	_, err := s.conn.Read(v) // want `conn read while \(\*a\.server\)\.mu is held`
 	return err
 }
 
 // read locks count too, and conn I/O and dials are in the blocking set.
 func (s *server) badConn(buf []byte) {
 	s.rwmu.RLock()
-	_, _ = s.conn.Read(buf)               // want `net\.Conn Read while s\.rwmu is held`
-	_, _ = net.Dial("tcp", "127.0.0.1:1") // want `Dial while s\.rwmu is held`
-	time.Sleep(time.Millisecond)          // want `time\.Sleep while s\.rwmu is held`
+	_, _ = s.conn.Read(buf)               // want `conn read while \(\*a\.server\)\.rwmu is held`
+	_, _ = net.Dial("tcp", "127.0.0.1:1") // want `Dial while \(\*a\.server\)\.rwmu is held`
+	time.Sleep(time.Millisecond)          // want `time\.Sleep while \(\*a\.server\)\.rwmu is held`
 	s.rwmu.RUnlock()
 }
 
@@ -53,7 +53,7 @@ func (s *server) roundTrip(v []byte) error {
 func (s *server) badIndirect(v []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.roundTrip(v) // want `call to roundTrip, which performs blocking I/O, while s\.mu is held`
+	return s.roundTrip(v) // want `call to roundTrip, which may block \(conn write \(a\.go:46\)\), while \(\*a\.server\)\.mu is held`
 }
 
 // okAfterUnlock releases before the round-trip: the early-exit idiom.
@@ -82,4 +82,14 @@ func (s *server) okPlainLock() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.n
+}
+
+// badOtherInstance: unlocking another value of the same type releases
+// nothing here — releases match the receiver's text, as lockheld's did,
+// not the type-level identity the diagnostic prints.
+func (s *server) badOtherInstance(t *server, v []byte) {
+	s.mu.Lock()
+	t.mu.Unlock()
+	_, _ = s.conn.Write(v) // want `conn write while \(\*a\.server\)\.mu is held`
+	s.mu.Unlock()
 }

@@ -1,10 +1,10 @@
 // Package inner is the cross-package half of the xpkg fixture: its
-// exported Blocks facts must reach the importing package.
+// exported MayPark facts must reach the importing package.
 package inner
 
 import "time"
 
-// Blocking sleeps, so its Blocks fact is set.
+// Blocking sleeps, so its MayPark fact is set.
 func Blocking() { time.Sleep(time.Millisecond) }
 
 // Wrapper blocks only transitively, through Blocking.

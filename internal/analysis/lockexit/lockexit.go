@@ -1,28 +1,26 @@
 // Package lockexit flags Lock/RLock acquisitions that can flow to a
 // return without a reachable Unlock: the early-error-return that forgets
 // to release, the classic way a server wedges permanently on a path the
-// tests never exercise. The scan is intraprocedural and defer-aware —
-// `defer mu.Unlock()` discharges the obligation on every path — and
-// branch bodies are scanned with a copy of the entry state, so the
-// `if cond { mu.Unlock(); return }` idiom stays clean while
-// `mu.Lock(); if err != nil { return err }` is caught.
+// tests never exercise. It reports from the facts layer's LockExits — one
+// event per return, and per reachable closing brace, taken with locks
+// held, from the same statement-order scan lockorder and lockblock read
+// (analysis.lockFlow). That scan is defer-aware — `defer mu.Unlock()`
+// discharges the obligation on every path — and scans branch bodies with
+// a copy of the entry state, so the `if cond { mu.Unlock(); return }`
+// idiom stays clean while `mu.Lock(); if err != nil { return err }` is
+// caught. Goroutine and escaping literals are bodies of their own, so
+// `go func() { mu.Lock(); … }()` with no release is caught at the literal.
 //
-// Within one function a lock is identified by the source text of its
-// receiver expression (instance-precise, unlike the cross-package
-// type-based identity the lockorder facts use — intraprocedurally the
-// text is both available and sharper). Guard patterns are exonerated
-// conservatively: a lock whose Unlock is referenced as a method value or
-// from inside any function literal in the body (a returned unlocker, a
-// deferred cleanup closure) is assumed intentionally escorted out and is
-// never reported in that function. Goroutine and escaping literals are
-// scanned as functions of their own, so `go func() { mu.Lock(); … }()`
-// with no release is caught at the literal.
+// A lock is named here by the source text of its receiver expression,
+// which is what the scan matches releases on. Guard patterns are
+// exonerated conservatively: a lock whose Unlock is referenced as a method
+// value or from inside any function literal in the body (a returned
+// unlocker, a deferred cleanup closure) is assumed intentionally escorted
+// out and is never reported in that body.
 package lockexit
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
 
 	"namecoherence/internal/analysis"
 )
@@ -35,203 +33,27 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, ff := range pass.Facts.Own {
+		for _, ex := range ff.LockExits {
+			what := "return"
+			if ex.Pos == ex.Body.Rbrace {
+				what = "function ends"
 			}
-			checkBody(pass, fn.Body, fn.Type.Results != nil && len(fn.Type.Results.List) > 0)
+			for _, h := range ex.Held {
+				// A lock taken outside this body (an immediately-invoked
+				// literal inherits its caller's) is not this body's to
+				// release. Undischarged holds are rare enough that the
+				// escort scan is not worth caching.
+				if h.Deferred || h.Pos < ex.Body.Pos() || h.Pos >= ex.Body.End() ||
+					escortedLocks(pass, ex.Body)[h.Text] {
+					continue
+				}
+				pass.Reportf(ex.Pos, "%s while %s is held (locked at line %d) with no deferred or reachable Unlock on this path",
+					what, h.Text, pass.Fset.Position(h.Pos).Line)
+			}
 		}
 	}
 	return nil, nil
-}
-
-// checkBody scans one function (or literal) body. void=false means every
-// terminating path ends in an explicit return, so no fall-off check.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt, hasResults bool) {
-	s := &scanner{pass: pass, escorted: escortedLocks(pass, body)}
-	held := s.block(body.List, nil)
-	if !hasResults && len(held) > 0 && fallsOff(body) {
-		for _, h := range held {
-			s.report(body.Rbrace, h, "function ends")
-		}
-	}
-}
-
-// heldLock is one unreleased acquisition.
-type heldLock struct {
-	name string
-	pos  token.Pos
-}
-
-type scanner struct {
-	pass *analysis.Pass
-	// escorted names locks whose Unlock escapes into a closure or method
-	// value somewhere in this body: their balance is the holder's plan,
-	// not this function's bug.
-	escorted map[string]bool
-}
-
-func (s *scanner) report(at token.Pos, h heldLock, what string) {
-	posn := s.pass.Fset.Position(h.pos)
-	s.pass.Reportf(at, "%s while %s is held (locked at line %d) with no deferred or reachable Unlock on this path",
-		what, h.name, posn.Line)
-}
-
-func (s *scanner) block(stmts []ast.Stmt, held []heldLock) []heldLock {
-	for _, stmt := range stmts {
-		held = s.stmt(stmt, held)
-	}
-	return held
-}
-
-func (s *scanner) stmt(stmt ast.Stmt, held []heldLock) []heldLock {
-	switch st := stmt.(type) {
-	case *ast.ExprStmt:
-		if name, locking, ok := s.lockEvent(st.X); ok {
-			if locking {
-				if s.escorted[name] {
-					return held
-				}
-				return append(held, heldLock{name: name, pos: st.X.Pos()})
-			}
-			return release(held, name)
-		}
-		s.literals(st.X)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() discharges on every path from here on. A
-		// deferred closure releases every lock it textually unlocks.
-		if name, locking, ok := s.lockEvent(st.Call); ok && !locking {
-			return release(held, name)
-		}
-		if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
-			for _, name := range unlockNames(s.pass, lit.Body) {
-				held = release(held, name)
-			}
-			return held
-		}
-	case *ast.GoStmt:
-		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok && lit.Body != nil {
-			checkBody(s.pass, lit.Body, literalHasResults(lit))
-		}
-	case *ast.ReturnStmt:
-		for _, h := range held {
-			s.report(st.Pos(), h, "return")
-		}
-		for _, r := range st.Results {
-			s.literals(r)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = s.stmt(st.Init, held)
-		}
-		s.block(st.Body.List, copyHeld(held))
-		if st.Else != nil {
-			s.stmt(st.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = s.stmt(st.Init, held)
-		}
-		s.block(st.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		s.block(st.Body.List, copyHeld(held))
-	case *ast.BlockStmt:
-		held = s.block(st.List, held)
-	case *ast.LabeledStmt:
-		held = s.stmt(st.Stmt, held)
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			s.literals(rhs)
-		}
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			switch c := n.(type) {
-			case *ast.CaseClause:
-				s.block(c.Body, copyHeld(held))
-				return false
-			case *ast.CommClause:
-				s.block(c.Body, copyHeld(held))
-				return false
-			}
-			return true
-		})
-	}
-	return held
-}
-
-// literals finds function literals nested in an expression and checks each
-// as an independent function (a stored or spawned closure balances its own
-// locks).
-func (s *scanner) literals(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-			checkBody(s.pass, lit.Body, literalHasResults(lit))
-			return false
-		}
-		return true
-	})
-}
-
-func literalHasResults(lit *ast.FuncLit) bool {
-	return lit.Type.Results != nil && len(lit.Type.Results.List) > 0
-}
-
-// fallsOff reports whether control can reach the closing brace: the body
-// is empty or its last statement is not a terminating return/goto, panic
-// call, or condition-less for loop.
-func fallsOff(body *ast.BlockStmt) bool {
-	if len(body.List) == 0 {
-		return true
-	}
-	switch last := body.List[len(body.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return false
-	case *ast.ForStmt:
-		return last.Cond != nil
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// lockEvent classifies e as a Lock/RLock (locking) or Unlock/RUnlock call
-// on a sync.Mutex or sync.RWMutex, returning the receiver's source text.
-func (s *scanner) lockEvent(e ast.Expr) (name string, locking, ok bool) {
-	call, isCall := ast.Unparen(e).(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", false, false
-	}
-	fn, _ := s.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return "", false, false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return "", false, false
-	}
-	recv := sig.Recv().Type()
-	if !analysis.IsNamedType(recv, "sync", "Mutex") && !analysis.IsNamedType(recv, "sync", "RWMutex") {
-		return "", false, false
-	}
-	return exprText(sel.X), sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock", true
 }
 
 // escortedLocks collects lock names whose Unlock/RUnlock is referenced
@@ -240,7 +62,8 @@ func (s *scanner) lockEvent(e ast.Expr) (name string, locking, ok bool) {
 // this function's text.
 func escortedLocks(pass *analysis.Pass, body *ast.BlockStmt) map[string]bool {
 	escorted := make(map[string]bool)
-	var inLit int
+	called := make(map[ast.Expr]bool) // selectors in call position
+	inLit := 0
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch node := n.(type) {
@@ -249,89 +72,16 @@ func escortedLocks(pass *analysis.Pass, body *ast.BlockStmt) map[string]bool {
 			ast.Inspect(node.Body, walk)
 			inLit--
 			return false
+		case *ast.CallExpr:
+			called[ast.Unparen(node.Fun)] = true
 		case *ast.SelectorExpr:
-			if node.Sel.Name != "Unlock" && node.Sel.Name != "RUnlock" {
-				return true
-			}
-			fn, _ := pass.TypesInfo.Uses[node.Sel].(*types.Func)
-			if fn == nil || fn.Type().(*types.Signature).Recv() == nil {
-				return true
-			}
-			recv := fn.Type().(*types.Signature).Recv().Type()
-			if !analysis.IsNamedType(recv, "sync", "Mutex") && !analysis.IsNamedType(recv, "sync", "RWMutex") {
-				return true
-			}
-			if inLit > 0 || !isCalled(node, body) {
-				escorted[exprText(node.X)] = true
+			if (node.Sel.Name == "Unlock" || node.Sel.Name == "RUnlock") &&
+				(inLit > 0 || !called[node]) && analysis.IsMutexOp(pass.TypesInfo, node) {
+				escorted[analysis.ExprText(node.X)] = true
 			}
 		}
 		return true
 	}
 	ast.Inspect(body, walk)
 	return escorted
-}
-
-// isCalled reports whether the selector is the Fun of a call expression
-// somewhere in body (as opposed to a method value like `return mu.Unlock`).
-func isCalled(sel *ast.SelectorExpr, body *ast.BlockStmt) bool {
-	called := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == ast.Expr(sel) {
-			called = true
-		}
-		return !called
-	})
-	return called
-}
-
-func release(held []heldLock, name string) []heldLock {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].name == name {
-			return append(held[:i:i], held[i+1:]...)
-		}
-	}
-	return held
-}
-
-func copyHeld(held []heldLock) []heldLock {
-	return append([]heldLock(nil), held...)
-}
-
-// unlockNames lists the receiver texts of Unlock/RUnlock calls in a block
-// (used for deferred cleanup closures).
-func unlockNames(pass *analysis.Pass, body *ast.BlockStmt) []string {
-	var names []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock") {
-			return true
-		}
-		names = append(names, exprText(sel.X))
-		return true
-	})
-	return names
-}
-
-// exprText renders a selector chain like c.mu; other shapes fall back to a
-// generic tag so the lock is still tracked.
-func exprText(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprText(x.X) + "." + x.Sel.Name
-	case *ast.ParenExpr:
-		return exprText(x.X)
-	case *ast.StarExpr:
-		return exprText(x.X)
-	case *ast.UnaryExpr:
-		return exprText(x.X)
-	case *ast.IndexExpr:
-		return exprText(x.X) + "[…]"
-	}
-	return "a mutex"
 }

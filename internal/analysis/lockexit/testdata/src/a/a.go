@@ -126,3 +126,22 @@ func (s *S) StaleIgnore() {
 	s.mu.Lock() //namingvet:ignore lockexit -- stale: balanced right below // want `unused suppression: this ignore directive matches no lockexit diagnostic`
 	s.mu.Unlock()
 }
+
+// InlineLiteralReturnIsFine: an immediately-invoked literal runs under its
+// caller's lock, and returning from it leaves only the literal — the lock
+// is the enclosing body's to release, and it does.
+func (s *S) InlineLiteralReturnIsFine() int {
+	s.mu.Lock()
+	n := func() int { return s.n }()
+	s.mu.Unlock()
+	return n
+}
+
+// DeferredLiteralLeak: a deferred literal is a body of its own too, and
+// this one falls off its end holding the lock it took.
+func (s *S) DeferredLiteralLeak() {
+	defer func() {
+		s.mu.Lock()
+		s.n++
+	}() // want `function ends while s\.mu is held \(locked at line 144\) with no deferred or reachable Unlock on this path`
+}

@@ -1,33 +1,39 @@
-// Lock-order and blocking-under-lock facts for the lockorder analyzer
-// family. Per function, lockFlow scans the body in statement order tracking
-// which mutexes are held (the lockheld discipline, upgraded from
-// source-text lock identity to a type-based one that survives package
-// boundaries), and records three event streams:
+// Lock facts for the whole lock family (lockorder, lockblock, lockexit).
+// lockScan is the one walker in the module that threads a held-set through
+// a function body: per function, lockFlow scans the body in statement
+// order tracking which mutexes are held, and records four event streams:
 //
 //   - LockAcquires: direct Lock/RLock calls, each with a snapshot of the
 //     locks already held;
-//   - LockCalls: statically resolved calls made while at least one lock is
-//     held;
-//   - BlockOps: operations that can park the goroutine indefinitely on
-//     something other than wire I/O — channel send/receive, select with no
-//     default, range over a channel, WaitGroup.Wait, Cond.Wait.
+//   - LockCalls: statically resolved calls, with the held-set at entry;
+//   - BlockOps: operations that can park the goroutine indefinitely —
+//     channel send/receive, select with no default, range over a channel,
+//     and the calls parkingCall catalogues (conn Read/Write, Dial*,
+//     time.Sleep, WaitGroup.Wait, Cond.Wait);
+//   - LockExits: every return, and every reachable closing brace, of the
+//     body and of each literal nested in it, reached with a lock held.
 //
 // A fixpoint then folds callee facts caller-ward, exactly like the alloc
 // and deadline flows: AcquiresLocks is the transitive set of locks a call
-// may take (with a sample call chain), ChanBlocks taints callers of
-// channel-blocking functions, and LockEdges is the per-function slice of
-// the module-global acquisition graph ("Held was held when Acq was
-// acquired") whose cycles lockorder reports as potential deadlocks.
+// may take (with a sample call chain), MayPark taints callers of parking
+// functions, and LockEdges is the per-function slice of the module-global
+// acquisition graph ("Held was held when Acq was acquired") whose cycles
+// lockorder reports as potential deadlocks.
 //
-// Lock identity is the receiver type plus field path ("(*nameserver.
-// Server).mu"), package-level variables are "pkgname.varname", and locals
-// fall back to a function-qualified name. Two instances of the same type
-// share an identity — the usual static abstraction; it can merge distinct
-// locks (hand-over-hand locking over siblings would false-positive) but
-// the repo's locks are one-per-struct. The other biases run the framework
-// way: calls through function values and interface methods are opaque, a
-// closure passed elsewhere contributes ordering edges but not caller-ward
-// blocking facts, so absent evidence makes false negatives, not noise.
+// A held lock carries two names. Its ID is the receiver type plus field
+// path ("(*nameserver.Server).mu"; package-level variables are
+// "pkgname.varname", locals fall back to a function-qualified name): the
+// identity that survives package boundaries, used for edges and
+// diagnostics. Two instances of the same type share an ID — the usual
+// static abstraction; it can merge distinct locks (hand-over-hand locking
+// over siblings would false-positive) but the repo's locks are
+// one-per-struct. Its Text is the receiver's source text ("s.mu"), which
+// inside one body is instance-precise: releases match on it, so
+// `a.mu.Lock(); b.mu.Unlock()` leaves a.mu held. The other biases run the
+// framework way: calls through function values and interface methods are
+// opaque, a closure passed elsewhere contributes ordering edges but not
+// caller-ward blocking facts, so absent evidence makes false negatives,
+// not noise.
 //
 // Structural non-blocking proofs are excluded from BlockOps entirely: a
 // select containing a default clause cannot park, and a send on a
@@ -68,6 +74,14 @@ type LockEdge struct {
 type HeldLock struct {
 	ID    string
 	Write bool
+	// Text is the receiver's source text at the acquisition ("s.mu");
+	// releases match on it.
+	Text string
+	// Pos is where the lock was acquired.
+	Pos token.Pos
+	// Deferred: a `defer …Unlock()` naming this lock has been registered,
+	// so it stays held to the end of the body but every exit releases it.
+	Deferred bool
 }
 
 // LockAcquire is one direct Lock/RLock call with the held-set at entry.
@@ -94,30 +108,40 @@ type LockCall struct {
 }
 
 // BlockOp is one potentially-parking operation (channel send/receive,
-// select with no default, range over channel, WaitGroup.Wait, Cond.Wait)
-// with the held-set at entry.
+// select with no default, range over channel, or a call parkingCall
+// recognises) with the held-set at entry.
 type BlockOp struct {
 	Desc string
 	Held []HeldLock
 	Pos  token.Pos
 	// Exempt: structurally blocking but sanctioned by the primitive's
 	// contract (Cond.Wait holding exactly its one lock, which Wait
-	// releases while parked). Exempt ops still set ChanBlocks — the
+	// releases while parked). Exempt ops still set MayPark — the
 	// goroutine does park — but lockblock does not report them.
 	Exempt bool
 	Caller bool
 }
 
+// LockExit is one way out of a body — a return statement, or the closing
+// brace when control can reach it — taken with locks held. Body is the
+// function or literal body being left: only locks acquired inside it are
+// its to release (an immediately-invoked literal inherits its caller's).
+type LockExit struct {
+	Pos  token.Pos
+	Body *ast.BlockStmt
+	Held []HeldLock
+}
+
 // lockFlow scans every declared function for lock events and runs the
-// AcquiresLocks/ChanBlocks/LockEdges fixpoint. Runs after the main summary
+// AcquiresLocks/MayPark/LockEdges fixpoint. Runs after the main summary
 // fixpoint, so imported facts are already merged into pf.All.
 func lockFlow(pkg *Package, pf *PackageFacts) {
 	// Phase 1: per-body event scan + direct facts.
 	for _, ff := range pf.Own {
-		sc := &lockScan{pkg: pkg, fn: ff.Fn, decl: ff.Decl}
+		sc := &lockScan{pkg: pkg, fn: ff.Fn}
 		sc.chanLocal = localBufferedChans(pkg, ff.Decl)
-		sc.block(ff.Decl.Body.List, nil, true)
-		ff.LockAcquires, ff.LockCalls, ff.BlockOps = sc.acquires, sc.calls, sc.blocks
+		sc.body(ff.Decl.Type, ff.Decl.Body, nil, true)
+		ff.LockAcquires, ff.LockCalls, ff.BlockOps, ff.LockExits = sc.acquires, sc.calls, sc.blocks, sc.exits
 
 		s := &ff.Summary
 		for _, acq := range ff.LockAcquires {
@@ -127,14 +151,14 @@ func lockFlow(pkg *Package, pf *PackageFacts) {
 			}
 		}
 		for _, op := range ff.BlockOps {
-			if op.Caller && !s.ChanBlocks {
-				s.ChanBlocks = true
-				s.ChanVia = fmt.Sprintf("%s (%s)", op.Desc, posLabel(pkg, op.Pos))
+			if op.Caller && !s.MayPark {
+				s.MayPark = true
+				s.ParkVia = fmt.Sprintf("%s (%s)", op.Desc, posLabel(pkg, op.Pos))
 			}
 		}
 	}
 
-	// Phase 2: caller-ward fixpoint over AcquiresLocks and ChanBlocks.
+	// Phase 2: caller-ward fixpoint over AcquiresLocks and MayPark.
 	// Only Caller events propagate — a closure handed elsewhere may never
 	// run on this goroutine. Via is set at the first flip, keeping the
 	// sample chains finite and deterministic.
@@ -147,9 +171,9 @@ func lockFlow(pkg *Package, pf *PackageFacts) {
 					continue
 				}
 				cal := summaryOf(pf, lc.Callee)
-				if cal.ChanBlocks && !s.ChanBlocks {
-					s.ChanBlocks = true
-					s.ChanVia = "calls " + funcLabel(lc.Callee) + ": " + cal.ChanVia
+				if cal.MayPark && !s.MayPark {
+					s.MayPark = true
+					s.ParkVia = "calls " + funcLabel(lc.Callee) + ": " + cal.ParkVia
 					changed = true
 				}
 				for _, id := range sortedAcqKeys(cal.AcquiresLocks) {
@@ -257,20 +281,68 @@ func posLabel(pkg *Package, pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(posn.Filename), posn.Line)
 }
 
-// lockScan walks one function body in statement order tracking held locks,
-// the way lockheld's scanner does, and records the three event streams.
+// lockScan walks one function body in statement order tracking held locks
+// and records the four event streams.
 type lockScan struct {
-	pkg  *Package
-	fn   *types.Func
-	decl *ast.FuncDecl
+	pkg *Package
+	fn  *types.Func
 	// chanLocal maps channel objects provably unable to block a send:
 	// function-local, constant capacity ≥ the body's static send count,
 	// never leaked (see localBufferedChans).
 	chanLocal map[types.Object]bool
 
+	// cur is the function or literal body being scanned, for LockExits.
+	cur *ast.BlockStmt
+
 	acquires []LockAcquire
 	calls    []LockCall
 	blocks   []BlockOp
+	exits    []LockExit
+}
+
+// body scans one function or literal body entered with the given held-set,
+// and records the fall-off-the-end exit when the closing brace is
+// reachable (a body with results must end in a terminating statement).
+func (sc *lockScan) body(typ *ast.FuncType, body *ast.BlockStmt, held []HeldLock, caller bool) {
+	if body == nil {
+		return
+	}
+	outer := sc.cur
+	sc.cur = body
+	held = sc.block(body.List, held, caller)
+	if typ.Results.NumFields() == 0 && fallsOff(body) {
+		sc.exit(body.Rbrace, held)
+	}
+	sc.cur = outer
+}
+
+// exit records leaving the current body at pos with held still held.
+func (sc *lockScan) exit(pos token.Pos, held []HeldLock) {
+	if len(held) > 0 {
+		sc.exits = append(sc.exits, LockExit{Pos: pos, Body: sc.cur, Held: copyHeldLocks(held)})
+	}
+}
+
+// fallsOff reports whether control can reach the closing brace: the body
+// is empty or its last statement is not a terminating return/goto, panic
+// call, or condition-less for loop.
+func fallsOff(body *ast.BlockStmt) bool {
+	if len(body.List) == 0 {
+		return true
+	}
+	switch last := body.List[len(body.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return false
+	case *ast.ForStmt:
+		return last.Cond != nil
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // block scans a statement list, threading the held-set through. caller
@@ -291,24 +363,29 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 				sc.acquires = append(sc.acquires, LockAcquire{
 					ID: ev.id, Write: ev.write, Held: copyHeldLocks(held), Pos: st.X.Pos(), Caller: caller,
 				})
-				return append(held, HeldLock{ID: ev.id, Write: ev.write})
+				return append(held, HeldLock{ID: ev.id, Write: ev.write, Text: ev.text, Pos: st.X.Pos()})
 			}
-			return releaseLock(held, ev.id)
+			if i := heldIndex(held, ev.text); i >= 0 {
+				return append(held[:i:i], held[i+1:]...)
+			}
+			return held
 		}
 		sc.expr(st.X, held, caller)
 	case *ast.DeferStmt:
-		// A deferred unlock keeps the lock held to the end of the body. A
-		// deferred closure runs on this goroutine (caller=true) but at
-		// return time, when the held-set is unknowable here — scan it with
-		// an empty one (false-negative bias). Other deferred calls are
-		// approximated with the current held-set.
+		// A deferred unlock keeps the lock held to the end of the body, and
+		// releases it on every way out. A deferred closure runs on this
+		// goroutine (caller=true) but at return time, when the held-set is
+		// unknowable here — scan it with an empty one (false-negative
+		// bias). Other deferred calls are approximated with the current
+		// held-set.
 		if ev, ok := sc.lockEvent(st.Call); ok && !ev.acquire {
+			if i := heldIndex(held, ev.text); i >= 0 {
+				held[i].Deferred = true
+			}
 			return held
 		}
 		if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
-			if lit.Body != nil {
-				sc.block(lit.Body.List, nil, caller)
-			}
+			sc.body(lit.Type, lit.Body, nil, caller)
 			for _, arg := range st.Call.Args {
 				sc.expr(arg, held, caller)
 			}
@@ -319,8 +396,8 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 		// The spawned goroutine starts with nothing held and its parking
 		// does not park the spawner: scan the callee/literal with an
 		// empty, non-caller state, the arguments with the current one.
-		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok && lit.Body != nil {
-			sc.block(lit.Body.List, nil, false)
+		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
+			sc.body(lit.Type, lit.Body, nil, false)
 		}
 		for _, arg := range st.Call.Args {
 			sc.expr(arg, held, caller)
@@ -348,6 +425,7 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 		for _, r := range st.Results {
 			sc.expr(r, held, caller)
 		}
+		sc.exit(st.Pos(), held)
 	case *ast.IfStmt:
 		if st.Init != nil {
 			held = sc.stmt(st.Init, held, caller)
@@ -419,9 +497,7 @@ func (sc *lockScan) expr(e ast.Expr, held []HeldLock, caller bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
-			if node.Body != nil {
-				sc.block(node.Body.List, nil, false)
-			}
+			sc.body(node.Type, node.Body, nil, false)
 			return false
 		case *ast.UnaryExpr:
 			if node.Op == token.ARROW {
@@ -432,9 +508,7 @@ func (sc *lockScan) expr(e ast.Expr, held []HeldLock, caller bool) {
 		case *ast.CallExpr:
 			if lit, ok := ast.Unparen(node.Fun).(*ast.FuncLit); ok {
 				// Immediately invoked: inline code under the current state.
-				if lit.Body != nil {
-					sc.block(lit.Body.List, copyHeldLocks(held), caller)
-				}
+				sc.body(lit.Type, lit.Body, copyHeldLocks(held), caller)
 				for _, arg := range node.Args {
 					sc.expr(arg, held, caller)
 				}
@@ -446,36 +520,26 @@ func (sc *lockScan) expr(e ast.Expr, held []HeldLock, caller bool) {
 	})
 }
 
-// callOp classifies one resolved call: a blocking sync primitive
-// (WaitGroup.Wait, Cond.Wait), or a plain call recorded for fact
-// propagation and, when locks are held, edge building.
+// callOp records one resolved call: as a BlockOp when parkingCall says it
+// can park, and always as a LockCall, for fact propagation and, when locks
+// are held, edge building (a module type's conn-shaped Write or a
+// dialReplica has a summary of its own besides).
 func (sc *lockScan) callOp(call *ast.CallExpr, held []HeldLock, caller bool) {
 	callee := CalleeFunc(sc.pkg.Info, call)
 	if callee == nil {
 		return
 	}
-	recv := callee.Type().(*types.Signature).Recv()
-	if callee.Name() == "Wait" && recv != nil {
-		switch {
-		case IsNamedType(recv.Type(), "sync", "WaitGroup"):
-			sc.blocks = append(sc.blocks, BlockOp{
-				Desc: "sync.WaitGroup.Wait", Held: copyHeldLocks(held), Pos: call.Pos(), Caller: caller,
-			})
-			return
-		case IsNamedType(recv.Type(), "sync", "Cond"):
-			// Wait releases its cond's lock while parked; holding exactly
-			// one lock at that point is the primitive's contract. Any
-			// extra lock is held across the park and is a real hazard.
-			sc.blocks = append(sc.blocks, BlockOp{
-				Desc: "sync.Cond.Wait", Held: copyHeldLocks(held), Pos: call.Pos(),
-				Exempt: len(held) <= 1, Caller: caller,
-			})
-			return
-		}
+	snap := copyHeldLocks(held) // snapshots are read-only: the two events share one
+	if kind, desc := parkingCall(callee); kind != noPark {
+		// Cond.Wait releases its cond's lock while parked; holding exactly
+		// one lock at that point is the primitive's contract. Any extra
+		// lock is held across the park and is a real hazard.
+		sc.blocks = append(sc.blocks, BlockOp{
+			Desc: desc, Held: snap, Pos: call.Pos(),
+			Exempt: kind == parkCond && len(held) <= 1, Caller: caller,
+		})
 	}
-	sc.calls = append(sc.calls, LockCall{
-		Callee: callee, Held: copyHeldLocks(held), Pos: call.Pos(), Caller: caller,
-	})
+	sc.calls = append(sc.calls, LockCall{Callee: callee, Held: snap, Pos: call.Pos(), Caller: caller})
 }
 
 // sendOp records a channel send unless the channel is a provably
@@ -528,7 +592,8 @@ func (sc *lockScan) selectOp(st *ast.SelectStmt, held []HeldLock, caller bool) {
 
 // lockEv is one classified Lock/RLock/Unlock/RUnlock call.
 type lockEv struct {
-	id      string
+	id      string // module-wide identity, see lockID
+	text    string // receiver source text, what releases match on
 	write   bool
 	acquire bool
 }
@@ -542,31 +607,49 @@ func (sc *lockScan) lockEvent(e ast.Expr) (lockEv, bool) {
 		return lockEv{}, false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return lockEv{}, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return lockEv{}, false
-	}
-	fn, _ := sc.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return lockEv{}, false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return lockEv{}, false
-	}
-	recv := sig.Recv().Type()
-	if !IsNamedType(recv, "sync", "Mutex") && !IsNamedType(recv, "sync", "RWMutex") {
+	if !ok || !IsMutexOp(sc.pkg.Info, sel) {
 		return lockEv{}, false
 	}
 	return lockEv{
 		id:      sc.lockID(sel.X),
+		text:    ExprText(sel.X),
 		write:   sel.Sel.Name == "Lock" || sel.Sel.Name == "Unlock",
 		acquire: sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock",
 	}, true
+}
+
+// IsMutexOp reports whether sel selects Lock, RLock, Unlock or RUnlock of a
+// sync.Mutex or sync.RWMutex — called or taken as a method value.
+func IsMutexOp(info *types.Info, sel *ast.SelectorExpr) bool {
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+	default:
+		return false
+	}
+	fn, _ := info.Uses[sel.Sel].(*types.Func)
+	if fn == nil {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && (IsNamedType(recv.Type(), "sync", "Mutex") || IsNamedType(recv.Type(), "sync", "RWMutex"))
+}
+
+// ExprText renders a selector chain like c.mu as source text, for matching
+// and messages; shapes it does not spell out render as "?".
+func ExprText(e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return ExprText(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return ExprText(x.X) + "[…]"
+	case *ast.StarExpr:
+		return ExprText(x.X)
+	case *ast.UnaryExpr:
+		return ExprText(x.X)
+	}
+	return "?"
 }
 
 // lockID resolves a mutex expression to its module-wide identity: the
@@ -638,14 +721,14 @@ func namedBaseID(info *types.Info, e ast.Expr) string {
 	return "(*" + named.Obj().Pkg().Name() + "." + named.Obj().Name() + ")"
 }
 
-// releaseLock removes the most recent hold of id.
-func releaseLock(held []HeldLock, id string) []HeldLock {
+// heldIndex finds the most recent hold whose receiver text is text, or -1.
+func heldIndex(held []HeldLock, text string) int {
 	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].ID == id {
-			return append(held[:i:i], held[i+1:]...)
+		if held[i].Text == text {
+			return i
 		}
 	}
-	return held
+	return -1
 }
 
 func copyHeldLocks(held []HeldLock) []HeldLock {

@@ -12,11 +12,6 @@ import (
 // flags are the transitive closure over imported facts, so a caller in
 // internal/cluster sees through a callee in internal/nameserver.
 type FuncSummary struct {
-	// AcquiresLock: the body calls Lock/RLock on a sync.(RW)Mutex
-	// (direct only; lock state does not flow through calls).
-	AcquiresLock bool `json:",omitempty"`
-	// SpawnsGoroutine: the body contains a go statement (direct only).
-	SpawnsGoroutine bool `json:",omitempty"`
 	// SetsDeadline: the function sets a conn deadline on every analysis
 	// path that matters to us — it calls Set(Read|Write)?Deadline, or a
 	// function whose summary says so (transitive).
@@ -24,10 +19,6 @@ type FuncSummary struct {
 	// ConnIO: the function reaches wire I/O — a Read/Write on a
 	// conn-shaped value, or a Dial* call (transitive).
 	ConnIO bool `json:",omitempty"`
-	// Blocks: the function reaches a call that can block indefinitely
-	// (ConnIO or time.Sleep, transitive). Used by lockheld to taint
-	// cross-package callees invoked under a held mutex.
-	Blocks bool `json:",omitempty"`
 	// UnguardedIO: the function performs wire I/O that is not preceded by
 	// a deadline inside its own body, and is not exonerated by its call
 	// sites (see conndeadline v2). A caller that invokes an UnguardedIO
@@ -72,15 +63,15 @@ type FuncSummary struct {
 	// call whose summary acquires it). lockorder folds every package's
 	// edges into one module-global graph and reports its cycles.
 	LockEdges []LockEdge `json:",omitempty"`
-	// ChanBlocks: the function may park indefinitely on channel traffic
-	// or sync primitives — a channel send/receive, a select with no
-	// default, a range over a channel, WaitGroup.Wait, or Cond.Wait —
-	// directly or transitively. lockblock taints callers invoked under a
-	// held mutex, the way Blocks does for wire I/O.
-	ChanBlocks bool `json:",omitempty"`
-	// ChanVia, when ChanBlocks is set, samples one blocking operation the
+	// MayPark: the function's own goroutine may park indefinitely — on a
+	// channel send/receive, a select with no default, a range over a
+	// channel, or a call parkingCall recognises (conn Read/Write, Dial*,
+	// time.Sleep, WaitGroup.Wait, Cond.Wait) — directly or transitively.
+	// lockblock reports callers that invoke it under a held mutex.
+	MayPark bool `json:",omitempty"`
+	// ParkVia, when MayPark is set, samples one parking operation the
 	// function reaches, nested across packages like AllocVia.
-	ChanVia string `json:",omitempty"`
+	ParkVia string `json:",omitempty"`
 }
 
 // Summaries maps FuncKey strings to summaries. Keys use types.Func.FullName
@@ -144,12 +135,14 @@ type FuncFacts struct {
 	// discharged. Exonerated functions are neither reported nor exported
 	// as UnguardedIO.
 	Exonerated bool
-	// LockAcquires, LockCalls, and BlockOps are the body's lock-discipline
-	// events with held-set snapshots, collected by the lockorder scan
-	// (lockorder.go). The lockorder/lockblock analyzers report from them.
+	// LockAcquires, LockCalls, BlockOps and LockExits are the body's
+	// lock-discipline events with held-set snapshots, collected by the one
+	// held-set scan (lockorder.go). The lockorder, lockblock and lockexit
+	// analyzers report from them.
 	LockAcquires []LockAcquire
 	LockCalls    []LockCall
 	BlockOps     []BlockOp
+	LockExits    []LockExit
 }
 
 // PackageFacts is what one RunAnalyzers invocation computes and every
@@ -213,9 +206,6 @@ const WireDecoderDirective = "//namingvet:wiredecoder"
 type atoms struct {
 	deadlinePos []token.Pos // direct Set*Deadline calls
 	ios         []ioAtom    // direct wire I/O operations
-	lock        bool
-	spawns      bool
-	sleeps      bool
 	dials       bool
 	calls       []CallSite // every statically resolved call, with position
 	// canonReturn: every return statement forwards a call; used for the
@@ -261,11 +251,8 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		ff.AllocFreeRoot = hasDirective(decl.Doc, AllocFreeDirective)
 		ff.AllocExempt = hasDirective(decl.Doc, AllocFreeExemptDirective)
 		ff.WireDecoder = hasDirective(decl.Doc, WireDecoderDirective)
-		ff.Summary.AcquiresLock = a.lock
-		ff.Summary.SpawnsGoroutine = a.spawns
 		ff.Summary.SetsDeadline = len(a.deadlinePos) > 0
 		ff.Summary.ConnIO = len(a.ios) > 0 || a.dials
-		ff.Summary.Blocks = ff.Summary.ConnIO || a.sleeps
 		pf.Own = append(pf.Own, ff)
 		pf.byFn[fn] = ff
 	}
@@ -295,9 +282,6 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 				}
 				if cal.ConnIO && !s.ConnIO {
 					s.ConnIO, changed = true, true
-				}
-				if (cal.Blocks || cal.ConnIO) && !s.Blocks {
-					s.Blocks, changed = true, true
 				}
 				if (cal.Canonicalizes || cal.ReachesCanon) && !s.ReachesCanon {
 					s.ReachesCanon, changed = true, true
@@ -337,8 +321,6 @@ func collectAtoms(pkg *Package, decl *ast.FuncDecl) *atoms {
 	a := &atoms{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
-		case *ast.GoStmt:
-			a.spawns = true
 		case *ast.ReturnStmt:
 			for _, res := range node.Results {
 				if call, ok := res.(*ast.CallExpr); ok {
@@ -352,35 +334,71 @@ func collectAtoms(pkg *Package, decl *ast.FuncDecl) *atoms {
 			if callee == nil {
 				return true
 			}
-			recv := callee.Type().(*types.Signature).Recv()
 			switch callee.Name() {
 			case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
 				a.deadlinePos = append(a.deadlinePos, node.Pos())
-			case "Lock", "RLock":
-				if recv != nil && (IsNamedType(recv.Type(), "sync", "Mutex") || IsNamedType(recv.Type(), "sync", "RWMutex")) {
-					a.lock = true
-				}
-			case "Sleep":
-				if callee.Pkg() != nil && callee.Pkg().Path() == "time" {
-					a.sleeps = true
-				}
-			case "Read", "Write":
-				// os.File passes the conn duck test (it has SetDeadline
-				// for pipes), but file I/O is a durability concern, not
-				// a transport one: casimmut guards it with the fsync
-				// rule, and a deadline on a disk file is meaningless.
-				if recv != nil && HasMethods(recv.Type(), "Read", "Write", "SetDeadline") &&
-					!IsNamedType(recv.Type(), "os", "File") {
-					a.ios = append(a.ios, ioAtom{node.Pos(), "conn " + strings.ToLower(callee.Name()), callee.Name() == "Read"})
-				}
 			}
-			if n := callee.Name(); len(n) >= 4 && (strings.HasPrefix(n, "Dial") || strings.HasPrefix(n, "dial")) {
+			switch kind, desc := parkingCall(callee); kind {
+			case parkConnRead, parkConnWrite:
+				a.ios = append(a.ios, ioAtom{node.Pos(), desc, kind == parkConnRead})
+			case parkDial:
 				a.dials = true
 			}
 		}
 		return true
 	})
 	return a
+}
+
+// parkKind says how a call parkingCall recognises can park its goroutine.
+type parkKind uint8
+
+const (
+	noPark        parkKind = iota
+	parkPlain              // time.Sleep, sync.WaitGroup.Wait: parks, no more to say
+	parkConnRead           // Read on a conn-shaped value
+	parkConnWrite          // Write on a conn-shaped value
+	parkDial               // any Dial*/dial* function
+	parkCond               // sync.Cond.Wait: releases its one lock while parked
+)
+
+// parkingCall is the one catalogue of calls that can park the calling
+// goroutine for as long as something outside it pleases, with the text
+// diagnostics name them by. The wire kinds feed ConnIO and the deadline
+// flow; every kind is a BlockOp for the lock family.
+//
+// os.File passes the conn duck test (it has SetDeadline for pipes), but
+// file I/O is a durability concern, not a transport one: a file write
+// blocks for one disk flush, not for as long as a hung peer pleases, a
+// deadline on a disk file is meaningless, and serializing a manifest
+// rewrite under its store's lock is the intended pattern. casimmut guards
+// file writes with the fsync rule instead.
+func parkingCall(callee *types.Func) (parkKind, string) {
+	recv := callee.Type().(*types.Signature).Recv()
+	switch name := callee.Name(); {
+	case name == "Read" || name == "Write":
+		if recv != nil && HasMethods(recv.Type(), "Read", "Write", "SetDeadline") &&
+			!IsNamedType(recv.Type(), "os", "File") {
+			if name == "Read" {
+				return parkConnRead, "conn read"
+			}
+			return parkConnWrite, "conn write"
+		}
+	case name == "Sleep":
+		if callee.Pkg() != nil && callee.Pkg().Path() == "time" {
+			return parkPlain, "time.Sleep"
+		}
+	case name == "Wait" && recv != nil:
+		if IsNamedType(recv.Type(), "sync", "WaitGroup") {
+			return parkPlain, "sync.WaitGroup.Wait"
+		}
+		if IsNamedType(recv.Type(), "sync", "Cond") {
+			return parkCond, "sync.Cond.Wait"
+		}
+	case strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "dial"):
+		return parkDial, name
+	}
+	return noPark, ""
 }
 
 // hasDirective reports whether the doc comment group contains the given

@@ -296,7 +296,7 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (cacheEntry, uint64, err
 		// Transport failure: the shared connection is poisoned, retire it
 		// and charge the replica's breaker.
 		set.retire(conn)
-		c.noteFailover(attempt)
+		c.noteFailover()
 		avoid = conn.replica
 		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
@@ -327,7 +327,7 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, int, 
 			return results, conn.replica, rev, nil
 		}
 		set.retire(conn)
-		c.noteFailover(attempt)
+		c.noteFailover()
 		avoid = conn.replica
 		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
@@ -348,9 +348,9 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return d + rand.N(d)
 }
 
-// noteFailover counts retried transport failures (attempt 0 counts too:
-// it is the failure that triggers failing over).
-func (c *Client) noteFailover(int) {
+// noteFailover counts retried transport failures (the first attempt's
+// counts too: it is the failure that triggers failing over).
+func (c *Client) noteFailover() {
 	c.mu.Lock()
 	c.failovers++
 	c.mu.Unlock()
@@ -724,24 +724,7 @@ func (p *replicaSet) get(avoid int) (*sharedConn, error) {
 			lastErr = err
 			continue
 		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			_ = conn.Close()
-			return nil, ErrClientClosed
-		}
-		if winner := p.conns[r]; winner != nil {
-			// Lost a dial race; the winner's connection is the shared one.
-			p.mu.Unlock()
-			_ = conn.Close()
-			return winner, nil
-		}
-		p.conns[r] = conn
-		p.mu.Unlock()
-		if p.onDial != nil {
-			p.onDial(conn)
-		}
-		return conn, nil
+		return p.install(conn)
 	}
 	return nil, lastErr
 }
@@ -766,18 +749,27 @@ func (p *replicaSet) getReplica(r int) (*sharedConn, error) {
 		p.bad(r)
 		return nil, err
 	}
+	return p.install(conn)
+}
+
+// install makes a freshly dialed conn the shared connection to its replica
+// and returns the connection to use: conn, or the winner's when another
+// dial got there first. The loser of that race is closed, as is a dial
+// that raced close, so no connection leaks past Close; onDial runs outside
+// the lock.
+func (p *replicaSet) install(conn *sharedConn) (*sharedConn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		_ = conn.Close()
 		return nil, ErrClientClosed
 	}
-	if winner := p.conns[r]; winner != nil {
+	if winner := p.conns[conn.replica]; winner != nil {
 		p.mu.Unlock()
 		_ = conn.Close()
 		return winner, nil
 	}
-	p.conns[r] = conn
+	p.conns[conn.replica] = conn
 	p.mu.Unlock()
 	if p.onDial != nil {
 		p.onDial(conn)
@@ -786,7 +778,7 @@ func (p *replicaSet) getReplica(r int) (*sharedConn, error) {
 }
 
 // dialReplica dials one replica under the set's timeout, outside any lock
-// (dialing is wire I/O; lockheld).
+// (dialing is wire I/O; lockblock).
 func (p *replicaSet) dialReplica(r int) (*sharedConn, error) {
 	var nc *nameserver.Client
 	var err error
@@ -810,15 +802,20 @@ func (p *replicaSet) ok(replica int) {
 	p.mu.Unlock()
 }
 
-// bad charges one transport failure to a replica's breaker, opening it at
-// the threshold.
-func (p *replicaSet) bad(replica int) {
-	p.mu.Lock()
+// charge counts one transport failure against a replica's breaker, opening
+// it at the threshold. Callers hold p.mu.
+func (p *replicaSet) charge(replica int) {
 	b := &p.breakers[replica]
 	b.failures++
 	if p.breakerThreshold > 0 && b.failures >= p.breakerThreshold {
 		b.openUntil = time.Now().Add(p.breakerCooldown)
 	}
+}
+
+// bad charges a failed dial to a replica's breaker.
+func (p *replicaSet) bad(replica int) {
+	p.mu.Lock()
+	p.charge(replica)
 	p.mu.Unlock()
 }
 
@@ -828,11 +825,7 @@ func (p *replicaSet) bad(replica int) {
 // way; concurrent calls still on it fail fast and retry on a fresh one.
 func (p *replicaSet) retire(conn *sharedConn) {
 	p.mu.Lock()
-	b := &p.breakers[conn.replica]
-	b.failures++
-	if p.breakerThreshold > 0 && b.failures >= p.breakerThreshold {
-		b.openUntil = time.Now().Add(p.breakerCooldown)
-	}
+	p.charge(conn.replica)
 	if p.conns[conn.replica] == conn {
 		p.conns[conn.replica] = nil
 	}

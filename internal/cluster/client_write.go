@@ -184,6 +184,6 @@ func (c *Client) writeDone(shard int, conn *sharedConn, rev uint64, err error) e
 		return err
 	}
 	c.shards[shard].retire(conn)
-	c.noteFailover(0)
+	c.noteFailover()
 	return fmt.Errorf("shard %d primary: %w", shard, err)
 }

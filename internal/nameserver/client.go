@@ -60,7 +60,7 @@ type pendingCall struct {
 // exactly as an expired call would have (see lead). The pending table lives under its own
 // short-section mutex and the cache and counters under another, so Stats
 // and cache hits never wait behind a slow server and no mutex is ever
-// held across wire I/O (lockheld).
+// held across wire I/O (lockblock).
 type Client struct {
 	conn    net.Conn
 	bw      *bufio.Writer // guarded by wtoken; drains through wd

@@ -181,7 +181,7 @@ func (s *Server) Serve(ln net.Listener) {
 // connState bundles the wire state one connection's worker pool shares.
 // The decoder is guarded by dtoken and the encoder by wtoken — capacity-1
 // token channels rather than mutexes, because encoding to the peer is
-// wire I/O and no sync.Mutex may be held across wire I/O (lockheld).
+// wire I/O and no sync.Mutex may be held across wire I/O (lockblock).
 //
 // Responses are only ever encoded into bw; when they leave follows one
 // rule: buffered bytes are flushed by whoever is about to stop using the
