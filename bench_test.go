@@ -387,7 +387,7 @@ func BenchmarkNameServerPipelined(b *testing.B) {
 		b.ReportMetric(float64(clientIO.Writes.Load()-cw)/ops, "client-writes/op")
 		b.ReportMetric(float64(serverIO.Writes.Load()-sw)/ops, "server-writes/op")
 	}
-	server := nameserver.NewServer(w, tr.RootContext(), nameserver.WithWorkers(8))
+	server := nameserver.NewServer(w, tr.RootContext())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

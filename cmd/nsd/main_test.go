@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -10,19 +15,51 @@ import (
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
 	"namecoherence/internal/nameserver"
+	"namecoherence/internal/snapstore"
+	"namecoherence/internal/treespec"
 )
 
 // startDaemon runs the daemon in the background and returns its primary
 // address plus a wait function that delivers run's error after shutdown.
 func startDaemon(t *testing.T, args ...string) (string, func() error) {
 	t.Helper()
-	addrCh := make(chan string, 1)
-	testHookServing = func(addr string) { addrCh <- addr }
+	addr, _, wait := startDaemonBanner(t, args...)
+	return addr, wait
+}
+
+// startDaemonBanner is startDaemon that also returns the line the daemon
+// announced itself on. It reads stdout the way bench/nsload/proc.go does:
+// the daemon is serving once it prints "nsd serving on ADDR ..." (a lone
+// server) or "bootstrap: nsq -cluster -addr ADDR ..." (every other shape).
+func startDaemonBanner(t *testing.T, args ...string) (addr, banner string, wait func() error) {
+	t.Helper()
+	pr, pw := io.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- run(args) }()
+	go func() {
+		err := run(args, pw)
+		_ = pw.Close()
+		errCh <- err
+	}()
+	bannerCh := make(chan string, 1)
+	go func() {
+		announced := false
+		// Scan to EOF so the daemon never blocks on the pipe.
+		for sc := bufio.NewScanner(pr); sc.Scan(); {
+			line := sc.Text()
+			if !announced && (strings.HasPrefix(line, "nsd serving on ") || strings.HasPrefix(line, "bootstrap: ")) {
+				announced = true
+				bannerCh <- line
+			}
+		}
+	}()
 	select {
-	case addr := <-addrCh:
-		return addr, func() error {
+	case banner = <-bannerCh:
+		fields := strings.Fields(banner)
+		addr = fields[3]
+		if fields[0] == "bootstrap:" {
+			addr = fields[4]
+		}
+		return addr, banner, func() error {
 			select {
 			case err := <-errCh:
 				return err
@@ -33,11 +70,10 @@ func startDaemon(t *testing.T, args ...string) (string, func() error) {
 		}
 	case err := <-errCh:
 		t.Fatalf("daemon exited during startup: %v", err)
-		return "", nil
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not start serving")
-		return "", nil
 	}
+	return "", "", nil
 }
 
 // sigterm delivers SIGTERM to this process — the real graceful-shutdown
@@ -170,5 +206,98 @@ func TestShardedRecovery(t *testing.T) {
 	sigterm(t)
 	if err := wait(); err != nil {
 		t.Fatalf("second life: %v", err)
+	}
+}
+
+// A -data directory written the way the single-server nsd of PR 19 and
+// before wrote it — the whole spec built under the label "nsd", committed
+// as manifest shard 0 — recovers under the cluster assembly: the daemon
+// serves the stored graph, not the spec, at exactly the committed revision,
+// with the entity ids a restore into a fresh world yields.
+func TestRecoversSingleServerStore(t *testing.T) {
+	dir := t.TempDir()
+	const rev = 7
+	paths := []string{"usr/bin/ls", "mnt/bin/ls", "etc/motd", "etc/issue"}
+
+	st, err := snapstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := core.NewWorld()
+	tr, err := treespec.Build(demoSpec, w, "nsd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not in the spec: only a daemon serving the store can resolve it.
+	if _, err := tr.Create(core.ParsePath("etc/issue"), "written before the restart"); err != nil {
+		t.Fatal(err)
+	}
+	root, err := st.Snapshot(w, tr.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(0, rev, root); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := st.Restore(root, core.NewWorld(), "nsd")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addr, wait := startDaemon(t, "-addr", "127.0.0.1:0", "-data", dir, "-snap-interval", "0")
+	got := resolveAll(t, addr, paths)
+	sigterm(t)
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		want, err := restored.Lookup(core.ParsePath(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != (answer{ent: want, rev: rev}) {
+			t.Errorf("%s = %+v, want %v at revision %d", p, got[i], want, rev)
+		}
+	}
+}
+
+// The line bench/nsload/proc.go announces on, per deployment shape, and
+// who binds -addr: a lone server does, every other shape leaves the
+// address alone (the test holds it open while those daemons run).
+func TestBannerAndListenAddrByShape(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		banner string
+		lone   bool
+	}{
+		{"1x1", nil, "nsd serving on %s (interrupt to stop)", true},
+		{"2x1", []string{"-shard", "2"}, "bootstrap: nsq -cluster -addr %s <path>...", false},
+		{"1x2", []string{"-replicas", "2"}, "bootstrap: nsq -cluster -addr %s <path>...", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			held, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixed := held.Addr().String()
+			if tc.lone {
+				_ = held.Close()
+			} else {
+				defer func() { _ = held.Close() }()
+			}
+			addr, banner, wait := startDaemonBanner(t, append(tc.args, "-addr", fixed)...)
+			resolveAll(t, addr, []string{"usr/bin/ls"})
+			sigterm(t)
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf(tc.banner, addr); banner != want {
+				t.Errorf("announced on %q, want %q", banner, want)
+			}
+			if (addr == fixed) != tc.lone {
+				t.Errorf("serving on %s with -addr %s, lone = %v", addr, fixed, tc.lone)
+			}
+		})
 	}
 }

@@ -182,17 +182,10 @@ func NewClient(network string, routes *nameserver.RouteInfo, opts ...ClientOptio
 		backoff: defaultBackoffBase,
 	}
 	for i := range routes.Addrs {
-		c.shards[i] = &replicaSet{
-			network:          network,
-			addrs:            c.routes.ReplicaAddrs(i),
-			timeout:          defaultTimeout,
-			breakerThreshold: defaultBreakerThreshold,
-			breakerCooldown:  defaultBreakerCooldown,
-		}
-		c.shards[i].conns = make([]*sharedConn, len(c.shards[i].addrs))
-		c.shards[i].breakers = make([]breaker, len(c.shards[i].addrs))
-		shard := i
-		c.shards[i].onDial = func(conn *sharedConn) { c.maybeSubscribe(shard, conn) }
+		c.shards[i] = newReplicaSet(network, c.routes.ReplicaAddrs(i), defaultTimeout)
+		c.shards[i].breakerThreshold = defaultBreakerThreshold
+		c.shards[i].breakerCooldown = defaultBreakerCooldown
+		c.shards[i].onDial = func(conn *sharedConn) { c.maybeSubscribe(i, conn) }
 	}
 	for _, o := range opts {
 		o.apply(c)
@@ -675,6 +668,18 @@ type replicaSet struct {
 	conns    []*sharedConn // per-replica shared connection, nil until dialed
 	closed   bool
 	breakers []breaker
+}
+
+// newReplicaSet returns a set over addrs with nothing dialed and the
+// circuit breaker off (threshold 0).
+func newReplicaSet(network string, addrs []string, timeout time.Duration) *replicaSet {
+	return &replicaSet{
+		network:  network,
+		addrs:    addrs,
+		timeout:  timeout,
+		conns:    make([]*sharedConn, len(addrs)),
+		breakers: make([]breaker, len(addrs)),
+	}
 }
 
 // get returns the shared connection of a healthy replica, dialing one if

@@ -56,6 +56,17 @@ func WithServerOptions(o ...nameserver.ServerOption) Option {
 	return serverOptsOption{opts: o}
 }
 
+type listenAddrOption string
+
+func (o listenAddrOption) apply(opts *options) { opts.listenAddr = string(o) }
+
+// WithListenAddr sets the address shard 0's primary listens on, so a
+// deployment can put its bootstrap member on a well-known port. Every
+// other server stays on an ephemeral loopback port.
+func WithListenAddr(addr string) Option {
+	return listenAddrOption(addr)
+}
+
 // New splits spec across the given number of shards and serves each shard
 // on its own TCP loopback listener. Every server watches its subtree (so
 // binding changes bump that shard's revision) and carries the cluster's
@@ -69,7 +80,8 @@ func New(w *core.World, spec string, shards int, opts ...Option) (*Cluster, erro
 // corresponding entities registered as replica groups, and its own
 // listener wrapped in a fault injector (see Fault) so tests and
 // experiments can take replicas down deterministically. The routing table
-// lists every replica, so failover clients can try them all.
+// lists every replica, so failover clients can try them all. One shard
+// with one replica is a valid cluster: it is how nsd serves a lone server.
 func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Option) (*Cluster, error) {
 	plan, err := treespec.Split(spec, shards)
 	if err != nil {
@@ -105,7 +117,11 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 				// surviving clients never see the revision move backwards.
 				srv.SetRevision(rev)
 			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			listenAddr := "127.0.0.1:0"
+			if i == 0 && r == 0 && o.listenAddr != "" {
+				listenAddr = o.listenAddr
+			}
+			ln, err := net.Listen("tcp", listenAddr)
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("listen for shard %d replica %d: %w", i, r, err)

@@ -28,25 +28,26 @@ const replApplyBackoff = 5 * time.Millisecond
 // dead backup never delays the others — per-backup order is all the
 // idempotent apply needs.
 type replicator struct {
-	shard   int
-	network string
-	timeout time.Duration
-	stopC   chan struct{}
+	shard int
+	stopC chan struct{}
+	// backups holds the one wire connection per backup: dialed outside any
+	// lock, retired on a transport failure, and closed by close() so an
+	// in-flight apply fails fast.
+	backups *replicaSet
 	feeds   []*backupFeed
 	wg      sync.WaitGroup
 }
 
 // backupFeed is the mutation queue of one backup replica.
 type backupFeed struct {
-	addr string
+	backup int // index into the replicator's backups
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []nameserver.AppliedMutation
 	applying bool // a mutation is popped but not yet acknowledged
 	stopped  bool
-	skipped  int                // mutations the backup refused (divergence, counted not retried)
-	conn     *nameserver.Client // current wire connection; closed by close() to unstick the applier
+	skipped  int // mutations the backup refused (divergence, counted not retried)
 }
 
 // newReplicator starts one applier goroutine per backup address. The
@@ -55,12 +56,11 @@ type backupFeed struct {
 func newReplicator(network string, shard int, backups []string, timeout time.Duration) *replicator {
 	r := &replicator{
 		shard:   shard,
-		network: network,
-		timeout: timeout,
 		stopC:   make(chan struct{}),
+		backups: newReplicaSet(network, backups, timeout),
 	}
-	for _, addr := range backups {
-		f := &backupFeed{addr: addr}
+	for i := range backups {
+		f := &backupFeed{backup: i}
 		f.cond = sync.NewCond(&f.mu)
 		r.feeds = append(r.feeds, f)
 		r.wg.Add(1)
@@ -131,11 +131,11 @@ func (r *replicator) apply(f *backupFeed) {
 // case. A transport failure retires the connection and reports !ok so the
 // caller retries the same mutation against a fresh one.
 func (r *replicator) applyOne(f *backupFeed, m nameserver.AppliedMutation) (ok, remote bool) {
-	conn := r.feedConn(f)
-	if conn == nil {
+	conn, err := r.backups.getReplica(f.backup)
+	if err != nil {
 		return false, false
 	}
-	_, err := conn.ReplicaApply(m)
+	_, err = conn.ReplicaApply(m)
 	switch {
 	case err == nil:
 		return true, false
@@ -144,47 +144,9 @@ func (r *replicator) applyOne(f *backupFeed, m nameserver.AppliedMutation) (ok, 
 		// mind. Count the divergence and move on so the queue stays live.
 		return true, true
 	default:
-		r.dropConn(f, conn)
+		r.backups.retire(conn)
 		return false, false
 	}
-}
-
-// feedConn returns the feed's wire connection, dialing one if needed.
-// Dialing happens outside the feed lock (it is wire I/O); the established
-// connection is parked under the lock so close() can reach in and fail an
-// in-flight apply fast.
-func (r *replicator) feedConn(f *backupFeed) *nameserver.Client {
-	f.mu.Lock()
-	conn := f.conn
-	stopped := f.stopped
-	f.mu.Unlock()
-	if conn != nil || stopped {
-		return conn
-	}
-	nc, err := nameserver.DialTimeout(r.network, f.addr, r.timeout,
-		nameserver.WithTimeout(r.timeout))
-	if err != nil {
-		return nil
-	}
-	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		_ = nc.Close()
-		return nil
-	}
-	f.conn = nc
-	f.mu.Unlock()
-	return nc
-}
-
-// dropConn retires a poisoned connection so the next attempt redials.
-func (r *replicator) dropConn(f *backupFeed, conn *nameserver.Client) {
-	f.mu.Lock()
-	if f.conn == conn {
-		f.conn = nil
-	}
-	f.mu.Unlock()
-	_ = conn.Close()
 }
 
 // drain blocks until every backup's queue is empty and no apply is in
@@ -224,13 +186,9 @@ func (r *replicator) close() {
 	for _, f := range r.feeds {
 		f.mu.Lock()
 		f.stopped = true
-		conn := f.conn
-		f.conn = nil
 		f.cond.Broadcast()
 		f.mu.Unlock()
-		if conn != nil {
-			_ = conn.Close() // fail a blocked in-flight apply fast
-		}
 	}
+	r.backups.close() // fail a blocked in-flight apply fast
 	r.wg.Wait()
 }

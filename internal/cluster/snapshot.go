@@ -18,6 +18,7 @@ type Option interface {
 type options struct {
 	snap       *snapstore.Store
 	serverOpts []nameserver.ServerOption
+	listenAddr string
 }
 
 type snapStoreOption struct{ st *snapstore.Store }
@@ -129,6 +130,23 @@ func (c *Cluster) Recovered(i int) (rev uint64, ok bool) {
 		}
 	}
 	return 0, false
+}
+
+// Track registers every shard's primary with k, snapshotting into k's
+// store. The snap runs under the primary's write lock (Server.Stable): a
+// wire mutation can not land between reading the revision and walking the
+// tree, so the committed snapshot is exactly the state at that revision.
+func (c *Cluster) Track(k *snapstore.Keeper) {
+	for i := range c.Trees {
+		srv := c.Server(i)
+		k.Track(i, srv.Revision, func() (h cas.Hash, rev uint64, err error) {
+			srv.Stable(func() {
+				rev = srv.Revision()
+				h, err = c.ShardRoot(k.Store(), i, 0)
+			})
+			return h, rev, err
+		})
+	}
 }
 
 // ShardRoot snapshots the current state of one replica's subtree into st

@@ -3,7 +3,6 @@ package integration
 import (
 	"testing"
 
-	"namecoherence/internal/cas"
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
 	"namecoherence/internal/nameserver"
@@ -139,11 +138,7 @@ func TestKeeperFinalFlushCommitsLastRevision(t *testing.T) {
 	}
 	keeper := snapstore.NewKeeper(st, 0)
 	srv := c.Server(0)
-	keeper.Track(0, srv.Revision, func() (h cas.Hash, rev uint64, err error) {
-		rev = srv.Revision()
-		h, err = c.ShardRoot(st, 0, 0)
-		return h, rev, err
-	})
+	c.Track(keeper)
 	keeper.Start()
 
 	if _, err := c.Trees[0].Create(core.ParsePath("etc/new"), "fresh"); err != nil {

@@ -479,7 +479,8 @@ func (c *Client) call(req request) (response, error) {
 	// The timer is created lazily, on the first wait that actually needs
 	// to select on it: the uncontended paths — write token free, caller
 	// leads its own read — never do, and the serial case skips the
-	// allocation entirely.
+	// allocation entirely. Without a timeout timeoutC stays nil, and a nil
+	// channel never fires: the same waits then end only on their own events.
 	var deadline time.Time
 	var timer *time.Timer
 	var timeoutC <-chan time.Time
@@ -502,20 +503,14 @@ func (c *Client) call(req request) (response, error) {
 	case c.wtoken <- struct{}{}:
 		// Uncontended fast path: the token was free.
 	default:
-		if c.timeout == 0 {
-			// Token holders always release within the write bound, so a
-			// plain send cannot hang; failure surfaces when our write runs.
-			c.wtoken <- struct{}{}
-		} else {
-			arm()
-			select {
-			case c.wtoken <- struct{}{}:
-			case <-pc.done:
-				// The client failed before we could write.
-				return c.finish(pc)
-			case <-timeoutC:
-				return c.expire(pc)
-			}
+		arm()
+		select {
+		case c.wtoken <- struct{}{}:
+		case <-pc.done:
+			// The client failed before we could write.
+			return c.finish(pc)
+		case <-timeoutC:
+			return c.expire(pc)
 		}
 	}
 	if err := c.send(pc, pipelined); err != nil {
@@ -535,30 +530,16 @@ func (c *Client) call(req request) (response, error) {
 		return c.finish(pc)
 	default:
 	}
-	if c.timeout == 0 {
-		for {
-			select {
-			case <-pc.done:
-				return c.finish(pc)
-			case c.rtoken <- struct{}{}:
-				c.lead(pc, deadline)
-				<-c.rtoken
-				return c.finish(pc)
-			}
-		}
-	}
 	arm()
-	for {
-		select {
-		case <-pc.done:
-			return c.finish(pc)
-		case c.rtoken <- struct{}{}:
-			c.lead(pc, deadline)
-			<-c.rtoken
-			return c.finish(pc)
-		case <-timeoutC:
-			return c.expire(pc)
-		}
+	select {
+	case <-pc.done:
+		return c.finish(pc)
+	case c.rtoken <- struct{}{}:
+		c.lead(pc, deadline)
+		<-c.rtoken
+		return c.finish(pc)
+	case <-timeoutC:
+		return c.expire(pc)
 	}
 }
 

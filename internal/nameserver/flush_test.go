@@ -112,6 +112,14 @@ type rawConn struct {
 	errs strIntern
 }
 
+// serverWithWorkers is NewServer with the per-connection resolver pool
+// fixed at n; the default, GOMAXPROCS, varies by host.
+func serverWithWorkers(w *core.World, export core.Context, n int) *Server {
+	s := NewServer(w, export)
+	s.workers = n
+	return s
+}
+
 // rawPipe serves one end of a pipe (counting the server's side of it) and
 // shakes hands on the other (see rawOver).
 func rawPipe(t *testing.T, s *Server) (*rawConn, *faultnet.Counts) {
@@ -219,7 +227,7 @@ func resolveReq(id uint64, p core.Path) request {
 // flush point when its read buffer runs dry.
 func TestServerAnswersBurstInOneWrite(t *testing.T) {
 	w, tr, paths := flushTree(t)
-	r, server := rawPipe(t, NewServer(w, tr.RootContext(), WithWorkers(1)))
+	r, server := rawPipe(t, serverWithWorkers(w, tr.RootContext(), 1))
 	const burst = 64
 	reqs := make([]request, burst)
 	for i := range reqs {
@@ -329,7 +337,7 @@ func TestReadsAnsweredWhileMutationWaits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := NewServer(w, tr.RootContext(), WithWorkers(workers))
+			s := serverWithWorkers(w, tr.RootContext(), workers)
 			s.WatchExport(tr.Root)
 			r, _ := rawPipe(t, s)
 
@@ -429,7 +437,7 @@ func TestPushIsNeverHeldBack(t *testing.T) {
 
 	t.Run("idle", func(t *testing.T) {
 		w, tr, _ := flushTree(t)
-		s := NewServer(w, tr.RootContext(), WithWorkers(1))
+		s := serverWithWorkers(w, tr.RootContext(), 1)
 		r, _ := rawPipe(t, s)
 		subscribe(t, r)
 		s.Bump()
@@ -441,7 +449,7 @@ func TestPushIsNeverHeldBack(t *testing.T) {
 	t.Run("mid-burst", func(t *testing.T) {
 		w, hold, paths, held := heldTree(t)
 		defer hold.Release()
-		s := NewServer(w, hold, WithWorkers(1))
+		s := serverWithWorkers(w, hold, 1)
 		r, _ := rawPipe(t, s)
 		subscribe(t, r)
 
@@ -484,7 +492,7 @@ func TestLateCallerNeedsNoHelp(t *testing.T) {
 	timeoutModes(t, func(t *testing.T, opts ...ClientOption) {
 		w, hold, paths, held := heldTree(t)
 		defer hold.Release()
-		c := pipeClient(t, NewServer(w, hold, WithWorkers(2)), opts...)
+		c := pipeClient(t, serverWithWorkers(w, hold, 2), opts...)
 
 		leader := make(chan error, 1)
 		go func() {

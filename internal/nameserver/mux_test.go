@@ -328,7 +328,7 @@ func TestPipelinedCallsOverlap(t *testing.T) {
 
 	var gate sync.WaitGroup
 	gate.Add(burst)
-	s := NewServer(w, &gatingContext{Context: tr.RootContext(), gate: &gate}, WithWorkers(burst))
+	s := serverWithWorkers(w, &gatingContext{Context: tr.RootContext(), gate: &gate}, burst)
 	c := pipeClient(t, s)
 
 	var wg sync.WaitGroup

@@ -240,7 +240,7 @@ func TestNoResponseOvertakesItsInvalidation(t *testing.T) {
 	for _, transport := range []string{"pipe", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
 			w, tr, paths := flushTree(t)
-			s := NewServer(w, tr.RootContext(), WithWorkers(4))
+			s := serverWithWorkers(w, tr.RootContext(), 4)
 			s.WatchExport(tr.Root)
 			dial := func() *rawConn { r, _ := rawPipe(t, s); return r }
 			if transport == "tcp" {

@@ -104,22 +104,6 @@ type ServerOption interface {
 	apply(*Server)
 }
 
-type workersOption int
-
-func (o workersOption) apply(s *Server) {
-	if int(o) > 0 {
-		s.workers = int(o)
-	}
-}
-
-// WithWorkers bounds how many requests one connection resolves
-// concurrently (default: GOMAXPROCS). Decoding stalls once every worker
-// is mid-resolution, so a single connection cannot occupy more than n
-// resolver goroutines no matter how deep the client pipelines.
-func WithWorkers(n int) ServerOption {
-	return workersOption(n)
-}
-
 type readonlyOption struct{}
 
 func (readonlyOption) apply(s *Server) { s.readonly = true }

@@ -10,72 +10,61 @@ import (
 
 // The canonical encoding primitives: unsigned varints, length-prefixed
 // strings, and compound names built from them. Everything the module
-// writes to disk — snapstore node blobs and internal/persist world
-// snapshots — is framed with these, so there is exactly one on-disk
-// context encoding and its determinism is decided here: no maps are
-// iterated, no reflection runs, and every writer sorts before it appends.
+// writes to disk is a snapstore node blob framed with these, so there is
+// exactly one on-disk context encoding and its determinism is decided
+// here: no maps are iterated, no reflection runs, and every writer sorts
+// before it appends.
 
 // ErrTruncated is wrapped by every decode error caused by running out of
 // bytes or reading malformed framing.
 var ErrTruncated = errors.New("truncated or malformed encoding")
 
-// AppendUvarint appends v in unsigned varint form.
-func AppendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-// AppendString appends a length-prefixed string.
-func AppendString(buf []byte, s string) []byte {
+// appendString appends a length-prefixed string.
+func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// AppendBytes appends a length-prefixed byte string.
-func AppendBytes(buf []byte, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-// AppendPath appends a compound name: component count, then each simple
+// appendPath appends a compound name: component count, then each simple
 // name length-prefixed.
-func AppendPath(buf []byte, p core.Path) []byte {
+func appendPath(buf []byte, p core.Path) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p)))
 	for _, n := range p {
-		buf = AppendString(buf, string(n))
+		buf = appendString(buf, string(n))
 	}
 	return buf
 }
 
-// Reader decodes the canonical primitives from a byte slice. The first
+// reader decodes the canonical primitives from a byte slice. The first
 // framing error sticks: every subsequent read returns the zero value, and
 // Err reports what went wrong, so decode loops can run unchecked and
 // validate once at the end.
-type Reader struct {
+type reader struct {
 	buf []byte
 	off int
 	err error
 }
 
-// NewReader returns a Reader over buf.
-func NewReader(buf []byte) *Reader {
-	return &Reader{buf: buf}
+// newReader returns a reader over buf.
+func newReader(buf []byte) *reader {
+	return &reader{buf: buf}
 }
 
 // Err returns the sticky decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *reader) Err() error { return r.err }
 
 // Len returns the number of unread bytes.
-func (r *Reader) Len() int { return len(r.buf) - r.off }
+func (r *reader) Len() int { return len(r.buf) - r.off }
 
 // fail records the first error.
-func (r *Reader) fail(what string) {
+func (r *reader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%s at offset %d: %w", what, r.off, ErrTruncated)
 	}
 }
 
 // Uvarint decodes one unsigned varint.
-func (r *Reader) Uvarint() uint64 {
+func (r *reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -89,7 +78,7 @@ func (r *Reader) Uvarint() uint64 {
 }
 
 // Byte decodes one raw byte.
-func (r *Reader) Byte() byte {
+func (r *reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
@@ -102,25 +91,24 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Bytes decodes a length-prefixed byte string, returning a view into the
-// underlying buffer (callers must copy if they retain it past the buffer).
-func (r *Reader) Bytes() []byte {
+// String decodes a length-prefixed string.
+func (r *reader) String() string {
 	n := r.Uvarint()
 	if r.err != nil {
-		return nil
+		return ""
 	}
 	if n > uint64(len(r.buf)-r.off) {
-		r.fail("byte string")
-		return nil
+		r.fail("string")
+		return ""
 	}
-	b := r.buf[r.off : r.off+int(n)]
+	s := string(r.buf[r.off : r.off+int(n)])
 	r.off += int(n)
-	return b
+	return s
 }
 
 // Fixed decodes exactly n raw bytes (no length prefix), returning a view
 // into the underlying buffer.
-func (r *Reader) Fixed(n int) []byte {
+func (r *reader) Fixed(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -133,13 +121,8 @@ func (r *Reader) Fixed(n int) []byte {
 	return b
 }
 
-// String decodes a length-prefixed string.
-func (r *Reader) String() string {
-	return string(r.Bytes())
-}
-
 // Path decodes a compound name.
-func (r *Reader) Path() core.Path {
+func (r *reader) Path() core.Path {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil

@@ -10,12 +10,12 @@
 //
 // The encoding is canonical — sorted bindings, varint framing, no
 // reflection — so Snapshot∘Restore is a fixed point on root hashes, and it
-// is the module's one on-disk context encoding (internal/persist streams
-// through the same primitives). Cross-links that share a subtree become
-// hash sharing; links back to an ancestor (cycles, including ".." parent
-// links) are encoded as stack-relative cycle references, the Merkle
-// analogue of a relative name: they are re-resolved against the access
-// path on restore (§6's closure question, answered the paper's way).
+// is the module's one on-disk context encoding. Cross-links that share a
+// subtree become hash sharing; links back to an ancestor (cycles,
+// including ".." parent links) are encoded as stack-relative cycle
+// references, the Merkle analogue of a relative name: they are re-resolved
+// against the access path on restore (§6's closure question, answered the
+// paper's way).
 //
 // Store adds a revision-history manifest (shard revision → root hash,
 // written atomically) for crash recovery, Diff for O(changed) comparison

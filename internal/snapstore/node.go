@@ -1,6 +1,7 @@
 package snapstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -76,56 +77,33 @@ func (n *Node) Encode() []byte {
 	case KindDir:
 		buf = append(buf, byte(n.EntityKind))
 		sort.Slice(n.Entries, func(i, j int) bool { return n.Entries[i].Name < n.Entries[j].Name })
-		buf = AppendUvarint(buf, uint64(len(n.Entries)))
+		buf = binary.AppendUvarint(buf, uint64(len(n.Entries)))
 		for _, e := range n.Entries {
-			buf = AppendString(buf, string(e.Name))
+			buf = appendString(buf, string(e.Name))
 			if e.Ref.IsCycle {
 				buf = append(buf, 1)
-				buf = AppendUvarint(buf, uint64(e.Ref.Cycle))
+				buf = binary.AppendUvarint(buf, uint64(e.Ref.Cycle))
 			} else {
 				buf = append(buf, 0)
 				buf = append(buf, e.Ref.Hash[:]...)
 			}
 		}
 	case KindFile:
-		buf = AppendFileState(buf, n.Content, n.Embedded)
+		buf = appendString(buf, n.Content)
+		buf = binary.AppendUvarint(buf, uint64(len(n.Embedded)))
+		for _, p := range n.Embedded {
+			buf = appendPath(buf, p)
+		}
 	case KindOpaque:
 		buf = append(buf, byte(n.EntityKind))
-		buf = AppendString(buf, n.Label)
+		buf = appendString(buf, n.Label)
 	}
 	return buf
-}
-
-// AppendFileState appends the canonical encoding of a regular file's
-// state: content, then its embedded compound names. internal/persist
-// shares this framing, so a file state has exactly one on-disk form.
-func AppendFileState(buf []byte, content string, embedded []core.Path) []byte {
-	buf = AppendString(buf, content)
-	buf = AppendUvarint(buf, uint64(len(embedded)))
-	for _, p := range embedded {
-		buf = AppendPath(buf, p)
-	}
-	return buf
-}
-
-// ReadFileState decodes what AppendFileState wrote.
-func ReadFileState(r *Reader) (content string, embedded []core.Path) {
-	content = r.String()
-	n := r.Uvarint()
-	if n > uint64(r.Len()) {
-		// Impossible in a well-formed encoding; poison instead of allocating.
-		r.fail("embedded count")
-		return content, nil
-	}
-	for i := uint64(0); i < n; i++ {
-		embedded = append(embedded, r.Path())
-	}
-	return content, embedded
 }
 
 // DecodeNode parses a canonical node blob.
 func DecodeNode(data []byte) (*Node, error) {
-	r := NewReader(data)
+	r := newReader(data)
 	if r.Byte() != nodeMagic || r.Byte() != nodeVersion {
 		return nil, fmt.Errorf("node header: %w", ErrTruncated)
 	}
@@ -152,7 +130,14 @@ func DecodeNode(data []byte) (*Node, error) {
 		}
 	case KindFile:
 		n.EntityKind = core.KindObject
-		n.Content, n.Embedded = ReadFileState(r)
+		n.Content = r.String()
+		count := r.Uvarint()
+		if count > uint64(r.Len()) {
+			return nil, fmt.Errorf("embedded count %d: %w", count, ErrTruncated)
+		}
+		for i := uint64(0); i < count; i++ {
+			n.Embedded = append(n.Embedded, r.Path())
+		}
 	case KindOpaque:
 		n.EntityKind = core.Kind(r.Byte())
 		n.Label = r.String()

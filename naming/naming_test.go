@@ -1,7 +1,6 @@
 package naming_test
 
 import (
-	"bytes"
 	"testing"
 
 	"namecoherence/naming"
@@ -155,30 +154,6 @@ func TestFacadePerProcAndEmbedded(t *testing.T) {
 	}
 	if got != target {
 		t.Fatalf("embedded = %v, want %v", got, target)
-	}
-}
-
-func TestFacadePersistRoundTrip(t *testing.T) {
-	w := naming.NewWorld()
-	tr, err := naming.BuildTreeSpec(`file /etc/motd "hi"`, w, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := naming.SaveWorld(w, &buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := naming.LoadWorld(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root2 := naming.Entity{ID: tr.Root.ID, Kind: naming.KindObject}
-	ctx2, ok := w2.ContextOf(root2)
-	if !ok {
-		t.Fatal("root lost")
-	}
-	if _, err := w2.Resolve(ctx2, naming.ParsePath("etc/motd")); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"namecoherence/internal/netsim"
 	"namecoherence/internal/newcastle"
 	"namecoherence/internal/perproc"
-	"namecoherence/internal/persist"
 	"namecoherence/internal/pqi"
 	"namecoherence/internal/sharedns"
 	"namecoherence/internal/treespec"
@@ -275,14 +274,6 @@ type (
 	CheckReport = check.Report
 	// CheckFinding is one checker result.
 	CheckFinding = check.Finding
-)
-
-// Persistence.
-var (
-	// SaveWorld writes a canonical binary snapshot of a world.
-	SaveWorld = persist.Save
-	// LoadWorld reconstructs a world from a snapshot.
-	LoadWorld = persist.Load
 )
 
 // Checker and treespec functions.
