@@ -11,19 +11,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"namecoherence/internal/experiments"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cohbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cohbench", flag.ContinueOnError)
 	only := fs.String("only", "", "run only the experiment with this id (e.g. E7)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
@@ -31,25 +32,23 @@ func run(args []string) error {
 		return err
 	}
 
-	tables, err := experiments.All()
-	if err != nil {
-		return err
-	}
-	if *list {
-		for _, t := range tables {
-			fmt.Printf("%-4s %s\n", t.ID, t.Title)
-		}
-		return nil
-	}
 	matched := false
-	for _, t := range tables {
-		if *only != "" && t.ID != *only {
+	for _, e := range experiments.Index() {
+		if *list {
+			fmt.Fprintf(out, "%-4s %s\n", e.ID, e.Title)
+			continue
+		}
+		if *only != "" && e.ID != *only {
 			continue
 		}
 		matched = true
-		fmt.Println(t.String())
+		t, err := e.Run()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, t.String())
 	}
-	if *only != "" && !matched {
+	if *only != "" && !*list && !matched {
 		return fmt.Errorf("no experiment %q (try -list)", *only)
 	}
 	return nil

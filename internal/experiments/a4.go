@@ -43,7 +43,7 @@ type a4Scheme struct {
 func A4(cfg A4Config) (*Table, error) {
 	t := &Table{
 		ID:     "A4",
-		Title:  "stale reads under binding churn, by cache discipline",
+		Title:  title("A4"),
 		Header: []string{"cache", "lookups", "stale-reads", "server-requests", "hit-rate"},
 		Notes: []string{
 			"extension of the paper's coherence concern to name caches: an",

@@ -34,7 +34,7 @@ func DefaultA5() A5Config {
 func A5(cfg A5Config) (*Table, error) {
 	t := &Table{
 		ID:     "A5",
-		Title:  "lookup-load concentration along the naming tree",
+		Title:  title("A5"),
 		Header: []string{"fanout", "lookups", "root-load", "max-level1-load", "max-deeper-load"},
 		Notes: []string{
 			"every compound name resolves its first component in the root context,",

@@ -47,7 +47,7 @@ func A1(cfg A1Config) (*Table, error) {
 
 	t := &Table{
 		ID:     "A1",
-		Title:  "name-server requests vs client cache size (Zipf lookups)",
+		Title:  title("A1"),
 		Header: []string{"cache-size", "lookups", "server-requests", "hit-rate"},
 		Notes: []string{
 			"ablation: remote resolution cost is dominated by wire crossings; a",
@@ -111,7 +111,7 @@ func DefaultA3() A3Config {
 func A3(cfg A3Config) (*Table, error) {
 	t := &Table{
 		ID:     "A3",
-		Title:  "forced pid qualification level: expressibility and survival",
+		Title:  title("A3"),
 		Header: []string{"level", "expressible", "survive-renumber", "of"},
 		Notes: []string{
 			"level 1 = (0,0,l): intra-machine only; level 2 = (0,m,l): intra-network;",

@@ -60,7 +60,7 @@ func E1(cfg E1Config) *Table {
 
 	t := &Table{
 		ID:     "E1",
-		Title:  "coherence degree by name source and resolution rule",
+		Title:  title("E1"),
 		Header: append([]string{"rule"}, "internal", "message", "object"),
 		Notes: []string{
 			"paper §4: R(activity) coheres only for global names; R(sender) coheres",

@@ -150,7 +150,7 @@ func E10(cfg E10Config) (*Table, error) {
 
 	t := &Table{
 		ID:     "E10",
-		Title:  "coherence vs scope distance with group/org/federation spaces",
+		Title:  title("E10"),
 		Header: []string{"pair", "proj", "users", "services", "strict-degree"},
 		Notes: []string{
 			"paper §7: it is sufficient to share name spaces in limited scopes among",

@@ -34,7 +34,7 @@ file /etc/passwd "root:0"
 func E11(cfg E11Config) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
-		Title: "replicated name service: weak coherence and failover",
+		Title: title("E11"),
 		Header: []string{
 			"replicas", "resolutions", "distinct-entities",
 			"weak-coherent", "post-failure-success",

@@ -30,7 +30,7 @@ func DefaultE12() E12Config {
 func E12(cfg E12Config) (*Table, error) {
 	t := &Table{
 		ID:     "E12",
-		Title:  "boundary translation for exchanged names (message substrate)",
+		Title:  title("E12"),
 		Header: []string{"translator", "coherent", "of", "same-machine coherent", "of"},
 		Notes: []string{
 			"§6 I applied to file names: R(sender), implemented by translating the",

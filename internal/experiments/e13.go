@@ -30,7 +30,7 @@ func DefaultE13() E13Config {
 func E13(cfg E13Config) (*Table, error) {
 	t := &Table{
 		ID:     "E13",
-		Title:  "parent/child coherence vs post-fork context mutations",
+		Title:  title("E13"),
 		Header: []string{"post-fork attaches", "copy-fork coherence", "shared-fork coherence"},
 		Notes: []string{
 			"§5.1: copy-at-fork gives coherence only until the contexts diverge;",

@@ -72,7 +72,7 @@ func e14Spec(prefixes, filesPerPrefix int) (string, []core.Path) {
 func E14(cfg E14Config) (*Table, error) {
 	t := &Table{
 		ID:    "E14",
-		Title: "sharded naming cluster: coherence and wire traffic vs shards and batch size",
+		Title: title("E14"),
 		Header: []string{"shards", "batch", "lookups", "wire-reqs", "reqs/lookup",
 			"hit-rate", "strict-coherence"},
 		Notes: []string{

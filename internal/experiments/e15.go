@@ -70,9 +70,10 @@ func (cfg E15Config) Budget() time.Duration {
 func E15(cfg E15Config) (*Table, error) {
 	t := &Table{
 		ID:    "E15",
-		Title: "replicated cluster under fault injection: availability and coherence",
+		Title: title("E15"),
 		Header: []string{"phase", "lookups", "ok", "availability", "failovers",
 			"max-ms", "budget-ms", "weak-coherence", "strict-coherence"},
+		loadDependent: []string{"max-ms"},
 		Notes: []string{
 			"§3 weak coherence as a fault-tolerance contract: replicas of one",
 			"shard subtree are one replica group, so failover across them keeps",

@@ -51,7 +51,7 @@ func (r treeResolver) Resolve(p core.Path) (core.Entity, error) { return r.tr.Lo
 func E16(cfg E16Config) (*Table, error) {
 	t := &Table{
 		ID:    "E16",
-		Title: "content-addressed snapshot store: dedup, crash recovery, catch-up",
+		Title: title("E16"),
 		Header: []string{"life", "recovered", "caught-up", "copied", "pruned",
 			"blobs", "dedup-ratio", "weak-coherence", "roots-agree"},
 		Notes: []string{

@@ -66,9 +66,10 @@ func (r routedResolver) Resolve(p core.Path) (core.Entity, error) {
 func E17(cfg E17Config) (*Table, error) {
 	t := &Table{
 		ID:    "E17",
-		Title: "write churn vs caching readers: poll validation vs push invalidation",
+		Title: title("E17"),
 		Header: []string{"mode", "writes", "lookups", "hits", "invalidations",
 			"strict-coherence", "weak-coherence", "hit-ratio"},
+		loadDependent: []string{"lookups", "hits", "hit-ratio"},
 		Notes: []string{
 			"writers rebind live names to fresh contexts through the wire",
 			"write path while readers resolve from coherent LRU caches; the",

@@ -38,7 +38,7 @@ func DefaultE2() E2Config {
 func E2(cfg E2Config) *Table {
 	t := &Table{
 		ID:    "E2",
-		Title: "coherent fraction vs context overlap, by context selection",
+		Title: title("E2"),
 		Header: []string{
 			"overlap",
 			"msg/R(receiver)", "msg/R(sender)",

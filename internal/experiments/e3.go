@@ -75,7 +75,7 @@ func E3(cfg E3Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "E3",
-		Title:  "Newcastle Connection (single naming tree from per-machine trees)",
+		Title:  title("E3"),
 		Header: []string{"probe", "strict-degree"},
 		Notes: []string{
 			"paper §5.1: only processes with the same root binding have coherence for",

@@ -105,7 +105,7 @@ func E4(cfg E4Config) (*Table, error) {
 
 	t := &Table{
 		ID:     "E4",
-		Title:  "shared naming graph (Andrew /vice, DCE cells)",
+		Title:  title("E4"),
 		Header: []string{"name class", "strict-degree", "weak-degree"},
 		Notes: []string{
 			"paper §5.2: coherence for names in the shared graph and weak coherence",

@@ -114,7 +114,7 @@ func E5(cfg E5Config) (*Table, error) {
 
 	t := &Table{
 		ID:     "E5",
-		Title:  "cross-linked autonomous systems (federation)",
+		Title:  title("E5"),
 		Header: []string{"exchange", "coherent", "wrong-entity", "of"},
 		Notes: []string{
 			"paper §5.3/§7: incoherence arises when names are exchanged across system",

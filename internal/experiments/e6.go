@@ -90,7 +90,7 @@ func graft(prefix core.Path, srcs []core.Path) []core.Path {
 func E6(cfg E6Config) (*Table, error) {
 	t := &Table{
 		ID:     "E6",
-		Title:  "embedded names: Algol scope rule vs accessor-root baseline",
+		Title:  title("E6"),
 		Header: []string{"operation", "R(file)-scoped", "R(activity)-baseline", "of"},
 		Notes: []string{
 			"paper §6 Ex.2: under the scope rule the name has the same meaning",

@@ -126,7 +126,7 @@ func e7Run(cfg E7Config, minimal bool, ev e7Event) (map[string][2]int, error) {
 func E7(cfg E7Config) (*Table, error) {
 	t := &Table{
 		ID:     "E7",
-		Title:  "pid validity under renumbering: partially vs fully qualified",
+		Title:  title("E7"),
 		Header: []string{"event", "scheme", "intra", "outward", "inward", "untouched"},
 		Notes: []string{
 			"paper §6 Ex.1: with partially qualified pids, pids of local processes",

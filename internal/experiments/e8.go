@@ -65,7 +65,7 @@ func E8(cfg E8Config) (*Table, error) {
 
 	t := &Table{
 		ID:     "E8",
-		Title:  "per-process namespaces: remote execution parameter coherence",
+		Title:  title("E8"),
 		Header: []string{"scheme", "param-coherence", "executor-local access"},
 		Notes: []string{
 			"paper §6 II: with a per-process view, the remotely executing process",

@@ -29,7 +29,7 @@ func DefaultE9() E9Config {
 func E9(cfg E9Config) (*Table, error) {
 	t := &Table{
 		ID:     "E9",
-		Title:  "weak coherence for replicated commands vs system size",
+		Title:  title("E9"),
 		Header: []string{"clients", "strict-degree", "weak-degree"},
 		Notes: []string{
 			"paper §5: for replicated objects, coherence as defined is unnecessarily",

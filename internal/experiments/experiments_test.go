@@ -357,26 +357,22 @@ func TestE16(t *testing.T) {
 	}
 }
 
+// The index is what cohbench lists and TestAllGolden runs: every entry
+// complete, no id twice.
 func TestAllRuns(t *testing.T) {
-	tables, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 21 {
-		t.Fatalf("tables = %d, want 21", len(tables))
+	index := Index()
+	if len(index) != 21 {
+		t.Fatalf("index = %d entries, want 21", len(index))
 	}
 	seen := make(map[string]bool)
-	for _, tb := range tables {
-		if tb.ID == "" || tb.Title == "" || len(tb.Rows) == 0 {
-			t.Errorf("table %q malformed", tb.ID)
+	for _, e := range index {
+		if e.ID == "" || e.Title == "" || e.Run == nil {
+			t.Errorf("index entry %q malformed", e.ID)
 		}
-		if seen[tb.ID] {
-			t.Errorf("duplicate table id %q", tb.ID)
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment id %q", e.ID)
 		}
-		seen[tb.ID] = true
-		if s := tb.String(); !strings.Contains(s, tb.ID) {
-			t.Errorf("String missing ID for %q", tb.ID)
-		}
+		seen[e.ID] = true
 	}
 }
 

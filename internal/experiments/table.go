@@ -19,6 +19,11 @@ type Table struct {
 	Rows [][]string
 	// Notes record the paper's qualitative claim and any caveats.
 	Notes []string
+	// loadDependent names the columns whose cells vary from run to run
+	// with the host's speed (wall-clock readings, counts of work a
+	// free-running reader got through). Every other cell is deterministic
+	// and pinned by testdata/cohbench.golden.
+	loadDependent []string
 }
 
 // AddRow appends a row.
