@@ -146,11 +146,6 @@ func (s *Store) Get(h Hash) ([]byte, error) {
 	return data, nil
 }
 
-// Has reports whether the store holds a blob under h.
-func (s *Store) Has(h Hash) (bool, error) {
-	return s.backend.Has(h)
-}
-
 // Stats returns a copy of the dedup counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -39,7 +39,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("got %q, want %q", got, data)
 			}
-			ok, err := s.Has(h)
+			ok, err := b.Has(h)
 			if err != nil || !ok {
 				t.Fatalf("Has = %v, %v", ok, err)
 			}

@@ -44,9 +44,6 @@ func OpenLocal(dir string) (*Local, error) {
 	return &Local{dir: dir, buckets: make(map[string]bool)}, nil
 }
 
-// Dir returns the backend's root directory.
-func (l *Local) Dir() string { return l.dir }
-
 // blobPath returns the final path for h and its fan-out directory.
 func (l *Local) blobPath(h Hash) (bucket, path string) {
 	hex := h.String()

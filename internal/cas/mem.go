@@ -66,10 +66,3 @@ func (m *Mem) List(fn func(Hash) error) error {
 	}
 	return nil
 }
-
-// Len returns the number of stored blobs.
-func (m *Mem) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.blobs)
-}

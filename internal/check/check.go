@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"namecoherence/internal/core"
-	"namecoherence/internal/dirtree"
 )
 
 // Severity classifies findings.
@@ -16,8 +15,6 @@ type Severity int
 const (
 	// Info findings are legal but noteworthy (cycles, shared subtrees).
 	Info Severity = iota + 1
-	// Warn findings usually indicate scheme bugs (parent-link mismatch).
-	Warn
 	// Error findings are model violations (dangling bindings).
 	Error
 )
@@ -27,8 +24,6 @@ func (s Severity) String() string {
 	switch s {
 	case Info:
 		return "info"
-	case Warn:
-		return "warn"
 	case Error:
 		return "error"
 	default:
@@ -66,20 +61,6 @@ func (r *Report) add(sev Severity, code, format string, args ...any) {
 	})
 }
 
-// Count returns the number of findings at the given severity.
-func (r *Report) Count(sev Severity) int {
-	n := 0
-	for _, f := range r.Findings {
-		if f.Severity == sev {
-			n++
-		}
-	}
-	return n
-}
-
-// OK reports whether the run produced no Error findings.
-func (r *Report) OK() bool { return r.Count(Error) == 0 }
-
 // String renders all findings, one per line.
 func (r *Report) String() string {
 	if len(r.Findings) == 0 {
@@ -105,103 +86,6 @@ func World(w *core.World) *Report {
 	}
 	for _, cyc := range findCycles(w, edges) {
 		r.add(Info, "cycle", "cycle through %s", cyc)
-	}
-	return r
-}
-
-// Tree scans a tree: World checks restricted to the subtree, plus
-// reachability accounting and parent-link validation when the tree carries
-// parent links.
-func Tree(tr *dirtree.Tree) *Report {
-	r := &Report{}
-	w := tr.W
-	reach := w.Reachable(tr.Root)
-
-	// Dangling bindings within the subtree.
-	for _, e := range w.Graph() {
-		if !reach[e.From.ID] {
-			continue
-		}
-		if !w.Exists(e.To) {
-			r.add(Error, "dangling-binding",
-				"%v binds %q to unknown entity %v", e.From, e.Label, e.To)
-		}
-	}
-
-	// Parent links: every directory's ".." must point at a directory that
-	// binds it back under some name (or at itself, for roots).
-	tr.Walk(func(p core.Path, e core.Entity) bool {
-		ctx, ok := w.ContextOf(e)
-		if !ok {
-			return true
-		}
-		parent := ctx.Lookup(dirtree.ParentName)
-		if parent.IsUndefined() {
-			if tr.ParentLinks {
-				r.add(Warn, "missing-parent-link", "directory /%s has no %q", p, dirtree.ParentName)
-			}
-			return true
-		}
-		if parent == e {
-			return true // self-parented root convention
-		}
-		parentCtx, ok := w.ContextOf(parent)
-		if !ok {
-			r.add(Warn, "parent-not-directory", "/%s's parent %v is not a directory", p, parent)
-			return true
-		}
-		for _, n := range parentCtx.Names() {
-			if parentCtx.Lookup(n) == e {
-				return true
-			}
-		}
-		r.add(Warn, "orphaned-parent-link",
-			"/%s's parent %v does not bind it back (stale after a move or multi-attach)", p, parent)
-		return true
-	})
-
-	// Sharing: entities reachable by more than one path are legal but
-	// noteworthy (they are what makes "the" path of an entity ambiguous).
-	pathsOf := make(map[core.EntityID][]string)
-	countShared := 0
-	var walkAll func(prefix core.Path, e core.Entity, depth int)
-	seenOnPath := make(map[core.EntityID]bool)
-	walkAll = func(prefix core.Path, e core.Entity, depth int) {
-		if depth > 16 || seenOnPath[e.ID] {
-			return
-		}
-		seenOnPath[e.ID] = true
-		defer delete(seenOnPath, e.ID)
-		ctx, ok := w.ContextOf(e)
-		if !ok {
-			return
-		}
-		for _, n := range ctx.Names() {
-			if n == dirtree.ParentName {
-				continue
-			}
-			child := ctx.Lookup(n)
-			if child.IsUndefined() {
-				continue
-			}
-			childPath := prefix.Append(n)
-			pathsOf[child.ID] = append(pathsOf[child.ID], childPath.String())
-			walkAll(childPath, child, depth+1)
-		}
-	}
-	walkAll(nil, tr.Root, 0)
-	var sharedIDs []core.EntityID
-	for id, paths := range pathsOf {
-		if len(paths) > 1 {
-			sharedIDs = append(sharedIDs, id)
-			countShared++
-		}
-	}
-	sort.Slice(sharedIDs, func(i, j int) bool { return sharedIDs[i] < sharedIDs[j] })
-	for _, id := range sharedIDs {
-		paths := pathsOf[id]
-		sort.Strings(paths)
-		r.add(Info, "shared-entity", "entity o%d reachable as /%s", id, strings.Join(paths, " and /"))
 	}
 	return r
 }

@@ -182,85 +182,3 @@ func MeasureResolvers(w *core.World, resolvers []Resolver, paths []core.Path) *R
 	}
 	return r
 }
-
-// PairMatrix records, for every pair of activities, the fraction of probe
-// names on which the two agree (same entity or same replica group; mutual
-// non-resolution also counts as agreement between the pair).
-type PairMatrix struct {
-	// Activities indexes the matrix.
-	Activities []core.Entity
-	// Agree[i][j] is the agreement fraction between Activities[i] and
-	// Activities[j]. The diagonal is 1.
-	Agree [][]float64
-}
-
-// MeasurePairs computes the pairwise agreement matrix over the probe paths.
-func MeasurePairs(w *core.World, resolve ResolveFunc, activities []core.Entity, paths []core.Path) *PairMatrix {
-	n := len(activities)
-	results := make([][]core.Entity, n)
-	for i, a := range activities {
-		results[i] = make([]core.Entity, len(paths))
-		for k, p := range paths {
-			e, _ := resolve(a, p)
-			results[i][k] = e
-		}
-	}
-	m := &PairMatrix{
-		Activities: append([]core.Entity(nil), activities...),
-		Agree:      make([][]float64, n),
-	}
-	for i := range m.Agree {
-		m.Agree[i] = make([]float64, n)
-		m.Agree[i][i] = 1
-	}
-	if len(paths) == 0 {
-		return m
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			agree := 0
-			for k := range paths {
-				ei, ej := results[i][k], results[j][k]
-				if ei == ej || w.SameReplica(ei, ej) {
-					agree++
-				}
-			}
-			frac := float64(agree) / float64(len(paths))
-			m.Agree[i][j] = frac
-			m.Agree[j][i] = frac
-		}
-	}
-	return m
-}
-
-// MinAgreement returns the smallest off-diagonal agreement fraction — the
-// weakest link in the probe set. Returns 1 for fewer than two activities.
-func (m *PairMatrix) MinAgreement() float64 {
-	minVal := 1.0
-	for i := range m.Agree {
-		for j := range m.Agree[i] {
-			if i != j && m.Agree[i][j] < minVal {
-				minVal = m.Agree[i][j]
-			}
-		}
-	}
-	return minVal
-}
-
-// MeanAgreement returns the mean off-diagonal agreement fraction. Returns 1
-// for fewer than two activities.
-func (m *PairMatrix) MeanAgreement() float64 {
-	n := len(m.Agree)
-	if n < 2 {
-		return 1
-	}
-	var sum float64
-	var cnt int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sum += m.Agree[i][j]
-			cnt++
-		}
-	}
-	return sum / float64(cnt)
-}

@@ -129,74 +129,6 @@ func TestReportDegreesEmptyAndVacuous(t *testing.T) {
 	}
 }
 
-func TestMeasurePairs(t *testing.T) {
-	w, acts, resolve := fixture(t)
-	paths := []core.Path{core.PathOf("g"), core.PathOf("x"), core.PathOf("bin"), core.PathOf("ghost")}
-	m := MeasurePairs(w, resolve, acts, paths)
-
-	if len(m.Agree) != 3 {
-		t.Fatalf("matrix size %d", len(m.Agree))
-	}
-	for i := range m.Agree {
-		if m.Agree[i][i] != 1 {
-			t.Fatal("diagonal not 1")
-		}
-	}
-	// Pairs agree on g (same), bin (replicas), ghost (both undefined);
-	// disagree on x: 3/4.
-	want := 0.75
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i == j {
-				continue
-			}
-			if math.Abs(m.Agree[i][j]-want) > 1e-9 {
-				t.Fatalf("Agree[%d][%d] = %v, want %v", i, j, m.Agree[i][j], want)
-			}
-		}
-	}
-	if got := m.MinAgreement(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("MinAgreement = %v", got)
-	}
-	if got := m.MeanAgreement(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("MeanAgreement = %v", got)
-	}
-}
-
-func TestMeasurePairsSymmetric(t *testing.T) {
-	w, acts, resolve := fixture(t)
-	paths := []core.Path{core.PathOf("g"), core.PathOf("x"), core.PathOf("half")}
-	m := MeasurePairs(w, resolve, acts, paths)
-	for i := range m.Agree {
-		for j := range m.Agree {
-			if m.Agree[i][j] != m.Agree[j][i] {
-				t.Fatalf("asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMeasurePairsNoPaths(t *testing.T) {
-	w, acts, resolve := fixture(t)
-	m := MeasurePairs(w, resolve, acts, nil)
-	if m.MinAgreement() != 0 && m.MinAgreement() != 1 {
-		// With no paths, off-diagonals stay 0 by construction; MinAgreement
-		// reflects that. Just assert no panic and a sane matrix size.
-		t.Fatalf("MinAgreement = %v", m.MinAgreement())
-	}
-	if len(m.Agree) != len(acts) {
-		t.Fatalf("matrix size %d", len(m.Agree))
-	}
-}
-
-func TestMeasurePairsSingle(t *testing.T) {
-	w, acts, resolve := fixture(t)
-	m := MeasurePairs(w, resolve, acts[:1], []core.Path{core.PathOf("x")})
-	if m.MeanAgreement() != 1 {
-		t.Fatalf("MeanAgreement for single activity = %v, want 1", m.MeanAgreement())
-	}
-}
-
 // Property: coherence is monotone under restriction — if a name is coherent
 // for a set of activities, it is coherent (or vacuous) for every subset.
 func TestCoherenceMonotoneUnderSubset(t *testing.T) {

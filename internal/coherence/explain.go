@@ -3,8 +3,6 @@ package coherence
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"namecoherence/internal/core"
 )
@@ -86,36 +84,4 @@ func (r *Report) String() string {
 		"probes=%d coherent=%d weak=%d incoherent=%d vacuous=%d strict=%.2f weak-degree=%.2f",
 		r.Total, r.Coherent, r.Weak, r.Incoherent, r.Vacuous,
 		r.StrictDegree(), r.WeakDegree())
-}
-
-// Incoherents returns the probe names classified incoherent, sorted.
-func (r *Report) Incoherents() []string {
-	var out []string
-	for name, o := range r.ByName {
-		if o == Incoherent {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Summary renders the report plus the (at most max) first incoherent
-// names, for log lines and CLI output.
-func (r *Report) Summary(max int) string {
-	var sb strings.Builder
-	sb.WriteString(r.String())
-	inc := r.Incoherents()
-	if len(inc) == 0 {
-		return sb.String()
-	}
-	sb.WriteString("; incoherent:")
-	for i, name := range inc {
-		if i == max {
-			fmt.Fprintf(&sb, " …(%d more)", len(inc)-max)
-			break
-		}
-		sb.WriteString(" " + name)
-	}
-	return sb.String()
 }

@@ -73,23 +73,3 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
-
-func TestReportIncoherentsAndSummary(t *testing.T) {
-	w, acts, resolve := fixture(t)
-	rep := Measure(w, resolve, acts, []core.Path{
-		core.PathOf("x"), core.PathOf("half"), core.PathOf("g"),
-	})
-	inc := rep.Incoherents()
-	if len(inc) != 2 || inc[0] != "half" || inc[1] != "x" {
-		t.Fatalf("Incoherents = %v", inc)
-	}
-	sum := rep.Summary(1)
-	if !strings.Contains(sum, "half") || !strings.Contains(sum, "(1 more)") {
-		t.Fatalf("Summary = %q", sum)
-	}
-	// A clean report has no incoherent suffix.
-	clean := Measure(w, resolve, acts, []core.Path{core.PathOf("g")})
-	if strings.Contains(clean.Summary(5), "incoherent:") {
-		t.Fatalf("clean Summary = %q", clean.Summary(5))
-	}
-}

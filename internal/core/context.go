@@ -21,8 +21,6 @@ type Context interface {
 	Unbind(Name)
 	// Names returns the bound names in sorted order.
 	Names() []Name
-	// Len returns the number of bound names.
-	Len() int
 }
 
 // BasicContext is the standard mutable Context backed by a map. The zero
@@ -59,7 +57,7 @@ func (c *BasicContext) lookupWatched(n Name) (e, dir Entity) {
 }
 
 // Bind binds name to entity. Binding to Undefined removes the binding, so
-// that Len and Names reflect only defined bindings.
+// that Names reflects only defined bindings.
 //
 // The key is stored as its own compact copy: names usually arrive as
 // substrings of something much larger (a spec line, a wire frame), and
@@ -99,13 +97,6 @@ func (c *BasicContext) Names() []Name {
 	c.mu.RUnlock()
 	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
 	return names
-}
-
-// Len returns the number of bindings.
-func (c *BasicContext) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.bindings)
 }
 
 // Clone returns an independent, unwatched copy of the context. Parent/child

@@ -30,8 +30,8 @@ func TestContextBindUndefinedIsUnbind(t *testing.T) {
 	c := NewContext()
 	c.Bind("x", f)
 	c.Bind("x", Undefined)
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after binding to undefined, want 0", c.Len())
+	if n := len(c.Names()); n != 0 {
+		t.Fatalf("%d names after binding to undefined, want 0", n)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestContextConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
+	if n := len(c.Names()); n != 0 {
+		t.Fatalf("%d names left, want 0", n)
 	}
 }
 

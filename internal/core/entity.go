@@ -16,18 +16,6 @@ const (
 	KindObject
 )
 
-// String returns a short human-readable kind tag.
-func (k Kind) String() string {
-	switch k {
-	case KindActivity:
-		return "activity"
-	case KindObject:
-		return "object"
-	default:
-		return "undefined"
-	}
-}
-
 // Entity denotes an element of the model's entity set E = A ∪ O ∪ {⊥E}.
 // The zero Entity is the undefined entity ⊥E, which every context maps
 // unbound names to (contexts are total functions in the model).

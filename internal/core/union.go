@@ -61,13 +61,3 @@ func (u *UnionContext) Names() []Name {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Len implements Context: the number of distinct bound names.
-func (u *UnionContext) Len() int { return len(u.Names()) }
-
-// Layers returns the union's layers in shadowing order.
-func (u *UnionContext) Layers() []Context {
-	out := make([]Context, len(u.layers))
-	copy(out, u.layers)
-	return out
-}

@@ -61,12 +61,6 @@ func TestUnionNamesAndLen(t *testing.T) {
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Fatalf("Names = %v", names)
 	}
-	if u.Len() != 3 {
-		t.Fatalf("Len = %d", u.Len())
-	}
-	if len(u.Layers()) != 2 {
-		t.Fatal("Layers wrong")
-	}
 }
 
 func TestUnionEmptyPanics(t *testing.T) {

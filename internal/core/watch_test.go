@@ -36,7 +36,7 @@ func TestWatchedContextNotifies(t *testing.T) {
 	if calls != 1 || gotName != "x" || gotEnt != e || !gotOld.IsUndefined() {
 		t.Fatalf("after bind: calls=%d name=%q old=%v new=%v", calls, gotName, gotOld, gotEnt)
 	}
-	if c.Lookup("x") != e || c.Len() != 1 || len(c.Names()) != 1 {
+	if c.Lookup("x") != e || len(c.Names()) != 1 {
 		t.Fatal("watched context lost its binding")
 	}
 	c.Unbind("x")

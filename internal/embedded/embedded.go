@@ -138,25 +138,3 @@ func (a *Assembler) assemble(chain []core.Entity, depth, maxDepth int, sep strin
 	}
 	return nil
 }
-
-// ResolveAll resolves every name embedded in the file at the end of chain
-// and returns the denoted entities in order.
-func ResolveAll(w *core.World, chain []core.Entity) ([]core.Entity, error) {
-	if len(chain) == 0 {
-		return nil, ErrEmptyChain
-	}
-	file := chain[len(chain)-1]
-	data, ok := w.State(file).(*dirtree.FileData)
-	if !ok {
-		return nil, fmt.Errorf("resolve-all %v: not a regular file", file)
-	}
-	out := make([]core.Entity, 0, len(data.Embedded))
-	for _, inc := range data.Embedded {
-		e, _, err := Resolve(w, chain, inc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}

@@ -338,22 +338,3 @@ func TestAssemblerErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestResolveAll(t *testing.T) {
-	w, tr, want := figure6(t)
-	chain := chainFor(t, tr, "proj/src/n")
-	got, err := ResolveAll(w, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != want {
-		t.Fatalf("ResolveAll = %v", got)
-	}
-	if _, err := ResolveAll(w, nil); !errors.Is(err, ErrEmptyChain) {
-		t.Fatalf("err = %v", err)
-	}
-	dir, _ := tr.Lookup(core.PathOf("proj"))
-	if _, err := ResolveAll(w, []core.Entity{tr.Root, dir}); err == nil {
-		t.Fatal("ResolveAll on a directory succeeded")
-	}
-}

@@ -28,22 +28,6 @@ const (
 	Reset
 )
 
-// String returns the mode tag.
-func (m Mode) String() string {
-	switch m {
-	case Pass:
-		return "pass"
-	case Drop:
-		return "drop"
-	case Hang:
-		return "hang"
-	case Reset:
-		return "reset"
-	default:
-		return "unknown"
-	}
-}
-
 // ErrReset is the error reads and writes return under Reset mode.
 var ErrReset = errors.New("faultnet: connection reset")
 
@@ -108,10 +92,11 @@ func (l *Listener) Accept() (net.Conn, error) {
 		}
 		mode := l.Mode()
 		if mode == Drop || mode == Reset {
-			_ = c.Close()
+			// Counted before the close, which is what the peer can observe.
 			l.mu.Lock()
 			l.drops++
 			l.mu.Unlock()
+			_ = c.Close()
 			continue
 		}
 		return &Conn{Conn: c, l: l, closed: make(chan struct{})}, nil

@@ -148,13 +148,6 @@ func (pm *PrefixMapper) Map(name string) (string, bool) {
 	return core.Separator + mapped.String(), true
 }
 
-// RuleCount returns the number of rules installed.
-func (pm *PrefixMapper) RuleCount() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return len(pm.rules)
-}
-
 // ExchangeOutcome reports what happened when a name crossed a boundary.
 type ExchangeOutcome struct {
 	// SenderEntity and ReceiverEntity are what the name denoted on each

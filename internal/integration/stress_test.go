@@ -87,7 +87,7 @@ func TestConcurrentNewcastleSoak(t *testing.T) {
 				// Spool names may or may not exist — both outcomes legal.
 				_, _ = child.Resolve(fmt.Sprintf("/spool/job%03d", i%50))
 				if home, err := proc.Resolve("/spool"); err == nil {
-					child.SetCwd(home)
+					child.Ctx.Bind(machine.CwdName, home)
 					_, _ = child.Resolve(fmt.Sprintf("job%03d", i%50))
 				}
 			}
@@ -129,9 +129,9 @@ func TestForkIsolationUnderConcurrency(t *testing.T) {
 			child := parent.Fork(fmt.Sprintf("c%d", i))
 			for j := 0; j < 200; j++ {
 				if j%2 == 0 {
-					child.SetCwd(d)
+					child.Ctx.Bind(machine.CwdName, d)
 				} else {
-					child.SetCwd(m.Tree.Root)
+					child.Ctx.Bind(machine.CwdName, m.Tree.Root)
 				}
 				if _, err := child.Resolve("/d/f"); err != nil {
 					t.Errorf("child %d: %v", i, err)
@@ -142,7 +142,7 @@ func TestForkIsolationUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	// The parent's cwd was never touched.
-	if parent.Cwd() != m.Tree.Root {
+	if parent.Ctx.Lookup(machine.CwdName) != m.Tree.Root {
 		t.Fatal("parent cwd mutated by children")
 	}
 }

@@ -59,17 +59,6 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
 }
 
-// Delete removes key if present and reports whether it was there.
-func (c *Cache[K, V]) Delete(key K) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.items, key)
-	return true
-}
-
 // DeleteFunc removes every entry for which keep returns false and returns
 // how many entries were removed. It visits entries in recency order.
 func (c *Cache[K, V]) DeleteFunc(keep func(key K, val V) bool) int {
@@ -95,6 +84,3 @@ func (c *Cache[K, V]) Clear() {
 
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int { return c.order.Len() }
-
-// Cap returns the capacity.
-func (c *Cache[K, V]) Cap() int { return c.capacity }

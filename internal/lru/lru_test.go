@@ -90,9 +90,6 @@ func TestDeleteFuncAndClear(t *testing.T) {
 	if removed != 3 || c.Len() != 3 {
 		t.Fatalf("DeleteFunc removed %d, Len = %d", removed, c.Len())
 	}
-	if !c.Delete(2) || c.Delete(2) {
-		t.Fatal("Delete(2) should succeed once")
-	}
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatalf("Len after Clear = %d", c.Len())

@@ -28,7 +28,6 @@ type Machine struct {
 
 	mu      sync.Mutex
 	nextPID int
-	procs   []*Process
 }
 
 // New creates a machine with a fresh local tree. Trees carry parent links
@@ -81,24 +80,13 @@ func (m *Machine) adopt(label string, ctx *core.BasicContext, parent *Process) *
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextPID++
-	p := &Process{
+	return &Process{
 		PID:      m.nextPID,
 		Activity: m.World.NewActivity(fmt.Sprintf("%s:%s", m.Name, label)),
 		Machine:  m,
 		Ctx:      ctx,
 		Parent:   parent,
 	}
-	m.procs = append(m.procs, p)
-	return p
-}
-
-// Processes returns the machine's processes in spawn order.
-func (m *Machine) Processes() []*Process {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Process, len(m.procs))
-	copy(out, m.procs)
-	return out
 }
 
 // Fork creates a child process on the same machine; the child inherits a
@@ -116,18 +104,6 @@ func (p *Process) Fork(label string) *Process {
 func (p *Process) ForkOn(target *Machine, label string) *Process {
 	return target.adopt(label, p.Ctx.Clone(), p)
 }
-
-// SetRoot rebinds the process's root directory.
-func (p *Process) SetRoot(dir core.Entity) { p.Ctx.Bind(RootName, dir) }
-
-// SetCwd rebinds the process's working directory.
-func (p *Process) SetCwd(dir core.Entity) { p.Ctx.Bind(CwdName, dir) }
-
-// Root returns the process's root directory binding.
-func (p *Process) Root() core.Entity { return p.Ctx.Lookup(RootName) }
-
-// Cwd returns the process's working-directory binding.
-func (p *Process) Cwd() core.Entity { return p.Ctx.Lookup(CwdName) }
 
 // Resolve resolves a textual name in the process's context: absolute names
 // ("/a/b") start at the root binding, relative ones at the working
@@ -157,15 +133,6 @@ func (p *Process) ResolveTrail(name string) (core.Entity, []core.Entity, error) 
 		return core.Undefined, nil, fmt.Errorf("resolve %q: start is not a directory", name)
 	}
 	return p.Machine.World.ResolveTrail(startCtx, path)
-}
-
-// ResolvePath resolves a pre-parsed path with explicit absoluteness.
-func (p *Process) ResolvePath(abs bool, path core.Path) (core.Entity, error) {
-	s := path.String()
-	if abs {
-		s = core.Separator + s
-	}
-	return p.Resolve(s)
 }
 
 // Registry maps activity entities back to processes, so that scheme-level
@@ -204,14 +171,5 @@ func (r *Registry) ResolveAbs(a core.Entity, path core.Path) (core.Entity, error
 	if !ok {
 		return core.Undefined, fmt.Errorf("activity %v: no process registered", a)
 	}
-	return p.ResolvePath(true, path)
-}
-
-// ResolveRel resolves path as a relative name on behalf of activity a.
-func (r *Registry) ResolveRel(a core.Entity, path core.Path) (core.Entity, error) {
-	p, ok := r.Get(a)
-	if !ok {
-		return core.Undefined, fmt.Errorf("activity %v: no process registered", a)
-	}
-	return p.ResolvePath(false, path)
+	return p.Resolve(core.Separator + path.String())
 }

@@ -76,15 +76,6 @@ func (s *Server) Unbind(dir core.Path, name core.Name) (uint64, error) {
 	return rev, err
 }
 
-// Mkcontext creates a fresh directory bound as name under the directory
-// at dir, returning the new entity and the revision it committed at. The
-// new directory joins the export watch immediately — before it is
-// reachable — so a bind inside it can never mutate the graph without a
-// revision bump.
-func (s *Server) Mkcontext(dir core.Path, name core.Name) (core.Entity, uint64, error) {
-	return s.applyMutation(mutation{op: OpMkcontext, dir: dir, name: name})
-}
-
 // applyMutation validates and applies one mutation under the write mutex.
 // It returns the created entity (mkcontext only) and the revision the
 // mutation committed at.

@@ -79,7 +79,7 @@ func TestFramesSayWhatChanged(t *testing.T) {
 		t.Fatalf("resolve of usr = %+v, want entity %d looked up in the export root, %d", resp, usr.ID, tr.Root.ID)
 	}
 
-	if _, _, err := s.Mkcontext(usrBin, "sub"); err != nil {
+	if _, _, err := s.applyMutation(mutation{op: OpMkcontext, dir: usrBin, name: "sub"}); err != nil {
 		t.Fatal(err)
 	}
 	wantFrame(t, r, "mkcontext", next(), core.Undefined, "")

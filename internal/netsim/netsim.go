@@ -36,23 +36,17 @@ type Message struct {
 // Errors returned by network operations.
 var (
 	ErrUnreachable  = errors.New("address unreachable")
-	ErrPartitioned  = errors.New("networks partitioned")
 	ErrDuplicate    = errors.New("address already registered")
 	ErrIncomplete   = errors.New("address incomplete")
-	ErrClosed       = errors.New("endpoint closed")
 	ErrNoSuchTarget = errors.New("no endpoints matched")
 )
 
 // Endpoint is a registered receiver with a mailbox. Its address may change
 // while registered (renumbering); Addr always returns the current one.
 type Endpoint struct {
-	net *Network
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	addr   Addr
-	queue  []Message
-	closed bool
+	mu    sync.Mutex
+	addr  Addr
+	queue []Message
 }
 
 // Addr returns the endpoint's current address.
@@ -65,11 +59,7 @@ func (e *Endpoint) Addr() Addr {
 func (e *Endpoint) deliver(m Message) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
 	e.queue = append(e.queue, m)
-	e.cond.Signal()
 }
 
 // TryRecv dequeues the next message without blocking.
@@ -84,57 +74,15 @@ func (e *Endpoint) TryRecv() (Message, bool) {
 	return m, true
 }
 
-// Recv blocks until a message arrives or the endpoint is closed.
-func (e *Endpoint) Recv() (Message, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.queue) == 0 {
-		return Message{}, ErrClosed
-	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m, nil
-}
-
-// Pending returns the number of queued messages.
-func (e *Endpoint) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
-
-// Close closes the endpoint and unregisters it from the network; blocked
-// receivers return ErrClosed.
-func (e *Endpoint) Close() {
-	e.net.unregister(e)
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// Stats counts network traffic.
-type Stats struct {
-	Sent, Delivered, Dropped int
-}
-
 // Network is the registry and router for endpoints.
 type Network struct {
-	mu         sync.Mutex
-	endpoints  map[Addr]*Endpoint
-	partitions map[[2]uint32]bool // unordered pair of network ids, stored ordered
-	stats      Stats
+	mu        sync.Mutex
+	endpoints map[Addr]*Endpoint
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
-	return &Network{
-		endpoints:  make(map[Addr]*Endpoint),
-		partitions: make(map[[2]uint32]bool),
-	}
+	return &Network{endpoints: make(map[Addr]*Endpoint)}
 }
 
 // Register creates an endpoint at the given (complete) address.
@@ -147,67 +95,20 @@ func (n *Network) Register(a Addr) (*Endpoint, error) {
 	if _, ok := n.endpoints[a]; ok {
 		return nil, fmt.Errorf("register %v: %w", a, ErrDuplicate)
 	}
-	e := &Endpoint{net: n, addr: a}
-	e.cond = sync.NewCond(&e.mu)
+	e := &Endpoint{addr: a}
 	n.endpoints[a] = e
 	return e, nil
 }
 
-func (n *Network) unregister(e *Endpoint) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.endpoints, e.Addr())
-}
-
-// Lookup returns the endpoint at a, if any.
-func (n *Network) Lookup(a Addr) (*Endpoint, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	e, ok := n.endpoints[a]
-	return e, ok
-}
-
-func pairKey(a, b uint32) [2]uint32 {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]uint32{a, b}
-}
-
-// Partition severs delivery between two network ids (both directions).
-func (n *Network) Partition(netA, netB uint32) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partitions[pairKey(netA, netB)] = true
-}
-
-// Heal restores delivery between two network ids.
-func (n *Network) Heal(netA, netB uint32) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.partitions, pairKey(netA, netB))
-}
-
 // Send routes a payload from `from` to `to`. Delivery fails with
-// ErrUnreachable if no endpoint is registered at `to`, or ErrPartitioned if
-// the two networks are partitioned. Failed sends count as dropped.
+// ErrUnreachable if no endpoint is registered at `to`.
 func (n *Network) Send(from, to Addr, payload any) error {
 	n.mu.Lock()
-	n.stats.Sent++
-	if from.Net != to.Net && n.partitions[pairKey(from.Net, to.Net)] {
-		n.stats.Dropped++
-		n.mu.Unlock()
-		return fmt.Errorf("send %v->%v: %w", from, to, ErrPartitioned)
-	}
 	ep, ok := n.endpoints[to]
+	n.mu.Unlock()
 	if !ok {
-		n.stats.Dropped++
-		n.mu.Unlock()
 		return fmt.Errorf("send %v->%v: %w", from, to, ErrUnreachable)
 	}
-	n.stats.Delivered++
-	n.mu.Unlock()
-
 	ep.deliver(Message{From: from, To: to, Payload: payload})
 	return nil
 }
@@ -273,18 +174,4 @@ func (n *Network) RenumberNetwork(oldNet, newNet uint32) (int, error) {
 		n.endpoints[a] = ep
 	}
 	return len(moved), nil
-}
-
-// Stats returns a snapshot of traffic counters.
-func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
-// EndpointCount returns the number of registered endpoints.
-func (n *Network) EndpointCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.endpoints)
 }

@@ -40,28 +40,6 @@ func (p *Proc) Attach(at core.Path, name core.Name, root core.Entity) error {
 	return p.NS.Attach(at, name, root)
 }
 
-// AttachShadow binds name in the directory at `at` even when the name is
-// already visible there — in a shared (union) namespace the binding goes
-// to the process's writable overlay and shadows the inherited one; in a
-// plain namespace it simply rebinds.
-func (p *Proc) AttachShadow(at core.Path, name core.Name, root core.Entity) error {
-	dir, err := p.NS.Lookup(at)
-	if err != nil {
-		return fmt.Errorf("attach-shadow at %q: %w", at, err)
-	}
-	ctx, ok := p.NS.W.ContextOf(dir)
-	if !ok {
-		return fmt.Errorf("attach-shadow at %q: not a directory", at)
-	}
-	ctx.Bind(name, root)
-	return nil
-}
-
-// Detach removes an attachment.
-func (p *Proc) Detach(at core.Path, name core.Name) error {
-	return p.NS.Detach(at, name)
-}
-
 // Resolve resolves a textual name in the process's namespace.
 func (p *Proc) Resolve(name string) (core.Entity, error) {
 	return p.Process.Resolve(name)
@@ -95,18 +73,8 @@ func RemoteExec(p *Proc, target *machine.Machine, label string) (*Proc, error) {
 // copies at fork time ("coherence … until one of them modifies its
 // context", §5.1 — ForkShared keeps the coherence alive).
 func (p *Proc) ForkShared(label string) (*Proc, error) {
-	return shareOnto(p, p.Process.Machine, label, false)
-}
-
-// RemoteExecShared is RemoteExec with shared (union) namespace semantics:
-// the child overlays /local with the target machine's tree but otherwise
-// tracks the parent's namespace live.
-func RemoteExecShared(p *Proc, target *machine.Machine, label string) (*Proc, error) {
-	return shareOnto(p, target, label, true)
-}
-
-func shareOnto(p *Proc, target *machine.Machine, label string, rebindLocal bool) (*Proc, error) {
-	w := target.World
+	m := p.Process.Machine
+	w := m.World
 	parentRootCtx, ok := w.ContextOf(p.NS.Root)
 	if !ok {
 		return nil, fmt.Errorf("share namespace: parent root is not a context object")
@@ -117,13 +85,10 @@ func shareOnto(p *Proc, target *machine.Machine, label string, rebindLocal bool)
 	if err := w.SetState(rootObj, union); err != nil {
 		return nil, err
 	}
-	if rebindLocal {
-		overlay.Bind(LocalName, target.Tree.Root)
-	}
 	ctx := core.NewContext()
 	ctx.Bind(machine.RootName, rootObj)
 	ctx.Bind(machine.CwdName, rootObj)
-	child := target.SpawnWith(label, ctx)
+	child := m.SpawnWith(label, ctx)
 	child.Parent = p.Process
 	return &Proc{Process: child, NS: &dirtree.Tree{W: w, Root: rootObj}}, nil
 }

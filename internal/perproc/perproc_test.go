@@ -62,7 +62,7 @@ func TestAttachAndDetach(t *testing.T) {
 	if got != want {
 		t.Fatal("attached subsystem not visible")
 	}
-	if err := p.Detach(nil, "proj"); err != nil {
+	if err := p.NS.Detach(nil, "proj"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Resolve("/proj/src/main"); err == nil {
@@ -108,7 +108,7 @@ func TestForkCopiesBindings(t *testing.T) {
 		t.Fatalf("child does not share parent's view: %v vs %v (%v)", cGot, pGot, err)
 	}
 	// The copy is one level deep: child detaching does not affect parent.
-	if err := child.Detach(nil, "proj"); err != nil {
+	if err := child.NS.Detach(nil, "proj"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := parent.Resolve("/proj/src/main"); err != nil {
@@ -293,10 +293,10 @@ func TestForkSharedShadowing(t *testing.T) {
 	if err := shared.Attach(nil, LocalName, other.Root); err == nil {
 		t.Fatal("Attach over an inherited binding should fail")
 	}
-	// AttachShadow overlays it.
-	if err := shared.AttachShadow(nil, LocalName, other.Root); err != nil {
-		t.Fatal(err)
-	}
+	// Binding straight into the child's root context goes to its overlay
+	// and shadows the inherited name.
+	rootCtx, _ := w.ContextOf(shared.NS.Root)
+	rootCtx.Bind(LocalName, other.Root)
 	got, err := shared.Resolve("/local/marker")
 	if err != nil || got != marker {
 		t.Fatalf("shadowed local = %v, %v", got, err)
@@ -304,33 +304,5 @@ func TestForkSharedShadowing(t *testing.T) {
 	// Parent's /local unchanged.
 	if _, err := parent.Resolve("/local/marker"); err == nil {
 		t.Fatal("parent local shadowed too")
-	}
-}
-
-func TestRemoteExecShared(t *testing.T) {
-	_, m1, m2, proj := setup(t)
-	parent, err := New(m1, "parent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := RemoteExecShared(parent, m2, "child")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// /local overlays the target machine.
-	if _, err := child.Resolve("/local/data/two"); err != nil {
-		t.Fatalf("child /local: %v", err)
-	}
-	if _, err := child.Resolve("/local/data/one"); err == nil {
-		t.Fatal("child /local still reaches parent machine")
-	}
-	// Live tracking: a post-exec parent attach is visible remotely.
-	if err := parent.Attach(nil, "proj", proj.Root); err != nil {
-		t.Fatal(err)
-	}
-	pGot, _ := parent.Resolve("/proj/src/main")
-	cGot, err := child.Resolve("/proj/src/main")
-	if err != nil || pGot != cGot {
-		t.Fatalf("live coherence broken: %v vs %v (%v)", cGot, pGot, err)
 	}
 }

@@ -42,9 +42,6 @@ func NewNode(nw *netsim.Network, addr netsim.Addr, name string) (*Node, error) {
 // Addr returns the node's current address (reflects renumbering).
 func (n *Node) Addr() netsim.Addr { return n.endpoint.Addr() }
 
-// Close unregisters the node's endpoint.
-func (n *Node) Close() { n.endpoint.Close() }
-
 // Hold stores a reference in the node's context.
 func (n *Node) Hold(subject string, p PID) {
 	n.mu.Lock()
@@ -58,13 +55,6 @@ func (n *Node) Held(subject string) (PID, bool) {
 	defer n.mu.Unlock()
 	p, ok := n.held[subject]
 	return p, ok
-}
-
-// HeldCount returns the number of references held.
-func (n *Node) HeldCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.held)
 }
 
 // SendRef sends the reference held for subject to the node at `to`.

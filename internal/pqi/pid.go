@@ -46,10 +46,6 @@ func (p PID) Level() int {
 	}
 }
 
-// Valid reports whether the pid has one of the four well-formed
-// qualification levels.
-func (p PID) Valid() bool { return p.Level() >= 0 }
-
 // Absolute resolves the pid in the context of a process at holder: each
 // unqualified component is taken from the holder's address. This is the
 // meaning of a pid relative to its context of reference.

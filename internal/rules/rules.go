@@ -97,13 +97,10 @@ func (e *NoContextError) Error() string {
 }
 
 // Assoc is the table backing a rule of the form R(x): it associates entities
-// with contexts. An optional fallback context serves entities with no entry
-// (the degenerate case of a single shared context is an Assoc with only a
-// fallback). Assoc is safe for concurrent use.
+// with contexts. Assoc is safe for concurrent use.
 type Assoc struct {
 	mu       sync.RWMutex
 	contexts map[core.EntityID]core.Context
-	fallback core.Context
 }
 
 // NewAssoc returns an empty association table.
@@ -118,40 +115,12 @@ func (a *Assoc) Set(e core.Entity, c core.Context) {
 	a.contexts[e.ID] = c
 }
 
-// Remove deletes the association for e.
-func (a *Assoc) Remove(e core.Entity) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.contexts, e.ID)
-}
-
-// Get returns the context associated with e, consulting the fallback if e
-// has no entry.
+// Get returns the context associated with e.
 func (a *Assoc) Get(e core.Entity) (core.Context, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if c, ok := a.contexts[e.ID]; ok {
-		return c, true
-	}
-	if a.fallback != nil {
-		return a.fallback, true
-	}
-	return nil, false
-}
-
-// SetFallback sets the context served to entities with no entry. A single
-// global context shared by all activities is SetFallback with no Set calls.
-func (a *Assoc) SetFallback(c core.Context) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.fallback = c
-}
-
-// Len returns the number of explicit associations (excluding the fallback).
-func (a *Assoc) Len() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.contexts)
+	c, ok := a.contexts[e.ID]
+	return c, ok
 }
 
 // ActivityRule is R(activity): the common operating-system rule that
@@ -263,23 +232,3 @@ func (r *FixedRule) String() string {
 	}
 	return r.Label
 }
-
-// FuncRule adapts a function to the Rule interface; experiments use it for
-// ad-hoc composed rules (e.g. the hypothetical R(receiver, sender) the paper
-// mentions and dismisses).
-type FuncRule struct {
-	// SelectFunc is invoked for Select.
-	SelectFunc func(m Circumstance) (core.Context, error)
-	// Label is returned by String.
-	Label string
-}
-
-var _ Rule = (*FuncRule)(nil)
-
-// Select implements Rule.
-func (r *FuncRule) Select(m Circumstance) (core.Context, error) {
-	return r.SelectFunc(m)
-}
-
-// String implements Rule.
-func (r *FuncRule) String() string { return r.Label }

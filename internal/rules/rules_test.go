@@ -61,19 +61,8 @@ func TestAssoc(t *testing.T) {
 	if !ok || got != core.Context(c) {
 		t.Fatal("Get after Set failed")
 	}
-	if assoc.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", assoc.Len())
-	}
-	assoc.Remove(a)
-	if _, ok := assoc.Get(a); ok {
-		t.Fatal("Get after Remove succeeded")
-	}
-
-	fb := core.NewContext()
-	assoc.SetFallback(fb)
-	got, ok = assoc.Get(a)
-	if !ok || got != core.Context(fb) {
-		t.Fatal("fallback not served")
+	if _, ok := assoc.Get(w.NewActivity("b")); ok {
+		t.Fatal("Get served an activity that has no entry")
 	}
 }
 
@@ -223,27 +212,6 @@ func TestFixedRule(t *testing.T) {
 	}
 	if empty.String() != "R(global)" {
 		t.Fatalf("String = %q", empty.String())
-	}
-}
-
-func TestFuncRule(t *testing.T) {
-	w, a1, _, assoc, _, x1, _ := twoActivityWorld(t)
-	r := &FuncRule{
-		Label: "R(custom)",
-		SelectFunc: func(m Circumstance) (core.Context, error) {
-			c, _ := assoc.Get(m.Activity)
-			return c, nil
-		},
-	}
-	if r.String() != "R(custom)" {
-		t.Fatalf("String = %q", r.String())
-	}
-	got, err := NewResolver(w, r).Resolve(Internal(a1), core.PathOf("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != x1 {
-		t.Fatalf("got %v", got)
 	}
 }
 

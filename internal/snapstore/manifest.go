@@ -75,20 +75,6 @@ func (s *Store) latestLocked(shard int) (ManifestEntry, bool) {
 	return ManifestEntry{}, false
 }
 
-// History returns the shard's committed snapshots, oldest first — the
-// revision history of its naming graph.
-func (s *Store) History(shard int) []ManifestEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []ManifestEntry
-	for _, e := range s.man.History {
-		if e.Shard == shard {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // readManifest loads dir's manifest; a missing file is an empty history.
 func readManifest(dir string) (manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))

@@ -11,7 +11,6 @@ import (
 type Counter struct {
 	mu     sync.Mutex
 	counts map[core.EntityID]int64
-	total  int64
 }
 
 // NewCounter returns an empty counter.
@@ -32,7 +31,6 @@ var _ core.Context = (*countingContext)(nil)
 func (c *countingContext) Lookup(n core.Name) core.Entity {
 	c.counter.mu.Lock()
 	c.counter.counts[c.id]++
-	c.counter.total++
 	c.counter.mu.Unlock()
 	return c.inner.Lookup(n)
 }
@@ -45,9 +43,6 @@ func (c *countingContext) Unbind(n core.Name) { c.inner.Unbind(n) }
 
 // Names implements core.Context.
 func (c *countingContext) Names() []core.Name { return c.inner.Names() }
-
-// Len implements core.Context.
-func (c *countingContext) Len() int { return c.inner.Len() }
 
 // Wrap returns a counting context attributing lookups to e.
 func (c *Counter) Wrap(e core.Entity, inner core.Context) core.Context {
@@ -86,13 +81,6 @@ func (c *Counter) Count(e core.Entity) int64 {
 	return c.counts[e.ID]
 }
 
-// Total returns all counted lookups.
-func (c *Counter) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // Load is one context's share of the traffic.
 type Load struct {
 	// Entity is the context object.
@@ -119,12 +107,4 @@ func (c *Counter) Top(n int) []Load {
 		loads = loads[:n]
 	}
 	return loads
-}
-
-// Reset clears all counts.
-func (c *Counter) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counts = make(map[core.EntityID]int64)
-	c.total = 0
 }

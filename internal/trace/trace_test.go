@@ -28,7 +28,7 @@ func TestCountsPerLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Reset()
+	rootBefore, aBefore := c.Count(tr.Root), c.Count(a)
 
 	// Each full resolution of a/b/leaf does one lookup in each of the
 	// root, a and b contexts.
@@ -37,14 +37,11 @@ func TestCountsPerLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Count(tr.Root); got != 10 {
+	if got := c.Count(tr.Root) - rootBefore; got != 10 {
 		t.Fatalf("root count = %d, want 10", got)
 	}
-	if got := c.Count(a); got != 10 {
+	if got := c.Count(a) - aBefore; got != 10 {
 		t.Fatalf("a count = %d, want 10", got)
-	}
-	if got := c.Total(); got != 30 {
-		t.Fatalf("total = %d, want 30", got)
 	}
 }
 
@@ -90,22 +87,8 @@ func TestMutationsPassThrough(t *testing.T) {
 	if got := rootCtx.Lookup("new"); !got.IsUndefined() {
 		t.Fatal("unbind through wrapper failed")
 	}
-	if rootCtx.Len() != 1 || len(rootCtx.Names()) != 1 {
-		t.Fatal("Len/Names delegation broken")
+	if len(rootCtx.Names()) != 1 {
+		t.Fatal("Names delegation broken")
 	}
 	_ = c
-}
-
-func TestReset(t *testing.T) {
-	_, tr, c := build(t)
-	if _, err := tr.Lookup(core.ParsePath("a/b/leaf")); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if c.Total() != 0 || c.Count(tr.Root) != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	if len(c.Top(5)) != 0 {
-		t.Fatal("Top after reset not empty")
-	}
 }

@@ -176,12 +176,3 @@ func Dump(tr *dirtree.Tree, out io.Writer) error {
 	}
 	return nil
 }
-
-// DumpString is Dump into a string.
-func DumpString(tr *dirtree.Tree) (string, error) {
-	var sb strings.Builder
-	if err := Dump(tr, &sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}

@@ -89,13 +89,19 @@ func TestParseSyntaxErrorIsTyped(t *testing.T) {
 	}
 }
 
+func dumpString(tr *dirtree.Tree) (string, error) {
+	var sb strings.Builder
+	err := Dump(tr, &sb)
+	return sb.String(), err
+}
+
 func TestDumpRoundTrip(t *testing.T) {
 	w := core.NewWorld()
 	tr, err := Build(demoSpec, w, "demo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump1, err := DumpString(tr)
+	dump1, err := dumpString(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\nspec:\n%s", err, dump1)
 	}
-	dump2, err := DumpString(tr2)
+	dump2, err := dumpString(tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestDumpQuotesTrickyContent(t *testing.T) {
 	if _, err := tr.Create(core.ParsePath("f"), tricky); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := DumpString(tr)
+	dump, err := dumpString(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +155,7 @@ func TestDumpOpaqueEntities(t *testing.T) {
 	if err := tr.Attach(nil, "proc", act); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := DumpString(tr)
+	dump, err := dumpString(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ func New(seed int64) *Generator {
 // Intn returns a uniform int in [0, n).
 func (g *Generator) Intn(n int) int { return g.rng.Intn(n) }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (g *Generator) Float64() float64 { return g.rng.Float64() }
-
 // Names generates n distinct simple names with the given prefix.
 func (g *Generator) Names(n int, prefix string) []core.Name {
 	out := make([]core.Name, n)

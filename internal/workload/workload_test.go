@@ -126,8 +126,8 @@ func TestObjectContext(t *testing.T) {
 	if !ok {
 		t.Fatal("no context associated")
 	}
-	if ctx.Len() != 10 {
-		t.Fatalf("object context has %d bindings, want 10", ctx.Len())
+	if n := len(ctx.Names()); n != 10 {
+		t.Fatalf("object context has %d bindings, want 10", n)
 	}
 
 	// Under R(object), embedded names are coherent for all activities.

@@ -89,8 +89,6 @@ type (
 	ObjectRule = rules.ObjectRule
 	// FixedRule is the single-global-context closure.
 	FixedRule = rules.FixedRule
-	// FuncRule adapts a function to the Rule interface.
-	FuncRule = rules.FuncRule
 	// Resolver couples a World with a Rule.
 	Resolver = rules.Resolver
 	// NoContextError reports a rule with no context for its key entity.
@@ -126,8 +124,6 @@ type (
 	ResolveFunc = coherence.ResolveFunc
 	// Report aggregates outcomes over a probe set.
 	Report = coherence.Report
-	// PairMatrix is the pairwise agreement matrix.
-	PairMatrix = coherence.PairMatrix
 	// ServiceResolver is a client-side view of a naming service: anything
 	// that resolves a compound name to an entity (sharded clients
 	// included); MeasureResolvers probes coherence across a set of them.
@@ -148,8 +144,6 @@ var (
 	CheckName = coherence.CheckName
 	// Measure probes a set of names across activities.
 	Measure = coherence.Measure
-	// MeasurePairs computes pairwise agreement fractions.
-	MeasurePairs = coherence.MeasurePairs
 	// MeasureResolvers probes names across service clients (e.g. the
 	// failover clients of a replicated sharded cluster).
 	MeasureResolvers = coherence.MeasureResolvers

@@ -122,8 +122,6 @@ var (
 	ScopeChain = embedded.Chain
 	// ResolveEmbedded resolves an embedded name per the scope rule.
 	ResolveEmbedded = embedded.Resolve
-	// ResolveAllEmbedded resolves every name embedded in a file.
-	ResolveAllEmbedded = embedded.ResolveAll
 )
 
 // Partially qualified identifiers (§6 Ex. 1).
@@ -176,8 +174,6 @@ var (
 	// RemoteExec runs a child remotely in the parent's arranged context
 	// (bindings copied at exec time).
 	RemoteExec = perproc.RemoteExec
-	// RemoteExecShared is RemoteExec with live (union) namespace sharing.
-	RemoteExecShared = perproc.RemoteExecShared
 )
 
 // Name service over the wire.
@@ -280,8 +276,6 @@ type (
 var (
 	// CheckWorld scans a world's naming graph for defects.
 	CheckWorld = check.World
-	// CheckTree scans a tree (reachability, parent links, sharing).
-	CheckTree = check.Tree
 	// ParseTreeSpec builds a tree from the treespec text format.
 	ParseTreeSpec = treespec.Parse
 	// BuildTreeSpec builds a tree from a treespec string.
