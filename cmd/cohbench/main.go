@@ -32,12 +32,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	matched := false
-	for _, e := range experiments.Index() {
-		if *list {
+	index := experiments.Index()
+	if *list {
+		for _, e := range index {
 			fmt.Fprintf(out, "%-4s %s\n", e.ID, e.Title)
-			continue
 		}
+		return nil
+	}
+	matched := false
+	for _, e := range index {
 		if *only != "" && e.ID != *only {
 			continue
 		}
@@ -48,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, t.String())
 	}
-	if *only != "" && !*list && !matched {
+	if !matched {
 		return fmt.Errorf("no experiment %q (try -list)", *only)
 	}
 	return nil

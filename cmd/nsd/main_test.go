@@ -301,3 +301,33 @@ func TestBannerAndListenAddrByShape(t *testing.T) {
 		})
 	}
 }
+
+// A -readonly daemon resolves, refuses every write verb with "server is
+// read-only", and its revision does not move.
+func TestReadOnlyRefusesWrites(t *testing.T) {
+	addr, wait := startDaemon(t, "-readonly", "-addr", "127.0.0.1:0")
+	before := resolveAll(t, addr, []string{"usr/bin/ls"})[0]
+
+	cl, err := nameserver.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usrBin := core.ParsePath("usr/bin")
+	_, bindErr := cl.Bind(usrBin, "ls2", before.ent)
+	_, unbindErr := cl.Unbind(usrBin, "ls")
+	_, _, mkErr := cl.Mkcontext(core.ParsePath("usr"), "local")
+	_ = cl.Close()
+	for verb, err := range map[string]error{"bind": bindErr, "unbind": unbindErr, "mkcontext": mkErr} {
+		if err == nil || !strings.Contains(err.Error(), "server is read-only") {
+			t.Errorf("%s on a -readonly daemon: %v, want \"server is read-only\"", verb, err)
+		}
+	}
+
+	if after := resolveAll(t, addr, []string{"usr/bin/ls"})[0]; after != before {
+		t.Errorf("after the refused writes /usr/bin/ls = %+v, was %+v", after, before)
+	}
+	sigterm(t)
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -160,6 +161,9 @@ func TestResolveThroughNonContext(t *testing.T) {
 	}
 	if nc.Entity != ents["ls"] || nc.Depth != 2 {
 		t.Fatalf("NotContextError = %+v", nc)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "component 2") || !strings.Contains(msg, "not a context object") {
+		t.Fatalf("message %q does not say which component is not a context", msg)
 	}
 }
 

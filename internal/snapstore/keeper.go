@@ -17,6 +17,10 @@ type Keeper struct {
 	st       *Store
 	interval time.Duration
 
+	// flushMu serialises Flush — the periodic loop, callers and Close —
+	// and so guards every trackedShard's lastRev/hasLast once tracked.
+	flushMu sync.Mutex
+
 	mu      sync.Mutex
 	tracked []*trackedShard
 	stop    chan struct{}
@@ -98,8 +102,10 @@ func (k *Keeper) Start() {
 
 // Flush snapshots and commits every tracked shard whose revision moved
 // since its last commit. Errors from individual shards are joined; the
-// remaining shards still flush.
+// remaining shards still flush. Safe to call beside the periodic loop.
 func (k *Keeper) Flush() error {
+	k.flushMu.Lock()
+	defer k.flushMu.Unlock()
 	k.mu.Lock()
 	tracked := append([]*trackedShard(nil), k.tracked...)
 	k.mu.Unlock()

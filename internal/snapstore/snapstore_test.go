@@ -3,7 +3,9 @@ package snapstore
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"namecoherence/internal/cas"
 	"namecoherence/internal/core"
@@ -453,6 +455,30 @@ func TestCatchUpCopiesOnlyMissingSubtrees(t *testing.T) {
 	requireSameSignature(t, signature(t, tr), signature(t, tr3))
 }
 
+// A node blob cut short anywhere is refused as ErrTruncated, never decoded
+// into a smaller node: the reader's first framing error sticks.
+func TestDecodeNodeRejectsTruncated(t *testing.T) {
+	nodes := map[string]*Node{
+		"dir": {Kind: KindDir, EntityKind: core.KindObject, Entries: []Entry{
+			{Name: "up", Ref: Ref{IsCycle: true, Cycle: 1}},
+			{Name: "leaf", Ref: Ref{Hash: cas.Sum([]byte("leaf"))}},
+		}},
+		"file":   {Kind: KindFile, Content: "body", Embedded: []core.Path{core.ParsePath("lib/x"), core.PathOf("y")}},
+		"opaque": {Kind: KindOpaque, EntityKind: core.KindActivity, Label: "proc"},
+	}
+	for name, n := range nodes {
+		blob := n.Encode()
+		if _, err := DecodeNode(blob); err != nil {
+			t.Fatalf("%s: whole blob: %v", name, err)
+		}
+		for cut := 0; cut < len(blob); cut++ {
+			if _, err := DecodeNode(blob[:cut]); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s cut at %d of %d: err = %v, want ErrTruncated", name, cut, len(blob), err)
+			}
+		}
+	}
+}
+
 func TestManifestCommitLatestHistory(t *testing.T) {
 	st := newMemStore()
 	w := core.NewWorld()
@@ -592,6 +618,41 @@ func TestKeeperFlushAndClose(t *testing.T) {
 	}
 	if snaps != 2 {
 		t.Fatalf("second Close snapshotted again: snaps = %d", snaps)
+	}
+}
+
+// Flush is callable beside the periodic loop: the two serialise inside the
+// keeper, so a shard's last-committed revision is never read and written at
+// once (run under -race) and no revision is committed out of order.
+func TestKeeperFlushBesidePeriodicLoop(t *testing.T) {
+	st := newMemStore()
+	w := core.NewWorld()
+	tr := dirtree.New(w, "root")
+	buildSample(t, tr)
+
+	var rev atomic.Uint64
+	rev.Store(1)
+	k := NewKeeper(st, time.Millisecond)
+	k.Track(0, rev.Load, func() (cas.Hash, uint64, error) {
+		at := rev.Load()
+		h, err := st.Snapshot(w, tr.Root)
+		return h, at, err
+	})
+	k.Start()
+	for i := 0; i < 200; i++ {
+		rev.Add(1)
+		if err := k.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i%20 == 0 {
+			time.Sleep(2 * time.Millisecond) // let the loop's tick land between flushes
+		}
+	}
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if last, ok := st.Latest(0); !ok || last.Rev != rev.Load() {
+		t.Fatalf("Latest(0) = %+v, %v; want revision %d", last, ok, rev.Load())
 	}
 }
 
