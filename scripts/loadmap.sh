@@ -159,7 +159,7 @@ say "driving nsd and nsq by hand (what the smoke does not)"
 say "nsload smoke: all four workloads, both modes (about 70 s)"
 GOFLAGS=-cover bash bench/run.sh -smoke >"$logs/smoke.log" 2>&1
 grep -o '"attempted":[0-9]*,"failed":[0-9]*' "$logs/smoke.log" | tr -c '0-9\n' ' ' |
-	awk '{ a += $1; f += $2 } END { print NR " runs, " a " operations attempted, " f " failed" }' >"$work/smoke.ops"
+	awk '{ a += $1; f += $2 } END { printf "%d runs, %.0f million operations, %d failed\n", NR, a / 1e6, f }' >"$work/smoke.ops"
 
 say "namingvet over the module"
 go vet -vettool="$bin/namingvet" ./... >"$logs/namingvet.log" 2>&1
@@ -172,7 +172,10 @@ grep -v '^namecoherence/bench/' "$work/shipped.raw" >"$work/shipped.cov"
 
 # ---- 2. what the unit tests reach ----
 say "go test -short -coverpkg=./... (about 30 s)"
-go test -short -count=1 -coverpkg=./... -coverprofile="$work/tests.cov" ./... >"$logs/tests.log" 2>&1
+# A failing test is CI's test job's to report; its package's counters are
+# in the profile all the same.
+go test -short -count=1 -coverpkg=./... -coverprofile="$work/tests.cov" ./... >"$logs/tests.log" 2>&1 ||
+	say "unit tests failed (see $logs/tests.log); the map uses what they reached"
 
 { echo "mode: set"; grep -h -v '^mode:' "$work/shipped.cov" "$work/tests.cov"; } >"$work/merged.cov"
 
