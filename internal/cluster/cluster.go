@@ -143,6 +143,13 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 		c.mu.Lock()
 		c.servers = append(c.servers, shardServers)
 		c.listeners = append(c.listeners, shardListeners)
+		if replicas > 1 {
+			// A replicated shard gets a write replicator: the primary's
+			// committed mutations are re-applied on each backup over the wire
+			// (through the fault injectors), so backups converge with the
+			// primary and the replica groups stay truthful under writes.
+			c.replicators = append(c.replicators, newReplicator(shardServers[0], replicaAddrs[i][1:]))
+		}
 		c.mu.Unlock()
 	}
 	c.routes = &nameserver.RouteInfo{
@@ -159,44 +166,38 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 			srv.SetRoutes(c.routes)
 		}
 	}
-	// Replicated shards get a write replicator: the primary's committed
-	// mutations are re-applied on each backup over the wire (through the
-	// fault injectors), so backups converge with the primary and the
-	// replica groups stay truthful under writes.
-	if replicas > 1 {
-		for i := range c.ReplicaTrees {
-			rep := newReplicator("tcp", i, replicaAddrs[i][1:], defaultTimeout)
-			servers[i][0].OnMutation(rep.enqueue)
-			c.mu.Lock()
-			c.replicators = append(c.replicators, rep)
-			c.mu.Unlock()
-		}
-	}
 	return c, nil
 }
 
 // DrainReplication blocks until every write committed so far has been
-// applied on every backup replica — the convergence point to wait on
-// after healing faults and before probing coherence. With no replicators
-// (unreplicated cluster) it returns immediately.
+// applied on every backup replica — every backup's cursor at the head of
+// its primary's log: the convergence point to wait on after healing faults
+// (a backup that cannot be reached keeps it waiting) and before probing
+// coherence. An unreplicated or closed cluster returns immediately.
 func (c *Cluster) DrainReplication() {
 	c.mu.Lock()
 	reps := c.replicators
 	c.mu.Unlock()
 	for _, r := range reps {
-		r.drain()
+		for _, f := range r.feeds {
+			f.Wait()
+		}
 	}
 }
 
-// ReplicationPending reports how many committed writes are still queued
-// for (or in flight to) backup replicas.
+// ReplicationPending reports how many committed writes backup replicas
+// have yet to acknowledge: the sum of every backup's lag behind its
+// primary's commit log.
 func (c *Cluster) ReplicationPending() int {
 	c.mu.Lock()
 	reps := c.replicators
 	c.mu.Unlock()
 	n := 0
 	for _, r := range reps {
-		n += r.pending()
+		for _, f := range r.feeds {
+			behind, _, _ := f.Lag()
+			n += behind
+		}
 	}
 	return n
 }

@@ -61,15 +61,16 @@ func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, uint64, 
 // own. Applies are idempotent on the replica: re-sending after a lost
 // response converges rather than erroring, which is what an at-least-once
 // replicator needs. Returns the replica's revision after the apply.
-func (c *Client) ReplicaApply(m AppliedMutation) (uint64, error) {
-	req, err := mutationRequest(m.Op, m.Dir, m.Name)
+func (c *Client) ReplicaApply(am AppliedMutation) (uint64, error) {
+	m := am.m
+	req, err := mutationRequest(m.op, m.dir, m.name)
 	if err != nil {
 		return 0, err
 	}
-	req.Target = uint64(m.Target.ID)
-	req.TargetKind = uint8(m.Target.Kind)
-	req.AtRev = m.Rev
-	req.Twin = uint64(m.Created.ID)
+	req.Target = uint64(m.target.ID)
+	req.TargetKind = uint8(m.target.Kind)
+	req.AtRev = m.atRev
+	req.Twin = uint64(m.twin)
 	return c.mutate(req)
 }
 

@@ -1,8 +1,9 @@
 // The server's write path. Every mutation — local or from the wire —
 // funnels through applyMutation, which runs under the write mutex (wmu),
 // keeps the revision discipline (every applied mutation reaches a Bump
-// before the reply is written), and extends the export watch over
-// directories the mutation creates. Replicated applies (AtRev tagged)
+// before the reply is written), stages what a follower of the commit log
+// must re-apply, and extends the export watch over directories the
+// mutation creates. Replicated applies (AtRev tagged)
 // re-play a primary's committed mutation idempotently and adopt its
 // revision instead of minting their own.
 
@@ -17,38 +18,6 @@ import (
 
 // ErrReadOnly reports a mutation refused by a WithReadOnly server.
 var ErrReadOnly = errors.New("server is read-only")
-
-// AppliedMutation describes one mutation the server committed locally,
-// in the form a replicator needs to re-apply it on a backup replica.
-// The OnMutation hook receives these in commit order.
-type AppliedMutation struct {
-	// Op is the mutation opcode (OpBind, OpUnbind, OpMkcontext).
-	Op uint8
-	// Dir is the directory that was mutated (empty: the export root).
-	Dir core.Path
-	// Name is the binding that was created or removed.
-	Name core.Name
-	// Target is the entity bound (OpBind only).
-	Target core.Entity
-	// Created is the directory entity a mkcontext created; backups
-	// register their own fresh directory in its replica group, keeping
-	// weak coherence measurable across the write path.
-	Created core.Entity
-	// Rev is the revision the mutation committed at on this server.
-	Rev uint64
-}
-
-// OnMutation installs a hook called under the write mutex after every
-// locally originated mutation commits (replicated applies do not re-fire
-// it). Because the hook runs inside the mutation's critical section,
-// hooks observe mutations in commit order — a replicator can therefore
-// enqueue them FIFO and backups converge to the primary's exact state.
-// The hook must be fast and must not call back into the mutation path.
-func (s *Server) OnMutation(hook func(AppliedMutation)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onMutation = hook
-}
 
 // mutation is the internal, validated form of one write.
 type mutation struct {
@@ -119,6 +88,7 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 			}
 			mutated = false // replicated re-apply: already converged
 		} else {
+			s.log.stage(m)
 			ctx.Bind(m.name, m.target)
 		}
 	case OpUnbind:
@@ -128,6 +98,7 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 			}
 			mutated = false // replicated re-apply: already converged
 		} else {
+			s.log.stage(m)
 			ctx.Unbind(m.name)
 		}
 	case OpMkcontext:
@@ -145,14 +116,17 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 				dirCtx.SetWatch(dirE, s.exportWatch)
 			}
 			created = dirE
-			ctx.Bind(m.name, dirE)
 			if replica {
 				s.joinTwinGroup(m.twin, created)
 			} else {
-				// Primary: open the replica group here, before the hook can
-				// replicate the mutation, so backup appliers always find it.
+				// Primary: open the replica group before the bind's log entry
+				// can replicate the mutation, so backup appliers always find
+				// it — under the twin they will be told to join.
 				_, _ = s.world.NewReplicaGroup(created)
+				m.twin = created.ID
 			}
+			s.log.stage(m)
+			ctx.Bind(m.name, dirE)
 		}
 	default:
 		return core.Undefined, 0, fmt.Errorf("unknown mutation opcode %d", m.op)
@@ -168,20 +142,7 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 		// replica's revision with the primary's.
 		s.SetRevision(m.atRev)
 	}
-	rev := s.Revision()
-
-	if !replica {
-		s.mu.Lock()
-		hook := s.onMutation
-		s.mu.Unlock()
-		if hook != nil {
-			hook(AppliedMutation{
-				Op: m.op, Dir: m.dir.Clone(), Name: m.name,
-				Target: m.target, Created: created, Rev: rev,
-			})
-		}
-	}
-	return created, rev, nil
+	return created, s.Revision(), nil
 }
 
 // mutationContext resolves the directory a mutation applies to. The

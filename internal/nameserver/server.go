@@ -75,7 +75,7 @@ type Server struct {
 	wmu sync.Mutex
 
 	// The request path reads these without s.mu. Writers of rev still hold
-	// s.mu, so an advance and its fan-out to subscribers stay one step.
+	// s.mu, so an advance and its log entry stay one step.
 	rev      atomic.Uint64
 	served   atomic.Int64
 	resolved atomic.Int64
@@ -89,14 +89,13 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
-	subs     map[*connState]struct{} // connections subscribed for push invalidation
 	closed   bool
 	routes   *RouteInfo
-	// onMutation, when set, is called under wmu after each locally
-	// originated mutation commits — in commit order, which is what a
-	// primary-per-shard replicator needs to keep backups convergent.
-	onMutation func(AppliedMutation)
-	wg         sync.WaitGroup
+	wg       sync.WaitGroup
+
+	// log records every revision advance; push subscribers and replication
+	// followers are cursors on it (commitlog.go). Appended to under mu.
+	log commitLog
 }
 
 // ServerOption configures a Server.
@@ -122,8 +121,8 @@ func NewServer(w *core.World, export core.Context, opts ...ServerOption) *Server
 		export:  export,
 		workers: runtime.GOMAXPROCS(0),
 		conns:   make(map[net.Conn]struct{}),
-		subs:    make(map[*connState]struct{}),
 	}
+	s.log.grew.L, s.log.settled.L = &s.log.mu, &s.log.mu
 	for _, o := range opts {
 		o.apply(s)
 	}
@@ -190,37 +189,18 @@ type connState struct {
 	wbuf      []byte // encode scratch; guarded by wtoken
 	closeOnce sync.Once
 
-	// Push invalidation. pending holds the frames this subscriber is owed,
-	// oldest first: every revision advance appends one before the new
-	// revision becomes readable (see bump), and whoever next holds the write
-	// token — a responder, or the pusher the append woke — encodes them all
-	// ahead of anything else. So in the connection's stream no response at
-	// revision r precedes the invalidation of a mutation committed at or
-	// below r. Nothing here is allocated before the first frame is queued.
-	pmu     sync.Mutex
-	pending []invalidation // guarded by pmu
-	queued  atomic.Bool    // len(pending) != 0, for the responder's check
-	spare   []invalidation // guarded by wtoken: the array the last drain emptied
-	frame   response       // guarded by wtoken: the drain's encode scratch
-	// pushC wakes the pusher goroutine. Closed by ServeConn after the
-	// connection leaves the subscriber set.
-	pushC chan struct{}
+	// Push invalidation. A subscribed connection is a cursor on the server's
+	// commit log, where every revision advance is appended before the new
+	// revision becomes readable (commitlog.go): whoever next holds the write
+	// token — a responder, or the pusher the append woke — encodes every
+	// entry from pos to the head ahead of anything else, so in the
+	// connection's stream no response at revision r precedes the
+	// invalidation of a mutation committed at or below r.
+	subscribed bool           // guarded by wtoken
+	pos        uint64         // guarded by wtoken: log position of the next frame owed
+	gone       bool           // guarded by the log's mutex: ServeConn is done, the pusher must go
+	pusher     sync.WaitGroup // the pusher goroutine, started by the first subscribe
 }
-
-// invalidation is one push frame owed to a subscriber: the revision that
-// was committed and, when the commit's cause is known to be a leaf binding,
-// which one (a zero dir says "everything").
-type invalidation struct {
-	rev  uint64
-	dir  core.EntityID
-	name core.Name
-}
-
-// maxPendingInvalidations bounds a subscriber's pending list. A subscriber
-// that far behind has stopped reading; what it missed collapses to one
-// "everything" frame — which is also cheaper for it to apply than a
-// thousand single purges.
-const maxPendingInvalidations = 1024
 
 // Read is what br fills from: the decode-token holder lands here exactly
 // when the bytes already buffered do not hold the rest of what it is
@@ -254,40 +234,29 @@ func (st *connState) flush() {
 	}
 }
 
-// queue appends one frame to the subscriber's pending list and wakes its
-// pusher, without ever blocking. Called with Server.mu held, before the
-// frame's revision becomes readable.
-func (st *connState) queue(iv invalidation) {
-	st.pmu.Lock()
-	if len(st.pending) >= maxPendingInvalidations {
-		st.pending = st.pending[:0]
-		iv = invalidation{rev: iv.rev}
-	}
-	st.pending = append(st.pending, iv)
-	st.queued.Store(true)
-	st.pmu.Unlock()
-	select {
-	case st.pushC <- struct{}{}:
-	default: // a wake-up is already on its way
-	}
+// owed reports whether the log holds entries st has not been sent: for a
+// subscriber one atomic load, for anyone else none. The caller holds the
+// write token.
+func (s *Server) owed(st *connState) bool {
+	return st.subscribed && s.log.head.Load() != st.pos
 }
 
-// drain encodes every pending invalidation into the write buffer. The
-// caller holds the write token. The emptied array becomes the next drain's
-// spare, so a steady stream of frames allocates nothing.
-func (st *connState) drain() error {
-	st.pmu.Lock()
-	batch := st.pending
-	st.pending = st.spare[:0]
-	st.queued.Store(false)
-	st.pmu.Unlock()
-	var err error
-	for i := 0; i < len(batch) && err == nil; i++ {
-		st.frame = response{Rev: batch[i].rev, Invalidation: true, Dir: uint64(batch[i].dir), Name: string(batch[i].name)}
-		err = st.encode(&st.frame)
+// drain encodes every log entry st is owed into the write buffer, one frame
+// each — or one frame for all of them when st fell too far behind (see
+// commitLog.next). The caller holds the write token; the log's mutex is
+// never held across an encode.
+func (s *Server) drain(st *connState) error {
+	for {
+		e, after, ok := s.log.next(st.pos)
+		if !ok {
+			return nil
+		}
+		st.pos = after
+		frame := response{Rev: e.rev, Invalidation: true, Dir: uint64(e.dir), Name: string(e.name)}
+		if err := st.encode(&frame); err != nil {
+			return err
+		}
 	}
-	st.spare = batch[:0]
-	return err
 }
 
 // encode writes one message into the write buffer, append-encoding into
@@ -326,7 +295,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		wd:     deadlineWriter{conn: conn, bound: serveWriteTimeout},
 		dtoken: make(chan struct{}, 1),
 		wtoken: make(chan struct{}, 1),
-		pushC:  make(chan struct{}, 1),
 	}
 	st.br = bufio.NewReader(st)
 	st.bw = bufio.NewWriter(&st.wd)
@@ -335,12 +303,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// speaks another version and has been told so.
 		return
 	}
-	var pushWG sync.WaitGroup
-	pushWG.Add(1)
-	go func() {
-		defer pushWG.Done()
-		s.pushInvalidations(st)
-	}()
 	var wg sync.WaitGroup
 	for i := 0; i < s.workers; i++ {
 		wg.Add(1)
@@ -350,14 +312,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}()
 	}
 	wg.Wait()
-	// The workers have drained: the conn is dead. Leave the subscriber set
-	// first (under mu, so no bump can queue concurrently), then close the
-	// channel to stop the pusher, then join it.
-	s.mu.Lock()
-	delete(s.subs, st)
-	s.mu.Unlock()
-	close(st.pushC)
-	pushWG.Wait()
+	// The workers have drained: the conn is dead, and nobody is left to
+	// subscribe. Release the pusher, if there is one, and join it.
+	s.log.release(&st.gone)
+	st.pusher.Wait()
 }
 
 // negotiateServer runs the server's half of the version handshake: it
@@ -380,22 +338,24 @@ func negotiateServer(conn net.Conn, br *bufio.Reader) bool {
 	return hello == binaryMagic
 }
 
-// pushInvalidations is a connection's push goroutine: woken by every
-// frame queued for the connection, it takes the write token, encodes
-// whatever is still pending and flushes at once — a subscriber's staleness
-// bound is a frame's flight time, whatever else the connection is doing.
-// Frames share the write token with ordinary responses, so a push can never
-// tear a response mid-message; a responder that got to the token first has
-// already sent them (see respond), and the pusher finds nothing to do. The
-// goroutine runs for every connection but stays parked until the peer
-// subscribes (only subscribers are queued for); it exits when ServeConn
-// closes pushC.
-func (s *Server) pushInvalidations(st *connState) {
-	for range st.pushC {
+// pushInvalidations is a subscribed connection's push goroutine: parked on
+// the log until the head moves past seen, it takes the write token, encodes
+// whatever the connection is still owed and flushes at once — a
+// subscriber's staleness bound is a frame's flight time, whatever else the
+// connection is doing. Frames share the write token with ordinary
+// responses, so a push can never tear a response mid-message; a responder
+// that got to the token first has already sent them (see respond), and the
+// pusher finds nothing to do. It exits when ServeConn releases it.
+func (s *Server) pushInvalidations(st *connState, seen uint64) {
+	for {
+		var ok bool
+		if seen, ok = s.log.await(seen, &st.gone); !ok {
+			return
+		}
 		st.wtoken <- struct{}{}
 		var err error
-		if st.queued.Load() {
-			if err = st.drain(); err == nil {
+		if s.owed(st) {
+			if err = s.drain(st); err == nil {
 				err = st.bw.Flush()
 			}
 		}
@@ -483,8 +443,8 @@ func (s *Server) serveRequests(st *connState) {
 }
 
 // respond encodes one response into the connection's write buffer under
-// the write token, behind every invalidation queued before it: the
-// response's revision was read after those frames were queued (see bump),
+// the write token, behind every log entry appended before it: the
+// response's revision was read after those entries were appended (see bump),
 // so nothing it vouches for can overtake the news that made it stale. The
 // steady path pays one atomic load for that. Only bytes with nobody behind
 // them to flush them leave at once: invalidation frames (a subscriber's
@@ -494,23 +454,32 @@ func (s *Server) serveRequests(st *connState) {
 // pipelined burst rides one syscall.
 //
 // With subscribe set, resp acknowledges a subscription, and the connection
-// joins the subscriber set here, under the write token: the ack — which
-// carries the revision the subscription starts from — is encoded before
-// any frame the join entitles the connection to can be, and from there on
-// every commit is queued for it, in order. The client starts from a known
-// point and misses nothing.
+// takes its cursor here, under the write token, at the log's head: the ack
+// — which carries the revision the subscription starts from, read under
+// the mutex appends hold so the two agree — is encoded before any frame
+// the cursor entitles the connection to can be, and from there on it is
+// owed every entry, in order. The client starts from a known point and
+// misses nothing.
 func (s *Server) respond(st *connState, resp *response, subscribe bool) {
 	st.wtoken <- struct{}{}
 	var err error
-	pushed := st.queued.Load()
+	pushed := s.owed(st)
 	if pushed {
-		err = st.drain()
+		err = s.drain(st)
 	}
 	if subscribe {
 		s.mu.Lock()
-		s.subs[st] = struct{}{}
-		resp.Rev = s.rev.Load()
+		st.pos, resp.Rev = s.log.head.Load(), s.rev.Load()
 		s.mu.Unlock()
+		if !st.subscribed {
+			st.subscribed = true
+			st.pusher.Add(1)
+			//namingvet:allocfree-exempt -- cold: once per subscription
+			go func(seen uint64) {
+				defer st.pusher.Done()
+				s.pushInvalidations(st, seen)
+			}(st.pos)
+		}
 	}
 	if err == nil {
 		err = st.encode(resp)
@@ -614,28 +583,21 @@ func (s *Server) resolveOne(scratch *core.Path, raw []string) result {
 // reports; WatchExport bumps automatically, and its frames say what changed.
 //
 //namingvet:revbump
-func (s *Server) Bump() { s.bump(invalidation{}) }
+func (s *Server) Bump() { s.bump(commit{}) }
 
-// bump commits one revision advance: the frame that announces it is queued
-// for every subscriber first, and only then does the new revision become
-// readable. A response that carries the new revision therefore finds the
-// frame already pending on its own connection, and is written behind it.
+// bump commits one revision advance: its entry is appended to the log —
+// waking the pushers and appliers parked there — and only then does the new
+// revision become readable. A response that carries the new revision
+// therefore finds the entry already owed to its own connection, and is
+// written behind it.
 //
 //namingvet:revbump
-func (s *Server) bump(what invalidation) {
+func (s *Server) bump(what commit) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	what.rev = s.rev.Load() + 1
-	s.notifyLocked(what)
+	s.log.append(what)
 	s.rev.Store(what.rev)
-}
-
-// notifyLocked queues what for every subscribed connection. Callers hold
-// s.mu; queueing never blocks (see connState.queue).
-func (s *Server) notifyLocked(what invalidation) {
-	for st := range s.subs {
-		st.queue(what)
-	}
 }
 
 // Revision returns the current binding revision.
@@ -655,7 +617,7 @@ func (s *Server) SetRevision(rev uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rev > s.rev.Load() {
-		s.notifyLocked(invalidation{rev: rev})
+		s.log.append(commit{rev: rev})
 		s.rev.Store(rev)
 	}
 }
@@ -711,9 +673,9 @@ func (s *Server) WatchExport(root core.Entity) int {
 func (s *Server) exportWatch(ch core.Change) {
 	_, wasDir := s.world.ContextOf(ch.Old)
 	_, isDir := s.world.ContextOf(ch.New)
-	var what invalidation
+	var what commit
 	if !wasDir && !isDir && !ch.Dir.IsUndefined() && !s.coarse.Load() {
-		what = invalidation{dir: ch.Dir.ID, name: ch.Name}
+		what = commit{dir: ch.Dir.ID, name: ch.Name}
 	}
 	s.bump(what)
 	if isDir {
@@ -729,8 +691,8 @@ func (s *Server) Served() int { return int(s.served.Load()) }
 // batch counts).
 func (s *Server) Resolved() int { return int(s.resolved.Load()) }
 
-// Close stops the listener, closes active connections, and waits for
-// connection handlers started by Serve to finish.
+// Close stops the listener, closes active connections, releases the log's
+// followers, and waits for connection handlers started by Serve to finish.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -738,6 +700,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	s.log.release(&s.log.closed)
 	ln := s.listener
 	for conn := range s.conns {
 		_ = conn.Close()
