@@ -9,12 +9,15 @@
 // The first argument may be a mutation verb: "bind PATH TARGET" binds
 // PATH to the entity TARGET resolves to, "unbind PATH" removes the
 // binding, "mkcontext PATH" creates a directory. In cluster mode writes
-// route to the owning shard's primary. -push subscribes the client for
-// server-pushed invalidations before resolving (useful with -cache
-// -coherent -n, where repeated reads would otherwise revalidate by poll)
-// and prints each frame as it is consumed: "rev N: dir #ID name" for a
-// commit that rebound one non-directory name, "rev N: everything" for any
-// other — what this subscriber was told, and when it stopped being stale.
+// route to the owning shard's primary. -cache N is the wire client's plain
+// LRU, never invalidated; with -cluster it is the revision-tracked per-shard
+// LRU, against a lone nsd too (one shard is a valid cluster). -push
+// subscribes the client for server-pushed invalidations before resolving
+// (with -cluster -cache -n they purge the cache, where repeated reads would
+// otherwise revalidate by poll) and prints each frame as it is consumed:
+// "rev N: dir #ID name" for a commit that rebound one non-directory name,
+// "rev N: everything" for any other — what this subscriber was told, and
+// when it stopped being stale.
 //
 // Usage:
 //
@@ -49,14 +52,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("nsq", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7474", "server address (any cluster member with -cluster)")
-	cacheSize := fs.Int("cache", 0, "client cache size (0 = none)")
-	coherent := fs.Bool("coherent", false, "use the revision-tracked coherent cache")
+	cacheSize := fs.Int("cache", 0, "client cache size (0 = none); revision-tracked with -cluster, never invalidated without")
 	repeat := fs.Int("n", 1, "resolve each path this many times")
 	clustered := fs.Bool("cluster", false, "treat -addr as a sharded-cluster member and route by prefix")
 	batch := fs.Bool("batch", false, "with -cluster: resolve all paths in one round-trip per shard")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	retries := fs.Int("retries", 2, "with -cluster: extra attempts after a transport failure")
-	push := fs.Bool("push", false, "subscribe for server-pushed cache invalidations")
+	push := fs.Bool("push", false, "subscribe for server-pushed invalidation frames and print them (with -cluster they purge the cache)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,10 +80,7 @@ func run(args []string) error {
 	}
 
 	var opts []nameserver.ClientOption
-	switch {
-	case *coherent && *cacheSize > 0:
-		opts = append(opts, nameserver.WithCoherentCache(*cacheSize))
-	case *cacheSize > 0:
+	if *cacheSize > 0 {
 		opts = append(opts, nameserver.WithCache(*cacheSize))
 	}
 	if *timeout > 0 {

@@ -77,6 +77,11 @@ func TestVerbsSingleServer(t *testing.T) {
 	if err := run([]string{"-addr", addr, "unbind"}); err == nil {
 		t.Fatal("unbind with no operand did not error")
 	}
+	// The revision-tracked cache is -cluster -cache; the flag that used to
+	// select a second one is gone.
+	if err := run([]string{"-addr", addr, "-cache", "8", "-coherent", "/usr/bin/ls"}); err == nil {
+		t.Fatal("-coherent was accepted")
+	}
 }
 
 // TestVerbsCluster routes the same flow through a sharded cluster, with

@@ -1,12 +1,11 @@
 // Nameservice: exports a naming tree over real TCP with the binary wire protocol,
-// then demonstrates the coherence hazard of name caches — a plain cache
-// serves a stale meaning after a rebinding, while the revision-tracked
-// coherent cache converges after one round-trip.
+// then demonstrates the coherence hazard of name caches — the wire client's
+// plain cache serves a stale meaning after a rebinding, while the cluster
+// client's revision-tracked cache converges after one round-trip.
 package main
 
 import (
 	"fmt"
-	"net"
 	"os"
 
 	"namecoherence/naming"
@@ -21,40 +20,32 @@ func main() {
 
 func run() error {
 	w := naming.NewWorld()
-	tr := naming.NewTree(w, "export")
-	oldLs, err := tr.Create(naming.ParsePath("usr/bin/ls"), "v1")
+	// One shard is a valid cluster: a lone name server with a routing table.
+	cl, err := naming.NewShardedCluster(w, "file usr/bin/ls \"v1\"\nfile etc/motd \"hello\"\n", 1)
 	if err != nil {
 		return err
 	}
-	if _, err := tr.Create(naming.ParsePath("etc/motd"), "hello"); err != nil {
-		return err
-	}
-
-	server := naming.NewNameServer(w, tr.RootContext())
-	watched := server.WatchExport(tr.Root)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	defer cl.Close()
+	tr, addr := cl.Trees[0], cl.Addrs()[0]
+	oldLs, err := tr.Lookup(naming.ParsePath("usr/bin/ls"))
 	if err != nil {
 		return err
 	}
-	go server.Serve(ln)
-	defer server.Close()
-	fmt.Printf("name server on %s, watching %d directories\n", ln.Addr(), watched)
+	fmt.Printf("name server on %s\n", addr)
 
-	plain, err := naming.DialNameServer("tcp", ln.Addr().String(),
-		naming.WithResolveCache(16))
+	plain, err := naming.DialNameServer("tcp", addr, naming.WithResolveCache(16))
 	if err != nil {
 		return err
 	}
 	defer func() { _ = plain.Close() }()
-	coherent, err := naming.DialNameServer("tcp", ln.Addr().String(),
-		naming.WithCoherentResolveCache(16))
+	coherent, err := naming.DialShardedCluster("tcp", addr, naming.WithShardLRU(16))
 	if err != nil {
 		return err
 	}
-	defer func() { _ = coherent.Close() }()
+	defer coherent.Close()
 
 	p := naming.ParsePath("usr/bin/ls")
-	warm := func(c *naming.NameClient, label string) error {
+	warm := func(c naming.ServiceResolver, label string) error {
 		e, err := c.Resolve(p)
 		if err != nil {
 			return err
@@ -80,7 +71,7 @@ func run() error {
 	newLs := w.NewObject("ls-v2")
 	binCtx.Bind("ls", newLs)
 	fmt.Printf("\nserver rebinds usr/bin/ls: %v -> %v (revision now %d)\n",
-		oldLs, newLs, server.Revision())
+		oldLs, newLs, cl.Server(0).Revision())
 
 	// One unrelated round-trip lets the coherent client notice.
 	if _, err := coherent.Resolve(naming.ParsePath("etc/motd")); err != nil {

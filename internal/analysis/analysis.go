@@ -23,6 +23,10 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) (any, error)
+	// Scope, when non-empty, limits the analyzer to packages whose import
+	// path has one of these names as a whole segment: "cas" claims
+	// …/internal/cas and not …/internal/newcastle.
+	Scope []string
 }
 
 // Pass is the interface between one analyzer and one package.
@@ -213,6 +217,9 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 	facts := ComputeFacts(pkg, imported)
 	var findings []Finding
 	for _, a := range analyzers {
+		if !inScope(pkg.Path, a.Scope) {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -244,6 +251,22 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 		findings = append(findings, auditAllocExempt(pkg, facts)...)
 	}
 	return findings, facts.All, nil
+}
+
+// inScope reports whether an analyzer with the given Scope runs on the
+// package at path.
+func inScope(path string, scope []string) bool {
+	if len(scope) == 0 {
+		return true
+	}
+	for _, seg := range strings.Split(path, "/") {
+		for _, s := range scope {
+			if seg == s {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // WalkWithStack walks every file, calling fn with each node and the stack

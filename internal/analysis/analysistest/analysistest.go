@@ -13,8 +13,10 @@
 package analysistest
 
 import (
+	"fmt"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -35,9 +37,9 @@ var wantRE = regexp.MustCompile("// want (?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`
 // relative to the test's working directory, runs the analyzer over each
 // package in dependency order, and reports mismatches between its
 // diagnostics and the tree's // want comments. Every want must be matched
-// by a diagnostic on its line, and every diagnostic must match a want; on
-// mismatch the failure is rendered as a unified diff of expected versus
-// actual diagnostics with the offending source lines inlined.
+// by a diagnostic on its line, and every diagnostic must match a want; a
+// mismatch lists, in file and line order, each unexpected diagnostic and
+// each want nothing matched.
 func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", pkg))
@@ -65,9 +67,13 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 		findings = append(findings, fs...)
 	}
 
-	var unexpected []analysis.Finding
-	for i := range findings {
-		f := &findings[i]
+	type mismatch struct {
+		file string
+		line int
+		text string
+	}
+	var mismatches []mismatch
+	for _, f := range findings {
 		matched := false
 		for _, w := range wants {
 			if w.file == f.Posn.Filename && w.line == f.Posn.Line && w.re.MatchString(f.Message) {
@@ -76,19 +82,32 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 			}
 		}
 		if !matched {
-			unexpected = append(unexpected, *f)
+			mismatches = append(mismatches, mismatch{f.Posn.Filename, f.Posn.Line, "unexpected: " + f.Message})
 		}
 	}
-	var unmatched []*expectation
 	for _, w := range wants {
 		if !w.matched {
-			unmatched = append(unmatched, w)
+			mismatches = append(mismatches, mismatch{w.file, w.line, fmt.Sprintf("no diagnostic matching /%s/", w.re)})
 		}
 	}
-	if len(unexpected) > 0 || len(unmatched) > 0 {
-		t.Errorf("%s: diagnostics differ from // want comments:\n%s",
-			a.Name, diagnosticsDiff(wants, findings, unexpected, unmatched))
+	if len(mismatches) == 0 {
+		return
 	}
+	sort.Slice(mismatches, func(i, j int) bool {
+		mi, mj := mismatches[i], mismatches[j]
+		if mi.file != mj.file {
+			return mi.file < mj.file
+		}
+		if mi.line != mj.line {
+			return mi.line < mj.line
+		}
+		return mi.text < mj.text
+	})
+	var b strings.Builder
+	for _, m := range mismatches {
+		fmt.Fprintf(&b, "%s:%d: %s\n", filepath.Base(m.file), m.line, m.text)
+	}
+	t.Errorf("%s: diagnostics differ from // want comments:\n%s", a.Name, b.String())
 }
 
 // collectWants parses every // want comment in the package.

@@ -23,15 +23,15 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"namecoherence/internal/analysis"
 )
 
-// Scope limits the durability check to packages whose import path
-// contains one of these substrings. The immutability check is global:
-// blob buffers are handed to Put from anywhere.
-var Scope = []string{"cas"}
+// casPackage is the name of the packages whose Put methods the checks are
+// about. The durability check runs inside them; the immutability check is
+// global — blob buffers are handed to Put from anywhere — so the analyzer
+// carries no Scope and recognises a cas package where it meets one.
+const casPackage = "cas"
 
 // Analyzer is the casimmut analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -48,7 +48,7 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			checkFrozenBlobs(pass, fd)
-			if fd.Recv != nil && fd.Name.Name == "Put" && inScope(pass.Pkg.Path()) {
+			if fd.Recv != nil && fd.Name.Name == "Put" && pass.Pkg.Name() == casPackage {
 				checkPutDurability(pass, fd)
 			}
 		}
@@ -121,7 +121,7 @@ func checkFrozenBlobs(pass *analysis.Pass, fd *ast.FuncDecl) {
 // a builtin copy/append.
 func callEvents(pass *analysis.Pass, call *ast.CallExpr) []event {
 	if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil &&
-		fn.Name() == "Put" && fn.Pkg() != nil && inScope(fn.Pkg().Path()) {
+		fn.Name() == "Put" && fn.Pkg() != nil && fn.Pkg().Name() == casPackage {
 		var evs []event
 		for _, arg := range call.Args {
 			if obj := baseVar(pass, arg); obj != nil {
@@ -247,13 +247,4 @@ func checkPutDurability(pass *analysis.Pass, fd *ast.FuncDecl) {
 		pass.Reportf(lastWrite,
 			"write after the final fsync in Put: these bytes are not durable when Put returns nil")
 	}
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }

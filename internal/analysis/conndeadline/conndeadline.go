@@ -27,27 +27,22 @@ package conndeadline
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"namecoherence/internal/analysis"
 )
-
-// Scope limits the analyzer to packages whose import path contains one of
-// these substrings. Deadlines are a transport concern; in-memory packages
-// are exempt.
-var Scope = []string{"cluster", "nameserver"}
 
 // Analyzer is the conndeadline analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "conndeadline",
 	Doc:  "requires a SetDeadline before net.Conn wire I/O (caller deadlines satisfy callees) and forbids raw net.Dial in transport packages",
 	Run:  run,
+	// Scope limits the analyzer to packages whose import path has one of
+	// these segments. Deadlines are a transport concern; in-memory packages
+	// are exempt.
+	Scope: []string{"cluster", "nameserver"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	for _, ff := range pass.Facts.Own {
 		for _, ev := range ff.Events {
 			if ev.Callee != nil {
@@ -81,15 +76,6 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // calleeLabel renders a callee for a diagnostic: pkg-qualified for

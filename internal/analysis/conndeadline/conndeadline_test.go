@@ -16,5 +16,5 @@ func TestConnDeadline(t *testing.T) {
 // and cross-package, via facts), value-reference and export escape
 // hatches, and the idle-loop read exemption.
 func TestConnDeadlineFlow(t *testing.T) {
-	analysistest.Run(t, conndeadline.Analyzer, "clusterflow")
+	analysistest.Run(t, conndeadline.Analyzer, "flow/cluster")
 }

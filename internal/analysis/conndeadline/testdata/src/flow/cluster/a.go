@@ -2,15 +2,15 @@
 // deadlines satisfy callee I/O (exoneration), unguarded calls to
 // UnguardedIO functions are reported at the call site — including across
 // packages — and idle-loop reads under a conn-closing Close are exempt.
-// (The directory name contains "cluster" so the testdata package path
-// lands in the analyzer's scope.)
+// (The directory is named "cluster" so the testdata package path lands in
+// the analyzer's scope.)
 package clusterflow
 
 import (
 	"net"
 	"time"
 
-	"namecoherence/internal/analysis/conndeadline/testdata/src/clusterflow/inner"
+	"namecoherence/internal/analysis/conndeadline/testdata/src/flow/cluster/inner"
 )
 
 type client struct {

@@ -11,26 +11,21 @@ package detrand
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"namecoherence/internal/analysis"
 )
-
-// Scope limits the analyzer to packages whose import path contains one of
-// these substrings.
-var Scope = []string{"faultnet", "experiments"}
 
 // Analyzer is the detrand analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc:  "forbids inline time.Now/time.Since and math/rand in deterministic packages (faultnet, experiments)",
 	Run:  run,
+	// Scope limits the analyzer to packages whose import path has one of
+	// these segments.
+	Scope: []string{"faultnet", "experiments"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -57,13 +52,4 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }

@@ -17,20 +17,16 @@ import (
 	"namecoherence/internal/analysis"
 )
 
-// Scope limits the analyzer to the long-running serving packages.
-var Scope = []string{"cluster", "nameserver"}
-
 // Analyzer is the goroleak analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
 	Doc:  "requires every go statement in serving packages to be joined (WaitGroup, done channel, or stop signal) before Close returns",
 	Run:  run,
+	// Scope limits the analyzer to the long-running serving packages.
+	Scope: []string{"cluster", "nameserver"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	for _, ff := range pass.Facts.Own {
 		decl := ff.Decl
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -43,15 +39,6 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // checkGo classifies one go statement's join discipline. The rules are

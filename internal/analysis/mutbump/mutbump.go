@@ -21,39 +21,25 @@ package mutbump
 
 import (
 	"go/types"
-	"strings"
 
 	"namecoherence/internal/analysis"
 )
-
-// Scope limits the analyzer to packages that serve live clients, where an
-// unbumped mutation means stale caches rather than a tree under assembly.
-var Scope = []string{"nameserver", "cluster"}
 
 // Analyzer is the mutbump analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "mutbump",
 	Doc:  "requires binding mutations in server packages to reach a revision bump (//namingvet:revbump) before replying",
 	Run:  run,
+	// Scope limits the analyzer to packages that serve live clients, where an
+	// unbumped mutation means stale caches rather than a tree under assembly.
+	Scope: []string{"nameserver", "cluster"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	for _, ff := range pass.Facts.Own {
 		checkMutations(pass, ff)
 	}
 	return nil, nil
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // checkMutations reports every context mutation in a function that

@@ -22,9 +22,6 @@ import (
 	"namecoherence/internal/analysis"
 )
 
-// Scope limits the analyzer to packages that own a wire registry.
-var Scope = []string{"nameserver"}
-
 // RegistryVar is the name of the registry map the analyzer audits; the
 // check is silent in packages that do not declare it.
 const RegistryVar = "wireTypes"
@@ -38,12 +35,11 @@ var Analyzer = &analysis.Analyzer{
 	Name: "registrycheck",
 	Doc:  "requires every type the binary codec encodes to appear in the wireTypes registry, every request field to be handled, and every registered type's codec functions to cover all fields",
 	Run:  run,
+	// Scope limits the analyzer to packages that own a wire registry.
+	Scope: []string{"nameserver"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	registry, positions := registryEntries(pass)
 	if registry == nil {
 		return nil, nil
@@ -148,15 +144,6 @@ func fieldsTouched(pass *analysis.Pass, fd *ast.FuncDecl) map[*types.Var]bool {
 		return true
 	})
 	return out
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // registryEntries reads the package-level RegistryVar composite literal,

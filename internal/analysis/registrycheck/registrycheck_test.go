@@ -14,5 +14,5 @@ func TestRegistrycheck(t *testing.T) {
 // TestRegistrycheckBinaryCodec covers the completeness rule: a missing
 // append/parse function and a skipped field are errors.
 func TestRegistrycheckBinaryCodec(t *testing.T) {
-	analysistest.Run(t, registrycheck.Analyzer, "nameserver_binary")
+	analysistest.Run(t, registrycheck.Analyzer, "binary/nameserver")
 }

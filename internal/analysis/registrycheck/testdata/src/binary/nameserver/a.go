@@ -1,6 +1,6 @@
 // Package nameserver exercises registrycheck's codec completeness rule:
 // every registered wire type needs both append<T> and parse<T>, and each
-// must touch every field. (The directory path contains "nameserver" so the
+// must touch every field. (The directory is named "nameserver" so the
 // package lands in the analyzer's scope.)
 package nameserver
 

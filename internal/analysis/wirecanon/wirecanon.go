@@ -22,25 +22,20 @@ package wirecanon
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"namecoherence/internal/analysis"
 )
-
-// Scope limits the analyzer to transport packages.
-var Scope = []string{"cluster", "nameserver"}
 
 // Analyzer is the wirecanon analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecanon",
 	Doc:  "requires values flowing into wire-struct Path/Paths fields to pass through a canonicalization function (§6)",
 	Run:  run,
+	// Scope limits the analyzer to transport packages.
+	Scope: []string{"cluster", "nameserver"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	for _, ff := range pass.Facts.Own {
 		// The field-flow rule is a send-side obligation: canonicalize
 		// before embedding in a message. A declared wire decoder is the
@@ -53,15 +48,6 @@ func run(pass *analysis.Pass) (any, error) {
 		checkBoundary(pass, ff)
 	}
 	return nil, nil
-}
-
-func inScope(path string) bool {
-	for _, s := range Scope {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFieldFlow walks one function body tracking which locals hold

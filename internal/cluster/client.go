@@ -195,11 +195,19 @@ func NewClient(network string, routes *nameserver.RouteInfo, opts ...ClientOptio
 
 // Dial bootstraps a cluster client from any one member: it fetches the
 // routing table from the seed server and connects per shard on demand.
-// The bootstrap round-trip is bounded by the default timeout. A close
-// error on the one-shot seed connection is ignored once the routing table
-// is in hand — the routes are valid regardless.
+// The seed dial and the bootstrap round-trip are bounded like every later
+// one: by WithTimeout when the caller gave one, else by the default (which
+// also stands in for "no timeout" — a bootstrap never waits forever). A
+// close error on the one-shot seed connection is ignored once the routing
+// table is in hand — the routes are valid regardless.
 func Dial(network, seedAddr string, opts ...ClientOption) (*Client, error) {
-	seed, err := nameserver.DialTimeout(network, seedAddr, defaultTimeout, nameserver.WithTimeout(defaultTimeout))
+	timeout := defaultTimeout
+	for _, o := range opts {
+		if t, ok := o.(timeoutOption); ok && t > 0 {
+			timeout = time.Duration(t)
+		}
+	}
+	seed, err := nameserver.DialTimeout(network, seedAddr, timeout, nameserver.WithTimeout(timeout))
 	if err != nil {
 		return nil, fmt.Errorf("dial cluster seed: %w", err)
 	}

@@ -208,6 +208,15 @@ func TestClusterLRURevisionPurgePerShard(t *testing.T) {
 	if cl.Served() != served {
 		t.Fatal("usr entry was purged by an etc revision advance (purge must be per shard)")
 	}
+
+	// A batch response carries its shard's revision like any other.
+	etcCtx.Bind("motd", cl.World.NewObject("newer-motd"))
+	if _, err := client.ResolveBatch([]core.Path{core.ParsePath("etc")}); err != nil { // not cached yet
+		t.Fatal(err)
+	}
+	if client.Purges() != 2 {
+		t.Fatalf("Purges = %d after a batch round-trip past a second rebind, want 2", client.Purges())
+	}
 }
 
 // gateContext blocks lookups of a trigger name until released, letting the

@@ -13,7 +13,8 @@
 // pools connections per shard, batches multi-name resolutions into one
 // round-trip per shard, coalesces concurrent identical lookups
 // (singleflight), and keeps a revision-tracked LRU cache whose entries are
-// purged per shard when that shard's binding revision advances — the same
-// one-round-trip staleness bound nameserver.WithCoherentCache gives a
-// single server, preserved across the whole cluster.
+// purged per shard when that shard's binding revision advances: staleness
+// is bounded by one round-trip to the shard, across the whole cluster (a
+// lone server is a one-shard cluster). It is the module's only
+// revision-tracked cache.
 package cluster

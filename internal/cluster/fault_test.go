@@ -170,6 +170,23 @@ func TestResolveTimeoutBoundsHungShard(t *testing.T) {
 	}
 }
 
+// TestDialTimeoutBoundsHungSeed: bootstrapping from a member that accepts
+// and then says nothing costs the caller's timeout, not the 5s default.
+func TestDialTimeoutBoundsHungSeed(t *testing.T) {
+	cl := startReplicated(t, 1, 1)
+	cl.Fault(0, 0).SetMode(faultnet.Hang)
+	start := time.Now()
+	client, err := Dial("tcp", cl.Addrs()[0], WithTimeout(100*time.Millisecond))
+	elapsed := time.Since(start)
+	if err == nil {
+		client.Close()
+		t.Fatal("Dial through a hung seed succeeded")
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("Dial blocked %v against a hung seed with a 100ms timeout", elapsed)
+	}
+}
+
 func TestBreakerStopsDialingDeadReplica(t *testing.T) {
 	cl := startReplicated(t, 1, 2)
 	client, err := Dial("tcp", cl.Addrs()[0],

@@ -249,11 +249,11 @@ func TestBackupPushesPreciseFramesAfterFailover(t *testing.T) {
 	}
 }
 
-// ruleClient is a caching, subscribed client over one shard that never
-// dials: the rule's methods are driven directly, from the one goroutine of
-// the test.
-func ruleClient() (*Client, *subscription) {
-	c := NewClient("tcp", &nameserver.RouteInfo{Addrs: []string{"unused:0"}}, WithLRU(16), WithPushInvalidation())
+// ruleClient is a caching client over one shard that never dials — with
+// WithPushInvalidation a subscribed one: the rule's methods are driven
+// directly, from the one goroutine of the test.
+func ruleClient(opts ...ClientOption) (*Client, *subscription) {
+	c := NewClient("tcp", &nameserver.RouteInfo{Addrs: []string{"unused:0"}}, append(opts, WithLRU(16))...)
 	return c, &subscription{based: true}
 }
 
@@ -270,7 +270,7 @@ func (c *Client) response(rev uint64) bool {
 // moves the shard's revision back — which used to make the next frame read
 // as a gap and purge the shard a second time.
 func TestOlderResponseIsNotAdmitted(t *testing.T) {
-	c, sub := ruleClient()
+	c, sub := ruleClient(WithPushInvalidation())
 	c.revs[0] = 7
 	c.cache.Put("a/keep", cacheEntry{entity: core.Entity{ID: 1}, dir: 5})
 	c.pushed(0, sub, nameserver.Invalidation{Rev: 8, Dir: 5, Name: "x"})
@@ -293,7 +293,7 @@ func TestOlderResponseIsNotAdmitted(t *testing.T) {
 // taken at its word only at revs+1. A gap means commits nobody described:
 // the shard goes. A frame at or below revs is old news and changes nothing.
 func TestFrameAppliesOnlyAsTheNextCommit(t *testing.T) {
-	c, sub := ruleClient()
+	c, sub := ruleClient(WithPushInvalidation())
 	fill := func() {
 		c.cache.Put("d/victim", cacheEntry{entity: core.Entity{ID: 1}, dir: 5})
 		c.cache.Put("victim", cacheEntry{entity: core.Entity{ID: 6}, dir: 5}) // dir 5 as the export root
@@ -329,11 +329,37 @@ func TestFrameAppliesOnlyAsTheNextCommit(t *testing.T) {
 	if c.revs[0] != 14 || c.cache.Len() != 0 || c.purges != 2 {
 		t.Fatalf("frame naming nothing: revs %d, %d entries, %d whole purges; want 14, 0, 2", c.revs[0], c.cache.Len(), c.purges)
 	}
-	// Polling, the old rule stands: any other revision purges and is adopted.
-	c.push = false
-	fill()
-	if !c.response(12) || c.revs[0] != 12 || c.cache.Len() != 0 {
-		t.Fatalf("poll mode, response at 12 after 14: revs %d, %d entries; want the purge and 12", c.revs[0], c.cache.Len())
+}
+
+// TestPollModeAdmitsAStraggler pins what the polling client does with the
+// response TestOlderResponseIsNotAdmitted refuses: without a subscription a
+// response whose revision differs from the shard's — older included — purges
+// the shard, is adopted as the shard's revision (revs moves BACKWARDS) and
+// may fill. So a straggler answered before a rebind, delivered after a
+// response that already showed the rebind's revision, re-inserts the
+// retired binding, and it is served as a hit until the next miss crosses
+// the wire: poll mode's bound is "one round-trip", not "never older than
+// the newest revision seen". Documented, not fixed here: DESIGN §5c (what
+// a response does to the cache, poll mode) and §5a "Out-of-order
+// coherence" say where the stricter property holds; ROADMAP item 2 finds
+// and pins such holes, item 4 closes them. (The
+// deleted nameserver.Client rule refused the straggler; its
+// TestRevisionRaceEndToEnd went with it.)
+func TestPollModeAdmitsAStraggler(t *testing.T) {
+	c, _ := ruleClient()
+	c.revs[0] = 8
+	c.cache.Put("a/current", cacheEntry{entity: core.Entity{ID: 2}, dir: 5})
+	if !c.response(7) {
+		t.Fatal("poll mode refused a response older than the shard's revision; the pin is out of date — update DESIGN §5c")
+	}
+	if c.revs[0] != 7 || c.cache.Len() != 0 || c.purges != 1 {
+		t.Fatalf("after the straggler: revs %d, %d entries, %d purges; pinned behaviour is 7, 0, 1", c.revs[0], c.cache.Len(), c.purges)
+	}
+	// The next response at the newer revision purges again: the price of
+	// the backwards step is a second whole-shard purge, not a stuck cache.
+	c.cache.Put("a/stale", cacheEntry{entity: core.Entity{ID: 1}, dir: 5})
+	if !c.response(8) || c.revs[0] != 8 || c.cache.Len() != 0 || c.purges != 2 {
+		t.Fatalf("after catching up: revs %d, %d entries, %d purges; want 8, 0, 2", c.revs[0], c.cache.Len(), c.purges)
 	}
 }
 

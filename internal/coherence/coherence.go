@@ -99,16 +99,10 @@ type Report struct {
 	Total int
 	// Coherent, Weak, Vacuous and Incoherent count outcomes.
 	Coherent, Weak, Vacuous, Incoherent int
-	// ByName records the outcome per probe name (keyed by Path.String()).
-	ByName map[string]Outcome
 }
 
 // Add records one outcome.
-func (r *Report) Add(p core.Path, o Outcome) {
-	if r.ByName == nil {
-		r.ByName = make(map[string]Outcome)
-	}
-	r.ByName[p.String()] = o
+func (r *Report) Add(o Outcome) {
 	r.Total++
 	switch o {
 	case Coherent:
@@ -148,9 +142,9 @@ func (r *Report) WeakDegree() float64 {
 // Measure probes every path across the given activities and aggregates the
 // outcomes.
 func Measure(w *core.World, resolve ResolveFunc, activities []core.Entity, paths []core.Path) *Report {
-	r := &Report{ByName: make(map[string]Outcome, len(paths))}
+	r := &Report{}
 	for _, p := range paths {
-		r.Add(p, CheckName(w, resolve, activities, p))
+		r.Add(CheckName(w, resolve, activities, p))
 	}
 	return r
 }
@@ -168,7 +162,7 @@ type Resolver interface {
 // error counts as ⊥E for that resolver, so resolving vs. not resolving is
 // disagreement, as in CheckName.
 func MeasureResolvers(w *core.World, resolvers []Resolver, paths []core.Path) *Report {
-	r := &Report{ByName: make(map[string]Outcome, len(paths))}
+	r := &Report{}
 	results := make([]core.Entity, len(resolvers))
 	for _, p := range paths {
 		for i, res := range resolvers {
@@ -178,7 +172,7 @@ func MeasureResolvers(w *core.World, resolvers []Resolver, paths []core.Path) *R
 			}
 			results[i] = e
 		}
-		r.Add(p, Classify(w, results))
+		r.Add(Classify(w, results))
 	}
 	return r
 }

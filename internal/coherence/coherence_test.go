@@ -113,9 +113,6 @@ func TestMeasure(t *testing.T) {
 	if got, want := r.WeakDegree(), 0.5; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("WeakDegree = %v, want %v", got, want)
 	}
-	if r.ByName["bin"] != WeaklyCoherent {
-		t.Fatalf("ByName[bin] = %v", r.ByName["bin"])
-	}
 }
 
 func TestReportDegreesEmptyAndVacuous(t *testing.T) {
@@ -123,7 +120,7 @@ func TestReportDegreesEmptyAndVacuous(t *testing.T) {
 	if r.StrictDegree() != 1 || r.WeakDegree() != 1 {
 		t.Fatal("empty report degrees should be 1")
 	}
-	r.Add(core.PathOf("ghost"), Vacuous)
+	r.Add(Vacuous)
 	if r.StrictDegree() != 1 || r.WeakDegree() != 1 {
 		t.Fatal("all-vacuous report degrees should be 1")
 	}

@@ -47,9 +47,6 @@ func TestMeasureResolvers(t *testing.T) {
 	if rep.Total != 4 || rep.Coherent != 1 || rep.Weak != 1 || rep.Incoherent != 1 || rep.Vacuous != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if got := rep.ByName["vice/g"]; got != Coherent {
-		t.Fatalf("vice/g = %v", got)
-	}
 	if got := rep.StrictDegree(); got != 1.0/3.0 {
 		t.Fatalf("StrictDegree = %v", got)
 	}

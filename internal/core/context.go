@@ -116,23 +116,3 @@ func (c *BasicContext) Snapshot() map[Name]Entity {
 	}
 	return m
 }
-
-// EqualBindings reports whether two contexts have identical binding maps.
-func EqualBindings(a, b Context) bool {
-	an, bn := a.Names(), b.Names()
-	if len(an) != len(bn) {
-		return false
-	}
-	for i, n := range an {
-		if n != bn[i] || a.Lookup(n) != b.Lookup(n) {
-			return false
-		}
-	}
-	return true
-}
-
-// AgreeOn reports whether two contexts bind the given name to the same
-// entity (both unbound counts as agreement on ⊥E).
-func AgreeOn(a, b Context, n Name) bool {
-	return a.Lookup(n) == b.Lookup(n)
-}

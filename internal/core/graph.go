@@ -66,49 +66,6 @@ func (w *World) Reachable(from Entity) map[EntityID]bool {
 	return seen
 }
 
-// FindPath searches the naming graph (breadth-first) for a compound name of
-// length at most maxDepth that resolves from `from` to `to`. It returns the
-// shortest such path, preferring lexicographically smaller labels among
-// equals, and reports whether one exists.
-func (w *World) FindPath(from, to Entity, maxDepth int) (Path, bool) {
-	if from == to {
-		return nil, true
-	}
-	type item struct {
-		e Entity
-		p Path
-	}
-	seen := map[EntityID]bool{from.ID: true}
-	queue := []item{{from, nil}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if len(it.p) >= maxDepth {
-			continue
-		}
-		c, ok := w.ContextOf(it.e)
-		if !ok {
-			continue
-		}
-		for _, n := range c.Names() {
-			next := c.Lookup(n)
-			if next.IsUndefined() {
-				continue
-			}
-			p := it.p.Append(n)
-			if next == to {
-				return p, true
-			}
-			if seen[next.ID] {
-				continue
-			}
-			seen[next.ID] = true
-			queue = append(queue, item{next, p})
-		}
-	}
-	return nil, false
-}
-
 // DumpGraph writes a human-readable rendering of the naming graph, one edge
 // per line, using entity labels where available.
 func (w *World) DumpGraph(out io.Writer) error {

@@ -66,42 +66,6 @@ func TestReachableWithCycle(t *testing.T) {
 	}
 }
 
-func TestFindPath(t *testing.T) {
-	w, _, ents := buildTree(t)
-	tests := []struct {
-		name     string
-		from, to Entity
-		want     string
-		ok       bool
-	}{
-		{name: "root to ls", from: ents["root"], to: ents["ls"], want: "usr/bin/ls", ok: true},
-		{name: "root to bin", from: ents["root"], to: ents["bin"], want: "usr/bin", ok: true},
-		{name: "self", from: ents["root"], to: ents["root"], want: "", ok: true},
-		{name: "no path", from: ents["bin"], to: ents["etc"], ok: false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			p, ok := w.FindPath(tt.from, tt.to, 10)
-			if ok != tt.ok {
-				t.Fatalf("ok = %v, want %v", ok, tt.ok)
-			}
-			if ok && p.String() != tt.want {
-				t.Fatalf("path = %q, want %q", p, tt.want)
-			}
-		})
-	}
-}
-
-func TestFindPathDepthLimit(t *testing.T) {
-	w, _, ents := buildTree(t)
-	if _, ok := w.FindPath(ents["root"], ents["ls"], 2); ok {
-		t.Fatal("found a path longer than the depth limit")
-	}
-	if _, ok := w.FindPath(ents["root"], ents["ls"], 3); !ok {
-		t.Fatal("did not find path of exactly the depth limit")
-	}
-}
-
 func TestDumpGraph(t *testing.T) {
 	w, _, _ := buildTree(t)
 	var sb strings.Builder

@@ -105,23 +105,6 @@ func (t *Tree) dirAt(p core.Path) (core.Entity, core.Context, error) {
 	return e, c, nil
 }
 
-// Mkdir creates a directory named name under the directory at path `at`.
-func (t *Tree) Mkdir(at core.Path, name core.Name) (core.Entity, error) {
-	parent, parentCtx, err := t.dirAt(at)
-	if err != nil {
-		return core.Undefined, err
-	}
-	if !parentCtx.Lookup(name).IsUndefined() {
-		return core.Undefined, fmt.Errorf("mkdir %q in %q: %w", name, at, ErrExists)
-	}
-	dir, dirCtx := t.W.NewContextObject(string(name))
-	if t.ParentLinks {
-		dirCtx.Bind(ParentName, parent)
-	}
-	parentCtx.Bind(name, dir)
-	return dir, nil
-}
-
 // MkdirAll creates every missing directory along p and returns the last.
 // Existing directories along the way are reused.
 func (t *Tree) MkdirAll(p core.Path) (core.Entity, error) {
@@ -320,15 +303,6 @@ func (t *Tree) copyEntity(e core.Entity, copied map[core.EntityID]core.Entity) c
 	// Opaque entity (activity, foreign object): share it.
 	copied[e.ID] = e
 	return e
-}
-
-// List returns the sorted names bound in the directory at p.
-func (t *Tree) List(p core.Path) ([]core.Name, error) {
-	_, c, err := t.dirAt(p)
-	if err != nil {
-		return nil, err
-	}
-	return c.Names(), nil
 }
 
 // Walk visits every (path, entity) pair reachable from the root by

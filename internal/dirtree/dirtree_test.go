@@ -13,38 +13,6 @@ func newTree(t *testing.T) (*core.World, *Tree) {
 	return w, New(w, "root")
 }
 
-func TestMkdirAndLookup(t *testing.T) {
-	_, tr := newTree(t)
-	d, err := tr.Mkdir(nil, "usr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Lookup(core.PathOf("usr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != d {
-		t.Fatalf("Lookup = %v, want %v", got, d)
-	}
-}
-
-func TestMkdirDuplicate(t *testing.T) {
-	_, tr := newTree(t)
-	if _, err := tr.Mkdir(nil, "usr"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Mkdir(nil, "usr"); !errors.Is(err, ErrExists) {
-		t.Fatalf("err = %v, want ErrExists", err)
-	}
-}
-
-func TestMkdirUnderMissingParent(t *testing.T) {
-	_, tr := newTree(t)
-	if _, err := tr.Mkdir(core.PathOf("nope"), "x"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestMkdirAll(t *testing.T) {
 	_, tr := newTree(t)
 	d1, err := tr.MkdirAll(core.ParsePath("a/b/c"))
@@ -115,7 +83,7 @@ func TestCreateInvalidPath(t *testing.T) {
 
 func TestFileAtOnDirectoryFails(t *testing.T) {
 	_, tr := newTree(t)
-	if _, err := tr.Mkdir(nil, "d"); err != nil {
+	if _, err := tr.MkdirAll(core.PathOf("d")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.FileAt(core.PathOf("d")); err == nil {
@@ -381,26 +349,6 @@ func TestMoveRewritesParentLink(t *testing.T) {
 	}
 }
 
-func TestList(t *testing.T) {
-	_, tr := newTree(t)
-	if _, err := tr.Create(core.ParsePath("d/b"), ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Create(core.ParsePath("d/a"), ""); err != nil {
-		t.Fatal(err)
-	}
-	names, err := tr.List(core.PathOf("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("List = %v", names)
-	}
-	if _, err := tr.List(core.ParsePath("d/a")); err == nil {
-		t.Fatal("List of a file should fail")
-	}
-}
-
 func TestWalk(t *testing.T) {
 	_, tr := newTree(t)
 	if _, err := tr.Create(core.ParsePath("a/f1"), ""); err != nil {
@@ -440,7 +388,7 @@ func TestWalkPrune(t *testing.T) {
 
 func TestWalkCycleSafe(t *testing.T) {
 	w, tr := newTree(t)
-	d, err := tr.Mkdir(nil, "d")
+	d, err := tr.MkdirAll(core.PathOf("d"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestRandomTreeOpsInvariants(t *testing.T) {
 				}
 				switch rng.Intn(3) {
 				case 0: // mkdir
-					d, err := tr.Mkdir(dirAt(parent), core.Name(name))
+					d, err := tr.MkdirAll(dirAt(child))
 					if err != nil {
 						t.Fatalf("step %d mkdir: %v", step, err)
 					}

@@ -322,7 +322,7 @@ func TestAssemblerErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// Assembling a directory fails.
-	d, err := tr.Mkdir(nil, "d")
+	d, err := tr.MkdirAll(core.PathOf("d"))
 	if err != nil {
 		t.Fatal(err)
 	}

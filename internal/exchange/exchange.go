@@ -68,24 +68,6 @@ func (t *PrefixTranslator) Translate(name, _, _ string) (string, error) {
 // String implements Translator.
 func (t *PrefixTranslator) String() string { return "prefix-mapping" }
 
-// Func adapts a function to the Translator interface.
-type Func struct {
-	// TranslateFunc is invoked for Translate.
-	TranslateFunc func(name, from, to string) (string, error)
-	// Label is returned by String.
-	Label string
-}
-
-var _ Translator = Func{}
-
-// Translate implements Translator.
-func (f Func) Translate(name, from, to string) (string, error) {
-	return f.TranslateFunc(name, from, to)
-}
-
-// String implements Translator.
-func (f Func) String() string { return f.Label }
-
 // Party is a process reachable on the network: a resolving process plus an
 // endpoint and the realm label translation keys on.
 type Party struct {

@@ -131,22 +131,6 @@ func TestPrefixTranslator(t *testing.T) {
 	}
 }
 
-func TestFuncTranslator(t *testing.T) {
-	f := Func{
-		Label: "custom",
-		TranslateFunc: func(name, from, to string) (string, error) {
-			return "/" + from + name, nil
-		},
-	}
-	got, err := f.Translate("/x", "a", "b")
-	if err != nil || got != "/a/x" {
-		t.Fatalf("Translate = %q, %v", got, err)
-	}
-	if f.String() != "custom" {
-		t.Fatalf("String = %q", f.String())
-	}
-}
-
 func TestTranslateError(t *testing.T) {
 	_, a, b, x := newcastlePair(t)
 	// Relative names cannot be mapped by the Newcastle rule.

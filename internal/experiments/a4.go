@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"sync"
+	"strings"
 
+	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
-	"namecoherence/internal/dirtree"
 	"namecoherence/internal/nameserver"
 	"namecoherence/internal/workload"
 )
@@ -31,15 +30,37 @@ func DefaultA4() A4Config {
 	return A4Config{Names: 50, Lookups: 1000, ChurnEvery: 25, CacheSize: 64, Seed: 17}
 }
 
-// a4Scheme describes one cache discipline under test.
-type a4Scheme struct {
-	name string
-	opts []nameserver.ClientOption
+// a4Client is what A4 needs of a client under test; the wire client and the
+// cluster client both provide it.
+type a4Client interface {
+	Resolve(core.Path) (core.Entity, error)
+	Stats() (hits, misses int)
+}
+
+// a4Dial connects one cache discipline's client to the one-shard cluster
+// and returns it with its close function.
+func a4Dial(scheme string, cl *cluster.Cluster, cacheSize int) (a4Client, func(), error) {
+	if scheme == "coherent" {
+		// The cluster's own routing table: no bootstrap request is counted.
+		c := cluster.NewClient("tcp", cl.Routes(), cluster.WithLRU(cacheSize))
+		return c, c.Close, nil
+	}
+	var opts []nameserver.ClientOption
+	if scheme == "plain" {
+		opts = append(opts, nameserver.WithCache(cacheSize))
+	}
+	c, err := nameserver.Dial("tcp", cl.Addrs()[0], opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, func() { _ = c.Close() }, nil
 }
 
 // A4 interleaves lookups with server-side rebinding and counts stale reads
 // (lookups that returned an entity other than the current binding) for the
-// no-cache, plain-cache and coherent-cache disciplines.
+// no-cache, plain-cache (nameserver.WithCache) and coherent-cache
+// (cluster.Client's revision-tracked LRU, polling) disciplines, each against
+// a fresh one-shard cluster.
 func A4(cfg A4Config) (*Table, error) {
 	t := &Table{
 		ID:     "A4",
@@ -51,54 +72,45 @@ func A4(cfg A4Config) (*Table, error) {
 			"revision-tracked cache bounds staleness to one round-trip.",
 		},
 	}
-	schemes := []a4Scheme{
-		{name: "none"},
-		{name: "plain", opts: []nameserver.ClientOption{nameserver.WithCache(cfg.CacheSize)}},
-		{name: "coherent", opts: []nameserver.ClientOption{nameserver.WithCoherentCache(cfg.CacheSize)}},
-	}
-	for _, scheme := range schemes {
+	for _, scheme := range []string{"none", "plain", "coherent"} {
 		stale, served, hitRate, err := a4Run(cfg, scheme)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(scheme.name, itoa(cfg.Lookups), itoa(stale), itoa(served), f2(hitRate))
+		t.AddRow(scheme, itoa(cfg.Lookups), itoa(stale), itoa(served), f2(hitRate))
 	}
 	return t, nil
 }
 
-func a4Run(cfg A4Config, scheme a4Scheme) (stale, served int, hitRate float64, err error) {
+func a4Run(cfg A4Config, scheme string) (stale, served int, hitRate float64, err error) {
 	w := core.NewWorld()
-	tr := dirtree.New(w, "export")
+	var spec strings.Builder
 	paths := make([]core.Path, cfg.Names)
-	truth := make([]core.Entity, cfg.Names)
 	for i := range paths {
-		p := core.ParsePath(fmt.Sprintf("dir/f%04d", i))
-		e, err := tr.Create(p, "x")
-		if err != nil {
+		paths[i] = core.ParsePath(fmt.Sprintf("dir/f%04d", i))
+		fmt.Fprintf(&spec, "file %s \"x\"\n", paths[i])
+	}
+	cl, err := cluster.New(w, spec.String(), 1)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer cl.Close()
+	tr := cl.Trees[0]
+	truth := make([]core.Entity, cfg.Names)
+	for i, p := range paths {
+		if truth[i], err = tr.Lookup(p); err != nil {
 			return 0, 0, 0, err
 		}
-		paths[i] = p
-		truth[i] = e
 	}
 	dirEnt, err := tr.Lookup(core.PathOf("dir"))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-
-	server := nameserver.NewServer(w, tr.RootContext())
-	server.WatchExport(tr.Root)
-	serverEnd, clientEnd := net.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		server.ServeConn(serverEnd)
-	}()
-	client := nameserver.NewClient(clientEnd, scheme.opts...)
-	defer func() {
-		_ = client.Close()
-		wg.Wait()
-	}()
+	client, closeClient, err := a4Dial(scheme, cl, cfg.CacheSize)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer closeClient()
 
 	gen := workload.New(cfg.Seed)
 	lookupSeq := gen.Zipf(cfg.Lookups, cfg.Names)
@@ -122,5 +134,5 @@ func a4Run(cfg A4Config, scheme a4Scheme) (stale, served int, hitRate float64, e
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	return stale, server.Served(), hitRate, nil
+	return stale, cl.Served(), hitRate, nil
 }

@@ -3,7 +3,6 @@ package federation
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"namecoherence/internal/core"
@@ -50,15 +49,6 @@ func (f *Federation) System(name string) (*sharedns.System, error) {
 		return nil, fmt.Errorf("system %q: %w", name, ErrUnknownSystem)
 	}
 	return s, nil
-}
-
-// SystemNames returns the system names in registration order.
-func (f *Federation) SystemNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, len(f.order))
-	copy(out, f.order)
-	return out
 }
 
 // CrossLink extends the naming graphs of `fromSystem`'s clients with access
@@ -174,9 +164,4 @@ func ExchangeName(sender, receiver *machine.Process, name string, pm *PrefixMapp
 	out.ReceiverEntity, _ = receiver.Resolve(out.SentName)
 	out.Coherent = !out.SenderEntity.IsUndefined() && out.SenderEntity == out.ReceiverEntity
 	return out
-}
-
-// NormalizeName is a helper for building textual names from parts.
-func NormalizeName(parts ...string) string {
-	return core.Separator + strings.Join(parts, core.Separator)
 }

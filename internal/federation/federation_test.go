@@ -64,14 +64,6 @@ func TestAddSystemDuplicate(t *testing.T) {
 	}
 }
 
-func TestSystemNames(t *testing.T) {
-	_, f, _, _ := twoOrgs(t)
-	names := f.SystemNames()
-	if len(names) != 2 || names[0] != "org1" || names[1] != "org2" {
-		t.Fatalf("SystemNames = %v", names)
-	}
-}
-
 func TestCrossLink(t *testing.T) {
 	_, f, _, _ := twoOrgs(t)
 	// org1 attaches org2's /users space under /org2-users in every client.
@@ -211,11 +203,5 @@ func TestExchangeNameCollision(t *testing.T) {
 	}
 	if out.ReceiverEntity.IsUndefined() {
 		t.Fatal("receiver should resolve the colliding name (to the wrong entity)")
-	}
-}
-
-func TestNormalizeName(t *testing.T) {
-	if got := NormalizeName("a", "b", "c"); got != "/a/b/c" {
-		t.Fatalf("NormalizeName = %q", got)
 	}
 }

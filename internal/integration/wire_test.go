@@ -1,12 +1,13 @@
 package integration
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 
+	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
-	"namecoherence/internal/dirtree"
 	"namecoherence/internal/nameserver"
 	"namecoherence/internal/sharedns"
 )
@@ -63,28 +64,19 @@ func TestSharedTreeExportedOverTCP(t *testing.T) {
 	}
 }
 
-// Concurrent resolution through the whole stack while the shared tree
-// churns: many client goroutines resolve over TCP with coherent caches
-// while the server side rebinds names. The test asserts liveness and that
-// every result is either the old or the new binding (no torn values).
+// Concurrent resolution through the whole stack while the exported tree
+// churns: four cluster clients with revision-tracked caches resolve over
+// TCP against a one-shard cluster while the server side rebinds the name.
+// The test asserts liveness and that every result is either the old or the
+// new binding (no torn values).
 func TestConcurrentChurnOverTCP(t *testing.T) {
 	w := core.NewWorld()
-	tr := sharednsExportTree(t, w)
-	server := nameserver.NewServer(w, tr.RootContext())
-	server.WatchExport(tr.Root)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	cl, err := cluster.New(w, "file dir/hot \"v1\"\n", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		server.Serve(ln)
-	}()
-	defer func() {
-		server.Close()
-		<-done
-	}()
+	defer cl.Close()
+	tr := cl.Trees[0]
 
 	p := core.ParsePath("dir/hot")
 	old, err := tr.Lookup(p)
@@ -99,13 +91,8 @@ func TestConcurrentChurnOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := nameserver.Dial("tcp", ln.Addr().String(),
-				nameserver.WithCoherentCache(8))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer func() { _ = client.Close() }()
+			client := cluster.NewClient("tcp", cl.Routes(), cluster.WithLRU(8))
+			defer client.Close()
 			for j := 0; j < 50; j++ {
 				got, err := client.Resolve(p)
 				if err != nil {
@@ -113,7 +100,7 @@ func TestConcurrentChurnOverTCP(t *testing.T) {
 					return
 				}
 				if got != old && got != fresh {
-					errs <- err
+					errs <- fmt.Errorf("resolved %v, want %v or %v", got, old, fresh)
 					return
 				}
 			}
@@ -127,12 +114,10 @@ func TestConcurrentChurnOverTCP(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
 	// After churn, a fresh client must see the new binding.
-	client, err := nameserver.Dial("tcp", ln.Addr().String())
+	client, err := nameserver.Dial("tcp", cl.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +129,4 @@ func TestConcurrentChurnOverTCP(t *testing.T) {
 	if got != fresh {
 		t.Fatalf("post-churn resolve = %v, want %v", got, fresh)
 	}
-}
-
-// sharednsExportTree builds a small exported tree with dir/hot bound.
-func sharednsExportTree(t *testing.T, w *core.World) *dirtree.Tree {
-	t.Helper()
-	tr := dirtree.New(w, "export")
-	if _, err := tr.Create(core.ParsePath("dir/hot"), "v1"); err != nil {
-		t.Fatal(err)
-	}
-	return tr
 }

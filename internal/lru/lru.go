@@ -76,11 +76,5 @@ func (c *Cache[K, V]) DeleteFunc(keep func(key K, val V) bool) int {
 	return removed
 }
 
-// Clear removes every entry.
-func (c *Cache[K, V]) Clear() {
-	c.order.Init()
-	clear(c.items)
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int { return c.order.Len() }

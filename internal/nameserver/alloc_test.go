@@ -53,31 +53,6 @@ func TestServerResolveAllocFree(t *testing.T) {
 	})
 }
 
-// TestAdmitRevisionAllocFree pins the coherent cache's admission rule at
-// zero allocations: every iteration advances the revision (driving the
-// purge branch), then probes a stale revision (the refusal branch). The
-// cache entry planted up front is purged by the warm-up advance, so the
-// purge-with-entries case runs under measurement discipline too.
-func TestAdmitRevisionAllocFree(t *testing.T) {
-	c := &Client{}
-	WithCoherentCache(8).apply(c)
-	c.mu.Lock()
-	c.cache.Put("usr/bin/ls", core.Entity{ID: 1})
-	c.mu.Unlock()
-	rev := uint64(0)
-	allocFloor(t, "admitRevision", 0, func() {
-		c.mu.Lock()
-		rev++
-		if !c.admitRevision(rev) {
-			t.Fatal("advanced revision refused")
-		}
-		if c.admitRevision(rev - 1) {
-			t.Fatal("stale revision admitted")
-		}
-		c.mu.Unlock()
-	})
-}
-
 // TestCachedResolveAllocFloor pins the client's cache-hit path at one
 // allocation: the cache key (Path.String of a multi-component name).
 // Nothing crosses the wire on a hit, so send/lead stay idle and the floor

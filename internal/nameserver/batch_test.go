@@ -92,27 +92,6 @@ func TestResolveBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestBatchCoherentPurge(t *testing.T) {
-	w, tr, _ := exportedTree(t)
-	if _, err := tr.Create(core.ParsePath("etc/motd"), "hi"); err != nil {
-		t.Fatal(err)
-	}
-	s := NewServer(w, tr.RootContext())
-	c := pipeClient(t, s, WithCoherentCache(16))
-
-	if _, err := c.Resolve(core.ParsePath("etc/motd")); err != nil {
-		t.Fatal(err)
-	}
-	s.Bump()
-	// The next batch response carries the new revision and purges.
-	if _, err := c.ResolveBatch([]core.Path{core.ParsePath("usr/bin/ls")}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Purges() != 1 {
-		t.Fatalf("Purges = %d, want 1", c.Purges())
-	}
-}
-
 func TestRoutesFetch(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -212,51 +191,6 @@ func TestRevisionSampledAfterResolution(t *testing.T) {
 	if resp.Rev != s.Revision() {
 		t.Fatalf("Rev = %d, want the post-change revision %d (stale revision defeats the one-round-trip staleness bound)",
 			resp.Rev, s.Revision())
-	}
-}
-
-// TestRevisionRaceEndToEnd drives the same race through a coherent-cache
-// client: the response that carries the racing change's binding must also
-// carry the new revision, so the purge happens on that very round-trip.
-func TestRevisionRaceEndToEnd(t *testing.T) {
-	w, tr, _ := exportedTree(t)
-	if _, err := tr.Create(core.ParsePath("etc/motd"), "hi"); err != nil {
-		t.Fatal(err)
-	}
-	binDir, err := tr.Lookup(core.ParsePath("usr/bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	binCtx, _ := w.ContextOf(binDir)
-	newLs := w.NewObject("new-ls")
-
-	var s *Server
-	wrapped := &bumpingContext{
-		Context: tr.RootContext(),
-		trigger: "usr",
-		mutate: func() {
-			binCtx.Bind("ls", newLs)
-			s.Bump()
-		},
-	}
-	s = NewServer(w, wrapped)
-	c := pipeClient(t, s, WithCoherentCache(16))
-
-	// Prime the cache at revision 0.
-	if _, err := c.Resolve(core.ParsePath("etc/motd")); err != nil {
-		t.Fatal(err)
-	}
-	// This resolution races the rebind+bump; with the fix its response
-	// already carries revision 1 and purges the stale motd entry.
-	got, err := c.Resolve(core.ParsePath("usr/bin/ls"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != newLs {
-		t.Fatalf("Resolve = %v, want %v", got, newLs)
-	}
-	if c.Purges() != 1 {
-		t.Fatalf("Purges = %d, want 1 (purge must not be deferred past the racing round-trip)", c.Purges())
 	}
 }
 

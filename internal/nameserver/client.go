@@ -43,9 +43,9 @@ type pendingCall struct {
 	done chan struct{} // closed exactly once, by whoever removes the call from pending
 }
 
-// Client is a connection to a name server with an optional resolution
-// cache. One Client multiplexes any number of concurrent callers over a
-// single connection: each call is tagged with a fresh ID and parked in a
+// Client is a connection to a name server with an optional, never
+// invalidated resolution cache (WithCache). One Client multiplexes any
+// number of concurrent callers over a single connection: each call is tagged with a fresh ID and parked in a
 // pending table, then the caller itself encodes the request under a
 // capacity-1 write token — and, when the connection is carrying a
 // pipeline, yields the processor once before flushing, so the callers a
@@ -83,13 +83,10 @@ type Client struct {
 	nextID  uint64
 	broken  error // sticky: once the stream is unusable, new calls fail fast
 
-	mu       sync.Mutex // guards the fields below; never held across I/O
-	cache    *lru.Cache[string, core.Entity]
-	coherent bool
-	rev      uint64
-	hits     int
-	misses   int
-	purges   int
+	mu     sync.Mutex // guards the fields below; never held across I/O
+	cache  *lru.Cache[string, core.Entity]
+	hits   int
+	misses int
 	// subscription state (see Subscribe): push frames are consumed by a
 	// standing reader goroutine, joined by Close via readerWG.
 	subscribed    bool
@@ -115,25 +112,6 @@ func (o cacheOption) apply(c *Client) {
 // (coherence-agnostic) name caches common in directory services.
 func WithCache(n int) ClientOption {
 	return cacheOption(n)
-}
-
-type coherentCacheOption int
-
-func (o coherentCacheOption) apply(c *Client) {
-	c.cache = lru.New[string, core.Entity](int(o))
-	c.coherent = true
-}
-
-// WithCoherentCache enables a revision-tracked LRU cache of at most n
-// entries: every response carries the server's binding revision, the
-// whole cache is purged when a response shows the revision advanced, and
-// only entities fetched at the current revision are stored (see
-// admitRevision for why both halves are needed once responses complete
-// out of order). Cache staleness is thus bounded by one round-trip after
-// a server-side change (pair with Server.WatchExport for automatic
-// bumping).
-func WithCoherentCache(n int) ClientOption {
-	return coherentCacheOption(n)
 }
 
 type timeoutOption time.Duration
@@ -386,14 +364,11 @@ func recvFailure(err error) error {
 	}
 }
 
-// invalidate consumes a push invalidation frame. It answers no call: it
-// feeds the coherent cache's purge rule directly — that is the whole point
-// of subscribing — and then the optional notification callback, outside
-// c.mu.
+// invalidate consumes a push invalidation frame. It answers no call: it is
+// counted and handed to the subscriber's callback, outside c.mu.
 func (c *Client) invalidate(resp *response) {
 	c.mu.Lock()
 	c.invalidations++
-	c.admitRevision(resp.Rev)
 	onInval := c.onInval
 	c.mu.Unlock()
 	if onInval != nil {
@@ -576,83 +551,36 @@ func (c *Client) expire(pc *pendingCall) (response, error) {
 	return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), os.ErrDeadlineExceeded)
 }
 
-// admitRevision applies the coherent-cache rule to a response's revision
-// and reports whether entities from that response may be cached. Callers
-// hold c.mu.
-//
-// With responses completing out of order, "purge when the revision
-// changes" alone is no longer sound: a slow pre-bump response could land
-// after the purge and re-insert a stale entity. The invariant is instead
-// anchored to the newest revision ever seen (c.rev): a response strictly
-// ahead purges and advances, a response at c.rev may fill, and a response
-// strictly behind must neither purge nor fill. Every cached entry is then
-// vouched for at exactly c.rev, and staleness stays bounded by one
-// round-trip — the first response resolved after a server-side bump
-// carries the advanced revision and evicts everything older, while late
-// pre-bump stragglers are served to their caller but never cached.
-//
-//namingvet:allocfree
-func (c *Client) admitRevision(rev uint64) bool {
-	if !c.coherent {
-		return true
-	}
-	if rev > c.rev {
-		// The exported graph changed since our entries were fetched:
-		// purge before trusting anything new.
-		if c.cache.Len() > 0 {
-			c.cache.Clear()
-			c.purges++
-		}
-		c.rev = rev
-	}
-	return rev == c.rev
-}
-
-// Resolve resolves the compound name at the server (or the cache). Names
-// that are not wire-canonical fail client-side with ErrNotCanonical
-// before anything crosses the wire.
-//
-// A cache hit validates the name but does not build its wire form: the
-// canonical []string is only materialized once the resolution actually
-// has to cross the wire, so the hit path pays for the cache key and
-// nothing else.
+// Resolve resolves the compound name: from the cache when there is one and
+// it holds the name, else at the server (see ResolveRev), keeping the
+// answer. Names that are not wire-canonical fail client-side with
+// ErrNotCanonical before they can become a cache key or cross the wire.
+// Only a resolution the server satisfied counts as a miss; a transport or
+// remote failure is not a cache miss served.
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
-	if err := checkWireCanonical(p); err != nil {
-		return core.Undefined, err
-	}
 	var key string
 	if c.cache != nil {
+		if err := checkWireCanonical(p); err != nil {
+			return core.Undefined, err
+		}
 		key = p.String()
 		c.mu.Lock()
-		if e, ok := c.cache.Get(key); ok {
+		e, ok := c.cache.Get(key)
+		if ok {
 			c.hits++
-			c.mu.Unlock()
-			return e, nil
 		}
 		c.mu.Unlock()
+		if ok {
+			return e, nil
+		}
 	}
-	// Already validated above; the error cannot recur.
-	raw, _ := CanonicalWirePath(p)
-
-	req := request{Path: raw}
-	resp, err := c.call(req)
+	e, _, _, err := c.ResolveRev(p)
 	if err != nil {
 		return core.Undefined, err
 	}
-	if resp.Err != "" {
-		// The server did answer, so its revision counts (and may purge),
-		// but a failed resolution satisfied nothing: not a miss.
-		c.mu.Lock()
-		c.admitRevision(resp.Rev)
-		c.mu.Unlock()
-		return core.Undefined, &RemoteError{Msg: resp.Err}
-	}
-	e := core.Entity{ID: core.EntityID(resp.Ent), Kind: core.Kind(resp.Kind)}
 	c.mu.Lock()
-	// Count the miss only now that the uncached resolution succeeded; a
-	// transport or remote failure is not a cache miss served.
 	c.misses++
-	if c.admitRevision(resp.Rev) && c.cache != nil {
+	if c.cache != nil {
 		c.cache.Put(key, e)
 	}
 	c.mu.Unlock()
@@ -715,25 +643,24 @@ type BatchResult struct {
 	// Err is the per-name failure (*RemoteError), nil on success.
 	Err error
 	// Dir is the server's entity for the directory the name's final
-	// component was looked up in (see ResolveRev); set by ResolveBatchRev.
+	// component was looked up in (see ResolveRev); 0 for an answer out of
+	// ResolveBatch's cache.
 	Dir core.EntityID
 }
 
 // ResolveBatch resolves every path in one round-trip (cache hits are
-// answered locally; duplicates cross the wire once). Results are in
-// argument order. The returned error reports a transport failure; per-name
-// resolution failures are in the results.
+// answered locally; duplicates cross the wire once, see ResolveBatchRev).
+// Results are in argument order. The returned error reports a transport
+// failure; per-name resolution failures are in the results.
 func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	out := make([]BatchResult, len(paths))
-	if len(paths) == 0 {
-		return out, nil
-	}
 
 	// Answer what we can from the cache; collect the rest, deduplicated.
 	// Non-canonical names fail in their result slot before touching the
 	// cache or the wire — a bad name must not become a cache key.
 	need := make(map[string][]int)
-	var order []string
+	var keys []string
+	var missed []core.Path
 	c.mu.Lock()
 	for i, p := range paths {
 		if err := checkWireCanonical(p); err != nil {
@@ -749,43 +676,28 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			}
 		}
 		if _, seen := need[key]; !seen {
-			order = append(order, key)
+			keys = append(keys, key)
+			missed = append(missed, p)
 		}
 		need[key] = append(need[key], i)
 	}
 	c.mu.Unlock()
-	if len(order) == 0 {
+	if len(missed) == 0 {
 		return out, nil
 	}
 
-	req := request{Paths: make([][]string, len(order))}
-	for k, key := range order {
-		// Already validated above; the error cannot recur.
-		raw, _ := CanonicalWirePath(paths[need[key][0]])
-		req.Paths[k] = raw
-	}
-	resp, err := c.call(req)
+	results, _, err := c.ResolveBatchRev(missed)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(order) {
-		return nil, fmt.Errorf("resolve batch: got %d results for %d paths", len(resp.Results), len(order))
-	}
 	c.mu.Lock()
-	fresh := c.admitRevision(resp.Rev)
-	for k, res := range resp.Results {
-		var br BatchResult
-		if res.Err != "" {
-			br = BatchResult{Entity: core.Undefined, Err: &RemoteError{Msg: res.Err}}
-		} else {
-			br = BatchResult{Entity: core.Entity{ID: core.EntityID(res.ID), Kind: core.Kind(res.Kind)}}
-			if fresh && c.cache != nil {
-				c.cache.Put(order[k], br.Entity)
-			}
+	for k, res := range results {
+		if res.Err == nil && c.cache != nil {
+			c.cache.Put(keys[k], res.Entity)
 		}
-		for _, i := range need[order[k]] {
-			out[i] = br
-			if res.Err == "" {
+		for _, i := range need[keys[k]] {
+			out[i] = res
+			if res.Err == nil {
 				// Misses count per slot (duplicates included) and only for
 				// slots an uncached resolution actually satisfied.
 				c.misses++
@@ -817,13 +729,6 @@ func (c *Client) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// Purges returns how many times the coherent cache has been invalidated.
-func (c *Client) Purges() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.purges
 }
 
 // Invalidations returns how many push invalidation frames this client has

@@ -69,7 +69,7 @@ func TestStatsNotBlockedByInflightResolve(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	promptly(t, "Stats", func() { c.Stats() })
-	promptly(t, "Purges", func() { c.Purges() })
+	promptly(t, "Invalidations", func() { c.Invalidations() })
 
 	close(release)
 	<-inflight

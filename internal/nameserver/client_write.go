@@ -16,8 +16,7 @@ import (
 
 // Bind binds name in the server directory at dir (empty: the export
 // root) to target, an entity previously resolved over this protocol.
-// Returns the revision the bind committed at. The client's own coherent
-// cache purges on the reply — the writer never serves itself stale reads.
+// Returns the revision the bind committed at.
 func (c *Client) Bind(dir core.Path, name core.Name, target core.Entity) (uint64, error) {
 	req, err := mutationRequest(OpBind, dir, name)
 	if err != nil {
@@ -49,7 +48,6 @@ func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, uint64, 
 	if err != nil {
 		return core.Undefined, 0, err
 	}
-	c.noteMutationRev(resp.Rev)
 	if resp.Err != "" {
 		return core.Undefined, resp.Rev, &RemoteError{Msg: resp.Err}
 	}
@@ -92,29 +90,17 @@ func mutationRequest(op uint8, dir core.Path, name core.Name) (request, error) {
 	return request{Op: op, Path: raw, Name: string(name)}, nil
 }
 
-// mutate runs one mutation round-trip and applies the reply's revision to
-// the coherent cache — a mutation reply always carries a revision at or
-// past the commit, so the writer's next read cannot be served from
-// entries the write just invalidated.
+// mutate runs one mutation round-trip. Even a refused mutation's reply
+// carries the revision the server answered at.
 func (c *Client) mutate(req request) (uint64, error) {
 	resp, err := c.call(req)
 	if err != nil {
 		return 0, err
 	}
-	c.noteMutationRev(resp.Rev)
 	if resp.Err != "" {
 		return resp.Rev, &RemoteError{Msg: resp.Err}
 	}
 	return resp.Rev, nil
-}
-
-// noteMutationRev feeds a mutation reply's revision to the cache rule.
-// Even a refused mutation's reply counts: the server answered at that
-// revision, so anything older is known stale.
-func (c *Client) noteMutationRev(rev uint64) {
-	c.mu.Lock()
-	c.admitRevision(rev)
-	c.mu.Unlock()
 }
 
 // Invalidation is one consumed push frame: the server committed revision
@@ -130,13 +116,10 @@ type Invalidation struct {
 	Name core.Name
 }
 
-// Subscribe switches this client from poll-validated to push-invalidated
-// coherence: the server sends one unsolicited frame per revision advance,
-// and the client consumes it straight into the coherent cache's purge rule
-// (which purges everything, whatever the frame says — purging by binding
-// belongs to the cluster client's cache). Staleness then stops being "one round-trip
-// after the next miss" and becomes one frame's flight time, even for a
-// reader that hits its cache forever.
+// Subscribe asks the server for one unsolicited frame per revision
+// advance. The client only counts and reports them (see Invalidations);
+// acting on a frame — purging what it invalidates — belongs to the cluster
+// client's cache, which hooks in through SubscribeFrames.
 //
 // onInval, if non-nil, is called after each consumed frame with the
 // pushed revision. It runs on whichever goroutine decoded the frame and
@@ -172,9 +155,6 @@ func (c *Client) SubscribeFrames(onFrame func(Invalidation)) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The ack's revision is the subscription's starting point: everything
-	// cached below it is purged, everything after arrives as a push.
-	c.noteMutationRev(resp.Rev)
 
 	c.readerWG.Add(1)
 	go func() {

@@ -137,12 +137,12 @@ func TestReadOnlyServer(t *testing.T) {
 // TestMkcontextAutoWatch is the regression for the WatchExport hole:
 // directories created after watch time were unwatched, so a bind inside a
 // freshly made context mutated the graph without a revision bump and
-// coherent caches went silently stale.
+// revision-tracked caches went silently stale.
 func TestMkcontextAutoWatch(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
 	s.WatchExport(tr.Root)
-	c := pipeClient(t, s, WithCoherentCache(16))
+	c := pipeClient(t, s)
 	pushed := make(chan uint64, 16)
 	if err := c.Subscribe(func(rev uint64) { pushed <- rev }); err != nil {
 		t.Fatal(err)
@@ -175,23 +175,20 @@ func TestMkcontextAutoWatch(t *testing.T) {
 		}
 	}
 
-	// The coherent cache must see the change after one round-trip: prime
-	// it, mutate again, and check the next round-trip purges.
+	// A revision-tracked cache must learn of the next change within one
+	// round-trip: mutate again, and the next response — for any name —
+	// carries a later revision.
 	p := core.ParsePath("usr/fresh/tool")
-	if got, err := c.Resolve(p); err != nil || got != f {
+	got, _, primed, err := c.ResolveRev(p)
+	if err != nil || got != f {
 		t.Fatalf("resolve fresh binding = %v, %v", got, err)
 	}
-	purges := c.Purges()
 	ctx.Unbind("tool")
-	if _, err := c.Resolve(core.ParsePath("usr/bin/ls")); err != nil {
-		t.Fatal(err)
-	}
-	if c.Purges() <= purges {
-		t.Fatalf("Purges = %d after unbind in fresh context, want > %d (no bump reached the cache)",
-			c.Purges(), purges)
+	if _, _, rev, err := c.ResolveRev(core.ParsePath("usr/bin/ls")); err != nil || rev <= primed {
+		t.Fatalf("revision %d (%v) after unbind in fresh context, want > %d (no bump reached the response)", rev, err, primed)
 	}
 	if _, err := c.Resolve(p); err == nil {
-		t.Fatal("stale cache served an unbound name")
+		t.Fatal("an unbound name still resolved")
 	}
 }
 
@@ -240,13 +237,13 @@ func TestWatchExportSharedDirectory(t *testing.T) {
 	}
 }
 
-// TestPushInvalidation subscribes a coherent-cache client and checks that
-// a write pushes the purge to it without the client issuing any request.
+// TestPushInvalidation subscribes a client and checks that a write pushes
+// a frame to it without the client issuing any request.
 func TestPushInvalidation(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
 	s.WatchExport(tr.Root)
-	reader := pipeClient(t, s, WithCoherentCache(16))
+	reader := pipeClient(t, s)
 	writer := pipeClient(t, s)
 
 	if err := reader.Subscribe(nil); err != nil {
@@ -256,13 +253,9 @@ func TestPushInvalidation(t *testing.T) {
 		t.Fatal("second Subscribe did not error")
 	}
 
-	// Prime the reader's cache.
 	p := core.ParsePath("usr/bin/ls")
 	if got, err := reader.Resolve(p); err != nil || got != f {
-		t.Fatalf("prime = %v, %v", got, err)
-	}
-	if hits, _ := reader.Stats(); hits != 0 {
-		t.Fatalf("hits = %d before any repeat", hits)
+		t.Fatalf("resolve before the write = %v, %v", got, err)
 	}
 
 	// A write through another connection must reach the reader as a push.
@@ -276,11 +269,8 @@ func TestPushInvalidation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if reader.Purges() == 0 {
-		t.Fatal("push frame did not purge the coherent cache")
-	}
-	// The very next resolve misses (the entry was pushed out) and sees
-	// the unbound state — no stale read, no intermediate round-trip.
+	// The subscribed connection still answers calls, and sees the unbound
+	// state.
 	if _, err := reader.Resolve(p); err == nil {
 		t.Fatal("resolve after pushed unbind still served the old binding")
 	}
@@ -292,7 +282,7 @@ func TestPushInvalidationCallback(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
 	s.WatchExport(tr.Root)
-	c := pipeClient(t, s, WithCoherentCache(16))
+	c := pipeClient(t, s)
 
 	got := make(chan uint64, 16)
 	if err := c.Subscribe(func(rev uint64) { got <- rev }); err != nil {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -186,12 +187,12 @@ func TestLateResponseAfterTimeoutIsDiscarded(t *testing.T) {
 	}
 }
 
-// TestMuxStress hammers one multiplexed coherent-cache client from 32
-// goroutines with mixed Resolve / ResolveBatch / Stats while the server's
-// export is concurrently rebound (with Bump), then asserts the bounded-
-// staleness rule: after one round-trip at the final revision, the client
-// — cache included — answers with the final binding. Run under -race this
-// also proves the pending-table, writer, and cache locking sound.
+// TestMuxStress hammers one multiplexed caching client from 32 goroutines
+// with mixed Resolve / ResolveBatch / Stats while the server's export is
+// concurrently rebound (with Bump): every answer is one of the name's two
+// bindings, and once the rebinding stops the wire answers with the final
+// binding at the final revision. Run under -race this also proves the
+// pending-table, writer, and cache locking sound.
 func TestMuxStress(t *testing.T) {
 	w := core.NewWorld()
 	tr := dirtree.New(w, "export")
@@ -209,7 +210,7 @@ func TestMuxStress(t *testing.T) {
 	}
 	binCtx, _ := w.ContextOf(binDir)
 	s := NewServer(w, tr.RootContext())
-	c := pipeClient(t, s, WithCoherentCache(64))
+	c := pipeClient(t, s, WithCache(64))
 
 	paths := []core.Path{
 		core.ParsePath("usr/bin/ls"),
@@ -278,7 +279,7 @@ func TestMuxStress(t *testing.T) {
 					}
 				default:
 					c.Stats()
-					c.Purges()
+					c.Invalidations()
 				}
 			}
 		}(g)
@@ -287,27 +288,56 @@ func TestMuxStress(t *testing.T) {
 	close(stop)
 	rebinder.Wait()
 
-	// Settle on a final binding, then prove the staleness bound: one
-	// round-trip at the final revision (var/log was never touched above,
-	// so this resolve must cross the wire — its response carries the final
-	// rev and purges anything older), after which every answer, cached or
-	// not, is the final binding.
+	// Settle on a final binding: the next answer off the wire is that
+	// binding at the final revision — what a revision-tracked cache above
+	// this client purges by. (This client's own cache is never invalidated
+	// and may keep either binding.)
 	binCtx.Bind("ls", alt)
 	s.Bump()
-	if _, err := c.Resolve(core.ParsePath("var/log")); err != nil {
+	e, _, rev, err := c.ResolveRev(core.ParsePath("usr/bin/ls"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		e, err := c.Resolve(core.ParsePath("usr/bin/ls"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e != alt {
-			t.Fatalf("resolve %d after settling = %v, want the final binding %v (stale cache survived a revision advance)", i, e, alt)
-		}
+	if e != alt || rev != s.Revision() {
+		t.Fatalf("after settling: %v at revision %d, want the final binding %v at %d", e, rev, alt, s.Revision())
 	}
 	if hits, misses := c.Stats(); hits+misses == 0 {
 		t.Fatal("stress run recorded no cache traffic at all")
+	}
+}
+
+// TestSubscribedCallTimesOutByItsTimer: a subscription's standing reader
+// holds the read token and arms no deadline, so a hung call on a subscribed
+// client can only be ended by its own timer — the one path to expire that
+// does not race a leader's read deadline.
+func TestSubscribedCallTimesOutByItsTimer(t *testing.T) {
+	w, tr, _ := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := faultnet.Wrap(inner)
+	go s.Serve(ln)
+	defer s.Close()
+
+	c, err := Dial("tcp", ln.Addr().String(), WithTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Subscribe(nil); err != nil {
+		t.Fatal(err)
+	}
+	for len(c.rtoken) == 0 { // until the standing reader has the token
+		runtime.Gosched()
+	}
+	ln.SetMode(faultnet.Hang)
+	if _, err := c.Resolve(core.ParsePath("usr/bin/ls")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("hung call on a subscribed client: err = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if err := c.Err(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("client after the timeout: Err = %v, want it poisoned by the timeout", err)
 	}
 }
 

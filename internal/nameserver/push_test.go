@@ -326,7 +326,7 @@ func TestNoResponseOvertakesItsInvalidation(t *testing.T) {
 func TestInteropInvalidationPush(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
-	c := pipeClient(t, s, WithCoherentCache(8))
+	c := pipeClient(t, s)
 
 	seen := make(chan uint64, 4)
 	if err := c.Subscribe(func(rev uint64) { seen <- rev }); err != nil {

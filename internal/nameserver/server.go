@@ -501,9 +501,9 @@ func (s *Server) respond(st *connState, resp *response, subscribe bool) {
 // The resolve cases return a revision consistent with the bindings they
 // read, re-resolving until the revision settles. The revision is sampled
 // after resolution — sampling before would let a concurrent Bump pair a
-// fresh binding with a stale revision, deferring the coherent-cache purge
-// by one round-trip and breaking WithCoherentCache's staleness bound. If
-// the revision moved while resolving, the resolution raced a binding
+// fresh binding with a stale revision, deferring a revision-tracked
+// cache's purge by one round-trip and breaking its staleness bound. If the
+// revision moved while resolving, the resolution raced a binding
 // change and is retried against the newer revision; if it never settles,
 // the pre-resolution revision is returned, which at worst forces the
 // client to purge again next trip (conservative, never stale). The retry

@@ -179,6 +179,55 @@ func TestCacheStaleness(t *testing.T) {
 	}
 }
 
+// The plain cache ignores revisions entirely: a bump the client could have
+// learned of changes nothing, and the repeat is still a hit.
+func TestPlainCacheIgnoresRevisions(t *testing.T) {
+	w, tr, f := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	c := pipeClient(t, s, WithCache(16))
+
+	p := core.ParsePath("usr/bin/ls")
+	if _, err := c.Resolve(p); err != nil {
+		t.Fatal(err)
+	}
+	s.Bump()
+	if _, err := c.Resolve(core.ParsePath("usr/bin")); err != nil { // a round-trip at revision 1
+		t.Fatal(err)
+	}
+	got, err := c.Resolve(p) // hit: no revision check possible
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := c.Stats(); got != f || hits != 1 || misses != 2 {
+		t.Fatalf("plain cache after a bump: %v, %d hits, %d misses; want %v, 1, 2", got, hits, misses, f)
+	}
+}
+
+// TestManualBump: Bump advances the revision, and every response carries
+// the revision current when it was answered — what a revision-tracked cache
+// above this client (cluster.Client) purges by.
+func TestManualBump(t *testing.T) {
+	w, tr, _ := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	if s.Revision() != 0 {
+		t.Fatal("fresh revision not 0")
+	}
+	s.Bump()
+	s.Bump()
+	if s.Revision() != 2 {
+		t.Fatalf("Revision = %d", s.Revision())
+	}
+
+	c := pipeClient(t, s)
+	if _, _, rev, err := c.ResolveRev(core.ParsePath("usr/bin/ls")); err != nil || rev != 2 {
+		t.Fatalf("first response: revision %d, %v; want 2", rev, err)
+	}
+	s.Bump()
+	if _, _, rev, err := c.ResolveRev(core.ParsePath("usr/bin")); err != nil || rev != 3 {
+		t.Fatalf("response after a bump: revision %d, %v; want 3", rev, err)
+	}
+}
+
 func TestServeOverTCP(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())

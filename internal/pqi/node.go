@@ -113,24 +113,3 @@ func (n *Node) RefValid(subject string, directory map[string]*Node) bool {
 	target, ok := directory[subject]
 	return ok && target.Addr() == abs
 }
-
-// ValidFraction returns the fraction of held references that are still
-// valid against the directory; 1 if none are held.
-func (n *Node) ValidFraction(directory map[string]*Node) float64 {
-	n.mu.Lock()
-	subjects := make([]string, 0, len(n.held))
-	for s := range n.held {
-		subjects = append(subjects, s)
-	}
-	n.mu.Unlock()
-	if len(subjects) == 0 {
-		return 1
-	}
-	valid := 0
-	for _, s := range subjects {
-		if n.RefValid(s, directory) {
-			valid++
-		}
-	}
-	return float64(valid) / float64(len(subjects))
-}

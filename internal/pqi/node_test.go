@@ -132,28 +132,3 @@ func TestRenumberSurvival(t *testing.T) {
 		t.Fatal("external ref survived renumbering")
 	}
 }
-
-func TestValidFraction(t *testing.T) {
-	nw, a, b, _, dir := cluster(t)
-	a.Hold("b", Relativize(b.Addr(), a.Addr()))
-	fq, _ := RelativizeAt(b.Addr(), a.Addr(), 3)
-	a.Hold("b-fq", fq)
-	dir["b-fq"] = b
-
-	if got := a.ValidFraction(dir); got != 1 {
-		t.Fatalf("pre-renumber ValidFraction = %v", got)
-	}
-	if _, err := nw.RenumberMachine(1, 1, 9); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.ValidFraction(dir); got != 0.5 {
-		t.Fatalf("post-renumber ValidFraction = %v, want 0.5", got)
-	}
-}
-
-func TestValidFractionEmpty(t *testing.T) {
-	_, a, _, _, dir := cluster(t)
-	if got := a.ValidFraction(dir); got != 1 {
-		t.Fatalf("empty ValidFraction = %v, want 1", got)
-	}
-}

@@ -32,7 +32,7 @@ func randomTree(t *testing.T, rng *rand.Rand, parentLinks bool) *dirtree.Tree {
 		}
 		switch rng.Intn(4) {
 		case 0: // mkdir
-			if _, err := tr.Mkdir(core.ParsePath(parent), core.Name(name)); err != nil {
+			if _, err := tr.MkdirAll(core.ParsePath(child)); err != nil {
 				t.Fatalf("step %d mkdir: %v", step, err)
 			}
 			dirPaths = append(dirPaths, child)

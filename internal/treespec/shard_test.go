@@ -83,11 +83,7 @@ func TestSplitShardsBuildAndPartition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d spec does not build: %v", i, err)
 		}
-		names, err := tr.List(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range names {
+		for _, n := range tr.RootContext().Names() {
 			seen[string(n)]++
 			if want := plan.Prefixes[string(n)]; want != i {
 				t.Fatalf("prefix %q built on shard %d but routed to %d", n, i, want)

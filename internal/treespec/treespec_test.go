@@ -174,11 +174,7 @@ func TestParseEmptyAndComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := tr.List(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 0 {
+	if names := tr.RootContext().Names(); len(names) != 0 {
 		t.Fatalf("names = %v", names)
 	}
 }

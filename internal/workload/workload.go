@@ -30,26 +30,6 @@ func (g *Generator) Names(n int, prefix string) []core.Name {
 	return out
 }
 
-// Paths generates n distinct compound names of the given depth.
-func (g *Generator) Paths(n, depth int, prefix string) []core.Path {
-	out := make([]core.Path, n)
-	for i := range out {
-		p := make(core.Path, depth)
-		for d := 0; d < depth; d++ {
-			p[d] = core.Name(fmt.Sprintf("%s%d_%d", prefix, i, d))
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// Shuffle permutes a slice of paths in place.
-func (g *Generator) Shuffle(paths []core.Path) {
-	g.rng.Shuffle(len(paths), func(i, j int) {
-		paths[i], paths[j] = paths[j], paths[i]
-	})
-}
-
 // Zipf returns n sample indices in [0, k) with a Zipf(1.1) distribution —
 // the classic skew of name-lookup traffic, used by the caching ablation.
 func (g *Generator) Zipf(n, k int) []int {

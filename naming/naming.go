@@ -65,10 +65,6 @@ var (
 	PathOf = core.PathOf
 	// SplitPathString parses a textual name, preserving absoluteness.
 	SplitPathString = core.SplitPathString
-	// EqualBindings reports whether two contexts bind identically.
-	EqualBindings = core.EqualBindings
-	// AgreeOn reports whether two contexts agree on one name.
-	AgreeOn = core.AgreeOn
 )
 
 // Closure mechanisms (paper §3).

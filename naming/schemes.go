@@ -192,11 +192,9 @@ var (
 	NewNameClient = nameserver.NewClient
 	// DialNameServer connects to a listening server.
 	DialNameServer = nameserver.Dial
-	// WithResolveCache enables the client-side resolution cache.
+	// WithResolveCache enables the client-side resolution cache, which is
+	// never invalidated (WithShardLRU is the revision-tracked one).
 	WithResolveCache = nameserver.WithCache
-	// WithCoherentResolveCache enables the revision-tracked cache with
-	// staleness bounded to one round-trip after a server-side change.
-	WithCoherentResolveCache = nameserver.WithCoherentCache
 )
 
 // Name exchange between processes with boundary translation (§6 I applied
