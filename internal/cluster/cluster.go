@@ -9,6 +9,7 @@ import (
 	"namecoherence/internal/dirtree"
 	"namecoherence/internal/faultnet"
 	"namecoherence/internal/nameserver"
+	"namecoherence/internal/snapstore"
 	"namecoherence/internal/treespec"
 )
 
@@ -35,6 +36,10 @@ type Cluster struct {
 	// server goroutine starts) and immutable afterwards.
 	catchUps  []CatchUpStat
 	recovered []recoveredShard
+	// encoders[i] took shard i's bring-up snapshot into snap (nil for a
+	// restored shard); Track adopts it.
+	snap     *snapstore.Store
+	encoders []*snapstore.Encoder
 
 	mu          sync.Mutex
 	servers     [][]*nameserver.Server
@@ -94,7 +99,7 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	c := &Cluster{World: w, Plan: plan}
+	c := &Cluster{World: w, Plan: plan, snap: o.snap, encoders: make([]*snapstore.Encoder, shards)}
 	for i, shardSpec := range plan.Specs {
 		trees, err := c.bringUpShard(&o, i, shardSpec, fmt.Sprintf("shard%d", i), replicas)
 		if err != nil {

@@ -56,7 +56,9 @@ func (c *Cluster) bringUpShard(o *options, i int, shardSpec, label string, repli
 		if err != nil {
 			return nil, err
 		}
-		root, err := o.snap.Snapshot(c.World, trees[0].Root)
+		// Track's encoder starts from this walk, so its first flush is not one.
+		c.encoders[i] = o.snap.NewEncoder(c.World, trees[0].Root)
+		root, err := c.encoders[i].Snapshot(nil, true)
 		if err != nil {
 			return nil, fmt.Errorf("initial snapshot of shard %d: %w", i, err)
 		}
@@ -136,13 +138,26 @@ func (c *Cluster) Recovered(i int) (rev uint64, ok bool) {
 // store. The snap runs under the primary's write lock (Server.Stable): a
 // wire mutation can not land between reading the revision and walking the
 // tree, so the committed snapshot is exactly the state at that revision.
+// It joins a position in the primary's commit log to a memo-keeping
+// encoder: what the log says changed since the last snapshot that stored
+// all its blobs — some directories, or everything — is what is re-encoded.
+// A manifest commit that fails behind a good encode is retried from a memo
+// already right. The encoder is the bring-up snapshot's when there was one.
 func (c *Cluster) Track(k *snapstore.Keeper) {
 	for i := range c.Trees {
 		srv := c.Server(i)
+		enc := c.encoders[i]
+		if enc == nil || c.snap != k.Store() {
+			enc = k.Store().NewEncoder(c.World, c.Trees[i].Root)
+		}
+		var pos uint64 // guarded by the keeper: it serialises its flushes
 		k.Track(i, srv.Revision, func() (h cas.Hash, rev uint64, err error) {
 			srv.Stable(func() {
 				rev = srv.Revision()
-				h, err = c.ShardRoot(k.Store(), i, 0)
+				dirs, head, all := srv.ChangedSince(pos)
+				if h, err = enc.Snapshot(dirs, all); err == nil {
+					pos = head
+				}
 			})
 			return h, rev, err
 		})

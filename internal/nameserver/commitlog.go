@@ -2,15 +2,20 @@
 // bump and SetRevision append an entry under Server.mu before the new
 // revision becomes readable, and every consumer is a cursor on the log — a
 // subscribed connection reads frames from its position (server.go), a
-// backup's applier reads mutations from a pinned one (Follower) — so lag is
-// head − cursor for both, and what a consumer that fell behind is owed is
-// decided here and nowhere else:
+// backup's applier reads mutations from a pinned one (Follower), the snapshot
+// keeper reads dirty directories from one its owner holds (ChangedSince) —
+// so lag is head − cursor for all three, and what a consumer that fell
+// behind is owed is decided here and nowhere else:
 //
 //   - a subscriber, every entry while it is at most maxPendingInvalidations
 //     behind the head; further behind, one frame for the head's revision
 //     that says "everything";
 //   - a follower, every mutation, however far behind: the tail is kept down
-//     to the slowest pinned cursor, once for all of them.
+//     to the slowest pinned cursor, once for all of them;
+//   - a keeper, the directories named since its position while every entry
+//     since is retained and names one, otherwise "everything": it pins
+//     nothing, so retains nothing and has no payload staged, however rarely
+//     it reads.
 
 package nameserver
 
@@ -118,6 +123,31 @@ func (l *commitLog) next(pos uint64) (e commit, after uint64, ok bool) {
 		return commit{rev: l.at(head - 1).rev}, head, true
 	}
 	return *l.at(pos), pos + 1, true
+}
+
+// ChangedSince is the snapshot keeper's read of the log: the distinct
+// directories whose leaf bindings the entries in [pos, head) changed, and the
+// head to read from next time — or all: an entry since was coarse (a
+// directory bound or unbound, a Bump, a SetRevision jump, an export reaching
+// a union) or pos is no longer retained. A closed server still answers: a
+// daemon closes its servers before the keeper's final flush.
+func (s *Server) ChangedSince(pos uint64) (dirs []core.EntityID, head uint64, all bool) {
+	l := &s.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	head = l.head.Load()
+	if head-pos > uint64(len(l.entries)) {
+		return nil, head, true
+	}
+	for ; pos < head; pos++ {
+		dir := l.at(pos).dir
+		if dir == 0 {
+			return nil, head, true
+		}
+		dirs = append(dirs, dir)
+	}
+	slices.Sort(dirs)
+	return slices.Compact(dirs), head, false
 }
 
 // await parks a subscriber's pusher until the head has moved past seen, and

@@ -3,6 +3,7 @@ package nameserver
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,7 +36,10 @@ func wantRetained(head uint64, pins []uint64) int {
 // the model's entries in order, none skipped, unless it is told {rev} for
 // the head because it fell more than maxPendingInvalidations behind; a
 // follower is handed exactly the model's payloads from its pin on, in
-// order; and after every step the log retains what the two retention rules
+// order; a keeper is told the distinct directories the model's entries
+// since its position name, or "everything" when one of them names none or
+// the position is no longer retained — and holds nothing in the log by
+// asking; and after every step the log retains what the two retention rules
 // say and nothing more.
 func TestCommitLogAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -51,6 +55,7 @@ func TestCommitLogAgainstModel(t *testing.T) {
 			}
 			var pins []pin
 			rev := uint64(0)
+			keeper := uint64(0) // the keeper's position: moved by its owner, unknown to the log
 
 			check := func(step int, op string) {
 				t.Helper()
@@ -88,6 +93,34 @@ func TestCommitLogAgainstModel(t *testing.T) {
 						model = append(model, e)
 					}
 					check(step, "append")
+				case op < 60: // the keeper asks what changed; its snapshot then succeeds (it moves up) or fails (it stays)
+					head := uint64(len(model))
+					pos := make([]uint64, len(pins))
+					for i, p := range pins {
+						pos[i] = p.pos
+					}
+					wantAll := head-keeper > uint64(wantRetained(head, pos))
+					want := map[core.EntityID]bool{}
+					for _, m := range model[keeper:] {
+						wantAll = wantAll || m.dir == 0
+						want[m.dir] = true
+					}
+					dirs, gotHead, all := s.ChangedSince(keeper)
+					if gotHead != head || all != wantAll {
+						t.Fatalf("step %d: keeper at %d of %d told head %d, everything=%v; want everything=%v", step, keeper, head, gotHead, all, wantAll)
+					}
+					if !all && (len(dirs) != len(want) || !slices.IsSorted(dirs)) {
+						t.Fatalf("step %d: keeper at %d of %d told %v, model names %v", step, keeper, head, dirs, want)
+					}
+					for _, d := range dirs {
+						if !want[d] {
+							t.Fatalf("step %d: keeper told of directory %d, which no entry since %d names", step, d, keeper)
+						}
+					}
+					if rng.Intn(4) > 0 {
+						keeper = head
+					}
+					check(step, "keeper")
 				case op < 80: // one subscriber reads some of what it is owed
 					i := rng.Intn(len(subs))
 					for n := rng.Intn(200); n > 0; n-- {
@@ -182,6 +215,54 @@ func TestCommitLogRetention(t *testing.T) {
 	s.Bump()
 	if m := s.log.at(s.log.head.Load() - 1).mut; m != nil {
 		t.Fatalf("unpinned log recorded the payload %+v", m)
+	}
+}
+
+// TestKeeperReadsAnUnpinnedLog is a lone durable server whose keeper never
+// ticks: nobody subscribes, nobody follows, and the only reader of the log
+// asks once at shutdown. The log must not retain on its account, and a
+// write must not stage a payload for it; what it is told is still right —
+// "everything" once its position is off the tail or a directory was made,
+// the one directory written to otherwise — and it can still ask after Close.
+func TestKeeperReadsAnUnpinnedLog(t *testing.T) {
+	w, tr, f := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	s.WatchExport(tr.Root)
+	bin, err := tr.Lookup(core.ParsePath("usr/bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := core.ParsePath("usr/bin")
+	for i := 0; i < 5000; i++ {
+		if _, err := s.Bind(dir, "x", f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Unbind(dir, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if s.log.staged != nil || s.log.pinned.Load() != 0 {
+			t.Fatalf("write %d staged %+v with %d cursors pinned: nobody replicates this server", i, s.log.staged, s.log.pinned.Load())
+		}
+		if n := len(s.log.entries); n > maxPendingInvalidations {
+			t.Fatalf("log holds %d entries after %d writes nobody read", n, 2*(i+1))
+		}
+	}
+	dirs, head, all := s.ChangedSince(0)
+	if !all || head != 10000 || dirs != nil {
+		t.Fatalf("ChangedSince(0) after 10000 writes = %v, %d, %v; want everything at 10000", dirs, head, all)
+	}
+	if dirs, _, all := s.ChangedSince(head - maxPendingInvalidations); all || len(dirs) != 1 || dirs[0] != bin.ID {
+		t.Fatalf("ChangedSince(oldest retained) = %v, %v; want only usr/bin (%d)", dirs, all, bin.ID)
+	}
+	if dirs, at, all := s.ChangedSince(head); all || at != head || len(dirs) != 0 {
+		t.Fatalf("ChangedSince(head) = %v, %d, %v; want nothing", dirs, at, all)
+	}
+	if _, _, err := s.applyMutation(mutation{op: OpMkcontext, dir: dir, name: "sub"}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if _, at, all := s.ChangedSince(head); !all || at != head+1 {
+		t.Fatalf("ChangedSince past a mkcontext, on a closed server = %d, %v; want everything at %d", at, all, head+1)
 	}
 }
 

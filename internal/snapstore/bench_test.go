@@ -54,6 +54,46 @@ func BenchmarkSnapstoreSnapshot(b *testing.B) {
 	b.ReportMetric(st.CAS().Stats().DedupRatio(), "dedup-ratio")
 }
 
+// BenchmarkSnapstoreIncremental is the keeper's steady state on the nsload
+// tree shape: one name in a depth-3 directory rebound between snapshots,
+// the encoder told which directory. puts/op is exact and gated — the
+// directory and its three ancestors, 4 of the tree's 39 321 nodes; ns/op is
+// along for the ride.
+func BenchmarkSnapstoreIncremental(b *testing.B) {
+	tr := benchTree(b, 16, 3, 8)
+	st := newMemStore()
+	enc := st.NewEncoder(tr.W, tr.Root)
+	if _, err := enc.Snapshot(nil, true); err != nil {
+		b.Fatal(err)
+	}
+	dir, err := tr.Lookup(core.ParsePath("d3/d7/d11"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, _ := tr.W.ContextOf(dir)
+	targets := []core.Entity{ctx.Lookup("f0"), ctx.Lookup("f1")}
+	dirty := []core.EntityID{dir.ID}
+	before := st.CAS().Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Bind("f0", targets[(i+1)%2])
+		if _, err := enc.Snapshot(dirty, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := st.CAS().Stats()
+	if puts := after.Puts - before.Puts; puts != 4*b.N {
+		b.Fatalf("%d snapshots of one dirty depth-3 directory put %d nodes, want 4 each", b.N, puts)
+	}
+	b.ReportMetric(float64(after.Puts-before.Puts)/float64(b.N), "puts/op")
+	b.ReportMetric(float64(after.Stored-before.Stored)/float64(b.N), "stored/op")
+	got, _ := enc.Snapshot(nil, false) // nothing dirty: answered from memory
+	if want, err := newMemStore().Snapshot(tr.W, tr.Root); err != nil || got != want {
+		b.Fatalf("root after %d incremental snapshots is %s, a walk of everything gives %s (%v)", b.N, got, want, err)
+	}
+}
+
 func BenchmarkSnapstoreRestore(b *testing.B) {
 	tr := benchTree(b, 4, 4, 3)
 	st := newMemStore()

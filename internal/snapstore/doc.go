@@ -20,6 +20,6 @@
 // Store adds a revision-history manifest (shard revision → root hash,
 // written atomically) for crash recovery, Diff for O(changed) comparison
 // of two roots, CatchUp for replica bring-up that copies only missing
-// subtrees, and Keeper for periodic and shutdown snapshots of serving
-// shards.
+// subtrees, Keeper for periodic and shutdown snapshots of serving shards,
+// and Encoder, which keeps those proportional to what changed.
 package snapstore

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"namecoherence/internal/cas"
 )
@@ -14,9 +15,13 @@ import (
 // manifestName is the manifest file inside a Store's data directory.
 const manifestName = "MANIFEST.json"
 
+// manifestKeep is how many commits the history holds per shard: Commit
+// rewrites and fsyncs all of it and only Latest reads it.
+const manifestKeep = 64
+
 // ManifestEntry records one committed snapshot: at revision Rev, shard
-// Shard's naming graph was the subtree named by Root. The history is
-// append-only; the last entry per shard is the recovery point.
+// Shard's naming graph was the subtree named by Root. The history holds each
+// shard's newest manifestKeep; the last per shard is the recovery point.
 type ManifestEntry struct {
 	Shard int    `json:"shard"`
 	Rev   uint64 `json:"rev"`
@@ -47,8 +52,15 @@ func (s *Store) Commit(shard int, rev uint64, root cas.Hash) error {
 	if last, ok := s.latestLocked(shard); ok && last.Rev == rev && last.Root == root.String() {
 		return nil
 	}
-	history := append(append([]ManifestEntry(nil), s.man.History...),
-		ManifestEntry{Shard: shard, Rev: rev, Root: root.String()})
+	history := append(slices.Clone(s.man.History), ManifestEntry{Shard: shard, Rev: rev, Root: root.String()})
+	for i, kept := len(history)-1, 0; i >= 0; i-- {
+		if history[i].Shard != shard {
+			continue
+		}
+		if kept++; kept > manifestKeep {
+			history = slices.Delete(history, i, i+1)
+		}
+	}
 	next := manifest{Version: 1, History: history}
 	if s.dir != "" {
 		if err := writeManifest(s.dir, next); err != nil {

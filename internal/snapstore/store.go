@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"namecoherence/internal/cas"
@@ -64,51 +65,104 @@ func (s *Store) CAS() *cas.Store { return s.cs }
 // blobs and returns the root hash — one hash that names the whole
 // subtree. Shared subtrees are stored once; links back to an ancestor are
 // encoded as cycle references; identical structure produces identical
-// hashes no matter which replica built it.
+// hashes no matter which replica built it. It is the stateless reference:
+// an Encoder that remembers nothing, walking everything.
 func (s *Store) Snapshot(w *core.World, root core.Entity) (cas.Hash, error) {
-	sn := &snapshotter{
-		w:       w,
-		cs:      s.cs,
-		done:    make(map[core.EntityID]cas.Hash),
-		onStack: make(map[core.EntityID]int),
+	return s.NewEncoder(w, root).Snapshot(nil, true)
+}
+
+// Encoder snapshots one subtree again and again, remembering which blob
+// each entity encoded to: told which directories changed, it re-encodes
+// those and the directories above them and takes every other hash from
+// memory — same blobs, same order, same root as a walk of everything. Not
+// safe for concurrent use.
+//
+// What it can be told is what the commit log says (nameserver's
+// ChangedSince): these directories had a leaf — old and new target both
+// non-directories — bound, unbound or replaced. Anything else is
+// "everything": binding or unbinding a directory moves where the walk first
+// meets a subtree and which ancestors are open then, so which links encode
+// as cycle references; until that happens a remembered blob holding one
+// stays good. State replaced in place with no binding change is not seen:
+// a snapshot follows bindings.
+type Encoder struct {
+	w       *core.World
+	cs      *cas.Store
+	root    core.Entity
+	memo    map[core.EntityID]cas.Hash        // entity → blob hash, post-order; nil before the first walk
+	parents map[core.EntityID][]core.EntityID // directory → the directories whose blobs hold its hash
+	onStack map[core.EntityID]int             // entity → DFS depth, while open
+}
+
+// NewEncoder returns an encoder of the subtree at root into s; its first
+// Snapshot walks everything.
+func (s *Store) NewEncoder(w *core.World, root core.Entity) *Encoder {
+	return &Encoder{w: w, cs: s.cs, root: root, onStack: make(map[core.EntityID]int)}
+}
+
+// Snapshot stores the subtree as it is now and returns its root hash. dirty
+// names the directories whose leaf bindings changed since the last call
+// that returned no error; all drops what is remembered. An error leaves
+// nothing wrong remembered — dirty directories and everything above them
+// are forgotten before the first Put, an entity is remembered only after
+// its own — so a retry told the same again is correct.
+func (en *Encoder) Snapshot(dirty []core.EntityID, all bool) (cas.Hash, error) {
+	if all || en.memo == nil {
+		en.memo = make(map[core.EntityID]cas.Hash)
+		en.parents = make(map[core.EntityID][]core.EntityID)
 	}
-	h, err := sn.encode(root, 0)
+	for _, d := range dirty {
+		en.forget(d)
+	}
+	clear(en.onStack) // a failed walk leaves its stack behind
+	h, err := en.encode(en.root, 0, 0)
 	if err != nil {
-		return cas.Hash{}, fmt.Errorf("snapshot %v: %w", root, err)
+		return cas.Hash{}, fmt.Errorf("snapshot %v: %w", en.root, err)
 	}
 	return h, nil
 }
 
-// snapshotter is one Snapshot call's DFS state.
-type snapshotter struct {
-	w       *core.World
-	cs      *cas.Store
-	done    map[core.EntityID]cas.Hash // entity → blob hash, post-order
-	onStack map[core.EntityID]int      // entity → DFS depth, while open
+// forget drops what is remembered of d and of every directory whose blob
+// names d's hash, transitively; one already forgotten took those along.
+func (en *Encoder) forget(d core.EntityID) {
+	if _, ok := en.memo[d]; !ok {
+		return
+	}
+	delete(en.memo, d)
+	for _, p := range en.parents[d] {
+		en.forget(p)
+	}
 }
 
 // encode serializes e's subtree (post-order: children's blobs are in the
 // store before their parent's — the invariant CatchUp's pruning relies
-// on) and returns its hash. depth is e's position on the DFS stack.
-func (sn *snapshotter) encode(e core.Entity, depth int) (cas.Hash, error) {
-	if h, ok := sn.done[e.ID]; ok {
+// on) and returns its hash, which the blob of the directory from will hold.
+// depth is e's position on the DFS stack.
+func (en *Encoder) encode(e core.Entity, from core.EntityID, depth int) (cas.Hash, error) {
+	if h, ok := en.memo[e.ID]; ok {
+		if ps, isDir := en.parents[e.ID]; isDir && !slices.Contains(ps, from) {
+			en.parents[e.ID] = append(ps, from)
+		}
 		return h, nil
 	}
 	node := &Node{}
-	if ctx, ok := sn.w.ContextOf(e); ok {
+	if ctx, ok := en.w.ContextOf(e); ok {
 		node.Kind = KindDir
 		node.EntityKind = e.Kind
-		sn.onStack[e.ID] = depth
+		en.onStack[e.ID] = depth
+		if ps := en.parents[e.ID]; !slices.Contains(ps, from) {
+			en.parents[e.ID] = append(ps, from) // only directories get a key: a leaf is never forgotten
+		}
 		for _, name := range ctx.Names() {
 			child := ctx.Lookup(name)
 			if child.IsUndefined() {
 				continue
 			}
 			var ref Ref
-			if d, open := sn.onStack[child.ID]; open {
+			if d, open := en.onStack[child.ID]; open {
 				ref = Ref{IsCycle: true, Cycle: uint32(depth - d)}
 			} else {
-				h, err := sn.encode(child, depth+1)
+				h, err := en.encode(child, e.ID, depth+1)
 				if err != nil {
 					return cas.Hash{}, err
 				}
@@ -116,21 +170,21 @@ func (sn *snapshotter) encode(e core.Entity, depth int) (cas.Hash, error) {
 			}
 			node.Entries = append(node.Entries, Entry{Name: name, Ref: ref})
 		}
-		delete(sn.onStack, e.ID)
-	} else if data, ok := sn.w.State(e).(*dirtree.FileData); ok {
+		delete(en.onStack, e.ID)
+	} else if data, ok := en.w.State(e).(*dirtree.FileData); ok {
 		node.Kind = KindFile
 		node.Content = data.Content
 		node.Embedded = data.Embedded
 	} else {
 		node.Kind = KindOpaque
 		node.EntityKind = e.Kind
-		node.Label = sn.w.Label(e)
+		node.Label = en.w.Label(e)
 	}
-	h, err := sn.cs.Put(node.Encode())
+	h, err := en.cs.Put(node.Encode())
 	if err != nil {
 		return cas.Hash{}, err
 	}
-	sn.done[e.ID] = h
+	en.memo[e.ID] = h
 	return h, nil
 }
 
