@@ -10,8 +10,9 @@
 // PATH to the entity TARGET resolves to, "unbind PATH" removes the
 // binding, "mkcontext PATH" creates a directory. In cluster mode writes
 // route to the owning shard's primary. -cache N is the wire client's plain
-// LRU, never invalidated; with -cluster it is the revision-tracked per-shard
-// LRU, against a lone nsd too (one shard is a valid cluster). -push
+// cache, never invalidated; with -cluster it is the revision-tracked
+// per-shard cache, against a lone nsd too (one shard is a valid cluster).
+// Both evict by SIEVE (internal/lru). -push
 // subscribes the client for server-pushed invalidations before resolving
 // (with -cluster -cache -n they purge the cache, where repeated reads would
 // otherwise revalidate by poll) and prints each frame as it is consumed:
@@ -230,7 +231,7 @@ func mutateCluster(client *cluster.Client, verb string, args []string) error {
 
 // runCluster resolves the paths through a sharded-cluster client
 // bootstrapped from one member address. The cluster cache is always the
-// revision-tracked per-shard LRU; requests run under the deadline and
+// revision-tracked per-shard cache; requests run under the deadline and
 // retry/failover policy.
 func runCluster(addr string, cacheSize int, batch bool, repeat int,
 	timeout time.Duration, retries int, push bool, verb string, args []string) error {

@@ -16,7 +16,7 @@ import (
 // Client fronts a sharded cluster: it routes every name to the shard
 // serving its prefix, shares one multiplexed connection per replica (the
 // wire client pipelines concurrent requests, so shard lookups overlap on
-// a single conn), answers repeats from a revision-tracked LRU cache,
+// a single conn), answers repeats from a revision-tracked cache,
 // coalesces concurrent identical lookups, and resolves batches with one
 // round-trip per shard. Every round-trip runs under a deadline; transport
 // failures retire the poisoned connection and are retried with
@@ -106,7 +106,8 @@ func (o lruOption) apply(c *Client) {
 	c.cache = lru.New[string, cacheEntry](int(o))
 }
 
-// WithLRU enables a revision-tracked LRU cache of at most n entries.
+// WithLRU enables a revision-tracked cache of at most n entries, evicting
+// by internal/lru's SIEVE (the option keeps the name it had under LRU).
 // Every response carries its shard's binding revision; when a shard's
 // revision advances, that shard's entries are purged before anything new
 // is trusted — the coherent-cache staleness bound, per shard.

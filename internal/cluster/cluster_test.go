@@ -168,7 +168,7 @@ func TestClusterLRURevisionPurgePerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cl.Served() != served {
-		t.Fatal("repeat resolve crossed the wire despite LRU")
+		t.Fatal("repeat resolve crossed the wire despite the cache")
 	}
 
 	// Mutate the shard holding etc: its WatchExport bumps the revision.

@@ -12,7 +12,7 @@
 // Client is the scalable front end: it routes each name to its shard,
 // pools connections per shard, batches multi-name resolutions into one
 // round-trip per shard, coalesces concurrent identical lookups
-// (singleflight), and keeps a revision-tracked LRU cache whose entries are
+// (singleflight), and keeps a revision-tracked cache whose entries are
 // purged per shard when that shard's binding revision advances: staleness
 // is bounded by one round-trip to the shard, across the whole cluster (a
 // lone server is a one-shard cluster). It is the module's only

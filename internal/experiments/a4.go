@@ -59,7 +59,7 @@ func a4Dial(scheme string, cl *cluster.Cluster, cacheSize int) (a4Client, func()
 // A4 interleaves lookups with server-side rebinding and counts stale reads
 // (lookups that returned an entity other than the current binding) for the
 // no-cache, plain-cache (nameserver.WithCache) and coherent-cache
-// (cluster.Client's revision-tracked LRU, polling) disciplines, each against
+// (cluster.Client's revision-tracked cache, polling) disciplines, each against
 // a fresh one-shard cluster.
 func A4(cfg A4Config) (*Table, error) {
 	t := &Table{

@@ -28,7 +28,7 @@ type E14Config struct {
 	FilesPerPrefix int
 	// Lookups is the number of (Zipf-distributed) lookups per client.
 	Lookups int
-	// CacheSize is each client's LRU capacity.
+	// CacheSize is each client's cache capacity.
 	CacheSize int
 	// Seed drives the per-client Zipf samplers.
 	Seed int64
@@ -65,7 +65,7 @@ func e14Spec(prefixes, filesPerPrefix int) (string, []core.Path) {
 // E14 measures §5.2's strict-coherence claim over a real sharded
 // deployment: one logical naming graph partitioned across N name servers
 // by prefix, driven by concurrent batching clients with revision-tracked
-// LRU caches. Fig. 4's collection of servers jointly administering one
+// caches. Fig. 4's collection of servers jointly administering one
 // shared graph must look like a single coherent space — strict degree 1.0
 // for every shared-prefix name, at any shard count and batch size — while
 // batching collapses wire requests by the batch factor.

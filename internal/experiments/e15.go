@@ -25,7 +25,7 @@ type E15Config struct {
 	// Lookups is the number of (Zipf-distributed) lookups per client per
 	// phase.
 	Lookups int
-	// CacheSize is each client's LRU capacity.
+	// CacheSize is each client's cache capacity.
 	CacheSize int
 	// Timeout bounds every dial and round-trip; Retries is the extra
 	// attempts after a transport failure.

@@ -19,7 +19,7 @@ type E17Config struct {
 	// Prefixes and FilesPerPrefix shape the base tree (see e14Spec).
 	Prefixes, FilesPerPrefix int
 	// Readers is the number of caching clients resolving throughout the
-	// churn; Cache is each reader's LRU capacity.
+	// churn; Cache is each reader's cache capacity.
 	Readers, Cache int
 	// Writers is the number of mutating clients; each performs
 	// WritesPerWriter rebind cycles (mkcontext + unbind + bind) against

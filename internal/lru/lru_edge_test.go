@@ -32,25 +32,22 @@ func TestCapacityOne(t *testing.T) {
 }
 
 // Rebinding an existing key updates in place: Len stays fixed, the value
-// is replaced, and the entry's recency is bumped so it outlives a key
-// that was untouched for longer.
+// is replaced, and the entry is marked visited so it outlives an unvisited
+// key inserted after it.
 func TestPutExistingUpdatesInPlace(t *testing.T) {
 	c := New[string, int](2)
 	c.Put("old", 1)
 	c.Put("fresh", 2)
-	c.Put("old", 3) // rebind: "old" becomes most recently used
+	c.Put("old", 3) // rebind: "old" is visited, and keeps its queue place
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 after rebind", c.Len())
 	}
-	if v, _ := c.Get("old"); v != 3 {
-		t.Fatalf(`Get("old") = %d, want rebound value 3`, v)
-	}
-	c.Put("third", 4) // evicts "fresh", the least recently used
+	c.Put("third", 4) // the hand clears "old" and evicts "fresh", unvisited
 	if _, ok := c.Get("fresh"); ok {
-		t.Fatal(`"fresh" survived; rebind did not bump "old"'s recency`)
+		t.Fatal(`"fresh" survived; the rebind did not mark "old" visited`)
 	}
-	if _, ok := c.Get("old"); !ok {
-		t.Fatal(`"old" evicted despite being most recently used`)
+	if v, ok := c.Get("old"); !ok || v != 3 {
+		t.Fatalf(`Get("old") = %d, %v; want the rebound value 3, kept`, v, ok)
 	}
 }
 

@@ -17,17 +17,19 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
+// The name is older than the policy: what is evicted is the oldest entry
+// not visited since the hand last passed it, not the least recently used.
 func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	c := New[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	// Touch a so b becomes the eviction victim.
+	// Visit a: the hand clears its bit and passes on, so b is the victim.
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	c.Put("c", 3)
 	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted (least recently used)")
+		t.Fatal("b should have been evicted (oldest unvisited)")
 	}
 	for k, want := range map[string]int{"a": 1, "c": 3} {
 		if v, ok := c.Get(k); !ok || v != want {

@@ -107,9 +107,9 @@ func (o cacheOption) apply(c *Client) {
 	c.cache = lru.New[string, core.Entity](int(o))
 }
 
-// WithCache enables a client-side LRU resolution cache of at most n
-// entries. The cache is never invalidated; it models the
-// (coherence-agnostic) name caches common in directory services.
+// WithCache enables a client-side resolution cache of at most n entries,
+// evicting by internal/lru's SIEVE. The cache is never invalidated; it
+// models the (coherence-agnostic) name caches common in directory services.
 func WithCache(n int) ClientOption {
 	return cacheOption(n)
 }

@@ -241,7 +241,8 @@ var (
 	DialShardedCluster = cluster.Dial
 	// NewShardedClient builds a client over a known routing table.
 	NewShardedClient = cluster.NewClient
-	// WithShardLRU enables the revision-tracked per-shard LRU cache.
+	// WithShardLRU enables the revision-tracked per-shard cache (SIEVE
+	// eviction; the name is older than the policy).
 	WithShardLRU = cluster.WithLRU
 	// WithShardTimeout bounds every dial and round-trip of a cluster
 	// client (the failure-model deadline).
