@@ -36,6 +36,7 @@ type Client struct {
 	mu            sync.Mutex
 	closed        bool
 	cache         *lru.Cache[string, cacheEntry]
+	keyBuf        []byte   // the key being rendered (nameserver.AppendWireKey)
 	revs          []uint64 // per-shard binding revision the cache is current to
 	flights       map[string]*flight
 	hits          int
@@ -62,9 +63,12 @@ var batchJoinHook func()
 // binding it changed purges only entries that binding could have answered.
 // dir is the answering server's entity for that directory (0: the server
 // could not say); it means something only next to frames from the same
-// replica, since every replica numbers its own copy of the subtree.
+// replica, since every replica numbers its own copy of the subtree. name is
+// the final component: admit sets it to the tail of the entry's own key, so
+// it shares the key's bytes.
 type cacheEntry struct {
 	entity  core.Entity
+	name    string
 	dir     core.EntityID
 	shard   int32
 	replica int32
@@ -229,27 +233,32 @@ func (c *Client) Routes() *nameserver.RouteInfo { return c.routes.Clone() }
 // of the same name share one round-trip (and its outcome, including a
 // failure — but a failed flight is never reused by later calls).
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
-	// A non-canonical name fails here, not after three replica retries:
-	// the server would reject it as firmly as the first replica did.
-	if _, err := nameserver.CanonicalWirePath(p); err != nil {
+	c.mu.Lock()
+	// One pass renders the key and checks the name: a non-canonical name
+	// fails here, not after three replica retries — the server would reject
+	// it as firmly as the first replica did. A hit probes with the buffer
+	// and allocates nothing; the key string is made once, on a miss.
+	buf, err := nameserver.AppendWireKey(c.keyBuf[:0], p)
+	c.keyBuf = buf
+	if err != nil {
+		c.mu.Unlock()
 		return core.Undefined, err
 	}
-	key := p.String()
-	c.mu.Lock()
 	if c.cache != nil {
-		if entry, ok := c.cache.Get(key); ok {
+		if entry, ok := c.cache.Get(string(buf)); ok {
 			c.hits++
 			c.mu.Unlock()
 			return entry.entity, nil
 		}
 	}
-	if f, ok := c.flights[key]; ok {
+	if f, ok := c.flights[string(buf)]; ok {
 		// Someone is already fetching this name: share their answer.
 		c.coalesced++
 		c.mu.Unlock()
 		<-f.done
 		return f.e, f.err
 	}
+	key := string(buf)
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.misses++
@@ -259,9 +268,7 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	entry, rev, err := c.resolveAtShard(shard, p)
 
 	c.mu.Lock()
-	if c.noteRevision(shard, rev, err) && err == nil {
-		c.cache.Put(key, entry)
-	}
+	c.admit(shard, rev, err, key, entry)
 	delete(c.flights, key)
 	c.mu.Unlock()
 	f.e, f.err = entry.entity, err
@@ -390,6 +397,16 @@ func (c *Client) noteRevision(shard int, rev uint64, err error) bool {
 	return true
 }
 
+// admit settles one answer: the response's revision goes through the purge
+// rule, and a successful answer the rule admits is cached under key, its
+// entry naming the key's final component. Callers hold c.mu.
+func (c *Client) admit(shard int, rev uint64, err error, key string, e cacheEntry) {
+	if c.noteRevision(shard, rev, err) && err == nil {
+		e.name = key[strings.LastIndex(key, core.Separator)+1:]
+		c.cache.Put(key, e)
+	}
+}
+
 // purgeShard removes everything the shard vouched for. Callers hold c.mu.
 func (c *Client) purgeShard(shard int) {
 	removed := c.cache.DeleteFunc(func(_ string, e cacheEntry) bool {
@@ -409,25 +426,15 @@ func (c *Client) purgeShard(shard int) {
 // bound under two paths it is still one directory, and names cached through
 // either go. Callers hold c.mu.
 func (c *Client) purgeBinding(shard, replica int, dir core.EntityID, name core.Name) {
-	c.entriesPurged += c.cache.DeleteFunc(func(key string, e cacheEntry) bool {
+	c.entriesPurged += c.cache.DeleteFunc(func(_ string, e cacheEntry) bool {
 		if int(e.shard) != shard {
 			return true
 		}
 		if e.dir == 0 || int(e.replica) != replica {
 			return false
 		}
-		return e.dir != dir || !endsWithComponent(key, string(name))
+		return e.dir != dir || e.name != string(name)
 	})
-}
-
-// endsWithComponent reports whether the last component of the cache key
-// (a path rendered with core.Separator) is name.
-func endsWithComponent(key, name string) bool {
-	if !strings.HasSuffix(key, name) {
-		return false
-	}
-	rest := key[:len(key)-len(name)]
-	return rest == "" || strings.HasSuffix(rest, core.Separator)
 }
 
 // BatchResult is one outcome of a batched cluster resolution.
@@ -449,6 +456,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	// Partition into per-shard work lists of unique keys.
 	type shardWork struct {
 		keys  []core.Path
+		names []string         // keys[k] rendered, made once during partitioning
 		index map[string][]int // key -> positions in paths
 	}
 	work := make(map[int]*shardWork)
@@ -462,16 +470,17 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		return out, ErrClientClosed
 	}
 	for i, p := range paths {
-		if _, err := nameserver.CanonicalWirePath(p); err != nil {
+		buf, err := nameserver.AppendWireKey(c.keyBuf[:0], p)
+		c.keyBuf = buf
+		if err != nil {
 			// A non-canonical name fails in its slot without touching the
 			// cache or the wire; the rest of the batch proceeds.
 			out[i] = BatchResult{Entity: core.Undefined, Err: err}
 			answered++
 			continue
 		}
-		key := p.String()
 		if c.cache != nil {
-			if entry, ok := c.cache.Get(key); ok {
+			if entry, ok := c.cache.Get(string(buf)); ok {
 				c.hits++
 				out[i] = BatchResult{Entity: entry.entity}
 				answered++
@@ -485,8 +494,10 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			w = &shardWork{index: make(map[string][]int)}
 			work[shard] = w
 		}
+		key := string(buf)
 		if _, seen := w.index[key]; !seen {
 			w.keys = append(w.keys, p)
+			w.names = append(w.names, key)
 		}
 		w.index[key] = append(w.index[key], i)
 	}
@@ -550,12 +561,11 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			continue
 		}
 		c.mu.Lock()
-		fill := c.noteRevision(a.shard, a.rev, nil)
 		for k, res := range a.results {
-			key := w.keys[k].String()
-			if fill && res.Err == nil {
-				c.cache.Put(key, cacheEntry{entity: res.Entity, dir: res.Dir, shard: int32(a.shard), replica: int32(a.replica)})
-			}
+			key := w.names[k]
+			// One response, one revision: the first admit applies the purge
+			// rule, and the rest find the shard already current to it.
+			c.admit(a.shard, a.rev, res.Err, key, cacheEntry{entity: res.Entity, dir: res.Dir, shard: int32(a.shard), replica: int32(a.replica)})
 			for _, i := range w.index[key] {
 				out[i] = res
 				answered++

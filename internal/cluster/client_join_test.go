@@ -45,6 +45,41 @@ func TestResolveNonCanonicalFailsFast(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsNonCanonical pins §6 at the cluster boundary, with the
+// cache on: every non-canonical name fails in Resolve and in its batch slot,
+// and nothing reaches a server. {"usr/bin", "ls"} renders the same key as
+// the cached usr/bin/ls, so the check must come before the probe — a hit
+// there would answer a name the server would refuse.
+func TestClusterRejectsNonCanonical(t *testing.T) {
+	cl := startCluster(t, 2)
+	client, err := Dial("tcp", cl.Addrs()[0], WithLRU(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Resolve(core.ParsePath("usr/bin/ls")); err != nil {
+		t.Fatal(err)
+	}
+	served := cl.Served()
+	hits, misses := client.Stats()
+
+	for _, p := range []core.Path{{}, {"usr", ""}, {"usr", "bin/ls"}, {"usr/bin", "ls"}} {
+		if e, err := client.Resolve(p); !errors.Is(err, nameserver.ErrNotCanonical) {
+			t.Fatalf("Resolve(%q) = %v, %v; want ErrNotCanonical", p, e, err)
+		}
+		out, err := client.ResolveBatch([]core.Path{p})
+		if err != nil || !errors.Is(out[0].Err, nameserver.ErrNotCanonical) {
+			t.Fatalf("ResolveBatch(%q) = %v, %v; want ErrNotCanonical in the slot", p, out, err)
+		}
+	}
+	if got := cl.Served(); got != served {
+		t.Fatalf("servers handled %d requests for names the client must refuse", got-served)
+	}
+	if h, m := client.Stats(); h != hits || m != misses {
+		t.Fatalf("refused names moved the cache stats: hits %d → %d, misses %d → %d", hits, h, misses, m)
+	}
+}
+
 // TestCloseWaitsForBatchGoroutines pins the join discipline goroleak
 // demands: Close must not return while per-shard batch goroutines are
 // still running.

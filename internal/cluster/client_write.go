@@ -39,7 +39,9 @@ type subscription struct {
 	// based is set once the subscription's ack has re-based the shard (see
 	// maybeSubscribe). Frames consumed before that — the reader can run
 	// ahead of the subscribing goroutine — purge the shard, and early keeps
-	// the newest of their revisions for the re-base to start from.
+	// the newest of their revisions for the re-base to start from. They
+	// also raise revs to their revision: a response from before them must
+	// not be admitted in the meantime (TestEarlyFrameRefusesAnOlderResponse).
 	based bool
 	early uint64
 }
@@ -63,6 +65,13 @@ func (c *Client) maybeSubscribe(shard int, conn *sharedConn) {
 	}
 	sub := &subscription{replica: conn.replica}
 	ack, _ := conn.SubscribeFrames(func(iv nameserver.Invalidation) { c.pushed(shard, sub, iv) })
+	c.rebase(shard, sub, ack)
+}
+
+// rebase starts the shard over from a new connection's subscription ack:
+// its entries go, and revs restarts from the ack or from the newest frame
+// the connection delivered before it, whichever is later.
+func (c *Client) rebase(shard int, sub *subscription, ack uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cache != nil {
@@ -92,6 +101,7 @@ func (c *Client) pushed(shard int, sub *subscription, iv nameserver.Invalidation
 	case !sub.based:
 		sub.early = iv.Rev
 		c.purgeShard(shard)
+		c.revs[shard] = max(c.revs[shard], iv.Rev)
 	case iv.Rev <= c.revs[shard]:
 	case iv.Dir != 0 && iv.Rev == c.revs[shard]+1:
 		c.purgeBinding(shard, sub.replica, iv.Dir, iv.Name)

@@ -30,7 +30,7 @@ var testPaths = []string{
 }
 
 // startCluster builds a 4-shard cluster over the test spec.
-func startCluster(t *testing.T, shards int) *Cluster {
+func startCluster(t testing.TB, shards int) *Cluster {
 	t.Helper()
 	w := core.NewWorld()
 	c, err := New(w, testSpec, shards)

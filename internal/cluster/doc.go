@@ -16,5 +16,10 @@
 // purged per shard when that shard's binding revision advances: staleness
 // is bounded by one round-trip to the shard, across the whole cluster (a
 // lone server is a one-shard cluster). It is the module's only
-// revision-tracked cache.
+// revision-tracked cache. A lookup renders its cache key and checks the
+// name's canonical form (§6) in one pass, nameserver.AppendWireKey, into a
+// buffer the client reuses: a hit allocates nothing for keys of up to 32
+// bytes, and the key string is made once, on a miss. The key finds an
+// entry; what a pushed frame purges is still decided by (directory entity,
+// final component), since one binding answers under many paths.
 package cluster

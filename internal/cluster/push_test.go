@@ -295,12 +295,12 @@ func TestOlderResponseIsNotAdmitted(t *testing.T) {
 func TestFrameAppliesOnlyAsTheNextCommit(t *testing.T) {
 	c, sub := ruleClient(WithPushInvalidation())
 	fill := func() {
-		c.cache.Put("d/victim", cacheEntry{entity: core.Entity{ID: 1}, dir: 5})
-		c.cache.Put("victim", cacheEntry{entity: core.Entity{ID: 6}, dir: 5}) // dir 5 as the export root
-		c.cache.Put("other/victim", cacheEntry{entity: core.Entity{ID: 2}, dir: 6})
-		c.cache.Put("d/bystander", cacheEntry{entity: core.Entity{ID: 3}, dir: 5})
-		c.cache.Put("nowhere", cacheEntry{entity: core.Entity{ID: 4}})                         // directory unknown
-		c.cache.Put("d/elsewhere", cacheEntry{entity: core.Entity{ID: 5}, dir: 5, replica: 1}) // another replica's numbers
+		c.cache.Put("d/victim", cacheEntry{entity: core.Entity{ID: 1}, name: "victim", dir: 5})
+		c.cache.Put("victim", cacheEntry{entity: core.Entity{ID: 6}, name: "victim", dir: 5}) // dir 5 as the export root
+		c.cache.Put("other/victim", cacheEntry{entity: core.Entity{ID: 2}, name: "victim", dir: 6})
+		c.cache.Put("d/bystander", cacheEntry{entity: core.Entity{ID: 3}, name: "bystander", dir: 5})
+		c.cache.Put("nowhere", cacheEntry{entity: core.Entity{ID: 4}, name: "nowhere"})                           // directory unknown
+		c.cache.Put("d/elsewhere", cacheEntry{entity: core.Entity{ID: 5}, name: "elsewhere", dir: 5, replica: 1}) // another replica's numbers
 	}
 	c.revs[0] = 10
 	fill()
@@ -328,6 +328,30 @@ func TestFrameAppliesOnlyAsTheNextCommit(t *testing.T) {
 	c.pushed(0, sub, nameserver.Invalidation{Rev: 14})
 	if c.revs[0] != 14 || c.cache.Len() != 0 || c.purges != 2 {
 		t.Fatalf("frame naming nothing: revs %d, %d entries, %d whole purges; want 14, 0, 2", c.revs[0], c.cache.Len(), c.purges)
+	}
+}
+
+// TestEarlyFrameRefusesAnOlderResponse: a new connection is installed, and
+// callers use it, before its subscription's ack re-bases the shard. In that
+// window the reader consumes the frame for commit 1, and a caller's
+// response from before that commit (revision 0) arrives late. The frame
+// purged the shard; the response must not put the old value back, or it is
+// served as a hit until the re-base although the client has consumed the
+// frame that retired it. FuzzCacheRule found this: an early frame that
+// leaves revs where it was lets the straggler read as current.
+func TestEarlyFrameRefusesAnOlderResponse(t *testing.T) {
+	c, _ := ruleClient(WithPushInvalidation())
+	sub := &subscription{} // installed, not yet re-based
+	c.pushed(0, sub, nameserver.Invalidation{Rev: 1, Dir: 5, Name: "a"})
+	if c.response(0) {
+		t.Fatal("a response at revision 0 was admitted after the early frame for 1")
+	}
+	if c.revs[0] != 1 || sub.early != 1 {
+		t.Fatalf("after the early frame: revs %d, early %d; want 1, 1", c.revs[0], sub.early)
+	}
+	c.rebase(0, sub, 0)
+	if c.revs[0] != 1 || !c.response(1) {
+		t.Fatalf("after the re-base: revs %d, want 1 and a response at 1 admitted", c.revs[0])
 	}
 }
 

@@ -52,6 +52,31 @@ func CanonicalWirePath(p core.Path) ([]string, error) {
 	return raw, nil
 }
 
+// AppendWireKey appends p to b as one string — its components joined by
+// core.Separator, the bytes p.String() gives — and fails exactly when
+// CanonicalWirePath fails, with the same error, leaving b as it was. It is
+// the §6 check and the cache key in one pass over the name: a client cache
+// renders its key into a reused buffer and probes with string(buf), so a
+// hit validates the name and allocates nothing. A canonical key is
+// unambiguous: no component holds the separator, so two paths render the
+// same key only if they are the same path.
+func AppendWireKey(b []byte, p core.Path) ([]byte, error) {
+	if len(p) == 0 {
+		return b, checkWireCanonical(p)
+	}
+	start := len(b)
+	for i, n := range p {
+		if n == "" || strings.IndexByte(string(n), core.Separator[0]) >= 0 {
+			return b[:start], checkWireCanonical(p)
+		}
+		if i > 0 {
+			b = append(b, core.Separator...)
+		}
+		b = append(b, n...)
+	}
+	return b, nil
+}
+
 // canonicalWirePaths converts a batch, rejecting the whole batch on the
 // first non-canonical path: a batch is one message, and a message with
 // one incoherent name in it is an incoherent message.

@@ -25,6 +25,50 @@ func TestCanonicalWirePath(t *testing.T) {
 	}
 }
 
+// FuzzWireKey holds AppendWireKey to the two functions its one pass
+// replaces: it fails iff CanonicalWirePath fails, with the same error text;
+// on success it appends exactly p.String(); and the bytes already in the
+// buffer are left as they were either way. raw decodes to a path by
+// splitting on NUL, so components can be empty or hold separators and
+// multi-byte runes; the empty input is the empty path.
+func FuzzWireKey(f *testing.F) {
+	f.Add("", []byte("usr\x00bin\x00ls"))
+	f.Add("k:", []byte(""))
+	f.Add("k:", []byte("\x00"))
+	f.Add("", []byte("usr\x00\x00ls"))
+	f.Add("prefix", []byte("usr\x00bin/ls"))
+	f.Add("", []byte("usr/bin\x00ls"))
+	f.Add("/", []byte("/"))
+	f.Add("é", []byte("naïve\x00日本語\x00∕slash-lookalike"))
+	f.Add("", []byte(strings.Repeat("x", 40)+"\x00y"))
+	f.Fuzz(func(t *testing.T, prefix string, raw []byte) {
+		var p core.Path
+		if len(raw) > 0 {
+			for _, part := range strings.Split(string(raw), "\x00") {
+				p = append(p, core.Name(part))
+			}
+		}
+		b := append(make([]byte, 0, len(prefix)), prefix...)
+		got, err := AppendWireKey(b, p)
+		_, want := CanonicalWirePath(p)
+		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Fatalf("AppendWireKey(%q) err = %v, CanonicalWirePath err = %v", p, err, want)
+		}
+		if string(got[:min(len(got), len(prefix))]) != prefix {
+			t.Fatalf("AppendWireKey(%q) overwrote the prefix %q: %q", p, prefix, got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrNotCanonical) || string(got) != prefix {
+				t.Fatalf("AppendWireKey(%q) failed with %v leaving %q; want ErrNotCanonical and %q", p, err, got, prefix)
+			}
+			return
+		}
+		if key := string(got[len(prefix):]); key != p.String() {
+			t.Fatalf("AppendWireKey(%q) appended %q, p.String() = %q", p, key, p.String())
+		}
+	})
+}
+
 // TestClientRejectsNonCanonical pins the client-side half of §6: a
 // non-canonical name fails before anything crosses the wire.
 func TestClientRejectsNonCanonical(t *testing.T) {

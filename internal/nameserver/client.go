@@ -85,6 +85,7 @@ type Client struct {
 
 	mu     sync.Mutex // guards the fields below; never held across I/O
 	cache  *lru.Cache[string, core.Entity]
+	keyBuf []byte // the cache key being rendered (AppendWireKey)
 	hits   int
 	misses int
 	// subscription state (see Subscribe): push frames are consumed by a
@@ -560,19 +561,20 @@ func (c *Client) expire(pc *pendingCall) (response, error) {
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	var key string
 	if c.cache != nil {
-		if err := checkWireCanonical(p); err != nil {
+		c.mu.Lock()
+		buf, err := AppendWireKey(c.keyBuf[:0], p)
+		c.keyBuf = buf
+		if err != nil {
+			c.mu.Unlock()
 			return core.Undefined, err
 		}
-		key = p.String()
-		c.mu.Lock()
-		e, ok := c.cache.Get(key)
-		if ok {
+		if e, ok := c.cache.Get(string(buf)); ok {
 			c.hits++
-		}
-		c.mu.Unlock()
-		if ok {
+			c.mu.Unlock()
 			return e, nil
 		}
+		key = string(buf)
+		c.mu.Unlock()
 	}
 	e, _, _, err := c.ResolveRev(p)
 	if err != nil {
@@ -663,18 +665,20 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	var missed []core.Path
 	c.mu.Lock()
 	for i, p := range paths {
-		if err := checkWireCanonical(p); err != nil {
+		buf, err := AppendWireKey(c.keyBuf[:0], p)
+		c.keyBuf = buf
+		if err != nil {
 			out[i] = BatchResult{Entity: core.Undefined, Err: err}
 			continue
 		}
-		key := p.String()
 		if c.cache != nil {
-			if e, ok := c.cache.Get(key); ok {
+			if e, ok := c.cache.Get(string(buf)); ok {
 				c.hits++
 				out[i] = BatchResult{Entity: e}
 				continue
 			}
 		}
+		key := string(buf)
 		if _, seen := need[key]; !seen {
 			keys = append(keys, key)
 			missed = append(missed, p)
