@@ -1,6 +1,6 @@
 // Package namecoherence holds the top-level benchmark harness: one
-// benchmark per experiment table (E1..E17, A1..A5 — see DESIGN.md and
-// EXPERIMENTS.md) plus the microbenchmark ablations (A2: resolution cost
+// sub-benchmark per experiment table (BenchmarkTables/E1..E17, A1..A5 —
+// see DESIGN.md and EXPERIMENTS.md) plus the microbenchmark ablations (A2: resolution cost
 // vs. path depth; name-server round-trips with and without caching;
 // sharded-cluster throughput vs. batch size).
 package namecoherence
@@ -25,129 +25,23 @@ import (
 	"namecoherence/internal/pqi"
 )
 
-// benchTable runs a table-producing experiment once per iteration.
-func benchTable(b *testing.B, build func() (*experiments.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkTables times every experiment table, one sub-benchmark per
+// index entry (BenchmarkTables/E1 … BenchmarkTables/A5), at the one
+// configuration cmd/cohbench prints.
+func BenchmarkTables(b *testing.B) {
+	for _, e := range experiments.Index() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(t.Rows) == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
-}
-
-func BenchmarkE1SourcesByRules(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E1(experiments.DefaultE1()), nil
-	})
-}
-
-func BenchmarkE2ContextSelection(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E2(experiments.DefaultE2()), nil
-	})
-}
-
-func BenchmarkE3Newcastle(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E3(experiments.DefaultE3())
-	})
-}
-
-func BenchmarkE4SharedGraph(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E4(experiments.DefaultE4())
-	})
-}
-
-func BenchmarkE5Federation(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E5(experiments.DefaultE5())
-	})
-}
-
-func BenchmarkE6EmbeddedNames(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E6(experiments.DefaultE6())
-	})
-}
-
-func BenchmarkE7PQIRenumber(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E7(experiments.DefaultE7())
-	})
-}
-
-func BenchmarkE8PerProcess(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E8(experiments.DefaultE8())
-	})
-}
-
-func BenchmarkE9WeakCoherence(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E9(experiments.DefaultE9())
-	})
-}
-
-func BenchmarkE10ScopedSpaces(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E10(experiments.DefaultE10())
-	})
-}
-
-func BenchmarkE12BoundaryTranslation(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E12(experiments.DefaultE12())
-	})
-}
-
-func BenchmarkE11ReplicatedService(b *testing.B) {
-	cfg := experiments.DefaultE11()
-	cfg.ReplicaCounts = []int{2}
-	cfg.Resolutions = 8
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E11(cfg)
-	})
-}
-
-func BenchmarkE13ForkDivergence(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E13(experiments.DefaultE13())
-	})
-}
-
-func BenchmarkA1NameServerCaching(b *testing.B) {
-	cfg := experiments.DefaultA1()
-	cfg.Lookups = 500 // keep individual iterations short
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.A1(cfg)
-	})
-}
-
-func BenchmarkA3QualificationLevels(b *testing.B) {
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.A3(experiments.DefaultA3())
-	})
-}
-
-func BenchmarkA5RootBottleneck(b *testing.B) {
-	cfg := experiments.DefaultA5()
-	cfg.Lookups = 1000 // keep individual iterations short
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.A5(cfg)
-	})
-}
-
-func BenchmarkA4CacheChurn(b *testing.B) {
-	cfg := experiments.DefaultA4()
-	cfg.Lookups = 300 // keep individual iterations short
-	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.A4(cfg)
-	})
 }
 
 // BenchmarkA2ResolveDepth measures compound-name resolution cost as a

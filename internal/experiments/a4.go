@@ -10,25 +10,12 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// A4Config parameterizes ablation A4: stale reads under binding churn for
-// each cache discipline.
-type A4Config struct {
-	// Names is the number of distinct remote names.
-	Names int
-	// Lookups is the number of lookups issued.
-	Lookups int
-	// ChurnEvery rebinds one random name every this many lookups.
-	ChurnEvery int
-	// CacheSize sizes the caches under test.
-	CacheSize int
-	// Seed drives lookup and churn choices.
-	Seed int64
-}
-
-// DefaultA4 returns the standard configuration.
-func DefaultA4() A4Config {
-	return A4Config{Names: 50, Lookups: 1000, ChurnEvery: 25, CacheSize: 64, Seed: 17}
-}
+const (
+	// a4Lookups is the number of lookups A4 issues per cache discipline.
+	a4Lookups = 1000
+	// a4CacheSize sizes the caches under test.
+	a4CacheSize = 64
+)
 
 // a4Client is what A4 needs of a client under test; the wire client and the
 // cluster client both provide it.
@@ -39,15 +26,15 @@ type a4Client interface {
 
 // a4Dial connects one cache discipline's client to the one-shard cluster
 // and returns it with its close function.
-func a4Dial(scheme string, cl *cluster.Cluster, cacheSize int) (a4Client, func(), error) {
+func a4Dial(scheme string, cl *cluster.Cluster) (a4Client, func(), error) {
 	if scheme == "coherent" {
 		// The cluster's own routing table: no bootstrap request is counted.
-		c := cluster.NewClient("tcp", cl.Routes(), cluster.WithLRU(cacheSize))
+		c := cluster.NewClient("tcp", cl.Routes(), cluster.WithLRU(a4CacheSize))
 		return c, c.Close, nil
 	}
 	var opts []nameserver.ClientOption
 	if scheme == "plain" {
-		opts = append(opts, nameserver.WithCache(cacheSize))
+		opts = append(opts, nameserver.WithCache(a4CacheSize))
 	}
 	c, err := nameserver.Dial("tcp", cl.Addrs()[0], opts...)
 	if err != nil {
@@ -56,15 +43,14 @@ func a4Dial(scheme string, cl *cluster.Cluster, cacheSize int) (a4Client, func()
 	return c, func() { _ = c.Close() }, nil
 }
 
-// A4 interleaves lookups with server-side rebinding and counts stale reads
+// a4 measures stale reads under binding churn for each cache discipline.
+// It interleaves lookups with server-side rebinding and counts stale reads
 // (lookups that returned an entity other than the current binding) for the
 // no-cache, plain-cache (nameserver.WithCache) and coherent-cache
 // (cluster.Client's revision-tracked cache, polling) disciplines, each against
 // a fresh one-shard cluster.
-func A4(cfg A4Config) (*Table, error) {
+func a4() (*Table, error) {
 	t := &Table{
-		ID:     "A4",
-		Title:  title("A4"),
 		Header: []string{"cache", "lookups", "stale-reads", "server-requests", "hit-rate"},
 		Notes: []string{
 			"extension of the paper's coherence concern to name caches: an",
@@ -73,19 +59,27 @@ func A4(cfg A4Config) (*Table, error) {
 		},
 	}
 	for _, scheme := range []string{"none", "plain", "coherent"} {
-		stale, served, hitRate, err := a4Run(cfg, scheme)
+		stale, served, hitRate, err := a4Run(scheme)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(scheme, itoa(cfg.Lookups), itoa(stale), itoa(served), f2(hitRate))
+		t.AddRow(scheme, itoa(a4Lookups), itoa(stale), itoa(served), f2(hitRate))
 	}
 	return t, nil
 }
 
-func a4Run(cfg A4Config, scheme string) (stale, served int, hitRate float64, err error) {
+func a4Run(scheme string) (stale, served int, hitRate float64, err error) {
+	const (
+		// names is the number of distinct remote names.
+		names = 50
+		// churnEvery rebinds one random name every this many lookups.
+		churnEvery = 25
+		// seed drives lookup and churn choices.
+		seed = 17
+	)
 	w := core.NewWorld()
 	var spec strings.Builder
-	paths := make([]core.Path, cfg.Names)
+	paths := make([]core.Path, names)
 	for i := range paths {
 		paths[i] = core.ParsePath(fmt.Sprintf("dir/f%04d", i))
 		fmt.Fprintf(&spec, "file %s \"x\"\n", paths[i])
@@ -96,7 +90,7 @@ func a4Run(cfg A4Config, scheme string) (stale, served int, hitRate float64, err
 	}
 	defer cl.Close()
 	tr := cl.Trees[0]
-	truth := make([]core.Entity, cfg.Names)
+	truth := make([]core.Entity, names)
 	for i, p := range paths {
 		if truth[i], err = tr.Lookup(p); err != nil {
 			return 0, 0, 0, err
@@ -106,18 +100,18 @@ func a4Run(cfg A4Config, scheme string) (stale, served int, hitRate float64, err
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	client, closeClient, err := a4Dial(scheme, cl, cfg.CacheSize)
+	client, closeClient, err := a4Dial(scheme, cl)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer closeClient()
 
-	gen := workload.New(cfg.Seed)
-	lookupSeq := gen.Zipf(cfg.Lookups, cfg.Names)
+	gen := workload.New(seed)
+	lookupSeq := gen.Zipf(a4Lookups, names)
 	dirCtx, _ := w.ContextOf(dirEnt)
 	for i, idx := range lookupSeq {
-		if cfg.ChurnEvery > 0 && i > 0 && i%cfg.ChurnEvery == 0 {
-			victim := gen.Intn(cfg.Names)
+		if i > 0 && i%churnEvery == 0 {
+			victim := gen.Intn(names)
 			fresh := w.NewObject("fresh")
 			dirCtx.Bind(paths[victim][len(paths[victim])-1], fresh)
 			truth[victim] = fresh

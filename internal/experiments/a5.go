@@ -9,32 +9,25 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// A5Config parameterizes ablation A5: lookup-load concentration along a
-// naming tree.
-type A5Config struct {
-	// Depth and Fanouts shape the trees swept.
-	Depth   int
-	Fanouts []int
-	// Lookups is the number of random full-depth resolutions.
-	Lookups int
-	// Seed drives leaf selection.
-	Seed int64
-}
+// a5Fanouts are the fanouts of the trees A5 sweeps.
+var a5Fanouts = []int{4, 16}
 
-// DefaultA5 returns the standard configuration.
-func DefaultA5() A5Config {
-	return A5Config{Depth: 3, Fanouts: []int{4, 16}, Lookups: 5000, Seed: 23}
-}
-
-// A5 builds complete trees, drives uniform random leaf resolutions through
-// them, and reports how lookup load concentrates: the root context serves
-// every resolution while individual lower directories serve ~1/fanout^level
-// of it — the root-bottleneck argument for caching upper-level bindings
-// and for per-process roots.
-func A5(cfg A5Config) (*Table, error) {
+// a5 measures lookup-load concentration along a naming tree. It builds
+// complete trees, drives uniform random leaf resolutions through them, and
+// reports how lookup load concentrates: the root context serves every
+// resolution while individual lower directories serve ~1/fanout^level of
+// it — the root-bottleneck argument for caching upper-level bindings and
+// for per-process roots.
+func a5() (*Table, error) {
+	const (
+		// depth shapes the trees swept, with a5Fanouts.
+		depth = 3
+		// lookups is the number of random full-depth resolutions.
+		lookups = 5000
+		// seed drives leaf selection.
+		seed = 23
+	)
 	t := &Table{
-		ID:     "A5",
-		Title:  title("A5"),
 		Header: []string{"fanout", "lookups", "root-load", "max-level1-load", "max-deeper-load"},
 		Notes: []string{
 			"every compound name resolves its first component in the root context,",
@@ -42,7 +35,7 @@ func A5(cfg A5Config) (*Table, error) {
 			"per level — the bottleneck that motivates caching and per-process roots.",
 		},
 	}
-	for _, fanout := range cfg.Fanouts {
+	for _, fanout := range a5Fanouts {
 		w := core.NewWorld()
 		tr := dirtree.New(w, "root")
 
@@ -50,7 +43,7 @@ func A5(cfg A5Config) (*Table, error) {
 		var leaves []core.Path
 		var grow func(prefix core.Path, level int) error
 		grow = func(prefix core.Path, level int) error {
-			if level == cfg.Depth {
+			if level == depth {
 				p := prefix.Append("f")
 				if _, err := tr.Create(p, "x"); err != nil {
 					return err
@@ -76,8 +69,8 @@ func A5(cfg A5Config) (*Table, error) {
 		counter := trace.NewCounter()
 		trace.InstrumentReachable(w, tr.Root, counter)
 
-		gen := workload.New(cfg.Seed)
-		for i := 0; i < cfg.Lookups; i++ {
+		gen := workload.New(seed)
+		for i := 0; i < lookups; i++ {
 			p := leaves[gen.Intn(len(leaves))]
 			if _, err := tr.Lookup(p); err != nil {
 				return nil, err
@@ -110,7 +103,7 @@ func A5(cfg A5Config) (*Table, error) {
 				maxDeeper = l.Count
 			}
 		}
-		t.AddRow(itoa(fanout), itoa(cfg.Lookups),
+		t.AddRow(itoa(fanout), itoa(lookups),
 			fmt.Sprintf("%d", rootLoad),
 			fmt.Sprintf("%d", maxL1),
 			fmt.Sprintf("%d", maxDeeper))

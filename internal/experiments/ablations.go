@@ -13,30 +13,24 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// A1Config parameterizes ablation A1: the effect of client-side caching on
-// remote name resolution.
-type A1Config struct {
-	// Names is the number of distinct remote names.
-	Names int
-	// Lookups is the number of (Zipf-distributed) lookups issued.
-	Lookups int
-	// CacheSizes is the sweep (0 = no cache).
-	CacheSizes []int
-	// Seed drives the Zipf sampler.
-	Seed int64
-}
+// a1CacheSizes is A1's sweep of client cache sizes (0 = no cache).
+var a1CacheSizes = []int{0, 8, 64, 512}
 
-// DefaultA1 returns the standard configuration.
-func DefaultA1() A1Config {
-	return A1Config{Names: 100, Lookups: 2000, CacheSizes: []int{0, 8, 64, 512}, Seed: 11}
-}
-
-// A1 measures how many requests reach the name server as the client cache
+// a1 measures the effect of client-side caching on remote name
+// resolution: how many requests reach the name server as the client cache
 // grows, under a Zipf lookup distribution.
-func A1(cfg A1Config) (*Table, error) {
+func a1() (*Table, error) {
+	const (
+		// names is the number of distinct remote names.
+		names = 100
+		// lookups is the number of (Zipf-distributed) lookups issued.
+		lookups = 2000
+		// seed drives the Zipf sampler.
+		seed = 11
+	)
 	w := core.NewWorld()
 	tr := dirtree.New(w, "export")
-	paths := make([]core.Path, cfg.Names)
+	paths := make([]core.Path, names)
 	for i := range paths {
 		p := core.ParsePath(fmt.Sprintf("dir/f%04d", i))
 		if _, err := tr.Create(p, "x"); err != nil {
@@ -46,8 +40,6 @@ func A1(cfg A1Config) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:     "A1",
-		Title:  title("A1"),
 		Header: []string{"cache-size", "lookups", "server-requests", "hit-rate"},
 		Notes: []string{
 			"ablation: remote resolution cost is dominated by wire crossings; a",
@@ -55,7 +47,7 @@ func A1(cfg A1Config) (*Table, error) {
 			"staleness — caches are never invalidated here).",
 		},
 	}
-	for _, size := range cfg.CacheSizes {
+	for _, size := range a1CacheSizes {
 		server := nameserver.NewServer(w, tr.RootContext())
 		serverEnd, clientEnd := net.Pipe()
 		var wg sync.WaitGroup
@@ -70,8 +62,8 @@ func A1(cfg A1Config) (*Table, error) {
 			opts = append(opts, nameserver.WithCache(size))
 		}
 		client := nameserver.NewClient(clientEnd, opts...)
-		gen := workload.New(cfg.Seed)
-		for _, idx := range gen.Zipf(cfg.Lookups, cfg.Names) {
+		gen := workload.New(seed)
+		for _, idx := range gen.Zipf(lookups, names) {
 			if _, err := client.Resolve(paths[idx]); err != nil {
 				return nil, err
 			}
@@ -81,37 +73,28 @@ func A1(cfg A1Config) (*Table, error) {
 			return nil, err
 		}
 		wg.Wait()
-		t.AddRow(itoa(size), itoa(cfg.Lookups), itoa(server.Served()),
+		t.AddRow(itoa(size), itoa(lookups), itoa(server.Served()),
 			f2(float64(hits)/float64(hits+misses)))
 	}
 	return t, nil
 }
 
-// A3Config parameterizes ablation A3: forced pid qualification level.
-type A3Config struct {
-	// Topology as in E7.
-	Networks, MachinesPerNet, ProcsPerMachine int
-	// RefsPerProc is how many peer references each process holds.
-	RefsPerProc int
-	// Seed drives peer selection.
-	Seed int64
-}
-
-// DefaultA3 returns the standard configuration.
-func DefaultA3() A3Config {
-	return A3Config{Networks: 2, MachinesPerNet: 3, ProcsPerMachine: 3, RefsPerProc: 8, Seed: 13}
-}
-
-// A3 forces every reference to a fixed qualification level (1..3) and
-// reports how many references are expressible at that level at all, and how
-// many survive a machine renumbering. Minimal qualification (E7's scheme)
-// is the per-reference best case; this ablation shows both why level 3
-// (fully qualified) is fragile and why a fixed low level cannot express
-// distant references.
-func A3(cfg A3Config) (*Table, error) {
+// a3 (forced pid qualification level) forces every reference to a fixed
+// qualification level (1..3) and reports how many references are
+// expressible at that level at all, and how many survive a machine
+// renumbering. Minimal qualification (E7's scheme) is the per-reference
+// best case; this ablation shows both why level 3 (fully qualified) is
+// fragile and why a fixed low level cannot express distant references.
+func a3() (*Table, error) {
+	const (
+		// Topology as in E7.
+		networks, machinesPerNet, procsPerMachine = 2, 3, 3
+		// refsPerProc is how many peer references each process holds.
+		refsPerProc = 8
+		// seed drives peer selection.
+		seed = 13
+	)
 	t := &Table{
-		ID:     "A3",
-		Title:  title("A3"),
 		Header: []string{"level", "expressible", "survive-renumber", "of"},
 		Notes: []string{
 			"level 1 = (0,0,l): intra-machine only; level 2 = (0,m,l): intra-network;",
@@ -122,9 +105,9 @@ func A3(cfg A3Config) (*Table, error) {
 		network := netsim.NewNetwork()
 		var nodes []*pqi.Node
 		dir := make(map[string]*pqi.Node)
-		for n := 1; n <= cfg.Networks; n++ {
-			for m := 1; m <= cfg.MachinesPerNet; m++ {
-				for l := 1; l <= cfg.ProcsPerMachine; l++ {
+		for n := 1; n <= networks; n++ {
+			for m := 1; m <= machinesPerNet; m++ {
+				for l := 1; l <= procsPerMachine; l++ {
 					name := fmt.Sprintf("p-%d-%d-%d", n, m, l)
 					node, err := pqi.NewNode(network, netsim.Addr{
 						Net: uint32(n), Mach: uint32(m), Local: uint32(l),
@@ -137,7 +120,7 @@ func A3(cfg A3Config) (*Table, error) {
 				}
 			}
 		}
-		gen := workload.New(cfg.Seed)
+		gen := workload.New(seed)
 		type held struct {
 			holder  *pqi.Node
 			subject string
@@ -145,7 +128,7 @@ func A3(cfg A3Config) (*Table, error) {
 		var refs []held
 		total, expressible := 0, 0
 		for _, n := range nodes {
-			for r := 0; r < cfg.RefsPerProc; r++ {
+			for r := 0; r < refsPerProc; r++ {
 				target := nodes[gen.Intn(len(nodes))]
 				if target == n {
 					continue

@@ -4,18 +4,8 @@
 // recorded in EXPERIMENTS.md; cmd/cohbench prints them and bench_test.go
 // times them.
 //
-// Index (see DESIGN.md for the full mapping):
-//
-//	E1  Figure 1 + §4  sources of names × resolution rules
-//	E2  Figure 2       context selection for exchanged/embedded names
-//	E3  Figure 3 §5.1  the Newcastle Connection
-//	E4  Figure 4 §5.2  the shared naming graph (Andrew, DCE cells)
-//	E5  Figure 5 §5.3  cross-linked federations and prefix mapping
-//	E6  Figure 6 §6    embedded names under the Algol scope rule
-//	E7  §6 Ex. 1       partially qualified pids under renumbering
-//	E8  §6 II / §7     per-process namespaces and remote execution
-//	E9  §5             weak coherence for replicated objects
-//	E10 §7             name spaces shared in limited scopes
-//	A1  ablation       name-server caching
-//	A3  ablation       pid qualification level
+// Index is the one list of experiments, with each table's id and title;
+// every table runs at one configuration, stated as constants beside it.
+// DESIGN.md's experiment table maps the paper's figures and sections to
+// the ids.
 package experiments

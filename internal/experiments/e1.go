@@ -7,34 +7,26 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// E1Config parameterizes experiment E1 (Figure 1 + §4): the coherence
-// degree obtained for each combination of name source and resolution rule.
-type E1Config struct {
-	// Activities is the number of activities probing each name.
-	Activities int
-	// Names is the vocabulary size.
-	Names int
-	// SharedFrac is the fraction of names that are global (bound to the
-	// same entity in every activity context).
-	SharedFrac float64
-	// Seed drives the workload generator.
-	Seed int64
-}
-
-// DefaultE1 returns the standard configuration.
-func DefaultE1() E1Config {
-	return E1Config{Activities: 8, Names: 200, SharedFrac: 0.25, Seed: 1}
-}
-
-// E1 measures the strict coherence degree for every (source, rule) cell.
-// The paper's §4 analysis predicts: under R(activity) only global names are
-// coherent regardless of source; R(sender) makes message-borne names fully
-// coherent; R(object) makes embedded names fully coherent; a single global
-// context is coherent for everything.
-func E1(cfg E1Config) *Table {
-	gen := workload.New(cfg.Seed)
+// e1 (Figure 1 + §4) measures the strict coherence degree for every
+// (source, rule) cell. The paper's §4 analysis predicts: under R(activity)
+// only global names are coherent regardless of source; R(sender) makes
+// message-borne names fully coherent; R(object) makes embedded names fully
+// coherent; a single global context is coherent for everything.
+func e1() (*Table, error) {
+	const (
+		// activities is the number of activities probing each name.
+		activities = 8
+		// names is the vocabulary size.
+		names = 200
+		// sharedFrac is the fraction of names that are global (bound to the
+		// same entity in every activity context).
+		sharedFrac = 0.25
+		// seed drives the workload generator.
+		seed = 1
+	)
+	gen := workload.New(seed)
 	w := core.NewWorld()
-	pop := gen.Population(w, cfg.Activities, cfg.Names, cfg.SharedFrac)
+	pop := gen.Population(w, activities, names, sharedFrac)
 	obj, objAssoc := gen.ObjectContext(w, pop, "doc")
 	sender := pop.Activities[0]
 
@@ -59,8 +51,6 @@ func E1(cfg E1Config) *Table {
 	}
 
 	t := &Table{
-		ID:     "E1",
-		Title:  title("E1"),
 		Header: append([]string{"rule"}, "internal", "message", "object"),
 		Notes: []string{
 			"paper §4: R(activity) coheres only for global names; R(sender) coheres",
@@ -81,5 +71,5 @@ func E1(cfg E1Config) *Table {
 		}
 		t.AddRow(row...)
 	}
-	return t
+	return t, nil
 }

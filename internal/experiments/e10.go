@@ -9,26 +9,19 @@ import (
 	"namecoherence/internal/sharedns"
 )
 
-// E10Config parameterizes experiment E10 (§7): name spaces shared in
-// limited scopes — group, organization, federation.
-type E10Config struct {
-	// Orgs and GroupsPerOrg shape the hierarchy; each group has
-	// ClientsPerGroup client subsystems.
-	Orgs, GroupsPerOrg, ClientsPerGroup int
-	// NamesPerSpace sizes each shared space.
-	NamesPerSpace int
-}
-
-// DefaultE10 returns the standard configuration.
-func DefaultE10() E10Config {
-	return E10Config{Orgs: 2, GroupsPerOrg: 2, ClientsPerGroup: 2, NamesPerSpace: 10}
-}
-
-// E10 builds a federation of organizations with group-scoped (/proj),
-// org-scoped (/users) and federation-scoped (/services) name spaces, and
-// measures coherence between activity pairs at increasing scope distance.
-// The probe set is the union of one name from each space class.
-func E10(cfg E10Config) (*Table, error) {
+// e10 (§7: name spaces shared in limited scopes) builds a federation of
+// organizations with group-scoped (/proj), org-scoped (/users) and
+// federation-scoped (/services) name spaces, and measures coherence
+// between activity pairs at increasing scope distance. The probe set is
+// the union of one name from each space class.
+func e10() (*Table, error) {
+	const (
+		// orgs and groupsPerOrg shape the hierarchy; each group has
+		// clientsPerGroup client subsystems.
+		orgs, groupsPerOrg, clientsPerGroup = 2, 2, 2
+		// namesPerSpace sizes each shared space.
+		namesPerSpace = 10
+	)
 	w := core.NewWorld()
 	fed := federation.New(w)
 
@@ -37,13 +30,13 @@ func E10(cfg E10Config) (*Table, error) {
 		name       string
 	}
 	var clients []clientRef
-	systems := make([]*sharedns.System, cfg.Orgs)
+	systems := make([]*sharedns.System, orgs)
 
 	// Build per-org systems with their clients.
-	for o := 0; o < cfg.Orgs; o++ {
+	for o := 0; o < orgs; o++ {
 		var names []string
-		for g := 0; g < cfg.GroupsPerOrg; g++ {
-			for c := 0; c < cfg.ClientsPerGroup; c++ {
+		for g := 0; g < groupsPerOrg; g++ {
+			for c := 0; c < clientsPerGroup; c++ {
 				n := fmt.Sprintf("o%dg%dc%d", o, g, c)
 				names = append(names, n)
 				clients = append(clients, clientRef{org: o, group: g, name: n})
@@ -60,7 +53,7 @@ func E10(cfg E10Config) (*Table, error) {
 	}
 
 	fill := func(sp *sharedns.Space, label string) error {
-		for i := 0; i < cfg.NamesPerSpace; i++ {
+		for i := 0; i < namesPerSpace; i++ {
 			p := core.ParsePath(fmt.Sprintf("e%03d", i))
 			if _, err := sp.Tree.Create(p, label); err != nil {
 				return err
@@ -70,8 +63,8 @@ func E10(cfg E10Config) (*Table, error) {
 	}
 
 	// Group-scoped spaces: /proj shared within each group.
-	for o := 0; o < cfg.Orgs; o++ {
-		for g := 0; g < cfg.GroupsPerOrg; g++ {
+	for o := 0; o < orgs; o++ {
+		for g := 0; g < groupsPerOrg; g++ {
 			var members []string
 			for _, c := range clients {
 				if c.org == o && c.group == g {
@@ -88,7 +81,7 @@ func E10(cfg E10Config) (*Table, error) {
 		}
 	}
 	// Org-scoped spaces: /users shared across each whole organization.
-	for o := 0; o < cfg.Orgs; o++ {
+	for o := 0; o < orgs; o++ {
 		sp, err := systems[o].AttachSpace("users")
 		if err != nil {
 			return nil, err
@@ -105,7 +98,7 @@ func E10(cfg E10Config) (*Table, error) {
 	if err := fill(services, "services@fed"); err != nil {
 		return nil, err
 	}
-	for o := 1; o < cfg.Orgs; o++ {
+	for o := 1; o < orgs; o++ {
 		if err := systems[o].AttachExistingSpace("services", services.Tree.Root); err != nil {
 			return nil, err
 		}
@@ -142,15 +135,13 @@ func E10(cfg E10Config) (*Table, error) {
 		case "same group":
 			return [2]string{clients[0].name, clients[1].name}
 		case "same org, different group":
-			return [2]string{clients[0].name, clients[cfg.ClientsPerGroup].name}
+			return [2]string{clients[0].name, clients[clientsPerGroup].name}
 		default: // different org
-			return [2]string{clients[0].name, clients[cfg.GroupsPerOrg*cfg.ClientsPerGroup].name}
+			return [2]string{clients[0].name, clients[groupsPerOrg*clientsPerGroup].name}
 		}
 	}
 
 	t := &Table{
-		ID:     "E10",
-		Title:  title("E10"),
 		Header: []string{"pair", "proj", "users", "services", "strict-degree"},
 		Notes: []string{
 			"paper §7: it is sufficient to share name spaces in limited scopes among",

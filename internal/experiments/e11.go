@@ -7,19 +7,11 @@ import (
 	"namecoherence/internal/nameserver"
 )
 
-// E11Config parameterizes experiment E11: weak coherence of a replicated
-// name service over the wire, with failover.
-type E11Config struct {
-	// ReplicaCounts is the sweep of replica-set sizes.
-	ReplicaCounts []int
-	// Resolutions per phase.
-	Resolutions int
-}
+// e11ReplicaCounts is the sweep of replica-set sizes in E11.
+var e11ReplicaCounts = []int{2, 4}
 
-// DefaultE11 returns the standard configuration.
-func DefaultE11() E11Config {
-	return E11Config{ReplicaCounts: []int{2, 4}, Resolutions: 24}
-}
+// e11Resolutions is E11's number of resolutions per phase.
+const e11Resolutions = 24
 
 const e11Spec = `
 dir /usr/bin
@@ -27,14 +19,13 @@ file /usr/bin/ls "#!ls"
 file /etc/passwd "root:0"
 `
 
-// E11 drives resolutions round the replicas of a one-shard replicated
-// cluster: strict coherence fails (distinct replica entities come back),
-// weak coherence holds (all results are replicas of one another), and after
-// one replica dies a failover client keeps answering.
-func E11(cfg E11Config) (*Table, error) {
+// e11 measures weak coherence of a replicated name service over the wire,
+// with failover. It drives resolutions round the replicas of a one-shard
+// replicated cluster: strict coherence fails (distinct replica entities
+// come back), weak coherence holds (all results are replicas of one
+// another), and after one replica dies a failover client keeps answering.
+func e11() (*Table, error) {
 	t := &Table{
-		ID:    "E11",
-		Title: title("E11"),
 		Header: []string{
 			"replicas", "resolutions", "distinct-entities",
 			"weak-coherent", "post-failure-success",
@@ -46,20 +37,21 @@ func E11(cfg E11Config) (*Table, error) {
 			"failure.",
 		},
 	}
-	for _, n := range cfg.ReplicaCounts {
-		distinct, weak, succ, err := e11Run(n, cfg.Resolutions)
+	for _, n := range e11ReplicaCounts {
+		distinct, weak, succ, err := e11Run(n)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(itoa(n), itoa(cfg.Resolutions), itoa(distinct),
-			f2(float64(weak)/float64(cfg.Resolutions)),
-			f2(float64(succ)/float64(cfg.Resolutions)))
+		t.AddRow(itoa(n), itoa(e11Resolutions), itoa(distinct),
+			f2(float64(weak)/float64(e11Resolutions)),
+			f2(float64(succ)/float64(e11Resolutions)))
 	}
 	return t, nil
 }
 
-// e11Run measures one row: n replicas of one shard, resolutions per phase.
-func e11Run(n, resolutions int) (distinct, weak, succ int, err error) {
+// e11Run measures one row: n replicas of one shard, e11Resolutions per
+// phase.
+func e11Run(n int) (distinct, weak, succ int, err error) {
 	w := core.NewWorld()
 	cl, err := cluster.NewReplicated(w, e11Spec, 1, n)
 	if err != nil {
@@ -80,7 +72,7 @@ func e11Run(n, resolutions int) (distinct, weak, succ int, err error) {
 	}
 	seen := make(map[core.EntityID]bool)
 	var first core.Entity
-	for i := 0; i < resolutions; i++ {
+	for i := 0; i < e11Resolutions; i++ {
 		e, err := conns[i%len(conns)].Resolve(p)
 		if err != nil {
 			return 0, 0, 0, err
@@ -98,7 +90,7 @@ func e11Run(n, resolutions int) (distinct, weak, succ int, err error) {
 	cl.Fault(0, 0).SetMode(faultnet.Reset)
 	client := cluster.NewClient("tcp", cl.Routes())
 	defer client.Close()
-	for i := 0; i < resolutions; i++ {
+	for i := 0; i < e11Resolutions; i++ {
 		if _, err := client.Resolve(p); err == nil {
 			succ++
 		}

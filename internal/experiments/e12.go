@@ -5,32 +5,23 @@ import (
 
 	"namecoherence/internal/core"
 	"namecoherence/internal/exchange"
-	"namecoherence/internal/machine"
 	"namecoherence/internal/newcastle"
 )
 
-// E12Config parameterizes experiment E12: boundary translators on the
-// message substrate (§6 approach I for textual names).
-type E12Config struct {
-	// Machines is the Newcastle system size.
-	Machines int
-	// NamesPerPair is how many names each ordered machine pair exchanges.
-	NamesPerPair int
-}
-
-// DefaultE12 returns the standard configuration.
-func DefaultE12() E12Config {
-	return E12Config{Machines: 3, NamesPerPair: 5}
-}
-
-// E12 exchanges local absolute names between every ordered pair of
-// Newcastle machines through the message substrate, under the identity
-// (R(receiver)) baseline and the Newcastle mapping translator (R(sender)),
-// and counts coherent deliveries.
-func E12(cfg E12Config) (*Table, error) {
+// e12 measures boundary translators on the message substrate (§6 approach
+// I for textual names). It exchanges local absolute names between every
+// ordered pair of Newcastle machines through the message substrate, under
+// the identity (R(receiver)) baseline and the Newcastle mapping translator
+// (R(sender)), and counts coherent deliveries.
+func e12() (*Table, error) {
+	const (
+		// machines is the Newcastle system size.
+		machines = 3
+		// namesPerPair is how many names each ordered machine pair
+		// exchanges.
+		namesPerPair = 5
+	)
 	t := &Table{
-		ID:     "E12",
-		Title:  title("E12"),
 		Header: []string{"translator", "coherent", "of", "same-machine coherent", "of"},
 		Notes: []string{
 			"§6 I applied to file names: R(sender), implemented by translating the",
@@ -40,7 +31,7 @@ func E12(cfg E12Config) (*Table, error) {
 	}
 	for _, mapped := range []bool{false, true} {
 		w := core.NewWorld()
-		names := make([]string, cfg.Machines)
+		names := make([]string, machines)
 		for i := range names {
 			names[i] = fmt.Sprintf("m%d", i+1)
 		}
@@ -49,7 +40,7 @@ func E12(cfg E12Config) (*Table, error) {
 			return nil, err
 		}
 		var exchanged []string
-		for i := 0; i < cfg.NamesPerPair; i++ {
+		for i := 0; i < namesPerPair; i++ {
 			name := fmt.Sprintf("/shared/f%02d", i)
 			for _, mn := range names {
 				m, _ := s.Machine(mn)
@@ -69,20 +60,17 @@ func E12(cfg E12Config) (*Table, error) {
 		}
 		x := exchange.NewExchanger(tr)
 		parties := make(map[string]*exchange.Party, len(names))
-		var procs []*machine.Process
 		for _, mn := range names {
 			p, err := s.Spawn(mn, "party")
 			if err != nil {
 				return nil, err
 			}
-			procs = append(procs, p)
 			party, err := x.Join(p, mn)
 			if err != nil {
 				return nil, err
 			}
 			parties[mn] = party
 		}
-		_ = procs
 
 		crossCoherent, crossTotal := 0, 0
 		sameCoherent, sameTotal := 0, 0

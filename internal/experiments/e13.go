@@ -9,28 +9,21 @@ import (
 	"namecoherence/internal/perproc"
 )
 
-// E13Config parameterizes experiment E13: context divergence after fork
-// under copy vs shared (union) namespace semantics.
-type E13Config struct {
-	// InitialAttaches is how many subsystems the parent has before forking.
-	InitialAttaches int
-	// MutationSweep is how many post-fork parent attaches to apply per row.
-	MutationSweep []int
-}
+// e13InitialAttaches is how many subsystems E13's parent has before
+// forking.
+const e13InitialAttaches = 4
 
-// DefaultE13 returns the standard configuration.
-func DefaultE13() E13Config {
-	return E13Config{InitialAttaches: 4, MutationSweep: []int{0, 2, 4, 8}}
-}
+// e13MutationSweep is how many post-fork parent attaches E13 applies per
+// row.
+var e13MutationSweep = []int{0, 2, 4, 8}
 
-// E13 quantifies §5.1's "a parent and a child have coherence for all names
-// until one of them modifies its context": after a copy-fork, every parent
-// context mutation erodes parent/child coherence, while a shared (union)
-// fork tracks the parent and stays fully coherent.
-func E13(cfg E13Config) (*Table, error) {
+// e13 measures context divergence after fork under copy vs shared (union)
+// namespace semantics. It quantifies §5.1's "a parent and a child have
+// coherence for all names until one of them modifies its context": after a
+// copy-fork, every parent context mutation erodes parent/child coherence,
+// while a shared (union) fork tracks the parent and stays fully coherent.
+func e13() (*Table, error) {
 	t := &Table{
-		ID:     "E13",
-		Title:  title("E13"),
 		Header: []string{"post-fork attaches", "copy-fork coherence", "shared-fork coherence"},
 		Notes: []string{
 			"§5.1: copy-at-fork gives coherence only until the contexts diverge;",
@@ -38,7 +31,7 @@ func E13(cfg E13Config) (*Table, error) {
 			"parent, at the price of sharing mutations.",
 		},
 	}
-	for _, mutations := range cfg.MutationSweep {
+	for _, mutations := range e13MutationSweep {
 		w := core.NewWorld()
 		m := machine.New(w, "m")
 		parent, err := perproc.New(m, "parent")
@@ -59,7 +52,7 @@ func E13(cfg E13Config) (*Table, error) {
 		}
 
 		var probes []core.Path
-		for i := 0; i < cfg.InitialAttaches; i++ {
+		for i := 0; i < e13InitialAttaches; i++ {
 			p, err := attach(i)
 			if err != nil {
 				return nil, err
@@ -75,7 +68,7 @@ func E13(cfg E13Config) (*Table, error) {
 			return nil, err
 		}
 		for i := 0; i < mutations; i++ {
-			p, err := attach(cfg.InitialAttaches + i)
+			p, err := attach(e13InitialAttaches + i)
 			if err != nil {
 				return nil, err
 			}

@@ -11,42 +11,29 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// E14Config parameterizes experiment E14: strict coherence and wire
-// traffic of a prefix-sharded naming cluster under concurrent clients and
-// batched resolution.
-type E14Config struct {
-	// ShardCounts is the sweep of cluster sizes.
-	ShardCounts []int
-	// BatchSizes is the sweep of names per round-trip (1 = unbatched).
-	BatchSizes []int
-	// Clients is how many concurrent cluster clients drive the workload.
-	Clients int
-	// Prefixes is the number of top-level subtrees (the units of
-	// prefix delegation).
-	Prefixes int
-	// FilesPerPrefix is how many names live under each prefix.
-	FilesPerPrefix int
-	// Lookups is the number of (Zipf-distributed) lookups per client.
-	Lookups int
-	// CacheSize is each client's cache capacity.
-	CacheSize int
-	// Seed drives the per-client Zipf samplers.
-	Seed int64
-}
+var (
+	// e14ShardCounts is the sweep of E14's cluster sizes.
+	e14ShardCounts = []int{1, 2, 4, 8}
+	// e14BatchSizes is the sweep of names per round-trip (1 = unbatched).
+	e14BatchSizes = []int{1, 8, 64}
+)
 
-// DefaultE14 returns the standard configuration.
-func DefaultE14() E14Config {
-	return E14Config{
-		ShardCounts:    []int{1, 2, 4, 8},
-		BatchSizes:     []int{1, 8, 64},
-		Clients:        8,
-		Prefixes:       16,
-		FilesPerPrefix: 8,
-		Lookups:        200,
-		CacheSize:      64,
-		Seed:           23,
-	}
-}
+const (
+	// e14Clients is how many concurrent cluster clients drive E14's
+	// workload.
+	e14Clients = 8
+	// e14Prefixes is the number of top-level subtrees (the units of
+	// prefix delegation).
+	e14Prefixes = 16
+	// e14FilesPerPrefix is how many names live under each prefix.
+	e14FilesPerPrefix = 8
+	// e14Lookups is the number of (Zipf-distributed) lookups per client.
+	e14Lookups = 200
+	// e14CacheSize is each client's cache capacity.
+	e14CacheSize = 64
+	// e14Seed drives the per-client Zipf samplers.
+	e14Seed = 23
+)
 
 // e14Spec builds the cluster's treespec and the probe paths.
 func e14Spec(prefixes, filesPerPrefix int) (string, []core.Path) {
@@ -62,17 +49,17 @@ func e14Spec(prefixes, filesPerPrefix int) (string, []core.Path) {
 	return sb.String(), paths
 }
 
-// E14 measures §5.2's strict-coherence claim over a real sharded
-// deployment: one logical naming graph partitioned across N name servers
-// by prefix, driven by concurrent batching clients with revision-tracked
-// caches. Fig. 4's collection of servers jointly administering one
-// shared graph must look like a single coherent space — strict degree 1.0
-// for every shared-prefix name, at any shard count and batch size — while
-// batching collapses wire requests by the batch factor.
-func E14(cfg E14Config) (*Table, error) {
+// e14 measures strict coherence and wire traffic of a prefix-sharded
+// naming cluster under concurrent clients and batched resolution: §5.2's
+// strict-coherence claim over a real sharded deployment, one logical
+// naming graph partitioned across N name servers by prefix, driven by
+// concurrent batching clients with revision-tracked caches. Fig. 4's
+// collection of servers jointly administering one shared graph must look
+// like a single coherent space — strict degree 1.0 for every shared-prefix
+// name, at any shard count and batch size — while batching collapses wire
+// requests by the batch factor.
+func e14() (*Table, error) {
 	t := &Table{
-		ID:    "E14",
-		Title: title("E14"),
 		Header: []string{"shards", "batch", "lookups", "wire-reqs", "reqs/lookup",
 			"hit-rate", "strict-coherence"},
 		Notes: []string{
@@ -81,9 +68,9 @@ func E14(cfg E14Config) (*Table, error) {
 			"divides wire crossings without touching coherence.",
 		},
 	}
-	for _, shards := range cfg.ShardCounts {
-		for _, batch := range cfg.BatchSizes {
-			row, err := e14Row(cfg, shards, batch)
+	for _, shards := range e14ShardCounts {
+		for _, batch := range e14BatchSizes {
+			row, err := e14Row(shards, batch)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d batch=%d: %w", shards, batch, err)
 			}
@@ -95,8 +82,8 @@ func E14(cfg E14Config) (*Table, error) {
 
 // e14Row runs one (shards, batch) cell: concurrent clients drive Zipf
 // lookups, then every client is probed for every name.
-func e14Row(cfg E14Config, shards, batch int) ([]string, error) {
-	spec, paths := e14Spec(cfg.Prefixes, cfg.FilesPerPrefix)
+func e14Row(shards, batch int) ([]string, error) {
+	spec, paths := e14Spec(e14Prefixes, e14FilesPerPrefix)
 	w := core.NewWorld()
 	cl, err := cluster.New(w, spec, shards)
 	if err != nil {
@@ -104,10 +91,10 @@ func e14Row(cfg E14Config, shards, batch int) ([]string, error) {
 	}
 	defer cl.Close()
 
-	clients := make([]*cluster.Client, cfg.Clients)
+	clients := make([]*cluster.Client, e14Clients)
 	for i := range clients {
 		clients[i], err = cluster.Dial("tcp", cl.Addrs()[i%len(cl.Addrs())],
-			cluster.WithLRU(cfg.CacheSize))
+			cluster.WithLRU(e14CacheSize))
 		if err != nil {
 			return nil, err
 		}
@@ -115,13 +102,13 @@ func e14Row(cfg E14Config, shards, batch int) ([]string, error) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Clients)
+	errs := make(chan error, e14Clients)
 	for i, client := range clients {
 		wg.Add(1)
 		go func(i int, client *cluster.Client) {
 			defer wg.Done()
-			gen := workload.New(cfg.Seed + int64(i))
-			idx := gen.Zipf(cfg.Lookups, len(paths))
+			gen := workload.New(e14Seed + int64(i))
+			idx := gen.Zipf(e14Lookups, len(paths))
 			for at := 0; at < len(idx); at += batch {
 				end := min(at+batch, len(idx))
 				req := make([]core.Path, 0, end-at)
@@ -149,7 +136,7 @@ func e14Row(cfg E14Config, shards, batch int) ([]string, error) {
 	}
 
 	wireReqs := cl.Served()
-	lookups := cfg.Clients * cfg.Lookups
+	lookups := e14Clients * e14Lookups
 	hits, misses := 0, 0
 	for _, client := range clients {
 		h, m := client.Stats()

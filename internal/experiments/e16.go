@@ -12,46 +12,32 @@ import (
 	"namecoherence/internal/snapstore"
 )
 
-// E16Config parameterizes experiment E16: the durable content-addressed
-// snapshot store under restart churn.
-type E16Config struct {
-	// Shards is the cluster size; Replicas is servers per shard.
-	Shards, Replicas int
-	// Prefixes is the number of top-level subtrees; FilesPerPrefix the
-	// names under each.
-	Prefixes, FilesPerPrefix int
-	// Lives is how many times the cluster is brought up over the same
+const (
+	// e16Shards is E16's cluster size; e16Replicas is servers per shard.
+	e16Shards, e16Replicas = 4, 3
+	// e16Lives is how many times the cluster is brought up over the same
 	// store. Life 1 builds from the spec; every later life is a recovery.
-	Lives int
-}
-
-// DefaultE16 returns the standard configuration.
-func DefaultE16() E16Config {
-	return E16Config{
-		Shards:         4,
-		Replicas:       3,
-		Prefixes:       8,
-		FilesPerPrefix: 4,
-		Lives:          3,
-	}
-}
+	e16Lives = 3
+)
 
 // treeResolver adapts a shard subtree to the coherence probe interface.
 type treeResolver struct{ tr *dirtree.Tree }
 
 func (r treeResolver) Resolve(p core.Path) (core.Entity, error) { return r.tr.Lookup(p) }
 
-// E16 measures the durability story of §4's shared naming graph: replicas
-// of one subtree are content-addressed into one set of blobs (dedup ratio
+// e16 measures the durable content-addressed snapshot store under restart
+// churn: the durability story of §4's shared naming graph. Replicas of
+// one subtree are content-addressed into one set of blobs (dedup ratio
 // ≥ the replica count), a killed-and-restarted cluster recovers every
 // shard from the store at its committed revision, replicas are brought up
 // by hash-diff catch-up rather than full transfer, and the store-restored
 // replicas still satisfy weak coherence — every name names "the same
 // replicated object" across them.
-func E16(cfg E16Config) (*Table, error) {
+func e16() (*Table, error) {
+	// prefixes is the number of top-level subtrees; filesPerPrefix the
+	// names under each.
+	const prefixes, filesPerPrefix = 8, 4
 	t := &Table{
-		ID:    "E16",
-		Title: title("E16"),
 		Header: []string{"life", "recovered", "caught-up", "copied", "pruned",
 			"blobs", "dedup-ratio", "weak-coherence", "roots-agree"},
 		Notes: []string{
@@ -69,9 +55,9 @@ func E16(cfg E16Config) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	spec, paths := e14Spec(cfg.Prefixes, cfg.FilesPerPrefix)
-	for life := 1; life <= cfg.Lives; life++ {
-		row, err := e16Life(cfg, dir, spec, paths, life)
+	spec, paths := e14Spec(prefixes, filesPerPrefix)
+	for life := 1; life <= e16Lives; life++ {
+		row, err := e16Life(dir, spec, paths, life)
 		if err != nil {
 			return nil, fmt.Errorf("life %d: %w", life, err)
 		}
@@ -81,13 +67,13 @@ func E16(cfg E16Config) (*Table, error) {
 }
 
 // e16Life is one bring-up/serve/mutate/kill cycle over the shared store.
-func e16Life(cfg E16Config, dir, spec string, paths []core.Path, life int) ([]string, error) {
+func e16Life(dir, spec string, paths []core.Path, life int) ([]string, error) {
 	st, err := snapstore.Open(dir)
 	if err != nil {
 		return nil, err
 	}
 	w := core.NewWorld()
-	cl, err := cluster.NewReplicated(w, spec, cfg.Shards, cfg.Replicas,
+	cl, err := cluster.NewReplicated(w, spec, e16Shards, e16Replicas,
 		cluster.WithSnapStore(st))
 	if err != nil {
 		return nil, err

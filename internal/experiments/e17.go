@@ -11,36 +11,6 @@ import (
 	"namecoherence/internal/core"
 )
 
-// E17Config parameterizes experiment E17: coherence degree under
-// concurrent writer/reader churn, poll-validated vs push-invalidated.
-type E17Config struct {
-	// Shards is the cluster size; Replicas is servers per shard.
-	Shards, Replicas int
-	// Prefixes and FilesPerPrefix shape the base tree (see e14Spec).
-	Prefixes, FilesPerPrefix int
-	// Readers is the number of caching clients resolving throughout the
-	// churn; Cache is each reader's cache capacity.
-	Readers, Cache int
-	// Writers is the number of mutating clients; each performs
-	// WritesPerWriter rebind cycles (mkcontext + unbind + bind) against
-	// its own set of victim names.
-	Writers, WritesPerWriter int
-}
-
-// DefaultE17 returns the standard configuration.
-func DefaultE17() E17Config {
-	return E17Config{
-		Shards:          4,
-		Replicas:        2,
-		Prefixes:        8,
-		FilesPerPrefix:  6,
-		Readers:         4,
-		Cache:           128,
-		Writers:         4,
-		WritesPerWriter: 8,
-	}
-}
-
 // routedResolver answers probes from the cluster's own primary subtrees —
 // the ground truth the caching readers are compared against. Without it a
 // uniformly stale set of readers would agree with each other and read as
@@ -52,21 +22,21 @@ func (r routedResolver) Resolve(p core.Path) (core.Entity, error) {
 	return r.cl.Trees[r.cl.Routes().ShardFor(p)].Lookup(p)
 }
 
-// E17 measures what the wire-level write path does to §5's coherence
-// story. Caching readers resolve continuously while writers rebind live
-// names over the wire (every rebind retargets a name at a freshly created
-// context, so a stale cache entry is a visibly different entity). With
-// poll validation a reader only learns of a revision move on its next
-// cache miss — a cache full of hits never learns, and the probe finds the
-// stale entries incoherent against the authoritative graph. With push
-// invalidation the server's frames purge the caches as the writes commit,
-// and coherence survives the churn. Two of every three writes here move a
-// directory, which no frame can describe more narrowly than "everything":
-// hit-ratio is what the readers kept through a churn of that kind.
-func E17(cfg E17Config) (*Table, error) {
+// e17 measures coherence degree under concurrent writer/reader churn,
+// poll-validated vs push-invalidated: what the wire-level write path does
+// to §5's coherence story. Caching readers resolve continuously while
+// writers rebind live names over the wire (every rebind retargets a name
+// at a freshly created context, so a stale cache entry is a visibly
+// different entity). With poll validation a reader only learns of a
+// revision move on its next cache miss — a cache full of hits never
+// learns, and the probe finds the stale entries incoherent against the
+// authoritative graph. With push invalidation the server's frames purge
+// the caches as the writes commit, and coherence survives the churn. Two
+// of every three writes here move a directory, which no frame can describe
+// more narrowly than "everything": hit-ratio is what the readers kept
+// through a churn of that kind.
+func e17() (*Table, error) {
 	t := &Table{
-		ID:    "E17",
-		Title: title("E17"),
 		Header: []string{"mode", "writes", "lookups", "hits", "invalidations",
 			"strict-coherence", "weak-coherence", "hit-ratio"},
 		loadDependent: []string{"lookups", "hits", "hit-ratio"},
@@ -81,7 +51,7 @@ func E17(cfg E17Config) (*Table, error) {
 		},
 	}
 	for _, push := range []bool{false, true} {
-		row, err := e17Phase(cfg, push)
+		row, err := e17Phase(push)
 		if err != nil {
 			mode := "poll"
 			if push {
@@ -95,18 +65,31 @@ func E17(cfg E17Config) (*Table, error) {
 }
 
 // e17Phase runs one churn round on a fresh cluster and probes coherence.
-func e17Phase(cfg E17Config, push bool) ([]string, error) {
-	spec, paths := e14Spec(cfg.Prefixes, cfg.FilesPerPrefix)
+func e17Phase(push bool) ([]string, error) {
+	const (
+		// shards is the cluster size; replicas is servers per shard.
+		shards, replicas = 4, 2
+		// prefixes and filesPerPrefix shape the base tree (see e14Spec).
+		prefixes, filesPerPrefix = 8, 6
+		// nReaders is the number of caching clients resolving throughout
+		// the churn; cacheSize is each reader's cache capacity.
+		nReaders, cacheSize = 4, 128
+		// nWriters is the number of mutating clients; each performs
+		// writesPerWriter rebind cycles (mkcontext + unbind + bind) against
+		// its own set of victim names.
+		nWriters, writesPerWriter = 4, 8
+	)
+	spec, paths := e14Spec(prefixes, filesPerPrefix)
 	w := core.NewWorld()
-	cl, err := cluster.NewReplicated(w, spec, cfg.Shards, cfg.Replicas)
+	cl, err := cluster.NewReplicated(w, spec, shards, replicas)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
 
-	readers := make([]*cluster.Client, cfg.Readers)
+	readers := make([]*cluster.Client, nReaders)
 	for i := range readers {
-		opts := []cluster.ClientOption{cluster.WithLRU(cfg.Cache)}
+		opts := []cluster.ClientOption{cluster.WithLRU(cacheSize)}
 		if push {
 			opts = append(opts, cluster.WithPushInvalidation())
 		}
@@ -116,7 +99,7 @@ func e17Phase(cfg E17Config, push bool) ([]string, error) {
 		}
 		defer readers[i].Close()
 	}
-	writers := make([]*cluster.Client, cfg.Writers)
+	writers := make([]*cluster.Client, nWriters)
 	for i := range writers {
 		writers[i], err = cluster.Dial("tcp", cl.Addrs()[0])
 		if err != nil {
@@ -136,11 +119,7 @@ func e17Phase(cfg E17Config, push bool) ([]string, error) {
 
 	// Victims are the names the writers will rebind, partitioned
 	// round-robin so no two writers touch the same name.
-	nVictims := cfg.Writers * cfg.WritesPerWriter
-	if nVictims > len(paths) {
-		nVictims = len(paths)
-	}
-	victims := paths[:nVictims]
+	victims := paths[:nWriters*writesPerWriter]
 
 	// Readers churn until stopped; writers rebind their victims. Every
 	// rebind is mkcontext (a fresh entity), unbind, bind — the name now
@@ -166,7 +145,7 @@ func e17Phase(cfg E17Config, push bool) ([]string, error) {
 			}
 		}(r)
 	}
-	writeErrs := make([]error, cfg.Writers)
+	writeErrs := make([]error, nWriters)
 	var wrote atomic.Int64
 	var wg sync.WaitGroup
 	for wi := range writers {
@@ -174,7 +153,7 @@ func e17Phase(cfg E17Config, push bool) ([]string, error) {
 		go func(wi int) {
 			defer wg.Done()
 			wr := writers[wi]
-			for i := wi; i < len(victims); i += cfg.Writers {
+			for i := wi; i < len(victims); i += nWriters {
 				dir, name := victims[i][:len(victims[i])-1], victims[i][len(victims[i])-1]
 				fresh, err := wr.Mkcontext(dir, core.Name(fmt.Sprintf("w%02dc%02d", wi, i)))
 				if err == nil {

@@ -7,38 +7,24 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// E2Config parameterizes experiment E2 (Figure 2): how the coherent
-// fraction depends on the overlap between contexts, for each context-
-// selection choice.
-type E2Config struct {
-	// Activities and Names size the population.
-	Activities, Names int
-	// Overlaps are the shared-name fractions swept.
-	Overlaps []float64
-	// Seed drives the generator.
-	Seed int64
-}
+// e2Overlaps are the shared-name fractions E2 sweeps.
+var e2Overlaps = []float64{0, 0.25, 0.5, 0.75, 1}
 
-// DefaultE2 returns the standard configuration.
-func DefaultE2() E2Config {
-	return E2Config{
-		Activities: 6,
-		Names:      200,
-		Overlaps:   []float64{0, 0.25, 0.5, 0.75, 1},
-		Seed:       2,
-	}
-}
-
-// E2 sweeps the context overlap g and reports the coherent fraction for
-// names exchanged in messages under R(receiver) vs R(sender), and for
-// names obtained from an object under R(activity) vs R(object). Figure 2's
-// point measured: selecting the receiver's (or accessor's) context yields
-// coherence only for the overlapping (global) names — degree g — while
-// selecting the sender's (or object's) context yields full coherence.
-func E2(cfg E2Config) *Table {
+// e2 (Figure 2) sweeps the context overlap g and reports the coherent
+// fraction for names exchanged in messages under R(receiver) vs
+// R(sender), and for names obtained from an object under R(activity) vs
+// R(object). Figure 2's point measured: selecting the receiver's (or
+// accessor's) context yields coherence only for the overlapping (global)
+// names — degree g — while selecting the sender's (or object's) context
+// yields full coherence.
+func e2() (*Table, error) {
+	const (
+		// activities and names size the population.
+		activities, names = 6, 200
+		// seed drives the generator.
+		seed = 2
+	)
 	t := &Table{
-		ID:    "E2",
-		Title: title("E2"),
 		Header: []string{
 			"overlap",
 			"msg/R(receiver)", "msg/R(sender)",
@@ -50,10 +36,10 @@ func E2(cfg E2Config) *Table {
 			"coherent for all names exchanged (embedded).",
 		},
 	}
-	for i, g := range cfg.Overlaps {
-		gen := workload.New(cfg.Seed + int64(i))
+	for i, g := range e2Overlaps {
+		gen := workload.New(seed + int64(i))
 		w := core.NewWorld()
-		pop := gen.Population(w, cfg.Activities, cfg.Names, g)
+		pop := gen.Population(w, activities, names, g)
 		obj, objAssoc := gen.ObjectContext(w, pop, "doc")
 		sender := pop.Activities[0]
 		probes := pop.ProbePaths()
@@ -82,5 +68,5 @@ func E2(cfg E2Config) *Table {
 			cell(objectRule, objCirc),
 		)
 	}
-	return t
+	return t, nil
 }

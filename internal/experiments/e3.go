@@ -9,27 +9,21 @@ import (
 	"namecoherence/internal/newcastle"
 )
 
-// E3Config parameterizes experiment E3 (Figure 3, §5.1): the Newcastle
-// Connection.
-type E3Config struct {
-	// Machines is the number of machines composed under the super-root.
-	Machines int
-	// FilesPerMachine is the number of same-textual-name files created on
-	// every machine.
-	FilesPerMachine int
-	// ProcsPerMachine is the number of probe processes per machine.
-	ProcsPerMachine int
-}
-
-// DefaultE3 returns the Figure 3 setup (three machines).
-func DefaultE3() E3Config {
-	return E3Config{Machines: 3, FilesPerMachine: 20, ProcsPerMachine: 2}
-}
+// E3 runs the Figure 3 setup (three machines).
+const (
+	// e3Machines is the number of machines composed under the super-root.
+	e3Machines = 3
+	// e3FilesPerMachine is the number of same-textual-name files created
+	// on every machine.
+	e3FilesPerMachine = 20
+	// e3ProcsPerMachine is the number of probe processes per machine.
+	e3ProcsPerMachine = 2
+)
 
 // buildE3 constructs the system plus probe processes.
-func buildE3(cfg E3Config) (*core.World, *newcastle.System, [][]*machine.Process, error) {
+func buildE3() (*core.World, *newcastle.System, [][]*machine.Process, error) {
 	w := core.NewWorld()
-	names := make([]string, cfg.Machines)
+	names := make([]string, e3Machines)
 	for i := range names {
 		names[i] = fmt.Sprintf("unix%d", i+1)
 	}
@@ -42,7 +36,7 @@ func buildE3(cfg E3Config) (*core.World, *newcastle.System, [][]*machine.Process
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for f := 0; f < cfg.FilesPerMachine; f++ {
+		for f := 0; f < e3FilesPerMachine; f++ {
 			p := core.ParsePath(fmt.Sprintf("shared/f%03d", f))
 			if _, err := m.Tree.Create(p, "content@"+mn); err != nil {
 				return nil, nil, nil, err
@@ -52,9 +46,9 @@ func buildE3(cfg E3Config) (*core.World, *newcastle.System, [][]*machine.Process
 			return nil, nil, nil, err
 		}
 	}
-	procs := make([][]*machine.Process, cfg.Machines)
+	procs := make([][]*machine.Process, e3Machines)
 	for i, mn := range names {
-		for k := 0; k < cfg.ProcsPerMachine; k++ {
+		for k := 0; k < e3ProcsPerMachine; k++ {
 			p, err := s.Spawn(mn, fmt.Sprintf("probe%d", k))
 			if err != nil {
 				return nil, nil, nil, err
@@ -65,17 +59,16 @@ func buildE3(cfg E3Config) (*core.World, *newcastle.System, [][]*machine.Process
 	return w, s, procs, nil
 }
 
-// E3 measures the Newcastle Connection: same-machine coherence, cross-
-// machine incoherence for "/"-rooted names, full coherence for names that
-// climb through the super-root, and the two remote-execution root policies.
-func E3(cfg E3Config) (*Table, error) {
-	w, s, procs, err := buildE3(cfg)
+// e3 (Figure 3, §5.1) measures the Newcastle Connection: same-machine
+// coherence, cross-machine incoherence for "/"-rooted names, full
+// coherence for names that climb through the super-root, and the two
+// remote-execution root policies.
+func e3() (*Table, error) {
+	w, s, procs, err := buildE3()
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		ID:     "E3",
-		Title:  title("E3"),
 		Header: []string{"probe", "strict-degree"},
 		Notes: []string{
 			"paper §5.1: only processes with the same root binding have coherence for",
@@ -85,8 +78,8 @@ func E3(cfg E3Config) (*Table, error) {
 		},
 	}
 
-	localPaths := make([]core.Path, 0, cfg.FilesPerMachine)
-	for f := 0; f < cfg.FilesPerMachine; f++ {
+	localPaths := make([]core.Path, 0, e3FilesPerMachine)
+	for f := 0; f < e3FilesPerMachine; f++ {
 		localPaths = append(localPaths, core.ParsePath(fmt.Sprintf("shared/f%03d", f)))
 	}
 

@@ -8,27 +8,21 @@ import (
 	"namecoherence/internal/sharedns"
 )
 
-// E4Config parameterizes experiment E4 (Figure 4, §5.2): the shared naming
-// graph approach.
-type E4Config struct {
-	// Clients is the number of client subsystems (split into two DCE cells).
-	Clients int
-	// SharedFiles, LocalFiles, ReplicatedCommands size the name classes.
-	SharedFiles, LocalFiles, ReplicatedCommands int
-}
-
-// DefaultE4 returns the standard configuration.
-func DefaultE4() E4Config {
-	return E4Config{Clients: 4, SharedFiles: 20, LocalFiles: 20, ReplicatedCommands: 10}
-}
-
-// E4 measures the shared naming graph: names under the shared attachment
-// are coherent among all clients, local names are not, replicated commands
-// are weakly coherent, and DCE-style cell-relative names are coherent only
-// within a cell.
-func E4(cfg E4Config) (*Table, error) {
+// e4 (Figure 4, §5.2) measures the shared naming graph: names under the
+// shared attachment are coherent among all clients, local names are not,
+// replicated commands are weakly coherent, and DCE-style cell-relative
+// names are coherent only within a cell.
+func e4() (*Table, error) {
+	const (
+		// clients is the number of client subsystems, split into two DCE
+		// cells of half each.
+		clients = 4
+		half    = clients / 2
+		// sharedFiles, localFiles, replicatedCommands size the name classes.
+		sharedFiles, localFiles, replicatedCommands = 20, 20, 10
+	)
 	w := core.NewWorld()
-	names := make([]string, cfg.Clients)
+	names := make([]string, clients)
 	for i := range names {
 		names[i] = fmt.Sprintf("ws%d", i+1)
 	}
@@ -41,7 +35,7 @@ func E4(cfg E4Config) (*Table, error) {
 		return nil, err
 	}
 	var vicePaths []core.Path
-	for i := 0; i < cfg.SharedFiles; i++ {
+	for i := 0; i < sharedFiles; i++ {
 		p := core.ParsePath(fmt.Sprintf("usr/s%03d", i))
 		if _, err := vice.Tree.Create(p, "shared"); err != nil {
 			return nil, err
@@ -50,7 +44,7 @@ func E4(cfg E4Config) (*Table, error) {
 	}
 
 	var localPaths []core.Path
-	for i := 0; i < cfg.LocalFiles; i++ {
+	for i := 0; i < localFiles; i++ {
 		p := core.ParsePath(fmt.Sprintf("home/l%03d", i))
 		localPaths = append(localPaths, p)
 		for _, cn := range names {
@@ -62,7 +56,7 @@ func E4(cfg E4Config) (*Table, error) {
 	}
 
 	var binPaths []core.Path
-	for i := 0; i < cfg.ReplicatedCommands; i++ {
+	for i := 0; i < replicatedCommands; i++ {
 		p := fmt.Sprintf("/bin/cmd%03d", i)
 		if _, err := s.ReplicateCommand(p, "#!cmd"); err != nil {
 			return nil, err
@@ -72,10 +66,6 @@ func E4(cfg E4Config) (*Table, error) {
 	}
 
 	// Two DCE cells over the client halves, both attached at "/.:".
-	half := cfg.Clients / 2
-	if half == 0 {
-		half = 1
-	}
 	cellA, err := s.AttachSpace(sharedns.CellName, names[:half]...)
 	if err != nil {
 		return nil, err
@@ -83,14 +73,12 @@ func E4(cfg E4Config) (*Table, error) {
 	if _, err := cellA.Tree.Create(core.ParsePath("svc/db"), "db@A"); err != nil {
 		return nil, err
 	}
-	if half < cfg.Clients {
-		cellB, err := s.AttachSpace(sharedns.CellName, names[half:]...)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := cellB.Tree.Create(core.ParsePath("svc/db"), "db@B"); err != nil {
-			return nil, err
-		}
+	cellB, err := s.AttachSpace(sharedns.CellName, names[half:]...)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cellB.Tree.Create(core.ParsePath("svc/db"), "db@B"); err != nil {
+		return nil, err
 	}
 	cellPaths := []core.Path{core.PathOf(sharedns.CellName, "svc", "db")}
 
@@ -104,8 +92,6 @@ func E4(cfg E4Config) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:     "E4",
-		Title:  title("E4"),
 		Header: []string{"name class", "strict-degree", "weak-degree"},
 		Notes: []string{
 			"paper §5.2: coherence for names in the shared graph and weak coherence",
@@ -121,8 +107,6 @@ func E4(cfg E4Config) (*Table, error) {
 	add("local names, all clients", allActs, localPaths)
 	add("replicated /bin, all clients", allActs, binPaths)
 	add("/.: cell names, within cell", allActs[:half], cellPaths)
-	if half < cfg.Clients {
-		add("/.: cell names, across cells", []core.Entity{allActs[0], allActs[half]}, cellPaths)
-	}
+	add("/.: cell names, across cells", []core.Entity{allActs[0], allActs[half]}, cellPaths)
 	return t, nil
 }

@@ -9,27 +9,21 @@ import (
 	"namecoherence/internal/sharedns"
 )
 
-// E5Config parameterizes experiment E5 (Figure 5, §5.3): cross-linked
-// autonomous systems.
-type E5Config struct {
-	// Users is the number of user homes in each organization's /users.
-	Users int
-	// CollidingUsers is how many user names exist in both organizations
-	// (colliding textual names denoting different entities).
-	CollidingUsers int
-}
-
-// DefaultE5 returns the standard configuration.
-func DefaultE5() E5Config {
-	return E5Config{Users: 20, CollidingUsers: 5}
-}
-
-// E5 measures name exchange across a federation boundary: verbatim names
-// are incoherent (missing or, worse, colliding), the human prefix-mapping
-// closure restores coherence for plain names, and the Algol-scoped rule for
-// embedded names restores coherence for structured objects accessed through
-// the cross-link.
-func E5(cfg E5Config) (*Table, error) {
+// e5 (Figure 5, §5.3) measures name exchange across a federation
+// boundary between cross-linked autonomous systems: verbatim names are
+// incoherent (missing or, worse, colliding), the human prefix-mapping
+// closure restores coherence for plain names, and the Algol-scoped rule
+// for embedded names restores coherence for structured objects accessed
+// through the cross-link.
+func e5() (*Table, error) {
+	const (
+		// users is the number of user homes in each organization's /users.
+		users = 20
+		// collidingUsers is how many user names exist in both
+		// organizations (colliding textual names denoting different
+		// entities).
+		collidingUsers = 5
+	)
 	w := core.NewWorld()
 	f := federation.New(w)
 
@@ -56,15 +50,15 @@ func E5(cfg E5Config) (*Table, error) {
 		return nil, err
 	}
 
-	// org2's users; the first CollidingUsers also exist in org1.
+	// org2's users; the first collidingUsers also exist in org1.
 	var exchanged []string
-	for i := 0; i < cfg.Users; i++ {
+	for i := 0; i < users; i++ {
 		user := fmt.Sprintf("u%03d", i)
 		p := core.ParsePath(user + "/profile")
 		if _, err := users2.Tree.Create(p, user+"@org2"); err != nil {
 			return nil, err
 		}
-		if i < cfg.CollidingUsers {
+		if i < collidingUsers {
 			if _, err := users1.Tree.Create(p, user+"@org1"); err != nil {
 				return nil, err
 			}
@@ -113,8 +107,6 @@ func E5(cfg E5Config) (*Table, error) {
 	cohMapped, collMapped := countCoherent(pm)
 
 	t := &Table{
-		ID:     "E5",
-		Title:  title("E5"),
 		Header: []string{"exchange", "coherent", "wrong-entity", "of"},
 		Notes: []string{
 			"paper §5.3/§7: incoherence arises when names are exchanged across system",

@@ -8,28 +8,19 @@ import (
 	"namecoherence/internal/embedded"
 )
 
-// E6Config parameterizes experiment E6 (Figure 6, §6 Example 2): embedded
-// file names under the Algol scope rule.
-type E6Config struct {
-	// EmbeddedNames is the number of embedded references in the subtree.
-	EmbeddedNames int
-}
+// e6EmbeddedNames is the number of embedded references in E6's subtree.
+const e6EmbeddedNames = 20
 
-// DefaultE6 returns the standard configuration.
-func DefaultE6() E6Config {
-	return E6Config{EmbeddedNames: 20}
-}
-
-// e6World builds a project subtree with cfg.EmbeddedNames source files,
+// e6World builds a project subtree with e6EmbeddedNames source files,
 // each embedding a name (lib/tNNN) that the project root binds, and returns
 // the tree, the project-relative source paths, and the entities the
 // embedded names originally denote.
-func e6World(cfg E6Config) (*core.World, *dirtree.Tree, []core.Path, []core.Entity, error) {
+func e6World() (*core.World, *dirtree.Tree, []core.Path, []core.Entity, error) {
 	w := core.NewWorld()
 	tr := dirtree.New(w, "root")
-	srcs := make([]core.Path, 0, cfg.EmbeddedNames)
-	wants := make([]core.Entity, 0, cfg.EmbeddedNames)
-	for i := 0; i < cfg.EmbeddedNames; i++ {
+	srcs := make([]core.Path, 0, e6EmbeddedNames)
+	wants := make([]core.Entity, 0, e6EmbeddedNames)
+	for i := 0; i < e6EmbeddedNames; i++ {
 		e, err := tr.Create(core.ParsePath(fmt.Sprintf("proj/lib/t%03d", i)), "target")
 		if err != nil {
 			return nil, nil, nil, nil, err
@@ -84,13 +75,12 @@ func graft(prefix core.Path, srcs []core.Path) []core.Path {
 	return out
 }
 
-// E6 measures meaning preservation for embedded names across the operations
-// Figure 6 promises are safe: relocation, simultaneous attachment, and
-// copying — under the Algol scope rule and the accessor-root baseline.
-func E6(cfg E6Config) (*Table, error) {
+// e6 (Figure 6, §6 Example 2) measures meaning preservation for embedded
+// file names across the operations Figure 6 promises are safe: relocation,
+// simultaneous attachment, and copying — under the Algol scope rule and
+// the accessor-root baseline.
+func e6() (*Table, error) {
 	t := &Table{
-		ID:     "E6",
-		Title:  title("E6"),
 		Header: []string{"operation", "R(file)-scoped", "R(activity)-baseline", "of"},
 		Notes: []string{
 			"paper §6 Ex.2: under the scope rule the name has the same meaning",
@@ -99,7 +89,7 @@ func E6(cfg E6Config) (*Table, error) {
 			"its embedded names. The baseline breaks as soon as the subtree moves.",
 		},
 	}
-	total := itoa(cfg.EmbeddedNames)
+	total := itoa(e6EmbeddedNames)
 
 	run := func(label string, w *core.World, tr *dirtree.Tree, srcs []core.Path, wants []core.Entity) error {
 		s, err := e6Measure(w, tr, srcs, wants, true)
@@ -117,7 +107,7 @@ func E6(cfg E6Config) (*Table, error) {
 	// In place: even the baseline works only if the embedded names happen
 	// to resolve from the root — here they do not (lib/ lives under proj/).
 	{
-		w, tr, srcs, wants, err := e6World(cfg)
+		w, tr, srcs, wants, err := e6World()
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +120,7 @@ func E6(cfg E6Config) (*Table, error) {
 	// very name its embedded references assume ("lib" reachable from the
 	// accessor root). This is the one layout where the baseline works.
 	{
-		w, tr, srcs, wants, err := e6World(cfg)
+		w, tr, srcs, wants, err := e6World()
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +137,7 @@ func E6(cfg E6Config) (*Table, error) {
 
 	// Relocated.
 	{
-		w, tr, srcs, wants, err := e6World(cfg)
+		w, tr, srcs, wants, err := e6World()
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +154,7 @@ func E6(cfg E6Config) (*Table, error) {
 
 	// Simultaneously attached at a second point; accessed via the mirror.
 	{
-		w, tr, srcs, wants, err := e6World(cfg)
+		w, tr, srcs, wants, err := e6World()
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +176,7 @@ func E6(cfg E6Config) (*Table, error) {
 	// Copied: the copy must be self-contained — embedded names denote the
 	// copy's own targets.
 	{
-		w, tr, srcs, _, err := e6World(cfg)
+		w, tr, srcs, _, err := e6World()
 		if err != nil {
 			return nil, err
 		}

@@ -8,22 +8,15 @@ import (
 	"namecoherence/internal/workload"
 )
 
-// E7Config parameterizes experiment E7 (§6 Example 1): connection survival
-// under machine and network renumbering, partially qualified identifiers
-// versus the fully qualified baseline.
-type E7Config struct {
-	// Networks, MachinesPerNet and ProcsPerMachine shape the topology.
-	Networks, MachinesPerNet, ProcsPerMachine int
-	// RefsPerProc is how many peer references each process holds.
-	RefsPerProc int
-	// Seed drives peer selection.
-	Seed int64
-}
-
-// DefaultE7 returns the standard configuration.
-func DefaultE7() E7Config {
-	return E7Config{Networks: 2, MachinesPerNet: 3, ProcsPerMachine: 4, RefsPerProc: 6, Seed: 7}
-}
+const (
+	// e7Networks, e7MachinesPerNet and e7ProcsPerMachine shape E7's
+	// topology.
+	e7Networks, e7MachinesPerNet, e7ProcsPerMachine = 2, 3, 4
+	// e7RefsPerProc is how many peer references each process holds.
+	e7RefsPerProc = 6
+	// e7Seed drives peer selection.
+	e7Seed = 7
+)
 
 // e7Event is a renumbering event plus the scope predicate that classifies
 // addresses as inside the renamed subsystem.
@@ -38,13 +31,13 @@ type e7Event struct {
 // survival counts per ref class: "intra" (both endpoints inside the renamed
 // subsystem), "outward" (held inside, pointing out), "inward" (held
 // outside, pointing in), "untouched" (neither endpoint inside).
-func e7Run(cfg E7Config, minimal bool, ev e7Event) (map[string][2]int, error) {
+func e7Run(minimal bool, ev e7Event) (map[string][2]int, error) {
 	network := netsim.NewNetwork()
 	var nodes []*pqi.Node
 	dir := make(map[string]*pqi.Node)
-	for n := 1; n <= cfg.Networks; n++ {
-		for m := 1; m <= cfg.MachinesPerNet; m++ {
-			for l := 1; l <= cfg.ProcsPerMachine; l++ {
+	for n := 1; n <= e7Networks; n++ {
+		for m := 1; m <= e7MachinesPerNet; m++ {
+			for l := 1; l <= e7ProcsPerMachine; l++ {
 				name := fmt.Sprintf("p-%d-%d-%d", n, m, l)
 				node, err := pqi.NewNode(network, netsim.Addr{
 					Net: uint32(n), Mach: uint32(m), Local: uint32(l),
@@ -58,7 +51,7 @@ func e7Run(cfg E7Config, minimal bool, ev e7Event) (map[string][2]int, error) {
 		}
 	}
 
-	gen := workload.New(cfg.Seed)
+	gen := workload.New(e7Seed)
 	type held struct {
 		holder  *pqi.Node
 		subject string
@@ -68,13 +61,11 @@ func e7Run(cfg E7Config, minimal bool, ev e7Event) (map[string][2]int, error) {
 	for i, n := range nodes {
 		// Every process holds a reference to its machine-local neighbour
 		// (the subsystem's internal connections the paper cares about),
-		// plus RefsPerProc-1 random peers.
-		targets := make([]*pqi.Node, 0, cfg.RefsPerProc)
-		if cfg.ProcsPerMachine > 1 {
-			neighbour := i - i%cfg.ProcsPerMachine + (i+1)%cfg.ProcsPerMachine
-			targets = append(targets, nodes[neighbour])
-		}
-		for len(targets) < cfg.RefsPerProc {
+		// plus e7RefsPerProc-1 random peers.
+		neighbour := i - i%e7ProcsPerMachine + (i+1)%e7ProcsPerMachine
+		targets := make([]*pqi.Node, 0, e7RefsPerProc)
+		targets = append(targets, nodes[neighbour])
+		for len(targets) < e7RefsPerProc {
 			targets = append(targets, nodes[gen.Intn(len(nodes))])
 		}
 		for _, target := range targets {
@@ -121,12 +112,12 @@ func e7Run(cfg E7Config, minimal bool, ev e7Event) (map[string][2]int, error) {
 	return out, nil
 }
 
-// E7 measures the fraction of connections that survive a machine
-// renumbering and a network renumbering under each identifier scheme.
-func E7(cfg E7Config) (*Table, error) {
+// e7 (§6 Example 1) measures the fraction of connections that survive a
+// machine renumbering and a network renumbering under each identifier
+// scheme: partially qualified identifiers versus the fully qualified
+// baseline.
+func e7() (*Table, error) {
 	t := &Table{
-		ID:     "E7",
-		Title:  title("E7"),
 		Header: []string{"event", "scheme", "intra", "outward", "inward", "untouched"},
 		Notes: []string{
 			"paper §6 Ex.1: with partially qualified pids, pids of local processes",
@@ -162,7 +153,7 @@ func E7(cfg E7Config) (*Table, error) {
 	}
 	for _, ev := range events {
 		for _, sc := range schemes {
-			counts, err := e7Run(cfg, sc.minimal, ev)
+			counts, err := e7Run(sc.minimal, ev)
 			if err != nil {
 				return nil, err
 			}

@@ -10,24 +10,16 @@ import (
 	"namecoherence/internal/perproc"
 )
 
-// E8Config parameterizes experiment E8 (§6 approach II, §7): per-process
-// namespaces and remote execution.
-type E8Config struct {
-	// Subsystems is the number of subsystem trees the parent attaches.
-	Subsystems int
-	// FilesPerSubsystem sizes each subsystem tree.
-	FilesPerSubsystem int
-}
-
-// DefaultE8 returns the standard configuration.
-func DefaultE8() E8Config {
-	return E8Config{Subsystems: 3, FilesPerSubsystem: 10}
-}
-
-// E8 measures parameter coherence for remote execution with per-process
-// namespaces against the per-machine baseline, and executor-local access
-// for both.
-func E8(cfg E8Config) (*Table, error) {
+// e8 (§6 approach II, §7) measures parameter coherence for remote
+// execution with per-process namespaces against the per-machine baseline,
+// and executor-local access for both.
+func e8() (*Table, error) {
+	const (
+		// subsystems is the number of subsystem trees the parent attaches.
+		subsystems = 3
+		// filesPerSubsystem sizes each subsystem tree.
+		filesPerSubsystem = 10
+	)
 	w := core.NewWorld()
 	m1 := machine.New(w, "m1")
 	m2 := machine.New(w, "m2")
@@ -40,9 +32,9 @@ func E8(cfg E8Config) (*Table, error) {
 		return nil, err
 	}
 	var paramPaths []core.Path
-	for s := 0; s < cfg.Subsystems; s++ {
+	for s := 0; s < subsystems; s++ {
 		sub := dirtree.New(w, fmt.Sprintf("sub%d", s))
-		for f := 0; f < cfg.FilesPerSubsystem; f++ {
+		for f := 0; f < filesPerSubsystem; f++ {
 			p := core.ParsePath(fmt.Sprintf("files/f%03d", f))
 			if _, err := sub.Create(p, "payload"); err != nil {
 				return nil, err
@@ -64,8 +56,6 @@ func E8(cfg E8Config) (*Table, error) {
 	reg.Add(parent.Process, child.Process, baseline)
 
 	t := &Table{
-		ID:     "E8",
-		Title:  title("E8"),
 		Header: []string{"scheme", "param-coherence", "executor-local access"},
 		Notes: []string{
 			"paper §6 II: with a per-process view, the remotely executing process",

@@ -8,28 +8,17 @@ import (
 	"namecoherence/internal/sharedns"
 )
 
-// E9Config parameterizes experiment E9 (§5): weak coherence for replicated
-// objects as the client count grows.
-type E9Config struct {
-	// ClientCounts is the sweep of system sizes.
-	ClientCounts []int
-	// Commands is the number of replicated commands.
-	Commands int
-}
+// e9ClientCounts is the sweep of system sizes in E9.
+var e9ClientCounts = []int{2, 4, 8, 16}
 
-// DefaultE9 returns the standard configuration.
-func DefaultE9() E9Config {
-	return E9Config{ClientCounts: []int{2, 4, 8, 16}, Commands: 10}
-}
-
-// E9 sweeps the number of clients and reports strict vs weak coherence for
-// replicated command names: strict coherence fails at any scale, weak
-// coherence holds at every scale — the paper's point that strict coherence
-// is "unnecessarily restrictive" for replicated objects.
-func E9(cfg E9Config) (*Table, error) {
+// e9 (§5) sweeps the number of clients and reports strict vs weak
+// coherence for replicated command names: strict coherence fails at any
+// scale, weak coherence holds at every scale — the paper's point that
+// strict coherence is "unnecessarily restrictive" for replicated objects.
+func e9() (*Table, error) {
+	// commands is the number of replicated commands.
+	const commands = 10
 	t := &Table{
-		ID:     "E9",
-		Title:  title("E9"),
 		Header: []string{"clients", "strict-degree", "weak-degree"},
 		Notes: []string{
 			"paper §5: for replicated objects, coherence as defined is unnecessarily",
@@ -37,7 +26,7 @@ func E9(cfg E9Config) (*Table, error) {
 			"holds independent of scale.",
 		},
 	}
-	for _, n := range cfg.ClientCounts {
+	for _, n := range e9ClientCounts {
 		w := core.NewWorld()
 		names := make([]string, n)
 		for i := range names {
@@ -48,7 +37,7 @@ func E9(cfg E9Config) (*Table, error) {
 			return nil, err
 		}
 		var paths []core.Path
-		for c := 0; c < cfg.Commands; c++ {
+		for c := 0; c < commands; c++ {
 			p := fmt.Sprintf("/bin/cmd%02d", c)
 			if _, err := s.ReplicateCommand(p, "#!"); err != nil {
 				return nil, err

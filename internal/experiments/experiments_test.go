@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// runTable runs the index entry id, as cmd/cohbench does, and fails the
+// test if it returns an error.
+func runTable(t *testing.T, id string) *Table {
+	t.Helper()
+	for _, e := range Index() {
+		if e.ID == id {
+			tb, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tb
+		}
+	}
+	t.Fatalf("no index entry %s", id)
+	return nil
+}
+
 // cell returns Rows[r][c] with bounds checking.
 func cell(t *testing.T, tb *Table, r, c int) string {
 	t.Helper()
@@ -28,7 +45,7 @@ func rowByLabel(t *testing.T, tb *Table, label string) []string {
 }
 
 func TestE1Matrix(t *testing.T) {
-	tb := E1(DefaultE1())
+	tb := runTable(t, "E1")
 	// Rows: R(activity), R(sender), R(object), R(global).
 	// Columns: rule, internal, message, object.
 	want := [][]string{
@@ -50,7 +67,7 @@ func TestE1Matrix(t *testing.T) {
 }
 
 func TestE2Sweep(t *testing.T) {
-	tb := E2(DefaultE2())
+	tb := runTable(t, "E2")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -71,10 +88,7 @@ func TestE2Sweep(t *testing.T) {
 }
 
 func TestE3Newcastle(t *testing.T) {
-	tb, err := E3(DefaultE3())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E3")
 	expect := map[string]string{
 		"/ names, same machine":                               "1.00",
 		"/ names, across machines":                            "0.00",
@@ -93,10 +107,7 @@ func TestE3Newcastle(t *testing.T) {
 }
 
 func TestE4SharedGraph(t *testing.T) {
-	tb, err := E4(DefaultE4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E4")
 	// label → [strict, weak]
 	expect := map[string][2]string{
 		"/vice (shared graph), all clients": {"1.00", "1.00"},
@@ -114,10 +125,7 @@ func TestE4SharedGraph(t *testing.T) {
 }
 
 func TestE5Federation(t *testing.T) {
-	tb, err := E5(DefaultE5())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E5")
 	verbatim := rowByLabel(t, tb, "verbatim across boundary")
 	if verbatim[1] != "0" {
 		t.Errorf("verbatim coherent = %s, want 0", verbatim[1])
@@ -138,11 +146,8 @@ func TestE5Federation(t *testing.T) {
 }
 
 func TestE6Embedded(t *testing.T) {
-	tb, err := E6(DefaultE6())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := itoa(DefaultE6().EmbeddedNames)
+	tb := runTable(t, "E6")
+	n := itoa(e6EmbeddedNames)
 	// The scope rule preserves all meanings under every operation; the
 	// baseline works only in the purpose-built friendly layout.
 	for _, row := range tb.Rows {
@@ -160,10 +165,7 @@ func TestE6Embedded(t *testing.T) {
 }
 
 func TestE7Renumbering(t *testing.T) {
-	tb, err := E7(DefaultE7())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E7")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -191,10 +193,7 @@ func TestE7Renumbering(t *testing.T) {
 }
 
 func TestE8PerProcess(t *testing.T) {
-	tb, err := E8(DefaultE8())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E8")
 	pp := rowByLabel(t, tb, "per-process remote exec")
 	if pp[1] != "1.00" || pp[2] != "1.00" {
 		t.Errorf("per-process row = %v", pp)
@@ -206,11 +205,8 @@ func TestE8PerProcess(t *testing.T) {
 }
 
 func TestE9WeakCoherence(t *testing.T) {
-	tb, err := E9(DefaultE9())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != len(DefaultE9().ClientCounts) {
+	tb := runTable(t, "E9")
+	if len(tb.Rows) != len(e9ClientCounts) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for _, row := range tb.Rows {
@@ -221,10 +217,7 @@ func TestE9WeakCoherence(t *testing.T) {
 }
 
 func TestE10ScopeDistance(t *testing.T) {
-	tb, err := E10(DefaultE10())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E10")
 	expect := map[string]string{
 		"same group":                "1.00",
 		"same org, different group": "0.67",
@@ -245,11 +238,8 @@ func TestE10ScopeDistance(t *testing.T) {
 }
 
 func TestA1Caching(t *testing.T) {
-	tb, err := A1(DefaultA1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != len(DefaultA1().CacheSizes) {
+	tb := runTable(t, "A1")
+	if len(tb.Rows) != len(a1CacheSizes) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	// Server requests must be monotonically non-increasing with cache size.
@@ -272,10 +262,7 @@ func TestA1Caching(t *testing.T) {
 }
 
 func TestA3QualificationLevels(t *testing.T) {
-	tb, err := A3(DefaultA3())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "A3")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -303,13 +290,9 @@ func TestA3QualificationLevels(t *testing.T) {
 // contract), every life after the first recovers all shards, replicas
 // come up by catch-up, and store-restored replicas stay weakly coherent.
 func TestE16(t *testing.T) {
-	cfg := DefaultE16()
-	tb, err := E16(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != cfg.Lives {
-		t.Fatalf("rows = %d, want %d", len(tb.Rows), cfg.Lives)
+	tb := runTable(t, "E16")
+	if len(tb.Rows) != e16Lives {
+		t.Fatalf("rows = %d, want %d", len(tb.Rows), e16Lives)
 	}
 	for i, row := range tb.Rows {
 		life := i + 1
@@ -343,12 +326,12 @@ func TestE16(t *testing.T) {
 			t.Errorf("life 1 recovered %d shards from an empty store", recovered)
 		}
 		if life > 1 {
-			if recovered != cfg.Shards {
-				t.Errorf("life %d recovered %d shards, want %d", life, recovered, cfg.Shards)
+			if recovered != e16Shards {
+				t.Errorf("life %d recovered %d shards, want %d", life, recovered, e16Shards)
 			}
-			if caughtUp != cfg.Shards*(cfg.Replicas-1) {
+			if caughtUp != e16Shards*(e16Replicas-1) {
 				t.Errorf("life %d caught up %d replicas, want %d",
-					life, caughtUp, cfg.Shards*(cfg.Replicas-1))
+					life, caughtUp, e16Shards*(e16Replicas-1))
 			}
 			if copied == 0 {
 				t.Errorf("life %d catch-up copied no blobs", life)
@@ -366,7 +349,7 @@ func TestAllRuns(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, e := range index {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.run == nil {
 			t.Errorf("index entry %q malformed", e.ID)
 		}
 		if seen[e.ID] {
@@ -398,10 +381,7 @@ func fmtSscan(s string, v *int) (int, error) {
 }
 
 func TestA4CacheChurn(t *testing.T) {
-	tb, err := A4(DefaultA4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "A4")
 	var staleByScheme = map[string]int{}
 	var servedByScheme = map[string]int{}
 	for _, row := range tb.Rows {
@@ -416,7 +396,7 @@ func TestA4CacheChurn(t *testing.T) {
 		servedByScheme[row[0]] = served
 	}
 	// No cache: never stale, every lookup served remotely.
-	if staleByScheme["none"] != 0 || servedByScheme["none"] != DefaultA4().Lookups {
+	if staleByScheme["none"] != 0 || servedByScheme["none"] != a4Lookups {
 		t.Errorf("none: %d stale, %d served", staleByScheme["none"], servedByScheme["none"])
 	}
 	// Plain cache: substantially stale under churn.
@@ -435,11 +415,8 @@ func TestA4CacheChurn(t *testing.T) {
 }
 
 func TestA5RootBottleneck(t *testing.T) {
-	tb, err := A5(DefaultA5())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != len(DefaultA5().Fanouts) {
+	tb := runTable(t, "A5")
+	if len(tb.Rows) != len(a5Fanouts) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for _, row := range tb.Rows {
@@ -462,10 +439,7 @@ func TestA5RootBottleneck(t *testing.T) {
 }
 
 func TestE11ReplicatedService(t *testing.T) {
-	tb, err := E11(DefaultE11())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E11")
 	for _, row := range tb.Rows {
 		var replicas, distinct int
 		if _, err := fmtSscan(row[0], &replicas); err != nil {
@@ -489,10 +463,7 @@ func TestE11ReplicatedService(t *testing.T) {
 }
 
 func TestE12BoundaryTranslation(t *testing.T) {
-	tb, err := E12(DefaultE12())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E12")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -518,11 +489,8 @@ func TestE12BoundaryTranslation(t *testing.T) {
 }
 
 func TestE13ForkDivergence(t *testing.T) {
-	tb, err := E13(DefaultE13())
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := DefaultE13().InitialAttaches
+	tb := runTable(t, "E13")
+	init := e13InitialAttaches
 	for _, row := range tb.Rows {
 		var mutations int
 		if _, err := fmtSscan(row[0], &mutations); err != nil {
@@ -542,12 +510,8 @@ func TestE14ShardedCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full shard x batch sweep over TCP")
 	}
-	tb, err := E14(DefaultE14())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultE14()
-	if want := len(cfg.ShardCounts) * len(cfg.BatchSizes); len(tb.Rows) != want {
+	tb := runTable(t, "E14")
+	if want := len(e14ShardCounts) * len(e14BatchSizes); len(tb.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), want)
 	}
 	// Strict coherence must hold for every client of every shard at every
@@ -560,9 +524,9 @@ func TestE14ShardedCluster(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if lookups != cfg.Clients*cfg.Lookups {
+		if lookups != e14Clients*e14Lookups {
 			t.Errorf("shards=%d batch=%d: lookups = %d, want %d",
-				shards, batch, lookups, cfg.Clients*cfg.Lookups)
+				shards, batch, lookups, e14Clients*e14Lookups)
 		}
 		if got := row[len(row)-1]; got != "1.00" {
 			t.Errorf("shards=%d batch=%d: strict coherence = %s, want 1.00",
@@ -572,7 +536,7 @@ func TestE14ShardedCluster(t *testing.T) {
 	}
 	// Batching amortizes the wire: at every shard count, batch 64 must
 	// need at most half the wire requests of unbatched resolution.
-	for _, shards := range cfg.ShardCounts {
+	for _, shards := range e14ShardCounts {
 		one, big := wire[[2]int{shards, 1}], wire[[2]int{shards, 64}]
 		if big*2 > one {
 			t.Errorf("shards=%d: batch-64 wire requests %d not < half of unbatched %d",
@@ -585,15 +549,11 @@ func TestE15FailoverAvailability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injected TCP cluster sweep")
 	}
-	cfg := DefaultE15()
-	tb, err := E15(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E15")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (healthy, one-down)", len(tb.Rows))
 	}
-	budget := cfg.Budget().Milliseconds()
+	budget := e15Budget.Milliseconds()
 	for _, label := range []string{"healthy", "one-down"} {
 		row := rowByLabel(t, tb, label)
 		// Every name must resolve — with one replica per shard down,
@@ -631,10 +591,7 @@ func TestE15FailoverAvailability(t *testing.T) {
 // full of hits that never revalidate — visibly stale against the
 // authoritative graph.
 func TestE17(t *testing.T) {
-	tb, err := E17(DefaultE17())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "E17")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (poll, push)", len(tb.Rows))
 	}

@@ -9,9 +9,10 @@ import (
 // Table is one experiment's result: titled rows of cells, plus free-form
 // notes (the paper claim the numbers speak to).
 type Table struct {
-	// ID is the experiment id (E1..E10, A1..).
+	// ID is the experiment id (E1..E17, A1..A5), stamped by
+	// Experiment.Run from the index.
 	ID string
-	// Title describes the experiment.
+	// Title describes the experiment, stamped by Experiment.Run.
 	Title string
 	// Header names the columns.
 	Header []string
