@@ -331,9 +331,12 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, int, 
 			continue
 		}
 		results, rev, err := conn.ResolveBatchRev(keys)
-		if err == nil {
+		if err == nil || isRemote(err) || conn.Err() == nil {
+			// Answered, refused by the server, or refused before it was
+			// sent (a frame over the wire's size bound): the connection is
+			// sound and no replica would answer differently.
 			set.ok(conn.replica)
-			return results, conn.replica, rev, nil
+			return results, conn.replica, rev, err
 		}
 		set.retire(conn)
 		c.noteFailover()
@@ -548,8 +551,9 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		a := <-answers
 		w := work[a.shard]
 		if a.err != nil {
-			// The shard stayed unreachable through every retry: its names
-			// fail individually; other shards' answers stand.
+			// The shard stayed unreachable through every retry, or the batch
+			// was refused whole: its names fail individually; other shards'
+			// answers stand.
 			if firstErr == nil {
 				firstErr = a.err
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"namecoherence/internal/coherence"
 	"namecoherence/internal/core"
 	"namecoherence/internal/faultnet"
+	"namecoherence/internal/nameserver"
 )
 
 // startReplicated builds a replicated cluster over the test spec.
@@ -400,5 +402,62 @@ func TestCoalescedFailureSharedAndNotReused(t *testing.T) {
 	}
 	if _, misses := client.Stats(); misses != 2 {
 		t.Fatalf("misses = %d, want 2 (second call started its own flight)", misses)
+	}
+}
+
+// A batch whose answer would exceed the wire's frame bound, and one whose
+// request would, each fail as that call's own error: the connection that
+// carried them keeps serving, and the cluster client neither fails over nor
+// charges a replica for a request no replica can answer.
+func TestOversizedBatchFailsAloneNotTheConnection(t *testing.T) {
+	cl := startCluster(t, 1)
+	names := func(n int) []core.Path {
+		ps := make([]core.Path, n)
+		for i := range ps {
+			ps[i] = core.ParsePath(fmt.Sprintf("no/such/%05d", i))
+		}
+		return ps
+	}
+	// 30 000 unbound names: a 450 KB request, an answer over 1 MiB.
+	bigAnswer := names(30000)
+	// 80 000 names: a 1.2 MB request.
+	bigRequest := names(80000)
+	ls := core.ParsePath("usr/bin/ls")
+
+	nc, err := nameserver.Dial("tcp", cl.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var re *nameserver.RemoteError
+	if _, _, err := nc.ResolveBatchRev(bigAnswer); !errors.As(err, &re) {
+		t.Fatalf("oversized answer: err = %v, want a RemoteError", err)
+	}
+	if _, _, err := nc.ResolveBatchRev(bigRequest); err == nil {
+		t.Fatal("oversized request: no error")
+	}
+	if err := nc.Err(); err != nil {
+		t.Fatalf("an oversized batch poisoned the connection: %v", err)
+	}
+	if _, err := nc.Resolve(ls); err != nil {
+		t.Fatalf("Resolve after the oversized batches: %v", err)
+	}
+
+	client, err := Dial("tcp", cl.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.ResolveBatch(bigAnswer); !isRemote(err) {
+		t.Fatalf("cluster oversized answer: err = %v, want a RemoteError", err)
+	}
+	if _, err := client.ResolveBatch(bigRequest); err == nil || isRemote(err) {
+		t.Fatalf("cluster oversized request: err = %v, want the client's own refusal", err)
+	}
+	if n := client.Failovers(); n != 0 {
+		t.Fatalf("Failovers = %d after oversized batches, want 0", n)
+	}
+	if _, err := client.Resolve(ls); err != nil {
+		t.Fatalf("cluster Resolve after the oversized batches: %v", err)
 	}
 }

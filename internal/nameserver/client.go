@@ -14,6 +14,7 @@ import (
 
 	"namecoherence/internal/core"
 	"namecoherence/internal/lru"
+	"namecoherence/internal/varenc"
 )
 
 // RemoteError is a resolution failure reported by the server.
@@ -253,6 +254,12 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 	// Append-encode into the token-guarded scratch: the request's bytes
 	// are built and written with zero heap traffic.
 	c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
+	if len(c.wbuf) > maxFrame {
+		// The server would refuse the frame and drop the stream: refuse it
+		// here instead, having written nothing (see call).
+		<-c.wtoken
+		return errFrameTooBig
+	}
 	err := writeFrame(c.bw, c.wbuf)
 	if err == nil && pipelined {
 		<-c.wtoken
@@ -277,7 +284,7 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 // knows this). With a per-call timeout the leader cannot select on its
 // timer while blocked in the read, so it arms the connection's read
 // deadline with its own call's expiry instead: a deadline-failed read
-// poisons the client exactly as expire would have — a call timeout always
+// poisons the client exactly as withdraw would have — a call timeout always
 // poisons, so trading the torn stream for a dead conn loses nothing. Each
 // leader re-arms on taking the token, so the deadline in force is always
 // the current leader's.
@@ -313,12 +320,9 @@ func (c *Client) readOne() error {
 	if err != nil {
 		return err
 	}
-	fr := frameReader{b: body}
-	id, err := fr.uvarint()
-	if err != nil {
-		return err
-	}
-	if id != 0 {
+	// A malformed ID reads as 0 and fails in the scratch parse below.
+	r := varenc.NewReader(body)
+	if id := r.Uvarint(); id != 0 {
 		c.pmu.Lock()
 		pc := c.pending[id]
 		delete(c.pending, id)
@@ -486,10 +490,12 @@ func (c *Client) call(req request) (response, error) {
 			// The client failed before we could write.
 			return c.finish(pc)
 		case <-timeoutC:
-			return c.expire(pc)
+			return c.withdraw(pc, os.ErrDeadlineExceeded)
 		}
 	}
-	if err := c.send(pc, pipelined); err != nil {
+	if err := c.send(pc, pipelined); errors.Is(err, errFrameTooBig) {
+		return c.withdraw(pc, err)
+	} else if err != nil {
 		c.fail(fmt.Errorf("send request: %w", err))
 		// fail leaves no call pending, but the one that took pc out of the
 		// table — a reader, or a concurrent fail — may still be delivering.
@@ -515,7 +521,7 @@ func (c *Client) call(req request) (response, error) {
 		<-c.rtoken
 		return c.finish(pc)
 	case <-timeoutC:
-		return c.expire(pc)
+		return c.withdraw(pc, os.ErrDeadlineExceeded)
 	}
 }
 
@@ -527,29 +533,29 @@ func (c *Client) finish(pc *pendingCall) (response, error) {
 	return pc.resp, nil
 }
 
-// expire abandons pc after its per-call timer fired. If the response beat
-// the timer and is mid-delivery, the race is conceded to the reader — the
-// response wins and the client stays healthy. Otherwise the call fails
-// with a timeout and the client is poisoned: the wire may still owe us
-// the late response, so the stream's pipeline depth is no longer known
-// and the only safe sequel is a fresh connection.
-func (c *Client) expire(pc *pendingCall) (response, error) {
+// withdraw fails pc with err, alone, taking it out of the pending table
+// itself. If a reader (or fail) took it out first, the call is
+// mid-delivery and the race is conceded: the response or verdict that won
+// stands. A call that timed out (os.ErrDeadlineExceeded) also poisons the
+// client: the wire may still owe us the late response, so the stream's
+// pipeline depth is no longer known and the only safe sequel is a fresh
+// connection. A request refused before it was sent (errFrameTooBig) left
+// the stream as it was.
+func (c *Client) withdraw(pc *pendingCall, err error) (response, error) {
 	c.pmu.Lock()
 	_, waiting := c.pending[pc.req.ID]
 	if waiting {
 		delete(c.pending, pc.req.ID)
-		if c.broken == nil {
-			c.broken = fmt.Errorf("poisoned by call timeout: %w", os.ErrDeadlineExceeded)
+		if c.broken == nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			c.broken = fmt.Errorf("poisoned by call timeout: %w", err)
 		}
 	}
 	c.pmu.Unlock()
 	if !waiting {
-		// The reader (or fail) already took the call out of the table and
-		// owns closing done; wait for its verdict.
 		<-pc.done
 		return c.finish(pc)
 	}
-	return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), os.ErrDeadlineExceeded)
+	return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), err)
 }
 
 // Resolve resolves the compound name: from the cache when there is one and
@@ -613,7 +619,9 @@ func (c *Client) ResolveRev(p core.Path) (e core.Entity, dir core.EntityID, rev 
 
 // ResolveBatchRev resolves every path in one round-trip, bypassing the
 // client's own cache, and returns the batch's binding revision. Results
-// are in argument order; per-name failures are in the results.
+// are in argument order; per-name failures are in the results. A batch
+// whose request or answer would not fit in one frame fails whole, as this
+// call's own error: a *RemoteError when the server refused the answer.
 func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, error) {
 	raws, err := canonicalWirePaths(paths)
 	if err != nil {
@@ -623,6 +631,10 @@ func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, erro
 	resp, err := c.call(req)
 	if err != nil {
 		return nil, 0, err
+	}
+	if resp.Err != "" {
+		// The server refused the batch as a whole (see connState.encode).
+		return nil, resp.Rev, &RemoteError{Msg: resp.Err}
 	}
 	if len(resp.Results) != len(paths) {
 		return nil, 0, fmt.Errorf("resolve batch: got %d results for %d paths", len(resp.Results), len(paths))

@@ -176,7 +176,7 @@ func (c *Client) readLoop() {
 	// This goroutine reads for everyone from now on, and an idle stretch
 	// is normal for it — drop whatever per-call read deadline an earlier
 	// leader left armed. Per-call timeouts remain bounded by their timers
-	// (see expire).
+	// (see withdraw).
 	_ = c.conn.SetReadDeadline(time.Time{})
 	never := &pendingCall{done: make(chan struct{})}
 	c.lead(never, time.Time{})

@@ -8,19 +8,25 @@
 // Every message is one frame: a uvarint byte length followed by exactly
 // that many body bytes. The body is the message's fields in struct
 // declaration order (wire.go is the schema; registrycheck verifies the
-// codec covers every field of every registered type). Within a body:
+// codec covers every field of every registered type), written with
+// internal/varenc's primitives — uvarints, strict 0/1 bools,
+// length-prefixed strings — and read with its sticky-error Reader, the
+// same ones snapstore's node blobs use. Beyond those:
 //
-//   - unsigned integers (uint64, counts, lengths) are uvarints
 //   - single-byte fields (uint8) are one raw byte
-//   - bools are one byte, strictly 0 or 1
-//   - strings are a uvarint length followed by the bytes
 //   - slices are a uvarint count followed by the elements; a zero count
 //     decodes to nil (nil and empty collapse; no caller tells them apart)
-//   - the one pointer field (response.Routes) is a presence byte, then
+//   - the one pointer field (response.Routes) is a presence bool, then
 //     the RouteInfo body if present
 //
 // Which message type a frame holds is positional, never encoded:
 // clients only send requests and servers only send responses.
+//
+// No end writes a body over maxFrame, since its peer would refuse the
+// frame and drop the stream. A response that would be larger goes out as
+// an error response naming the bound (see connState.encode). A request
+// that would be larger fails as its own call, and nothing is sent (see
+// Client.send).
 //
 // # Negotiation
 //
@@ -41,6 +47,8 @@ import (
 	"errors"
 	"io"
 	"sort"
+
+	"namecoherence/internal/varenc"
 )
 
 // binaryMagic is the protocol version: the byte each end opens with (see
@@ -56,18 +64,9 @@ var ErrProtocolVersion = errors.New("nameserver: wire protocol version mismatch"
 // this is a corrupt or hostile stream, refused before any allocation.
 const maxFrame = 1 << 20
 
-// Decode error sentinels. One value each: malformed input is a stream
-// error — the connection dies — so the errors carry no per-frame detail
-// and cost nothing to return.
-var (
-	errFrameTooBig  = errors.New("binary codec: frame exceeds size bound")
-	errShortFrame   = errors.New("binary codec: truncated field")
-	errBadVarint    = errors.New("binary codec: malformed varint")
-	errBadCount     = errors.New("binary codec: collection count exceeds frame")
-	errBadBool      = errors.New("binary codec: bool byte is neither 0 nor 1")
-	errBadPresence  = errors.New("binary codec: presence byte is neither 0 nor 1")
-	errTrailingData = errors.New("binary codec: trailing bytes after message")
-)
+// errFrameTooBig refuses a frame whose body exceeds maxFrame. A malformed
+// body is refused by the varenc.Reader that decodes it.
+var errFrameTooBig = errors.New("binary codec: frame exceeds size bound")
 
 // writeFrame writes one length-prefixed frame to bw. Flushing is the
 // caller's business (whoever is about to wait flushes: send, connState).
@@ -111,76 +110,6 @@ func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	return b, nil
 }
 
-// frameReader walks one frame body. Every method bounds-checks against
-// the slice and reports malformed input as an error: arbitrary bytes can
-// never panic it or read past the frame (the fuzz target holds it to
-// that).
-type frameReader struct {
-	b   []byte
-	off int
-}
-
-func (r *frameReader) remaining() int { return len(r.b) - r.off }
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, errBadVarint
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *frameReader) readByte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, errShortFrame
-	}
-	c := r.b[r.off]
-	r.off++
-	return c, nil
-}
-
-func (r *frameReader) readBool() (bool, error) {
-	c, err := r.readByte()
-	if err != nil {
-		return false, err
-	}
-	switch c {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, errBadBool
-}
-
-// count reads a collection length, bounding it by the bytes left in the
-// frame: every element costs at least one byte, so a count beyond the
-// remainder is malformed — and a hostile count can never force a huge
-// allocation, because allocations are sized by count.
-func (r *frameReader) count() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.remaining()) {
-		return 0, errBadCount
-	}
-	return int(v), nil
-}
-
-// bytes reads a length-prefixed byte string as a subslice of the frame
-// (no copy; callers intern or copy before the frame buffer is reused).
-func (r *frameReader) bytes() ([]byte, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
 // strIntern is a bounded string intern table: get returns a string equal
 // to b, allocating only the first time a distinct value is seen. Decode
 // runs the small recurring vocabulary of a connection — path components,
@@ -215,56 +144,29 @@ func (in *strIntern) get(b []byte) string {
 	return s
 }
 
-// appendUvarint appends v in LEB128 form.
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	b = append(b, byte(v))
-	return b
-}
-
-// appendString appends a length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	b = append(b, s...)
-	return b
-}
-
-// appendBool appends a strict 0/1 byte.
-func appendBool(b []byte, v bool) []byte {
-	c := byte(0)
-	if v {
-		c = 1
-	}
-	b = append(b, c)
-	return b
-}
-
 // appendRequest appends req's binary body — every request field, in
 // declaration order (registrycheck holds it to that).
 func appendRequest(b []byte, req *request) []byte {
-	b = appendUvarint(b, req.ID)
-	b = appendUvarint(b, uint64(len(req.Path)))
+	b = binary.AppendUvarint(b, req.ID)
+	b = binary.AppendUvarint(b, uint64(len(req.Path)))
 	for _, s := range req.Path {
-		b = appendString(b, s)
+		b = varenc.AppendString(b, s)
 	}
-	b = appendUvarint(b, uint64(len(req.Paths)))
+	b = binary.AppendUvarint(b, uint64(len(req.Paths)))
 	for _, p := range req.Paths {
-		b = appendUvarint(b, uint64(len(p)))
+		b = binary.AppendUvarint(b, uint64(len(p)))
 		for _, s := range p {
-			b = appendString(b, s)
+			b = varenc.AppendString(b, s)
 		}
 	}
-	b = appendBool(b, req.Routes)
-	b = appendBool(b, req.Subscribe)
+	b = varenc.AppendBool(b, req.Routes)
+	b = varenc.AppendBool(b, req.Subscribe)
 	b = append(b, req.Op)
-	b = appendString(b, req.Name)
-	b = appendUvarint(b, req.Target)
+	b = varenc.AppendString(b, req.Name)
+	b = binary.AppendUvarint(b, req.Target)
 	b = append(b, req.TargetKind)
-	b = appendUvarint(b, req.AtRev)
-	b = appendUvarint(b, req.Twin)
+	b = binary.AppendUvarint(b, req.AtRev)
+	b = binary.AppendUvarint(b, req.Twin)
 	return b
 }
 
@@ -280,16 +182,9 @@ func appendRequest(b []byte, req *request) []byte {
 //
 //namingvet:wiredecoder
 func parseRequest(data []byte, req *request, sc *workerScratch) error {
-	r := frameReader{b: data}
-	var err error
-	if req.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	if n == 0 {
+	r := varenc.NewReader(data)
+	req.ID = r.Uvarint()
+	if n := r.Count(); n == 0 {
 		req.Path = nil
 	} else {
 		if cap(sc.reqPath) < n {
@@ -298,19 +193,12 @@ func parseRequest(data []byte, req *request, sc *workerScratch) error {
 		}
 		ss := sc.reqPath[:0]
 		for i := 0; i < n; i++ {
-			cb, err := r.bytes()
-			if err != nil {
-				return err
-			}
-			ss = append(ss, sc.names.get(cb))
+			ss = append(ss, sc.names.get(r.Bytes()))
 		}
 		sc.reqPath = ss
 		req.Path = ss
 	}
-	if n, err = r.count(); err != nil {
-		return err
-	}
-	if n == 0 {
+	if n := r.Count(); n == 0 {
 		req.Paths = nil
 	} else {
 		if cap(sc.reqPaths) < n {
@@ -321,105 +209,64 @@ func parseRequest(data []byte, req *request, sc *workerScratch) error {
 		}
 		outer := sc.reqPaths[:n]
 		for i := range outer {
-			m, err := r.count()
-			if err != nil {
-				return err
-			}
+			m := r.Count()
 			inner := outer[i][:0]
 			for j := 0; j < m; j++ {
-				cb, err := r.bytes()
-				if err != nil {
-					return err
-				}
-				inner = append(inner, sc.names.get(cb))
+				inner = append(inner, sc.names.get(r.Bytes()))
 			}
 			outer[i] = inner
 		}
 		req.Paths = outer
 	}
-	if req.Routes, err = r.readBool(); err != nil {
-		return err
-	}
-	if req.Subscribe, err = r.readBool(); err != nil {
-		return err
-	}
-	if req.Op, err = r.readByte(); err != nil {
-		return err
-	}
-	nb, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	req.Name = sc.names.get(nb)
-	if req.Target, err = r.uvarint(); err != nil {
-		return err
-	}
-	if req.TargetKind, err = r.readByte(); err != nil {
-		return err
-	}
-	if req.AtRev, err = r.uvarint(); err != nil {
-		return err
-	}
-	if req.Twin, err = r.uvarint(); err != nil {
-		return err
-	}
-	if r.remaining() != 0 {
-		return errTrailingData
-	}
-	return nil
+	req.Routes = r.Bool()
+	req.Subscribe = r.Bool()
+	req.Op = r.Byte()
+	req.Name = sc.names.get(r.Bytes())
+	req.Target = r.Uvarint()
+	req.TargetKind = r.Byte()
+	req.AtRev = r.Uvarint()
+	req.Twin = r.Uvarint()
+	return r.End()
 }
 
 // appendResult appends one batch result's fields.
 func appendResult(b []byte, res *result) []byte {
-	b = appendUvarint(b, res.ID)
+	b = binary.AppendUvarint(b, res.ID)
 	b = append(b, res.Kind)
-	b = appendString(b, res.Err)
-	b = appendUvarint(b, res.Dir)
+	b = varenc.AppendString(b, res.Err)
+	b = binary.AppendUvarint(b, res.Dir)
 	return b
 }
 
 // parseResult decodes one batch result, interning the error string (the
-// sentinel failures — not found, not mine — repeat across frames).
-func parseResult(r *frameReader, res *result, errs *strIntern) error {
-	var err error
-	if res.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	if res.Kind, err = r.readByte(); err != nil {
-		return err
-	}
-	eb, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	res.Err = errs.get(eb)
-	if res.Dir, err = r.uvarint(); err != nil {
-		return err
-	}
-	return nil
+// sentinel failures — not found, not mine — repeat across frames). A
+// failure sticks in r for the enclosing message to report.
+func parseResult(r *varenc.Reader, res *result, errs *strIntern) {
+	res.ID = r.Uvarint()
+	res.Kind = r.Byte()
+	res.Err = errs.get(r.Bytes())
+	res.Dir = r.Uvarint()
 }
 
 // appendResponse appends resp's binary body — every response field, in
 // declaration order.
 func appendResponse(b []byte, resp *response) []byte {
-	b = appendUvarint(b, resp.ID)
-	b = appendUvarint(b, resp.Ent)
+	b = binary.AppendUvarint(b, resp.ID)
+	b = binary.AppendUvarint(b, resp.Ent)
 	b = append(b, resp.Kind)
-	b = appendUvarint(b, resp.Rev)
-	b = appendString(b, resp.Err)
-	b = appendUvarint(b, uint64(len(resp.Results)))
+	b = binary.AppendUvarint(b, resp.Rev)
+	b = varenc.AppendString(b, resp.Err)
+	b = binary.AppendUvarint(b, uint64(len(resp.Results)))
 	for i := range resp.Results {
 		b = appendResult(b, &resp.Results[i])
 	}
-	if resp.Routes == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
+	b = varenc.AppendBool(b, resp.Routes != nil)
+	if resp.Routes != nil {
 		b = appendRouteInfo(b, resp.Routes)
 	}
-	b = appendBool(b, resp.Invalidation)
-	b = appendUvarint(b, resp.Dir)
-	b = appendString(b, resp.Name)
+	b = varenc.AppendBool(b, resp.Invalidation)
+	b = binary.AppendUvarint(b, resp.Dir)
+	b = varenc.AppendString(b, resp.Name)
 	return b
 }
 
@@ -428,73 +275,31 @@ func appendResponse(b []byte, resp *response) []byte {
 // and error strings — and the few names a writer keeps rebinding, which
 // is what pushed frames carry — intern via errs.
 func parseResponse(data []byte, resp *response, errs *strIntern) error {
-	r := frameReader{b: data}
-	var err error
-	if resp.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	if resp.Ent, err = r.uvarint(); err != nil {
-		return err
-	}
-	if resp.Kind, err = r.readByte(); err != nil {
-		return err
-	}
-	if resp.Rev, err = r.uvarint(); err != nil {
-		return err
-	}
-	eb, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	resp.Err = errs.get(eb)
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	if n == 0 {
+	r := varenc.NewReader(data)
+	resp.ID = r.Uvarint()
+	resp.Ent = r.Uvarint()
+	resp.Kind = r.Byte()
+	resp.Rev = r.Uvarint()
+	resp.Err = errs.get(r.Bytes())
+	if n := r.Count(); n == 0 {
 		resp.Results = nil
 	} else {
 		rs := resp.Results[:0]
 		for i := 0; i < n; i++ {
 			var res result
-			if err := parseResult(&r, &res, errs); err != nil {
-				return err
-			}
+			parseResult(&r, &res, errs)
 			rs = append(rs, res)
 		}
 		resp.Results = rs
 	}
-	p, err := r.readByte()
-	if err != nil {
-		return err
+	resp.Routes = nil
+	if r.Bool() {
+		resp.Routes = parseRouteInfo(&r)
 	}
-	switch p {
-	case 0:
-		resp.Routes = nil
-	case 1:
-		ri, err := parseRouteInfo(&r)
-		if err != nil {
-			return err
-		}
-		resp.Routes = ri
-	default:
-		return errBadPresence
-	}
-	if resp.Invalidation, err = r.readBool(); err != nil {
-		return err
-	}
-	if resp.Dir, err = r.uvarint(); err != nil {
-		return err
-	}
-	nb, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	resp.Name = errs.get(nb)
-	if r.remaining() != 0 {
-		return errTrailingData
-	}
-	return nil
+	resp.Invalidation = r.Bool()
+	resp.Dir = r.Uvarint()
+	resp.Name = errs.get(r.Bytes())
+	return r.End()
 }
 
 // appendRouteInfo appends a routing table: Prefixes as sorted key/value
@@ -509,90 +314,57 @@ func appendRouteInfo(b []byte, ri *RouteInfo) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	b = appendUvarint(b, uint64(len(keys)))
+	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		b = appendString(b, k)
-		b = appendUvarint(b, uint64(ri.Prefixes[k]))
+		b = varenc.AppendString(b, k)
+		b = binary.AppendUvarint(b, uint64(ri.Prefixes[k]))
 	}
-	b = appendUvarint(b, uint64(ri.Default))
-	b = appendUvarint(b, uint64(len(ri.Addrs)))
+	b = binary.AppendUvarint(b, uint64(ri.Default))
+	b = binary.AppendUvarint(b, uint64(len(ri.Addrs)))
 	for _, a := range ri.Addrs {
-		b = appendString(b, a)
+		b = varenc.AppendString(b, a)
 	}
-	b = appendUvarint(b, uint64(len(ri.Replicas)))
+	b = binary.AppendUvarint(b, uint64(len(ri.Replicas)))
 	for _, rs := range ri.Replicas {
-		b = appendUvarint(b, uint64(len(rs)))
+		b = binary.AppendUvarint(b, uint64(len(rs)))
 		for _, a := range rs {
-			b = appendString(b, a)
+			b = varenc.AppendString(b, a)
 		}
 	}
 	return b
 }
 
 // parseRouteInfo decodes a routing table. Bootstrap-only: it allocates
-// freely — the table is handed to the caller and outlives the frame.
+// freely — the table is handed to the caller and outlives the frame. A
+// failure sticks in r for the enclosing message to report.
 //
 //namingvet:allocfree-exempt -- bootstrap-only frame: a routing table crosses the wire once per client
-func parseRouteInfo(r *frameReader) (*RouteInfo, error) {
+func parseRouteInfo(r *varenc.Reader) *RouteInfo {
 	ri := &RouteInfo{}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
+	if n := r.Count(); n > 0 {
 		ri.Prefixes = make(map[string]int, n)
 		for i := 0; i < n; i++ {
-			kb, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			ri.Prefixes[string(kb)] = int(v)
+			k := string(r.Bytes())
+			ri.Prefixes[k] = int(r.Uvarint())
 		}
 	}
-	d, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ri.Default = int(d)
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
+	ri.Default = int(r.Uvarint())
+	if n := r.Count(); n > 0 {
 		ri.Addrs = make([]string, n)
 		for i := range ri.Addrs {
-			ab, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			ri.Addrs[i] = string(ab)
+			ri.Addrs[i] = string(r.Bytes())
 		}
 	}
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
+	if n := r.Count(); n > 0 {
 		ri.Replicas = make([][]string, n)
 		for i := range ri.Replicas {
-			m, err := r.count()
-			if err != nil {
-				return nil, err
-			}
-			if m == 0 {
-				continue
-			}
-			ri.Replicas[i] = make([]string, m)
-			for j := range ri.Replicas[i] {
-				ab, err := r.bytes()
-				if err != nil {
-					return nil, err
+			if m := r.Count(); m > 0 {
+				ri.Replicas[i] = make([]string, m)
+				for j := range ri.Replicas[i] {
+					ri.Replicas[i][j] = string(r.Bytes())
 				}
-				ri.Replicas[i][j] = string(ab)
 			}
 		}
 	}
-	return ri, nil
+	return ri
 }

@@ -8,10 +8,13 @@ package nameserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"namecoherence/internal/varenc"
 )
 
 // binaryRoundTrip encodes v with the binary codec and decodes it back,
@@ -27,14 +30,12 @@ func binaryRoundTrip(t *testing.T, v any) any {
 		}
 		return out
 	case result:
-		r := frameReader{b: appendResult(nil, &v)}
+		r := varenc.NewReader(appendResult(nil, &v))
 		var out result
 		var errs strIntern
-		if err := parseResult(&r, &out, &errs); err != nil {
+		parseResult(&r, &out, &errs)
+		if err := r.End(); err != nil {
 			t.Fatalf("parseResult: %v", err)
-		}
-		if r.remaining() != 0 {
-			t.Fatalf("parseResult left %d trailing bytes", r.remaining())
 		}
 		return out
 	case response:
@@ -45,13 +46,10 @@ func binaryRoundTrip(t *testing.T, v any) any {
 		}
 		return out
 	case RouteInfo:
-		r := frameReader{b: appendRouteInfo(nil, &v)}
-		out, err := parseRouteInfo(&r)
-		if err != nil {
+		r := varenc.NewReader(appendRouteInfo(nil, &v))
+		out := parseRouteInfo(&r)
+		if err := r.End(); err != nil {
 			t.Fatalf("parseRouteInfo: %v", err)
-		}
-		if r.remaining() != 0 {
-			t.Fatalf("parseRouteInfo left %d trailing bytes", r.remaining())
 		}
 		return *out
 	default:
@@ -245,9 +243,9 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 
 	// Bool bytes are strict 0/1: a two is a protocol error, not truthy.
-	badBool := appendUvarint(nil, 1) // ID
-	badBool = appendUvarint(badBool, 0)
-	badBool = appendUvarint(badBool, 0)
+	badBool := binary.AppendUvarint(nil, 1) // ID
+	badBool = binary.AppendUvarint(badBool, 0)
+	badBool = binary.AppendUvarint(badBool, 0)
 	badBool = append(badBool, 2) // Routes
 	var out2 request
 	if err := parseRequest(badBool, &out2, &sc); err == nil {
@@ -256,8 +254,8 @@ func TestBinaryMalformed(t *testing.T) {
 
 	// A count claiming 2^40 elements in a 12-byte frame must be rejected
 	// up front, not attempted.
-	bomb := appendUvarint(nil, 1)             // ID
-	bomb = appendUvarint(bomb, uint64(1)<<40) // Path count
+	bomb := binary.AppendUvarint(nil, 1)             // ID
+	bomb = binary.AppendUvarint(bomb, uint64(1)<<40) // Path count
 	var out3 request
 	if err := parseRequest(bomb, &out3, &sc); err == nil {
 		t.Error("count exceeding the frame parsed without error")

@@ -2,6 +2,7 @@ package nameserver
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"runtime"
@@ -180,7 +181,7 @@ func (r *rawConn) recvReq() (req request, ok bool) {
 // sendResp writes one response frame.
 func (r *rawConn) sendResp(resp response) bool {
 	body := appendResponse(nil, &resp)
-	_, err := r.conn.Write(append(appendUvarint(nil, uint64(len(body))), body...))
+	_, err := r.conn.Write(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
 	return err == nil
 }
 
@@ -189,7 +190,7 @@ func framed(reqs ...request) []byte {
 	var out, body []byte
 	for i := range reqs {
 		body = appendRequest(body[:0], &reqs[i])
-		out = appendUvarint(out, uint64(len(body)))
+		out = binary.AppendUvarint(out, uint64(len(body)))
 		out = append(out, body...)
 	}
 	return out

@@ -131,11 +131,13 @@ func NewServer(w *core.World, export core.Context, opts ...ServerOption) *Server
 
 // Serve accepts connections on ln until Close is called, serving each
 // connection on its own goroutine. It returns after the listener fails
-// (normally: because Close closed it).
+// (normally: because Close closed it). A server closed before Serve ran
+// never saw ln, so Serve closes it.
 func (s *Server) Serve(ln net.Listener) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		_ = ln.Close()
 		return
 	}
 	s.listener = ln
@@ -261,9 +263,16 @@ func (s *Server) drain(st *connState) error {
 
 // encode writes one message into the write buffer, append-encoding into
 // the token-guarded scratch: the message's bytes are built and written
-// with zero heap traffic. The caller holds the write token.
+// with zero heap traffic. A response too large for one frame — a batch
+// whose answers add up past maxFrame — goes out as an error response
+// instead, so the request fails and the connection stays up. The caller
+// holds the write token.
 func (st *connState) encode(resp *response) error {
 	st.wbuf = appendResponse(st.wbuf[:0], resp)
+	if len(st.wbuf) > maxFrame {
+		refusal := response{ID: resp.ID, Rev: resp.Rev, Err: "response exceeds the 1 MiB frame bound: split the batch"}
+		st.wbuf = appendResponse(st.wbuf[:0], &refusal)
+	}
 	return writeFrame(st.bw, st.wbuf)
 }
 

@@ -2,12 +2,25 @@ package snapstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
 	"namecoherence/internal/cas"
 	"namecoherence/internal/core"
+	"namecoherence/internal/varenc"
 )
+
+// The canonical encoding: node blobs are built from internal/varenc's
+// primitives — the wire protocol's uvarints, length-prefixed strings and
+// strict bools — plus compound names made of them. Everything the module
+// writes to disk is a snapstore node blob, so there is exactly one on-disk
+// context encoding and its determinism is decided here: no maps are
+// iterated, no reflection runs, and every writer sorts before it appends.
+
+// ErrTruncated is wrapped by every decode error caused by running out of
+// bytes or reading malformed framing.
+var ErrTruncated = errors.New("truncated or malformed encoding")
 
 // NodeKind discriminates the blob forms a naming-graph entity serializes
 // to.
@@ -79,73 +92,85 @@ func (n *Node) Encode() []byte {
 		sort.Slice(n.Entries, func(i, j int) bool { return n.Entries[i].Name < n.Entries[j].Name })
 		buf = binary.AppendUvarint(buf, uint64(len(n.Entries)))
 		for _, e := range n.Entries {
-			buf = appendString(buf, string(e.Name))
+			buf = varenc.AppendString(buf, string(e.Name))
+			buf = varenc.AppendBool(buf, e.Ref.IsCycle)
 			if e.Ref.IsCycle {
-				buf = append(buf, 1)
 				buf = binary.AppendUvarint(buf, uint64(e.Ref.Cycle))
 			} else {
-				buf = append(buf, 0)
 				buf = append(buf, e.Ref.Hash[:]...)
 			}
 		}
 	case KindFile:
-		buf = appendString(buf, n.Content)
+		buf = varenc.AppendString(buf, n.Content)
 		buf = binary.AppendUvarint(buf, uint64(len(n.Embedded)))
 		for _, p := range n.Embedded {
 			buf = appendPath(buf, p)
 		}
 	case KindOpaque:
 		buf = append(buf, byte(n.EntityKind))
-		buf = appendString(buf, n.Label)
+		buf = varenc.AppendString(buf, n.Label)
 	}
 	return buf
 }
 
+// Node decode failures the reader cannot judge by itself.
+var (
+	errNodeHeader = errors.New("bad node header")
+	errNodeKind   = errors.New("unknown node kind")
+)
+
 // DecodeNode parses a canonical node blob.
 func DecodeNode(data []byte) (*Node, error) {
-	r := newReader(data)
+	r := varenc.NewReader(data)
 	if r.Byte() != nodeMagic || r.Byte() != nodeVersion {
-		return nil, fmt.Errorf("node header: %w", ErrTruncated)
+		r.Fail(errNodeHeader)
 	}
 	n := &Node{Kind: NodeKind(r.Byte())}
 	switch n.Kind {
 	case KindDir:
 		n.EntityKind = core.Kind(r.Byte())
-		count := r.Uvarint()
-		if count > uint64(r.Len()) {
-			return nil, fmt.Errorf("entry count %d: %w", count, ErrTruncated)
-		}
-		for i := uint64(0); i < count; i++ {
-			e := Entry{Name: core.Name(r.String())}
-			switch r.Byte() {
-			case 1:
-				e.Ref.IsCycle = true
+		for range r.Count() {
+			e := Entry{Name: core.Name(r.Bytes())}
+			if e.Ref.IsCycle = r.Bool(); e.Ref.IsCycle {
 				e.Ref.Cycle = uint32(r.Uvarint())
-			case 0:
+			} else {
 				copy(e.Ref.Hash[:], r.Fixed(cas.HashSize))
-			default:
-				return nil, fmt.Errorf("entry ref tag: %w", ErrTruncated)
 			}
 			n.Entries = append(n.Entries, e)
 		}
 	case KindFile:
 		n.EntityKind = core.KindObject
-		n.Content = r.String()
-		count := r.Uvarint()
-		if count > uint64(r.Len()) {
-			return nil, fmt.Errorf("embedded count %d: %w", count, ErrTruncated)
-		}
-		for i := uint64(0); i < count; i++ {
-			n.Embedded = append(n.Embedded, r.Path())
+		n.Content = string(r.Bytes())
+		for range r.Count() {
+			n.Embedded = append(n.Embedded, readPath(&r))
 		}
 	case KindOpaque:
 		n.EntityKind = core.Kind(r.Byte())
-		n.Label = r.String()
+		n.Label = string(r.Bytes())
 	default:
-		return nil, fmt.Errorf("node kind %d: %w", n.Kind, ErrTruncated)
+		r.Fail(errNodeKind)
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
 	return n, nil
+}
+
+// appendPath appends a compound name: component count, then each simple
+// name length-prefixed.
+func appendPath(buf []byte, p core.Path) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(p)))
+	for _, n := range p {
+		buf = varenc.AppendString(buf, string(n))
+	}
+	return buf
+}
+
+// readPath decodes a compound name written by appendPath.
+func readPath(r *varenc.Reader) core.Path {
+	p := make(core.Path, r.Count())
+	for i := range p {
+		p[i] = core.Name(r.Bytes())
+	}
+	return p
 }
