@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"namecoherence/internal/core"
@@ -298,7 +299,7 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (cacheEntry, uint64, err
 			continue
 		}
 		e, dir, rev, err := conn.ResolveRev(p)
-		if err == nil || isRemote(err) {
+		if settled(err) {
 			set.ok(conn.replica)
 			return cacheEntry{entity: e, dir: dir, shard: int32(shard), replica: int32(conn.replica)}, rev, err
 		}
@@ -331,10 +332,7 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, int, 
 			continue
 		}
 		results, rev, err := conn.ResolveBatchRev(keys)
-		if err == nil || isRemote(err) || conn.Err() == nil {
-			// Answered, refused by the server, or refused before it was
-			// sent (a frame over the wire's size bound): the connection is
-			// sound and no replica would answer differently.
+		if settled(err) {
 			set.ok(conn.replica)
 			return results, conn.replica, rev, err
 		}
@@ -649,6 +647,15 @@ func (c *Client) Close() {
 func isRemote(err error) bool {
 	var re *nameserver.RemoteError
 	return errors.As(err, &re)
+}
+
+// settled reports whether a call's outcome is final: an answer, a
+// server-side refusal, or a request the wire client refused to send
+// because it exceeds the frame bound (syscall.EMSGSIZE). Each leaves the
+// connection sound and would come out the same from any replica; anything
+// else is a transport failure, worth a retry and charged to the replica.
+func settled(err error) bool {
+	return err == nil || isRemote(err) || errors.Is(err, syscall.EMSGSIZE)
 }
 
 // breaker tracks one replica's consecutive transport failures. Once they

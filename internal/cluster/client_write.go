@@ -190,7 +190,7 @@ func (c *Client) writeDone(shard int, conn *sharedConn, rev uint64, err error) e
 		c.shards[shard].ok(conn.replica)
 		return nil
 	}
-	if isRemote(err) {
+	if settled(err) {
 		return err
 	}
 	c.shards[shard].retire(conn)

@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -433,8 +438,8 @@ func TestOversizedBatchFailsAloneNotTheConnection(t *testing.T) {
 	if _, _, err := nc.ResolveBatchRev(bigAnswer); !errors.As(err, &re) {
 		t.Fatalf("oversized answer: err = %v, want a RemoteError", err)
 	}
-	if _, _, err := nc.ResolveBatchRev(bigRequest); err == nil {
-		t.Fatal("oversized request: no error")
+	if _, _, err := nc.ResolveBatchRev(bigRequest); !errors.Is(err, syscall.EMSGSIZE) {
+		t.Fatalf("oversized request: err = %v, want syscall.EMSGSIZE", err)
 	}
 	if err := nc.Err(); err != nil {
 		t.Fatalf("an oversized batch poisoned the connection: %v", err)
@@ -451,8 +456,8 @@ func TestOversizedBatchFailsAloneNotTheConnection(t *testing.T) {
 	if _, err := client.ResolveBatch(bigAnswer); !isRemote(err) {
 		t.Fatalf("cluster oversized answer: err = %v, want a RemoteError", err)
 	}
-	if _, err := client.ResolveBatch(bigRequest); err == nil || isRemote(err) {
-		t.Fatalf("cluster oversized request: err = %v, want the client's own refusal", err)
+	if _, err := client.ResolveBatch(bigRequest); !errors.Is(err, syscall.EMSGSIZE) {
+		t.Fatalf("cluster oversized request: err = %v, want the client's own refusal (syscall.EMSGSIZE)", err)
 	}
 	if n := client.Failovers(); n != 0 {
 		t.Fatalf("Failovers = %d after oversized batches, want 0", n)
@@ -460,4 +465,141 @@ func TestOversizedBatchFailsAloneNotTheConnection(t *testing.T) {
 	if _, err := client.Resolve(ls); err != nil {
 		t.Fatalf("cluster Resolve after the oversized batches: %v", err)
 	}
+}
+
+// fakeReplica answers the version handshake and then every request frame
+// with a response body the test builds from the request's ID. It reads up
+// to depth frames (waiting at most 200 ms for each after the first) before
+// answering any of them, so concurrent calls are all in flight on one
+// connection when the first answer lands.
+func fakeReplica(t *testing.T, depth int, answer func(id uint64) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	serve := func(conn net.Conn) {
+		br := bufio.NewReader(conn)
+		if _, err := br.ReadByte(); err != nil {
+			return
+		}
+		if _, err := conn.Write([]byte{0xB2}); err != nil {
+			return
+		}
+		for {
+			var ids []uint64
+			for len(ids) < depth {
+				if len(ids) > 0 {
+					_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+				}
+				n, err := binary.ReadUvarint(br)
+				if err != nil {
+					break
+				}
+				body := make([]byte, n)
+				if _, err := io.ReadFull(br, body); err != nil {
+					return
+				}
+				id, _ := binary.Uvarint(body)
+				ids = append(ids, id)
+			}
+			if len(ids) == 0 {
+				return
+			}
+			_ = conn.SetReadDeadline(time.Time{})
+			for _, id := range ids {
+				body := answer(id)
+				if _, err := conn.Write(append(binary.AppendUvarint(nil, uint64(len(body))), body...)); err != nil {
+					return
+				}
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				serve(conn)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// emptyResponse is a well-formed response body for id with every field
+// zero: no entity, no error, no results.
+func emptyResponse(id uint64) []byte {
+	return append(binary.AppendUvarint(nil, id), make([]byte, 9)...)
+}
+
+// A replica that answers a batch wrongly is a transport fault, whatever
+// state the wire client is left in: a well-formed answer with the wrong
+// number of results (the connection is not poisoned) and a malformed frame
+// delivered to a pipelined caller that is not the one reading (the reader
+// poisons the connection only after waking that caller) are each retried
+// and charged to the replica, never returned as the batch's answer.
+func TestFaultyBatchAnswerFailsOver(t *testing.T) {
+	paths := []core.Path{core.ParsePath("usr/bin/ls")}
+
+	t.Run("result count", func(t *testing.T) {
+		addr := fakeReplica(t, 1, emptyResponse)
+		c := NewClient("tcp", &nameserver.RouteInfo{Addrs: []string{addr}}, fastOpts(WithRetries(1))...)
+		defer c.Close()
+		_, err := c.ResolveBatch(paths)
+		if err == nil || isRemote(err) {
+			t.Fatalf("err = %v, want a transport failure", err)
+		}
+		if n := c.Failovers(); n != 2 {
+			t.Fatalf("Failovers = %d, want 2 (both attempts)", n)
+		}
+	})
+
+	t.Run("pipelined malformed", func(t *testing.T) {
+		malformed := func(id uint64) []byte { return append(emptyResponse(id), 0) } // a trailing byte
+		addr := fakeReplica(t, 2, malformed)
+		c := NewClient("tcp", &nameserver.RouteInfo{Addrs: []string{addr}}, fastOpts(WithRetries(0))...)
+		defer c.Close()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = c.ResolveBatch(paths)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err == nil || isRemote(err) {
+				t.Errorf("caller %d: err = %v, want a transport failure", i, err)
+			}
+		}
+		if n := c.Failovers(); n != 2 {
+			t.Fatalf("Failovers = %d, want 2 (one per caller)", n)
+		}
+	})
 }

@@ -63,7 +63,7 @@ func (r *replicator) apply(backup int, f *nameserver.Follower) {
 	for m, ok := f.Next(); ok; m, ok = f.Next() { // !ok: the cursor or the primary closed
 		conn, err := r.backups.getReplica(backup)
 		if err == nil {
-			if _, err = conn.ReplicaApply(m); err == nil || isRemote(err) {
+			if _, err = conn.ReplicaApply(m); settled(err) {
 				f.Advance(err != nil)
 				continue
 			}

@@ -258,7 +258,7 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 		// The server would refuse the frame and drop the stream: refuse it
 		// here instead, having written nothing (see call).
 		<-c.wtoken
-		return errFrameTooBig
+		return errRequestTooBig
 	}
 	err := writeFrame(c.bw, c.wbuf)
 	if err == nil && pipelined {
@@ -493,7 +493,7 @@ func (c *Client) call(req request) (response, error) {
 			return c.withdraw(pc, os.ErrDeadlineExceeded)
 		}
 	}
-	if err := c.send(pc, pipelined); errors.Is(err, errFrameTooBig) {
+	if err := c.send(pc, pipelined); errors.Is(err, errRequestTooBig) {
 		return c.withdraw(pc, err)
 	} else if err != nil {
 		c.fail(fmt.Errorf("send request: %w", err))
@@ -539,7 +539,7 @@ func (c *Client) finish(pc *pendingCall) (response, error) {
 // stands. A call that timed out (os.ErrDeadlineExceeded) also poisons the
 // client: the wire may still owe us the late response, so the stream's
 // pipeline depth is no longer known and the only safe sequel is a fresh
-// connection. A request refused before it was sent (errFrameTooBig) left
+// connection. A request refused before it was sent (errRequestTooBig) left
 // the stream as it was.
 func (c *Client) withdraw(pc *pendingCall, err error) (response, error) {
 	c.pmu.Lock()

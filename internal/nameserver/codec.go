@@ -45,8 +45,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"sort"
+	"syscall"
 
 	"namecoherence/internal/varenc"
 )
@@ -64,9 +66,20 @@ var ErrProtocolVersion = errors.New("nameserver: wire protocol version mismatch"
 // this is a corrupt or hostile stream, refused before any allocation.
 const maxFrame = 1 << 20
 
-// errFrameTooBig refuses a frame whose body exceeds maxFrame. A malformed
-// body is refused by the varenc.Reader that decodes it.
+// errFrameTooBig refuses an incoming frame whose body exceeds maxFrame: no
+// sound peer writes one, so the stream dies. A malformed body is refused
+// by the varenc.Reader that decodes it.
 var errFrameTooBig = errors.New("binary codec: frame exceeds size bound")
+
+// errRequestTooBig refuses, before a byte is written, a request whose body
+// would exceed maxFrame (see Client.send): the call fails alone. It wraps
+// syscall.EMSGSIZE ("message too long") so a caller outside the package
+// can tell it from a transport fault — no replica would take it either.
+var errRequestTooBig = fmt.Errorf("binary codec: request exceeds the %d-byte frame bound: %w", maxFrame, syscall.EMSGSIZE)
+
+// responseTooBig is what a server answers in place of a response whose
+// body would exceed maxFrame (see connState.encode).
+var responseTooBig = fmt.Sprintf("response exceeds the %d-byte frame bound: split the batch", maxFrame)
 
 // writeFrame writes one length-prefixed frame to bw. Flushing is the
 // caller's business (whoever is about to wait flushes: send, connState).

@@ -270,7 +270,7 @@ func (s *Server) drain(st *connState) error {
 func (st *connState) encode(resp *response) error {
 	st.wbuf = appendResponse(st.wbuf[:0], resp)
 	if len(st.wbuf) > maxFrame {
-		refusal := response{ID: resp.ID, Rev: resp.Rev, Err: "response exceeds the 1 MiB frame bound: split the batch"}
+		refusal := response{ID: resp.ID, Rev: resp.Rev, Err: responseTooBig}
 		st.wbuf = appendResponse(st.wbuf[:0], &refusal)
 	}
 	return writeFrame(st.bw, st.wbuf)

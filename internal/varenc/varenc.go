@@ -59,9 +59,6 @@ type Reader struct {
 // NewReader returns a Reader over b.
 func NewReader(b []byte) Reader { return Reader{b: b} }
 
-// Len returns the number of unread bytes.
-func (r *Reader) Len() int { return len(r.b) - r.off }
-
 // Err returns the first failure, if any.
 func (r *Reader) Err() error { return r.err }
 
@@ -78,19 +75,14 @@ func (r *Reader) Fail(err error) {
 // End fails a reader that has bytes left, then returns Err: a message is
 // exactly its fields.
 func (r *Reader) End() error {
-	if r.Len() != 0 {
+	if r.off != len(r.b) {
 		r.Fail(errTrailing)
 	}
 	return r.err
 }
 
-// Uvarint decodes one unsigned varint. Most are a single byte (small IDs,
-// counts, lengths), which skips the general decoder.
+// Uvarint decodes one unsigned varint.
 func (r *Reader) Uvarint() uint64 {
-	if r.off < len(r.b) && r.b[r.off] < 0x80 {
-		r.off++
-		return uint64(r.b[r.off-1])
-	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		r.Fail(errVarint)
@@ -126,7 +118,7 @@ func (r *Reader) Bool() bool {
 // hostile count fails here, before a caller can size an allocation by it.
 func (r *Reader) Count() int {
 	v := r.Uvarint()
-	if v > uint64(r.Len()) {
+	if v > uint64(len(r.b)-r.off) {
 		r.Fail(errCount)
 		return 0
 	}
@@ -140,7 +132,7 @@ func (r *Reader) Bytes() []byte { return r.Fixed(r.Count()) }
 // Fixed decodes exactly n raw bytes (no length prefix) as a view into the
 // input.
 func (r *Reader) Fixed(n int) []byte {
-	if uint(n) > uint(r.Len()) {
+	if uint(n) > uint(len(r.b)-r.off) {
 		r.Fail(errShort)
 		return nil
 	}

@@ -63,8 +63,8 @@ func TestFirstFailureSticks(t *testing.T) {
 	if b := r.Fixed(1); b != nil {
 		t.Errorf("Fixed after a failure = %v, want nil", b)
 	}
-	if r.Len() != 0 {
-		t.Errorf("Len after a failure = %d, want 0", r.Len())
+	if left := len(r.b) - r.off; left != 0 {
+		t.Errorf("%d bytes left after a failure, want 0", left)
 	}
 	r.Fail(errors.New("later"))
 	if err := r.End(); !errors.Is(err, errBool) {
