@@ -441,8 +441,8 @@ func BenchmarkWriteChurn(b *testing.B) {
 			// entries purged, whole-shard purges}.
 			counters := func() (c [5]int) {
 				for _, r := range subs {
-					hits, misses := r.Stats()
-					for i, v := range []int{hits, misses, r.Invalidations(), r.EntriesPurged(), r.Purges()} {
+					m := r.Metrics()
+					for i, v := range []int{m.Hits, m.Misses, m.Invalidations, m.EntriesPurged, m.Purges} {
 						c[i] += v
 					}
 				}

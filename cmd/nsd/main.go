@@ -158,7 +158,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
 	}
-	fmt.Fprintf(out, "served %d requests (%d names)\n", cl.Served(), cl.Resolved())
+	m := cl.Metrics()
+	fmt.Fprintf(out, "served %d requests (%d names)\n", m.Served, m.Resolved)
 	return nil
 }
 

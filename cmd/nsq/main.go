@@ -13,12 +13,14 @@
 // cache, never invalidated; with -cluster it is the revision-tracked
 // per-shard cache, against a lone nsd too (one shard is a valid cluster).
 // Both evict by SIEVE (internal/lru). -push
-// subscribes the client for server-pushed invalidations before resolving
-// (with -cluster -cache -n they purge the cache, where repeated reads would
-// otherwise revalidate by poll) and prints each frame as it is consumed:
-// "rev N: dir #ID name" for a commit that rebound one non-directory name,
-// "rev N: everything" for any other — what this subscriber was told, and
-// when it stopped being stale.
+// subscribes the client for server-pushed invalidations before resolving.
+// Without -cluster it prints each frame as it is consumed, and purges
+// nothing: "rev N: dir #ID name" for a commit that rebound one
+// non-directory name, "rev N: everything" for any other — what this
+// subscriber was told, and when it stopped being stale. With -cluster the
+// frames print nothing; they purge the cache (with -cache -n, where
+// repeated reads would otherwise revalidate by poll). Either way the run
+// ends with the number of frames consumed ("push: N invalidations").
 //
 // Usage:
 //
@@ -59,7 +61,7 @@ func run(args []string) error {
 	batch := fs.Bool("batch", false, "with -cluster: resolve all paths in one round-trip per shard")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	retries := fs.Int("retries", 2, "with -cluster: extra attempts after a transport failure")
-	push := fs.Bool("push", false, "subscribe for server-pushed invalidation frames and print them (with -cluster they purge the cache)")
+	push := fs.Bool("push", false, "subscribe for server-pushed invalidation frames: print each one, or with -cluster purge the cache by them unprinted; then print their count")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -115,11 +117,11 @@ func run(args []string) error {
 		}
 	}
 	if *cacheSize > 0 {
-		hits, misses := client.Stats()
-		fmt.Printf("cache: %d hits, %d misses\n", hits, misses)
+		m := client.Metrics()
+		fmt.Printf("cache: %d hits, %d misses\n", m.Hits, m.Misses)
 	}
 	if *push {
-		fmt.Printf("push: %d invalidations\n", client.Invalidations())
+		fmt.Printf("push: %d invalidations\n", client.Metrics().Invalidations)
 	}
 	return nil
 }
@@ -292,11 +294,11 @@ func runCluster(addr string, cacheSize int, batch bool, repeat int,
 		}
 	}
 	if cacheSize > 0 {
-		hits, misses := client.Stats()
-		fmt.Printf("cache: %d hits, %d misses\n", hits, misses)
+		m := client.Metrics()
+		fmt.Printf("cache: %d hits, %d misses\n", m.Hits, m.Misses)
 	}
 	if push {
-		fmt.Printf("push: %d invalidations\n", client.Invalidations())
+		fmt.Printf("push: %d invalidations\n", client.Metrics().Invalidations)
 	}
 	return nil
 }

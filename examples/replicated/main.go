@@ -70,7 +70,7 @@ file /usr/bin/ls "#!ls"
 		}
 		fmt.Printf("  -> %v\n", e)
 	}
-	fmt.Printf("failovers: %d\n", client.Failovers())
+	fmt.Printf("failovers: %d\n", client.Metrics().Failovers)
 	fmt.Println("\npaper §5: for replicated objects, weak coherence — same replica")
 	fmt.Println("group, not same entity — is the right requirement, and it buys")
 	fmt.Println("availability.")

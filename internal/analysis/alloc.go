@@ -254,25 +254,10 @@ type allocScan struct {
 func allocSites(pkg *Package, decl *ast.FuncDecl, exempt func(token.Pos) bool) []AllocSite {
 	sc := &allocScan{pkg: pkg, decl: decl, exempt: exempt}
 	sc.escUse = escapingUses(pkg, decl)
-	walkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
+	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
 		sc.visit(n, stack)
 	})
 	return sc.sites
-}
-
-// walkStack walks one subtree calling fn with each node and its ancestor
-// stack (outermost first, not including the node).
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // add records one site unless its line is exempt.
@@ -639,7 +624,7 @@ func escapingUses(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool {
 	if decl.Body == nil {
 		return esc
 	}
-	walkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
+	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return

@@ -269,21 +269,19 @@ func inScope(path string, scope []string) bool {
 	return false
 }
 
-// WalkWithStack walks every file, calling fn with each node and the stack
-// of its ancestors (outermost first, not including the node itself).
-func WalkWithStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node)) {
+// WalkStack walks one subtree, calling fn with each node and the stack of
+// its ancestors (outermost first, not including the node itself).
+func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 	var stack []ast.Node
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return false
-			}
-			fn(n, stack)
-			stack = append(stack, n)
-			return true
-		})
-	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
+		}
+		fn(n, stack)
+		stack = append(stack, n)
+		return true
+	})
 }
 
 // ErrorType reports whether t implements the error interface.

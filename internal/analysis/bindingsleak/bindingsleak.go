@@ -31,35 +31,37 @@ func run(pass *analysis.Pass) (any, error) {
 	if len(owners) == 0 {
 		return nil, nil
 	}
-	analysis.WalkWithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		selection := pass.TypesInfo.Selections[sel]
-		if selection == nil || selection.Kind() != types.FieldVal {
-			return
-		}
-		field, ok := selection.Obj().(*types.Var)
-		if !ok {
-			return
-		}
-		owner, tracked := owners[field]
-		if !tracked {
-			return
-		}
-		if !inMethodOf(pass, stack, owner) {
-			pass.Reportf(sel.Pos(),
-				"bindings map of %s accessed outside its methods; mutate through Bind/Unbind to keep N → E coherent",
-				owner.Obj().Name())
-			return
-		}
-		if how := escapes(pass, sel, stack); how != "" {
-			pass.Reportf(sel.Pos(),
-				"bindings map of %s escapes via %s; hand out a copy so bindings mutate only through methods",
-				owner.Obj().Name(), how)
-		}
-	})
+	for _, f := range pass.Files {
+		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			selection := pass.TypesInfo.Selections[sel]
+			if selection == nil || selection.Kind() != types.FieldVal {
+				return
+			}
+			field, ok := selection.Obj().(*types.Var)
+			if !ok {
+				return
+			}
+			owner, tracked := owners[field]
+			if !tracked {
+				return
+			}
+			if !inMethodOf(pass, stack, owner) {
+				pass.Reportf(sel.Pos(),
+					"bindings map of %s accessed outside its methods; mutate through Bind/Unbind to keep N → E coherent",
+					owner.Obj().Name())
+				return
+			}
+			if how := escapes(pass, sel, stack); how != "" {
+				pass.Reportf(sel.Pos(),
+					"bindings map of %s escapes via %s; hand out a copy so bindings mutate only through methods",
+					owner.Obj().Name(), how)
+			}
+		})
+	}
 	return nil, nil
 }
 

@@ -119,8 +119,10 @@ func deadlineFlow(pkg *Package, pf *PackageFacts, obs map[*types.Func]*atoms) {
 	}
 }
 
-// summaryOf looks a callee up in the package's own facts first (they may
-// still be settling during a fixpoint), then the imported table.
+// summaryOf consults the package's own (mutable, fixpoint-in-progress)
+// facts first, then the imported table. A miss is the zero summary:
+// unknown callees contribute nothing, so absence of facts can only cause
+// false negatives, never false positives.
 func summaryOf(pf *PackageFacts, callee *types.Func) FuncSummary {
 	if ff := pf.byFn[callee]; ff != nil {
 		return ff.Summary

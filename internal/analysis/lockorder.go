@@ -804,7 +804,7 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 		return nil
 	}
 	// Pass 2: classify every other use.
-	walkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
+	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return

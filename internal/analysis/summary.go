@@ -91,11 +91,6 @@ type WireEvent struct {
 	// Callee is non-nil when the event is a call to an UnguardedIO
 	// function rather than direct I/O.
 	Callee *types.Func
-	// Guarded: a deadline event precedes this one lexically in the body.
-	Guarded bool
-	// IdleExempt: the event is an idle-loop read whose unblocking is the
-	// owner's Close (which closes the conn); see idleExempt.
-	IdleExempt bool
 }
 
 // AllocSite is one steady-path allocation observed in a function body:
@@ -257,17 +252,6 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		pf.byFn[fn] = ff
 	}
 
-	// lookup consults own (mutable, fixpoint-in-progress) facts first,
-	// then the imported table. A miss is the zero summary: unknown
-	// callees contribute nothing, so absence of facts can only cause
-	// false negatives, never false positives.
-	lookup := func(callee *types.Func) FuncSummary {
-		if ff := pf.byFn[callee]; ff != nil {
-			return ff.Summary
-		}
-		return pf.All[FuncKey(callee)]
-	}
-
 	// Fixpoint over the monotone transitive flags. Each flag only flips
 	// false→true, so the loop terminates.
 	for changed := true; changed; {
@@ -276,7 +260,7 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 			a := obs[ff.Fn]
 			s := &ff.Summary
 			for _, cs := range a.calls {
-				cal := lookup(cs.Callee)
+				cal := summaryOf(pf, cs.Callee)
 				if cal.SetsDeadline && !s.SetsDeadline {
 					s.SetsDeadline, changed = true, true
 				}
@@ -291,7 +275,7 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 				}
 			}
 			for _, ret := range a.returnCallees {
-				if lookup(ret).Canonicalizes && !s.Canonicalizes {
+				if summaryOf(pf, ret).Canonicalizes && !s.Canonicalizes {
 					s.Canonicalizes, changed = true, true
 				}
 			}

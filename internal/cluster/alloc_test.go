@@ -53,13 +53,13 @@ func hitClient(t testing.TB, raws ...string) *Client {
 			t.Fatal(err)
 		}
 	}
-	hits, _ := c.Stats()
+	hits := c.Metrics().Hits
 	for _, raw := range raws {
 		if _, err := c.Resolve(core.ParsePath(raw)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after, _ := c.Stats(); after-hits != len(raws) {
+	if after := c.Metrics().Hits; after-hits != len(raws) {
 		t.Fatalf("%d of %d primed names hit: the cache did not keep them", after-hits, len(raws))
 	}
 	return c
@@ -89,15 +89,15 @@ func TestClusterHitAllocFloor(t *testing.T) {
 		})
 	}
 
-	hits, misses := c.Stats()
+	before := c.Metrics()
 	batch := []core.Path{core.ParsePath(short), core.ParsePath(edge), core.ParsePath(short)}
 	allocFloor(t, "ResolveBatch, every slot a hit", 1, func() {
 		if _, err := c.ResolveBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if afterHits, afterMisses := c.Stats(); afterHits == hits || afterMisses != misses {
-		t.Fatalf("the batches moved hits %d → %d and misses %d → %d; want only hits", hits, afterHits, misses, afterMisses)
+	if after := c.Metrics(); after.Hits == before.Hits || after.Misses != before.Misses {
+		t.Fatalf("the batches moved hits %d → %d and misses %d → %d; want only hits", before.Hits, after.Hits, before.Misses, after.Misses)
 	}
 }
 

@@ -34,23 +34,17 @@ type Client struct {
 	// flipping closed, so no request goroutine outlives the client.
 	wg sync.WaitGroup
 
-	mu            sync.Mutex
-	closed        bool
-	cache         *lru.Cache[string, cacheEntry]
-	keyBuf        []byte   // the key being rendered (nameserver.AppendWireKey)
-	revs          []uint64 // per-shard binding revision the cache is current to
-	flights       map[string]*flight
-	hits          int
-	misses        int
-	coalesced     int
-	purges        int // whole-shard purges that removed something
-	entriesPurged int // entries removed by any purge, whole-shard or single-binding
-	failovers     int
+	mu      sync.Mutex
+	closed  bool
+	cache   *lru.Cache[string, cacheEntry]
+	keyBuf  []byte   // the key being rendered (nameserver.AppendWireKey)
+	revs    []uint64 // per-shard binding revision the cache is current to
+	flights map[string]*flight
+	m       ClientMetrics
 	// push invalidation (see WithPushInvalidation): every shared
 	// connection subscribes on dial, and pushed frames feed the per-shard
 	// purge rule without waiting for the next miss.
-	push          bool
-	invalidations int
+	push bool
 }
 
 // batchJoinHook, when non-nil, runs as each batch goroutine finishes but
@@ -247,14 +241,14 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	}
 	if c.cache != nil {
 		if entry, ok := c.cache.Get(string(buf)); ok {
-			c.hits++
+			c.m.Hits++
 			c.mu.Unlock()
 			return entry.entity, nil
 		}
 	}
 	if f, ok := c.flights[string(buf)]; ok {
 		// Someone is already fetching this name: share their answer.
-		c.coalesced++
+		c.m.Coalesced++
 		c.mu.Unlock()
 		<-f.done
 		return f.e, f.err
@@ -262,7 +256,7 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	key := string(buf)
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
-	c.misses++
+	c.m.Misses++
 	c.mu.Unlock()
 
 	shard := c.routes.ShardFor(p)
@@ -362,7 +356,7 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // counts too: it is the failure that triggers failing over).
 func (c *Client) noteFailover() {
 	c.mu.Lock()
-	c.failovers++
+	c.m.Failovers++
 	c.mu.Unlock()
 }
 
@@ -414,8 +408,8 @@ func (c *Client) purgeShard(shard int) {
 		return int(e.shard) != shard
 	})
 	if removed > 0 {
-		c.purges++
-		c.entriesPurged += removed
+		c.m.Purges++
+		c.m.EntriesPurged += removed
 	}
 }
 
@@ -427,7 +421,7 @@ func (c *Client) purgeShard(shard int) {
 // bound under two paths it is still one directory, and names cached through
 // either go. Callers hold c.mu.
 func (c *Client) purgeBinding(shard, replica int, dir core.EntityID, name core.Name) {
-	c.entriesPurged += c.cache.DeleteFunc(func(_ string, e cacheEntry) bool {
+	c.m.EntriesPurged += c.cache.DeleteFunc(func(_ string, e cacheEntry) bool {
 		if int(e.shard) != shard {
 			return true
 		}
@@ -482,13 +476,13 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		}
 		if c.cache != nil {
 			if entry, ok := c.cache.Get(string(buf)); ok {
-				c.hits++
+				c.m.Hits++
 				out[i] = BatchResult{Entity: entry.entity}
 				answered++
 				continue
 			}
 		}
-		c.misses++
+		c.m.Misses++
 		shard := c.routes.ShardFor(p)
 		w := work[shard]
 		if w == nil {
@@ -581,48 +575,45 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	return out, nil
 }
 
-// Stats returns cache hits and misses so far (coalesced lookups count as
-// neither; see Coalesced).
-func (c *Client) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+// ClientMetrics is a snapshot of a Client's counters.
+type ClientMetrics struct {
+	Hits   int // lookups the cache answered
+	Misses int // lookups sent to a shard, whatever it answered
+	// Coalesced counts lookups that shared a concurrent identical lookup's
+	// round-trip; they are neither hits nor misses.
+	Coalesced int
+	// Purges counts whole-shard purges that removed something: a revision
+	// advance a response told of, a pushed frame that named no binding or
+	// left a gap, a freshly subscribed connection.
+	Purges        int
+	EntriesPurged int // entries removed by any purge, whole-shard or single-binding
+	Failovers     int // transport failures that triggered a retry or a replica failover
+	Invalidations int // pushed frames consumed, all connections (0 without WithPushInvalidation)
 }
 
-// Coalesced returns how many lookups were answered by piggybacking on a
-// concurrent identical request instead of their own round-trip.
-func (c *Client) Coalesced() int {
+// Metrics returns the client's counters.
+func (c *Client) Metrics() ClientMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.coalesced
+	return c.m
 }
 
-// Purges returns how many times a shard's cache entries were purged
-// wholesale: by a revision advance the client learned of from a response,
-// a pushed frame that named no binding or left a gap, or a freshly
-// subscribed connection (see EntriesPurged for what single-binding frames
-// remove).
-func (c *Client) Purges() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.purges
-}
+// Stats, Coalesced, Purges, Failovers and Invalidations are views of
+// Metrics kept only because bench/nsload's ladder.go reads them; ROADMAP
+// item 6's benchmark change moves it onto Metrics, and then they go.
+func (c *Client) Stats() (hits, misses int) { m := c.Metrics(); return m.Hits, m.Misses }
 
-// EntriesPurged returns how many cache entries invalidation has removed so
-// far, whole-shard purges and single-binding frames together.
-func (c *Client) EntriesPurged() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entriesPurged
-}
+// Coalesced is Metrics().Coalesced; a bench view (see Stats).
+func (c *Client) Coalesced() int { return c.Metrics().Coalesced }
 
-// Failovers returns how many transport failures triggered a retry or
-// replica failover.
-func (c *Client) Failovers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failovers
-}
+// Purges is Metrics().Purges; a bench view (see Stats).
+func (c *Client) Purges() int { return c.Metrics().Purges }
+
+// Failovers is Metrics().Failovers; a bench view (see Stats).
+func (c *Client) Failovers() int { return c.Metrics().Failovers }
+
+// Invalidations is Metrics().Invalidations; a bench view (see Stats).
+func (c *Client) Invalidations() int { return c.Metrics().Invalidations }
 
 // Close closes every shared connection, fails requests that race or
 // follow it with ErrClientClosed, and waits for in-flight batch

@@ -25,7 +25,7 @@ func TestResolveNonCanonicalFailsFast(t *testing.T) {
 			t.Fatalf("Resolve(%q) err = %v, want ErrNotCanonical", p, err)
 		}
 	}
-	if n := client.Failovers(); n != 0 {
+	if n := client.Metrics().Failovers; n != 0 {
 		t.Fatalf("Failovers = %d after local rejections, want 0", n)
 	}
 
@@ -60,8 +60,8 @@ func TestClusterRejectsNonCanonical(t *testing.T) {
 	if _, err := client.Resolve(core.ParsePath("usr/bin/ls")); err != nil {
 		t.Fatal(err)
 	}
-	served := cl.Served()
-	hits, misses := client.Stats()
+	served := cl.Metrics().Served
+	before := client.Metrics()
 
 	for _, p := range []core.Path{{}, {"usr", ""}, {"usr", "bin/ls"}, {"usr/bin", "ls"}} {
 		if e, err := client.Resolve(p); !errors.Is(err, nameserver.ErrNotCanonical) {
@@ -72,11 +72,11 @@ func TestClusterRejectsNonCanonical(t *testing.T) {
 			t.Fatalf("ResolveBatch(%q) = %v, %v; want ErrNotCanonical in the slot", p, out, err)
 		}
 	}
-	if got := cl.Served(); got != served {
+	if got := cl.Metrics().Served; got != served {
 		t.Fatalf("servers handled %d requests for names the client must refuse", got-served)
 	}
-	if h, m := client.Stats(); h != hits || m != misses {
-		t.Fatalf("refused names moved the cache stats: hits %d → %d, misses %d → %d", hits, h, misses, m)
+	if after := client.Metrics(); after != before {
+		t.Fatalf("refused names moved the client's metrics: %+v → %+v", before, after)
 	}
 }
 

@@ -93,7 +93,7 @@ func (c *Client) rebase(shard int, sub *subscription, ack uint64) {
 func (c *Client) pushed(shard int, sub *subscription, iv nameserver.Invalidation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.invalidations++
+	c.m.Invalidations++
 	if c.cache == nil {
 		return
 	}
@@ -110,14 +110,6 @@ func (c *Client) pushed(shard int, sub *subscription, iv nameserver.Invalidation
 		c.purgeShard(shard)
 		c.revs[shard] = iv.Rev
 	}
-}
-
-// Invalidations returns how many pushed invalidation frames this client
-// has consumed across all connections (0 without WithPushInvalidation).
-func (c *Client) Invalidations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.invalidations
 }
 
 // Bind binds name in the cluster directory at dir to target. The write

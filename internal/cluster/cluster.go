@@ -190,23 +190,6 @@ func (c *Cluster) DrainReplication() {
 	}
 }
 
-// ReplicationPending reports how many committed writes backup replicas
-// have yet to acknowledge: the sum of every backup's lag behind its
-// primary's commit log.
-func (c *Cluster) ReplicationPending() int {
-	c.mu.Lock()
-	reps := c.replicators
-	c.mu.Unlock()
-	n := 0
-	for _, r := range reps {
-		for _, f := range r.feeds {
-			behind, _, _ := f.Lag()
-			n += behind
-		}
-	}
-	return n
-}
-
 // Shards returns the number of shards.
 func (c *Cluster) Shards() int { return len(c.Trees) }
 
@@ -249,31 +232,36 @@ func (c *Cluster) Fault(i, r int) *faultnet.Listener {
 	return c.listeners[i][r]
 }
 
-// Served sums the wire requests handled across all shards and replicas.
-func (c *Cluster) Served() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, shard := range c.servers {
-		for _, s := range shard {
-			total += s.Served()
-		}
-	}
-	return total
+// Metrics is a snapshot of a Cluster's counters, summed over its replicas.
+type Metrics struct {
+	Served   int // wire requests handled by every replica of every shard
+	Resolved int // names resolved by every replica (batch elements count individually)
+	// ReplicationPending counts committed writes backups have yet to
+	// acknowledge: every backup's lag behind its primary's commit log.
+	ReplicationPending int
 }
 
-// Resolved sums the names resolved across all shards and replicas (batch
-// elements count individually).
-func (c *Cluster) Resolved() int {
+// Metrics sums its servers' metrics and its backups' lag. Both are read
+// from slices copied under c.mu, outside it.
+func (c *Cluster) Metrics() Metrics {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, shard := range c.servers {
+	servers, reps := c.servers, c.replicators
+	c.mu.Unlock()
+	var m Metrics
+	for _, shard := range servers {
 		for _, s := range shard {
-			total += s.Resolved()
+			sm := s.Metrics()
+			m.Served += sm.Served
+			m.Resolved += sm.Resolved
 		}
 	}
-	return total
+	for _, r := range reps {
+		for _, f := range r.feeds {
+			behind, _, _ := f.Lag()
+			m.ReplicationPending += behind
+		}
+	}
+	return m
 }
 
 // Close stops every replica server of every shard.

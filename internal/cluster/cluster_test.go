@@ -119,7 +119,7 @@ func TestClusterBatchOneRoundTripPerShard(t *testing.T) {
 	}
 	paths = append(paths, core.ParsePath("usr/bin/ls")) // duplicate
 
-	servedBefore := cl.Served()
+	servedBefore := cl.Metrics().Served
 	results, err := client.ResolveBatch(paths)
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +138,12 @@ func TestClusterBatchOneRoundTripPerShard(t *testing.T) {
 	for _, p := range paths {
 		shardsTouched[cl.Routes().ShardFor(p)] = true
 	}
-	if got := cl.Served() - servedBefore; got != len(shardsTouched) {
+	if got := cl.Metrics().Served - servedBefore; got != len(shardsTouched) {
 		t.Fatalf("wire requests = %d, want %d (one per shard)", got, len(shardsTouched))
 	}
 	// The duplicate was deduplicated on the wire.
-	if cl.Resolved() != len(testPaths) {
-		t.Fatalf("Resolved = %d, want %d", cl.Resolved(), len(testPaths))
+	if cl.Metrics().Resolved != len(testPaths) {
+		t.Fatalf("Resolved = %d, want %d", cl.Metrics().Resolved, len(testPaths))
 	}
 }
 
@@ -163,11 +163,11 @@ func TestClusterLRURevisionPurgePerShard(t *testing.T) {
 		}
 	}
 	// Repeats are cache hits.
-	served := cl.Served()
+	served := cl.Metrics().Served
 	if _, err := client.Resolve(pEtc); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Served() != served {
+	if cl.Metrics().Served != served {
 		t.Fatal("repeat resolve crossed the wire despite the cache")
 	}
 
@@ -190,8 +190,8 @@ func TestClusterLRURevisionPurgePerShard(t *testing.T) {
 	if err != nil || got.IsUndefined() {
 		t.Fatalf("resolve etc/passwd after churn: %v, %v", got, err)
 	}
-	if client.Purges() != 1 {
-		t.Fatalf("Purges = %d, want 1", client.Purges())
+	if client.Metrics().Purges != 1 {
+		t.Fatalf("Purges = %d, want 1", client.Metrics().Purges)
 	}
 	got, err = client.Resolve(pEtc)
 	if err != nil {
@@ -201,11 +201,11 @@ func TestClusterLRURevisionPurgePerShard(t *testing.T) {
 		t.Fatalf("Resolve(etc/motd) = %v, want the rebound %v", got, newMotd)
 	}
 	// The usr shard's entry survived the purge: still a cache hit.
-	served = cl.Served()
+	served = cl.Metrics().Served
 	if _, err := client.Resolve(pUsr); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Served() != served {
+	if cl.Metrics().Served != served {
 		t.Fatal("usr entry was purged by an etc revision advance (purge must be per shard)")
 	}
 
@@ -214,8 +214,8 @@ func TestClusterLRURevisionPurgePerShard(t *testing.T) {
 	if _, err := client.ResolveBatch([]core.Path{core.ParsePath("etc")}); err != nil { // not cached yet
 		t.Fatal(err)
 	}
-	if client.Purges() != 2 {
-		t.Fatalf("Purges = %d after a batch round-trip past a second rebind, want 2", client.Purges())
+	if client.Metrics().Purges != 2 {
+		t.Fatalf("Purges = %d after a batch round-trip past a second rebind, want 2", client.Metrics().Purges)
 	}
 }
 
@@ -277,7 +277,7 @@ func TestClusterSingleflightCoalescing(t *testing.T) {
 	}
 	// Wait until all but the leader are coalesced onto the flight, then
 	// let the server answer.
-	for client.Coalesced() < concurrent-1 {
+	for client.Metrics().Coalesced < concurrent-1 {
 		runtime.Gosched()
 	}
 	close(gate.gate)
@@ -292,15 +292,15 @@ func TestClusterSingleflightCoalescing(t *testing.T) {
 			t.Fatalf("resolver %d: %v, %v", i, got[i], errs[i])
 		}
 	}
-	_, misses := client.Stats()
+	misses := client.Metrics().Misses
 	if misses != 1 {
 		t.Fatalf("misses = %d, want 1 (singleflight shares one round-trip)", misses)
 	}
-	if client.Coalesced() != concurrent-1 {
-		t.Fatalf("Coalesced = %d, want %d", client.Coalesced(), concurrent-1)
+	if client.Metrics().Coalesced != concurrent-1 {
+		t.Fatalf("Coalesced = %d, want %d", client.Metrics().Coalesced, concurrent-1)
 	}
-	if srv.Resolved() != 1 {
-		t.Fatalf("server resolved %d names, want 1", srv.Resolved())
+	if srv.Metrics().Resolved != 1 {
+		t.Fatalf("server resolved %d names, want 1", srv.Metrics().Resolved)
 	}
 }
 

@@ -107,7 +107,7 @@ func TestFailoverSurvivesDeadReplica(t *testing.T) {
 			t.Fatalf("Resolve(%s) = %v, not a replica of %v", raw, e, want)
 		}
 	}
-	if client.Failovers() == 0 {
+	if client.Metrics().Failovers == 0 {
 		t.Fatal("Failovers = 0 — the dead primaries were never noticed")
 	}
 }
@@ -297,11 +297,11 @@ func TestResolveBatchPartialFailureStillCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The healthy answer was cached: a repeat is a hit, not a round-trip.
-	served := cl.Served()
+	served := cl.Metrics().Served
 	if _, err := client.Resolve(pUsr); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Served() != served {
+	if cl.Metrics().Served != served {
 		t.Fatal("healthy-shard batch result was not cached under partial failure")
 	}
 }
@@ -377,7 +377,7 @@ func TestCoalescedFailureSharedAndNotReused(t *testing.T) {
 	}
 	// Wait until all but the leader share its flight, then let the hang
 	// time out.
-	for client.Coalesced() < concurrent-1 {
+	for client.Metrics().Coalesced < concurrent-1 {
 		runtime.Gosched()
 	}
 	wg.Wait()
@@ -390,7 +390,7 @@ func TestCoalescedFailureSharedAndNotReused(t *testing.T) {
 			t.Fatalf("waiter %d error %v is not the flight's error %v", i, errs[i], errs[0])
 		}
 	}
-	_, misses := client.Stats()
+	misses := client.Metrics().Misses
 	if misses != 1 {
 		t.Fatalf("misses = %d, want 1 (one shared failing flight)", misses)
 	}
@@ -405,7 +405,7 @@ func TestCoalescedFailureSharedAndNotReused(t *testing.T) {
 	if e != want {
 		t.Fatalf("Resolve after heal = %v, want %v", e, want)
 	}
-	if _, misses := client.Stats(); misses != 2 {
+	if misses := client.Metrics().Misses; misses != 2 {
 		t.Fatalf("misses = %d, want 2 (second call started its own flight)", misses)
 	}
 }
@@ -459,7 +459,7 @@ func TestOversizedBatchFailsAloneNotTheConnection(t *testing.T) {
 	if _, err := client.ResolveBatch(bigRequest); !errors.Is(err, syscall.EMSGSIZE) {
 		t.Fatalf("cluster oversized request: err = %v, want the client's own refusal (syscall.EMSGSIZE)", err)
 	}
-	if n := client.Failovers(); n != 0 {
+	if n := client.Metrics().Failovers; n != 0 {
 		t.Fatalf("Failovers = %d after oversized batches, want 0", n)
 	}
 	if _, err := client.Resolve(ls); err != nil {
@@ -573,7 +573,7 @@ func TestFaultyBatchAnswerFailsOver(t *testing.T) {
 		if err == nil || isRemote(err) {
 			t.Fatalf("err = %v, want a transport failure", err)
 		}
-		if n := c.Failovers(); n != 2 {
+		if n := c.Metrics().Failovers; n != 2 {
 			t.Fatalf("Failovers = %d, want 2 (both attempts)", n)
 		}
 	})
@@ -598,7 +598,7 @@ func TestFaultyBatchAnswerFailsOver(t *testing.T) {
 				t.Errorf("caller %d: err = %v, want a transport failure", i, err)
 			}
 		}
-		if n := c.Failovers(); n != 2 {
+		if n := c.Metrics().Failovers; n != 2 {
 			t.Fatalf("Failovers = %d, want 2 (one per caller)", n)
 		}
 	})

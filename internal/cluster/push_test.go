@@ -35,7 +35,7 @@ func prime(t *testing.T, c *Client, paths ...string) map[string]core.Entity {
 	t.Helper()
 	got := map[string]core.Entity{}
 	for round := 0; round < 2; round++ {
-		hits, _ := c.Stats()
+		hits := c.Metrics().Hits
 		for _, raw := range paths {
 			e, err := c.Resolve(core.ParsePath(raw))
 			if err != nil {
@@ -43,7 +43,7 @@ func prime(t *testing.T, c *Client, paths ...string) map[string]core.Entity {
 			}
 			got[raw] = e
 		}
-		if after, _ := c.Stats(); round == 1 && after-hits != len(paths) {
+		if after := c.Metrics().Hits; round == 1 && after-hits != len(paths) {
 			t.Fatalf("second round over %v: %d hits, want all %d cached", paths, after-hits, len(paths))
 		}
 	}
@@ -53,12 +53,12 @@ func prime(t *testing.T, c *Client, paths ...string) map[string]core.Entity {
 // isHit reports whether resolving raw is answered from the cache.
 func isHit(t *testing.T, c *Client, raw string) (core.Entity, bool) {
 	t.Helper()
-	hits, _ := c.Stats()
+	hits := c.Metrics().Hits
 	e, err := c.Resolve(core.ParsePath(raw))
 	if err != nil {
 		t.Fatalf("resolve %s: %v", raw, err)
 	}
-	after, _ := c.Stats()
+	after := c.Metrics().Hits
 	return e, after > hits
 }
 
@@ -66,9 +66,9 @@ func isHit(t *testing.T, c *Client, raw string) (core.Entity, bool) {
 func waitInvalidations(t *testing.T, c *Client, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Invalidations() < n {
+	for c.Metrics().Invalidations < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("consumed %d frames, waiting for %d", c.Invalidations(), n)
+			t.Fatalf("consumed %d frames, waiting for %d", c.Metrics().Invalidations, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -83,7 +83,7 @@ func TestRebindPurgesEveryAliasAndNothingElse(t *testing.T) {
 	c := pushClient(t, cl)
 	old := prime(t, c, "usr/bin/ls", "mnt/bin/ls", "usr/bin/cat", "etc/passwd")
 	cat := old["usr/bin/cat"]
-	purges, removed := c.Purges(), c.EntriesPurged()
+	before := c.Metrics()
 
 	usrBin := core.ParsePath("usr/bin")
 	if err := c.Unbind(usrBin, "ls"); err != nil {
@@ -103,10 +103,10 @@ func TestRebindPurgesEveryAliasAndNothingElse(t *testing.T) {
 			t.Fatalf("%s after an unrelated rebind = %v (cache hit: %v), want it still cached", raw, e, hit)
 		}
 	}
-	if got := c.Purges() - purges; got != 0 {
+	if got := c.Metrics().Purges - before.Purges; got != 0 {
 		t.Fatalf("%d whole-shard purges for a leaf rebind, want none", got)
 	}
-	if got := c.EntriesPurged() - removed; got != 2 {
+	if got := c.Metrics().EntriesPurged - before.EntriesPurged; got != 2 {
 		t.Fatalf("%d entries purged, want exactly the two names of the rebound binding", got)
 	}
 }
@@ -131,11 +131,11 @@ func TestStructuralChangePurgesShard(t *testing.T) {
 		{"unbind of a directory", func() error { return c.Unbind(usr, "alias") }},
 	} {
 		prime(t, c, "usr/bin/ls", "usr/bin/cat", "etc/passwd")
-		purges := c.Purges()
+		purges := c.Metrics().Purges
 		if err := tc.change(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := c.Purges() - purges; got != 1 {
+		if got := c.Metrics().Purges - purges; got != 1 {
 			t.Fatalf("%s: %d whole-shard purges, want 1", tc.name, got)
 		}
 		for _, raw := range []string{"usr/bin/ls", "usr/bin/cat"} {
@@ -176,7 +176,7 @@ func TestOwnWriteIsNeverReadStale(t *testing.T) {
 			t.Fatalf("cycle %d: victim right after its Bind returned = %v, %v; want %v", i, e, err, pair[i%2])
 		}
 	}
-	if got := c.Purges(); got != 0 {
+	if got := c.Metrics().Purges; got != 0 {
 		t.Fatalf("%d whole-shard purges over 200 leaf rebinds, want none", got)
 	}
 }
@@ -200,7 +200,7 @@ func TestBackupPushesPreciseFramesAfterFailover(t *testing.T) {
 	if _, err := reader.Resolve(core.ParsePath("usr/bin")); err != nil {
 		t.Fatalf("resolve with the primary dead: %v", err)
 	}
-	if reader.Failovers() == 0 {
+	if reader.Metrics().Failovers == 0 {
 		t.Fatal("the reader never failed over")
 	}
 	onBackup := prime(t, reader, "usr/bin/ls", "usr/bin/cat")
@@ -215,7 +215,7 @@ func TestBackupPushesPreciseFramesAfterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	purges, removed, frames := reader.Purges(), reader.EntriesPurged(), reader.Invalidations()
+	before := reader.Metrics()
 	usrBin := core.ParsePath("usr/bin")
 	if err := writer.Unbind(usrBin, "ls"); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestBackupPushesPreciseFramesAfterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.DrainReplication()
-	waitInvalidations(t, reader, frames+2)
+	waitInvalidations(t, reader, before.Invalidations+2)
 
 	if e, hit := isHit(t, reader, "usr/bin/ls"); hit || (e != cat && !cl.World.SameReplica(e, cat)) {
 		t.Fatalf("usr/bin/ls through the backup = %v (cache hit: %v), want a miss answering a replica of %v", e, hit, cat)
@@ -232,10 +232,10 @@ func TestBackupPushesPreciseFramesAfterFailover(t *testing.T) {
 	if e, hit := isHit(t, reader, "usr/bin/cat"); !hit || e != onBackup["usr/bin/cat"] {
 		t.Fatalf("usr/bin/cat = %v (cache hit: %v), want it still cached", e, hit)
 	}
-	if got := reader.Purges() - purges; got != 0 {
+	if got := reader.Metrics().Purges - before.Purges; got != 0 {
 		t.Fatalf("%d whole-shard purges for two replicated leaf commits, want none", got)
 	}
-	if got := reader.EntriesPurged() - removed; got != 1 {
+	if got := reader.Metrics().EntriesPurged - before.EntriesPurged; got != 1 {
 		t.Fatalf("%d entries purged, want exactly usr/bin/ls", got)
 	}
 
@@ -277,12 +277,12 @@ func TestOlderResponseIsNotAdmitted(t *testing.T) {
 	if c.response(7) {
 		t.Fatal("a response at revision 7 was admitted after the frame for 8")
 	}
-	if c.revs[0] != 8 || c.cache.Len() != 1 || c.purges != 0 {
-		t.Fatalf("after the older response: revs %d, %d entries, %d purges; want 8, 1, 0", c.revs[0], c.cache.Len(), c.purges)
+	if c.revs[0] != 8 || c.cache.Len() != 1 || c.m.Purges != 0 {
+		t.Fatalf("after the older response: revs %d, %d entries, %d purges; want 8, 1, 0", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 	c.pushed(0, sub, nameserver.Invalidation{Rev: 9, Dir: 5, Name: "y"})
-	if c.revs[0] != 9 || c.cache.Len() != 1 || c.purges != 0 {
-		t.Fatalf("after the next frame: revs %d, %d entries, %d purges; want 9, 1, 0 — it read as a gap", c.revs[0], c.cache.Len(), c.purges)
+	if c.revs[0] != 9 || c.cache.Len() != 1 || c.m.Purges != 0 {
+		t.Fatalf("after the next frame: revs %d, %d entries, %d purges; want 9, 1, 0 — it read as a gap", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 	if !c.response(9) {
 		t.Fatal("a response at the current revision was refused")
@@ -305,8 +305,8 @@ func TestFrameAppliesOnlyAsTheNextCommit(t *testing.T) {
 	c.revs[0] = 10
 	fill()
 	c.pushed(0, sub, nameserver.Invalidation{Rev: 11, Dir: 5, Name: "victim"})
-	if c.revs[0] != 11 || c.cache.Len() != 2 || c.purges != 0 {
-		t.Fatalf("next commit: revs %d, %d entries, %d whole purges; want 11, 2 (other/victim, d/bystander), 0", c.revs[0], c.cache.Len(), c.purges)
+	if c.revs[0] != 11 || c.cache.Len() != 2 || c.m.Purges != 0 {
+		t.Fatalf("next commit: revs %d, %d entries, %d whole purges; want 11, 2 (other/victim, d/bystander), 0", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 	for _, key := range []string{"other/victim", "d/bystander"} {
 		if _, ok := c.cache.Get(key); !ok {
@@ -321,13 +321,13 @@ func TestFrameAppliesOnlyAsTheNextCommit(t *testing.T) {
 	}
 
 	c.pushed(0, sub, nameserver.Invalidation{Rev: 13, Dir: 5, Name: "victim"})
-	if c.revs[0] != 13 || c.cache.Len() != 0 || c.purges != 1 {
-		t.Fatalf("gap: revs %d, %d entries, %d whole purges; want 13, 0, 1", c.revs[0], c.cache.Len(), c.purges)
+	if c.revs[0] != 13 || c.cache.Len() != 0 || c.m.Purges != 1 {
+		t.Fatalf("gap: revs %d, %d entries, %d whole purges; want 13, 0, 1", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 	fill()
 	c.pushed(0, sub, nameserver.Invalidation{Rev: 14})
-	if c.revs[0] != 14 || c.cache.Len() != 0 || c.purges != 2 {
-		t.Fatalf("frame naming nothing: revs %d, %d entries, %d whole purges; want 14, 0, 2", c.revs[0], c.cache.Len(), c.purges)
+	if c.revs[0] != 14 || c.cache.Len() != 0 || c.m.Purges != 2 {
+		t.Fatalf("frame naming nothing: revs %d, %d entries, %d whole purges; want 14, 0, 2", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 }
 
@@ -376,14 +376,14 @@ func TestPollModeAdmitsAStraggler(t *testing.T) {
 	if !c.response(7) {
 		t.Fatal("poll mode refused a response older than the shard's revision; the pin is out of date — update DESIGN §5c")
 	}
-	if c.revs[0] != 7 || c.cache.Len() != 0 || c.purges != 1 {
-		t.Fatalf("after the straggler: revs %d, %d entries, %d purges; pinned behaviour is 7, 0, 1", c.revs[0], c.cache.Len(), c.purges)
+	if c.revs[0] != 7 || c.cache.Len() != 0 || c.m.Purges != 1 {
+		t.Fatalf("after the straggler: revs %d, %d entries, %d purges; pinned behaviour is 7, 0, 1", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 	// The next response at the newer revision purges again: the price of
 	// the backwards step is a second whole-shard purge, not a stuck cache.
 	c.cache.Put("a/stale", cacheEntry{entity: core.Entity{ID: 1}, dir: 5})
-	if !c.response(8) || c.revs[0] != 8 || c.cache.Len() != 0 || c.purges != 2 {
-		t.Fatalf("after catching up: revs %d, %d entries, %d purges; want 8, 0, 2", c.revs[0], c.cache.Len(), c.purges)
+	if !c.response(8) || c.revs[0] != 8 || c.cache.Len() != 0 || c.m.Purges != 2 {
+		t.Fatalf("after catching up: revs %d, %d entries, %d purges; want 8, 0, 2", c.revs[0], c.cache.Len(), c.m.Purges)
 	}
 }
 
@@ -428,7 +428,7 @@ func TestNewConnectionRebasesRevision(t *testing.T) {
 	if _, hit := isHit(t, c, "usr/bin"); hit { // a miss: finds the primary dead, fails over
 		t.Fatal("usr/bin was never resolved, yet hit")
 	}
-	if c.Failovers() == 0 {
+	if c.Metrics().Failovers == 0 {
 		t.Fatal("the client never failed over")
 	}
 	c.mu.Lock()

@@ -59,7 +59,7 @@ func TestRefusedReplicaApplyIsCountedNotRetried(t *testing.T) {
 	if behind, _, refused := cl.replicators[0].feeds[0].Lag(); behind != 0 || refused != 1 {
 		t.Fatalf("backup's cursor: %d behind, %d refused; want 0 and 1", behind, refused)
 	}
-	if n := cl.ReplicationPending(); n != 0 {
+	if n := cl.Metrics().ReplicationPending; n != 0 {
 		t.Fatalf("ReplicationPending = %d after drain", n)
 	}
 }
@@ -80,7 +80,7 @@ func TestAckedWriteIsLostIfPrimaryDiesBeforeReplication(t *testing.T) {
 	if err := client.Bind(core.ParsePath("usr/bin"), "acked", target); err != nil {
 		t.Fatalf("write with the backup down must be acknowledged: %v", err)
 	}
-	if n := cl.ReplicationPending(); n != 1 {
+	if n := cl.Metrics().ReplicationPending; n != 1 {
 		t.Fatalf("ReplicationPending = %d, want the one acknowledged write the backup is owed", n)
 	}
 
@@ -126,7 +126,7 @@ func TestOutageBacklogIsHeldOncePerShard(t *testing.T) {
 	if behind, retained, _ := dead.Lag(); behind != churn || retained != churn {
 		t.Fatalf("dead backup: %d behind, log holds %d; want %d and %d", behind, retained, churn, churn)
 	}
-	if n := cl.ReplicationPending(); n != churn {
+	if n := cl.Metrics().ReplicationPending; n != churn {
 		t.Fatalf("ReplicationPending = %d, want %d", n, churn)
 	}
 
@@ -137,7 +137,7 @@ func TestOutageBacklogIsHeldOncePerShard(t *testing.T) {
 			t.Fatalf("healed backup missing churn%d: %v", i, err)
 		}
 	}
-	if n := cl.ReplicationPending(); n != 0 {
+	if n := cl.Metrics().ReplicationPending; n != 0 {
 		t.Fatalf("ReplicationPending = %d after heal and drain", n)
 	}
 }

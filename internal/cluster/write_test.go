@@ -50,7 +50,7 @@ func TestClusterWriteReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.DrainReplication()
-	if n := cl.ReplicationPending(); n != 0 {
+	if n := cl.Metrics().ReplicationPending; n != 0 {
 		t.Fatalf("ReplicationPending = %d after drain", n)
 	}
 
@@ -122,7 +122,7 @@ func TestWriteChurnDuringReplicaOutage(t *testing.T) {
 			t.Fatalf("primary missing churn%d: %v", i, err)
 		}
 	}
-	if cl.ReplicationPending() == 0 {
+	if cl.Metrics().ReplicationPending == 0 {
 		t.Fatal("no writes pending for the dead backup")
 	}
 
@@ -238,7 +238,7 @@ func TestClusterPushInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reader.Invalidations() == 0 {
+	for reader.Metrics().Invalidations == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no pushed invalidation reached the subscribed reader")
 		}

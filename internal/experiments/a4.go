@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"namecoherence/internal/cluster"
+	"namecoherence/internal/coherence"
 	"namecoherence/internal/core"
 	"namecoherence/internal/nameserver"
 	"namecoherence/internal/workload"
@@ -17,20 +18,14 @@ const (
 	a4CacheSize = 64
 )
 
-// a4Client is what A4 needs of a client under test; the wire client and the
-// cluster client both provide it.
-type a4Client interface {
-	Resolve(core.Path) (core.Entity, error)
-	Stats() (hits, misses int)
-}
-
 // a4Dial connects one cache discipline's client to the one-shard cluster
-// and returns it with its close function.
-func a4Dial(scheme string, cl *cluster.Cluster) (a4Client, func(), error) {
+// and returns it with a read of its cache hits and misses (the wire client's
+// and the cluster client's Metrics differ) and its close function.
+func a4Dial(scheme string, cl *cluster.Cluster) (coherence.Resolver, func() (hits, misses int), func(), error) {
 	if scheme == "coherent" {
 		// The cluster's own routing table: no bootstrap request is counted.
 		c := cluster.NewClient("tcp", cl.Routes(), cluster.WithLRU(a4CacheSize))
-		return c, c.Close, nil
+		return c, func() (int, int) { m := c.Metrics(); return m.Hits, m.Misses }, c.Close, nil
 	}
 	var opts []nameserver.ClientOption
 	if scheme == "plain" {
@@ -38,9 +33,9 @@ func a4Dial(scheme string, cl *cluster.Cluster) (a4Client, func(), error) {
 	}
 	c, err := nameserver.Dial("tcp", cl.Addrs()[0], opts...)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return c, func() { _ = c.Close() }, nil
+	return c, func() (int, int) { m := c.Metrics(); return m.Hits, m.Misses }, func() { _ = c.Close() }, nil
 }
 
 // a4 measures stale reads under binding churn for each cache discipline.
@@ -100,7 +95,7 @@ func a4Run(scheme string) (stale, served int, hitRate float64, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	client, closeClient, err := a4Dial(scheme, cl)
+	client, stats, closeClient, err := a4Dial(scheme, cl)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -124,9 +119,9 @@ func a4Run(scheme string) (stale, served int, hitRate float64, err error) {
 			stale++
 		}
 	}
-	hits, misses := client.Stats()
+	hits, misses := stats()
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	return stale, cl.Served(), hitRate, nil
+	return stale, cl.Metrics().Served, hitRate, nil
 }

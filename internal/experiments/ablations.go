@@ -68,13 +68,13 @@ func a1() (*Table, error) {
 				return nil, err
 			}
 		}
-		hits, misses := client.Stats()
+		m := client.Metrics()
 		if err := client.Close(); err != nil {
 			return nil, err
 		}
 		wg.Wait()
-		t.AddRow(itoa(size), itoa(lookups), itoa(server.Served()),
-			f2(float64(hits)/float64(hits+misses)))
+		t.AddRow(itoa(size), itoa(lookups), itoa(server.Metrics().Served),
+			f2(float64(m.Hits)/float64(m.Hits+m.Misses)))
 	}
 	return t, nil
 }

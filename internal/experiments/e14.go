@@ -135,13 +135,13 @@ func e14Row(shards, batch int) ([]string, error) {
 		return nil, err
 	}
 
-	wireReqs := cl.Served()
+	wireReqs := cl.Metrics().Served
 	lookups := e14Clients * e14Lookups
 	hits, misses := 0, 0
 	for _, client := range clients {
-		h, m := client.Stats()
-		hits += h
-		misses += m
+		m := client.Metrics()
+		hits += m.Hits
+		misses += m.Misses
 	}
 
 	// The coherence probe: every client of every shard, every name.

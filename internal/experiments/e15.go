@@ -114,7 +114,7 @@ func e15Phase(cl *cluster.Cluster, clients []*cluster.Client,
 	paths []core.Path, name string) ([]string, error) {
 	failoversBefore := 0
 	for _, c := range clients {
-		failoversBefore += c.Failovers()
+		failoversBefore += c.Metrics().Failovers
 	}
 
 	type outcome struct {
@@ -149,7 +149,7 @@ func e15Phase(cl *cluster.Cluster, clients []*cluster.Client,
 	for i, c := range clients {
 		ok += outcomes[i].ok
 		total += outcomes[i].total
-		failovers += c.Failovers()
+		failovers += c.Metrics().Failovers
 		if outcomes[i].maxWait > maxWait {
 			maxWait = outcomes[i].maxWait
 		}

@@ -186,7 +186,7 @@ func e17Phase(push bool) ([]string, error) {
 	invals := func() int {
 		n := 0
 		for _, r := range readers {
-			n += r.Invalidations()
+			n += r.Metrics().Invalidations
 		}
 		return n
 	}
@@ -208,9 +208,9 @@ func e17Phase(push bool) ([]string, error) {
 
 	hits, misses := 0, 0
 	for _, r := range readers {
-		h, m := r.Stats()
-		hits += h
-		misses += m
+		m := r.Metrics()
+		hits += m.Hits
+		misses += m.Misses
 	}
 	mode := "poll"
 	if push {

@@ -39,11 +39,11 @@ func TestResolveBatch(t *testing.T) {
 	if results[2].Err != nil || results[2].Entity.IsUndefined() {
 		t.Fatalf("results[2] = %+v", results[2])
 	}
-	if s.Served() != 1 {
-		t.Fatalf("Served = %d, want 1 (one wire request for the whole batch)", s.Served())
+	if s.Metrics().Served != 1 {
+		t.Fatalf("Served = %d, want 1 (one wire request for the whole batch)", s.Metrics().Served)
 	}
-	if s.Resolved() != 3 {
-		t.Fatalf("Resolved = %d, want 3", s.Resolved())
+	if s.Metrics().Resolved != 3 {
+		t.Fatalf("Resolved = %d, want 3", s.Metrics().Resolved)
 	}
 }
 
@@ -63,19 +63,18 @@ func TestResolveBatchCacheAndDuplicates(t *testing.T) {
 			t.Fatalf("results[%d] = %+v", i, r)
 		}
 	}
-	if s.Resolved() != 1 {
-		t.Fatalf("Resolved = %d, want 1 (batch deduplicates)", s.Resolved())
+	if s.Metrics().Resolved != 1 {
+		t.Fatalf("Resolved = %d, want 1 (batch deduplicates)", s.Metrics().Resolved)
 	}
 	// A second batch is answered from the cache entirely.
 	if _, err := c.ResolveBatch([]core.Path{p, p}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Served() != 1 {
-		t.Fatalf("Served = %d, want 1 (cache absorbs the second batch)", s.Served())
+	if s.Metrics().Served != 1 {
+		t.Fatalf("Served = %d, want 1 (cache absorbs the second batch)", s.Metrics().Served)
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 3 {
-		t.Fatalf("Stats = (%d, %d), want (2, 3)", hits, misses)
+	if m := c.Metrics(); m.Hits != 2 || m.Misses != 3 {
+		t.Fatalf("hits, misses = (%d, %d), want (2, 3)", m.Hits, m.Misses)
 	}
 }
 
@@ -87,8 +86,8 @@ func TestResolveBatchEmpty(t *testing.T) {
 	if err != nil || len(results) != 0 {
 		t.Fatalf("ResolveBatch(nil) = %v, %v", results, err)
 	}
-	if s.Served() != 0 {
-		t.Fatalf("Served = %d, want 0", s.Served())
+	if s.Metrics().Served != 0 {
+		t.Fatalf("Served = %d, want 0", s.Metrics().Served)
 	}
 }
 
@@ -115,11 +114,11 @@ func TestRoutesFetch(t *testing.T) {
 	if got.Default != want.Default || len(got.Addrs) != 2 || got.Prefixes["etc"] != 1 {
 		t.Fatalf("Routes = %+v", got)
 	}
-	if s.Served() != 2 {
-		t.Fatalf("Served = %d, want 2", s.Served())
+	if s.Metrics().Served != 2 {
+		t.Fatalf("Served = %d, want 2", s.Metrics().Served)
 	}
-	if s.Resolved() != 0 {
-		t.Fatalf("Resolved = %d, want 0 (routing fetches resolve nothing)", s.Resolved())
+	if s.Metrics().Resolved != 0 {
+		t.Fatalf("Resolved = %d, want 0 (routing fetches resolve nothing)", s.Metrics().Resolved)
 	}
 }
 
@@ -256,7 +255,7 @@ func TestClientConcurrentUse(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	hits, misses := c.Stats()
+	m := c.Metrics()
 	// Every lookup is either a hit or a miss; batches count per name.
 	want := 0
 	for g := 0; g < goroutines; g++ {
@@ -268,10 +267,10 @@ func TestClientConcurrentUse(t *testing.T) {
 			}
 		}
 	}
-	if hits+misses != want {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, want)
+	if m.Hits+m.Misses != want {
+		t.Fatalf("hits+misses = %d, want %d", m.Hits+m.Misses, want)
 	}
-	if s.Resolved() != misses {
-		t.Fatalf("server resolved %d names, client missed %d — they must match", s.Resolved(), misses)
+	if resolved := s.Metrics().Resolved; resolved != m.Misses {
+		t.Fatalf("server resolved %d names, client missed %d — they must match", resolved, m.Misses)
 	}
 }

@@ -87,7 +87,7 @@ func TestClientRejectsNonCanonical(t *testing.T) {
 			t.Fatalf("ResolveBatchRev(%q) err = %v, want ErrNotCanonical", p, err)
 		}
 	}
-	if n := s.Served(); n != 0 {
+	if n := s.Metrics().Served; n != 0 {
 		t.Fatalf("Served = %d after local rejections, want 0", n)
 	}
 }
@@ -117,7 +117,7 @@ func TestBatchNonCanonicalSlots(t *testing.T) {
 			t.Fatalf("slot %d err = %v, want ErrNotCanonical", i, out[i].Err)
 		}
 	}
-	if n := s.Served(); n != 1 {
+	if n := s.Metrics().Served; n != 1 {
 		t.Fatalf("Served = %d, want 1 (only the canonical name crosses)", n)
 	}
 }

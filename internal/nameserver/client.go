@@ -87,13 +87,11 @@ type Client struct {
 	mu     sync.Mutex // guards the fields below; never held across I/O
 	cache  *lru.Cache[string, core.Entity]
 	keyBuf []byte // the cache key being rendered (AppendWireKey)
-	hits   int
-	misses int
+	m      ClientMetrics
 	// subscription state (see Subscribe): push frames are consumed by a
 	// standing reader goroutine, joined by Close via readerWG.
-	subscribed    bool
-	onInval       func(Invalidation)
-	invalidations int
+	subscribed bool
+	onInval    func(Invalidation)
 
 	readerWG sync.WaitGroup
 }
@@ -373,7 +371,7 @@ func recvFailure(err error) error {
 // counted and handed to the subscriber's callback, outside c.mu.
 func (c *Client) invalidate(resp *response) {
 	c.mu.Lock()
-	c.invalidations++
+	c.m.Invalidations++
 	onInval := c.onInval
 	c.mu.Unlock()
 	if onInval != nil {
@@ -575,7 +573,7 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 			return core.Undefined, err
 		}
 		if e, ok := c.cache.Get(string(buf)); ok {
-			c.hits++
+			c.m.Hits++
 			c.mu.Unlock()
 			return e, nil
 		}
@@ -587,7 +585,7 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 		return core.Undefined, err
 	}
 	c.mu.Lock()
-	c.misses++
+	c.m.Misses++
 	if c.cache != nil {
 		c.cache.Put(key, e)
 	}
@@ -685,7 +683,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		}
 		if c.cache != nil {
 			if e, ok := c.cache.Get(string(buf)); ok {
-				c.hits++
+				c.m.Hits++
 				out[i] = BatchResult{Entity: e}
 				continue
 			}
@@ -716,7 +714,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			if res.Err == nil {
 				// Misses count per slot (duplicates included) and only for
 				// slots an uncached resolution actually satisfied.
-				c.misses++
+				c.m.Misses++
 			}
 		}
 	}
@@ -740,19 +738,20 @@ func (c *Client) Routes() (*RouteInfo, error) {
 	return resp.Routes, nil
 }
 
-// Stats returns cache hits and misses so far.
-func (c *Client) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+// ClientMetrics is a snapshot of a Client's counters.
+type ClientMetrics struct {
+	Hits int // lookups the cache answered
+	// Misses counts uncached lookups the server satisfied: a transport or
+	// remote failure is not a miss.
+	Misses        int
+	Invalidations int // push frames consumed (0 without Subscribe)
 }
 
-// Invalidations returns how many push invalidation frames this client has
-// consumed (always 0 without Subscribe).
-func (c *Client) Invalidations() int {
+// Metrics returns the client's counters.
+func (c *Client) Metrics() ClientMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.invalidations
+	return c.m
 }
 
 // Close fails every in-flight and future call with ErrClientClosed and

@@ -2,7 +2,7 @@ package nameserver
 
 // Regression tests for the client's locking discipline: no mutex is held
 // across wire I/O. An in-flight round-trip against a stalled server must
-// not block Stats() or cache-hit resolutions — under the old single-mutex
+// not block Metrics() or cache-hit resolutions — under the old single-mutex
 // design both deadlocked until the server answered.
 
 import (
@@ -68,8 +68,7 @@ func TestStatsNotBlockedByInflightResolve(t *testing.T) {
 	// server has decoded the request and is holding the token).
 	time.Sleep(50 * time.Millisecond)
 
-	promptly(t, "Stats", func() { c.Stats() })
-	promptly(t, "Invalidations", func() { c.Invalidations() })
+	promptly(t, "Metrics", func() { c.Metrics() })
 
 	close(release)
 	<-inflight
@@ -106,7 +105,7 @@ func TestCacheHitNotBlockedByInflightResolve(t *testing.T) {
 		}
 	})
 
-	hits, _ := c.Stats()
+	hits := c.Metrics().Hits
 	if hits != 1 {
 		t.Errorf("hits = %d, want 1", hits)
 	}

@@ -117,7 +117,7 @@ type Invalidation struct {
 }
 
 // Subscribe asks the server for one unsolicited frame per revision
-// advance. The client only counts and reports them (see Invalidations);
+// advance. The client only counts and reports them (see Metrics);
 // acting on a frame — purging what it invalidates — belongs to the cluster
 // client's cache, which hooks in through SubscribeFrames.
 //

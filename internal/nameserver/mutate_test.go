@@ -263,7 +263,7 @@ func TestPushInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reader.Invalidations() == 0 {
+	for reader.Metrics().Invalidations == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no invalidation frame arrived")
 		}

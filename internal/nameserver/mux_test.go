@@ -31,14 +31,14 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 	if _, err := c.Resolve(core.ParsePath("usr/bin/ls")); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("after uncached success: Stats = (%d, %d), want (0, 1)", hits, misses)
+	if m := c.Metrics(); m.Hits != 0 || m.Misses != 1 {
+		t.Fatalf("after uncached success: hits, misses = (%d, %d), want (0, 1)", m.Hits, m.Misses)
 	}
 	if _, err := c.Resolve(core.ParsePath("usr/bin/ls")); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("after cache hit: Stats = (%d, %d), want (1, 1)", hits, misses)
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 1 {
+		t.Fatalf("after cache hit: hits, misses = (%d, %d), want (1, 1)", m.Hits, m.Misses)
 	}
 
 	// A remote failure is a definitive answer but satisfied no miss.
@@ -46,8 +46,8 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 	if _, err := c.Resolve(core.ParsePath("no/such/name")); !errors.As(err, &re) {
 		t.Fatalf("Resolve of a missing name = %v, want RemoteError", err)
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("after remote failure: Stats = (%d, %d), want (1, 1)", hits, misses)
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 1 {
+		t.Fatalf("after remote failure: hits, misses = (%d, %d), want (1, 1)", m.Hits, m.Misses)
 	}
 
 	// Batched: error slots do not count either; successful slots count per
@@ -63,8 +63,8 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 	if out[0].Err == nil || out[1].Err != nil || out[2].Err != nil {
 		t.Fatalf("batch outcomes = (%v, %v, %v)", out[0].Err, out[1].Err, out[2].Err)
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 3 {
-		t.Fatalf("after mixed batch: Stats = (%d, %d), want (1, 3)", hits, misses)
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 3 {
+		t.Fatalf("after mixed batch: hits, misses = (%d, %d), want (1, 3)", m.Hits, m.Misses)
 	}
 
 	// A transport failure satisfied nothing.
@@ -72,8 +72,8 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 	if _, err := c.Resolve(core.ParsePath("usr/lib")); err == nil {
 		t.Fatal("Resolve against a closed server should fail")
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 3 {
-		t.Fatalf("after transport failure: Stats = (%d, %d), want (1, 3)", hits, misses)
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 3 {
+		t.Fatalf("after transport failure: hits, misses = (%d, %d), want (1, 3)", m.Hits, m.Misses)
 	}
 }
 
@@ -278,8 +278,7 @@ func TestMuxStress(t *testing.T) {
 						}
 					}
 				default:
-					c.Stats()
-					c.Invalidations()
+					c.Metrics()
 				}
 			}
 		}(g)
@@ -301,7 +300,7 @@ func TestMuxStress(t *testing.T) {
 	if e != alt || rev != s.Revision() {
 		t.Fatalf("after settling: %v at revision %d, want the final binding %v at %d", e, rev, alt, s.Revision())
 	}
-	if hits, misses := c.Stats(); hits+misses == 0 {
+	if m := c.Metrics(); m.Hits+m.Misses == 0 {
 		t.Fatal("stress run recorded no cache traffic at all")
 	}
 }

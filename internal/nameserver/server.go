@@ -692,13 +692,18 @@ func (s *Server) exportWatch(ch core.Change) {
 	}
 }
 
-// Served returns the number of wire requests handled so far (a batch
-// counts once — that is the point of batching).
-func (s *Server) Served() int { return int(s.served.Load()) }
+// ServerMetrics is a snapshot of a Server's counters.
+type ServerMetrics struct {
+	Served   int // wire requests handled (a batch counts once: that is the point of batching)
+	Resolved int // names resolved (every element of a batch counts)
+}
 
-// Resolved returns the number of names resolved so far (every element of a
-// batch counts).
-func (s *Server) Resolved() int { return int(s.resolved.Load()) }
+// Metrics returns the server's counters. The request path bumps them as
+// atomics and takes no server-wide lock, so neither does this read: two
+// fields may be a request apart.
+func (s *Server) Metrics() ServerMetrics {
+	return ServerMetrics{Served: int(s.served.Load()), Resolved: int(s.resolved.Load())}
+}
 
 // Close stops the listener, closes active connections, releases the log's
 // followers, and waits for connection handlers started by Serve to finish.

@@ -55,8 +55,8 @@ func TestResolveOverPipe(t *testing.T) {
 	if got != f {
 		t.Fatalf("Resolve = %v, want %v", got, f)
 	}
-	if s.Served() != 1 {
-		t.Fatalf("Served = %d", s.Served())
+	if s.Metrics().Served != 1 {
+		t.Fatalf("Served = %d", s.Metrics().Served)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestResolveSequence(t *testing.T) {
 			t.Fatalf("resolve %q: %v", p, err)
 		}
 	}
-	if s.Served() != len(paths) {
-		t.Fatalf("Served = %d, want %d", s.Served(), len(paths))
+	if s.Metrics().Served != len(paths) {
+		t.Fatalf("Served = %d, want %d", s.Metrics().Served, len(paths))
 	}
 }
 
@@ -106,12 +106,11 @@ func TestClientCache(t *testing.T) {
 			t.Fatalf("Resolve = %v", got)
 		}
 	}
-	hits, misses := c.Stats()
-	if hits != 4 || misses != 1 {
-		t.Fatalf("Stats = (%d, %d), want (4, 1)", hits, misses)
+	if m := c.Metrics(); m.Hits != 4 || m.Misses != 1 {
+		t.Fatalf("hits, misses = (%d, %d), want (4, 1)", m.Hits, m.Misses)
 	}
-	if s.Served() != 1 {
-		t.Fatalf("Served = %d, want 1 (cache should absorb repeats)", s.Served())
+	if served := s.Metrics().Served; served != 1 {
+		t.Fatalf("Served = %d, want 1 (cache should absorb repeats)", served)
 	}
 }
 
@@ -134,7 +133,7 @@ func TestClientCacheEviction(t *testing.T) {
 	if _, err := c.Resolve(core.ParsePath("dir/a")); err != nil {
 		t.Fatal(err)
 	}
-	_, misses := c.Stats()
+	misses := c.Metrics().Misses
 	if misses != 3 {
 		t.Fatalf("misses = %d, want 3 (size-1 cache thrashes)", misses)
 	}
@@ -198,8 +197,8 @@ func TestPlainCacheIgnoresRevisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := c.Stats(); got != f || hits != 1 || misses != 2 {
-		t.Fatalf("plain cache after a bump: %v, %d hits, %d misses; want %v, 1, 2", got, hits, misses, f)
+	if m := c.Metrics(); got != f || m.Hits != 1 || m.Misses != 2 {
+		t.Fatalf("plain cache after a bump: %v, %d hits, %d misses; want %v, 1, 2", got, m.Hits, m.Misses, f)
 	}
 }
 
