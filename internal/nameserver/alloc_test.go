@@ -76,11 +76,10 @@ func TestCachedResolveAllocFloor(t *testing.T) {
 
 // TestRoundTripAllocFloor pins the full uncached round-trip — call
 // bookkeeping, send, the server worker pool, lead — at the measured
-// floor. The three remaining allocations are all
-// per-call bookkeeping (the pendingCall, its done channel, and the
-// canonical wire path the request retains until its response): encode
-// and decode themselves allocate nothing on either end (EXPERIMENTS.md
-// records the trajectory).
+// floor. The one remaining allocation is the canonical wire path the
+// request retains until its response; the call record and its done
+// channel are reused (callPool), and encode and decode themselves
+// allocate nothing on either end (EXPERIMENTS.md records the trajectory).
 func TestRoundTripAllocFloor(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -90,7 +89,7 @@ func TestRoundTripAllocFloor(t *testing.T) {
 	if got, err := c.Resolve(p); err != nil || got != f {
 		t.Fatalf("prime Resolve = %v, %v", got, err)
 	}
-	allocFloor(t, "Resolve/round-trip", 3, func() {
+	allocFloor(t, "Resolve/round-trip", 1, func() {
 		if _, err := c.Resolve(p); err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"namecoherence/internal/core"
@@ -36,12 +37,38 @@ var ErrClientClosed = errors.New("nameserver: client closed")
 const clientWriteTimeout = time.Minute
 
 // pendingCall is one in-flight request, parked in the pending table until
-// a reader delivers the response tagged with its ID.
+// a reader delivers the response tagged with its ID. Records are reused
+// through callPool, so done is made once per record, not once per call.
+// Completion is one send on done, by whoever removes the call from
+// pending; every path out of call receives that send before the record
+// goes back (see putCall), because a signal left in the channel would
+// complete the record's next call at once, with an empty answer.
 type pendingCall struct {
 	req  request
 	resp response
 	err  error
-	done chan struct{} // closed exactly once, by whoever removes the call from pending
+	done chan struct{} // capacity 1; signalled exactly once per call
+}
+
+// callPool holds idle call records.
+var callPool = sync.Pool{New: func() any {
+	return &pendingCall{done: make(chan struct{}, 1)}
+}}
+
+// putCall returns a finished call's record to callPool. Its caller has
+// received the completion signal, or the call never reached anyone who
+// would send one, so nobody else holds it. Clearing resp drops the Results
+// array the answer handed to the caller, so no later call parses into it.
+func putCall(pc *pendingCall) {
+	*pc = pendingCall{done: pc.done}
+	callPool.Put(pc)
+}
+
+// complete delivers pc's verdict. The caller has just taken pc out of the
+// pending table, which is what makes it the one sender.
+func (pc *pendingCall) complete(err error) {
+	pc.err = err
+	pc.done <- struct{}{}
 }
 
 // Client is a connection to a name server with an optional, never
@@ -49,13 +76,15 @@ type pendingCall struct {
 // number of concurrent callers over a single connection: each call is tagged with a fresh ID and parked in a
 // pending table, then the caller itself encodes the request under a
 // capacity-1 write token — and, when the connection is carrying a
-// pipeline, yields the processor once before flushing, so the callers a
-// leader has just woken append their frames and a burst of requests rides
-// one syscall (see send). Responses come back in whatever order the
-// server finished them and are dispatched by tag. Reading is
-// leader/followers: one waiting caller at a time holds the read token and
-// decodes for everyone, so the serial case pays no goroutine handoffs at
-// all. A leader stuck in a read cannot honor its own timer, so with
+// pipeline, yields the processor once and leaves the flush to the last
+// caller back from a yield, so the callers a leader has just woken append
+// their frames and a burst of requests rides one syscall (see send).
+// Responses come back in whatever order the server finished them and are
+// dispatched by tag. Reading is leader/followers: one waiting caller at a
+// time holds the read token and decodes for everyone — every complete
+// frame its read brought in, not only up to its own — so one response
+// burst wakes one group of callers, and the serial case pays no goroutine
+// handoffs at all. A leader stuck in a read cannot honor its own timer, so with
 // WithTimeout the leader arms the connection's read deadline with its
 // call's expiry instead — a deadline-failed read poisons the client
 // exactly as an expired call would have (see lead). The pending table lives under its own
@@ -75,6 +104,10 @@ type Client struct {
 	rresp  response      // decode target for frames no live call owns; guarded by rtoken
 	rbuf   []byte        // binary frame scratch; guarded by rtoken
 	errs   strIntern     // decode-side intern table (error strings, pushed names); guarded by rtoken
+
+	// yielding counts the pipelined callers between the start and the end
+	// of their yield (see send): the one that brings it back to zero flushes.
+	yielding atomic.Int32
 
 	closeOnce sync.Once
 
@@ -230,22 +263,26 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 // serial protocol. A pipelined caller (see call for what the pending table
 // has to show) instead lets go of the token and yields the processor once:
 // the callers a leader has just woken are runnable, and each appends its
-// own frame before the scheduler comes back here. Back from the yield,
-// every caller takes the token again and flushes whatever is still
-// buffered, so the first one back carries the burst in one syscall and the
-// rest find nothing to do.
+// own frame before the scheduler comes back here. The callers that yield
+// together are counted, and only the last of them back from its yield
+// takes the token again and flushes; the others return at once, their
+// frames in the buffer. So a burst of woken callers leaves in one syscall
+// even when some of them come back before the rest have run.
 //
 // Batching is opportunistic, delivery is not. At any GOMAXPROCS, if nobody
-// else ran during the yield the caller simply flushes alone. And when the
-// token is busy on the way back, its holder took it after our frame was
-// buffered and is past every point where a call can be abandoned (only
-// the wait for the token gives up on a timeout): it leaves through this
-// same tail, flushing what it finds or handing on to a later holder in
-// turn, and the last of them finds the token free. So the busy case
-// returns rather than queue — which is what keeps a caller whose request
-// may already be at the server from ever blocking here instead of reading:
-// over an unbuffered transport the server's flush, the token holder's
-// write and this wait would otherwise close a cycle.
+// else ran during the yield the caller is the last back and flushes alone.
+// A caller that is not the last leaves its frame to one still yielding,
+// and every yielder returns, so the last one back finds the frame
+// buffered. And when the token is busy on the way back, its holder took it
+// after our frame was buffered and is past every point where a call can
+// be abandoned (only the wait for the token gives up on a timeout): it
+// leaves through this same tail, flushing what it finds or handing on to a
+// later yielder or holder in turn, and the last of them finds the token
+// free. So the busy case returns rather than queue — which is what keeps a
+// caller whose request may already be at the server from ever blocking
+// here instead of reading: over an unbuffered transport the server's
+// flush, the token holder's write and this wait would otherwise close a
+// cycle.
 //
 //namingvet:allocfree
 func (c *Client) send(pc *pendingCall, pipelined bool) error {
@@ -260,8 +297,12 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 	}
 	err := writeFrame(c.bw, c.wbuf)
 	if err == nil && pipelined {
+		c.yielding.Add(1)
 		<-c.wtoken
 		runtime.Gosched()
+		if c.yielding.Add(-1) > 0 {
+			return nil
+		}
 		select {
 		case c.wtoken <- struct{}{}:
 		default:
@@ -276,7 +317,13 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 }
 
 // lead decodes responses while holding the read token, dispatching each
-// to the call wearing its tag, until pc completes or the stream dies.
+// to the call wearing its tag, until pc completes and the read buffer holds
+// no complete frame, or the stream dies. So the whole of what one read
+// brought in is delivered by one leader, and the callers it wakes send
+// their next requests as one burst (see send); a leader that returned at
+// its own frame would leave the rest to later leaders, each waking — and
+// flushing for — a slice of it. lead never reads the connection for a
+// frame once its own call is done: a partial frame is the next leader's.
 // With no deadline an idle read blocks until the server speaks; Close
 // unblocks it by closing the conn (conndeadline's idle-loop exemption
 // knows this). With a per-call timeout the leader cannot select on its
@@ -285,22 +332,31 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 // poisons the client exactly as withdraw would have — a call timeout always
 // poisons, so trading the torn stream for a dead conn loses nothing. Each
 // leader re-arms on taking the token, so the deadline in force is always
-// the current leader's.
+// the current leader's. lead reports whether it received pc's completion
+// signal: it has not when the stream died first, and then the caller
+// receives it (fail leaves no call pending, and whoever took pc out of
+// the table — this reader, or a concurrent fail — delivers).
 //
 //namingvet:allocfree
-func (c *Client) lead(pc *pendingCall, deadline time.Time) {
+func (c *Client) lead(pc *pendingCall, deadline time.Time) bool {
 	if !deadline.IsZero() {
 		_ = c.conn.SetReadDeadline(deadline)
 	}
+	done := false
 	for {
-		select {
-		case <-pc.done:
-			return
-		default:
+		if !done {
+			select {
+			case <-pc.done:
+				done = true
+			default:
+			}
+		}
+		if done && !frameBuffered(c.br) {
+			return true
 		}
 		if err := c.readOne(); err != nil {
 			c.fail(recvFailure(err))
-			return
+			return done
 		}
 	}
 }
@@ -326,15 +382,12 @@ func (c *Client) readOne() error {
 		delete(c.pending, id)
 		c.pmu.Unlock()
 		if pc != nil {
-			if err := parseResponse(body, &pc.resp, &c.errs); err != nil {
-				// pc is already out of the table, so fail cannot strand
-				// it: deliver the verdict here, then kill the stream.
-				pc.err = err
-				close(pc.done)
-				return err
-			}
-			close(pc.done)
-			return nil
+			// pc is already out of the table, so fail cannot strand it: a
+			// malformed answer is delivered as the call's verdict here, and
+			// the stream dies after.
+			err := parseResponse(body, &pc.resp, &c.errs)
+			pc.complete(err)
+			return err
 		}
 	}
 	// ID 0 (a push frame — clients never assign it) or an abandoned
@@ -398,8 +451,7 @@ func (c *Client) fail(err error) {
 	}
 	c.pmu.Unlock()
 	for _, pc := range stranded {
-		pc.err = err
-		close(pc.done)
+		pc.complete(err)
 	}
 	_ = c.conn.Close()
 }
@@ -432,9 +484,14 @@ func reqLabel(req *request) string {
 // when no one else is leading. With a timeout configured the call is
 // bounded everywhere: a timer covers the waits the caller can select on,
 // and the connection's read deadline covers the leader's blocking decode
-// (see lead and WithTimeout).
+// (see lead and WithTimeout). The call's record comes from callPool and
+// goes back when the call returns: every path out has received its
+// completion signal, never registered it, or withdrew it from the table
+// before anyone could send one (see pendingCall).
 func (c *Client) call(req request) (response, error) {
-	pc := &pendingCall{req: req, done: make(chan struct{})}
+	pc := callPool.Get().(*pendingCall)
+	defer putCall(pc)
+	pc.req = req
 	c.pmu.Lock()
 	if c.broken != nil {
 		err := c.broken
@@ -502,12 +559,10 @@ func (c *Client) call(req request) (response, error) {
 	}
 
 	// Fast path: the read token is usually free in the serial case — lead
-	// immediately. lead only returns once our call has completed.
+	// immediately.
 	select {
 	case c.rtoken <- struct{}{}:
-		c.lead(pc, deadline)
-		<-c.rtoken
-		return c.finish(pc)
+		return c.leadFor(pc, deadline)
 	default:
 	}
 	arm()
@@ -515,12 +570,21 @@ func (c *Client) call(req request) (response, error) {
 	case <-pc.done:
 		return c.finish(pc)
 	case c.rtoken <- struct{}{}:
-		c.lead(pc, deadline)
-		<-c.rtoken
-		return c.finish(pc)
+		return c.leadFor(pc, deadline)
 	case <-timeoutC:
 		return c.withdraw(pc, os.ErrDeadlineExceeded)
 	}
+}
+
+// leadFor leads the read until pc has completed (see lead), hands the read
+// token on, and unpacks pc.
+func (c *Client) leadFor(pc *pendingCall, deadline time.Time) (response, error) {
+	received := c.lead(pc, deadline)
+	<-c.rtoken
+	if !received {
+		<-pc.done
+	}
+	return c.finish(pc)
 }
 
 // finish unpacks a delivered call.

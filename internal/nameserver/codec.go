@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"syscall"
 
@@ -100,9 +101,11 @@ func writeFrame(bw *bufio.Writer, body []byte) error {
 	return err
 }
 
-// readFrame reads one frame body into *buf (grown once to the
-// connection's high-water frame size, then reused) and returns the body
-// slice. A clean EOF at the frame boundary surfaces as io.EOF so the
+// readFrame reads one frame body into *buf and returns the body slice. A
+// body that fits the buffer is read straight into it; a larger one grows
+// the buffer with the bytes that actually arrive (see growFrame), so the
+// buffer reaches the connection's high-water frame size once, then is
+// reused. A clean EOF at the frame boundary surfaces as io.EOF so the
 // caller can tell a closed peer from a torn frame.
 func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
@@ -113,14 +116,53 @@ func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 		return nil, errFrameTooBig
 	}
 	if uint64(cap(*buf)) < n {
-		//namingvet:allocfree-exempt -- amortized: the frame buffer grows to the high-water mark once
-		*buf = make([]byte, n)
+		return growFrame(br, buf, int(n))
 	}
 	b := (*buf)[:n]
 	if _, err := io.ReadFull(br, b); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// frameChunk is the most growFrame adds to a frame buffer ahead of the
+// bytes that have arrived: what a peer that announces a large frame and
+// then sends nothing can pin.
+const frameChunk = 4 << 10
+
+// growFrame reads an n-byte body too large for *buf, growing the buffer
+// only ahead of what has arrived — by frameChunk, or by what it already
+// holds, whichever is more — rather than to the announced length at once.
+// A peer that announces maxFrame and sends four bytes pins frameChunk, not
+// a megabyte; a frame that does arrive costs at most twice its size in
+// copies.
+func growFrame(br *bufio.Reader, buf *[]byte, n int) ([]byte, error) {
+	b := (*buf)[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), frameChunk)))
+		}
+		m, err := io.ReadFull(br, b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if errors.Is(err, io.EOF) && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	*buf = b
+	return b, nil
+}
+
+// frameBuffered reports whether br already holds the whole of the next
+// frame, so readFrame would return it without reading the connection.
+// It peeks and allocates nothing.
+func frameBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	r := varenc.NewReader(b)
+	r.Count() // the length prefix, bounded by the bytes behind it
+	return r.Err() == nil
 }
 
 // strIntern is a bounded string intern table: get returns a string equal

@@ -248,7 +248,7 @@ func TestServerAnswersBurstInOneWrite(t *testing.T) {
 
 // TestPipelinedCallersShareWrites: 64 callers on one Client and one
 // processor. Every frame used to leave in a write of its own (1.00 on
-// both sides); a woken burst now rides the first caller back from its
+// both sides); a woken burst now rides the last caller back from its
 // yield, and the server's answers ride its next read.
 func TestPipelinedCallersShareWrites(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -12,6 +12,7 @@ package nameserver
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -82,7 +83,10 @@ func FuzzBinaryResponse(f *testing.F) {
 
 // FuzzBinaryFrame drives the frame layer: a length prefix plus arbitrary
 // body bytes. readFrame must never panic, never hand back more bytes
-// than the stream held, and must enforce the frame size bound.
+// than the stream held, and must enforce the frame size bound. And
+// frameBuffered, which lets a leader go on dispatching without a read,
+// must never claim a frame is buffered when readFrame would need another
+// read to return it.
 func FuzzBinaryFrame(f *testing.F) {
 	req := populated()["request"].(request)
 	var framed bytes.Buffer
@@ -101,10 +105,22 @@ func FuzzBinaryFrame(f *testing.F) {
 	if err := bw.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(bytes.Clone(framed.Bytes()))          // a push frame that names its binding
-	f.Add([]byte{0})                            // empty frame
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // length far past maxFrame
+	f.Add(bytes.Clone(framed.Bytes()))                  // a push frame that names its binding
+	f.Add([]byte{0})                                    // empty frame
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F})         // length far past maxFrame
+	f.Add(append([]byte{0x02, 0xAA, 0xBB, 0x03}, 0xCC)) // a frame, then part of the next
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// One read brings in the first bufio buffer's worth; a second read
+		// is a failure frameBuffered said would not happen.
+		br := bufio.NewReader(&oneRead{data: data})
+		_, _ = br.Peek(1)
+		for frameBuffered(br) {
+			var buf []byte
+			if _, err := readFrame(br, &buf); err != nil {
+				t.Fatalf("frameBuffered said a frame was buffered, readFrame failed: %v", err)
+			}
+		}
+
 		var buf []byte
 		body, err := readFrame(bufio.NewReader(bytes.NewReader(data)), &buf)
 		if err != nil {
@@ -118,3 +134,19 @@ func FuzzBinaryFrame(f *testing.F) {
 		}
 	})
 }
+
+// oneRead yields its data in a single Read, then fails every Read after.
+type oneRead struct {
+	data []byte
+	done bool
+}
+
+func (r *oneRead) Read(p []byte) (int, error) {
+	if r.done {
+		return 0, errSecondRead
+	}
+	r.done = true
+	return copy(p, r.data), nil
+}
+
+var errSecondRead = errors.New("a second read of the stream")

@@ -1,7 +1,9 @@
 package nameserver
 
 import (
+	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -113,5 +115,106 @@ func TestClientErrorAfterServerGone(t *testing.T) {
 	<-done
 	if _, err := c.Resolve(core.ParsePath("usr")); err == nil {
 		t.Fatal("resolve after server close succeeded")
+	}
+}
+
+// prefixConn is a server's side of a peer that sends a fixed number of
+// bytes and then nothing: it reports, once, the first read the server
+// issues after every one of those bytes is in — by then the server has
+// decoded whatever the bytes announce and is waiting for the rest.
+type prefixConn struct {
+	net.Conn
+	want, got int
+	waiting   chan<- struct{}
+	reported  bool
+}
+
+func (p *prefixConn) Read(b []byte) (int, error) {
+	if p.got >= p.want && !p.reported {
+		p.reported = true
+		p.waiting <- struct{}{}
+	}
+	n, err := p.Conn.Read(b)
+	p.got += n
+	return n, err
+}
+
+type prefixListener struct {
+	net.Listener
+	want    int
+	waiting chan<- struct{}
+}
+
+func (l prefixListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &prefixConn{Conn: conn, want: l.want, waiting: l.waiting}, nil
+}
+
+// TestPrefixOnlyPeersPinLittleHeap: a peer that announces the largest frame
+// there is and sends nothing after the length prefix pins what it sent,
+// give or take a frame chunk — not the announced megabyte. 64 such peers
+// used to pin 64 MiB of server heap for as long as they stayed connected.
+func TestPrefixOnlyPeersPinLittleHeap(t *testing.T) {
+	const (
+		peers = 64
+		// perPeer bounds the server heap one idle connection may hold: its
+		// reader and writer buffers, its state and its workers' scratch,
+		// and one frame chunk. A sixteenth of the megabyte announced.
+		perPeer = 64 << 10
+	)
+	w, tr, _ := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := append([]byte{binaryMagic}, binary.AppendUvarint(nil, maxFrame)...)
+	waiting := make(chan struct{}, peers)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Serve(prefixListener{Listener: ln, want: len(hello), waiting: waiting})
+	}()
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+
+	before := heap()
+	conns := make([]net.Conn, 0, peers)
+	defer func() {
+		for _, conn := range conns {
+			_ = conn.Close()
+		}
+		s.Close()
+		<-served
+	}()
+	for i := 0; i < peers; i++ {
+		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < peers; i++ {
+		select {
+		case <-waiting:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d servers are waiting for a frame body", i, peers)
+		}
+	}
+	after := heap()
+	if got := int64(after-before) / peers; got > perPeer {
+		t.Errorf("server heap grew %d bytes per prefix-only peer, want <= %d", got, perPeer)
+	} else {
+		t.Logf("server heap grew %d bytes per prefix-only peer (%d received each)", got, len(hello))
 	}
 }
