@@ -69,6 +69,7 @@ var allocFuncs = map[string]bool{
 	"bytes.Split":         true,
 	"bytes.Fields":        true,
 	"bytes.Repeat":        true,
+	"slices.Grow":         true,
 	"time.NewTimer":       true,
 	"time.NewTicker":      true,
 	"time.After":          true,

@@ -40,8 +40,8 @@ const clientWriteTimeout = time.Minute
 // a reader delivers the response tagged with its ID. Records are reused
 // through callPool, so done is made once per record, not once per call.
 // Completion is one send on done, by whoever removes the call from
-// pending; every path out of call receives that send before the record
-// goes back (see putCall), because a signal left in the channel would
+// pending. A call that someone else removed receives that send before its
+// record goes back (see putCall): a signal left in the channel would
 // complete the record's next call at once, with an empty answer.
 type pendingCall struct {
 	req  request
@@ -105,8 +105,11 @@ type Client struct {
 	rbuf   []byte        // binary frame scratch; guarded by rtoken
 	errs   strIntern     // decode-side intern table (error strings, pushed names); guarded by rtoken
 
-	// yielding counts the pipelined callers between the start and the end
-	// of their yield (see send): the one that brings it back to zero flushes.
+	// inflight counts the calls between registering and returning (see
+	// call): more than two makes a pipeline. yielding counts the pipelined
+	// callers between the start and the end of their yield (see send): the
+	// one that brings it back to zero flushes.
+	inflight atomic.Int32
 	yielding atomic.Int32
 
 	closeOnce sync.Once
@@ -260,8 +263,8 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 // Buffered bytes are flushed by whoever is about to stop using the CPU,
 // never per frame. A caller outside a pipeline is about to wait for its
 // own response: it flushes at once — one write per call, exactly the
-// serial protocol. A pipelined caller (see call for what the pending table
-// has to show) instead lets go of the token and yields the processor once:
+// serial protocol. A pipelined caller (see call for what counts as a
+// pipeline) instead lets go of the token and yields the processor once:
 // the callers a leader has just woken are runnable, and each appends its
 // own frame before the scheduler comes back here. The callers that yield
 // together are counted, and only the last of them back from its yield
@@ -278,11 +281,12 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 // be abandoned (only the wait for the token gives up on a timeout): it
 // leaves through this same tail, flushing what it finds or handing on to a
 // later yielder or holder in turn, and the last of them finds the token
-// free. So the busy case returns rather than queue — which is what keeps a
-// caller whose request may already be at the server from ever blocking
-// here instead of reading: over an unbuffered transport the server's
-// flush, the token holder's write and this wait would otherwise close a
-// cycle.
+// free. A holder whose own request is too big to send leaves the same
+// way: it writes none of its own, but flushes what it finds. So the busy
+// case returns rather than queue — which is what keeps a caller whose
+// request may already be at the server from ever blocking here instead of
+// reading: over an unbuffered transport the server's flush, the token
+// holder's write and this wait would otherwise close a cycle.
 //
 //namingvet:allocfree
 func (c *Client) send(pc *pendingCall, pipelined bool) error {
@@ -291,8 +295,16 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 	c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
 	if len(c.wbuf) > maxFrame {
 		// The server would refuse the frame and drop the stream: refuse it
-		// here instead, having written nothing (see call).
+		// here instead, having written none of it (see call). Frames that
+		// yielders left behind a busy token still leave, as below.
+		var err error
+		if c.bw.Buffered() > 0 {
+			err = c.bw.Flush()
+		}
 		<-c.wtoken
+		if err != nil {
+			return err
+		}
 		return errRequestTooBig
 	}
 	err := writeFrame(c.bw, c.wbuf)
@@ -485,9 +497,7 @@ func reqLabel(req *request) string {
 // bounded everywhere: a timer covers the waits the caller can select on,
 // and the connection's read deadline covers the leader's blocking decode
 // (see lead and WithTimeout). The call's record comes from callPool and
-// goes back when the call returns: every path out has received its
-// completion signal, never registered it, or withdrew it from the table
-// before anyone could send one (see pendingCall).
+// goes back when call returns (see pendingCall).
 func (c *Client) call(req request) (response, error) {
 	pc := callPool.Get().(*pendingCall)
 	defer putCall(pc)
@@ -501,15 +511,18 @@ func (c *Client) call(req request) (response, error) {
 	c.nextID++
 	pc.req.ID = c.nextID
 	c.pending[pc.req.ID] = pc
+	c.pmu.Unlock()
 	// At least two other calls in flight is what counts as a pipeline (see
-	// send). The table only ever holds callers parked on the wire, so it
-	// cannot say who is about to send; its depth is a proxy for how many
-	// callers share the connection. With one other call that proxy reads
+	// send). A call is in flight from here until it returns, answered or
+	// not: a leader delivers a whole burst at once (see lead), so the
+	// callers it woke are out of the pending table but still on their way
+	// back, and they are the ones about to send. The count is a proxy for
+	// how many callers share the connection. With one other call it reads
 	// "both of two callers accounted for": a yield then gathers nobody and
 	// only lets every unrelated runnable goroutine's traffic overtake this
 	// request (DESIGN §5a has the measurement that drew the line here).
-	pipelined := len(c.pending) > 2
-	c.pmu.Unlock()
+	pipelined := c.inflight.Add(1) > 2
+	defer c.inflight.Add(-1)
 
 	// The timer is created lazily, on the first wait that actually needs
 	// to select on it: the uncontended paths — write token free, caller

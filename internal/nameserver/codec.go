@@ -140,6 +140,7 @@ func growFrame(br *bufio.Reader, buf *[]byte, n int) ([]byte, error) {
 	b := (*buf)[:0]
 	for len(b) < n {
 		if len(b) == cap(b) {
+			//namingvet:allocfree-exempt -- amortized: the frame buffer grows to the high-water mark once, by what arrives
 			b = slices.Grow(b, min(n-len(b), max(len(b), frameChunk)))
 		}
 		m, err := io.ReadFull(br, b[len(b):min(cap(b), n)])

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -351,4 +353,97 @@ func TestBatchResultsNotAliased(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestOversizedRequestFlushesYieldersFrames: a pipelined caller back from
+// its yield that finds the write token busy leaves its frame to the
+// token's holder. A holder whose own request is refused as too big must
+// still send that frame: its caller waits for an answer to it, and with
+// no timeout and no later call nobody else would. Two Ps, so the yielder
+// comes back while the holder is still encoding its oversized batch.
+func TestOversizedRequestFlushesYieldersFrames(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	conn := newBurstConn()
+	conn.chunks <- []byte{binaryMagic}
+	c := NewClient(conn)
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	conn.awaitRead(t) // the handshake's
+	const calls = 3
+	answers := make([]chan error, calls)
+	queued := func(n int) { // n calls registered, the last parked on the token
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			c.pmu.Lock()
+			got := len(c.pending)
+			c.pmu.Unlock()
+			if got == n {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d calls registered, want %d", got, n)
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	for i := range answers {
+		answers[i] = make(chan error, 1)
+		go func() {
+			e, err := c.Resolve(core.ParsePath(fmt.Sprintf("dir/f%d", i)))
+			if err == nil && e.ID != core.EntityID(100+i) {
+				err = fmt.Errorf("call %d answered with entity %d", i, e.ID)
+			}
+			answers[i] <- err
+		}()
+		if i == 0 {
+			// The leader: alone, its request out, parked in its read. The
+			// test then holds the write token, so the callers after it queue
+			// for the token in the order they come.
+			conn.awaitRequests(t, 1)
+			conn.awaitRead(t)
+			c.wtoken <- struct{}{}
+		}
+		queued(i + 1)
+	}
+	// Call 1 saw one other call in flight and flushes alone; call 2 saw two,
+	// yields, and hands the token to this batch, which spends a while
+	// encoding more than maxFrame bytes.
+	raw, err := CanonicalWirePath(core.ParsePath("dir/f0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([][]string, maxFrame/4)
+	for i := range paths {
+		paths[i] = raw
+	}
+	big := make(chan error, 1)
+	go func() {
+		_, err := c.call(request{Paths: paths})
+		big <- err
+	}()
+	queued(calls + 1)
+	<-c.wtoken
+
+	select {
+	case err := <-big:
+		if !errors.Is(err, syscall.EMSGSIZE) {
+			t.Fatalf("oversized batch: %v, want EMSGSIZE", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the oversized batch was never refused")
+	}
+	reqs := conn.awaitRequests(t, calls)
+	conn.chunks <- responseFrames(t, reqs)
+	for i, answer := range answers {
+		select {
+		case err := <-answer:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("call %d was never answered", i)
+		}
+	}
 }
