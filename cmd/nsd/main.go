@@ -4,8 +4,8 @@
 // cluster (internal/cluster): by default one shard with one replica,
 // listening on -addr. With -shard N it partitions the tree across N name
 // servers by prefix and serves all of them on ephemeral loopback ports,
-// printing the routing table; any member can bootstrap an nsq -cluster
-// client. With -replicas R every shard is served by R replica servers
+// printing the routing table; any member can bootstrap an nsq client, as
+// -addr bootstraps one against the default shape. With -replicas R every shard is served by R replica servers
 // holding replicas of the same subtree, so clients can fail over when one
 // dies.
 //

@@ -1,26 +1,23 @@
-// Command nsq queries a running nsd name server: it resolves each path
-// argument and prints the resulting entity (or error). With -cluster it
-// bootstraps the routing table from the given address (any member of an
-// nsd -shard cluster) and routes each name to its shard; -batch resolves
-// all arguments with one round-trip per shard. Cluster requests run under
-// a deadline (-timeout) with bounded retry (-retries) and automatic
-// failover across an nsd -replicas deployment's replica servers.
+// Command nsq queries a running nsd: it resolves each path argument and
+// prints the resulting entity (or error). Every nsd is a cluster (one
+// shard with one replica is the smallest), so nsq bootstraps the routing
+// table from the given address — any member — and routes each name to its
+// shard; -batch resolves all arguments with one round-trip per shard.
+// Requests run under a deadline (-timeout) with bounded retry (-retries)
+// and automatic failover across an nsd -replicas deployment's replica
+// servers.
 //
 // The first argument may be a mutation verb: "bind PATH TARGET" binds
 // PATH to the entity TARGET resolves to, "unbind PATH" removes the
-// binding, "mkcontext PATH" creates a directory. In cluster mode writes
-// route to the owning shard's primary. -cache N is the wire client's plain
-// cache, never invalidated; with -cluster it is the revision-tracked
-// per-shard cache, against a lone nsd too (one shard is a valid cluster).
-// Both evict by SIEVE (internal/lru). -push
-// subscribes the client for server-pushed invalidations before resolving.
-// Without -cluster it prints each frame as it is consumed, and purges
-// nothing: "rev N: dir #ID name" for a commit that rebound one
-// non-directory name, "rev N: everything" for any other — what this
-// subscriber was told, and when it stopped being stale. With -cluster the
-// frames print nothing; they purge the cache (with -cache -n, where
-// repeated reads would otherwise revalidate by poll). Either way the run
-// ends with the number of frames consumed ("push: N invalidations").
+// binding, "mkcontext PATH" creates a directory. Writes route to the
+// owning shard's primary. -cache N is the revision-tracked per-shard cache
+// (SIEVE eviction, internal/lru): a response that carries a newer revision
+// than the cache is current to purges the shard's entries. -push
+// subscribes the client for server-pushed invalidation frames, which purge
+// the cache as the writes commit (with -cache -n, where repeated reads
+// would otherwise revalidate by poll); the run ends with the number of
+// frames consumed ("push: N invalidations"). -cluster is accepted and
+// changes nothing: nsd's bootstrap line and bench/nsload still pass it.
 //
 // Usage:
 //
@@ -29,110 +26,125 @@
 //	nsq bind /usr/bin/ls2 /usr/bin/ls
 //	nsq mkcontext /usr/local && nsq bind /usr/local/tool /usr/bin/ls
 //	nsq unbind /usr/bin/ls2
-//	nsq -cluster -addr 127.0.0.1:40001 -batch /usr/bin/ls /etc/passwd
-//	nsq -cluster -addr 127.0.0.1:40001 -timeout 500ms -retries 3 /etc/passwd
-//	nsq -cluster -addr 127.0.0.1:40001 bind /usr/bin/ls2 /usr/bin/ls
+//	nsq -addr 127.0.0.1:40001 -batch /usr/bin/ls /etc/passwd
+//	nsq -addr 127.0.0.1:40001 -timeout 500ms -retries 3 /etc/passwd
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
-	"namecoherence/internal/nameserver"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nsq:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("nsq", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7474", "server address (any cluster member with -cluster)")
-	cacheSize := fs.Int("cache", 0, "client cache size (0 = none); revision-tracked with -cluster, never invalidated without")
+	addr := fs.String("addr", "127.0.0.1:7474", "address of any cluster member")
+	cacheSize := fs.Int("cache", 0, "revision-tracked client cache size (0 = none)")
 	repeat := fs.Int("n", 1, "resolve each path this many times")
-	clustered := fs.Bool("cluster", false, "treat -addr as a sharded-cluster member and route by prefix")
-	batch := fs.Bool("batch", false, "with -cluster: resolve all paths in one round-trip per shard")
+	fs.Bool("cluster", false, "no effect: every nsd serves a routing table, and nsq always routes by it")
+	batch := fs.Bool("batch", false, "resolve all paths in one round-trip per shard")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
-	retries := fs.Int("retries", 2, "with -cluster: extra attempts after a transport failure")
-	push := fs.Bool("push", false, "subscribe for server-pushed invalidation frames: print each one, or with -cluster purge the cache by them unprinted; then print their count")
+	retries := fs.Int("retries", 2, "extra attempts after a transport failure")
+	push := fs.Bool("push", false, "subscribe for server-pushed invalidation frames, which purge the cache; then print their count")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no paths given")
 	}
-	if *batch && !*clustered {
-		return fmt.Errorf("-batch requires -cluster")
-	}
-	if *retries < 0 {
+	switch {
+	case *repeat < 1:
+		return fmt.Errorf("-n %d: must be >= 1", *repeat)
+	case *cacheSize < 0:
+		return fmt.Errorf("-cache %d: must be >= 0", *cacheSize)
+	case *timeout < 0:
+		return fmt.Errorf("-timeout %v: must be >= 0", *timeout)
+	case *retries < 0:
 		return fmt.Errorf("-retries %d: must be >= 0", *retries)
 	}
 	verb, rest, err := splitVerb(fs.Args())
 	if err != nil {
 		return err
 	}
-	if *clustered {
-		return runCluster(*addr, *cacheSize, *batch, *repeat, *timeout, *retries, *push, verb, rest)
-	}
 
-	var opts []nameserver.ClientOption
+	opts := []cluster.ClientOption{
+		cluster.WithTimeout(*timeout),
+		cluster.WithRetries(*retries),
+	}
 	if *cacheSize > 0 {
-		opts = append(opts, nameserver.WithCache(*cacheSize))
+		opts = append(opts, cluster.WithLRU(*cacheSize))
 	}
-	if *timeout > 0 {
-		opts = append(opts, nameserver.WithTimeout(*timeout))
+	if *push {
+		opts = append(opts, cluster.WithPushInvalidation())
 	}
-	client, err := nameserver.Dial("tcp", *addr, opts...)
+	client, err := cluster.Dial("tcp", *addr, opts...)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = client.Close() }()
+	defer client.Close()
 
 	if verb != "" {
-		return mutateSingle(client, verb, rest)
+		return mutate(out, client, verb, rest)
 	}
-	if *push {
-		if _, err := client.SubscribeFrames(func(iv nameserver.Invalidation) {
-			fmt.Println(describeFrame(iv))
-		}); err != nil {
-			return fmt.Errorf("subscribe: %w", err)
-		}
+
+	routes := client.Routes()
+	if routes.Replicas != nil {
+		fmt.Fprintf(out, "cluster: %d shards x %d replicas via %s\n",
+			len(routes.Addrs), len(routes.ReplicaAddrs(0)), *addr)
+	} else {
+		fmt.Fprintf(out, "cluster: %d shards via %s\n", len(routes.Addrs), *addr)
+	}
+
+	paths := make([]core.Path, len(rest))
+	for i, arg := range rest {
+		_, paths[i] = core.SplitPathString(arg)
 	}
 	for i := 0; i < *repeat; i++ {
-		for _, arg := range rest {
-			_, p := core.SplitPathString(arg)
-			e, err := client.Resolve(p)
+		if *batch {
+			results, err := client.ResolveBatch(paths)
 			if err != nil {
-				fmt.Printf("%-30s -> error: %v\n", arg, err)
-				continue
+				return err
 			}
-			fmt.Printf("%-30s -> %v\n", arg, e)
+			for j, res := range results {
+				printResolved(out, rest[j], res.Entity, res.Err)
+			}
+			continue
+		}
+		for j, p := range paths {
+			e, err := client.Resolve(p)
+			printResolved(out, rest[j], e, err)
 		}
 	}
 	if *cacheSize > 0 {
 		m := client.Metrics()
-		fmt.Printf("cache: %d hits, %d misses\n", m.Hits, m.Misses)
+		fmt.Fprintf(out, "cache: %d hits, %d misses\n", m.Hits, m.Misses)
 	}
 	if *push {
-		fmt.Printf("push: %d invalidations\n", client.Metrics().Invalidations)
+		fmt.Fprintf(out, "push: %d invalidations\n", client.Metrics().Invalidations)
 	}
 	return nil
 }
 
-// describeFrame renders one consumed push frame: what the server said
-// changed at that revision.
-func describeFrame(iv nameserver.Invalidation) string {
-	if iv.Dir == 0 {
-		return fmt.Sprintf("rev %d: everything", iv.Rev)
+// printResolved prints one path's outcome: a per-path error is output,
+// not a failure of the run.
+func printResolved(out io.Writer, arg string, e core.Entity, err error) {
+	if err != nil {
+		fmt.Fprintf(out, "%-30s -> error: %v\n", arg, err)
+		return
 	}
-	return fmt.Sprintf("rev %d: dir #%d %s", iv.Rev, iv.Dir, iv.Name)
+	fmt.Fprintf(out, "%-30s -> %v\n", arg, e)
 }
 
 // splitVerb peels a leading mutation verb off the positional arguments
@@ -164,43 +176,9 @@ func splitDirName(arg string) (core.Path, core.Name, error) {
 	return p[:len(p)-1], p[len(p)-1], nil
 }
 
-// mutateSingle applies one mutation verb through a single-server client.
-func mutateSingle(client *nameserver.Client, verb string, args []string) error {
-	dir, name, err := splitDirName(args[0])
-	if err != nil {
-		return err
-	}
-	switch verb {
-	case "bind":
-		_, tp := core.SplitPathString(args[1])
-		target, err := client.Resolve(tp)
-		if err != nil {
-			return fmt.Errorf("resolve target %s: %w", args[1], err)
-		}
-		rev, err := client.Bind(dir, name, target)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("bound %s -> %v (revision %d)\n", args[0], target, rev)
-	case "unbind":
-		rev, err := client.Unbind(dir, name)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("unbound %s (revision %d)\n", args[0], rev)
-	case "mkcontext":
-		e, rev, err := client.Mkcontext(dir, name)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("made context %s -> %v (revision %d)\n", args[0], e, rev)
-	}
-	return nil
-}
-
-// mutateCluster applies one mutation verb through a cluster client; the
-// write routes to the owning shard's primary replica.
-func mutateCluster(client *cluster.Client, verb string, args []string) error {
+// mutate applies one mutation verb; the write routes to the owning
+// shard's primary replica.
+func mutate(out io.Writer, client *cluster.Client, verb string, args []string) error {
 	dir, name, err := splitDirName(args[0])
 	if err != nil {
 		return err
@@ -215,90 +193,18 @@ func mutateCluster(client *cluster.Client, verb string, args []string) error {
 		if err := client.Bind(dir, name, target); err != nil {
 			return err
 		}
-		fmt.Printf("bound %s -> %v\n", args[0], target)
+		fmt.Fprintf(out, "bound %s -> %v\n", args[0], target)
 	case "unbind":
 		if err := client.Unbind(dir, name); err != nil {
 			return err
 		}
-		fmt.Printf("unbound %s\n", args[0])
+		fmt.Fprintf(out, "unbound %s\n", args[0])
 	case "mkcontext":
 		e, err := client.Mkcontext(dir, name)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("made context %s -> %v\n", args[0], e)
-	}
-	return nil
-}
-
-// runCluster resolves the paths through a sharded-cluster client
-// bootstrapped from one member address. The cluster cache is always the
-// revision-tracked per-shard cache; requests run under the deadline and
-// retry/failover policy.
-func runCluster(addr string, cacheSize int, batch bool, repeat int,
-	timeout time.Duration, retries int, push bool, verb string, args []string) error {
-	opts := []cluster.ClientOption{
-		cluster.WithTimeout(timeout),
-		cluster.WithRetries(retries),
-	}
-	if cacheSize > 0 {
-		opts = append(opts, cluster.WithLRU(cacheSize))
-	}
-	if push {
-		opts = append(opts, cluster.WithPushInvalidation())
-	}
-	client, err := cluster.Dial("tcp", addr, opts...)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	if verb != "" {
-		return mutateCluster(client, verb, args)
-	}
-
-	routes := client.Routes()
-	if routes.Replicas != nil {
-		fmt.Printf("cluster: %d shards x %d replicas via %s\n",
-			len(routes.Addrs), len(routes.ReplicaAddrs(0)), addr)
-	} else {
-		fmt.Printf("cluster: %d shards via %s\n", len(routes.Addrs), addr)
-	}
-
-	paths := make([]core.Path, len(args))
-	for i, arg := range args {
-		_, paths[i] = core.SplitPathString(arg)
-	}
-	for i := 0; i < repeat; i++ {
-		if batch {
-			results, err := client.ResolveBatch(paths)
-			if err != nil {
-				return err
-			}
-			for j, res := range results {
-				if res.Err != nil {
-					fmt.Printf("%-30s -> error: %v\n", args[j], res.Err)
-					continue
-				}
-				fmt.Printf("%-30s -> %v\n", args[j], res.Entity)
-			}
-			continue
-		}
-		for j, p := range paths {
-			e, err := client.Resolve(p)
-			if err != nil {
-				fmt.Printf("%-30s -> error: %v\n", args[j], err)
-				continue
-			}
-			fmt.Printf("%-30s -> %v\n", args[j], e)
-		}
-	}
-	if cacheSize > 0 {
-		m := client.Metrics()
-		fmt.Printf("cache: %d hits, %d misses\n", m.Hits, m.Misses)
-	}
-	if push {
-		fmt.Printf("push: %d invalidations\n", client.Metrics().Invalidations)
+		fmt.Fprintf(out, "made context %s -> %v\n", args[0], e)
 	}
 	return nil
 }

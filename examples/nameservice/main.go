@@ -1,7 +1,7 @@
 // Nameservice: exports a naming tree over real TCP with the binary wire protocol,
-// then demonstrates the coherence hazard of name caches — the wire client's
-// plain cache serves a stale meaning after a rebinding, while the cluster
-// client's revision-tracked cache converges after one round-trip.
+// then demonstrates the coherence hazard of name caches — a plain cache,
+// never invalidated, serves a stale meaning after a rebinding, while the
+// cluster client's revision-tracked cache converges after one round-trip.
 package main
 
 import (
@@ -33,11 +33,12 @@ func run() error {
 	}
 	fmt.Printf("name server on %s\n", addr)
 
-	plain, err := naming.DialNameServer("tcp", addr, naming.WithResolveCache(16))
+	uncached, err := naming.DialShardedCluster("tcp", addr)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = plain.Close() }()
+	defer uncached.Close()
+	plain := &plainCache{c: uncached, kept: make(map[string]naming.Entity)}
 	coherent, err := naming.DialShardedCluster("tcp", addr, naming.WithShardLRU(16))
 	if err != nil {
 		return err
@@ -91,4 +92,23 @@ func run() error {
 	fmt.Println("\nthe plain cache still serves the stale entity; the coherent cache")
 	fmt.Println("purged on the revision change and re-fetched the new meaning.")
 	return nil
+}
+
+// plainCache keeps every answer forever: the uninvalidated name cache whose
+// hazard the paper names, in front of an uncached client.
+type plainCache struct {
+	c    naming.ServiceResolver
+	kept map[string]naming.Entity
+}
+
+func (p *plainCache) Resolve(path naming.Path) (naming.Entity, error) {
+	key := path.String()
+	if e, ok := p.kept[key]; ok {
+		return e, nil
+	}
+	e, err := p.c.Resolve(path)
+	if err == nil {
+		p.kept[key] = e
+	}
+	return e, err
 }

@@ -34,12 +34,10 @@ file /usr/bin/ls "#!ls"
 	fmt.Println("resolving usr/bin/ls six times, asking the replicas in rotation:")
 	var first naming.Entity
 	for i := 0; i < 6; i++ {
-		c, err := naming.DialNameServer("tcp", replicas[i%len(replicas)])
-		if err != nil {
-			return err
-		}
+		// A routing table that lists one address pins the client to it.
+		c := naming.NewShardedClient("tcp", &naming.RouteInfo{Addrs: []string{replicas[i%len(replicas)]}})
 		e, err := c.Resolve(p)
-		_ = c.Close()
+		c.Close()
 		if err != nil {
 			return err
 		}

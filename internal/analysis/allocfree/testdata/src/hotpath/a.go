@@ -90,6 +90,15 @@ func escape(n int) *request {
 	return &request{ID: 1} // want `escape is marked //namingvet:allocfree but allocates: &hotpath\.request literal escapes to heap`
 }
 
+// declare is a root whose `var` declaration holds a literal it returns:
+// the escape test follows the declared name to its escaping use.
+//
+//namingvet:allocfree
+func declare(id uint64) *request {
+	var r = &request{ID: id} // want `declare is marked //namingvet:allocfree but allocates: &hotpath\.request literal escapes to heap`
+	return r
+}
+
 // teardown is wholly exempt: a root calling it stays clean even though
 // its body allocates freely.
 //

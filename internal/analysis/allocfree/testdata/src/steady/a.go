@@ -105,6 +105,16 @@ func localOnly(n uint64) uint64 {
 	return p.ID + uint64(buf[0])
 }
 
+// declaredLocal is a clean root: a `var` declaration whose literal is
+// only read through the declared name never leaves the frame.
+//
+//namingvet:allocfree
+func declaredLocal(n uint64) uint64 {
+	var p = &entry{ID: n}
+	p.Gen = 2
+	return p.ID + uint64(p.Gen)
+}
+
 // frozen is pure arithmetic; its whole-function exemption outlived the
 // code it once covered and the audit reports it.
 //

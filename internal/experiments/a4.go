@@ -7,7 +7,7 @@ import (
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/coherence"
 	"namecoherence/internal/core"
-	"namecoherence/internal/nameserver"
+	"namecoherence/internal/lru"
 	"namecoherence/internal/workload"
 )
 
@@ -18,30 +18,37 @@ const (
 	a4CacheSize = 64
 )
 
-// a4Dial connects one cache discipline's client to the one-shard cluster
-// and returns it with a read of its cache hits and misses (the wire client's
-// and the cluster client's Metrics differ) and its close function.
-func a4Dial(scheme string, cl *cluster.Cluster) (coherence.Resolver, func() (hits, misses int), func(), error) {
-	if scheme == "coherent" {
-		// The cluster's own routing table: no bootstrap request is counted.
-		c := cluster.NewClient("tcp", cl.Routes(), cluster.WithLRU(a4CacheSize))
-		return c, func() (int, int) { m := c.Metrics(); return m.Hits, m.Misses }, c.Close, nil
-	}
-	var opts []nameserver.ClientOption
-	if scheme == "plain" {
-		opts = append(opts, nameserver.WithCache(a4CacheSize))
-	}
-	c, err := nameserver.Dial("tcp", cl.Addrs()[0], opts...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, func() (int, int) { m := c.Metrics(); return m.Hits, m.Misses }, func() { _ = c.Close() }, nil
+// plainCacheResolver is the name cache the paper warns about: it keeps
+// every answer until eviction and is never invalidated, by revisions or by
+// frames. It fronts an uncached cluster client, so every miss is one
+// round-trip and a hit is whatever it kept.
+type plainCacheResolver struct {
+	c     *cluster.Client
+	cache *lru.Cache[string, core.Entity]
+	m     cluster.ClientMetrics // Hits and Misses only
 }
+
+func (r *plainCacheResolver) Resolve(p core.Path) (core.Entity, error) {
+	key := p.String()
+	if e, ok := r.cache.Get(key); ok {
+		r.m.Hits++
+		return e, nil
+	}
+	e, err := r.c.Resolve(p)
+	if err != nil {
+		return core.Undefined, err
+	}
+	r.m.Misses++
+	r.cache.Put(key, e)
+	return e, nil
+}
+
+func (r *plainCacheResolver) Metrics() cluster.ClientMetrics { return r.m }
 
 // a4 measures stale reads under binding churn for each cache discipline.
 // It interleaves lookups with server-side rebinding and counts stale reads
 // (lookups that returned an entity other than the current binding) for the
-// no-cache, plain-cache (nameserver.WithCache) and coherent-cache
+// no-cache, plain-cache (plainCacheResolver) and coherent-cache
 // (cluster.Client's revision-tracked cache, polling) disciplines, each against
 // a fresh one-shard cluster.
 func a4() (*Table, error) {
@@ -95,11 +102,20 @@ func a4Run(scheme string) (stale, served int, hitRate float64, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	client, stats, closeClient, err := a4Dial(scheme, cl)
-	if err != nil {
-		return 0, 0, 0, err
+	var opts []cluster.ClientOption
+	if scheme == "coherent" {
+		opts = append(opts, cluster.WithLRU(a4CacheSize))
 	}
-	defer closeClient()
+	// The cluster's own routing table: no bootstrap request is counted.
+	c := cluster.NewClient("tcp", cl.Routes(), opts...)
+	defer c.Close()
+	var client interface {
+		coherence.Resolver
+		Metrics() cluster.ClientMetrics
+	} = c
+	if scheme == "plain" {
+		client = &plainCacheResolver{c: c, cache: lru.New[string, core.Entity](a4CacheSize)}
+	}
 
 	gen := workload.New(seed)
 	lookupSeq := gen.Zipf(a4Lookups, names)
@@ -119,9 +135,8 @@ func a4Run(scheme string) (stale, served int, hitRate float64, err error) {
 			stale++
 		}
 	}
-	hits, misses := stats()
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
+	if m := client.Metrics(); m.Hits+m.Misses > 0 {
+		hitRate = float64(m.Hits) / float64(m.Hits+m.Misses)
 	}
 	return stale, cl.Metrics().Served, hitRate, nil
 }

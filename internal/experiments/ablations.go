@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"sync"
+	"strings"
 
+	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
-	"namecoherence/internal/dirtree"
-	"namecoherence/internal/nameserver"
 	"namecoherence/internal/netsim"
 	"namecoherence/internal/pqi"
 	"namecoherence/internal/workload"
@@ -28,16 +26,17 @@ func a1() (*Table, error) {
 		// seed drives the Zipf sampler.
 		seed = 11
 	)
-	w := core.NewWorld()
-	tr := dirtree.New(w, "export")
+	var spec strings.Builder
 	paths := make([]core.Path, names)
 	for i := range paths {
-		p := core.ParsePath(fmt.Sprintf("dir/f%04d", i))
-		if _, err := tr.Create(p, "x"); err != nil {
-			return nil, err
-		}
-		paths[i] = p
+		paths[i] = core.ParsePath(fmt.Sprintf("dir/f%04d", i))
+		fmt.Fprintf(&spec, "file %s \"x\"\n", paths[i])
 	}
+	cl, err := cluster.New(core.NewWorld(), spec.String(), 1)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
 
 	t := &Table{
 		Header: []string{"cache-size", "lookups", "server-requests", "hit-rate"},
@@ -48,32 +47,24 @@ func a1() (*Table, error) {
 		},
 	}
 	for _, size := range a1CacheSizes {
-		server := nameserver.NewServer(w, tr.RootContext())
-		serverEnd, clientEnd := net.Pipe()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			server.ServeConn(serverEnd)
-		}()
-
-		var opts []nameserver.ClientOption
+		// Nothing rebinds, so the revision-tracked cache never purges: it
+		// answers exactly as an uninvalidated one would.
+		var opts []cluster.ClientOption
 		if size > 0 {
-			opts = append(opts, nameserver.WithCache(size))
+			opts = append(opts, cluster.WithLRU(size))
 		}
-		client := nameserver.NewClient(clientEnd, opts...)
+		client := cluster.NewClient("tcp", cl.Routes(), opts...)
+		before := cl.Metrics().Served
 		gen := workload.New(seed)
 		for _, idx := range gen.Zipf(lookups, names) {
 			if _, err := client.Resolve(paths[idx]); err != nil {
+				client.Close()
 				return nil, err
 			}
 		}
 		m := client.Metrics()
-		if err := client.Close(); err != nil {
-			return nil, err
-		}
-		wg.Wait()
-		t.AddRow(itoa(size), itoa(lookups), itoa(server.Metrics().Served),
+		client.Close()
+		t.AddRow(itoa(size), itoa(lookups), itoa(cl.Metrics().Served-before),
 			f2(float64(m.Hits)/float64(m.Hits+m.Misses)))
 	}
 	return t, nil

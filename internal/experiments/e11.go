@@ -60,14 +60,13 @@ func e11Run(n int) (distinct, weak, succ int, err error) {
 	defer cl.Close()
 
 	// cluster.Client sticks to a shard's primary by design, so the rotation
-	// over the replicas is the experiment's own: one connection per address.
+	// over the replicas is the experiment's own: one client per replica,
+	// pinned to it by a routing table that lists that address alone.
 	p := core.ParsePath("usr/bin/ls")
 	addrs := cl.Routes().Replicas[0]
-	conns := make([]*nameserver.Client, len(addrs))
+	conns := make([]*cluster.Client, len(addrs))
 	for i, addr := range addrs {
-		if conns[i], err = nameserver.Dial("tcp", addr); err != nil {
-			return 0, 0, 0, err
-		}
+		conns[i] = cluster.NewClient("tcp", &nameserver.RouteInfo{Addrs: []string{addr}})
 		defer conns[i].Close()
 	}
 	seen := make(map[core.EntityID]bool)

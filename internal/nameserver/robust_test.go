@@ -2,6 +2,7 @@ package nameserver
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -216,5 +217,77 @@ func TestPrefixOnlyPeersPinLittleHeap(t *testing.T) {
 		t.Errorf("server heap grew %d bytes per prefix-only peer, want <= %d", got, perPeer)
 	} else {
 		t.Logf("server heap grew %d bytes per prefix-only peer (%d received each)", got, len(hello))
+	}
+}
+
+// TestIdleConnectionsCost documents what a connection that finished the
+// hello and then went quiet holds on the server: its ServeConn goroutine
+// plus one worker per GOMAXPROCS, all started up front (3 goroutines at
+// GOMAXPROCS 2), and about 9 KiB of heap (amd64; goroutine stacks are not
+// heap). Starting workers on demand (ROADMAP item 12) flips the goroutine
+// count to at most one per idle connection.
+func TestIdleConnectionsCost(t *testing.T) {
+	const (
+		peers = 32
+		// perPeer bounds the server heap one idle connection may hold: its
+		// reader and writer buffers and its state.
+		perPeer = 32 << 10
+	)
+	w, tr, _ := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Serve(ln)
+	}()
+	conns := make([]net.Conn, 0, peers)
+	defer func() {
+		for _, conn := range conns {
+			_ = conn.Close()
+		}
+		s.Close()
+		<-served
+	}()
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+
+	wantEach := 1 + runtime.GOMAXPROCS(0)
+	goBefore, heapBefore := runtime.NumGoroutine(), heap()
+	for i := 0; i < peers; i++ {
+		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+		var reply [1]byte
+		if _, err := conn.Write([]byte{binaryMagic}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, reply[:]); err != nil || reply[0] != binaryMagic {
+			t.Fatalf("hello %d: reply %#x, %v", i, reply[0], err)
+		}
+	}
+	// The workers start just after the reply is written.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine()-goBefore < peers*wantEach && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	goEach := (runtime.NumGoroutine() - goBefore) / peers
+	heapEach := int64(heap()-heapBefore) / peers
+	t.Logf("an idle connection costs %d goroutines and %d bytes of server heap (GOMAXPROCS %d)",
+		goEach, heapEach, runtime.GOMAXPROCS(0))
+	if goEach != wantEach {
+		t.Errorf("an idle connection costs %d goroutines, documented %d (1 + GOMAXPROCS)", goEach, wantEach)
+	}
+	if heapEach > perPeer {
+		t.Errorf("an idle connection holds %d bytes of server heap, want <= %d", heapEach, perPeer)
 	}
 }

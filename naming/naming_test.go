@@ -166,12 +166,9 @@ func TestFacadeReplicatedService(t *testing.T) {
 	defer cl.Close()
 	var es []naming.Entity
 	for _, addr := range cl.Routes().Replicas[0] {
-		c, err := naming.DialNameServer("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := naming.NewShardedClient("tcp", &naming.RouteInfo{Addrs: []string{addr}})
 		e, err := c.Resolve(naming.ParsePath("f"))
-		_ = c.Close()
+		c.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

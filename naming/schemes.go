@@ -180,21 +180,12 @@ var (
 type (
 	// NameServer resolves names for remote clients over net.Conn.
 	NameServer = nameserver.Server
-	// NameClient is a connection to a NameServer.
-	NameClient = nameserver.Client
 )
 
 // Name-service constructors.
 var (
 	// NewNameServer returns a server exporting a context.
 	NewNameServer = nameserver.NewServer
-	// NewNameClient wraps an established connection.
-	NewNameClient = nameserver.NewClient
-	// DialNameServer connects to a listening server.
-	DialNameServer = nameserver.Dial
-	// WithResolveCache enables the client-side resolution cache, which is
-	// never invalidated (WithShardLRU is the revision-tracked one).
-	WithResolveCache = nameserver.WithCache
 )
 
 // Name exchange between processes with boundary translation (§6 I applied

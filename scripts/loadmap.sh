@@ -99,7 +99,10 @@ say "driving nsd and nsq by hand (what the smoke does not)"
 	"$bin/nsq" -addr "$a" /usr/bin/ls /etc/motd /mnt/bin/cat
 	may_fail "$bin/nsq" -addr "$a" /no/such/name
 	"$bin/nsq" -addr "$a" -cache 16 -n 3 /usr/bin/ls /etc/motd
+	# -cluster still parses (nsd's bootstrap line and nsload pass it) and
+	# changes nothing.
 	"$bin/nsq" -cluster -addr "$a" -cache 16 -n 3 /usr/bin/ls /etc/motd
+	"$bin/nsq" -addr "$a" -timeout 0 /usr/bin/ls
 	"$bin/nsq" -addr "$a" -push -cache 16 -n 200000 /usr/bin/ls >"$logs/push-reader.log" 2>&1 &
 	reader=$!
 	"$bin/nsq" -addr "$a" mkcontext /usr/local
@@ -107,7 +110,7 @@ say "driving nsd and nsq by hand (what the smoke does not)"
 	"$bin/nsq" -addr "$a" /usr/local/tool
 	"$bin/nsq" -addr "$a" unbind /usr/local/tool
 	may_fail "$bin/nsq" -addr "$a" bind /no/such/dir/x /usr/bin/ls
-	"$bin/nsq" -addr "$a" -cluster -batch -cache 16 -n 2 /usr/bin/ls /etc/passwd
+	"$bin/nsq" -addr "$a" -batch -cache 16 -n 2 /usr/bin/ls /etc/passwd
 	wait "$reader" || true
 	sleep 0.3 # one periodic snapshot
 	stop_nsd
@@ -142,18 +145,18 @@ say "driving nsd and nsq by hand (what the smoke does not)"
 	# restart (recovery plus the replicas' catch-up path).
 	start_nsd sharded -shard 3 -replicas 2 -data "$work/data3"
 	a=$(member_addr)
-	"$bin/nsq" -cluster -addr "$a" -batch -cache 16 -n 2 /usr/bin/ls /etc/passwd /home/alice/notes
-	"$bin/nsq" -cluster -addr "$a" -cache 16 -n 2 /usr/bin/ls /etc/passwd
-	"$bin/nsq" -cluster -addr "$a" -push -cache 16 -n 3 /usr/bin/ls /mnt/bin/cat
-	"$bin/nsq" -cluster -addr "$a" mkcontext /usr/local
-	"$bin/nsq" -cluster -addr "$a" bind /usr/local/tool /usr/bin/ls
-	"$bin/nsq" -cluster -addr "$a" bind /etc/motd2 /etc/motd
-	"$bin/nsq" -cluster -addr "$a" unbind /etc/motd2
-	may_fail "$bin/nsq" -cluster -addr "$a" /no/such/name
-	may_fail "$bin/nsq" -addr "$a" -batch /usr/bin/ls
+	"$bin/nsq" -addr "$a" -batch -cache 16 -n 2 /usr/bin/ls /etc/passwd /home/alice/notes
+	"$bin/nsq" -addr "$a" -cache 16 -n 2 -timeout 2s -retries 1 /usr/bin/ls /etc/passwd
+	"$bin/nsq" -addr "$a" -push -cache 16 -n 3 /usr/bin/ls /mnt/bin/cat
+	"$bin/nsq" -addr "$a" mkcontext /usr/local
+	"$bin/nsq" -addr "$a" bind /usr/local/tool /usr/bin/ls
+	"$bin/nsq" -addr "$a" bind /etc/motd2 /etc/motd
+	"$bin/nsq" -addr "$a" unbind /etc/motd2
+	may_fail "$bin/nsq" -addr "$a" /no/such/name
+	may_fail "$bin/nsq" -addr "$a" -n 0 /usr/bin/ls
 	stop_nsd
 	start_nsd sharded-restart -shard 3 -replicas 2 -data "$work/data3"
-	"$bin/nsq" -cluster -addr "$(member_addr)" /usr/local/tool /etc/passwd
+	"$bin/nsq" -addr "$(member_addr)" /usr/local/tool /etc/passwd
 	stop_nsd
 	may_fail "$bin/nsd" -shard 0
 	may_fail "$bin/nsq" -addr 127.0.0.1:1 -timeout 200ms /usr/bin/ls
