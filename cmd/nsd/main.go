@@ -88,6 +88,9 @@ func run(args []string, out io.Writer) error {
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas %d: need at least 1", *replicas)
 	}
+	if *snapInterval < 0 {
+		return fmt.Errorf("-snap-interval %v: must be >= 0", *snapInterval)
+	}
 
 	spec := demoSpec
 	if *specPath != "" {

@@ -302,6 +302,29 @@ func TestBannerAndListenAddrByShape(t *testing.T) {
 	}
 }
 
+// Out-of-range flags are refused by name before anything is built. Every
+// row also passes -dump, so a flag that slipped through would make run
+// print the demo tree and return nil instead of serving forever.
+func TestFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shard", "0"}, "-shard 0: need at least 1"},
+		{[]string{"-replicas", "0"}, "-replicas 0: need at least 1"},
+		{[]string{"-snap-interval", "-1s"}, "-snap-interval -1s: must be >= 0"},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-dump"}, tc.args...), &out)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("nsd %v: error = %v, want %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("nsd %v printed %q", tc.args, out.String())
+		}
+	}
+}
+
 // A -readonly daemon resolves, refuses every write verb with "server is
 // read-only", and its revision does not move.
 func TestReadOnlyRefusesWrites(t *testing.T) {

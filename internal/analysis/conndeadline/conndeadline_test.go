@@ -18,3 +18,10 @@ func TestConnDeadline(t *testing.T) {
 func TestConnDeadlineFlow(t *testing.T) {
 	analysistest.Run(t, conndeadline.Analyzer, "flow/cluster")
 }
+
+// TestConnDeadlineRecall pins recall across engine changes: the shapes of
+// the deadline bugs the analyzer has caught in this repo still fire, and
+// the forms they were fixed to stay silent.
+func TestConnDeadlineRecall(t *testing.T) {
+	analysistest.Run(t, conndeadline.Analyzer, "recall")
+}

@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"namecoherence/internal/coherence"
 	"namecoherence/internal/core"
 	"namecoherence/internal/faultnet"
+	"namecoherence/internal/nameserver"
 )
 
 // lookupReplica resolves p in one replica's subtree directly (no wire).
@@ -194,11 +199,29 @@ func TestWriteFailsCleanlyWhenPrimaryDead(t *testing.T) {
 		}
 	}
 
-	// Reads still fail over to the backup, and once the primary heals the
-	// same write goes through.
-	if _, err := client.Resolve(core.ParsePath("usr/bin/ls")); err != nil {
-		t.Fatalf("read with primary dead: %v", err)
+	// The primary is replica 0 forever: kept dead for longer than the
+	// breaker cooldown, every write still fails, every read is answered by
+	// the live backup (its own replica of ls, not the primary's), and no
+	// write ever moves to that backup.
+	backupLs, err := lookupReplica(t, cl, shard, 1, core.ParsePath("usr/bin/ls"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	for end := time.Now().Add(3 * defaultBreakerCooldown); time.Now().Before(end); time.Sleep(defaultBreakerCooldown / 5) {
+		if err := client.Bind(core.ParsePath("usr/bin"), "dead", target); err == nil {
+			t.Fatal("write succeeded with the primary dead past the breaker cooldown")
+		}
+		if e, err := client.Resolve(core.ParsePath("usr/bin/ls")); err != nil || e != backupLs {
+			t.Fatalf("read with primary dead = %v, %v; want replica 1's %v", e, err, backupLs)
+		}
+	}
+	for r := 0; r < cl.ReplicasPerShard(); r++ {
+		if _, err := lookupReplica(t, cl, shard, r, core.ParsePath("usr/bin/dead")); err == nil {
+			t.Fatalf("replica %d has a write refused while the primary was dead", r)
+		}
+	}
+
+	// Once the primary heals the same write goes through.
 	cl.Fault(shard, 0).SetMode(faultnet.Pass)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -210,6 +233,120 @@ func TestWriteFailsCleanlyWhenPrimaryDead(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// dropFirstReplyProxy forwards every connection it accepts to upstream.
+// On the first one it passes the server's one-byte version reply and then
+// discards everything else the server sends, so a request arrives and
+// applies but its response never reaches the client. Later connections
+// pass both ways. The copies hide the conns' ReadFrom/WriteTo: a TCP-to-TCP
+// io.Copy splices through pooled pipes that outlive the test, and
+// leakcheck counts them.
+func dropFirstReplyProxy(t *testing.T, upstream string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		conns  []net.Conn
+		closed bool
+	)
+	track := func(c net.Conn) {
+		mu.Lock()
+		defer mu.Unlock()
+		if closed {
+			_ = c.Close()
+			return
+		}
+		conns = append(conns, c)
+	}
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		closed = true
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; ; first = false {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			track(down)
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				_ = down.Close()
+				continue
+			}
+			track(up)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(struct{ io.Writer }{up}, struct{ io.Reader }{down})
+				_ = up.Close()
+			}()
+			go func(lossy bool) {
+				defer wg.Done()
+				dst, src := io.Writer(struct{ io.Writer }{down}), io.Reader(struct{ io.Reader }{up})
+				if lossy {
+					_, _ = io.CopyN(dst, src, 1)
+					dst = io.Discard
+				}
+				_, _ = io.Copy(dst, src)
+				_ = down.Close()
+			}(first)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestLostAckMakesAWriteUnretryable pins a hole (ROADMAP item 2): a write
+// whose ack is lost applied anyway, and the client cannot tell. Bind
+// returns a transport error, yet the primary holds the binding and the
+// backup receives it; the same Bind retried is refused as a conflict with
+// the write's own success. Nothing in a reply lets a retry recognise its
+// earlier attempt.
+func TestLostAckMakesAWriteUnretryable(t *testing.T) {
+	cl := startReplicated(t, 2, 2)
+	name := core.ParsePath("usr/bin/lost")
+	shard := cl.Routes().ShardFor(name)
+	target, err := cl.Trees[shard].Lookup(core.ParsePath("usr/bin/ls"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := cl.Routes()
+	routes.Addrs[shard] = dropFirstReplyProxy(t, routes.Addrs[shard])
+	routes.Replicas[shard][0] = routes.Addrs[shard]
+	client := NewClient("tcp", routes, fastOpts()...)
+	defer client.Close()
+
+	err = client.Bind(core.ParsePath("usr/bin"), "lost", target)
+	var remote *nameserver.RemoteError
+	if err == nil || errors.As(err, &remote) {
+		t.Fatalf("Bind with its ack lost = %v; want a transport error", err)
+	}
+	if e, err := lookupReplica(t, cl, shard, 0, name); err != nil || e != target {
+		t.Fatalf("primary after the lost ack: %v, %v; want the binding to %v", e, err, target)
+	}
+	cl.DrainReplication()
+	if e, err := lookupReplica(t, cl, shard, 1, name); err != nil || !cl.World.SameReplica(e, target) {
+		t.Fatalf("backup after drain: %v, %v; want a replica of %v", e, err, target)
+	}
+
+	err = client.Bind(core.ParsePath("usr/bin"), "lost", target)
+	if !errors.As(err, &remote) {
+		t.Fatalf("retried Bind = %v; want a *RemoteError (already bound)", err)
+	}
+	t.Logf("retry of a write that applied: %v", err)
 }
 
 // TestClusterPushInvalidation checks the push path end to end through the

@@ -1,33 +1,35 @@
-// Package naming is the public API of the namecoherence library: a
-// faithful implementation of the naming model, closure mechanisms and
-// coherence analysis of Radia & Pachl, "Coherence in Naming in Distributed
-// Computing Environments" (ICDCS 1993), together with the naming schemes
-// the paper analyses and the remedies it proposes.
+// Package naming is the one import of this module's own programs — the
+// examples/, the commands under cmd/ and the root benchmarks — for the
+// naming model of Radia & Pachl, "Coherence in Naming in Distributed
+// Computing Environments" (ICDCS 1993), the schemes the paper analyses and
+// the remedies it proposes.
 //
-// The model (Sections 2–3 of the paper):
+// It is a convenience, not a published API: every declaration is an alias
+// of an internal package, and it aliases exactly the names those programs
+// use (CI fails on an alias none of them names). A type the programs only
+// reach through a constructor's result — the World NewWorld returns, the
+// cluster client DialShardedCluster returns — is used through its methods
+// and documented in its own package.
 //
-//   - entities are activities (processes) and objects (files);
-//   - a Context is a function from names to entities; objects whose state
-//     is a context are directories, and compound names resolve through
-//     them;
-//   - a Rule (closure mechanism) selects the context in which a name
-//     occurring in a computation is resolved, from the Circumstance in
-//     which it occurs: R(activity), R(sender), R(object), or a fixed
-//     global context.
-//
-// Coherence (Section 4) is measured by probing names across activities:
-// Measure classifies each probe as coherent, weakly coherent (replicas of
+// The model (Sections 2–3 of the paper): entities are activities
+// (processes) and objects (files); a context is a function from names to
+// entities, objects whose state is a context are directories, and compound
+// names resolve through them; a closure mechanism (ActivityRule is
+// R(activity)) selects the context a name is resolved in. Coherence
+// (Section 4) is measured by probing names across activities: CheckName
+// and Measure classify each probe as coherent, weakly coherent (replicas of
 // one replicated object), vacuous or incoherent.
 //
-// The schemes (Section 5) and remedies (Section 6) are exposed as
-// sub-systems: the Newcastle Connection, the shared naming graph
-// (Andrew/DCE), cross-linked federations, partially qualified process
-// identifiers, Algol-scoped embedded names, and per-process namespaces.
+// The schemes (Section 5) and remedies (Section 6) are the Newcastle
+// Connection, the shared naming graph (Andrew/DCE), cross-linked
+// federations, partially qualified process identifiers, Algol-scoped
+// embedded names, per-process namespaces, and a sharded, replicated name
+// service over the wire.
 //
 // Quick start:
 //
 //	w := naming.NewWorld()
-//	root, dir := w.NewContextObject("root")
+//	_, dir := w.NewContextObject("root")
 //	file := w.NewObject("file")
 //	dir.Bind("f", file)
 //	e, err := w.Resolve(dir, naming.ParsePath("f"))

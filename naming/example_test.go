@@ -2,6 +2,7 @@ package naming_test
 
 import (
 	"fmt"
+	"strings"
 
 	"namecoherence/naming"
 )
@@ -41,8 +42,8 @@ func Example_coherence() {
 	}
 
 	acts := []naming.Entity{alice, bob}
-	fmt.Println(naming.CheckName(w, resolve, acts, naming.PathOf("motd")))
-	fmt.Println(naming.CheckName(w, resolve, acts, naming.PathOf("tmp")))
+	fmt.Println(naming.CheckName(w, resolve, acts, naming.ParsePath("motd")))
+	fmt.Println(naming.CheckName(w, resolve, acts, naming.ParsePath("tmp")))
 	// Output:
 	// coherent
 	// incoherent
@@ -69,34 +70,18 @@ func Example_weakCoherence() {
 	resolve := func(a naming.Entity, p naming.Path) (naming.Entity, error) {
 		return r.Resolve(naming.Internal(a), p)
 	}
-	fmt.Println(naming.CheckName(w, resolve, []naming.Entity{a1, a2}, naming.PathOf("ls")))
+	fmt.Println(naming.CheckName(w, resolve, []naming.Entity{a1, a2}, naming.ParsePath("ls")))
 	// Output: weak
 }
 
-// Union contexts overlay a private layer on a shared one (Plan 9 style).
-func ExampleUnion() {
-	w := naming.NewWorld()
-	shared, private := naming.NewContext(), naming.NewContext()
-	shared.Bind("cfg", w.NewObject("default-cfg"))
-	private.Bind("cfg", w.NewObject("my-cfg"))
-
-	u := naming.Union(private, shared)
-	fmt.Println(w.Label(u.Lookup("cfg")))
-	u.Unbind("cfg") // removes only the private layer's entry
-	fmt.Println(w.Label(u.Lookup("cfg")))
-	// Output:
-	// my-cfg
-	// default-cfg
-}
-
 // Treespec builds naming trees from text.
-func ExampleBuildTreeSpec() {
+func ExampleParseTreeSpec() {
 	w := naming.NewWorld()
-	tr, err := naming.BuildTreeSpec(`
+	tr, err := naming.ParseTreeSpec(strings.NewReader(`
 dir /usr/bin
 file /usr/bin/ls "#!ls"
 link /mnt /usr
-`, w, "demo")
+`), w, "demo")
 	if err != nil {
 		panic(err)
 	}
@@ -108,7 +93,7 @@ link /mnt /usr
 
 // The prefix mapper is the paper's "human closure mechanism" for crossing
 // scope boundaries.
-func ExamplePrefixMapper() {
+func ExampleNewPrefixMapper() {
 	pm := naming.NewPrefixMapper()
 	pm.AddRule("/users", "/org2/users")
 	mapped, ok := pm.Map("/users/bob/profile")

@@ -40,12 +40,12 @@ func TestFacadeRulesAndCoherence(t *testing.T) {
 		return r.Resolve(naming.Internal(a), p)
 	}
 	rep := naming.Measure(w, resolve, []naming.Entity{a1, a2},
-		[]naming.Path{naming.PathOf("g"), naming.PathOf("x")})
+		[]naming.Path{naming.ParsePath("g"), naming.ParsePath("x")})
 	if rep.Coherent != 1 || rep.Incoherent != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if naming.CheckName(w, resolve, []naming.Entity{a1, a2}, naming.PathOf("g")) != naming.Coherent {
-		t.Fatal("g should be coherent")
+	if got := naming.CheckName(w, resolve, []naming.Entity{a1, a2}, naming.ParsePath("g")); got.String() != "coherent" {
+		t.Fatalf("g is %v, want coherent", got)
 	}
 }
 
@@ -114,13 +114,6 @@ func TestFacadePQI(t *testing.T) {
 	if p.Level() != 1 {
 		t.Fatalf("level = %d", p.Level())
 	}
-	abs, err := naming.PIDAbsolute(p, n1.Addr())
-	if err != nil || abs != n2.Addr() {
-		t.Fatalf("abs = %v, %v", abs, err)
-	}
-	if _, err := naming.PIDMap(p, n1.Addr(), n2.Addr()); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadePerProcAndEmbedded(t *testing.T) {
@@ -131,8 +124,7 @@ func TestFacadePerProcAndEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 	proj := naming.NewTree(w, "proj")
-	target, err := proj.Create(naming.ParsePath("lib/t"), "x")
-	if err != nil {
+	if _, err := proj.Create(naming.ParsePath("lib/t"), "x"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := proj.Create(naming.ParsePath("src/s"), "y", naming.ParsePath("lib/t")); err != nil {
@@ -141,19 +133,18 @@ func TestFacadePerProcAndEmbedded(t *testing.T) {
 	if err := proc.Attach(nil, "proj", proj.Root); err != nil {
 		t.Fatal(err)
 	}
-	file, trail, err := proc.Process.ResolveTrail("/proj/src/s")
+	_, trail, err := proc.Process.ResolveTrail("/proj/src/s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = file
 	root, _ := proc.Resolve("/")
-	chain := naming.ScopeChain(root, trail)
-	got, _, err := naming.ResolveEmbedded(w, chain, naming.ParsePath("lib/t"))
+	a := &naming.Assembler{World: w, Sep: "+"}
+	got, err := a.Assemble(naming.ScopeChain(root, trail))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != target {
-		t.Fatalf("embedded = %v, want %v", got, target)
+	if got != "y+x" {
+		t.Fatalf("assembled %q, want %q (the embedded lib/t resolved in proj's scope)", got, "y+x")
 	}
 }
 

@@ -261,14 +261,6 @@ FNR == 1 { side++ }
 END { for (dir in total) print dir "\t" total[dir] "\t" reached[1, dir] + 0 "\t" reached[2, dir] + 0 }
 ' "$work/shipped.cov" "$work/tests.cov" | sort >"$work/pkgs.tsv"
 
-# Facade census: aliases of package naming that no example, command or
-# root benchmark mentions.
-sed -nE 's/^\t?((var|const|type) )?([A-Z][A-Za-z0-9]*) += +[a-z]+\.[A-Za-z0-9.]+.*$/\3/p' \
-	naming/naming.go naming/schemes.go | sort -u >"$work/facade.all"
-while read -r alias; do
-	grep -rqw --include='*.go' "naming\.$alias" examples cmd bench_test.go || echo "$alias"
-done <"$work/facade.all" >"$work/facade.unused"
-
 loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)
 aloc=$(find internal/analysis cmd/namingvet -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 
@@ -356,16 +348,6 @@ dead=$(count "$work/funcs.main" c)
 		echo
 		sed 's/.*/- `&`/' "$work/keep.stale"
 	fi
-	echo
-	echo "## The \`naming\` facade"
-	echo
-	echo "$(wc -l <"$work/facade.unused" | tr -d ' ') of its $(wc -l <"$work/facade.all" | tr -d ' ') aliases are mentioned by no example, command or root"
-	echo "benchmark (\`naming_test.go\`/\`example_test.go\` and importers outside this"
-	echo "module aside). The facade is declarations only and the module's one importable"
-	echo "API, so an alias goes only when its target does:"
-	echo
-	tr '\n' ' ' <"$work/facade.unused" | fold -s -w 78 | sed 's/ *$//'
-	echo
 } >LOADMAP.md
 
 say "wrote LOADMAP.md: class (c) $dead, class (b) without a reason $unexplained, stale keep entries $(wc -l <"$work/keep.stale" | tr -d ' ')"
