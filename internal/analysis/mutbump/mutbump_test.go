@@ -18,3 +18,10 @@ func TestMutbump(t *testing.T) {
 func TestMutbumpOutOfScope(t *testing.T) {
 	analysistest.Run(t, mutbump.Analyzer, "workload")
 }
+
+// TestMutbumpRecall pins recall across engine changes: the shape of the
+// revision hole the analyzer guards still fires, and the form the write
+// path was fixed to stays silent.
+func TestMutbumpRecall(t *testing.T) {
+	analysistest.Run(t, mutbump.Analyzer, "recall")
+}

@@ -135,7 +135,8 @@ type retriesOption int
 func (o retriesOption) apply(c *Client) { c.retries = int(o) }
 
 // WithRetries sets how many extra attempts follow a transport failure
-// (default 2). Retries prefer a different replica of the shard, so with
+// (default 2; a negative count means 0 — the first attempt is always
+// made). Retries prefer a different replica of the shard, so with
 // replication a single dead replica is survived within one request.
 func WithRetries(n int) ClientOption {
 	return retriesOption(n)
@@ -145,8 +146,9 @@ type backoffOption time.Duration
 
 func (o backoffOption) apply(c *Client) { c.backoff = time.Duration(o) }
 
-// WithBackoff sets the base delay before retry n to base·2^(n-1) plus
-// equal jitter, capped at 100ms (default base 2ms; 0 disables waiting).
+// WithBackoff sets the base delay before retry n to base·2^(n-1), capped
+// at 100ms, plus equal jitter (default base 2ms; 0 or less disables
+// waiting). The cap holds for any retry count.
 func WithBackoff(base time.Duration) ClientOption {
 	return backoffOption(base)
 }
@@ -229,38 +231,32 @@ func (c *Client) Routes() *nameserver.RouteInfo { return c.routes.Clone() }
 // failure — but a failed flight is never reused by later calls).
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	c.mu.Lock()
-	// One pass renders the key and checks the name: a non-canonical name
-	// fails here, not after three replica retries — the server would reject
-	// it as firmly as the first replica did. A hit probes with the buffer
-	// and allocates nothing; the key string is made once, on a miss.
-	buf, err := nameserver.AppendWireKey(c.keyBuf[:0], p)
-	c.keyBuf = buf
-	if err != nil {
+	e, hit, err := c.probe(p)
+	if hit || err != nil {
 		c.mu.Unlock()
-		return core.Undefined, err
+		return e, err
 	}
-	if c.cache != nil {
-		if entry, ok := c.cache.Get(string(buf)); ok {
-			c.m.Hits++
-			c.mu.Unlock()
-			return entry.entity, nil
-		}
-	}
-	if f, ok := c.flights[string(buf)]; ok {
+	if f, ok := c.flights[string(c.keyBuf)]; ok {
 		// Someone is already fetching this name: share their answer.
 		c.m.Coalesced++
 		c.mu.Unlock()
 		<-f.done
 		return f.e, f.err
 	}
-	key := string(buf)
+	key := string(c.keyBuf)
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.m.Misses++
 	c.mu.Unlock()
 
 	shard := c.routes.ShardFor(p)
-	entry, rev, err := c.resolveAtShard(shard, p)
+	var entry cacheEntry
+	var rev uint64
+	err = c.roundTrip(shard, func(conn *sharedConn) error {
+		e, dir, r, err := conn.ResolveRev(p)
+		entry, rev = cacheEntry{entity: e, dir: dir, shard: int32(shard), replica: int32(conn.replica)}, r
+		return err
+	})
 
 	c.mu.Lock()
 	c.admit(shard, rev, err, key, entry)
@@ -271,84 +267,74 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	return entry.entity, err
 }
 
-// resolveAtShard runs one single-name round-trip against the shard, with
-// bounded retry: each transport failure retires the poisoned shared
-// connection, records it against the replica's breaker, backs off, and
-// prefers a different replica on the next attempt. The answer comes back as
-// the cache would keep it.
-func (c *Client) resolveAtShard(shard int, p core.Path) (cacheEntry, uint64, error) {
-	set := c.shards[shard]
-	var lastErr error
-	avoid := -1
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoffDelay(attempt))
-		}
-		conn, err := set.get(avoid)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return cacheEntry{}, 0, err
-			}
-			lastErr = fmt.Errorf("shard %d: %w", shard, err)
-			continue
-		}
-		e, dir, rev, err := conn.ResolveRev(p)
-		if settled(err) {
-			set.ok(conn.replica)
-			return cacheEntry{entity: e, dir: dir, shard: int32(shard), replica: int32(conn.replica)}, rev, err
-		}
-		// Transport failure: the shared connection is poisoned, retire it
-		// and charge the replica's breaker.
-		set.retire(conn)
-		c.noteFailover()
-		avoid = conn.replica
-		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
+// probe is every lookup's entry check, made under c.mu: a closed client
+// refuses, one pass renders p's key into c.keyBuf and checks the name — a
+// non-canonical name fails here, not after three replica retries, since the
+// server would reject it as firmly as the first replica did — and the cache
+// answers if it can. A hit probes with the buffer and allocates nothing; a
+// caller makes the key string once, on a miss.
+func (c *Client) probe(p core.Path) (e core.Entity, hit bool, err error) {
+	if c.closed {
+		return core.Undefined, false, ErrClientClosed
 	}
-	return cacheEntry{}, 0, lastErr
+	c.keyBuf, err = nameserver.AppendWireKey(c.keyBuf[:0], p)
+	if err != nil || c.cache == nil {
+		return core.Undefined, false, err
+	}
+	entry, hit := c.cache.Get(string(c.keyBuf))
+	if hit {
+		c.m.Hits++
+	}
+	return entry.entity, hit, nil
 }
 
-// batchAtShard is resolveAtShard for one wire batch; it also reports which
-// replica answered.
-func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, int, uint64, error) {
+// roundTrip runs call against the shard with bounded retry, and is the one
+// place a lookup fails over: each attempt takes a healthy replica's shared
+// connection, preferring one other than the replica that just failed; the
+// replica set settles the outcome (see replicaSet.settle), and a transport
+// failure is counted, backed off from and retried. The first attempt is
+// always made, whatever the retry budget. call records its answer in its
+// own variables; roundTrip returns the final attempt's error.
+func (c *Client) roundTrip(shard int, call func(*sharedConn) error) error {
 	set := c.shards[shard]
-	var lastErr error
 	avoid := -1
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoffDelay(attempt))
 		}
 		conn, err := set.get(avoid)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return nil, 0, 0, err
+		switch {
+		case errors.Is(err, ErrClientClosed):
+			return err
+		case err != nil:
+			err = fmt.Errorf("shard %d: %w", shard, err)
+		default:
+			if err = call(conn); set.settle(conn, err) {
+				return err
 			}
-			lastErr = fmt.Errorf("shard %d: %w", shard, err)
-			continue
+			c.noteFailover()
+			avoid = conn.replica
+			err = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 		}
-		results, rev, err := conn.ResolveBatchRev(keys)
-		if settled(err) {
-			set.ok(conn.replica)
-			return results, conn.replica, rev, err
+		if attempt >= c.retries {
+			return err
 		}
-		set.retire(conn)
-		c.noteFailover()
-		avoid = conn.replica
-		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
-	return nil, 0, 0, lastErr
 }
 
 // backoffDelay returns the wait before retry attempt (1-based): the base
-// doubled per retry, capped, plus uniform jitter of the same magnitude so
+// doubled per retry and capped — doubling stops at the cap, so no attempt
+// count overflows it — plus uniform jitter of the same magnitude so
 // concurrent retries spread out.
 func (c *Client) backoffDelay(attempt int) time.Duration {
 	if c.backoff <= 0 {
 		return 0
 	}
-	d := c.backoff << (attempt - 1)
-	if d > maxBackoff {
-		d = maxBackoff
+	d := c.backoff
+	for ; attempt > 1 && d < maxBackoff; attempt-- {
+		d <<= 1
 	}
+	d = min(d, maxBackoff)
 	return d + rand.N(d)
 }
 
@@ -457,30 +443,21 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	work := make(map[int]*shardWork)
 	answered := 0 // paths with a definitive outcome (cache, success, or remote error)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		for i := range out {
-			out[i] = BatchResult{Entity: core.Undefined, Err: ErrClientClosed}
-		}
-		return out, ErrClientClosed
-	}
 	for i, p := range paths {
-		buf, err := nameserver.AppendWireKey(c.keyBuf[:0], p)
-		c.keyBuf = buf
-		if err != nil {
-			// A non-canonical name fails in its slot without touching the
-			// cache or the wire; the rest of the batch proceeds.
-			out[i] = BatchResult{Entity: core.Undefined, Err: err}
+		e, hit, err := c.probe(p)
+		if errors.Is(err, ErrClientClosed) {
+			c.mu.Unlock()
+			for j := range out {
+				out[j] = BatchResult{Entity: core.Undefined, Err: err}
+			}
+			return out, err
+		}
+		if hit || err != nil {
+			// A hit, or a non-canonical name: it fails in its slot without
+			// touching the wire, and the rest of the batch proceeds.
+			out[i] = BatchResult{Entity: e, Err: err}
 			answered++
 			continue
-		}
-		if c.cache != nil {
-			if entry, ok := c.cache.Get(string(buf)); ok {
-				c.m.Hits++
-				out[i] = BatchResult{Entity: entry.entity}
-				answered++
-				continue
-			}
 		}
 		c.m.Misses++
 		shard := c.routes.ShardFor(p)
@@ -489,7 +466,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			w = &shardWork{index: make(map[string][]int)}
 			work[shard] = w
 		}
-		key := string(buf)
+		key := string(c.keyBuf)
 		if _, seen := w.index[key]; !seen {
 			w.keys = append(w.keys, p)
 			w.names = append(w.names, key)
@@ -518,8 +495,13 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		if batchJoinHook != nil {
 			defer batchJoinHook()
 		}
-		results, replica, rev, err := c.batchAtShard(shard, w.keys)
-		answers <- shardAnswer{shard: shard, replica: replica, results: results, rev: rev, err: err}
+		a := shardAnswer{shard: shard}
+		a.err = c.roundTrip(shard, func(conn *sharedConn) (err error) {
+			a.results, a.rev, err = conn.ResolveBatchRev(w.keys)
+			a.replica = conn.replica
+			return err
+		})
+		answers <- a
 	}
 	for shard, w := range work {
 		if len(work) == 1 {
@@ -673,7 +655,7 @@ type sharedConn struct {
 // replicaSet maintains at most one shared connection per replica of one
 // shard. Concurrent requests multiplex over the same connection instead
 // of checking out exclusive ones; a connection leaves the set only when a
-// transport failure retires it (retire) or the set closes.
+// transport failure retires it (settle) or the set closes.
 type replicaSet struct {
 	network          string
 	addrs            []string // replica addresses, primary first
@@ -819,15 +801,6 @@ func (p *replicaSet) dialReplica(r int) (*sharedConn, error) {
 	return &sharedConn{Client: nc, replica: r}, nil
 }
 
-// ok resets a replica's breaker after a successful round-trip.
-func (p *replicaSet) ok(replica int) {
-	p.mu.Lock()
-	if p.breakers[replica].failures != 0 {
-		p.breakers[replica] = breaker{}
-	}
-	p.mu.Unlock()
-}
-
 // charge counts one transport failure against a replica's breaker, opening
 // it at the threshold. Callers hold p.mu.
 func (p *replicaSet) charge(replica int) {
@@ -845,18 +818,30 @@ func (p *replicaSet) bad(replica int) {
 	p.mu.Unlock()
 }
 
-// retire charges a transport failure against conn's replica and drops
-// conn from the set if it is still the shared one (a concurrent request
-// may already have replaced it). The poisoned connection is closed either
-// way; concurrent calls still on it fail fast and retry on a fresh one.
-func (p *replicaSet) retire(conn *sharedConn) {
+// settle judges one call's outcome on conn, for every path that calls a
+// replica: a settled outcome (see settled) clears the replica's breaker and
+// reports true; anything else is a transport failure — the replica's
+// breaker is charged and conn is dropped from the set if it is still the
+// shared one (a concurrent request may already have replaced it). The
+// poisoned connection is closed either way; concurrent calls still on it
+// fail fast and retry on a fresh one.
+func (p *replicaSet) settle(conn *sharedConn, err error) bool {
+	ok := settled(err)
 	p.mu.Lock()
-	p.charge(conn.replica)
-	if p.conns[conn.replica] == conn {
-		p.conns[conn.replica] = nil
+	switch {
+	case ok && p.breakers[conn.replica].failures != 0:
+		p.breakers[conn.replica] = breaker{}
+	case !ok:
+		p.charge(conn.replica)
+		if p.conns[conn.replica] == conn {
+			p.conns[conn.replica] = nil
+		}
 	}
 	p.mu.Unlock()
-	_ = conn.Close()
+	if !ok {
+		_ = conn.Close()
+	}
+	return ok
 }
 
 // close closes every shared connection; in-flight calls on them fail, and

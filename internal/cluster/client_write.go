@@ -171,21 +171,18 @@ func (c *Client) writeConn(dir core.Path, name core.Name) (int, *sharedConn, err
 }
 
 // writeDone settles one write attempt: the reply's revision feeds the
-// purge rule (a remote refusal still answered at a revision), and a
-// transport failure retires the poisoned primary connection and fails the
-// write cleanly — no retry, no failover to a backup.
+// purge rule (a remote refusal still answered at a revision), the replica
+// set settles the outcome as it does a read's — an answer or a refusal
+// clears the primary's breaker — and a transport failure, whose poisoned
+// connection the set retired, fails the write cleanly: no retry, no
+// failover to a backup.
 func (c *Client) writeDone(shard int, conn *sharedConn, rev uint64, err error) error {
 	c.mu.Lock()
 	c.noteRevision(shard, rev, err)
 	c.mu.Unlock()
-	if err == nil {
-		c.shards[shard].ok(conn.replica)
-		return nil
-	}
-	if settled(err) {
+	if c.shards[shard].settle(conn, err) {
 		return err
 	}
-	c.shards[shard].retire(conn)
 	c.noteFailover()
 	return fmt.Errorf("shard %d primary: %w", shard, err)
 }

@@ -327,6 +327,83 @@ func TestPoolGetFailsAfterClose(t *testing.T) {
 	}
 }
 
+// TestClosedClientRefusesCachedNames: closed means closed on both entry
+// paths. A name the cache could answer is refused after Close by Resolve
+// exactly as by ResolveBatch.
+func TestClosedClientRefusesCachedNames(t *testing.T) {
+	cl := startCluster(t, 1)
+	client, err := Dial("tcp", cl.Addrs()[0], fastOpts(WithLRU(16))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.ParsePath("etc/motd")
+	for range 2 {
+		if _, err := client.Resolve(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := client.Metrics().Hits; hits != 1 {
+		t.Fatalf("%d hits priming the cache, want 1", hits)
+	}
+	client.Close()
+	if e, err := client.Resolve(p); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Resolve of a cached name after Close = %v, %v; want ErrClientClosed", e, err)
+	}
+	out, err := client.ResolveBatch([]core.Path{p})
+	if !errors.Is(err, ErrClientClosed) || !errors.Is(out[0].Err, ErrClientClosed) {
+		t.Fatalf("ResolveBatch of a cached name after Close = %v, %v; want ErrClientClosed", out, err)
+	}
+}
+
+// TestNegativeRetriesAttemptOnce: a negative retry budget means no retry,
+// not no attempt. Each lookup still makes its one round-trip, and only a
+// real answer is cached.
+func TestNegativeRetriesAttemptOnce(t *testing.T) {
+	cl := startCluster(t, 1)
+	client, err := Dial("tcp", cl.Addrs()[0], fastOpts(WithRetries(-1), WithLRU(16))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	want := make([]core.Entity, len(testPaths))
+	paths := make([]core.Path, len(testPaths))
+	for i, raw := range testPaths {
+		paths[i] = core.ParsePath(raw)
+		if want[i], err = cl.Trees[0].Lookup(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Twice: the second pass is answered by the cache the first one filled.
+	for range 2 {
+		if e, err := client.Resolve(paths[0]); err != nil || e != want[0] {
+			t.Fatalf("Resolve(%s) = %v, %v; want %v", testPaths[0], e, err, want[0])
+		}
+	}
+	out, err := client.ResolveBatch(paths[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range out {
+		if r.Err != nil || r.Entity != want[i+1] {
+			t.Fatalf("ResolveBatch slot %s = %v, %v; want %v", testPaths[i+1], r.Entity, r.Err, want[i+1])
+		}
+	}
+}
+
+// TestBackoffDelayStaysInRange: the backoff doubles up to its cap and no
+// further, so no attempt count overflows it and the jitter's argument is
+// always positive, whatever the base.
+func TestBackoffDelayStaysInRange(t *testing.T) {
+	for _, base := range []time.Duration{time.Nanosecond, defaultBackoffBase, time.Second} {
+		c := &Client{backoff: base}
+		for attempt := 1; attempt <= 100; attempt++ {
+			if d := c.backoffDelay(attempt); d < 0 || d >= 2*maxBackoff {
+				t.Fatalf("base %v, attempt %d: delay %v, want in [0, %v)", base, attempt, d, 2*maxBackoff)
+			}
+		}
+	}
+}
+
 func TestPoolCloseRacesResolve(t *testing.T) {
 	cl := startReplicated(t, 2, 1)
 	for round := 0; round < 8; round++ {

@@ -63,11 +63,10 @@ func (r *replicator) apply(backup int, f *nameserver.Follower) {
 	for m, ok := f.Next(); ok; m, ok = f.Next() { // !ok: the cursor or the primary closed
 		conn, err := r.backups.getReplica(backup)
 		if err == nil {
-			if _, err = conn.ReplicaApply(m); settled(err) {
+			if _, err = conn.ReplicaApply(m); r.backups.settle(conn, err) {
 				f.Advance(err != nil)
 				continue
 			}
-			r.backups.retire(conn)
 		}
 		time.Sleep(replApplyBackoff)
 	}

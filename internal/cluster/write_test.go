@@ -235,6 +235,32 @@ func TestWriteFailsCleanlyWhenPrimaryDead(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteClearsPrimaryBreaker: a write the primary refuses is an
+// answer, as a refused read is. It clears the failures charged against the
+// primary's breaker instead of leaving them to open it.
+func TestRefusedWriteClearsPrimaryBreaker(t *testing.T) {
+	cl := startReplicated(t, 1, 2)
+	client, err := Dial("tcp", cl.Addrs()[0], fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	set := client.shards[0]
+	set.mu.Lock()
+	set.charge(0)
+	set.mu.Unlock()
+	err = client.Bind(core.ParsePath("no/such/dir"), "x", core.Undefined)
+	if !isRemote(err) {
+		t.Fatalf("Bind into a missing directory = %v, want a refusal", err)
+	}
+	set.mu.Lock()
+	failures := set.breakers[0].failures
+	set.mu.Unlock()
+	if failures != 0 {
+		t.Fatalf("primary's breaker holds %d failures after a refused write, want 0", failures)
+	}
+}
+
 // dropFirstReplyProxy forwards every connection it accepts to upstream.
 // On the first one it passes the server's one-byte version reply and then
 // discards everything else the server sends, so a request arrives and
