@@ -10,3 +10,9 @@ import (
 func TestBindingsLeak(t *testing.T) {
 	analysistest.Run(t, bindingsleak.Analyzer, "a")
 }
+
+// TestBindingsleakRecall pins recall across engine changes: the shapes the
+// analyzer guards still fire, and the forms beside them stay silent.
+func TestBindingsleakRecall(t *testing.T) {
+	analysistest.Run(t, bindingsleak.Analyzer, "recall")
+}

@@ -18,3 +18,9 @@ func TestCrossPackageCycle(t *testing.T) {
 func TestSamePackageCycle(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "cyclepkg")
 }
+
+// TestLockorderRecall pins recall across engine changes: the shapes the
+// analyzer guards still fire, and the forms beside them stay silent.
+func TestLockorderRecall(t *testing.T) {
+	analysistest.Run(t, lockorder.Analyzer, "recall")
+}

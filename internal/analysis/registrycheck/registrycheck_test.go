@@ -16,3 +16,9 @@ func TestRegistrycheck(t *testing.T) {
 func TestRegistrycheckBinaryCodec(t *testing.T) {
 	analysistest.Run(t, registrycheck.Analyzer, "binary/nameserver")
 }
+
+// TestRegistrycheckRecall pins recall across engine changes: the shapes the
+// analyzer guards still fire, and the forms beside them stay silent.
+func TestRegistrycheckRecall(t *testing.T) {
+	analysistest.Run(t, registrycheck.Analyzer, "recall/nameserver")
+}
