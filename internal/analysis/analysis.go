@@ -179,9 +179,10 @@ func (idx *ignoreIndex) ignored(analyzer string, posn token.Position) bool {
 }
 
 // audit reports, after every analyzer has run, each directive name that
-// matched no diagnostic. Names outside the run set are skipped — a partial
-// run (a single-analyzer test) has no evidence either way — as are
-// directives in _test.go files, which never see diagnostics at all.
+// matched no diagnostic. A name outside the run set suppressed nothing
+// either — cmd/namingvet runs the whole suite, so it names an analyzer
+// that is gone or never was — and is reported as such. Directives in
+// _test.go files are skipped: they never see diagnostics at all.
 func (idx *ignoreIndex) audit(ran map[string]bool) []Finding {
 	var findings []Finding
 	for _, d := range idx.directives {
@@ -193,14 +194,14 @@ func (idx *ignoreIndex) audit(ran map[string]bool) []Finding {
 			kind = "file-ignore"
 		}
 		for _, name := range d.names {
-			if !ran[name] || d.used[name] {
+			if d.used[name] {
 				continue
 			}
-			findings = append(findings, Finding{
-				Analyzer: SuppressName,
-				Posn:     d.posn,
-				Message:  fmt.Sprintf("unused suppression: this %s directive matches no %s diagnostic", kind, name),
-			})
+			msg := fmt.Sprintf("unused suppression: this %s directive matches no %s diagnostic", kind, name)
+			if !ran[name] {
+				msg = fmt.Sprintf("unused suppression: this %s directive names %s, which is no analyzer in this run", kind, name)
+			}
+			findings = append(findings, Finding{Analyzer: SuppressName, Posn: d.posn, Message: msg})
 		}
 	}
 	return findings
