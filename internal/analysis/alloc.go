@@ -79,7 +79,7 @@ var allocFuncs = map[string]bool{
 // allocFlow computes each function's allocation sites and runs the
 // Allocates/EscapesToHeap fixpoint. Runs after the main summary fixpoint,
 // so imported facts are already merged into pf.All.
-func allocFlow(pkg *Package, pf *PackageFacts, obs map[*types.Func]*atoms) {
+func allocFlow(pkg *Package, pf *PackageFacts) {
 	pf.allocExempt = allocExemptLines(pkg)
 	exemptAt := func(pos token.Pos) bool {
 		return pf.AllocExemptAt(pkg.Fset.Position(pos))
@@ -100,30 +100,22 @@ func allocFlow(pkg *Package, pf *PackageFacts, obs map[*types.Func]*atoms) {
 	// allocate may allocate. Exempt callees and call sites on exempt
 	// lines are firewalls. AllocVia is set at the first flip only, so the
 	// sample chain stays finite and deterministic (lexical call order).
-	for changed := true; changed; {
-		changed = false
-		for _, ff := range pf.Own {
-			if ff.AllocExempt || ff.Summary.EscapesToHeap {
+	pf.propagate(func(ff *FuncFacts) bool {
+		if ff.AllocExempt || ff.Summary.EscapesToHeap {
+			return false
+		}
+		for _, cs := range pf.Graph.Calls[ff.Fn] {
+			if own := pf.byFn[cs.Callee]; exemptAt(cs.Call.Pos()) || own != nil && own.AllocExempt {
 				continue
 			}
-			for _, cs := range obs[ff.Fn].calls {
-				if exemptAt(cs.Pos) {
-					continue
-				}
-				if own := pf.byFn[cs.Callee]; own != nil && own.AllocExempt {
-					continue
-				}
-				cal := summaryOf(pf, cs.Callee)
-				if !cal.EscapesToHeap {
-					continue
-				}
+			if cal := summaryOf(pf, cs.Callee); cal.EscapesToHeap {
 				ff.Summary.EscapesToHeap = true
 				ff.Summary.AllocVia = "calls " + cs.Callee.FullName() + ": " + cal.AllocVia
-				changed = true
-				break
+				return true
 			}
 		}
-	}
+		return false
+	})
 }
 
 // auditAllocExempt reports allocfree-exempt directives that exempt nothing:
@@ -155,7 +147,7 @@ func auditAllocExempt(pkg *Package, pf *PackageFacts) []Finding {
 			if !summaryOf(pf, cs.Callee).EscapesToHeap {
 				continue
 			}
-			posn := pkg.Fset.Position(cs.Pos)
+			posn := pkg.Fset.Position(cs.Call.Pos())
 			evidence[fileLine{posn.Filename, posn.Line}] = true
 			hasEvidence[ff] = true
 		}

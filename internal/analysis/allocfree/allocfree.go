@@ -66,7 +66,7 @@ func checkRoot(pass *analysis.Pass, root *analysis.FuncFacts) {
 			}
 		}
 		for _, cs := range pass.Facts.Graph.Calls[ff.Fn] {
-			if pass.Facts.AllocExemptAt(pass.Fset.Position(cs.Pos)) {
+			if pass.Facts.AllocExemptAt(pass.Fset.Position(cs.Call.Pos())) {
 				continue
 			}
 			key := analysis.FuncKey(cs.Callee)
@@ -85,7 +85,7 @@ func checkRoot(pass *analysis.Pass, root *analysis.FuncFacts) {
 			if !sum.EscapesToHeap {
 				continue
 			}
-			pass.Reportf(cs.Pos,
+			pass.Reportf(cs.Call.Pos(),
 				"%s is marked %s but %s reaches %s, which may allocate: %s",
 				root.Fn.Name(), analysis.AllocFreeDirective,
 				strings.Join(chain, " → "), cs.Callee.FullName(), sum.AllocVia)

@@ -324,7 +324,7 @@ func IsNamedType(t types.Type, pkgPath, name string) bool {
 }
 
 // HasMethods reports whether t's method set includes every named method
-// (by name only — the conn-ish duck test parkingCall and conndeadline use).
+// (by name only — the conn-ish duck test classifyCall and conndeadline use).
 func HasMethods(t types.Type, names ...string) bool {
 	ms := types.NewMethodSet(t)
 	if _, ok := t.Underlying().(*types.Interface); !ok {

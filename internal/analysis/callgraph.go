@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -12,9 +11,14 @@ import (
 type CallSite struct {
 	// Callee is the statically resolved target.
 	Callee *types.Func
-	// Pos is the call's position (used for lexical ordering against
-	// deadline events and for call-site diagnostics).
-	Pos token.Pos
+	// Call is the call expression; its position orders the call against
+	// deadline events and places call-site diagnostics.
+	Call *ast.CallExpr
+	// Returned: the call is itself one of a return statement's results,
+	// which is how a thin wrapper forwards a canonicalizer.
+	Returned bool
+	// kind is what classifyCall makes of Callee.
+	kind callKind
 }
 
 // CallGraph is the static call structure of one package: every declared
@@ -30,35 +34,56 @@ type CallGraph struct {
 	// Calls maps each declared function to its static call sites, in
 	// lexical order.
 	Calls map[*types.Func][]CallSite
+	// ValueRefs holds the functions the package's files refer to other
+	// than by calling them (stored, passed, taken as a method value):
+	// such a function can be invoked from anywhere.
+	ValueRefs map[*types.Func]bool
 }
 
-// BuildCallGraph computes the package's call graph. Same-package edges
-// carry the callee's declaration; cross-package callees are recorded by
-// their types.Func only (their properties come from imported facts).
+// BuildCallGraph computes the package's call graph in one walk of its
+// files. Same-package edges carry the callee's declaration; cross-package
+// callees are recorded by their types.Func only (their properties come
+// from imported facts).
 func BuildCallGraph(pkg *Package) *CallGraph {
 	g := &CallGraph{
-		Decls: make(map[*types.Func]*ast.FuncDecl),
-		Calls: make(map[*types.Func][]CallSite),
+		Decls:     make(map[*types.Func]*ast.FuncDecl),
+		Calls:     make(map[*types.Func][]CallSite),
+		ValueRefs: make(map[*types.Func]bool),
 	}
+	called := make(map[*ast.Ident]bool)
+	returned := make(map[*ast.CallExpr]bool)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj, _ := pkg.Info.Defs[fn.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			g.Order = append(g.Order, obj)
-			g.Decls[obj] = fn
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+			var obj *types.Func
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				if obj, _ = pkg.Info.Defs[fn.Name].(*types.Func); obj != nil {
+					g.Order = append(g.Order, obj)
+					g.Decls[obj] = fn
 				}
-				if callee := CalleeFunc(pkg.Info, call); callee != nil {
-					g.Calls[obj] = append(g.Calls[obj], CallSite{Callee: callee, Pos: call.Pos()})
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ReturnStmt:
+					for _, res := range n.Results {
+						if call, ok := res.(*ast.CallExpr); ok {
+							returned[call] = true
+						}
+					}
+				case *ast.CallExpr:
+					switch fun := ast.Unparen(n.Fun).(type) {
+					case *ast.Ident:
+						called[fun] = true
+					case *ast.SelectorExpr:
+						called[fun.Sel] = true
+					}
+					if callee := CalleeFunc(pkg.Info, n); callee != nil && obj != nil {
+						kind, _ := classifyCall(callee)
+						g.Calls[obj] = append(g.Calls[obj], CallSite{Callee: callee, Call: n, Returned: returned[n], kind: kind})
+					}
+				case *ast.Ident:
+					if fn, ok := pkg.Info.Uses[n].(*types.Func); ok && !called[n] {
+						g.ValueRefs[fn] = true
+					}
 				}
 				return true
 			})

@@ -26,11 +26,7 @@ var factsMagic = []byte("namingvet-facts-v4\n")
 // EncodeFacts serializes summaries for a .vetx facts file. Keys are sorted
 // so the output is deterministic (detrand would want nothing less).
 func EncodeFacts(s Summaries) ([]byte, error) {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := SortedKeys(s)
 	ordered := make([]factEntry, len(keys))
 	for i, k := range keys {
 		ordered[i] = factEntry{Key: k, Summary: s[k]}
@@ -64,4 +60,16 @@ func DecodeFacts(data []byte) (Summaries, bool) {
 type factEntry struct {
 	Key     string
 	Summary FuncSummary
+}
+
+// SortedKeys returns m's keys in sorted order, so whatever walks a map —
+// fact propagation, edge emission, encoding — does it deterministically
+// (detrand would want nothing less).
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -8,7 +8,7 @@
 //   - LockCalls: statically resolved calls, with the held-set at entry;
 //   - BlockOps: operations that can park the goroutine indefinitely —
 //     channel send/receive, select with no default, range over a channel,
-//     and the calls parkingCall catalogues (conn Read/Write, Dial*,
+//     and the calls classifyCall catalogues (conn Read/Write, Dial*,
 //     time.Sleep, WaitGroup.Wait, Cond.Wait);
 //   - LockExits: every return, and every reachable closing brace, of the
 //     body and of each literal nested in it, reached with a lock held.
@@ -50,7 +50,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"sort"
 )
 
 // LockAcq is the serialized evidence that calling a function may acquire
@@ -62,12 +61,21 @@ type LockAcq struct {
 	Via string `json:",omitempty"`
 }
 
-// LockEdge is one serialized acquisition-order edge: Held was held at a
-// point where Acq was (or could transitively be) acquired.
+// LockEdge is one acquisition-order edge: Held was held at a point where
+// Acq was (or could transitively be) acquired.
 type LockEdge struct {
 	Held string
 	Acq  string
 	Via  string `json:",omitempty"`
+
+	// The rest places the edge in the body that made it, for lockorder's
+	// reports, and is not serialized: imported edges carry none of it.
+	// Pos is the acquisition, or the call whose callee acquires Acq
+	// (Callee, nil for a direct acquisition); HeldWrite and AcqWrite are
+	// the two modes, which name a re-acquisition's deadlock.
+	Pos                 token.Pos   `json:"-"`
+	Callee              *types.Func `json:"-"`
+	HeldWrite, AcqWrite bool        `json:"-"`
 }
 
 // HeldLock is one entry of a held-set snapshot.
@@ -108,8 +116,8 @@ type LockCall struct {
 }
 
 // BlockOp is one potentially-parking operation (channel send/receive,
-// select with no default, range over channel, or a call parkingCall
-// recognises) with the held-set at entry.
+// select with no default, range over channel, or a parking call
+// classifyCall knows) with the held-set at entry.
 type BlockOp struct {
 	Desc string
 	Held []HeldLock
@@ -162,48 +170,50 @@ func lockFlow(pkg *Package, pf *PackageFacts) {
 	// Only Caller events propagate — a closure handed elsewhere may never
 	// run on this goroutine. Via is set at the first flip, keeping the
 	// sample chains finite and deterministic.
-	for changed := true; changed; {
-		changed = false
-		for _, ff := range pf.Own {
-			s := &ff.Summary
-			for _, lc := range ff.LockCalls {
-				if !lc.Caller {
-					continue
-				}
-				cal := summaryOf(pf, lc.Callee)
-				if cal.MayPark && !s.MayPark {
-					s.MayPark = true
-					s.ParkVia = "calls " + funcLabel(lc.Callee) + ": " + cal.ParkVia
+	pf.propagate(func(ff *FuncFacts) bool {
+		s, changed := &ff.Summary, false
+		for _, lc := range ff.LockCalls {
+			if !lc.Caller {
+				continue
+			}
+			cal := summaryOf(pf, lc.Callee)
+			if cal.MayPark && !s.MayPark {
+				s.MayPark = true
+				s.ParkVia = "calls " + funcLabel(lc.Callee) + ": " + cal.ParkVia
+				changed = true
+			}
+			for _, id := range SortedKeys(cal.AcquiresLocks) {
+				acq := cal.AcquiresLocks[id]
+				if have, ok := s.AcquiresLocks[id]; !ok || (acq.Write && !have.Write) {
+					addAcq(s, id, acq.Write, "calls "+funcLabel(lc.Callee)+": "+acq.Via)
 					changed = true
-				}
-				for _, id := range sortedAcqKeys(cal.AcquiresLocks) {
-					acq := cal.AcquiresLocks[id]
-					if have, ok := s.AcquiresLocks[id]; !ok || (acq.Write && !have.Write) {
-						addAcq(s, id, acq.Write, "calls "+funcLabel(lc.Callee)+": "+acq.Via)
-						changed = true
-					}
 				}
 			}
 		}
-	}
+		return changed
+	})
 
 	// Phase 3: acquisition-order edges, direct and call-induced, using the
-	// converged summaries. A call re-acquiring a held lock is the
-	// lockorder analyzer's self-deadlock case, not an edge.
+	// converged summaries, each pair once at its first position. A call or
+	// acquisition re-acquiring a held lock is the lockorder analyzer's
+	// self-deadlock case, not an edge: every one goes to Reacquires.
 	for _, ff := range pf.Own {
 		seen := make(map[[2]string]bool)
-		add := func(held, acq, via string) {
-			key := [2]string{held, acq}
-			if held == acq || seen[key] {
-				return
+		add := func(e LockEdge) {
+			key := [2]string{e.Held, e.Acq}
+			switch {
+			case e.Held == e.Acq:
+				ff.Reacquires = append(ff.Reacquires, e)
+			case !seen[key]:
+				seen[key] = true
+				ff.Summary.LockEdges = append(ff.Summary.LockEdges, e)
 			}
-			seen[key] = true
-			ff.Summary.LockEdges = append(ff.Summary.LockEdges, LockEdge{Held: held, Acq: acq, Via: via})
 		}
 		for _, acq := range ff.LockAcquires {
 			for _, h := range acq.Held {
-				add(h.ID, acq.ID, fmt.Sprintf("%s acquires %s while holding %s (%s)",
-					funcLabel(ff.Fn), acq.ID, h.ID, posLabel(pkg, acq.Pos)))
+				add(LockEdge{Held: h.ID, Acq: acq.ID, Pos: acq.Pos, HeldWrite: h.Write, AcqWrite: acq.Write,
+					Via: fmt.Sprintf("%s acquires %s while holding %s (%s)",
+						funcLabel(ff.Fn), acq.ID, h.ID, posLabel(pkg, acq.Pos))})
 			}
 		}
 		for _, lc := range ff.LockCalls {
@@ -211,11 +221,12 @@ func lockFlow(pkg *Package, pf *PackageFacts) {
 				continue
 			}
 			cal := summaryOf(pf, lc.Callee)
-			for _, id := range sortedAcqKeys(cal.AcquiresLocks) {
+			for _, id := range SortedKeys(cal.AcquiresLocks) {
+				acq := cal.AcquiresLocks[id]
 				for _, h := range lc.Held {
-					add(h.ID, id, fmt.Sprintf("%s holds %s and calls %s (%s): %s",
-						funcLabel(ff.Fn), h.ID, funcLabel(lc.Callee), posLabel(pkg, lc.Pos),
-						cal.AcquiresLocks[id].Via))
+					add(LockEdge{Held: h.ID, Acq: id, Pos: lc.Pos, Callee: lc.Callee, HeldWrite: h.Write, AcqWrite: acq.Write,
+						Via: fmt.Sprintf("%s holds %s and calls %s (%s): %s",
+							funcLabel(ff.Fn), h.ID, funcLabel(lc.Callee), posLabel(pkg, lc.Pos), acq.Via)})
 				}
 			}
 		}
@@ -246,20 +257,6 @@ func clampVia(via string) string {
 		return via
 	}
 	return via[:max] + "…"
-}
-
-// sortedAcqKeys returns the map's keys in sorted order so fact propagation
-// and edge emission are deterministic (detrand would want nothing less).
-func sortedAcqKeys(m map[string]LockAcq) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // funcLabel renders a function compactly for lock IDs and via chains:
@@ -520,8 +517,8 @@ func (sc *lockScan) expr(e ast.Expr, held []HeldLock, caller bool) {
 	})
 }
 
-// callOp records one resolved call: as a BlockOp when parkingCall says it
-// can park, and always as a LockCall, for fact propagation and, when locks
+// callOp records one resolved call: as a BlockOp when classifyCall says
+// it can park, and always as a LockCall, for fact propagation and, when locks
 // are held, edge building (a module type's conn-shaped Write or a
 // dialReplica has a summary of its own besides).
 func (sc *lockScan) callOp(call *ast.CallExpr, held []HeldLock, caller bool) {
@@ -530,7 +527,7 @@ func (sc *lockScan) callOp(call *ast.CallExpr, held []HeldLock, caller bool) {
 		return
 	}
 	snap := copyHeldLocks(held) // snapshots are read-only: the two events share one
-	if kind, desc := parkingCall(callee); kind != noPark {
+	if kind, desc := classifyCall(callee); kind.parks() {
 		// Cond.Wait releases its cond's lock while parked; holding exactly
 		// one lock at that point is the primitive's contract. Any extra
 		// lock is held across the park and is a real hazard.

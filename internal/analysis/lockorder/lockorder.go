@@ -25,7 +25,6 @@
 package lockorder
 
 import (
-	"go/token"
 	"sort"
 	"strings"
 
@@ -49,27 +48,15 @@ func run(pass *analysis.Pass) (any, error) {
 // statically resolved call) of a lock identity that is already held.
 func reportReacquire(pass *analysis.Pass) {
 	for _, ff := range pass.Facts.Own {
-		for _, acq := range ff.LockAcquires {
-			for _, h := range acq.Held {
-				if h.ID == acq.ID {
-					pass.Reportf(acq.Pos, "re-acquires %s, which is already held: %s",
-						acq.ID, mechanism(h.Write, acq.Write))
-				}
-			}
-		}
-		for _, lc := range ff.LockCalls {
-			if len(lc.Held) == 0 {
+		for _, e := range ff.Reacquires {
+			if e.Callee == nil {
+				pass.Reportf(e.Pos, "re-acquires %s, which is already held: %s",
+					e.Acq, mechanism(e.HeldWrite, e.AcqWrite))
 				continue
 			}
-			cal := pass.Facts.All[analysis.FuncKey(lc.Callee)]
-			for _, h := range lc.Held {
-				acq, ok := cal.AcquiresLocks[h.ID]
-				if !ok {
-					continue
-				}
-				pass.Reportf(lc.Pos, "call to %s may re-acquire %s, which is already held (%s): %s",
-					lc.Callee.Name(), h.ID, acq.Via, mechanism(h.Write, acq.Write))
-			}
+			pass.Reportf(e.Pos, "call to %s may re-acquire %s, which is already held (%s): %s",
+				e.Callee.Name(), e.Acq, pass.Facts.All[analysis.FuncKey(e.Callee)].AcquiresLocks[e.Acq].Via,
+				mechanism(e.HeldWrite, e.AcqWrite))
 		}
 	}
 }
@@ -82,13 +69,6 @@ func mechanism(heldWrite, acqWrite bool) string {
 	return "the mutex is not reentrant and the goroutine deadlocks against itself"
 }
 
-// edge is one own-package acquisition edge with a report position.
-type edge struct {
-	held, acq string
-	pos       token.Pos
-	via       string
-}
-
 // reportCycles builds the module-global acquisition graph from the merged
 // summaries and reports each own-package edge that closes a cycle, once
 // per distinct cycle.
@@ -96,64 +76,32 @@ func reportCycles(pass *analysis.Pass) {
 	// Adjacency over every known edge, own and imported. The via strings
 	// ride along for the diagnostic's reverse-path rendering.
 	adj := make(map[string][]analysis.LockEdge)
-	keys := make([]string, 0, len(pass.Facts.All))
-	for k := range pass.Facts.All {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range analysis.SortedKeys(pass.Facts.All) {
 		for _, e := range pass.Facts.All[k].LockEdges {
 			adj[e.Held] = append(adj[e.Held], e)
 		}
 	}
 
 	seen := make(map[string]bool)
-	for _, e := range ownEdges(pass) {
-		path, ok := reverse(adj, e.acq, e.held)
-		if !ok {
-			continue
-		}
-		key := cycleKey(e, path)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		var vias []string
-		for _, back := range path {
-			vias = append(vias, back.Via)
-		}
-		pass.Reportf(e.pos, "lock order cycle: %s is acquired while %s is held here, but the reverse order exists: %s",
-			e.acq, e.held, strings.Join(vias, "; then "))
-	}
-}
-
-// ownEdges recomputes this package's contributed edges with positions
-// (the serialized summary form drops them), in lexical order.
-func ownEdges(pass *analysis.Pass) []edge {
-	var edges []edge
 	for _, ff := range pass.Facts.Own {
-		for _, acq := range ff.LockAcquires {
-			for _, h := range acq.Held {
-				if h.ID != acq.ID {
-					edges = append(edges, edge{held: h.ID, acq: acq.ID, pos: acq.Pos})
-				}
-			}
-		}
-		for _, lc := range ff.LockCalls {
-			if len(lc.Held) == 0 {
+		for _, e := range ff.Summary.LockEdges {
+			path, ok := reverse(adj, e.Acq, e.Held)
+			if !ok {
 				continue
 			}
-			cal := pass.Facts.All[analysis.FuncKey(lc.Callee)]
-			for _, id := range sortedKeys(cal.AcquiresLocks) {
-				for _, h := range lc.Held {
-					if h.ID != id {
-						edges = append(edges, edge{held: h.ID, acq: id, pos: lc.Pos, via: cal.AcquiresLocks[id].Via})
-					}
-				}
+			key := cycleKey(e, path)
+			if seen[key] {
+				continue
 			}
+			seen[key] = true
+			var vias []string
+			for _, back := range path {
+				vias = append(vias, back.Via)
+			}
+			pass.Reportf(e.Pos, "lock order cycle: %s is acquired while %s is held here, but the reverse order exists: %s",
+				e.Acq, e.Held, strings.Join(vias, "; then "))
 		}
 	}
-	return edges
 }
 
 // reverse finds a path from → to in the acquisition graph (BFS, so the
@@ -188,8 +136,8 @@ func reverse(adj map[string][]analysis.LockEdge, from, to string) ([]analysis.Lo
 
 // cycleKey canonicalizes a cycle by its sorted node set, so a two-edge
 // cycle contributed twice by one package reports once.
-func cycleKey(e edge, path []analysis.LockEdge) string {
-	nodes := map[string]bool{e.held: true, e.acq: true}
+func cycleKey(e analysis.LockEdge, path []analysis.LockEdge) string {
+	nodes := map[string]bool{e.Held: true, e.Acq: true}
 	for _, back := range path {
 		nodes[back.Held] = true
 		nodes[back.Acq] = true
@@ -200,16 +148,4 @@ func cycleKey(e edge, path []analysis.LockEdge) string {
 	}
 	sort.Strings(ids)
 	return strings.Join(ids, "→")
-}
-
-func sortedKeys(m map[string]analysis.LockAcq) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -62,7 +62,7 @@ func checkMutations(pass *analysis.Pass, ff *analysis.FuncFacts) {
 		if recv == nil || !isContextShaped(recv.Type()) {
 			continue
 		}
-		pass.Reportf(cs.Pos,
+		pass.Reportf(cs.Call.Pos(),
 			"%s mutates a binding (%s.%s) but never reaches a revision bump — coherent caches go silently stale (mark the advance with %s or route through one)",
 			ff.Fn.Name(), typeName(recv.Type()), name, analysis.RevBumpDirective)
 	}

@@ -65,7 +65,7 @@ type FuncSummary struct {
 	LockEdges []LockEdge `json:",omitempty"`
 	// MayPark: the function's own goroutine may park indefinitely — on a
 	// channel send/receive, a select with no default, a range over a
-	// channel, or a call parkingCall recognises (conn Read/Write, Dial*,
+	// channel, or a parking call classifyCall knows (conn Read/Write, Dial*,
 	// time.Sleep, WaitGroup.Wait, Cond.Wait) — directly or transitively.
 	// lockblock reports callers that invoke it under a held mutex.
 	MayPark bool `json:",omitempty"`
@@ -132,12 +132,15 @@ type FuncFacts struct {
 	Exonerated bool
 	// LockAcquires, LockCalls, BlockOps and LockExits are the body's
 	// lock-discipline events with held-set snapshots, collected by the one
-	// held-set scan (lockorder.go). The lockorder, lockblock and lockexit
-	// analyzers report from them.
+	// held-set scan (lockorder.go). lockblock and lockexit report from
+	// them; lockorder reports from the edges built from them once:
+	// Summary.LockEdges, and Reacquires — every acquisition, direct or
+	// through a call, of a lock the body already holds (Held == Acq).
 	LockAcquires []LockAcquire
 	LockCalls    []LockCall
 	BlockOps     []BlockOp
 	LockExits    []LockExit
+	Reacquires   []LockEdge
 }
 
 // PackageFacts is what one RunAnalyzers invocation computes and every
@@ -196,24 +199,6 @@ const AllocFreeExemptDirective = "//namingvet:allocfree-exempt"
 // to its stores (the decoded names are re-validated where used).
 const WireDecoderDirective = "//namingvet:wiredecoder"
 
-// atoms are the raw, position-ordered observations collected from one body
-// before any fixpoint runs.
-type atoms struct {
-	deadlinePos []token.Pos // direct Set*Deadline calls
-	ios         []ioAtom    // direct wire I/O operations
-	dials       bool
-	calls       []CallSite // every statically resolved call, with position
-	// canonReturn: every return statement forwards a call; used for the
-	// thin-wrapper Canonicalizes propagation. Holds the forwarded callees.
-	returnCallees []*types.Func
-}
-
-type ioAtom struct {
-	pos  token.Pos
-	desc string
-	read bool // decode / conn read
-}
-
 // ComputeFacts builds the package's call graph, computes per-function
 // summaries as a fixpoint over same-package calls plus imported facts, and
 // runs the deadline-flow pass (guarded events, call-site exoneration,
@@ -230,66 +215,45 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		pf.All[k] = v
 	}
 
-	obs := make(map[*types.Func]*atoms, len(g.Order))
 	for _, fn := range g.Order {
 		decl := g.Decls[fn]
-		a := collectAtoms(pkg, decl)
-		a.calls = g.Calls[fn]
-		obs[fn] = a
 		ff := &FuncFacts{Fn: fn, Decl: decl}
-		if hasDirective(decl.Doc, CanonicalizerDirective) {
-			ff.Summary.Canonicalizes = true
-		}
-		if hasDirective(decl.Doc, RevBumpDirective) {
-			ff.Summary.RevBumps = true
-		}
+		ff.Summary.Canonicalizes = hasDirective(decl.Doc, CanonicalizerDirective)
+		ff.Summary.RevBumps = hasDirective(decl.Doc, RevBumpDirective)
 		ff.AllocFreeRoot = hasDirective(decl.Doc, AllocFreeDirective)
 		ff.AllocExempt = hasDirective(decl.Doc, AllocFreeExemptDirective)
 		ff.WireDecoder = hasDirective(decl.Doc, WireDecoderDirective)
-		ff.Summary.SetsDeadline = len(a.deadlinePos) > 0
-		ff.Summary.ConnIO = len(a.ios) > 0 || a.dials
+		for _, cs := range g.Calls[fn] {
+			switch cs.kind {
+			case setDeadline:
+				ff.Summary.SetsDeadline = true
+			case parkConnRead, parkConnWrite, parkDial:
+				ff.Summary.ConnIO = true
+			}
+		}
 		pf.Own = append(pf.Own, ff)
 		pf.byFn[fn] = ff
 	}
 
-	// Fixpoint over the monotone transitive flags. Each flag only flips
-	// false→true, so the loop terminates.
-	for changed := true; changed; {
-		changed = false
-		for _, ff := range pf.Own {
-			a := obs[ff.Fn]
-			s := &ff.Summary
-			for _, cs := range a.calls {
-				cal := summaryOf(pf, cs.Callee)
-				if cal.SetsDeadline && !s.SetsDeadline {
-					s.SetsDeadline, changed = true, true
-				}
-				if cal.ConnIO && !s.ConnIO {
-					s.ConnIO, changed = true, true
-				}
-				if (cal.Canonicalizes || cal.ReachesCanon) && !s.ReachesCanon {
-					s.ReachesCanon, changed = true, true
-				}
-				if (cal.RevBumps || cal.ReachesRevBump) && !s.ReachesRevBump {
-					s.ReachesRevBump, changed = true, true
-				}
-			}
-			for _, ret := range a.returnCallees {
-				if summaryOf(pf, ret).Canonicalizes && !s.Canonicalizes {
-					s.Canonicalizes, changed = true, true
-				}
-			}
-			if s.Canonicalizes && !s.ReachesCanon {
-				s.ReachesCanon, changed = true, true
-			}
-			if s.RevBumps && !s.ReachesRevBump {
-				s.ReachesRevBump, changed = true, true
-			}
+	pf.propagate(func(ff *FuncFacts) bool {
+		s, before := &ff.Summary, ff.Summary
+		for _, cs := range pf.Graph.Calls[ff.Fn] {
+			cal := summaryOf(pf, cs.Callee)
+			s.SetsDeadline = s.SetsDeadline || cal.SetsDeadline
+			s.ConnIO = s.ConnIO || cal.ConnIO
+			s.Canonicalizes = s.Canonicalizes || cs.Returned && cal.Canonicalizes
+			s.ReachesCanon = s.ReachesCanon || cal.Canonicalizes || cal.ReachesCanon
+			s.ReachesRevBump = s.ReachesRevBump || cal.RevBumps || cal.ReachesRevBump
 		}
-	}
+		s.ReachesCanon = s.ReachesCanon || s.Canonicalizes
+		s.ReachesRevBump = s.ReachesRevBump || s.RevBumps
+		return s.SetsDeadline != before.SetsDeadline || s.ConnIO != before.ConnIO ||
+			s.Canonicalizes != before.Canonicalizes || s.ReachesCanon != before.ReachesCanon ||
+			s.ReachesRevBump != before.ReachesRevBump
+	})
 
-	deadlineFlow(pkg, pf, obs)
-	allocFlow(pkg, pf, obs)
+	deadlineFlow(pkg, pf)
+	allocFlow(pkg, pf)
 	lockFlow(pkg, pf)
 
 	for _, ff := range pf.Own {
@@ -298,58 +262,48 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 	return pf
 }
 
-// collectAtoms gathers the raw observations from one declaration. Nested
-// function literals are folded in: a deferred or spawned closure's I/O and
-// deadlines belong, for summary purposes, to the declaring function.
-func collectAtoms(pkg *Package, decl *ast.FuncDecl) *atoms {
-	a := &atoms{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range node.Results {
-				if call, ok := res.(*ast.CallExpr); ok {
-					if callee := CalleeFunc(pkg.Info, call); callee != nil {
-						a.returnCallees = append(a.returnCallees, callee)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			callee := CalleeFunc(pkg.Info, node)
-			if callee == nil {
-				return true
-			}
-			switch callee.Name() {
-			case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
-				a.deadlinePos = append(a.deadlinePos, node.Pos())
-			}
-			switch kind, desc := parkingCall(callee); kind {
-			case parkConnRead, parkConnWrite:
-				a.ios = append(a.ios, ioAtom{node.Pos(), desc, kind == parkConnRead})
-			case parkDial:
-				a.dials = true
+// propagate is the one caller-ward fixpoint every flow runs: fold folds
+// the current summaries of ff's callees into ff.Summary and reports
+// whether anything flipped. Each flow's facts only ever flip one way
+// (false to true, or a set that only grows), so the loop ends. The order
+// — declaration order, then each flow's own call order — is fixed, so
+// the sample chains set at a first flip are deterministic.
+func (pf *PackageFacts) propagate(fold func(ff *FuncFacts) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, ff := range pf.Own {
+			if fold(ff) {
+				changed = true
 			}
 		}
-		return true
-	})
-	return a
+	}
 }
 
-// parkKind says how a call parkingCall recognises can park its goroutine.
-type parkKind uint8
+// callKind says what a call classifyCall recognises does: parks its
+// goroutine (the park kinds), or touches a conn's lifecycle.
+type callKind uint8
 
 const (
-	noPark        parkKind = iota
+	noPark        callKind = iota
 	parkPlain              // time.Sleep, sync.WaitGroup.Wait: parks, no more to say
 	parkConnRead           // Read on a conn-shaped value
 	parkConnWrite          // Write on a conn-shaped value
 	parkDial               // any Dial*/dial* function
 	parkCond               // sync.Cond.Wait: releases its one lock while parked
+	setDeadline            // Set(Read|Write)?Deadline: guards the wire I/O after it
+	connClose              // Close on a conn-shaped value: unblocks a read parked on it
 )
 
-// parkingCall is the one catalogue of calls that can park the calling
-// goroutine for as long as something outside it pleases, with the text
-// diagnostics name them by. The wire kinds feed ConnIO and the deadline
-// flow; every kind is a BlockOp for the lock family.
+// parks reports whether the kind is in the blocking catalogue.
+func (k callKind) parks() bool { return k != noPark && k < setDeadline }
+
+// classifyCall is the one catalogue of the calls the facts layer reads
+// meaning into, with the text diagnostics name them by. The park kinds
+// are the calls that can park the calling goroutine for as long as
+// something outside it pleases: the wire kinds feed ConnIO and the
+// deadline flow, and every park kind is a BlockOp for the lock family.
+// The deadline setters guard the deadline flow's I/O, and a conn Close is
+// what makes an idle read exempt.
 //
 // os.File passes the conn duck test (it has SetDeadline for pipes), but
 // file I/O is a durability concern, not a transport one: a file write
@@ -357,12 +311,12 @@ const (
 // deadline on a disk file is meaningless, and serializing a manifest
 // rewrite under its store's lock is the intended pattern. casimmut guards
 // file writes with the fsync rule instead.
-func parkingCall(callee *types.Func) (parkKind, string) {
+func classifyCall(callee *types.Func) (callKind, string) {
 	recv := callee.Type().(*types.Signature).Recv()
+	connShaped := func() bool { return recv != nil && HasMethods(recv.Type(), "Read", "Write", "SetDeadline") }
 	switch name := callee.Name(); {
 	case name == "Read" || name == "Write":
-		if recv != nil && HasMethods(recv.Type(), "Read", "Write", "SetDeadline") &&
-			!IsNamedType(recv.Type(), "os", "File") {
+		if connShaped() && !IsNamedType(recv.Type(), "os", "File") {
 			if name == "Read" {
 				return parkConnRead, "conn read"
 			}
@@ -381,6 +335,12 @@ func parkingCall(callee *types.Func) (parkKind, string) {
 		}
 	case strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "dial"):
 		return parkDial, name
+	case name == "SetDeadline" || name == "SetReadDeadline" || name == "SetWriteDeadline":
+		return setDeadline, name
+	case name == "Close":
+		if connShaped() {
+			return connClose, "conn close"
+		}
 	}
 	return noPark, ""
 }
