@@ -18,21 +18,13 @@ func BenchmarkNamingvet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc := analysis.Summaries{}
-		for _, pkg := range pkgs {
-			if pkg.FactsOnly {
-				acc = analysis.ComputeFacts(pkg, acc).All
-				continue
-			}
-			findings, merged, err := analysis.RunAnalyzers(pkg, suite, acc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(findings) != 0 {
-				b.Fatalf("module is not vet-clean: %d findings, first: %s: %s",
-					len(findings), findings[0].Posn, findings[0].Message)
-			}
-			acc = merged
+		findings, err := analysis.Run(pkgs, suite)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(findings) != 0 {
+			b.Fatalf("module is not vet-clean: %d findings, first: %s: %s",
+				len(findings), findings[0].Posn, findings[0].Message)
 		}
 	}
 }

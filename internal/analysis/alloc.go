@@ -326,23 +326,20 @@ func (sc *allocScan) visitCall(call *ast.CallExpr, stack []ast.Node) {
 	info := sc.pkg.Info
 	fun := ast.Unparen(call.Fun)
 
-	// Builtins.
-	if id, ok := fun.(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "new":
-				if sc.escapes(call, stack) {
-					sc.add(call.Pos(), fmt.Sprintf("new(%s) escapes to heap", typeLabel(typeOf(info, call))))
-				}
-			case "make":
-				sc.visitMake(call, stack)
-			case "append":
-				if !selfAppend(info, call, stack) {
-					sc.add(call.Pos(), "append may grow its backing array (capacity not provably reused)")
-				}
+	if name := BuiltinName(info, call); name != "" {
+		switch name {
+		case "new":
+			if sc.escapes(call, stack) {
+				sc.add(call.Pos(), fmt.Sprintf("new(%s) escapes to heap", typeLabel(typeOf(info, call))))
 			}
-			return
+		case "make":
+			sc.visitMake(call, stack)
+		case "append":
+			if !selfAppend(info, call, stack) {
+				sc.add(call.Pos(), "append may grow its backing array (capacity not provably reused)")
+			}
 		}
+		return
 	}
 
 	// Type conversions.
@@ -560,10 +557,7 @@ func (sc *allocScan) assignEscapes(assign *ast.AssignStmt, child ast.Node) bool 
 		if lhs.Name == "_" {
 			return false
 		}
-		obj := sc.pkg.Info.Defs[lhs]
-		if obj == nil {
-			obj = sc.pkg.Info.Uses[lhs]
-		}
+		obj := sc.pkg.Info.ObjectOf(lhs)
 		return obj == nil || sc.escUse[obj]
 	default:
 		return true // selector/index/star: a heap-reachable store
@@ -727,20 +721,13 @@ func sameStorage(info *types.Info, a, b ast.Expr) bool {
 	switch ae := a.(type) {
 	case *ast.Ident:
 		be, ok := b.(*ast.Ident)
-		return ok && objectOf(info, ae) != nil && objectOf(info, ae) == objectOf(info, be)
+		return ok && info.ObjectOf(ae) != nil && info.ObjectOf(ae) == info.ObjectOf(be)
 	case *ast.SelectorExpr:
 		be, ok := b.(*ast.SelectorExpr)
-		return ok && objectOf(info, ae.Sel) != nil && objectOf(info, ae.Sel) == objectOf(info, be.Sel) &&
+		return ok && info.ObjectOf(ae.Sel) != nil && info.ObjectOf(ae.Sel) == info.ObjectOf(be.Sel) &&
 			sameStorage(info, ae.X, be.X)
 	}
 	return false
-}
-
-func objectOf(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
 }
 
 // signatureOf resolves the signature a call expression invokes, or nil for

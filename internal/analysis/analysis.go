@@ -254,6 +254,29 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 	return findings, facts.All, nil
 }
 
+// Run analyzes packages in the dependency order Load returns them in,
+// threading each package's merged summaries into the next, so every
+// package sees the facts of all its module dependencies. FactsOnly
+// packages contribute facts and no findings. It is the one package loop:
+// standalone mode, analysistest and the benchmark all drive it.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	acc := Summaries{}
+	var all []Finding
+	for _, pkg := range pkgs {
+		if pkg.FactsOnly {
+			acc = ComputeFacts(pkg, acc).All
+			continue
+		}
+		findings, merged, err := RunAnalyzers(pkg, analyzers, acc)
+		if err != nil {
+			return nil, err
+		}
+		acc = merged
+		all = append(all, findings...)
+	}
+	return all, nil
+}
+
 // inScope reports whether an analyzer with the given Scope runs on the
 // package at path.
 func inScope(path string, scope []string) bool {
@@ -307,6 +330,19 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// BuiltinName returns the name of the builtin call invokes (len, make,
+// append, close, …), or "" when it invokes anything else.
+func BuiltinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
+		return ""
+	}
+	return id.Name
 }
 
 // IsNamedType reports whether t (after pointer indirection) is the named

@@ -55,16 +55,12 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	}
 
 	var wants []*expectation
-	var findings []analysis.Finding
-	acc := analysis.Summaries{}
 	for _, p := range pkgs {
 		wants = append(wants, collectWants(t, p)...)
-		fs, merged, err := analysis.RunAnalyzers(p, []*analysis.Analyzer{a}, acc)
-		if err != nil {
-			t.Fatalf("run %s: %v", a.Name, err)
-		}
-		acc = merged
-		findings = append(findings, fs...)
+	}
+	findings, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("run %s: %v", a.Name, err)
 	}
 
 	type mismatch struct {

@@ -140,7 +140,7 @@ func escapes(pass *analysis.Pass, sel *ast.SelectorExpr, stack []ast.Node) strin
 	case *ast.CallExpr:
 		for _, arg := range p.Args {
 			if arg == ast.Expr(sel) {
-				if isBuiltinCall(pass, p) {
+				if analysis.BuiltinName(pass.TypesInfo, p) != "" {
 					return ""
 				}
 				return "call argument"
@@ -158,15 +158,4 @@ func escapes(pass *analysis.Pass, sel *ast.SelectorExpr, stack []ast.Node) strin
 		}
 	}
 	return ""
-}
-
-// isBuiltinCall reports whether the callee is a builtin (len, delete,
-// clear, …), which reads or edits the map without retaining it.
-func isBuiltinCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, builtin := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return builtin
 }

@@ -131,15 +131,11 @@ func callEvents(pass *analysis.Pass, call *ast.CallExpr) []event {
 		}
 		return evs
 	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || len(call.Args) == 0 {
-		return nil
-	}
-	if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); !builtin {
+	if len(call.Args) == 0 {
 		return nil
 	}
 	var verb string
-	switch id.Name {
+	switch analysis.BuiltinName(pass.TypesInfo, call) {
 	case "copy":
 		verb = "copy into"
 	case "append":
@@ -175,10 +171,7 @@ func baseVar(pass *analysis.Pass, e ast.Expr) types.Object {
 	if !ok {
 		return nil
 	}
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[id]
-	}
+	obj := pass.TypesInfo.ObjectOf(id)
 	if _, ok := obj.(*types.Var); !ok {
 		return nil
 	}

@@ -28,13 +28,10 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, ff := range pass.Facts.Own {
-		decl := ff.Decl
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
+		ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				checkGo(pass, ff, g)
 			}
-			checkGo(pass, decl, g)
 			return true
 		})
 	}
@@ -43,7 +40,8 @@ func run(pass *analysis.Pass) (any, error) {
 
 // checkGo classifies one go statement's join discipline. The rules are
 // ordered strongest-first; the first matching one decides.
-func checkGo(pass *analysis.Pass, decl *ast.FuncDecl, g *ast.GoStmt) {
+func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
+	decl := ff.Decl
 	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {
 		pass.Reportf(g.Pos(),
@@ -51,15 +49,16 @@ func checkGo(pass *analysis.Pass, decl *ast.FuncDecl, g *ast.GoStmt) {
 			analysis.ExprText(g.Call.Fun))
 		return
 	}
+	j := joins(pass, lit.Body)
 
 	// Rule 1: the body signals a WaitGroup. The matching Add must appear
 	// lexically before the spawn in the same declaration, or the counter
 	// can hit zero early and release a concurrent Wait.
-	if wg := wgDoneRecv(pass, lit.Body); wg != "" {
-		if !addBefore(pass, decl, wg, g.Pos()) {
+	if j.wgDone != "" {
+		if !addBefore(pass, ff, j.wgDone, g.Pos()) {
 			pass.Reportf(g.Pos(),
 				"goroutine calls %s.Done, but no %s.Add precedes the go statement in %s",
-				wg, wg, decl.Name.Name)
+				j.wgDone, j.wgDone, decl.Name.Name)
 		}
 		return
 	}
@@ -67,7 +66,7 @@ func checkGo(pass *analysis.Pass, decl *ast.FuncDecl, g *ast.GoStmt) {
 	// Rule 2: the body closes a done channel; someone outside the
 	// goroutine must consume or store that channel, or the close signals
 	// nobody.
-	if ch := closedChan(pass, lit); ch != nil {
+	if ch := j.closed; ch != nil {
 		if !usedOutside(pass, decl, lit, ch) {
 			pass.Reportf(g.Pos(),
 				"goroutine closes %s, but %s is never received or stored outside the goroutine; nothing can join it",
@@ -78,18 +77,18 @@ func checkGo(pass *analysis.Pass, decl *ast.FuncDecl, g *ast.GoStmt) {
 
 	// Rule 3: the body blocks on a stop signal (ctx.Done() or a
 	// stop/done/quit channel receive) — a supervised worker.
-	if receivesStop(pass, lit.Body) {
+	if j.stop {
 		return
 	}
 
 	// Rule 4: the body's only link to the spawner is a channel send.
 	// That joins a request-scoped fan-in, but if the spawning method's
 	// receiver type has a Close method, Close cannot wait on it.
-	if ch := sentChan(lit.Body); ch != "" {
+	if j.sent != "" {
 		if receiverHasClose(pass, decl) {
 			pass.Reportf(g.Pos(),
 				"goroutine joins only through a send on %s; %s's receiver has a Close method, so join it with a WaitGroup that Close waits on",
-				ch, decl.Name.Name)
+				j.sent, decl.Name.Name)
 		}
 		return
 	}
@@ -99,86 +98,69 @@ func checkGo(pass *analysis.Pass, decl *ast.FuncDecl, g *ast.GoStmt) {
 		decl.Name.Name)
 }
 
-// wgDoneRecv finds a (*sync.WaitGroup).Done call in body and returns its
-// receiver's source text ("" if none).
-func wgDoneRecv(pass *analysis.Pass, body *ast.BlockStmt) string {
-	out := ""
+// join is what one goroutine body shows of the ways it can be joined,
+// gathered in one walk of the body.
+type join struct {
+	wgDone string       // receiver text of the first sync.WaitGroup Done call
+	closed types.Object // the first channel closed by close(ident)
+	stop   bool         // receives from ctx.Done() or a stop-named channel
+	sent   string       // channel text of the first send
+}
+
+// joins walks a goroutine body once for the four join signals.
+func joins(pass *analysis.Pass, body *ast.BlockStmt) join {
+	var j join
 	ast.Inspect(body, func(n ast.Node) bool {
-		if out != "" {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := analysis.CalleeFunc(pass.TypesInfo, call)
-		if callee == nil || callee.Name() != "Done" {
-			return true
-		}
-		recv := callee.Type().(*types.Signature).Recv()
-		if recv == nil || !analysis.IsNamedType(recv.Type(), "sync", "WaitGroup") {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			out = analysis.ExprText(sel.X)
-		}
-		return false
-	})
-	return out
-}
-
-// addBefore reports whether wg.Add(…) on the same receiver text appears in
-// decl before the spawn position.
-func addBefore(pass *analysis.Pass, decl *ast.FuncDecl, wg string, goPos token.Pos) bool {
-	found := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() >= goPos {
-			return true
-		}
-		callee := analysis.CalleeFunc(pass.TypesInfo, call)
-		if callee == nil || callee.Name() != "Add" {
-			return true
-		}
-		recv := callee.Type().(*types.Signature).Recv()
-		if recv == nil || !analysis.IsNamedType(recv.Type(), "sync", "WaitGroup") {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && analysis.ExprText(sel.X) == wg {
-			found = true
-		}
-		return false
-	})
-	return found
-}
-
-// closedChan finds a close(ch) in the goroutine body where ch is a simple
-// identifier, returning its object (nil if none).
-func closedChan(pass *analysis.Pass, lit *ast.FuncLit) types.Object {
-	var obj types.Object
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if obj != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "close" || !isBuiltin(pass, id) {
-			return true
-		}
-		if len(call.Args) == 1 {
-			if arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-				obj = pass.TypesInfo.Uses[arg]
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if j.wgDone == "" && isWaitGroup(pass, n, "Done") {
+				j.wgDone = analysis.ExprText(ast.Unparen(n.Fun).(*ast.SelectorExpr).X)
+			}
+			if j.closed == nil && analysis.BuiltinName(pass.TypesInfo, n) == "close" && len(n.Args) == 1 {
+				if arg, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
+					j.closed = pass.TypesInfo.Uses[arg]
+				}
+			}
+		case *ast.UnaryExpr:
+			j.stop = j.stop || n.Op == token.ARROW && stopSignal(pass, n.X)
+		case *ast.RangeStmt:
+			if tv, ok := pass.TypesInfo.Types[n.X]; ok && tv.Type != nil {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					j.stop = j.stop || stopSignal(pass, n.X)
+				}
+			}
+		case *ast.SendStmt:
+			if j.sent == "" {
+				j.sent = analysis.ExprText(n.Chan)
 			}
 		}
-		return false
+		return true
 	})
-	return obj
+	return j
+}
+
+// isWaitGroup reports whether call is the named sync.WaitGroup method,
+// called through a selector.
+func isWaitGroup(pass *analysis.Pass, call *ast.CallExpr, method string) bool {
+	callee := analysis.CalleeFunc(pass.TypesInfo, call)
+	if callee == nil || callee.Name() != method {
+		return false
+	}
+	recv := callee.Type().(*types.Signature).Recv()
+	_, sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return sel && recv != nil && analysis.IsNamedType(recv.Type(), "sync", "WaitGroup")
+}
+
+// addBefore reports whether wg.Add(…) on the same receiver text is
+// called in ff before the spawn position.
+func addBefore(pass *analysis.Pass, ff *analysis.FuncFacts, wg string, goPos token.Pos) bool {
+	for _, cs := range pass.Facts.Graph.Calls[ff.Fn] {
+		if cs.Call.Pos() < goPos && isWaitGroup(pass, cs.Call, "Add") &&
+			analysis.ExprText(ast.Unparen(cs.Call.Fun).(*ast.SelectorExpr).X) == wg {
+			return true
+		}
+	}
+	return false
 }
 
 // usedOutside reports whether obj is referenced in decl outside the
@@ -204,73 +186,22 @@ func usedOutside(pass *analysis.Pass, decl *ast.FuncDecl, lit *ast.FuncLit, obj 
 	return used
 }
 
-// receivesStop reports whether body blocks on a shutdown signal: a receive
-// from ctx.Done() (any context.Context Done method) or from a channel
-// whose name suggests a stop signal.
-func receivesStop(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	found := false
-	check := func(e ast.Expr) {
-		e = ast.Unparen(e)
-		if call, ok := e.(*ast.CallExpr); ok {
-			if callee := analysis.CalleeFunc(pass.TypesInfo, call); callee != nil && callee.Name() == "Done" {
-				if recv := callee.Type().(*types.Signature).Recv(); recv != nil {
-					found = true
-				}
-			}
-			return
-		}
-		name := strings.ToLower(analysis.ExprText(e))
-		for _, hint := range []string{"stop", "quit", "done", "closing", "shutdown"} {
-			if strings.Contains(name, hint) {
-				found = true
-				return
-			}
+// stopSignal reports whether a received-from channel is a shutdown
+// signal: ctx.Done() (any method named Done) or a channel whose name
+// suggests one.
+func stopSignal(pass *analysis.Pass, e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok {
+		callee := analysis.CalleeFunc(pass.TypesInfo, call)
+		return callee != nil && callee.Name() == "Done" && callee.Type().(*types.Signature).Recv() != nil
+	}
+	name := strings.ToLower(analysis.ExprText(e))
+	for _, hint := range []string{"stop", "quit", "done", "closing", "shutdown"} {
+		if strings.Contains(name, hint) {
+			return true
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.UnaryExpr:
-			if node.Op.String() == "<-" {
-				check(node.X)
-			}
-		case *ast.RangeStmt:
-			if tv, ok := pass.TypesInfo.Types[node.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					check(node.X)
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// sentChan finds a channel send in body and returns the channel's source
-// text ("" if none).
-func sentChan(body *ast.BlockStmt) string {
-	out := ""
-	ast.Inspect(body, func(n ast.Node) bool {
-		if out != "" {
-			return false
-		}
-		if send, ok := n.(*ast.SendStmt); ok {
-			out = analysis.ExprText(send.Chan)
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// isBuiltin reports whether id resolves to a predeclared builtin (not a
-// shadowing user definition).
-func isBuiltin(pass *analysis.Pass, id *ast.Ident) bool {
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil {
-		return true // pre-typecheck fallback: unshadowed builtins resolve to nothing
-	}
-	_, ok := obj.(*types.Builtin)
-	return ok
+	return false
 }
 
 // receiverHasClose reports whether decl is a method whose receiver type

@@ -748,17 +748,6 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 	capOf := make(map[types.Object]int64)
 	sends := make(map[types.Object]int64)
 	leaked := make(map[types.Object]bool)
-
-	objOf := func(e ast.Expr) types.Object {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if obj := pkg.Info.Uses[id]; obj != nil {
-			return obj
-		}
-		return pkg.Info.Defs[id]
-	}
 	// Pass 1: constant-capacity makes assigned to locals.
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -767,10 +756,7 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 		}
 		for i, rhs := range assign.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
-				continue
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "make" {
+			if !ok || len(call.Args) < 2 || BuiltinName(pkg.Info, call) != "make" {
 				continue
 			}
 			t := typeOf(pkg.Info, call)
@@ -788,7 +774,8 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 			if _, err := fmt.Sscan(tv.Value.ExactString(), &capVal); err != nil || capVal < 1 {
 				continue
 			}
-			if obj := objOf(assign.Lhs[i]); obj != nil {
+			id, _ := ast.Unparen(assign.Lhs[i]).(*ast.Ident)
+			if obj := pkg.Info.ObjectOf(id); obj != nil {
 				if _, dup := capOf[obj]; dup {
 					leaked[obj] = true // re-made: give up
 				}
@@ -806,13 +793,8 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 		if !ok {
 			return
 		}
-		obj := pkg.Info.Uses[id]
-		if obj == nil {
-			if obj = pkg.Info.Defs[id]; obj == nil {
-				return
-			}
-		}
-		if _, tracked := capOf[obj]; !tracked || len(stack) == 0 {
+		obj := pkg.Info.ObjectOf(id)
+		if _, tracked := capOf[obj]; obj == nil || !tracked || len(stack) == 0 {
 			return
 		}
 		switch parent := stack[len(stack)-1].(type) {
@@ -831,11 +813,7 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 				leaked[obj] = true
 			}
 		case *ast.CallExpr:
-			name := ""
-			if fid, ok := ast.Unparen(parent.Fun).(*ast.Ident); ok {
-				name = fid.Name
-			}
-			switch name {
+			switch BuiltinName(pkg.Info, parent) {
 			case "close", "len", "cap":
 				// Consuming uses: fine.
 			default:
@@ -847,11 +825,8 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 			isMakeLHS := false
 			for i, lhs := range parent.Lhs {
 				if ast.Unparen(lhs) == ast.Expr(id) && i < len(parent.Rhs) {
-					if call, ok := ast.Unparen(parent.Rhs[i]).(*ast.CallExpr); ok {
-						if fid, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && fid.Name == "make" {
-							isMakeLHS = true
-						}
-					}
+					call, ok := ast.Unparen(parent.Rhs[i]).(*ast.CallExpr)
+					isMakeLHS = isMakeLHS || ok && BuiltinName(pkg.Info, call) == "make"
 				}
 			}
 			if !isMakeLHS {

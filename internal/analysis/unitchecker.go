@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"go/version"
 	"io"
 	"os"
 	"strings"
@@ -140,7 +141,7 @@ func unitMode(cfgFile string, analyzers []*Analyzer, jsonOut bool) int {
 		mapping: cfg.ImportMap,
 		under:   exportImporter(fset, cfg.PackageFile),
 	}
-	pkg, err := Check(fset, cfg.ImportPath, cfg.GoFiles, mapped, majorMinor(cfg.GoVersion))
+	pkg, err := Check(fset, cfg.ImportPath, cfg.GoFiles, mapped, version.Lang(cfg.GoVersion))
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -197,26 +198,12 @@ func standaloneMode(patterns []string, analyzers []*Analyzer, jsonOut bool) int 
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	// Load returns packages in dependency order (go list -deps emits a
-	// package only after everything it imports), so accumulating each
-	// package's merged summaries gives every later package the facts of all
-	// its module dependencies.
-	acc := Summaries{}
-	var all []Finding
-	for _, pkg := range pkgs {
-		if pkg.FactsOnly {
-			acc = ComputeFacts(pkg, acc).All
-			continue
-		}
-		findings, merged, err := RunAnalyzers(pkg, analyzers, acc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		acc = merged
-		all = append(all, findings...)
+	findings, err := Run(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	return emit(all, jsonOut)
+	return emit(findings, jsonOut)
 }
 
 // emit prints findings (plain to stderr, or JSON to stdout) and returns
@@ -256,21 +243,4 @@ func (m mappedImporter) Import(path string) (*types.Package, error) {
 		path = canonical
 	}
 	return m.under.Import(path)
-}
-
-// majorMinor truncates a toolchain version like go1.24.3 to the go1.24
-// language version go/types accepts.
-func majorMinor(v string) string {
-	if v == "" {
-		return ""
-	}
-	rest, ok := strings.CutPrefix(v, "go")
-	if !ok {
-		return ""
-	}
-	parts := strings.SplitN(rest, ".", 3)
-	if len(parts) < 2 {
-		return "go" + rest
-	}
-	return "go" + parts[0] + "." + parts[1]
 }

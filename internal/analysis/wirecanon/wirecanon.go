@@ -66,10 +66,7 @@ func checkFieldFlow(pass *analysis.Pass, decl *ast.FuncDecl) {
 					if !ok {
 						continue
 					}
-					obj := pass.TypesInfo.Defs[id]
-					if obj == nil {
-						obj = pass.TypesInfo.Uses[id]
-					}
+					obj := pass.TypesInfo.ObjectOf(id)
 					if obj == nil {
 						continue
 					}
@@ -146,12 +143,10 @@ func canonicalValue(pass *analysis.Pass, canon map[types.Object]bool, e ast.Expr
 		}
 		return canon[pass.TypesInfo.Uses[v]]
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok && id.Name == "make" {
-			if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin {
-				// A fresh empty container is fine; the element stores are
-				// checked at their own assignment sites.
-				return true
-			}
+		if analysis.BuiltinName(pass.TypesInfo, v) == "make" {
+			// A fresh empty container is fine; the element stores are
+			// checked at their own assignment sites.
+			return true
 		}
 		callee := analysis.CalleeFunc(pass.TypesInfo, v)
 		if callee == nil {
