@@ -223,14 +223,6 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		ff.AllocFreeRoot = hasDirective(decl.Doc, AllocFreeDirective)
 		ff.AllocExempt = hasDirective(decl.Doc, AllocFreeExemptDirective)
 		ff.WireDecoder = hasDirective(decl.Doc, WireDecoderDirective)
-		for _, cs := range g.Calls[fn] {
-			switch cs.kind {
-			case setDeadline:
-				ff.Summary.SetsDeadline = true
-			case parkConnRead, parkConnWrite, parkDial:
-				ff.Summary.ConnIO = true
-			}
-		}
 		pf.Own = append(pf.Own, ff)
 		pf.byFn[fn] = ff
 	}
@@ -239,8 +231,8 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		s, before := &ff.Summary, ff.Summary
 		for _, cs := range pf.Graph.Calls[ff.Fn] {
 			cal := summaryOf(pf, cs.Callee)
-			s.SetsDeadline = s.SetsDeadline || cal.SetsDeadline
-			s.ConnIO = s.ConnIO || cal.ConnIO
+			s.SetsDeadline = s.SetsDeadline || cs.kind == setDeadline || cal.SetsDeadline
+			s.ConnIO = s.ConnIO || cs.kind == parkConnRead || cs.kind == parkConnWrite || cs.kind == parkDial || cal.ConnIO
 			s.Canonicalizes = s.Canonicalizes || cs.Returned && cal.Canonicalizes
 			s.ReachesCanon = s.ReachesCanon || cal.Canonicalizes || cal.ReachesCanon
 			s.ReachesRevBump = s.ReachesRevBump || cal.RevBumps || cal.ReachesRevBump

@@ -73,10 +73,22 @@ func Main(progname string, analyzers []*Analyzer) {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(unitMode(args[0], analyzers, jsonOut))
 	}
+	// Standalone mode: load the patterns with the go toolchain and analyze
+	// every matched package.
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(standaloneMode(args, analyzers, jsonOut))
+	pkgs, err := Load(".", args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	findings, err := Run(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(emit(findings, jsonOut))
 }
 
 // printVersion emits the `-V=full` line the go command hashes into its
@@ -183,27 +195,6 @@ func writeVetx(path string, merged Summaries) int {
 		return 1
 	}
 	return 0
-}
-
-// standaloneMode loads package patterns with the go toolchain and analyzes
-// every matched package: `namingvet ./...`.
-func standaloneMode(patterns []string, analyzers []*Analyzer, jsonOut bool) int {
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	pkgs, err := Load(wd, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	findings, err := Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	return emit(findings, jsonOut)
 }
 
 // emit prints findings (plain to stderr, or JSON to stdout) and returns
