@@ -85,10 +85,15 @@ func allocFlow(pkg *Package, pf *PackageFacts) {
 		return pf.AllocExemptAt(pkg.Fset.Position(pos))
 	}
 	for _, ff := range pf.Own {
+		ff.allocEvidence = allocSites(pkg, ff.Decl)
 		if ff.AllocExempt {
 			continue
 		}
-		ff.Allocs = allocSites(pkg, ff.Decl, exemptAt)
+		for _, s := range ff.allocEvidence {
+			if !exemptAt(s.Pos) {
+				ff.Allocs = append(ff.Allocs, s)
+			}
+		}
 		if len(ff.Allocs) > 0 {
 			ff.Summary.Allocates = true
 			ff.Summary.EscapesToHeap = true
@@ -125,17 +130,16 @@ func allocFlow(pkg *Package, pf *PackageFacts) {
 // evidence-free. Runs only when the allocfree analyzer is in the run set
 // (RunAnalyzers gates the call).
 func auditAllocExempt(pkg *Package, pf *PackageFacts) []Finding {
-	noExempt := func(token.Pos) bool { return false }
 	type fileLine struct {
 		file string
 		line int
 	}
-	// Every line an un-exempted sweep would find evidence on, and, per
+	// Every line the sweep found evidence on, exempt or not, and, per
 	// function, whether any exists at all.
 	evidence := make(map[fileLine]bool)
 	hasEvidence := make(map[*FuncFacts]bool)
 	for _, ff := range pf.Own {
-		for _, s := range allocSites(pkg, ff.Decl, noExempt) {
+		for _, s := range ff.allocEvidence {
 			posn := pkg.Fset.Position(s.Pos)
 			evidence[fileLine{posn.Filename, posn.Line}] = true
 			hasEvidence[ff] = true
@@ -233,19 +237,18 @@ func siteLabel(pkg *Package, s AllocSite) string {
 
 // allocScan carries the per-declaration state of one allocation sweep.
 type allocScan struct {
-	pkg    *Package
-	decl   *ast.FuncDecl
-	exempt func(token.Pos) bool
+	pkg  *Package
+	decl *ast.FuncDecl
 	// escUse marks objects with at least one escaping use in this body
 	// (returned, stored to a heap-reachable place, boxed, captured, sent).
 	escUse map[types.Object]bool
 	sites  []AllocSite
 }
 
-// allocSites collects the non-exempt allocation sites of one declaration,
-// in lexical order.
-func allocSites(pkg *Package, decl *ast.FuncDecl, exempt func(token.Pos) bool) []AllocSite {
-	sc := &allocScan{pkg: pkg, decl: decl, exempt: exempt}
+// allocSites collects the allocation sites of one declaration, exempt
+// lines included, in lexical order.
+func allocSites(pkg *Package, decl *ast.FuncDecl) []AllocSite {
+	sc := &allocScan{pkg: pkg, decl: decl}
 	sc.escUse = escapingUses(pkg, decl)
 	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
 		sc.visit(n, stack)
@@ -253,11 +256,8 @@ func allocSites(pkg *Package, decl *ast.FuncDecl, exempt func(token.Pos) bool) [
 	return sc.sites
 }
 
-// add records one site unless its line is exempt.
+// add records one site.
 func (sc *allocScan) add(pos token.Pos, desc string) {
-	if sc.exempt(pos) {
-		return
-	}
 	sc.sites = append(sc.sites, AllocSite{Pos: pos, Desc: desc})
 }
 

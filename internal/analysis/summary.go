@@ -110,6 +110,9 @@ type FuncFacts struct {
 	// Allocs lists the body's non-exempt allocation sites in lexical
 	// order (empty for //namingvet:allocfree-exempt functions).
 	Allocs []AllocSite
+	// allocEvidence is every allocation site of the body, exempt ones
+	// included: the evidence the unused-exemption audit weighs.
+	allocEvidence []AllocSite
 	// AllocFreeRoot: the declaration carries //namingvet:allocfree — the
 	// function and everything it transitively reaches must not allocate
 	// on the steady path.
