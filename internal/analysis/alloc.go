@@ -249,7 +249,7 @@ type allocScan struct {
 // lines included, in lexical order.
 func allocSites(pkg *Package, decl *ast.FuncDecl) []AllocSite {
 	sc := &allocScan{pkg: pkg, decl: decl}
-	sc.escUse = escapingUses(pkg, decl)
+	sc.escUse = sc.escapingUses()
 	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
 		sc.visit(n, stack)
 	})
@@ -269,7 +269,7 @@ func (sc *allocScan) visit(n ast.Node, stack []ast.Node) {
 		sc.add(node.Pos(), "go statement allocates a goroutine")
 
 	case *ast.CompositeLit:
-		t := typeOf(info, node)
+		t := info.TypeOf(node)
 		switch t.Underlying().(type) {
 		case *types.Map:
 			sc.add(node.Pos(), "map literal allocates")
@@ -288,7 +288,7 @@ func (sc *allocScan) visit(n ast.Node, stack []ast.Node) {
 		switch operand := ast.Unparen(node.X).(type) {
 		case *ast.CompositeLit:
 			if sc.escapes(node, stack) {
-				sc.add(node.Pos(), fmt.Sprintf("&%s literal escapes to heap", typeLabel(typeOf(info, operand))))
+				sc.add(node.Pos(), fmt.Sprintf("&%s literal escapes to heap", typeLabel(info.TypeOf(operand))))
 			}
 		case *ast.Ident:
 			if obj, ok := info.Uses[operand].(*types.Var); ok && !obj.IsField() && sc.escapes(node, stack) {
@@ -330,7 +330,7 @@ func (sc *allocScan) visitCall(call *ast.CallExpr, stack []ast.Node) {
 		switch name {
 		case "new":
 			if sc.escapes(call, stack) {
-				sc.add(call.Pos(), fmt.Sprintf("new(%s) escapes to heap", typeLabel(typeOf(info, call))))
+				sc.add(call.Pos(), fmt.Sprintf("new(%s) escapes to heap", typeLabel(info.TypeOf(call))))
 			}
 		case "make":
 			sc.visitMake(call, stack)
@@ -381,7 +381,7 @@ func (sc *allocScan) visitCall(call *ast.CallExpr, stack []ast.Node) {
 // escapes or its length is not a compile-time constant (the compiler only
 // stack-allocates constant-size, non-escaping makes).
 func (sc *allocScan) visitMake(call *ast.CallExpr, stack []ast.Node) {
-	t := typeOf(sc.pkg.Info, call)
+	t := sc.pkg.Info.TypeOf(call)
 	switch t.Underlying().(type) {
 	case *types.Map:
 		sc.add(call.Pos(), "make(map) allocates")
@@ -411,7 +411,7 @@ func (sc *allocScan) visitConversion(call *ast.CallExpr, target types.Type, stac
 		return
 	}
 	operand := call.Args[0]
-	opT := typeOf(sc.pkg.Info, operand)
+	opT := sc.pkg.Info.TypeOf(operand)
 	if opT == nil {
 		return
 	}
@@ -428,7 +428,7 @@ func (sc *allocScan) visitConversion(call *ast.CallExpr, target types.Type, stac
 		switch parent := stack[len(stack)-1].(type) {
 		case *ast.IndexExpr:
 			if parent.Index == call {
-				if _, isMap := typeOf(sc.pkg.Info, parent.X).Underlying().(*types.Map); isMap && !isAssignTarget(parent, stack[:len(stack)-1]) {
+				if _, isMap := sc.pkg.Info.TypeOf(parent.X).Underlying().(*types.Map); isMap && !isAssignTarget(parent, stack[:len(stack)-1]) {
 					return // m[string(b)] rvalue: no copy
 				}
 			}
@@ -494,8 +494,9 @@ func (sc *allocScan) captures(lit *ast.FuncLit) bool {
 }
 
 // escapes walks the ancestor chain deciding whether the value produced by
-// node outlives the frame. See the package comment for the (deliberately
-// caller-friendly) approximation.
+// node outlives the frame. It is the one classifier: node is an allocation
+// site, or an identifier use when escapingUses builds escUse. See the
+// package comment for the (deliberately caller-friendly) approximation.
 func (sc *allocScan) escapes(node ast.Node, stack []ast.Node) bool {
 	child := node
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -540,8 +541,14 @@ func (sc *allocScan) escapes(node ast.Node, stack []ast.Node) bool {
 
 // assignEscapes decides escape through `lhs = <value>`: a store to a
 // field, element, or pointee escapes; a store to a plain local escapes iff
-// that local has an escaping use somewhere in the body.
+// that local has an escaping use somewhere in the body. The store's own
+// target is no use at all.
 func (sc *allocScan) assignEscapes(assign *ast.AssignStmt, child ast.Node) bool {
+	for _, lhs := range assign.Lhs {
+		if lhs == child {
+			return false
+		}
+	}
 	idx := -1
 	for i, rhs := range assign.Rhs {
 		if rhs == child {
@@ -601,98 +608,21 @@ func (sc *allocScan) argEscapes(call *ast.CallExpr, child ast.Node) bool {
 	return true
 }
 
-// escapingUses classifies, in one pass, every object with at least one use
-// the local escape test treats as escaping: returned, stored into a
-// composite or through a selector/index/star assignment, passed to an
-// interface parameter, captured by a nested function literal, or sent on a
-// channel.
-func escapingUses(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool {
+// escapingUses marks, in one pass, every object with at least one use the
+// escape test itself classifies as escaping. escUse is still empty while
+// it runs, so a store into another local is not followed further.
+func (sc *allocScan) escapingUses() map[types.Object]bool {
 	esc := make(map[types.Object]bool)
-	if decl.Body == nil {
-		return esc
-	}
-	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
+	WalkStack(sc.decl.Body, func(n ast.Node, stack []ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return
 		}
-		v, ok := pkg.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return
-		}
-		if identUseEscapes(pkg, id, v, decl, stack) {
+		if v, ok := sc.pkg.Info.Uses[id].(*types.Var); ok && !v.IsField() && sc.escapes(id, stack) {
 			esc[v] = true
 		}
 	})
 	return esc
-}
-
-// identUseEscapes classifies one identifier use by its ancestor chain.
-func identUseEscapes(pkg *Package, id *ast.Ident, v *types.Var, decl *ast.FuncDecl, stack []ast.Node) bool {
-	var child ast.Node = id
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch parent := stack[i].(type) {
-		case *ast.ParenExpr, *ast.UnaryExpr, *ast.KeyValueExpr:
-			// Keep walking (a &x use inherits x's context).
-		case *ast.ReturnStmt:
-			return true
-		case *ast.SendStmt:
-			return parent.Value == child
-		case *ast.CompositeLit:
-			return true // stored into another structure
-		case *ast.AssignStmt:
-			// x on the RHS with a heap-reachable LHS escapes.
-			for j, rhs := range parent.Rhs {
-				if rhs != child || len(parent.Lhs) != len(parent.Rhs) {
-					continue
-				}
-				switch ast.Unparen(parent.Lhs[j]).(type) {
-				case *ast.Ident:
-					return false // local-to-local move: not tracked further
-				default:
-					return true
-				}
-			}
-			return false
-		case *ast.CallExpr:
-			if parent.Fun == child {
-				return false
-			}
-			sig := signatureOf(pkg.Info, ast.Unparen(parent.Fun))
-			if sig == nil {
-				return false // builtins (len, cap, append self) don't retain
-			}
-			for j, arg := range parent.Args {
-				if arg != child {
-					continue
-				}
-				pt := paramType(sig, j)
-				if pt == nil {
-					return true
-				}
-				_, isIface := pt.Underlying().(*types.Interface)
-				return isIface
-			}
-			return false
-		case *ast.FuncLit:
-			// Used inside a nested literal although declared outside it:
-			// captured.
-			pos := v.Pos()
-			inDecl := pos >= decl.Pos() && pos < decl.End()
-			inLit := pos >= parent.Pos() && pos < parent.End()
-			return inDecl && !inLit
-		case *ast.SelectorExpr, *ast.IndexExpr, *ast.SliceExpr, *ast.StarExpr,
-			*ast.BinaryExpr, *ast.IfStmt, *ast.ForStmt, *ast.RangeStmt,
-			*ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.CaseClause,
-			*ast.BlockStmt, *ast.ExprStmt, *ast.IncDecStmt, *ast.ValueSpec,
-			*ast.GoStmt, *ast.DeferStmt:
-			return false
-		default:
-			return false
-		}
-		child = stack[i]
-	}
-	return false
 }
 
 // selfAppend reports whether the append call is the amortized reuse form
@@ -759,13 +689,6 @@ func paramType(sig *types.Signature, i int) types.Type {
 		return nil
 	}
 	return params.At(i).Type()
-}
-
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 func isString(t types.Type) bool {

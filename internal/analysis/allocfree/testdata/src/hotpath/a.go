@@ -118,16 +118,3 @@ func (s *server) cycle(depth int) {
 	}
 	s.cycle(depth - 1)
 }
-
-type holder struct{ buf []int }
-
-// wrap is a root that wraps a constant make in a local struct literal:
-// the identifier walk counts any use inside a composite literal as a
-// heap store, so the make is reported although the holder stays local.
-//
-//namingvet:allocfree
-func wrap() int {
-	s := make([]int, 3) // want `wrap is marked //namingvet:allocfree but allocates: make\(\[\]T, …\) escapes to heap`
-	h := holder{s}
-	return len(h.buf)
-}

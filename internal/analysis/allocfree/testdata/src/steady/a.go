@@ -148,3 +148,16 @@ func drain(ready <-chan int64) int64 {
 	n := <-ready
 	return -n
 }
+
+type holder struct{ buf []int }
+
+// wrap is a clean root: a constant make wrapped in a struct literal that
+// stays local stays on the stack. go build -gcflags=-m prints
+// "make([]int, 3) does not escape" for this body.
+//
+//namingvet:allocfree
+func wrap() int {
+	s := make([]int, 3)
+	h := holder{s}
+	return len(h.buf)
+}

@@ -442,7 +442,7 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 		sc.block(st.Body.List, copyHeldLocks(held), caller)
 	case *ast.RangeStmt:
 		sc.expr(st.X, held, caller)
-		if t := typeOf(sc.pkg.Info, st.X); t != nil {
+		if t := sc.pkg.Info.TypeOf(st.X); t != nil {
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
 				sc.blocks = append(sc.blocks, BlockOp{
 					Desc: "range over channel", Held: copyHeldLocks(held), Pos: st.Pos(), Caller: caller,
@@ -701,7 +701,7 @@ func (sc *lockScan) lockID(e ast.Expr) string {
 // the sync mutex types (then the caller keeps walking the selector chain
 // instead, so "s.mu" keys on Server, not on sync.Mutex).
 func namedBaseID(info *types.Info, e ast.Expr) string {
-	t := typeOf(info, e)
+	t := info.TypeOf(e)
 	if t == nil {
 		return ""
 	}
@@ -759,7 +759,7 @@ func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool 
 			if !ok || len(call.Args) < 2 || BuiltinName(pkg.Info, call) != "make" {
 				continue
 			}
-			t := typeOf(pkg.Info, call)
+			t := pkg.Info.TypeOf(call)
 			if t == nil {
 				continue
 			}
