@@ -80,7 +80,6 @@ var allocFuncs = map[string]bool{
 // Allocates/EscapesToHeap fixpoint. Runs after the main summary fixpoint,
 // so imported facts are already merged into pf.All.
 func allocFlow(pkg *Package, pf *PackageFacts) {
-	pf.allocExempt = allocExemptLines(pkg)
 	exemptAt := func(pos token.Pos) bool {
 		return pf.AllocExemptAt(pkg.Fset.Position(pos))
 	}
@@ -182,51 +181,24 @@ func auditAllocExempt(pkg *Package, pf *PackageFacts) []Finding {
 		}
 	}
 	// Everything else is a line directive covering its own and the next line.
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !directiveMatches(c.Text, AllocFreeExemptDirective) || docDirective[c] {
-					continue
-				}
-				posn := pkg.Fset.Position(c.Pos())
-				if strings.HasSuffix(posn.Filename, "_test.go") {
-					continue
-				}
-				if evidence[fileLine{posn.Filename, posn.Line}] || evidence[fileLine{posn.Filename, posn.Line + 1}] {
-					continue
-				}
-				findings = append(findings, Finding{
-					Analyzer: SuppressName,
-					Posn:     posn,
-					Message:  "unused suppression: no allocation evidence on the lines this allocfree-exempt directive covers",
-				})
-			}
+	for _, c := range pf.directives.exempts {
+		if docDirective[c] {
+			continue
 		}
+		posn := pkg.Fset.Position(c.Pos())
+		if strings.HasSuffix(posn.Filename, "_test.go") {
+			continue
+		}
+		if evidence[fileLine{posn.Filename, posn.Line}] || evidence[fileLine{posn.Filename, posn.Line + 1}] {
+			continue
+		}
+		findings = append(findings, Finding{
+			Analyzer: SuppressName,
+			Posn:     posn,
+			Message:  "unused suppression: no allocation evidence on the lines this allocfree-exempt directive covers",
+		})
 	}
 	return findings
-}
-
-// allocExemptLines indexes //namingvet:allocfree-exempt line directives:
-// the directive's own line and the following one, so the comment may sit
-// above or beside the exempted expression.
-func allocExemptLines(pkg *Package) map[string]map[int]bool {
-	idx := make(map[string]map[int]bool)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !directiveMatches(c.Text, AllocFreeExemptDirective) {
-					continue
-				}
-				posn := pkg.Fset.Position(c.Pos())
-				if idx[posn.Filename] == nil {
-					idx[posn.Filename] = make(map[int]bool)
-				}
-				idx[posn.Filename][posn.Line] = true
-				idx[posn.Filename][posn.Line+1] = true
-			}
-		}
-	}
-	return idx
 }
 
 // siteLabel renders one allocation site for a summary's AllocVia chain.

@@ -85,7 +85,8 @@ type ignoreDirective struct {
 	used     map[string]bool // analyzer name -> suppressed something
 }
 
-// ignoreIndex records which analyzers are suppressed where, from
+// ignoreIndex records, from the package's one scan of its comments, which
+// analyzers are suppressed where, from
 //
 //	//namingvet:ignore name1,name2 -- reason
 //
@@ -94,21 +95,38 @@ type ignoreDirective struct {
 //
 //	//namingvet:file-ignore name -- reason
 //
-// directives (suppressing a whole file).
+// directives (suppressing a whole file), and which lines a
+// //namingvet:allocfree-exempt directive covers (its own and the next, for
+// the same reason): allocation evidence there is dropped, and call edges
+// there do not propagate allocation facts.
 type ignoreIndex struct {
-	files      map[string][]*ignoreDirective         // filename -> file-wide directives
-	lines      map[string]map[int][]*ignoreDirective // filename -> line -> directives
-	directives []*ignoreDirective
+	files       map[string][]*ignoreDirective         // filename -> file-wide directives
+	lines       map[string]map[int][]*ignoreDirective // filename -> line -> directives
+	directives  []*ignoreDirective
+	exempts     []*ast.Comment          // allocfree-exempt directives, doc comments included
+	exemptLines map[string]map[int]bool // filename -> lines an exempts entry covers
 }
 
 func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 	idx := &ignoreIndex{
-		files: make(map[string][]*ignoreDirective),
-		lines: make(map[string]map[int][]*ignoreDirective),
+		files:       make(map[string][]*ignoreDirective),
+		lines:       make(map[string]map[int][]*ignoreDirective),
+		exemptLines: make(map[string]map[int]bool),
 	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				if directiveMatches(c.Text, AllocFreeExemptDirective) {
+					posn := fset.Position(c.Pos())
+					byLine := idx.exemptLines[posn.Filename]
+					if byLine == nil {
+						byLine = make(map[int]bool)
+						idx.exemptLines[posn.Filename] = byLine
+					}
+					byLine[posn.Line], byLine[posn.Line+1] = true, true
+					idx.exempts = append(idx.exempts, c)
+					continue
+				}
 				text, fileWide := strings.CutPrefix(c.Text, "//namingvet:file-ignore ")
 				if !fileWide {
 					var ok bool
@@ -214,7 +232,6 @@ func (idx *ignoreIndex) audit(ran map[string]bool) []Finding {
 // identity, hold locks over pipe I/O, and read wall clocks, and the
 // invariants guard production paths.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Finding, Summaries, error) {
-	idx := buildIgnoreIndex(pkg.Fset, pkg.Files)
 	facts := ComputeFacts(pkg, imported)
 	var findings []Finding
 	for _, a := range analyzers {
@@ -234,7 +251,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 			if strings.HasSuffix(posn.Filename, "_test.go") {
 				return
 			}
-			if idx.ignored(a.Name, posn) {
+			if facts.directives.ignored(a.Name, posn) {
 				return
 			}
 			findings = append(findings, Finding{Analyzer: a.Name, Posn: posn, Message: d.Message})
@@ -247,7 +264,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
-	findings = append(findings, idx.audit(ran)...)
+	findings = append(findings, facts.directives.audit(ran)...)
 	if ran["allocfree"] {
 		findings = append(findings, auditAllocExempt(pkg, facts)...)
 	}

@@ -158,16 +158,15 @@ type PackageFacts struct {
 	Graph *CallGraph
 
 	byFn map[*types.Func]*FuncFacts
-	// allocExempt marks the lines //namingvet:allocfree-exempt covers
-	// (the directive's line and the next): allocation evidence there is
-	// dropped and call edges there do not propagate allocation facts.
-	allocExempt map[string]map[int]bool
+	// directives indexes the package's //namingvet: line directives; the
+	// allocation flow reads its exempt lines and RunAnalyzers its ignores.
+	directives *ignoreIndex
 }
 
 // AllocExemptAt reports whether posn sits on a line covered by a
 // //namingvet:allocfree-exempt directive.
 func (pf *PackageFacts) AllocExemptAt(posn token.Position) bool {
-	return pf.allocExempt[posn.Filename][posn.Line]
+	return pf.directives.exemptLines[posn.Filename][posn.Line]
 }
 
 // OwnFacts returns the facts for a function declared in this package, or
@@ -210,9 +209,10 @@ const WireDecoderDirective = "//namingvet:wiredecoder"
 func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 	g := BuildCallGraph(pkg)
 	pf := &PackageFacts{
-		All:   make(Summaries, len(imported)+len(g.Order)),
-		Graph: g,
-		byFn:  make(map[*types.Func]*FuncFacts, len(g.Order)),
+		All:        make(Summaries, len(imported)+len(g.Order)),
+		Graph:      g,
+		byFn:       make(map[*types.Func]*FuncFacts, len(g.Order)),
+		directives: buildIgnoreIndex(pkg.Fset, pkg.Files),
 	}
 	for k, v := range imported {
 		pf.All[k] = v
