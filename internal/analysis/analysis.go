@@ -362,14 +362,31 @@ func BuiltinName(info *types.Info, call *ast.CallExpr) string {
 	return id.Name
 }
 
-// IsNamedType reports whether t (after pointer indirection) is the named
-// type pkgPath.name.
-func IsNamedType(t types.Type, pkgPath, name string) bool {
+// NamedOf returns t, after one pointer indirection, as a named type, or
+// nil when it is not one.
+func NamedOf(t types.Type) *types.Named {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// RecvNamed returns the named type of fn's receiver (after pointer
+// indirection), or nil when fn is no method of a named type.
+func RecvNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	return NamedOf(recv.Type())
+}
+
+// IsNamedType reports whether t (after pointer indirection) is the named
+// type pkgPath.name.
+func IsNamedType(t types.Type, pkgPath, name string) bool {
+	named := NamedOf(t)
+	if named == nil {
 		return false
 	}
 	obj := named.Obj()

@@ -105,23 +105,12 @@ func inMethodOf(pass *analysis.Pass, stack []ast.Node, owner *types.Named) bool 
 		if !ok {
 			continue
 		}
-		if fn.Recv == nil || len(fn.Recv.List) == 0 {
-			return false
-		}
 		obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
 		if obj == nil {
 			return false
 		}
-		sig := obj.Type().(*types.Signature)
-		if sig.Recv() == nil {
-			return false
-		}
-		recv := sig.Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		return ok && named.Obj() == owner.Obj()
+		named := analysis.RecvNamed(obj)
+		return named != nil && named.Obj() == owner.Obj()
 	}
 	return false
 }

@@ -119,19 +119,14 @@ func summaryOf(pf *PackageFacts, callee *types.Func) FuncSummary {
 // Close closes the conn under it — a deadline would turn idle connections
 // into spurious errors.
 func idleExempt(pkg *Package, pf *PackageFacts, ff *FuncFacts, cs CallSite) bool {
-	recv := ff.Fn.Type().(*types.Signature).Recv()
-	if cs.kind != parkConnRead || recv == nil {
+	named := RecvNamed(ff.Fn)
+	if cs.kind != parkConnRead || named == nil {
 		return false
 	}
 	if !inBareLoop(ff.Decl.Body, cs.Call.Pos()) && !forwardsRead(pkg, ff, cs.Call) {
 		return false
 	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && closeClosesConn(pf, named)
+	return closeClosesConn(pf, named)
 }
 
 // forwardsRead reports whether the conn read call is an io.Reader adapter

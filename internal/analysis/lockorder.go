@@ -701,18 +701,11 @@ func (sc *lockScan) lockID(e ast.Expr) string {
 // the sync mutex types (then the caller keeps walking the selector chain
 // instead, so "s.mu" keys on Server, not on sync.Mutex).
 func namedBaseID(info *types.Info, e ast.Expr) string {
-	t := info.TypeOf(e)
-	if t == nil {
+	named := NamedOf(info.TypeOf(e))
+	if named == nil || named.Obj().Pkg() == nil {
 		return ""
 	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	if IsNamedType(t, "sync", "Mutex") || IsNamedType(t, "sync", "RWMutex") {
+	if IsNamedType(named, "sync", "Mutex") || IsNamedType(named, "sync", "RWMutex") {
 		return ""
 	}
 	return "(*" + named.Obj().Pkg().Name() + "." + named.Obj().Name() + ")"

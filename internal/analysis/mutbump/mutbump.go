@@ -76,10 +76,7 @@ func isContextShaped(t types.Type) bool {
 
 // typeName renders a receiver type compactly for diagnostics.
 func typeName(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
+	if named := analysis.NamedOf(t); named != nil {
 		return named.Obj().Name()
 	}
 	return t.String()

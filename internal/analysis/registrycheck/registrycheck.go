@@ -350,14 +350,8 @@ func sortedTypes(m map[*types.Named]ast.Node) []*types.Named {
 // localNamed returns t as a named type declared in this package (after
 // pointer indirection), or nil.
 func localNamed(pass *analysis.Pass, t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() != pass.Pkg {
+	named := analysis.NamedOf(t)
+	if named == nil || named.Obj().Pkg() != pass.Pkg {
 		return nil
 	}
 	if _, ok := named.Underlying().(*types.Struct); !ok {

@@ -152,9 +152,6 @@ func canonicalValue(pass *analysis.Pass, canon map[types.Object]bool, e ast.Expr
 		if callee == nil {
 			return false
 		}
-		if ff := pass.Facts.OwnFacts(callee); ff != nil {
-			return ff.Summary.Canonicalizes
-		}
 		return pass.Facts.All[analysis.FuncKey(callee)].Canonicalizes
 	case *ast.IndexExpr:
 		// raws[i] where raws came from a canonicalizer.
@@ -194,14 +191,8 @@ func isWireStruct(t types.Type) bool {
 }
 
 func wireStructName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named := analysis.NamedOf(t)
+	if named == nil {
 		return ""
 	}
 	st, ok := named.Underlying().(*types.Struct)
