@@ -1,5 +1,5 @@
 // Package analysistest runs an analyzer over a testdata package and checks
-// its diagnostics against // want "regexp" comments, in the style of
+// its diagnostics against // want `regexp` comments, in the style of
 // golang.org/x/tools/go/analysis/analysistest (stdlib-only re-creation; the
 // image has no module proxy). Testdata packages live under
 // <analyzer>/testdata/src/<pkg> inside the module, so the go toolchain can
@@ -31,7 +31,7 @@ type expectation struct {
 	matched bool
 }
 
-var wantRE = regexp.MustCompile("// want (?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`)")
+var wantRE = regexp.MustCompile("// want `([^`]*)`")
 
 // Run loads testdata/src/<pkg> (and any helper packages nested beneath it)
 // relative to the test's working directory, runs the analyzer over each
@@ -121,13 +121,7 @@ func collectWants(t *testing.T, p *analysis.Package) []*expectation {
 					}
 					continue
 				}
-				pattern := m[1]
-				if m[2] != "" {
-					pattern = m[2]
-				} else {
-					pattern = unquoteLite(pattern)
-				}
-				re, err := regexp.Compile(pattern)
+				re, err := regexp.Compile(m[1])
 				if err != nil {
 					t.Fatalf("%s: bad want regexp: %v", p.Fset.Position(c.Pos()), err)
 				}
@@ -137,10 +131,4 @@ func collectWants(t *testing.T, p *analysis.Package) []*expectation {
 		}
 	}
 	return wants
-}
-
-// unquoteLite undoes the \" and \\ escapes allowed inside a quoted want.
-func unquoteLite(s string) string {
-	s = strings.ReplaceAll(s, `\"`, `"`)
-	return strings.ReplaceAll(s, `\\`, `\`)
 }
