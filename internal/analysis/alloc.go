@@ -28,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -96,7 +95,7 @@ func allocFlow(pkg *Package, pf *PackageFacts) {
 		if len(ff.Allocs) > 0 {
 			ff.Summary.Allocates = true
 			ff.Summary.EscapesToHeap = true
-			ff.Summary.AllocVia = siteLabel(pkg, ff.Allocs[0])
+			ff.Summary.AllocVia = ff.Allocs[0].Desc + " (" + posLabel(pkg, ff.Allocs[0].Pos) + ")"
 		}
 	}
 
@@ -199,12 +198,6 @@ func auditAllocExempt(pkg *Package, pf *PackageFacts) []Finding {
 		})
 	}
 	return findings
-}
-
-// siteLabel renders one allocation site for a summary's AllocVia chain.
-func siteLabel(pkg *Package, s AllocSite) string {
-	posn := pkg.Fset.Position(s.Pos)
-	return fmt.Sprintf("%s (%s:%d)", s.Desc, filepath.Base(posn.Filename), posn.Line)
 }
 
 // allocScan carries the per-declaration state of one allocation sweep.
