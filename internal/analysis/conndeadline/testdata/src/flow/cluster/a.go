@@ -1,7 +1,8 @@
-// Package clusterflow exercises conndeadline's call-graph rules: caller
-// deadlines satisfy callee I/O (exoneration), unguarded calls to
-// UnguardedIO functions are reported at the call site — including across
-// packages — and idle-loop reads under a conn-closing Close are exempt.
+// Package clusterflow exercises conndeadline's call-graph rules: a helper
+// doing unguarded I/O is reported at its own I/O whoever calls it,
+// unguarded calls to UnguardedIO functions are reported at the call site —
+// including across packages — and idle-loop reads under a conn-closing
+// Close are exempt.
 // (The directory is named "cluster" so the testdata package path lands in
 // the analyzer's scope.)
 package clusterflow
@@ -17,14 +18,14 @@ type client struct {
 	conn net.Conn
 }
 
-// roundTrip is exonerated: unexported, never used as a value, and both of
-// its call sites set a deadline first. Its I/O is the callers' obligation,
-// and they meet it.
+// roundTrip is reported at its own I/O although both of its call sites set
+// a deadline first: a helper sets the deadline for the I/O it does. Its
+// guarded callers are not reported.
 func (c *client) roundTrip(req, resp []byte) error {
-	if _, err := c.conn.Write(req); err != nil {
+	if _, err := c.conn.Write(req); err != nil { // want `conn write without a preceding SetDeadline in roundTrip`
 		return err
 	}
-	_, err := c.conn.Read(resp)
+	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in roundTrip`
 	return err
 }
 
@@ -40,8 +41,8 @@ func (c *client) caller2(req, resp []byte) error {
 	return c.roundTrip(req, resp)
 }
 
-// leaky has one unguarded call site, so exoneration fails: the helper is
-// reported at its I/O and the bad caller at its call.
+// leaky has one unguarded call site: the helper is reported at its I/O
+// and the bad caller at its call.
 func (c *client) leaky(resp []byte) error {
 	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in leaky`
 	return err
@@ -56,8 +57,8 @@ func (c *client) okCaller(resp []byte) error {
 	return c.leaky(resp)
 }
 
-// Exported functions are never exonerated — out-of-package callers are
-// invisible here — even when every local call site is guarded.
+// An exported helper is reported at its I/O even when every local call
+// site is guarded.
 func (c *client) Exported(resp []byte) error {
 	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in Exported`
 	return err
@@ -68,8 +69,8 @@ func (c *client) callsExported(resp []byte) error {
 	return c.Exported(resp)
 }
 
-// asValue is stored as a function value, so call-site accounting cannot
-// see every invocation: no exoneration.
+// asValue is also used as a function value; it is reported at its I/O
+// like any other helper.
 func (c *client) asValue(resp []byte) error {
 	_, err := c.conn.Read(resp) // want `conn read without a preceding SetDeadline in asValue`
 	return err

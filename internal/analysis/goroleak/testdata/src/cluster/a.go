@@ -1,8 +1,9 @@
 // Package cluster exercises goroleak: every go statement in a serving
-// package needs a join — a WaitGroup whose Add precedes the spawn, a done
-// channel somebody consumes, or a stop-signal receive. (The directory is
-// named cluster so the testdata package path lands in the analyzer's
-// scope.)
+// package needs a join — a WaitGroup whose Add precedes the spawn or a
+// done channel somebody consumes. Blocking on a stop signal is no join:
+// the goroutine it wakes can still run after Close returns. (The
+// directory is named cluster so the testdata package path lands in the
+// analyzer's scope.)
 package cluster
 
 import (
@@ -82,26 +83,29 @@ func (o *owner) badDoneUnused() {
 	}()
 }
 
-// okStop blocks on the owner's stop channel: Close's close(o.stop)
-// releases it.
-func (o *owner) okStop() {
-	go func() {
+// badStop blocks on the owner's stop channel: Close's close(o.stop)
+// wakes it, but nothing waits for it to finish, so it can still touch
+// the owner after Close returns.
+func (o *owner) badStop() {
+	go func() { // want `goroutine in badStop has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
 		<-o.stop
 		o.count++
 	}()
 }
 
-// okStopRange drains a work channel until a stop-named channel closes.
-func (o *owner) okStopRange(stopc chan struct{}) {
-	go func() {
+// badStopRange drains a channel until it closes; a stop-like name is no
+// join either.
+func (o *owner) badStopRange(stopc chan struct{}) {
+	go func() { // want `goroutine in badStopRange has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
 		for range stopc {
 		}
 	}()
 }
 
-// okCtx blocks on a context cancellation.
-func (o *owner) okCtx(ctx context.Context) {
-	go func() {
+// badCtx blocks on a context cancellation, which wakes it but does not
+// wait for it.
+func (o *owner) badCtx(ctx context.Context) {
+	go func() { // want `goroutine in badCtx has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
 		<-ctx.Done()
 		o.count++
 	}()
@@ -122,7 +126,7 @@ func (o *owner) badNamed() {
 
 // badNothing has no join discipline at all.
 func (o *owner) badNothing() {
-	go func() { // want `goroutine in badNothing has no join: signal a WaitGroup whose Add precedes the spawn, close a consumed done channel, or block on a stop signal`
+	go func() { // want `goroutine in badNothing has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
 		o.count++
 	}()
 }

@@ -1,7 +1,7 @@
 // Positive and negative cases for lockblock: channel traffic, WaitGroup
 // joins, and blocking calls reached while a mutex is held, against the
-// structural exemptions (select with default, provably buffered local
-// handoff, Cond.Wait's contract).
+// structural exemptions (select with default, Cond.Wait's contract); a
+// send under a lock is reported whatever the channel's buffer.
 package a
 
 import (
@@ -110,19 +110,19 @@ func (s *S) SelectDefaultUnderLock() {
 	}
 }
 
-// BufferedLocalUnderLock sends on a local channel whose constant capacity
-// covers the body's one send and which never leaves the function: a
-// handoff, not a rendezvous. No report.
+// BufferedLocalUnderLock sends on a channel made in this body with room
+// for the send. Whether a buffer has room is not proved, so the send is
+// reported like any other.
 func (s *S) BufferedLocalUnderLock() int {
 	done := make(chan int, 1)
 	s.mu.Lock()
-	done <- 1
+	done <- 1 // want `channel send while \(\*a\.S\)\.mu is held`
 	s.mu.Unlock()
 	return <-done
 }
 
-// LeakedBufferedUnderLock passes the channel to a callee, forfeiting the
-// local-producer proof: an unknown producer could have filled the buffer.
+// LeakedBufferedUnderLock passes the channel to a callee, which could
+// have filled the buffer.
 func (s *S) LeakedBufferedUnderLock() {
 	done := make(chan int, 1)
 	fill(done)

@@ -1,7 +1,7 @@
 // Positive and negative cases for lockexit: Lock paths that can return
 // (or fall off the end) without a reachable Unlock, against the guards —
-// defer, early unlock, and Unlock escorted out through a closure or
-// method value.
+// defer (of Unlock or of a closure that unlocks) and early unlock; an
+// Unlock escorted out in a returned closure or method value is reported.
 package a
 
 import (
@@ -77,17 +77,17 @@ func (s *S) EarlyUnlockIsFine(bad bool) error {
 	return nil
 }
 
-// MethodValueEscort hands the Unlock out as a value; the caller owns the
-// release, so the return-while-held here is intentional. No report.
+// MethodValueEscort hands the Unlock out as a value for the caller to
+// release: the return leaves the lock held, and is reported.
 func (s *S) MethodValueEscort() func() {
 	s.mu.Lock()
-	return s.mu.Unlock
+	return s.mu.Unlock // want `return while s\.mu is held \(locked at line 83\) with no deferred or reachable Unlock on this path`
 }
 
-// ClosureEscort releases inside a returned closure. No report.
+// ClosureEscort releases inside a returned closure, which may never run.
 func (s *S) ClosureEscort() func() {
 	s.mu.Lock()
-	return func() {
+	return func() { // want `return while s\.mu is held \(locked at line 89\) with no deferred or reachable Unlock on this path`
 		s.n++
 		s.mu.Unlock()
 	}
