@@ -34,10 +34,6 @@ type CallGraph struct {
 	// Calls maps each declared function to its static call sites, in
 	// lexical order.
 	Calls map[*types.Func][]CallSite
-	// ValueRefs holds the functions the package's files refer to other
-	// than by calling them (stored, passed, taken as a method value):
-	// such a function can be invoked from anywhere.
-	ValueRefs map[*types.Func]bool
 }
 
 // BuildCallGraph computes the package's call graph in one walk of its
@@ -46,11 +42,9 @@ type CallGraph struct {
 // from imported facts).
 func BuildCallGraph(pkg *Package) *CallGraph {
 	g := &CallGraph{
-		Decls:     make(map[*types.Func]*ast.FuncDecl),
-		Calls:     make(map[*types.Func][]CallSite),
-		ValueRefs: make(map[*types.Func]bool),
+		Decls: make(map[*types.Func]*ast.FuncDecl),
+		Calls: make(map[*types.Func][]CallSite),
 	}
-	called := make(map[*ast.Ident]bool)
 	returned := make(map[*ast.CallExpr]bool)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -70,19 +64,9 @@ func BuildCallGraph(pkg *Package) *CallGraph {
 						}
 					}
 				case *ast.CallExpr:
-					switch fun := ast.Unparen(n.Fun).(type) {
-					case *ast.Ident:
-						called[fun] = true
-					case *ast.SelectorExpr:
-						called[fun.Sel] = true
-					}
 					if callee := CalleeFunc(pkg.Info, n); callee != nil && obj != nil {
 						kind, _ := classifyCall(callee)
 						g.Calls[obj] = append(g.Calls[obj], CallSite{Callee: callee, Call: n, Returned: returned[n], kind: kind})
-					}
-				case *ast.Ident:
-					if fn, ok := pkg.Info.Uses[n].(*types.Func); ok && !called[n] {
-						g.ValueRefs[fn] = true
 					}
 				}
 				return true

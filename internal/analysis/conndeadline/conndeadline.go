@@ -9,13 +9,11 @@
 //
 // v2 is call-graph aware, using the interprocedural facts layer:
 //
-//   - A deadline set in a caller satisfies I/O in a callee: an unexported
-//     function whose every same-package call site is deadline-guarded (and
-//     which is never used as a function value) is exonerated — its own
-//     unguarded I/O is the callers' obligation, and they have met it.
-//   - The obligation flows the other way too: calling a function whose
-//     exported UnguardedIO fact is set, without a preceding deadline, is
-//     reported at the call site — across package boundaries, via facts.
+//   - A function answers for its own I/O: unguarded I/O is reported where
+//     it is made, however well guarded the function's callers are.
+//   - The obligation flows caller-ward: calling a function whose exported
+//     UnguardedIO fact is set, without a preceding deadline, is reported
+//     at the call site — across package boundaries, via facts.
 //   - Idle-loop reads are exempt: a read in a `for {}` loop of a
 //     method whose owner's Close closes the conn (the server's idle
 //     accept-and-wait pattern) blocks on purpose; Close unhangs it. So
@@ -34,7 +32,7 @@ import (
 // Analyzer is the conndeadline analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "conndeadline",
-	Doc:  "requires a SetDeadline before net.Conn wire I/O (caller deadlines satisfy callees) and forbids raw net.Dial in transport packages",
+	Doc:  "requires a SetDeadline before net.Conn wire I/O and before calls to functions that do it unguarded, and forbids raw net.Dial in transport packages",
 	Run:  run,
 	// Scope limits the analyzer to packages whose import path has one of
 	// these segments. Deadlines are a transport concern; in-memory packages

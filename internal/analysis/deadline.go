@@ -9,8 +9,8 @@ import (
 // deadlineFlow computes, per function, the lexical deadline events (direct
 // Set*Deadline calls and calls to functions whose summary SetsDeadline),
 // marks each wire-I/O call guarded or not, applies the idle-read
-// exemption, exonerates callee functions whose every call site is guarded,
-// and runs the UnguardedIO fixpoint. The result lands in each FuncFacts'
+// exemption, and runs the UnguardedIO fixpoint. A function answers for
+// its own I/O whoever calls it. The result lands in each FuncFacts'
 // Events and Summary.UnguardedIO — everything conndeadline v2 reports
 // from.
 func deadlineFlow(pkg *Package, pf *PackageFacts) {
@@ -31,33 +31,8 @@ func deadlineFlow(pkg *Package, pf *PackageFacts) {
 		return g != token.NoPos && g < pos
 	}
 
-	// Exoneration: an unexported function that is never used as a value
-	// and whose every same-package call site is guarded has discharged
-	// its deadline obligation onto its callers — and they have met it.
-	sites := make(map[*types.Func][]bool) // callee -> guardedness of each call site
+	// Direct problems: unguarded, non-idle-exempt wire I/O.
 	for _, ff := range pf.Own {
-		for _, cs := range pf.Graph.Calls[ff.Fn] {
-			if pf.byFn[cs.Callee] != nil {
-				sites[cs.Callee] = append(sites[cs.Callee], guarded(ff.Fn, cs.Call.Pos()))
-			}
-		}
-	}
-	for _, ff := range pf.Own {
-		if ff.Fn.Exported() || pf.Graph.ValueRefs[ff.Fn] || len(sites[ff.Fn]) == 0 {
-			continue
-		}
-		ff.Exonerated = true
-		for _, g := range sites[ff.Fn] {
-			ff.Exonerated = ff.Exonerated && g
-		}
-	}
-
-	// Direct problems: unguarded, non-idle-exempt wire I/O. Exonerated
-	// functions keep an empty list — their callers answered for them.
-	for _, ff := range pf.Own {
-		if ff.Exonerated {
-			continue
-		}
 		for _, cs := range pf.Graph.Calls[ff.Fn] {
 			if (cs.kind == parkConnRead || cs.kind == parkConnWrite) &&
 				!guarded(ff.Fn, cs.Call.Pos()) && !idleExempt(pkg, pf, ff, cs) {
@@ -67,14 +42,13 @@ func deadlineFlow(pkg *Package, pf *PackageFacts) {
 		}
 	}
 
-	// UnguardedIO fixpoint: a function has it if it is not exonerated and
-	// either does unguarded I/O itself or makes an unguarded call to a
-	// function that has it.
+	// UnguardedIO fixpoint: a function has it if it does unguarded I/O
+	// itself or makes an unguarded call to a function that has it.
 	unguardedCall := func(ff *FuncFacts, cs CallSite) bool {
 		return summaryOf(pf, cs.Callee).UnguardedIO && !guarded(ff.Fn, cs.Call.Pos())
 	}
 	pf.propagate(func(ff *FuncFacts) bool {
-		if ff.Summary.UnguardedIO || ff.Exonerated {
+		if ff.Summary.UnguardedIO {
 			return false
 		}
 		bad := len(ff.Events) > 0
@@ -88,9 +62,6 @@ func deadlineFlow(pkg *Package, pf *PackageFacts) {
 	// The call events follow the direct ones: every unguarded call to an
 	// UnguardedIO callee, in lexical order.
 	for _, ff := range pf.Own {
-		if ff.Exonerated {
-			continue
-		}
 		for _, cs := range pf.Graph.Calls[ff.Fn] {
 			if unguardedCall(ff, cs) {
 				ff.Events = append(ff.Events, WireEvent{Pos: cs.Call.Pos(), Desc: "call", Callee: cs.Callee})

@@ -1,18 +1,18 @@
 // Package goroleak requires every goroutine spawned in the serving
 // packages (internal/cluster, internal/nameserver) to be joinable before
-// its owner's Close returns: the
-// goroutine must signal a sync.WaitGroup whose Add precedes the spawn,
-// close a done channel that the spawner actually consumes or stores, or
-// block on a stop/context signal. A goroutine nothing waits for outlives
-// Close, races teardown, and — under the paper's coherence lens — keeps
-// resolving names against a world that has already moved on.
+// its owner's Close returns: the goroutine must signal a sync.WaitGroup
+// whose Add precedes the spawn, or close a done channel that the spawner
+// actually consumes or stores. Blocking on a stop signal or a context is
+// no join: the goroutine it wakes can still be running after Close
+// returns. A goroutine nothing waits for outlives Close, races teardown,
+// and — under the paper's coherence lens — keeps resolving names against a
+// world that has already moved on.
 package goroleak
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"namecoherence/internal/analysis"
 )
@@ -20,7 +20,7 @@ import (
 // Analyzer is the goroleak analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc:  "requires every go statement in serving packages to be joined (WaitGroup, done channel, or stop signal) before Close returns",
+	Doc:  "requires every go statement in serving packages to be joined (WaitGroup or done channel) before Close returns",
 	Run:  run,
 	// Scope limits the analyzer to the long-running serving packages.
 	Scope: []string{"cluster", "nameserver"},
@@ -75,13 +75,7 @@ func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
 		return
 	}
 
-	// Rule 3: the body blocks on a stop signal (ctx.Done() or a
-	// stop/done/quit channel receive) — a supervised worker.
-	if j.stop {
-		return
-	}
-
-	// Rule 4: the body's only link to the spawner is a channel send.
+	// Rule 3: the body's only link to the spawner is a channel send.
 	// That joins a request-scoped fan-in, but if the spawning method's
 	// receiver type has a Close method, Close cannot wait on it.
 	if j.sent != "" {
@@ -94,7 +88,7 @@ func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
 	}
 
 	pass.Reportf(g.Pos(),
-		"goroutine in %s has no join: signal a WaitGroup whose Add precedes the spawn, close a consumed done channel, or block on a stop signal",
+		"goroutine in %s has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel",
 		decl.Name.Name)
 }
 
@@ -103,11 +97,10 @@ func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
 type join struct {
 	wgDone string       // receiver text of the first sync.WaitGroup Done call
 	closed types.Object // the first channel closed by close(ident)
-	stop   bool         // receives from ctx.Done() or a stop-named channel
 	sent   string       // channel text of the first send
 }
 
-// joins walks a goroutine body once for the four join signals.
+// joins walks a goroutine body once for the three join signals.
 func joins(pass *analysis.Pass, body *ast.BlockStmt) join {
 	var j join
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -119,14 +112,6 @@ func joins(pass *analysis.Pass, body *ast.BlockStmt) join {
 			if j.closed == nil && analysis.BuiltinName(pass.TypesInfo, n) == "close" && len(n.Args) == 1 {
 				if arg, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
 					j.closed = pass.TypesInfo.Uses[arg]
-				}
-			}
-		case *ast.UnaryExpr:
-			j.stop = j.stop || n.Op == token.ARROW && stopSignal(pass, n.X)
-		case *ast.RangeStmt:
-			if tv, ok := pass.TypesInfo.Types[n.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					j.stop = j.stop || stopSignal(pass, n.X)
 				}
 			}
 		case *ast.SendStmt:
@@ -184,24 +169,6 @@ func usedOutside(pass *analysis.Pass, decl *ast.FuncDecl, lit *ast.FuncLit, obj 
 		return false
 	})
 	return used
-}
-
-// stopSignal reports whether a received-from channel is a shutdown
-// signal: ctx.Done() (any method named Done) or a channel whose name
-// suggests one.
-func stopSignal(pass *analysis.Pass, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if call, ok := e.(*ast.CallExpr); ok {
-		callee := analysis.CalleeFunc(pass.TypesInfo, call)
-		return callee != nil && callee.Name() == "Done" && callee.Type().(*types.Signature).Recv() != nil
-	}
-	name := strings.ToLower(analysis.ExprText(e))
-	for _, hint := range []string{"stop", "quit", "done", "closing", "shutdown"} {
-		if strings.Contains(name, hint) {
-			return true
-		}
-	}
-	return false
 }
 
 // receiverHasClose reports whether decl is a method whose receiver type

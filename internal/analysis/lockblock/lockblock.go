@@ -11,10 +11,9 @@
 // full invalidation channel is just as wedged behind a held server mutex
 // as one parked on a peer's TCP window.
 //
-// Structurally non-blocking operations never reach this analyzer: the
-// facts layer drops selects that contain a default clause and sends on a
-// function-local channel whose constant capacity provably exceeds the
-// body's send count (see analysis.localBufferedChans). Cond.Wait holding
+// A select that contains a default clause cannot park, and the facts
+// layer drops it. Every channel send is reported, whatever the channel's
+// buffer: no proof that a buffer has room is attempted. Cond.Wait holding
 // exactly the cond's one lock is the primitive's documented contract —
 // Wait releases it while parked — and is exempt.
 package lockblock

@@ -35,13 +35,11 @@
 // caller-ward blocking facts, so absent evidence makes false negatives,
 // not noise.
 //
-// Structural non-blocking proofs are excluded from BlockOps entirely: a
-// select containing a default clause cannot park, and a send on a
-// function-local channel made with a constant capacity that provably
-// exceeds the body's send count (and which never leaks to a callee) is a
-// handoff, not a rendezvous. Cond.Wait while exactly its one lock is held
-// is recorded but marked Exempt — that is the documented contract of
-// Cond, and the primitive releases the lock while parked.
+// A select containing a default clause cannot park and is excluded from
+// BlockOps; every channel send is recorded, whatever the channel's buffer.
+// Cond.Wait while exactly its one lock is held is recorded but marked
+// Exempt — that is the documented contract of Cond, and the primitive
+// releases the lock while parked.
 package analysis
 
 import (
@@ -87,8 +85,9 @@ type HeldLock struct {
 	Text string
 	// Pos is where the lock was acquired.
 	Pos token.Pos
-	// Deferred: a `defer …Unlock()` naming this lock has been registered,
-	// so it stays held to the end of the body but every exit releases it.
+	// Deferred: a `defer …Unlock()` naming this lock, or a deferred
+	// closure that unlocks it, has been registered, so it stays held to
+	// the end of the body but every exit releases it.
 	Deferred bool
 }
 
@@ -147,7 +146,6 @@ func lockFlow(pkg *Package, pf *PackageFacts) {
 	// Phase 1: per-body event scan + direct facts.
 	for _, ff := range pf.Own {
 		sc := &lockScan{pkg: pkg, fn: ff.Fn}
-		sc.chanLocal = localBufferedChans(pkg, ff.Decl)
 		sc.body(ff.Decl.Type, ff.Decl.Body, nil, true)
 		ff.LockAcquires, ff.LockCalls, ff.BlockOps, ff.LockExits = sc.acquires, sc.calls, sc.blocks, sc.exits
 
@@ -283,10 +281,6 @@ func posLabel(pkg *Package, pos token.Pos) string {
 type lockScan struct {
 	pkg *Package
 	fn  *types.Func
-	// chanLocal maps channel objects provably unable to block a send:
-	// function-local, constant capacity ≥ the body's static send count,
-	// never leaked (see localBufferedChans).
-	chanLocal map[types.Object]bool
 
 	// cur is the function or literal body being scanned, for LockExits.
 	cur *ast.BlockStmt
@@ -370,18 +364,22 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 		sc.expr(st.X, held, caller)
 	case *ast.DeferStmt:
 		// A deferred unlock keeps the lock held to the end of the body, and
-		// releases it on every way out. A deferred closure runs on this
-		// goroutine (caller=true) but at return time, when the held-set is
-		// unknowable here — scan it with an empty one (false-negative
-		// bias). Other deferred calls are approximated with the current
-		// held-set.
-		if ev, ok := sc.lockEvent(st.Call); ok && !ev.acquire {
-			if i := heldIndex(held, ev.text); i >= 0 {
-				held[i].Deferred = true
-			}
+		// releases it on every way out; so does a deferred closure that
+		// unlocks it. The closure runs on this goroutine (caller=true) but
+		// at return time, when the held-set is unknowable here — scan it
+		// with an empty one (false-negative bias). Other deferred calls are
+		// approximated with the current held-set.
+		if sc.deferRelease(st.Call, held) {
 			return held
 		}
 		if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok {
+					sc.deferRelease(e, held)
+				}
+				_, nested := n.(*ast.FuncLit)
+				return !nested
+			})
 			sc.body(lit.Type, lit.Body, nil, caller)
 			for _, arg := range st.Call.Args {
 				sc.expr(arg, held, caller)
@@ -402,7 +400,9 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 	case *ast.SendStmt:
 		sc.expr(st.Chan, held, caller)
 		sc.expr(st.Value, held, caller)
-		sc.sendOp(st, held, caller)
+		sc.blocks = append(sc.blocks, BlockOp{
+			Desc: "channel send", Held: copyHeldLocks(held), Pos: st.Pos(), Caller: caller,
+		})
 	case *ast.AssignStmt:
 		for _, rhs := range st.Rhs {
 			sc.expr(rhs, held, caller)
@@ -483,6 +483,19 @@ func (sc *lockScan) stmt(stmt ast.Stmt, held []HeldLock, caller bool) []HeldLock
 	return held
 }
 
+// deferRelease reports whether e, deferred, is an Unlock or RUnlock, and
+// marks the hold it releases Deferred.
+func (sc *lockScan) deferRelease(e ast.Expr, held []HeldLock) bool {
+	ev, ok := sc.lockEvent(e)
+	if !ok || ev.acquire {
+		return false
+	}
+	if i := heldIndex(held, ev.text); i >= 0 {
+		held[i].Deferred = true
+	}
+	return true
+}
+
 // expr records call and blocking events inside e. Nested function literals
 // are scanned by spawn context: immediately-invoked literals inherit the
 // current held-set, everything else (stored, passed, returned) runs with
@@ -537,19 +550,6 @@ func (sc *lockScan) callOp(call *ast.CallExpr, held []HeldLock, caller bool) {
 		})
 	}
 	sc.calls = append(sc.calls, LockCall{Callee: callee, Held: snap, Pos: call.Pos(), Caller: caller})
-}
-
-// sendOp records a channel send unless the channel is a provably
-// non-blocking local handoff.
-func (sc *lockScan) sendOp(st *ast.SendStmt, held []HeldLock, caller bool) {
-	if id, ok := ast.Unparen(st.Chan).(*ast.Ident); ok {
-		if obj := sc.pkg.Info.Uses[id]; obj != nil && sc.chanLocal[obj] {
-			return
-		}
-	}
-	sc.blocks = append(sc.blocks, BlockOp{
-		Desc: "channel send", Held: copyHeldLocks(held), Pos: st.Pos(), Caller: caller,
-	})
 }
 
 // selectOp records a select statement: one with a default clause cannot
@@ -726,119 +726,4 @@ func copyHeldLocks(held []HeldLock) []HeldLock {
 		return nil
 	}
 	return append([]HeldLock(nil), held...)
-}
-
-// localBufferedChans finds channels a send can provably never block on:
-// declared in this body, made with a constant capacity of at least the
-// body's static send count, and never leaked outside the body (the only
-// allowed uses are send, receive, range, close, len, and cap — passing
-// the channel to any other call, storing it, or returning it forfeits the
-// proof, since an unknown producer could fill the buffer).
-func localBufferedChans(pkg *Package, decl *ast.FuncDecl) map[types.Object]bool {
-	if decl.Body == nil {
-		return nil
-	}
-	capOf := make(map[types.Object]int64)
-	sends := make(map[types.Object]int64)
-	leaked := make(map[types.Object]bool)
-	// Pass 1: constant-capacity makes assigned to locals.
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Lhs) != len(assign.Rhs) {
-			return true
-		}
-		for i, rhs := range assign.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 || BuiltinName(pkg.Info, call) != "make" {
-				continue
-			}
-			t := pkg.Info.TypeOf(call)
-			if t == nil {
-				continue
-			}
-			if _, isChan := t.Underlying().(*types.Chan); !isChan {
-				continue
-			}
-			tv, ok := pkg.Info.Types[call.Args[1]]
-			if !ok || tv.Value == nil {
-				continue
-			}
-			var capVal int64
-			if _, err := fmt.Sscan(tv.Value.ExactString(), &capVal); err != nil || capVal < 1 {
-				continue
-			}
-			id, _ := ast.Unparen(assign.Lhs[i]).(*ast.Ident)
-			if obj := pkg.Info.ObjectOf(id); obj != nil {
-				if _, dup := capOf[obj]; dup {
-					leaked[obj] = true // re-made: give up
-				}
-				capOf[obj] = capVal
-			}
-		}
-		return true
-	})
-	if len(capOf) == 0 {
-		return nil
-	}
-	// Pass 2: classify every other use.
-	WalkStack(decl.Body, func(n ast.Node, stack []ast.Node) {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := pkg.Info.ObjectOf(id)
-		if _, tracked := capOf[obj]; obj == nil || !tracked || len(stack) == 0 {
-			return
-		}
-		switch parent := stack[len(stack)-1].(type) {
-		case *ast.SendStmt:
-			if ast.Unparen(parent.Chan) == ast.Expr(id) {
-				sends[obj]++
-			} else {
-				leaked[obj] = true // the channel itself sent as a value
-			}
-		case *ast.UnaryExpr:
-			if parent.Op != token.ARROW {
-				leaked[obj] = true
-			}
-		case *ast.RangeStmt:
-			if ast.Unparen(parent.X) != ast.Expr(id) {
-				leaked[obj] = true
-			}
-		case *ast.CallExpr:
-			switch BuiltinName(pkg.Info, parent) {
-			case "close", "len", "cap":
-				// Consuming uses: fine.
-			default:
-				leaked[obj] = true
-			}
-		case *ast.AssignStmt:
-			// LHS of its own make is pass 1; anything else (reassigned,
-			// copied to another variable, stored) forfeits the proof.
-			isMakeLHS := false
-			for i, lhs := range parent.Lhs {
-				if ast.Unparen(lhs) == ast.Expr(id) && i < len(parent.Rhs) {
-					call, ok := ast.Unparen(parent.Rhs[i]).(*ast.CallExpr)
-					isMakeLHS = isMakeLHS || ok && BuiltinName(pkg.Info, call) == "make"
-				}
-			}
-			if !isMakeLHS {
-				leaked[obj] = true
-			}
-		case *ast.CommClause:
-			// select case `<-ch` handled via UnaryExpr; `ch <- v` via SendStmt.
-		default:
-			leaked[obj] = true
-		}
-	})
-	ok := make(map[types.Object]bool)
-	for obj, c := range capOf {
-		if !leaked[obj] && sends[obj] <= c {
-			ok[obj] = true
-		}
-	}
-	if len(ok) == 0 {
-		return nil
-	}
-	return ok
 }

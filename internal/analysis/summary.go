@@ -20,9 +20,9 @@ type FuncSummary struct {
 	// conn-shaped value, or a Dial* call (transitive).
 	ConnIO bool `json:",omitempty"`
 	// UnguardedIO: the function performs wire I/O that is not preceded by
-	// a deadline inside its own body, and is not exonerated by its call
-	// sites (see conndeadline v2). A caller that invokes an UnguardedIO
-	// function without first setting a deadline inherits the problem.
+	// a deadline inside its own body (see conndeadline v2). A caller that
+	// invokes an UnguardedIO function without first setting a deadline
+	// inherits the problem.
 	UnguardedIO bool `json:",omitempty"`
 	// Canonicalizes: the function is a name-canonicalization point — it
 	// carries a //namingvet:canonicalizer directive, or trivially wraps
@@ -127,12 +127,6 @@ type FuncFacts struct {
 	// before embedding) is a send-side obligation, so it skips these;
 	// the receive side re-validates names where they are used instead.
 	WireDecoder bool
-	// Exonerated: every same-package call site of this (unexported,
-	// never used as a value) function is deadline-guarded, so its
-	// unguarded events are the callers' responsibility — already
-	// discharged. Exonerated functions are neither reported nor exported
-	// as UnguardedIO.
-	Exonerated bool
 	// LockAcquires, LockCalls, BlockOps and LockExits are the body's
 	// lock-discipline events with held-set snapshots, collected by the one
 	// held-set scan (lockorder.go). lockblock and lockexit report from
