@@ -19,19 +19,16 @@ const ModulePath = "namecoherence"
 // v2 added the allocation facts (Allocates/EscapesToHeap/AllocVia); v3
 // added the lock-order facts (AcquiresLocks/LockEdges/ChanBlocks); v4
 // folded Blocks and ChanBlocks into MayPark and dropped the facts nobody
-// read. A file from another tool build decodes to "no facts" rather than
-// a table whose fields mean something else.
-var factsMagic = []byte("namingvet-facts-v4\n")
+// read; v5 writes the table as one JSON object keyed by function instead
+// of a list of key/summary pairs. A file from another tool build decodes
+// to "no facts" rather than a table whose fields mean something else.
+var factsMagic = []byte("namingvet-facts-v5\n")
 
-// EncodeFacts serializes summaries for a .vetx facts file. Keys are sorted
-// so the output is deterministic (detrand would want nothing less).
+// EncodeFacts serializes summaries for a .vetx facts file. encoding/json
+// writes map keys in sorted order, so the output is deterministic
+// (detrand would want nothing less).
 func EncodeFacts(s Summaries) ([]byte, error) {
-	keys := SortedKeys(s)
-	ordered := make([]factEntry, len(keys))
-	for i, k := range keys {
-		ordered[i] = factEntry{Key: k, Summary: s[k]}
-	}
-	payload, err := json.Marshal(ordered)
+	payload, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
 	}
@@ -46,24 +43,15 @@ func DecodeFacts(data []byte) (Summaries, bool) {
 	if !found {
 		return nil, false
 	}
-	var ordered []factEntry
-	if err := json.Unmarshal(payload, &ordered); err != nil {
+	var s Summaries
+	if err := json.Unmarshal(payload, &s); err != nil {
 		return nil, false
-	}
-	s := make(Summaries, len(ordered))
-	for _, e := range ordered {
-		s[e.Key] = e.Summary
 	}
 	return s, true
 }
 
-type factEntry struct {
-	Key     string
-	Summary FuncSummary
-}
-
 // SortedKeys returns m's keys in sorted order, so whatever walks a map —
-// fact propagation, edge emission, encoding — does it deterministically
+// fact propagation, edge emission — does it deterministically
 // (detrand would want nothing less).
 func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
