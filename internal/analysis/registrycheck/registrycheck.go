@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	registry, positions := registryEntries(pass)
+	registry := registryEntries(pass)
 	if registry == nil {
 		return nil, nil
 	}
@@ -48,25 +48,26 @@ func run(pass *analysis.Pass) (any, error) {
 	decls := topLevelFuncs(pass)
 	reachable := wireClosure(pass, decls)
 
-	// Direction 1: every type that crosses the wire is registered.
+	// Direction 1: every type that crosses the wire is registered. The
+	// report lands on the type's declaration.
 	for _, named := range sortedTypes(reachable) {
-		if !registry[named] {
-			pass.Reportf(reachable[named].Pos(),
+		if _, ok := registry[named]; !ok {
+			pass.Reportf(named.Obj().Pos(),
 				"wire type %s is reachable from the binary codec but is missing from the %s registry",
 				named.Obj().Name(), RegistryVar)
 		}
 	}
 	// Direction 2: every registered type actually crosses the wire.
-	for _, named := range sortedTypes(positions) {
-		if _, ok := reachable[named]; !ok {
-			pass.Reportf(positions[named].Pos(),
+	for _, named := range sortedTypes(registry) {
+		if !reachable[named] {
+			pass.Reportf(registry[named].Pos(),
 				"%s entry %s is not reachable from any binary codec function; dead registry entries hide real gaps",
 				RegistryVar, named.Obj().Name())
 		}
 	}
 
 	checkRequestFields(pass, decls)
-	checkBinaryCodec(pass, decls, positions, reachable)
+	checkBinaryCodec(pass, decls, registry, reachable)
 	return nil, nil
 }
 
@@ -97,9 +98,9 @@ func codecFuncNames(typeName string) (appendName, parseName string) {
 // the function body — encoders read fields, decoders assign them, and
 // either appears as a selector — so a new wire field that only one side
 // handles is caught at the side that forgot it.
-func checkBinaryCodec(pass *analysis.Pass, decls map[string]*ast.FuncDecl, positions, reachable map[*types.Named]ast.Node) {
-	for _, named := range sortedTypes(positions) {
-		if _, crosses := reachable[named]; !crosses {
+func checkBinaryCodec(pass *analysis.Pass, decls map[string]*ast.FuncDecl, registry map[*types.Named]ast.Node, reachable map[*types.Named]bool) {
+	for _, named := range sortedTypes(registry) {
+		if !reachable[named] {
 			continue
 		}
 		st := named.Underlying().(*types.Struct)
@@ -107,7 +108,7 @@ func checkBinaryCodec(pass *analysis.Pass, decls map[string]*ast.FuncDecl, posit
 		for _, fnName := range []string{appendName, parseName} {
 			fd := decls[fnName]
 			if fd == nil {
-				pass.Reportf(positions[named].Pos(),
+				pass.Reportf(registry[named].Pos(),
 					"wire type %s has no binary codec function %s: frames of this type cannot cross the binary wire",
 					named.Obj().Name(), fnName)
 				continue
@@ -147,9 +148,9 @@ func fieldsTouched(pass *analysis.Pass, fd *ast.FuncDecl) map[*types.Var]bool {
 }
 
 // registryEntries reads the package-level RegistryVar composite literal,
-// returning the set of named types it registers and each entry's position.
-// nil means the package has no registry to audit.
-func registryEntries(pass *analysis.Pass) (map[*types.Named]bool, map[*types.Named]ast.Node) {
+// returning each named type it registers mapped to its entry. nil means
+// the package has no registry to audit.
+func registryEntries(pass *analysis.Pass) map[*types.Named]ast.Node {
 	var lit *ast.CompositeLit
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -174,9 +175,8 @@ func registryEntries(pass *analysis.Pass) (map[*types.Named]bool, map[*types.Nam
 		}
 	}
 	if lit == nil {
-		return nil, nil
+		return nil
 	}
-	set := make(map[*types.Named]bool)
 	where := make(map[*types.Named]ast.Node)
 	for _, elt := range lit.Elts {
 		val := elt
@@ -184,43 +184,41 @@ func registryEntries(pass *analysis.Pass) (map[*types.Named]bool, map[*types.Nam
 			val = kv.Value
 		}
 		if named := localNamed(pass, pass.TypesInfo.Types[val].Type); named != nil {
-			set[named] = true
 			where[named] = val
 		}
 	}
-	return set, where
+	return where
 }
 
 // wireClosure finds every package-local named struct type the binary
 // codec can put on the wire: the type T of each append<T>/parse<T> function
 // (first letter in either case, as codecFuncNames maps it), and whatever
-// those reach through struct fields. Each is mapped to the position of its
-// declaration.
-func wireClosure(pass *analysis.Pass, decls map[string]*ast.FuncDecl) map[*types.Named]ast.Node {
-	out := make(map[*types.Named]ast.Node)
-	var add func(t types.Type, at ast.Node)
-	add = func(t types.Type, at ast.Node) {
+// those reach through struct fields.
+func wireClosure(pass *analysis.Pass, decls map[string]*ast.FuncDecl) map[*types.Named]bool {
+	out := make(map[*types.Named]bool)
+	var add func(t types.Type)
+	add = func(t types.Type) {
 		named := localNamed(pass, t)
 		if named == nil {
 			switch u := t.(type) {
 			case *types.Pointer:
-				add(u.Elem(), at)
+				add(u.Elem())
 			case *types.Slice:
-				add(u.Elem(), at)
+				add(u.Elem())
 			case *types.Array:
-				add(u.Elem(), at)
+				add(u.Elem())
 			case *types.Map:
-				add(u.Elem(), at)
+				add(u.Elem())
 			}
 			return
 		}
-		if _, seen := out[named]; seen {
+		if out[named] {
 			return
 		}
-		out[named] = declNode(pass, named, at)
+		out[named] = true
 		st := named.Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
-			add(st.Field(i).Type(), at)
+			add(st.Field(i).Type())
 		}
 	}
 	scope := pass.Pkg.Scope()
@@ -229,34 +227,11 @@ func wireClosure(pass *analysis.Pass, decls map[string]*ast.FuncDecl) map[*types
 		if !ok {
 			continue
 		}
-		appendName, parseName := codecFuncNames(name)
-		for _, fd := range []*ast.FuncDecl{decls[appendName], decls[parseName]} {
-			if fd != nil {
-				add(tn.Type(), fd)
-			}
+		if appendName, parseName := codecFuncNames(name); decls[appendName] != nil || decls[parseName] != nil {
+			add(tn.Type())
 		}
 	}
 	return out
-}
-
-// declNode finds the type's declaration spec in the package files, so the
-// diagnostic lands on `type request struct` rather than on some call site.
-func declNode(pass *analysis.Pass, named *types.Named, fallback ast.Node) ast.Node {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if ok && pass.TypesInfo.Defs[ts.Name] == named.Obj() {
-					return ts
-				}
-			}
-		}
-	}
-	return fallback
 }
 
 // checkRequestFields demands that every field of the request struct is
@@ -336,7 +311,7 @@ func markSelRead(pass *analysis.Pass, read map[*types.Var]bool, e ast.Expr) {
 
 // sortedTypes orders a type-keyed map by type name so diagnostics come out
 // deterministically (detrand's own rule applies to us too).
-func sortedTypes(m map[*types.Named]ast.Node) []*types.Named {
+func sortedTypes[V any](m map[*types.Named]V) []*types.Named {
 	out := make([]*types.Named, 0, len(m))
 	for named := range m {
 		out = append(out, named)
