@@ -337,17 +337,17 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 // flushing for — a slice of it. lead never reads the connection for a
 // frame once its own call is done: a partial frame is the next leader's.
 // With no deadline an idle read blocks until the server speaks; Close
-// unblocks it by closing the conn (conndeadline's idle-loop exemption
-// knows this). With a per-call timeout the leader cannot select on its
-// timer while blocked in the read, so it arms the connection's read
-// deadline with its own call's expiry instead: a deadline-failed read
-// poisons the client exactly as withdraw would have — a call timeout always
-// poisons, so trading the torn stream for a dead conn loses nothing. Each
-// leader re-arms on taking the token, so the deadline in force is always
-// the current leader's. lead reports whether it received pc's completion
-// signal: it has not when the stream died first, and then the caller
-// receives it (fail leaves no call pending, and whoever took pc out of
-// the table — this reader, or a concurrent fail — delivers).
+// unblocks it by closing the conn (the read goes through bufio, which
+// conndeadline never sees). With a per-call timeout the leader cannot
+// select on its timer while blocked in the read, so it arms the
+// connection's read deadline with its own call's expiry instead: a
+// deadline-failed read poisons the client exactly as withdraw would have —
+// a call timeout always poisons, so trading the torn stream for a dead conn
+// loses nothing. Each leader re-arms on taking the token, so the deadline
+// in force is always the current leader's. lead reports whether it received
+// pc's completion signal: it has not when the stream died first, and then
+// the caller receives it (fail leaves no call pending, and whoever took pc
+// out of the table — this reader, or a concurrent fail — delivers).
 //
 //namingvet:allocfree
 func (c *Client) lead(pc *pendingCall, deadline time.Time) bool {

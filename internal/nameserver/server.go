@@ -415,8 +415,8 @@ func (s *Server) serveRequests(st *connState) {
 		// stream stays single-streamed while workers parse (and resolve) in
 		// parallel. When the buffer runs dry the read flushes first, then
 		// blocks until the peer speaks (st.Read); Close unblocks it by
-		// closing the conn (conndeadline's idle-read exemption knows both
-		// this loop and st.Read).
+		// closing the conn (conndeadline exempts the conn read st.Read
+		// forwards; this loop reads st.br, which conndeadline never sees).
 		st.dtoken <- struct{}{}
 		body, err := readFrame(st.br, &sc.frame)
 		<-st.dtoken
