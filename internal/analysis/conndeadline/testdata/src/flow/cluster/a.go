@@ -1,8 +1,7 @@
-// Package clusterflow exercises conndeadline's call-graph rules: a helper
-// doing unguarded I/O is reported at its own I/O whoever calls it,
-// unguarded calls to UnguardedIO functions are reported at the call site —
-// including across packages — and idle-loop reads under a conn-closing
-// Close are exempt.
+// Package clusterflow exercises conndeadline's call-graph rules: a helper's
+// unguarded I/O is reported at the I/O whoever calls it, unguarded calls to
+// UnguardedIO functions at the call site — across packages too — and
+// idle-loop reads under a conn-closing Close are exempt.
 // (The directory is named "cluster" so the testdata package path lands in
 // the analyzer's scope.)
 package clusterflow
