@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/coherence"
 	"namecoherence/internal/core"
@@ -80,13 +77,8 @@ func a4Run(scheme string) (stale, served int, hitRate float64, err error) {
 		seed = 17
 	)
 	w := core.NewWorld()
-	var spec strings.Builder
-	paths := make([]core.Path, names)
-	for i := range paths {
-		paths[i] = core.ParsePath(fmt.Sprintf("dir/f%04d", i))
-		fmt.Fprintf(&spec, "file %s \"x\"\n", paths[i])
-	}
-	cl, err := cluster.New(w, spec.String(), 1)
+	spec, paths := dirSpec(names)
+	cl, err := cluster.New(w, spec, 1)
 	if err != nil {
 		return 0, 0, 0, err
 	}

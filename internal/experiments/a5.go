@@ -5,7 +5,6 @@ import (
 
 	"namecoherence/internal/core"
 	"namecoherence/internal/dirtree"
-	"namecoherence/internal/trace"
 	"namecoherence/internal/workload"
 )
 
@@ -66,47 +65,35 @@ func a5() (*Table, error) {
 			return nil, err
 		}
 
-		counter := trace.NewCounter()
-		trace.InstrumentReachable(w, tr.Root, counter)
-
+		// Each resolution's trail lists the contexts its walk entered below
+		// the root: every entry but the last (the leaf) is a context whose
+		// Lookup the walk called, and the root's was called first.
+		var rootLoad int
+		level1 := make(map[core.EntityID]int, fanout)
+		deeper := make(map[core.EntityID]int)
 		gen := workload.New(seed)
 		for i := 0; i < lookups; i++ {
-			p := leaves[gen.Intn(len(leaves))]
-			if _, err := tr.Lookup(p); err != nil {
-				return nil, err
-			}
-		}
-
-		// Record the workload's root load before any probe lookups below
-		// add to it.
-		rootLoad := counter.Count(tr.Root)
-
-		level1 := make(map[core.EntityID]bool, fanout)
-		var maxL1 int64
-		for i := 0; i < fanout; i++ {
-			d1, err := tr.Lookup(core.PathOf(core.Name(fmt.Sprintf("d%02d", i))))
+			_, trail, err := tr.LookupTrail(leaves[gen.Intn(len(leaves))])
 			if err != nil {
 				return nil, err
 			}
-			level1[d1.ID] = true
-			if c := counter.Count(d1); c > maxL1 {
-				maxL1 = c
+			rootLoad++
+			level1[trail[0].ID]++
+			for _, e := range trail[1 : len(trail)-1] {
+				deeper[e.ID]++
 			}
 		}
-		// The busiest context below level 1.
-		var maxDeeper int64
-		for _, l := range counter.Top(1 << 20) {
-			if l.Entity == tr.Root.ID || level1[l.Entity] {
-				continue
-			}
-			if l.Count > maxDeeper {
-				maxDeeper = l.Count
-			}
-		}
-		t.AddRow(itoa(fanout), itoa(lookups),
-			fmt.Sprintf("%d", rootLoad),
-			fmt.Sprintf("%d", maxL1),
-			fmt.Sprintf("%d", maxDeeper))
+		t.AddRow(itoa(fanout), itoa(lookups), itoa(rootLoad),
+			itoa(maxLoad(level1)), itoa(maxLoad(deeper)))
 	}
 	return t, nil
+}
+
+// maxLoad returns the largest count in load, or 0 if it is empty.
+func maxLoad(load map[core.EntityID]int) int {
+	m := 0
+	for _, n := range load {
+		m = max(m, n)
+	}
+	return m
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/core"
@@ -26,13 +25,8 @@ func a1() (*Table, error) {
 		// seed drives the Zipf sampler.
 		seed = 11
 	)
-	var spec strings.Builder
-	paths := make([]core.Path, names)
-	for i := range paths {
-		paths[i] = core.ParsePath(fmt.Sprintf("dir/f%04d", i))
-		fmt.Fprintf(&spec, "file %s \"x\"\n", paths[i])
-	}
-	cl, err := cluster.New(core.NewWorld(), spec.String(), 1)
+	spec, paths := dirSpec(names)
+	cl, err := cluster.New(core.NewWorld(), spec, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -49,6 +49,18 @@ func e14Spec(prefixes, filesPerPrefix int) (string, []core.Path) {
 	return sb.String(), paths
 }
 
+// dirSpec builds a treespec of n files in one directory, dir/f0000 on,
+// and their paths.
+func dirSpec(n int) (string, []core.Path) {
+	var sb strings.Builder
+	paths := make([]core.Path, n)
+	for i := range paths {
+		paths[i] = core.ParsePath(fmt.Sprintf("dir/f%04d", i))
+		fmt.Fprintf(&sb, "file %s \"x\"\n", paths[i])
+	}
+	return sb.String(), paths
+}
+
 // e14 measures strict coherence and wire traffic of a prefix-sharded
 // naming cluster under concurrent clients and batched resolution: §5.2's
 // strict-coherence claim over a real sharded deployment, one logical

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,6 +143,10 @@ func e17Phase(push bool) ([]string, error) {
 						lookups.Add(1)
 					}
 				}
+				// A pass of cache hits never blocks; yield so the writers'
+				// wire round trips are not left waiting out whole
+				// preemption slices behind the readers.
+				runtime.Gosched()
 			}
 		}(r)
 	}

@@ -10,6 +10,10 @@
 //	link  /mnt/shared /usr            bind an additional name for the
 //	                                  entity at an existing path
 //
+// Every path, and every embedded name, has at least one component, so
+// "dir /" and "link /x /" are malformed. Build and Split read lines through
+// one parser and refuse the same ones.
+//
 // Dump serializes a tree back into the format; Parse(Dump(t)) reproduces
 // the tree's structure, file contents, embedded names and sharing.
 package treespec

@@ -1,7 +1,6 @@
 package treespec
 
 import (
-	"bufio"
 	"fmt"
 	"strings"
 )
@@ -28,11 +27,6 @@ func Split(spec string, n int) (*ShardPlan, error) {
 		return nil, fmt.Errorf("shard count %d: %w", n, ErrSyntax)
 	}
 
-	type specLine struct {
-		text     string
-		prefixes []string
-	}
-	var lines []specLine
 	var order []string           // prefixes in first-appearance order
 	group := map[string]string{} // union-find parent, keyed by prefix
 
@@ -43,124 +37,66 @@ func Split(spec string, n int) (*ShardPlan, error) {
 		}
 		return group[p]
 	}
-	note := func(p string) {
+	// note records p and returns its representative. A prefix is cloned
+	// the first time it is seen, so the routing table does not keep the
+	// whole spec alive.
+	note := func(p string) string {
 		if _, ok := group[p]; !ok {
+			p = strings.Clone(p)
 			group[p] = p
 			order = append(order, p)
 		}
+		return find(p)
 	}
-
-	scanner := bufio.NewScanner(strings.NewReader(spec))
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	err := eachLine(spec, func(l line) error {
+		root := note(firstComponent(l.path))
+		if l.directive == "link" {
+			// A link welds its target's prefix to its own.
+			group[note(firstComponent(l.arg))] = root
 		}
-		prefixes, err := linePrefixes(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		for _, p := range prefixes {
-			note(p)
-		}
-		// A line naming several prefixes (link) welds them together.
-		for _, p := range prefixes[1:] {
-			group[find(p)] = find(prefixes[0])
-		}
-		lines = append(lines, specLine{text: line, prefixes: prefixes})
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("read spec: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Deal prefix groups to shards round-robin, in first-appearance order
 	// of each group's representative.
-	shardOf := make(map[string]int)
-	next := 0
-	for _, p := range order {
-		root := find(p)
-		if _, done := shardOf[root]; !done {
-			shardOf[root] = next % n
-			next++
-		}
-	}
-
 	plan := &ShardPlan{
 		Specs:    make([]string, n),
 		Prefixes: make(map[string]int, len(order)),
 		Default:  0,
 	}
+	shardOf := make(map[string]int)
 	for _, p := range order {
-		plan.Prefixes[p] = shardOf[find(p)]
+		root := find(p)
+		shard, done := shardOf[root]
+		if !done {
+			shard = len(shardOf) % n
+			shardOf[root] = shard
+		}
+		plan.Prefixes[p] = shard
 	}
 	builders := make([]strings.Builder, n)
-	for _, l := range lines {
-		shard := plan.Default
-		if len(l.prefixes) > 0 {
-			shard = plan.Prefixes[l.prefixes[0]]
-		}
-		builders[shard].WriteString(l.text)
-		builders[shard].WriteByte('\n')
-	}
+	// A second pass writes each line to its shard; the first one parsed
+	// every line, so it cannot fail.
+	_ = eachLine(spec, func(l line) error {
+		b := &builders[plan.Prefixes[firstComponent(l.path)]]
+		b.WriteString(l.text)
+		b.WriteByte('\n')
+		return nil
+	})
 	for i := range builders {
 		plan.Specs[i] = builders[i].String()
 	}
 	return plan, nil
 }
 
-// linePrefixes returns the first components of the paths a spec line binds
-// (not the names embedded as content: those are data, resolved through a
-// client that routes across the whole cluster).
-func linePrefixes(line string) ([]string, error) {
-	directive, rest, _ := strings.Cut(line, " ")
-	rest = strings.TrimSpace(rest)
-	switch directive {
-	case "dir":
-		p, err := firstComponent(rest)
-		if err != nil {
-			return nil, err
-		}
-		return []string{p}, nil
-	case "file", "embed":
-		pathStr, _, err := splitPathAndQuoted(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", directive, err)
-		}
-		p, err := firstComponent(pathStr)
-		if err != nil {
-			return nil, err
-		}
-		return []string{p}, nil
-	case "link":
-		fields := strings.Fields(rest)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("link needs two paths: %w", ErrSyntax)
-		}
-		a, err := firstComponent(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := firstComponent(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		if a == b {
-			return []string{a}, nil
-		}
-		return []string{a, b}, nil
-	default:
-		return nil, fmt.Errorf("directive %q: %w", directive, ErrSyntax)
-	}
-}
-
-// firstComponent returns the first component of a textual path.
-func firstComponent(s string) (string, error) {
-	for _, part := range strings.Split(s, "/") {
-		if part != "" {
-			return part, nil
-		}
-	}
-	return "", fmt.Errorf("path %q has no components: %w", s, ErrSyntax)
+// firstComponent returns the first component of a path parseLine
+// accepted: the prefix a cluster routes it by. It is the path the line
+// binds that routes it, not a name embedded as content: those are data,
+// resolved through a client that routes across the whole cluster.
+func firstComponent(path string) string {
+	first, _, _ := strings.Cut(strings.TrimLeft(path, "/"), "/")
+	return first
 }

@@ -1,6 +1,8 @@
 package treespec
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -144,5 +146,71 @@ func TestSplitRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Split("link /only-one\n", 2); err == nil {
 		t.Fatal("Split of a malformed link should fail")
+	}
+}
+
+// Split and Build read one grammar: a line one refuses as malformed, the
+// other refuses too.
+func TestSplitAndBuildRefuseTheSameLines(t *testing.T) {
+	for _, give := range []string{
+		"frob /x",
+		"dir ",
+		"dir /",
+		"file /x",
+		`file /x unquoted`,
+		`file / "c"`,
+		`embed /x`,
+		`embed / "a"`,
+		"file /x \"c\"\nembed /x \"\"",
+		"file /x \"c\"\nembed /x \"/\"",
+		"link /a",
+		"link /a /b /c",
+		"link / /x",
+		"dir /x\nlink /y /",
+	} {
+		_, splitErr := Split(give, 2)
+		_, buildErr := Build(give, core.NewWorld(), "t")
+		if !errors.Is(splitErr, ErrSyntax) || !errors.Is(buildErr, ErrSyntax) {
+			t.Errorf("spec %q: Split err = %v, Build err = %v; want ErrSyntax from both", give, splitErr, buildErr)
+		}
+	}
+}
+
+// benchSpec is a spec of nsload's shape: 16×16×16 directories of eight
+// files each, then 64 links into one of them.
+func benchSpec() string {
+	var sb strings.Builder
+	for d := 0; d < 16*16*16; d++ {
+		dir := fmt.Sprintf("/t%02d/d%02d/s%02d", d/256, d/16%16, d%16)
+		fmt.Fprintf(&sb, "dir %s\n", dir)
+		for f := 0; f < 8; f++ {
+			fmt.Fprintf(&sb, "file %s/f%d \"%08x\"\n", dir, f, f)
+		}
+	}
+	for v := 0; v < 64; v++ {
+		fmt.Fprintf(&sb, "link /t00/d00/s00/v%02d /t00/d00/s01/f0\n", v)
+	}
+	return sb.String()
+}
+
+func BenchmarkSplit(b *testing.B) {
+	spec := benchSpec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Split(spec, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	spec := benchSpec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(spec, core.NewWorld(), "b"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

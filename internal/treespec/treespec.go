@@ -1,7 +1,6 @@
 package treespec
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -18,102 +17,126 @@ var ErrSyntax = errors.New("treespec syntax error")
 
 // Parse reads a spec and builds a tree in the world.
 func Parse(r io.Reader, w *core.World, label string) (*dirtree.Tree, error) {
-	tr := dirtree.New(w, label)
-	scanner := bufio.NewScanner(r)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if err := applyLine(tr, line); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-	}
-	if err := scanner.Err(); err != nil {
+	spec, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("read spec: %w", err)
 	}
-	return tr, nil
+	return Build(string(spec), w, label)
 }
 
 // Build parses a spec given as a string.
 func Build(spec string, w *core.World, label string) (*dirtree.Tree, error) {
-	return Parse(strings.NewReader(spec), w, label)
+	tr := dirtree.New(w, label)
+	if err := eachLine(spec, func(l line) error { return applyLine(tr, l) }); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
-func applyLine(tr *dirtree.Tree, line string) error {
-	directive, rest, _ := strings.Cut(line, " ")
+// line is one directive of a spec. Its fields are substrings of the spec:
+// parseLine checks each path has a component without splitting it.
+type line struct {
+	// text is the whole line, trimmed.
+	text string
+	// directive is "dir", "file", "embed" or "link".
+	directive string
+	// path is the path the line binds: the directory, the file, the file
+	// gaining an embedded name, or the link's new name.
+	path string
+	// arg is the file's content, the embedded name or the link's target
+	// path; empty for dir.
+	arg string
+}
+
+// eachLine calls fn with every directive of spec in order, skipping blank
+// lines and comments. An error, from parsing or from fn, stops the scan
+// and is returned with its line number.
+func eachLine(spec string, fn func(line) error) error {
+	for lineNo := 1; spec != ""; lineNo++ {
+		var text string
+		text, spec, _ = strings.Cut(spec, "\n")
+		text = strings.TrimSpace(text)
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		l, err := parseLine(text)
+		if err == nil {
+			err = fn(l)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+	}
+	return nil
+}
+
+// parseLine splits one directive into its fields. Every path it names,
+// and an embedded name, must have at least one component.
+func parseLine(text string) (line, error) {
+	directive, rest, _ := strings.Cut(text, " ")
 	rest = strings.TrimSpace(rest)
+	l := line{text: text, directive: directive}
 	switch directive {
 	case "dir":
-		p := core.ParsePath(rest)
-		if !p.IsValid() {
-			return fmt.Errorf("dir %q: %w", rest, ErrSyntax)
-		}
-		_, err := tr.MkdirAll(p)
-		return err
-	case "file":
-		pathStr, quoted, err := splitPathAndQuoted(rest)
+		l.path = rest
+	case "file", "embed":
+		path, quoted, _ := strings.Cut(rest, " ")
+		quoted = strings.TrimSpace(quoted)
+		content, err := strconv.Unquote(quoted)
 		if err != nil {
-			return fmt.Errorf("file: %w", err)
+			return l, fmt.Errorf("%s: quoted argument %q: %w", directive, quoted, ErrSyntax)
 		}
-		p := core.ParsePath(pathStr)
-		if !p.IsValid() {
-			return fmt.Errorf("file %q: %w", pathStr, ErrSyntax)
-		}
-		_, err = tr.Create(p, quoted)
-		return err
-	case "embed":
-		pathStr, quoted, err := splitPathAndQuoted(rest)
-		if err != nil {
-			return fmt.Errorf("embed: %w", err)
-		}
-		data, err := tr.FileAt(core.ParsePath(pathStr))
-		if err != nil {
-			return fmt.Errorf("embed target: %w", err)
-		}
-		emb := core.ParsePath(quoted)
-		if !emb.IsValid() {
-			return fmt.Errorf("embed name %q: %w", quoted, ErrSyntax)
-		}
-		data.Embedded = append(data.Embedded, emb)
-		return nil
+		l.path, l.arg = path, content
 	case "link":
 		fields := strings.Fields(rest)
 		if len(fields) != 2 {
-			return fmt.Errorf("link needs two paths: %w", ErrSyntax)
+			return l, fmt.Errorf("link needs two paths: %w", ErrSyntax)
 		}
-		newPath := core.ParsePath(fields[0])
-		if !newPath.IsValid() {
-			return fmt.Errorf("link path %q: %w", fields[0], ErrSyntax)
+		l.path, l.arg = fields[0], fields[1]
+	default:
+		return l, fmt.Errorf("directive %q: %w", directive, ErrSyntax)
+	}
+	if !hasComponent(l.path) {
+		return l, fmt.Errorf("%s path %q: %w", directive, l.path, ErrSyntax)
+	}
+	if (directive == "embed" || directive == "link") && !hasComponent(l.arg) {
+		return l, fmt.Errorf("%s name %q: %w", directive, l.arg, ErrSyntax)
+	}
+	return l, nil
+}
+
+// hasComponent reports whether the textual path s names at least one
+// component, as core.ParsePath(s).IsValid() would, without allocating.
+func hasComponent(s string) bool { return strings.Trim(s, "/") != "" }
+
+// applyLine applies one parsed directive to tr.
+func applyLine(tr *dirtree.Tree, l line) error {
+	switch l.directive {
+	case "dir":
+		_, err := tr.MkdirAll(core.ParsePath(l.path))
+		return err
+	case "file":
+		_, err := tr.Create(core.ParsePath(l.path), l.arg)
+		return err
+	case "embed":
+		data, err := tr.FileAt(core.ParsePath(l.path))
+		if err != nil {
+			return fmt.Errorf("embed target: %w", err)
 		}
-		target, err := tr.Lookup(core.ParsePath(fields[1]))
+		data.Embedded = append(data.Embedded, core.ParsePath(l.arg))
+		return nil
+	default: // "link"
+		newPath := core.ParsePath(l.path)
+		target, err := tr.Lookup(core.ParsePath(l.arg))
 		if err != nil {
 			return fmt.Errorf("link target: %w", err)
 		}
-		if _, err := tr.MkdirAll(newPath[:len(newPath)-1]); err != nil {
+		dir, name := newPath[:len(newPath)-1], newPath[len(newPath)-1]
+		if _, err := tr.MkdirAll(dir); err != nil {
 			return err
 		}
-		return tr.Attach(newPath[:len(newPath)-1], newPath[len(newPath)-1], target)
-	default:
-		return fmt.Errorf("directive %q: %w", directive, ErrSyntax)
+		return tr.Attach(dir, name, target)
 	}
-}
-
-// splitPathAndQuoted splits `/a/b "quoted rest"` into path and unquoted
-// content.
-func splitPathAndQuoted(s string) (path, content string, err error) {
-	path, rest, found := strings.Cut(s, " ")
-	if !found {
-		return "", "", fmt.Errorf("missing quoted argument: %w", ErrSyntax)
-	}
-	rest = strings.TrimSpace(rest)
-	content, err = strconv.Unquote(rest)
-	if err != nil {
-		return "", "", fmt.Errorf("bad quoted argument %s: %w", rest, ErrSyntax)
-	}
-	return path, content, nil
 }
 
 // Dump serializes the tree in spec format. Directories come before their
