@@ -111,14 +111,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var opts []cluster.Option
-	var keeper *snapstore.Keeper
 	if *dataDir != "" {
 		st, err := snapstore.Open(*dataDir)
 		if err != nil {
 			return fmt.Errorf("open snapshot store: %w", err)
 		}
-		keeper = snapstore.NewKeeper(st, *snapInterval)
-		opts = append(opts, cluster.WithSnapStore(st))
+		opts = append(opts, cluster.WithSnapStore(st, *snapInterval))
 	}
 	if *readonly {
 		opts = append(opts, cluster.WithServerOptions(nameserver.WithReadOnly()))
@@ -142,10 +140,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "caught up shard %d replica %d: %d blobs fetched, %d subtrees already present\n",
 			s.Shard, s.Replica, s.Copied, s.Skipped)
 	}
-	if keeper != nil {
-		cl.Track(keeper)
-		keeper.Start()
-	}
 	if lone {
 		fmt.Fprintf(out, "nsd serving on %s (interrupt to stop)\n", cl.Addrs()[0])
 	} else {
@@ -154,12 +148,10 @@ func run(args []string, out io.Writer) error {
 
 	<-interrupt
 	fmt.Fprintln(out, "shutting down")
-	cl.Close()
-	if keeper != nil {
-		// Final flush: the manifest leaves naming the graph as served.
-		if err := keeper.Close(); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
-		}
+	// With -data, Close's final flush leaves the manifest naming the graph
+	// as served.
+	if err := cl.Close(); err != nil {
+		return fmt.Errorf("final snapshot: %w", err)
 	}
 	m := cl.Metrics()
 	fmt.Fprintf(out, "served %d requests (%d names)\n", m.Served, m.Resolved)

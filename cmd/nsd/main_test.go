@@ -157,6 +157,40 @@ func TestGracefulShutdownAndRecovery(t *testing.T) {
 	}
 }
 
+// A write the daemon acknowledged after its last periodic snapshot, or with
+// none running, is committed by the shutdown SIGTERM starts: the restarted
+// daemon resolves it at the write's revision.
+func TestShutdownCommitsAcknowledgedWrite(t *testing.T) {
+	for _, interval := range []string{"0", "1h"} {
+		dir := t.TempDir()
+		addr, wait := startDaemon(t, "-addr", "127.0.0.1:0", "-data", dir, "-snap-interval", interval)
+		ls := resolveAll(t, addr, []string{"usr/bin/ls"})[0]
+		cl, err := nameserver.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev, err := cl.Bind(core.ParsePath("etc"), "acked", ls.ent)
+		_ = cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigterm(t)
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+
+		addr, wait = startDaemon(t, "-addr", "127.0.0.1:0", "-data", dir, "-snap-interval", interval)
+		got := resolveAll(t, addr, []string{"etc/acked"})[0]
+		sigterm(t)
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got.rev != rev {
+			t.Errorf("-snap-interval %s: the restarted daemon serves revision %d; the write was acknowledged at %d", interval, got.rev, rev)
+		}
+	}
+}
+
 // Links (shared subtrees) restore as shared entities, not copies.
 func TestRecoveryPreservesSharing(t *testing.T) {
 	dir := t.TempDir()

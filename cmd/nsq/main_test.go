@@ -48,7 +48,7 @@ func runSession(t *testing.T, shards, replicas int, extra ...string) (string, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close)
+	t.Cleanup(func() { _ = cl.Close() })
 	addr := cl.Addrs()[0]
 	var out bytes.Buffer
 	for _, argv := range session {

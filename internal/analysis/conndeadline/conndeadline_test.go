@@ -25,3 +25,11 @@ func TestConnDeadlineFlow(t *testing.T) {
 func TestConnDeadlineRecall(t *testing.T) {
 	analysistest.Run(t, conndeadline.Analyzer, "recall")
 }
+
+// TestConnDeadlineBufioBlindSpot documents the hole DESIGN §6 records: a
+// deadline-free read through a bufio.Reader over a conn is reported by
+// nothing. When conndeadline learns to follow the wrap this test fails at
+// blindspot/cluster's readReply; that line then takes its want.
+func TestConnDeadlineBufioBlindSpot(t *testing.T) {
+	analysistest.Run(t, conndeadline.Analyzer, "blindspot/cluster")
+}

@@ -29,6 +29,11 @@ type Client struct {
 	shards  []*replicaSet
 	retries int
 	backoff time.Duration
+	// push invalidation (see WithPushInvalidation): every shared
+	// connection subscribes on dial, and pushed frames feed the per-shard
+	// purge rule without waiting for the next miss. Immutable after
+	// NewClient.
+	push bool
 
 	// wg joins the per-shard batch goroutines; Close waits on it after
 	// flipping closed, so no request goroutine outlives the client.
@@ -41,10 +46,6 @@ type Client struct {
 	revs    []uint64 // per-shard binding revision the cache is current to
 	flights map[string]*flight
 	m       ClientMetrics
-	// push invalidation (see WithPushInvalidation): every shared
-	// connection subscribes on dial, and pushed frames feed the per-shard
-	// purge rule without waiting for the next miss.
-	push bool
 }
 
 // batchJoinHook, when non-nil, runs as each batch goroutine finishes but

@@ -57,10 +57,7 @@ type subscription struct {
 // restarts from zero, and every response's revision purges as it would
 // polling.
 func (c *Client) maybeSubscribe(shard int, conn *sharedConn) {
-	c.mu.Lock()
-	push := c.push
-	c.mu.Unlock()
-	if !push {
+	if !c.push {
 		return
 	}
 	sub := &subscription{replica: conn.replica}

@@ -30,23 +30,27 @@ type Cluster struct {
 	// Plan records how the spec was split and routed.
 	Plan *treespec.ShardPlan
 
-	routes *nameserver.RouteInfo
-
 	// catchUps and recovered are filled during construction (before any
-	// server goroutine starts) and immutable afterwards.
-	catchUps  []CatchUpStat
-	recovered []recoveredShard
-	// encoders[i] took shard i's bring-up snapshot into snap (nil for a
-	// restored shard); Track adopts it.
-	snap     *snapstore.Store
-	encoders []*snapstore.Encoder
-
-	mu          sync.Mutex
+	// server goroutine starts) and immutable afterwards, as are routes,
+	// servers, listeners and replicators (per shard, replicated clusters
+	// only), which NewReplicated publishes once it has built them all.
+	catchUps    []CatchUpStat
+	recovered   []recoveredShard
+	routes      *nameserver.RouteInfo
 	servers     [][]*nameserver.Server
 	listeners   [][]*faultnet.Listener
-	replicators []*replicator // per shard, replicated clusters only
-	done        []chan struct{}
-	closed      bool
+	replicators []*replicator
+
+	// snap is the store WithSnapStore named (nil without one); cursors[i]
+	// is where shard i's snapshots stand in it, guarded by flushMu, which
+	// serialises every flush: the periodic loop's and Close's.
+	snap    *snapstore.Store
+	flushMu sync.Mutex
+	cursors []snapCursor
+
+	stop      chan struct{}  // closed by Close to end the flush loop; nil when there is none
+	wg        sync.WaitGroup // the serve goroutines and the flush loop
+	closeOnce sync.Once
 }
 
 type serverOptsOption struct{ opts []nameserver.ServerOption }
@@ -99,21 +103,27 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	c := &Cluster{World: w, Plan: plan, snap: o.snap, encoders: make([]*snapstore.Encoder, shards)}
+	c := &Cluster{World: w, Plan: plan}
+	var cursors []snapCursor
 	for i, shardSpec := range plan.Specs {
-		trees, err := c.bringUpShard(&o, i, shardSpec, fmt.Sprintf("shard%d", i), replicas)
+		trees, enc, err := c.bringUpShard(&o, i, shardSpec, fmt.Sprintf("shard%d", i), replicas)
 		if err != nil {
-			c.Close()
 			return nil, fmt.Errorf("build shard %d: %w", i, err)
 		}
 		c.ReplicaTrees = append(c.ReplicaTrees, trees)
 		c.Trees = append(c.Trees, trees[0])
+		cursors = append(cursors, snapCursor{enc: enc})
 	}
-	addrs := make([]string, shards)
-	replicaAddrs := make([][]string, shards)
+	routes := &nameserver.RouteInfo{
+		Prefixes: plan.Prefixes,
+		Default:  plan.Default,
+		Addrs:    make([]string, shards),
+		Replicas: make([][]string, shards),
+	}
+	servers := make([][]*nameserver.Server, shards)
+	listeners := make([][]*faultnet.Listener, shards)
+	var replicators []*replicator
 	for i, trees := range c.ReplicaTrees {
-		shardServers := make([]*nameserver.Server, 0, replicas)
-		shardListeners := make([]*faultnet.Listener, 0, replicas)
 		for r, tr := range trees {
 			srv := nameserver.NewServer(w, tr.RootContext(), o.serverOpts...)
 			srv.WatchExport(tr.Root)
@@ -128,47 +138,39 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 			}
 			ln, err := net.Listen("tcp", listenAddr)
 			if err != nil {
-				c.Close()
+				stopServing(replicators, servers)
+				c.wg.Wait()
 				return nil, fmt.Errorf("listen for shard %d replica %d: %w", i, r, err)
 			}
 			fln := faultnet.Wrap(ln)
-			replicaAddrs[i] = append(replicaAddrs[i], fln.Addr().String())
-			done := make(chan struct{})
+			routes.Replicas[i] = append(routes.Replicas[i], fln.Addr().String())
+			servers[i] = append(servers[i], srv)
+			listeners[i] = append(listeners[i], fln)
+			c.wg.Add(1)
 			go func() {
-				defer close(done)
+				defer c.wg.Done()
 				srv.Serve(fln)
 			}()
-			shardServers = append(shardServers, srv)
-			shardListeners = append(shardListeners, fln)
-			c.mu.Lock()
-			c.done = append(c.done, done)
-			c.mu.Unlock()
 		}
-		addrs[i] = replicaAddrs[i][0]
-		c.mu.Lock()
-		c.servers = append(c.servers, shardServers)
-		c.listeners = append(c.listeners, shardListeners)
+		routes.Addrs[i] = routes.Replicas[i][0]
 		if replicas > 1 {
 			// A replicated shard gets a write replicator: the primary's
 			// committed mutations are re-applied on each backup over the wire
 			// (through the fault injectors), so backups converge with the
 			// primary and the replica groups stay truthful under writes.
-			c.replicators = append(c.replicators, newReplicator(shardServers[0], replicaAddrs[i][1:]))
+			replicators = append(replicators, newReplicator(servers[i][0], routes.Replicas[i][1:]))
 		}
-		c.mu.Unlock()
 	}
-	c.routes = &nameserver.RouteInfo{
-		Prefixes: plan.Prefixes,
-		Default:  plan.Default,
-		Addrs:    addrs,
-		Replicas: replicaAddrs,
-	}
-	c.mu.Lock()
-	servers := c.servers
-	c.mu.Unlock()
 	for _, shard := range servers {
 		for _, srv := range shard {
-			srv.SetRoutes(c.routes)
+			srv.SetRoutes(routes)
+		}
+	}
+	c.routes, c.servers, c.listeners, c.replicators = routes, servers, listeners, replicators
+	if o.snap != nil {
+		c.snap, c.cursors = o.snap, cursors
+		if o.every > 0 {
+			c.startFlushLoop(o.every)
 		}
 	}
 	return c, nil
@@ -180,10 +182,7 @@ func NewReplicated(w *core.World, spec string, shards, replicas int, opts ...Opt
 // (a backup that cannot be reached keeps it waiting) and before probing
 // coherence. An unreplicated or closed cluster returns immediately.
 func (c *Cluster) DrainReplication() {
-	c.mu.Lock()
-	reps := c.replicators
-	c.mu.Unlock()
-	for _, r := range reps {
+	for _, r := range c.replicators {
 		for _, f := range r.feeds {
 			f.Wait()
 		}
@@ -218,8 +217,6 @@ func (c *Cluster) Server(i int) *nameserver.Server {
 
 // ReplicaServer returns the name server of one replica of shard i.
 func (c *Cluster) ReplicaServer(i, r int) *nameserver.Server {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.servers[i][r]
 }
 
@@ -227,8 +224,6 @@ func (c *Cluster) ReplicaServer(i, r int) *nameserver.Server {
 // Setting it to faultnet.Reset makes the replica look crashed; Hang makes
 // it look wedged; Pass heals it.
 func (c *Cluster) Fault(i, r int) *faultnet.Listener {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.listeners[i][r]
 }
 
@@ -241,21 +236,17 @@ type Metrics struct {
 	ReplicationPending int
 }
 
-// Metrics sums its servers' metrics and its backups' lag. Both are read
-// from slices copied under c.mu, outside it.
+// Metrics sums its servers' metrics and its backups' lag.
 func (c *Cluster) Metrics() Metrics {
-	c.mu.Lock()
-	servers, reps := c.servers, c.replicators
-	c.mu.Unlock()
 	var m Metrics
-	for _, shard := range servers {
+	for _, shard := range c.servers {
 		for _, s := range shard {
 			sm := s.Metrics()
 			m.Served += sm.Served
 			m.Resolved += sm.Resolved
 		}
 	}
-	for _, r := range reps {
+	for _, r := range c.replicators {
 		for _, f := range r.feeds {
 			behind, _, _ := f.Lag()
 			m.ReplicationPending += behind
@@ -264,20 +255,28 @@ func (c *Cluster) Metrics() Metrics {
 	return m
 }
 
-// Close stops every replica server of every shard.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	servers := c.servers
-	reps := c.replicators
-	done := c.done
-	c.mu.Unlock()
-	// Stop forwarding before stopping servers, so appliers do not spend
-	// their timeout retrying into listeners that are going away.
+// Close stops the flush loop, the replicators and every replica server of
+// every shard, joins the servers, and then, over a snap store, commits every
+// shard whose primary's revision is past its manifest entry: the manifest
+// is left naming the graph as served, a write acknowledged after the last
+// periodic flush included. It returns that flush's error. Only the first
+// call does anything; later calls return nil.
+func (c *Cluster) Close() error {
+	var err error
+	c.closeOnce.Do(func() {
+		if c.stop != nil {
+			close(c.stop)
+		}
+		stopServing(c.replicators, c.servers)
+		c.wg.Wait()
+		err = c.flush()
+	})
+	return err
+}
+
+// stopServing stops forwarding before stopping servers, so appliers do not
+// spend their timeout retrying into listeners that are going away.
+func stopServing(reps []*replicator, servers [][]*nameserver.Server) {
 	for _, r := range reps {
 		r.close()
 	}
@@ -285,8 +284,5 @@ func (c *Cluster) Close() {
 		for _, s := range shard {
 			s.Close()
 		}
-	}
-	for _, d := range done {
-		<-d
 	}
 }

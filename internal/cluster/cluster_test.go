@@ -37,7 +37,7 @@ func startCluster(t testing.TB, shards int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(func() { _ = c.Close() })
 	return c
 }
 

@@ -7,7 +7,11 @@
 // Cluster is the server side: it splits a treespec into per-shard subtrees
 // (treespec.Split), serves each shard from its own name server, and
 // installs the routing table on every member so a client can bootstrap
-// from any of them.
+// from any of them. Over a snapshot store (WithSnapStore) it also owns
+// durability: a shard with a committed root is restored from it instead of
+// built, and each shard whose primary's revision has moved past its
+// manifest entry is committed every interval and once more at Close, its
+// encoder told what the primary's commit log says changed.
 //
 // Client is the scalable front end: it routes each name to its shard,
 // pools connections per shard, batches multi-name resolutions into one

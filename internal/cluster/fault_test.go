@@ -27,7 +27,7 @@ func startReplicated(t *testing.T, shards, replicas int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(func() { _ = c.Close() })
 	return c
 }
 

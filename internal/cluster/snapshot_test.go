@@ -33,7 +33,7 @@ func TestClusterRecoversFromSnapStore(t *testing.T) {
 	st := newSnapStore(t)
 
 	w1 := core.NewWorld()
-	c1, err := NewReplicated(w1, snapSpec, 2, 1, WithSnapStore(st))
+	c1, err := NewReplicated(w1, snapSpec, 2, 1, WithSnapStore(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestClusterRecoversFromSnapStore(t *testing.T) {
 			t.Fatalf("fresh shard %d claims to be recovered", i)
 		}
 	}
-	// The shard serving /usr, advanced and re-committed as a keeper would.
+	// The shard serving /usr, advanced and re-committed as a flush would.
 	s := c1.Plan.Prefixes["usr"]
 	for j := 0; j < 5; j++ {
 		c1.Server(s).Bump()
@@ -61,7 +61,7 @@ func TestClusterRecoversFromSnapStore(t *testing.T) {
 
 	// Restart: same store, fresh world.
 	w2 := core.NewWorld()
-	c2, err := NewReplicated(w2, snapSpec, 2, 1, WithSnapStore(st))
+	c2, err := NewReplicated(w2, snapSpec, 2, 1, WithSnapStore(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestReplicaBringUpByCatchUp(t *testing.T) {
 
 	// First life: single replica, commit initial roots.
 	w1 := core.NewWorld()
-	c1, err := NewReplicated(w1, snapSpec, 2, 1, WithSnapStore(st))
+	c1, err := NewReplicated(w1, snapSpec, 2, 1, WithSnapStore(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestReplicaBringUpByCatchUp(t *testing.T) {
 
 	// Second life: three replicas per shard, restored + caught up.
 	w2 := core.NewWorld()
-	c2, err := NewReplicated(w2, snapSpec, 2, 3, WithSnapStore(st))
+	c2, err := NewReplicated(w2, snapSpec, 2, 3, WithSnapStore(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

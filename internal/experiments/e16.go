@@ -74,7 +74,7 @@ func e16Life(dir, spec string, paths []core.Path, life int) ([]string, error) {
 	}
 	w := core.NewWorld()
 	cl, err := cluster.NewReplicated(w, spec, e16Shards, e16Replicas,
-		cluster.WithSnapStore(st))
+		cluster.WithSnapStore(st, 0))
 	if err != nil {
 		return nil, err
 	}

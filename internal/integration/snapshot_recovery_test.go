@@ -44,7 +44,7 @@ func TestKilledShardRecoversAndServesEqualAnswers(t *testing.T) {
 	}
 	st := openStore()
 	w1 := core.NewWorld()
-	c1, err := cluster.New(w1, recoverySpec, 2, cluster.WithSnapStore(st))
+	c1, err := cluster.New(w1, recoverySpec, 2, cluster.WithSnapStore(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestKilledShardRecoversAndServesEqualAnswers(t *testing.T) {
 	// Second life: recovered from the store in a fresh world/process.
 	st2 := openStore()
 	w2 := core.NewWorld()
-	c2, err := cluster.New(w2, recoverySpec, 2, cluster.WithSnapStore(st2))
+	c2, err := cluster.New(w2, recoverySpec, 2, cluster.WithSnapStore(st2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestKilledShardRecoversAndServesEqualAnswers(t *testing.T) {
 	// Third life: every answer is byte-for-byte the second life's.
 	st3 := openStore()
 	w3 := core.NewWorld()
-	c3, err := cluster.New(w3, recoverySpec, 2, cluster.WithSnapStore(st3))
+	c3, err := cluster.New(w3, recoverySpec, 2, cluster.WithSnapStore(st3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestKilledShardRecoversAndServesEqualAnswers(t *testing.T) {
 	}
 }
 
-// The keeper's final flush on graceful shutdown commits the last revision:
-// a mutation made while serving needs no manual commit to survive.
+// The cluster's final flush on graceful shutdown (Close) commits the last
+// revision: a mutation made while serving needs no manual commit to survive.
 func TestKeeperFinalFlushCommitsLastRevision(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapstore.Open(dir)
@@ -132,21 +132,17 @@ func TestKeeperFinalFlushCommitsLastRevision(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := core.NewWorld()
-	c, err := cluster.New(w, recoverySpec, 1, cluster.WithSnapStore(st))
+	c, err := cluster.New(w, recoverySpec, 1, cluster.WithSnapStore(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keeper := snapstore.NewKeeper(st, 0)
 	srv := c.Server(0)
-	c.Track(keeper)
-	keeper.Start()
 
 	if _, err := c.Trees[0].Create(core.ParsePath("etc/new"), "fresh"); err != nil {
 		t.Fatal(err)
 	}
 	rev := srv.Revision()
-	c.Close()
-	if err := keeper.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 

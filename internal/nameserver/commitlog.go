@@ -2,8 +2,9 @@
 // bump and SetRevision append an entry under Server.mu before the new
 // revision becomes readable, and every consumer is a cursor on the log — a
 // subscribed connection reads frames from its position (server.go), a
-// backup's applier reads mutations from a pinned one (Follower), the snapshot
-// keeper reads dirty directories from one its owner holds (ChangedSince) —
+// backup's applier reads mutations from a pinned one (Follower), the
+// cluster's snapshot flush reads dirty directories from one it holds itself
+// (ChangedSince) —
 // so lag is head − cursor for all three, and what a consumer that fell
 // behind is owed is decided here and nowhere else:
 //
@@ -12,10 +13,10 @@
 //     that says "everything";
 //   - a follower, every mutation, however far behind: the tail is kept down
 //     to the slowest pinned cursor, once for all of them;
-//   - a keeper, the directories named since its position while every entry
-//     since is retained and names one, otherwise "everything": it pins
-//     nothing, so retains nothing and has no payload staged, however rarely
-//     it reads.
+//   - a snapshot flush, the directories named since its position while
+//     every entry since is retained and names one, otherwise "everything":
+//     it pins nothing, so retains nothing and has no payload staged, however
+//     rarely it reads.
 
 package nameserver
 
@@ -125,12 +126,12 @@ func (l *commitLog) next(pos uint64) (e commit, after uint64, ok bool) {
 	return *l.at(pos), pos + 1, true
 }
 
-// ChangedSince is the snapshot keeper's read of the log: the distinct
+// ChangedSince is the snapshot flush's read of the log: the distinct
 // directories whose leaf bindings the entries in [pos, head) changed, and the
 // head to read from next time — or all: an entry since was coarse (a
 // directory bound or unbound, a Bump, a SetRevision jump, an export reaching
-// a union) or pos is no longer retained. A closed server still answers: a
-// daemon closes its servers before the keeper's final flush.
+// a union) or pos is no longer retained. A closed server still answers:
+// cluster.Close closes its servers before the final flush.
 func (s *Server) ChangedSince(pos uint64) (dirs []core.EntityID, head uint64, all bool) {
 	l := &s.log
 	l.mu.Lock()

@@ -68,8 +68,8 @@ type Server struct {
 
 	// wmu serializes every binding mutation applied through this server
 	// (the wire write path and Stable). It is never held across wire I/O;
-	// replies are written after it is released. The snapshot keeper runs
-	// its snap closure under the same lock (via Stable), so a snapshot can
+	// replies are written after it is released. The cluster's snapshot
+	// flush encodes under the same lock (via Stable), so a snapshot can
 	// never observe a half-applied mutation — the rev/snap pair it commits
 	// is torn-proof by construction.
 	wmu sync.Mutex
@@ -632,8 +632,8 @@ func (s *Server) SetRevision(rev uint64) {
 }
 
 // Stable runs fn under the lock that serializes binding mutations: no
-// wire write can commit while fn runs. The snapshot keeper routes its
-// rev-probe/snapshot pair through Stable so the pair is consistent — a
+// wire write can commit while fn runs. The cluster's snapshot flush routes
+// its rev-probe/snapshot pair through Stable so the pair is consistent — a
 // snapshot can never capture a mutation the probed revision predates.
 // fn must not call back into the server's mutation path.
 func (s *Server) Stable(fn func()) {

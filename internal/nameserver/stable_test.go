@@ -10,13 +10,13 @@ import (
 )
 
 // TestStableSnapshotExcludesConcurrentWrite is the torn-snapshot
-// regression: the keeper's snap closure must run under the same lock that
-// serializes binding changes (Server.Stable), or a wire mutation landing
-// between the revision read and the tree walk produces a snapshot whose
-// content disagrees with its committed revision. The test opens a hook in
-// the middle of a Stable-wrapped snap, fires a wire Bind from it, and
-// checks (a) the bind blocks until the snap finishes and (b) the committed
-// snapshot does not contain it.
+// regression: a snapshot's revision read and tree walk must run under the
+// same lock that serializes binding changes (Server.Stable), as the
+// cluster's flush runs them, or a wire mutation landing between the two
+// produces a snapshot whose content disagrees with its committed revision.
+// The test fires a wire Bind from the middle of a Stable-wrapped snapshot
+// and checks (a) the bind blocks until the snapshot finishes and (b) the
+// committed snapshot does not contain it.
 func TestStableSnapshotExcludesConcurrentWrite(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -27,42 +27,33 @@ func TestStableSnapshotExcludesConcurrentWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keeper := snapstore.NewKeeper(st, 0) // no periodic loop; Flush drives it
-	defer keeper.Close()
 
 	bound := make(chan error, 1)
-	inSnap := make(chan struct{})
-	first := true // the hook fires once; keeper.Close flushes again later
-	keeper.Track(0, s.Revision, func() (h cas.Hash, rev uint64, err error) {
-		s.Stable(func() {
-			rev = s.Revision()
-			if first {
-				first = false
-				// A writer shows up mid-snapshot. Under Stable it must block
-				// on the write lock until the walk below completes.
-				go func() {
-					_, err := c.Bind(core.ParsePath("usr/bin"), "torn", f)
-					bound <- err
-				}()
-				close(inSnap)
-				select {
-				case err := <-bound:
-					t.Errorf("bind completed during stable snapshot: %v", err)
-					bound <- nil // keep the post-snap receive from hanging
-				case <-time.After(50 * time.Millisecond):
-					// Blocked, as it must be.
-				}
-			}
-			h, err = st.Snapshot(w, tr.Root)
-		})
-		return h, rev, err
+	var h cas.Hash
+	var rev uint64
+	s.Stable(func() {
+		rev = s.Revision()
+		// A writer shows up mid-snapshot. Under Stable it must block on
+		// the write lock until the walk below completes.
+		go func() {
+			_, err := c.Bind(core.ParsePath("usr/bin"), "torn", f)
+			bound <- err
+		}()
+		select {
+		case err := <-bound:
+			t.Errorf("bind completed during stable snapshot: %v", err)
+			bound <- nil // keep the post-snap receive from hanging
+		case <-time.After(50 * time.Millisecond):
+			// Blocked, as it must be.
+		}
+		h, err = st.Snapshot(w, tr.Root)
 	})
-
-	s.Bump() // make the keeper consider the shard dirty
-	if err := keeper.Flush(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	<-inSnap
+	if err := st.Commit(0, rev, h); err != nil {
+		t.Fatal(err)
+	}
 	if err := <-bound; err != nil {
 		t.Fatalf("bind after snapshot: %v", err)
 	}

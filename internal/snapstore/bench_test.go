@@ -54,11 +54,11 @@ func BenchmarkSnapstoreSnapshot(b *testing.B) {
 	b.ReportMetric(st.CAS().Stats().DedupRatio(), "dedup-ratio")
 }
 
-// BenchmarkSnapstoreIncremental is the keeper's steady state on the nsload
-// tree shape: one name in a depth-3 directory rebound between snapshots,
-// the encoder told which directory. puts/op is exact and gated — the
-// directory and its three ancestors, 4 of the tree's 39 321 nodes; ns/op is
-// along for the ride.
+// BenchmarkSnapstoreIncremental is the cluster flush's steady state on the
+// nsload tree shape: one name in a depth-3 directory rebound between
+// snapshots, the encoder told which directory. puts/op is exact and gated —
+// the directory and its three ancestors, 4 of the tree's 39 321 nodes;
+// ns/op is along for the ride.
 func BenchmarkSnapstoreIncremental(b *testing.B) {
 	tr := benchTree(b, 16, 3, 8)
 	st := newMemStore()

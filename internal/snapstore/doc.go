@@ -20,6 +20,8 @@
 // Store adds a revision-history manifest (shard revision → root hash,
 // written atomically) for crash recovery, Diff for O(changed) comparison
 // of two roots, CatchUp for replica bring-up that copies only missing
-// subtrees, Keeper for periodic and shutdown snapshots of serving shards,
-// and Encoder, which keeps those proportional to what changed.
+// subtrees, and Encoder, which keeps repeated snapshots of one subtree
+// proportional to what changed. When a serving shard is committed is not
+// decided here: internal/cluster, which owns the shard's write lock and
+// commit log, flushes it periodically and at Close (cluster.WithSnapStore).
 package snapstore

@@ -16,9 +16,9 @@ import (
 	"namecoherence/internal/nameserver"
 )
 
-// incr is a served tree with a keeper on it, wired the way cluster.Track
-// wires a shard: a memo-keeping Encoder fed from the server's commit log
-// under Server.Stable. Writes reach the tree over the wire (bind, unbind,
+// incr is a served tree whose flush works the way the cluster's flushes a
+// shard: a memo-keeping Encoder fed from the server's commit log under
+// Server.Stable, then a manifest commit. Writes reach the tree over the wire (bind, unbind,
 // mkcontext, bind-a-directory) and in process (Tree.Attach, Detach, Create,
 // a bare Context.Bind); check flushes and holds the committed root to a
 // walk of everything into an empty store.
@@ -44,7 +44,8 @@ type incr struct {
 	srv  *nameserver.Server
 	c    *nameserver.Client
 	st   *Store
-	k    *Keeper
+	enc  *Encoder
+	pos  uint64        // the commit-log position enc's last snapshot covered
 	dirs []core.Path   // every directory path ever made; some no longer resolve
 	ents []core.Entity // files to bind
 
@@ -103,21 +104,32 @@ func newIncr(t *testing.T, st *Store, sharedEscape bool) *incr {
 		wg.Wait()
 	})
 
-	h.k = NewKeeper(st, 0)
-	enc := st.NewEncoder(w, h.tr.Root)
-	var pos uint64
-	h.k.Track(0, h.srv.Revision, func() (root cas.Hash, rev uint64, err error) {
-		h.srv.Stable(func() {
-			rev = h.srv.Revision()
-			dirs, head, all := h.srv.ChangedSince(pos)
-			h.all, h.told = all, len(dirs)
-			if root, err = enc.Snapshot(dirs, all); err == nil {
-				pos = head
-			}
-		})
-		return root, rev, err
-	})
+	h.enc = st.NewEncoder(w, h.tr.Root)
 	return h
+}
+
+// flush commits the tree at the server's revision unless the manifest
+// already names that revision: the encoder is told what the commit log
+// says changed since its last good snapshot.
+func (h *incr) flush() error {
+	if last, ok := h.st.Latest(0); ok && last.Rev == h.srv.Revision() {
+		return nil
+	}
+	var root cas.Hash
+	var rev uint64
+	var err error
+	h.srv.Stable(func() {
+		rev = h.srv.Revision()
+		dirs, head, all := h.srv.ChangedSince(h.pos)
+		h.all, h.told = all, len(dirs)
+		if root, err = h.enc.Snapshot(dirs, all); err == nil {
+			h.pos = head
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return h.st.Commit(0, rev, root)
 }
 
 // apply decodes one operation. Most fail now and then — a name already
@@ -192,16 +204,16 @@ func names(tr *dirtree.Tree, depth int) map[string]string {
 	return out
 }
 
-// check flushes and holds what the keeper committed to the reference: the
-// root a stateless Snapshot of the live tree into an empty store gives, at
-// the server's revision, restorable from the keeper's own store — every
+// check flushes and holds what it committed to the reference: the root a
+// stateless Snapshot of the live tree into an empty store gives, at the
+// server's revision, restorable from the flushed store — every
 // blob the memo vouched for is really there — to the tree the reference
 // restores. It reports whether that tree resolves every name the live one
 // does (always, but for sharedEscape's shape and what the writes make of it).
 func (h *incr) check() (faithful bool) {
 	h.t.Helper()
 	h.all, h.told = false, 0 // a flush at an unmoved revision asks nothing
-	if err := h.k.Flush(); err != nil {
+	if err := h.flush(); err != nil {
 		h.t.Fatalf("flush: %v", err)
 	}
 	h.flushes++
@@ -223,10 +235,10 @@ func (h *incr) check() (faithful bool) {
 	refTree, refErr := ref.Restore(want, core.NewWorld(), "root")
 	got, err := h.st.Restore(want, core.NewWorld(), "root")
 	if (err == nil) != (refErr == nil) {
-		h.t.Fatalf("flush %d: restore from the keeper's store: %v; from the reference store: %v", h.flushes, err, refErr)
+		h.t.Fatalf("flush %d: restore from the flushed store: %v; from the reference store: %v", h.flushes, err, refErr)
 	}
 	if refErr != nil {
-		// TestDeepEscapeUnderAShorterPathIsUnrestorable: the format's hole, not the keeper's.
+		// TestDeepEscapeUnderAShorterPathIsUnrestorable: the format's hole, not the flush's.
 		return false
 	}
 	wantNames := names(refTree, 4)
@@ -245,13 +257,13 @@ func (h *incr) check() (faithful bool) {
 
 // TestDeepEscapeUnderAShorterPathIsUnrestorable documents a hole in the
 // snapshot format that FuzzIncrementalSnapshot ran into, and that a walk of
-// everything has as much as a keeper's: a directory the walk first meets
+// everything has as much as an incremental one: a directory the walk first meets
 // deep (root/a/b/s) encodes its link to a far ancestor as "3 up", the blob is
 // remembered, and a second, shorter path to the same directory (root/z)
 // names that blob too — where "3 up" points above the root. Snapshot
 // succeeds; Restore of its own root refuses. Until the format carries the
 // escape height of a shared blob (or encodes the second occurrence afresh),
-// the keeper commits such a root like any other.
+// a flush commits such a root like any other.
 func TestDeepEscapeUnderAShorterPathIsUnrestorable(t *testing.T) {
 	w := core.NewWorld()
 	tr := dirtree.New(w, "root")
@@ -276,7 +288,7 @@ func TestDeepEscapeUnderAShorterPathIsUnrestorable(t *testing.T) {
 }
 
 // TestIncrementalSnapshotEqualsFullWalk: over seeded random write sequences
-// the keeper's committed root is the stateless Snapshot's after every flush.
+// the committed root is the stateless Snapshot's after every flush.
 func TestIncrementalSnapshotEqualsFullWalk(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, sharedEscape := range []bool{false, true} {
@@ -292,9 +304,6 @@ func TestIncrementalSnapshotEqualsFullWalk(t *testing.T) {
 				h.check()
 				if h.incremental < 5 || h.incremental == h.flushes {
 					t.Fatalf("%d of %d flushes were told directories: the sequence must exercise both paths", h.incremental, h.flushes)
-				}
-				if err := h.k.Close(); err != nil {
-					t.Fatal(err)
 				}
 			})
 		}
@@ -319,9 +328,6 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 			h.apply(data[0], data[1], data[2])
 		}
 		h.check()
-		if err := h.k.Close(); err != nil {
-			t.Fatal(err)
-		}
 	})
 }
 
@@ -359,7 +365,7 @@ func TestFailedPutLeavesTheNextFlushCorrect(t *testing.T) {
 				}
 				return nil
 			}
-			if err := h.k.Flush(); !errors.Is(err, crash) {
+			if err := h.flush(); !errors.Is(err, crash) {
 				t.Fatalf("flush through a backend that fails put %d = %v, want the crash", nth, err)
 			}
 			local.PutHook = nil
@@ -389,7 +395,7 @@ func TestFailedManifestCommitLeavesTheNextFlushCorrect(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(man, "in-the-way"), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.k.Flush(); err == nil {
+	if err := h.flush(); err == nil {
 		t.Fatal("flush committed through a manifest that cannot be replaced")
 	}
 	if last, _ := h.st.Latest(0); last != old {

@@ -3,9 +3,7 @@ package snapstore
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"namecoherence/internal/cas"
 	"namecoherence/internal/core"
@@ -562,126 +560,5 @@ func TestRestoreMissingBlobIsBadSnapshot(t *testing.T) {
 	missing[0] = 0xAB
 	if _, err := st.Restore(missing, core.NewWorld(), "root"); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("restore of missing root = %v, want ErrBadSnapshot", err)
-	}
-}
-
-func TestKeeperFlushAndClose(t *testing.T) {
-	st := newMemStore()
-	w := core.NewWorld()
-	tr := dirtree.New(w, "root")
-	buildSample(t, tr)
-
-	var rev uint64 = 1
-	snaps := 0
-	k := NewKeeper(st, 0) // periodic loop disabled; Flush drives it
-	k.Track(0, func() uint64 { return rev }, func() (cas.Hash, uint64, error) {
-		snaps++
-		h, err := st.Snapshot(w, tr.Root)
-		return h, rev, err
-	})
-
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if snaps != 1 {
-		t.Fatalf("snaps = %d after first flush, want 1", snaps)
-	}
-	if last, ok := st.Latest(0); !ok || last.Rev != 1 {
-		t.Fatalf("Latest(0) = %+v, %v", last, ok)
-	}
-
-	// Unchanged revision: flush is a no-op.
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if snaps != 1 {
-		t.Fatalf("snaps = %d after idle flush, want 1", snaps)
-	}
-
-	// Changed revision: Close takes the final snapshot.
-	if _, err := tr.Create(core.ParsePath("var/final"), "bye"); err != nil {
-		t.Fatal(err)
-	}
-	rev = 2
-	k.Start()
-	if err := k.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if snaps != 2 {
-		t.Fatalf("snaps = %d after close, want 2", snaps)
-	}
-	if last, ok := st.Latest(0); !ok || last.Rev != 2 {
-		t.Fatalf("Latest(0) after close = %+v, %v", last, ok)
-	}
-	if err := k.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if snaps != 2 {
-		t.Fatalf("second Close snapshotted again: snaps = %d", snaps)
-	}
-}
-
-// Flush is callable beside the periodic loop: the two serialise inside the
-// keeper, so a shard's last-committed revision is never read and written at
-// once (run under -race) and no revision is committed out of order.
-func TestKeeperFlushBesidePeriodicLoop(t *testing.T) {
-	st := newMemStore()
-	w := core.NewWorld()
-	tr := dirtree.New(w, "root")
-	buildSample(t, tr)
-
-	var rev atomic.Uint64
-	rev.Store(1)
-	k := NewKeeper(st, time.Millisecond)
-	k.Track(0, rev.Load, func() (cas.Hash, uint64, error) {
-		at := rev.Load()
-		h, err := st.Snapshot(w, tr.Root)
-		return h, at, err
-	})
-	k.Start()
-	for i := 0; i < 200; i++ {
-		rev.Add(1)
-		if err := k.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if i%20 == 0 {
-			time.Sleep(2 * time.Millisecond) // let the loop's tick land between flushes
-		}
-	}
-	if err := k.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if last, ok := st.Latest(0); !ok || last.Rev != rev.Load() {
-		t.Fatalf("Latest(0) = %+v, %v; want revision %d", last, ok, rev.Load())
-	}
-}
-
-// A keeper tracking a shard whose manifest already names the current
-// revision (the restart path) starts caught-up.
-func TestKeeperStartsCaughtUpAfterRecovery(t *testing.T) {
-	st := newMemStore()
-	w := core.NewWorld()
-	tr := dirtree.New(w, "root")
-	buildSample(t, tr)
-	root, err := st.Snapshot(w, tr.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(0, 3, root); err != nil {
-		t.Fatal(err)
-	}
-
-	snaps := 0
-	k := NewKeeper(st, 0)
-	k.Track(0, func() uint64 { return 3 }, func() (cas.Hash, uint64, error) {
-		snaps++
-		h, err := st.Snapshot(w, tr.Root)
-		return h, 3, err
-	})
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if snaps != 0 {
-		t.Fatalf("keeper re-snapshotted a recovered shard %d times", snaps)
 	}
 }
