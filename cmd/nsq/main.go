@@ -100,12 +100,8 @@ func run(out io.Writer, args []string) error {
 	}
 
 	routes := client.Routes()
-	if routes.Replicas != nil {
-		fmt.Fprintf(out, "cluster: %d shards x %d replicas via %s\n",
-			len(routes.Addrs), len(routes.ReplicaAddrs(0)), *addr)
-	} else {
-		fmt.Fprintf(out, "cluster: %d shards via %s\n", len(routes.Addrs), *addr)
-	}
+	fmt.Fprintf(out, "cluster: %d shards x %d replicas via %s\n",
+		len(routes.Addrs), len(routes.ReplicaAddrs(0)), *addr)
 
 	paths := make([]core.Path, len(rest))
 	for i, arg := range rest {

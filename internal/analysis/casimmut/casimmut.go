@@ -4,18 +4,21 @@
 // backends are free to retain the slice (Mem does) and a later mutation
 // would silently corrupt a blob whose hash no longer matches its bytes —
 // Get would then report ErrCorrupt for data that was never damaged on
-// disk. And Puts are durable: a file-writing Backend.Put that returns
-// success has fsynced what it wrote, because snapstore commits manifest
-// entries naming those blobs the moment Put returns nil, and a crash
-// after an unsynced success would leave the manifest pointing at blobs
-// the filesystem never persisted.
+// disk. And writes are durable: a file-writing function of a cas package
+// that returns success has fsynced what it wrote, because snapstore
+// commits manifest entries naming blobs the moment Put returns nil, and a
+// crash after an unsynced success would leave the manifest pointing at
+// blobs the filesystem never persisted — or, for the manifest itself,
+// which cas.Publish writes too, resume a restart at a recovery point the
+// disk never held.
 //
 // The first check is caller-side and lexical: inside one function, any
 // write into a []byte value (index assignment, copy into it, append to
 // it) after that value was passed to a cas Put is flagged, until the
 // variable is rebound to a fresh slice. The second is implementor-side:
-// inside cas packages, a method named Put that writes files must call
-// File.Sync, and must not write again after its final Sync.
+// inside cas packages, every function that writes files — Backend.Put,
+// the Publish routine it and the manifest commit share, any helper — must
+// call File.Sync, and must not write again after its final Sync.
 package casimmut
 
 import (
@@ -27,16 +30,17 @@ import (
 	"namecoherence/internal/analysis"
 )
 
-// casPackage is the name of the packages whose Put methods the checks are
-// about. The durability check runs inside them; the immutability check is
-// global — blob buffers are handed to Put from anywhere — so the analyzer
-// carries no Scope and recognises a cas package where it meets one.
+// casPackage is the name of the packages the checks are about. The
+// durability check runs on every function inside them; the immutability
+// check is global — blob buffers are handed to Put from anywhere — so the
+// analyzer carries no Scope and recognises a cas package where it meets
+// one.
 const casPackage = "cas"
 
 // Analyzer is the casimmut analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "casimmut",
-	Doc:  "forbids mutating a blob after cas Put returns and unsynced file writes in Backend.Put",
+	Doc:  "forbids mutating a blob after cas Put returns and unsynced file writes in cas packages",
 	Run:  run,
 }
 
@@ -48,8 +52,8 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			checkFrozenBlobs(pass, fd)
-			if fd.Recv != nil && fd.Name.Name == "Put" && pass.Pkg.Name() == casPackage {
-				checkPutDurability(pass, fd)
+			if pass.Pkg.Name() == casPackage {
+				checkDurability(pass, fd)
 			}
 		}
 	}
@@ -190,12 +194,12 @@ func ifObj(ok bool, obj types.Object) types.Object {
 	return obj
 }
 
-// checkPutDurability enforces the implementor-side durability promise:
-// a Put method that writes files must fsync what it wrote. Lexically, a
-// body with file writes needs at least one File.Sync, and nothing may
-// be written after the final Sync — those bytes would be unsynced when
-// Put reports success.
-func checkPutDurability(pass *analysis.Pass, fd *ast.FuncDecl) {
+// checkDurability enforces the implementor-side durability promise: a
+// cas-package function that writes files must fsync what it wrote.
+// Lexically, a body with file writes needs at least one File.Sync, and
+// nothing may be written after the final Sync — those bytes would be
+// unsynced when the function reports success.
+func checkDurability(pass *analysis.Pass, fd *ast.FuncDecl) {
 	var writes, syncs []token.Pos
 	firstWriteName := ""
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -230,14 +234,15 @@ func checkPutDurability(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if len(writes) == 0 {
 		return
 	}
+	name := fd.Name.Name
 	if len(syncs) == 0 {
 		pass.Reportf(writes[0],
-			"file-writing Put must reach fsync before success: %s is not durable when Put returns nil", firstWriteName)
+			"file-writing %s must reach fsync before success: %s is not durable when %s returns nil", name, firstWriteName, name)
 		return
 	}
 	lastWrite, lastSync := writes[len(writes)-1], syncs[len(syncs)-1]
 	if lastWrite > lastSync {
 		pass.Reportf(lastWrite,
-			"write after the final fsync in Put: these bytes are not durable when Put returns nil")
+			"write after the final fsync in %s: these bytes are not durable when %s returns nil", name, name)
 	}
 }

@@ -1,6 +1,7 @@
-// Package cas exercises casimmut's durability check: a file-writing Put
-// must fsync before reporting success. (The directory is named cas so
-// the testdata package path lands in the analyzer's scope.)
+// Package cas exercises casimmut's durability check: a file-writing
+// function of a cas package — a Put or any other — must fsync before
+// reporting success. (The directory is named cas so the testdata package
+// path lands in the analyzer's scope.)
 package cas
 
 import "os"
@@ -63,8 +64,43 @@ func (b *lateWrite) Put(h Hash, data []byte) error {
 	return f.Close()
 }
 
-// get is not a Put: unsynced file writes elsewhere are other analyzers'
-// business.
+// Touch is not a Put, but it writes a file in a cas package: it is held
+// to the same rule.
 func (b *synced) Touch(data []byte) error {
-	return os.WriteFile(b.dir, data, 0o666)
+	return os.WriteFile(b.dir, data, 0o666) // want `file-writing Touch must reach fsync before success: os\.WriteFile is not durable when Touch returns nil`
+}
+
+// publishUnsynced is a free temp-write-rename routine with the fsync
+// left out: a Put (or a manifest commit) that calls it reports success
+// for bytes the disk may not hold.
+func publishUnsynced(path string, data []byte) error {
+	f, err := os.CreateTemp("", "tmp-")
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil { // want `file-writing publishUnsynced must reach fsync before success: File\.Write is not durable when publishUnsynced returns nil`
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
+// publish is the same routine with the fsync in place: silent.
+func publish(path string, data []byte) error {
+	f, err := os.CreateTemp("", "tmp-")
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

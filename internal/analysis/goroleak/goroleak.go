@@ -1,11 +1,13 @@
 // Package goroleak requires every goroutine spawned in the serving
 // packages (internal/cluster, internal/nameserver) to be joinable before
 // its owner's Close returns: the goroutine must signal a sync.WaitGroup
-// whose Add precedes the spawn, or close a done channel that the spawner
-// actually consumes or stores. Blocking on a stop signal or a context is
+// whose Add precedes the spawn. Blocking on a stop signal or a context is
 // no join: the goroutine it wakes can still be running after Close
-// returns. A goroutine nothing waits for outlives Close, races teardown,
-// and — under the paper's coherence lens — keeps resolving names against a
+// returns. A closed done channel the spawner receives from is a join too,
+// but no serving code joins that way, so goroleak does not accept one: a
+// rule that only keeps the check quiet goes when no module line needs it.
+// A goroutine nothing waits for outlives Close, races teardown, and —
+// under the paper's coherence lens — keeps resolving names against a
 // world that has already moved on.
 package goroleak
 
@@ -20,7 +22,7 @@ import (
 // Analyzer is the goroleak analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc:  "requires every go statement in serving packages to be joined (WaitGroup or done channel) before Close returns",
+	Doc:  "requires every go statement in serving packages to be joined by a WaitGroup before Close returns",
 	Run:  run,
 	// Scope limits the analyzer to the long-running serving packages.
 	Scope: []string{"cluster", "nameserver"},
@@ -45,7 +47,7 @@ func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
 	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {
 		pass.Reportf(g.Pos(),
-			"go %s spawns a named function with no join; wrap it in a func literal that signals a WaitGroup or closes a done channel",
+			"go %s spawns a named function with no join; wrap it in a func literal that signals a WaitGroup",
 			analysis.ExprText(g.Call.Fun))
 		return
 	}
@@ -63,19 +65,7 @@ func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
 		return
 	}
 
-	// Rule 2: the body closes a done channel; someone outside the
-	// goroutine must consume or store that channel, or the close signals
-	// nobody.
-	if ch := j.closed; ch != nil {
-		if !usedOutside(pass, decl, lit, ch) {
-			pass.Reportf(g.Pos(),
-				"goroutine closes %s, but %s is never received or stored outside the goroutine; nothing can join it",
-				ch.Name(), ch.Name())
-		}
-		return
-	}
-
-	// Rule 3: the body's only link to the spawner is a channel send.
+	// Rule 2: the body's only link to the spawner is a channel send.
 	// That joins a request-scoped fan-in, but if the spawning method's
 	// receiver type has a Close method, Close cannot wait on it.
 	if j.sent != "" {
@@ -88,19 +78,18 @@ func checkGo(pass *analysis.Pass, ff *analysis.FuncFacts, g *ast.GoStmt) {
 	}
 
 	pass.Reportf(g.Pos(),
-		"goroutine in %s has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel",
+		"goroutine in %s has no join: signal a WaitGroup whose Add precedes the spawn",
 		decl.Name.Name)
 }
 
 // join is what one goroutine body shows of the ways it can be joined,
 // gathered in one walk of the body.
 type join struct {
-	wgDone string       // receiver text of the first sync.WaitGroup Done call
-	closed types.Object // the first channel closed by close(ident)
-	sent   string       // channel text of the first send
+	wgDone string // receiver text of the first sync.WaitGroup Done call
+	sent   string // channel text of the first send
 }
 
-// joins walks a goroutine body once for the three join signals.
+// joins walks a goroutine body once for both join signals.
 func joins(pass *analysis.Pass, body *ast.BlockStmt) join {
 	var j join
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -108,11 +97,6 @@ func joins(pass *analysis.Pass, body *ast.BlockStmt) join {
 		case *ast.CallExpr:
 			if j.wgDone == "" && isWaitGroup(pass, n, "Done") {
 				j.wgDone = analysis.ExprText(ast.Unparen(n.Fun).(*ast.SelectorExpr).X)
-			}
-			if j.closed == nil && analysis.BuiltinName(pass.TypesInfo, n) == "close" && len(n.Args) == 1 {
-				if arg, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
-					j.closed = pass.TypesInfo.Uses[arg]
-				}
 			}
 		case *ast.SendStmt:
 			if j.sent == "" {
@@ -146,29 +130,6 @@ func addBefore(pass *analysis.Pass, ff *analysis.FuncFacts, wg string, goPos tok
 		}
 	}
 	return false
-}
-
-// usedOutside reports whether obj is referenced in decl outside the
-// goroutine literal and outside its own defining statement — received,
-// returned, appended to a field, passed along: any of these gives a party
-// that can observe the close.
-func usedOutside(pass *analysis.Pass, decl *ast.FuncDecl, lit *ast.FuncLit, obj types.Object) bool {
-	used := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if used {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[id] != obj {
-			return true
-		}
-		if id.Pos() >= lit.Pos() && id.Pos() < lit.End() {
-			return true
-		}
-		used = true
-		return false
-	})
-	return used
 }
 
 // receiverHasClose reports whether decl is a method whose receiver type

@@ -1,9 +1,8 @@
 // Package cluster exercises goroleak: every go statement in a serving
-// package needs a join — a WaitGroup whose Add precedes the spawn or a
-// done channel somebody consumes. Blocking on a stop signal is no join:
-// the goroutine it wakes can still run after Close returns. (The
-// directory is named cluster so the testdata package path lands in the
-// analyzer's scope.)
+// package needs a join — a WaitGroup whose Add precedes the spawn.
+// Blocking on a stop signal is no join: the goroutine it wakes can still
+// run after Close returns. (The directory is named cluster so the
+// testdata package path lands in the analyzer's scope.)
 package cluster
 
 import (
@@ -53,21 +52,22 @@ func (o *owner) badAddAfter() {
 	o.wg.Add(1)
 }
 
-// okDone closes a done channel the spawner blocks on.
-func (o *owner) okDone() {
+// badDone closes a done channel the spawner blocks on. That joins, but
+// no serving code joins that way, so goroleak accepts only a WaitGroup.
+func (o *owner) badDone() {
 	done := make(chan struct{})
-	go func() {
+	go func() { // want `goroutine in badDone has no join: signal a WaitGroup whose Add precedes the spawn`
 		defer close(done)
 		o.count++
 	}()
 	<-done
 }
 
-// okDoneStored hands the done channel to another party instead of
-// receiving inline; that party can join.
-func (o *owner) okDoneStored(sink chan<- chan struct{}) {
+// badDoneStored hands the done channel to another party instead of
+// receiving inline: reported like badDone.
+func (o *owner) badDoneStored(sink chan<- chan struct{}) {
 	done := make(chan struct{})
-	go func() {
+	go func() { // want `goroutine in badDoneStored has no join: signal a WaitGroup whose Add precedes the spawn`
 		defer close(done)
 		o.count++
 	}()
@@ -77,7 +77,7 @@ func (o *owner) okDoneStored(sink chan<- chan struct{}) {
 // badDoneUnused closes a channel nobody outside the goroutine ever sees.
 func (o *owner) badDoneUnused() {
 	done := make(chan struct{})
-	go func() { // want `goroutine closes done, but done is never received or stored outside the goroutine; nothing can join it`
+	go func() { // want `goroutine in badDoneUnused has no join: signal a WaitGroup whose Add precedes the spawn`
 		defer close(done)
 		o.count++
 	}()
@@ -87,7 +87,7 @@ func (o *owner) badDoneUnused() {
 // wakes it, but nothing waits for it to finish, so it can still touch
 // the owner after Close returns.
 func (o *owner) badStop() {
-	go func() { // want `goroutine in badStop has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
+	go func() { // want `goroutine in badStop has no join: signal a WaitGroup whose Add precedes the spawn`
 		<-o.stop
 		o.count++
 	}()
@@ -96,7 +96,7 @@ func (o *owner) badStop() {
 // badStopRange drains a channel until it closes; a stop-like name is no
 // join either.
 func (o *owner) badStopRange(stopc chan struct{}) {
-	go func() { // want `goroutine in badStopRange has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
+	go func() { // want `goroutine in badStopRange has no join: signal a WaitGroup whose Add precedes the spawn`
 		for range stopc {
 		}
 	}()
@@ -105,7 +105,7 @@ func (o *owner) badStopRange(stopc chan struct{}) {
 // badCtx blocks on a context cancellation, which wakes it but does not
 // wait for it.
 func (o *owner) badCtx(ctx context.Context) {
-	go func() { // want `goroutine in badCtx has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
+	go func() { // want `goroutine in badCtx has no join: signal a WaitGroup whose Add precedes the spawn`
 		<-ctx.Done()
 		o.count++
 	}()
@@ -121,12 +121,12 @@ func (o *owner) badSendOwner() {
 
 // badNamed spawns a named function directly; there is nothing to join.
 func (o *owner) badNamed() {
-	go tick(o) // want `go tick spawns a named function with no join; wrap it in a func literal that signals a WaitGroup or closes a done channel`
+	go tick(o) // want `go tick spawns a named function with no join; wrap it in a func literal that signals a WaitGroup`
 }
 
 // badNothing has no join discipline at all.
 func (o *owner) badNothing() {
-	go func() { // want `goroutine in badNothing has no join: signal a WaitGroup whose Add precedes the spawn, or close a consumed done channel`
+	go func() { // want `goroutine in badNothing has no join: signal a WaitGroup whose Add precedes the spawn`
 		o.count++
 	}()
 }

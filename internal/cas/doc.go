@@ -8,13 +8,15 @@
 //
 // Backend is the placement seam (restic-style): Mem keeps blobs in a map
 // for tests and replica bring-up scratch space; Local keeps them in a
-// fanned-out directory with write-then-rename + fsync durability, so a
-// blob either exists whole or not at all — a crashed writer leaves only a
-// temp file that Verify and sweeps ignore. Store layers hashing, blob
-// verification, and dedup accounting over any Backend.
+// fanned-out directory, each written by Publish, so a blob either exists
+// whole or not at all — a crashed writer leaves only a temp file that
+// Verify ignores and SweepTemps removes. Publish is the module's one
+// durable file write: snapstore's manifest goes through it too. Store
+// layers hashing, blob verification, and dedup accounting over any
+// Backend.
 //
 // Invariants (enforced by the casimmut analyzer):
 //   - a blob's bytes are never written after Put returns;
-//   - every Backend.Put that touches the filesystem reaches an fsync
-//     before reporting success.
+//   - every function here that writes a file reaches an fsync before
+//     reporting success.
 package cas

@@ -10,10 +10,10 @@ import (
 	"sync"
 )
 
-// tmpPrefix marks in-flight blob writes. A crash between the temp write
-// and the rename leaves only a tmpPrefix file, which every reader ignores
-// and SweepTemps removes — the published namespace never holds a partial
-// blob.
+// tmpPrefix marks in-flight writes. A crash between a Publish's temp
+// write and its rename leaves only a tmpPrefix file, which every reader
+// ignores and SweepTemps removes — a published name never holds a
+// partial file.
 const tmpPrefix = "tmp-"
 
 // Local is a filesystem Backend: each blob lives at <dir>/<hh>/<hex>,
@@ -72,9 +72,8 @@ func (l *Local) ensureBucket(bucket string) error {
 	return nil
 }
 
-// Put durably stores data under h: temp file in the same directory, write,
-// fsync, rename into place, fsync the directory. Present blobs are left
-// untouched (immutable, same bytes by content addressing).
+// Put durably stores data under h through Publish. Present blobs are
+// left untouched (immutable, same bytes by content addressing).
 func (l *Local) Put(h Hash, data []byte) error {
 	bucket, path := l.blobPath(h)
 	if _, err := os.Stat(path); err == nil {
@@ -83,38 +82,52 @@ func (l *Local) Put(h Hash, data []byte) error {
 	if err := l.ensureBucket(bucket); err != nil {
 		return fmt.Errorf("blob bucket: %w", err)
 	}
-	f, err := os.CreateTemp(bucket, tmpPrefix)
+	var beforeRename func(string) error
+	if hook := l.PutHook; hook != nil {
+		beforeRename = func(tmp string) error { return hook(h, tmp) }
+	}
+	if err := Publish(path, data, beforeRename); err != nil {
+		return fmt.Errorf("blob %w", err)
+	}
+	return nil
+}
+
+// Publish durably makes data the contents of path: a tmpPrefix temp file
+// beside it, write, fsync, close, beforeRename (when non-nil), rename
+// into place, fsync the directory. A crash at any step leaves the old
+// file or the new one, never a torn one, and at most a temp that
+// SweepTemps removes. An error from beforeRename abandons the publish as
+// a crash would, temp left in place. It is the store's one durable
+// write: Local.Put's blobs and snapstore's manifest both go through it.
+func Publish(path string, data []byte, beforeRename func(tmp string) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, tmpPrefix)
 	if err != nil {
-		return fmt.Errorf("blob temp: %w", err)
+		return fmt.Errorf("temp: %w", err)
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("blob write: %w", err)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("blob fsync: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("blob close: %w", err)
+		return fmt.Errorf("write: %w", err)
 	}
-	if hook := l.PutHook; hook != nil {
-		if err := hook(h, tmp); err != nil {
-			// Simulated crash: abandon the publish, leave the temp file
-			// exactly as a dead process would.
-			return fmt.Errorf("blob put aborted: %w", err)
+	if beforeRename != nil {
+		if err := beforeRename(tmp); err != nil {
+			return fmt.Errorf("publish aborted: %w", err)
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("blob publish: %w", err)
+		return fmt.Errorf("publish: %w", err)
 	}
-	if err := syncDir(bucket); err != nil {
-		return fmt.Errorf("blob dir fsync: %w", err)
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("dir fsync: %w", err)
 	}
 	return nil
 }
@@ -175,34 +188,47 @@ func (l *Local) List(fn func(Hash) error) error {
 	return nil
 }
 
-// SweepTemps removes temp files abandoned by crashed writers and returns
-// how many were removed. Safe to run concurrently with readers: temp
-// files are never part of the published namespace. It must not run
-// concurrently with writers, which may have temp files legitimately in
-// flight — call it at open time, before serving.
+// SweepTemps removes the temps crashed writers left in the blob buckets
+// and returns how many were removed. Safe to run concurrently with
+// readers: temp files are never part of the published namespace. It must
+// not run concurrently with writers, which may have temp files
+// legitimately in flight — call it at open time, before serving.
 func (l *Local) SweepTemps() (int, error) {
-	removed := 0
 	buckets, err := os.ReadDir(l.dir)
 	if err != nil {
 		return 0, fmt.Errorf("sweep blob dir: %w", err)
 	}
+	removed := 0
 	for _, b := range buckets {
 		if !b.IsDir() {
 			continue
 		}
-		entries, err := os.ReadDir(filepath.Join(l.dir, b.Name()))
+		n, err := SweepTemps(filepath.Join(l.dir, b.Name()))
+		removed += n
 		if err != nil {
-			return removed, fmt.Errorf("sweep bucket %s: %w", b.Name(), err)
+			return removed, err
 		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasPrefix(e.Name(), tmpPrefix) {
-				continue
-			}
-			if err := os.Remove(filepath.Join(l.dir, b.Name(), e.Name())); err != nil {
-				return removed, fmt.Errorf("sweep temp: %w", err)
-			}
-			removed++
+	}
+	return removed, nil
+}
+
+// SweepTemps removes from dir the temps of Publish calls whose writer
+// died, and returns how many were removed. Like Local.SweepTemps, it runs
+// at open time, before any writer.
+func SweepTemps(dir string) (int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("sweep %s: %w", dir, err)
+	}
+	removed := 0
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), tmpPrefix) {
+			continue
 		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return removed, fmt.Errorf("sweep temp: %w", err)
+		}
+		removed++
 	}
 	return removed, nil
 }

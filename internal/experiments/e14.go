@@ -113,60 +113,84 @@ func e14Row(shards, batch int) ([]string, error) {
 		defer clients[i].Close()
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, e14Clients)
-	for i, client := range clients {
-		wg.Add(1)
-		go func(i int, client *cluster.Client) {
-			defer wg.Done()
-			gen := workload.New(e14Seed + int64(i))
-			idx := gen.Zipf(e14Lookups, len(paths))
-			for at := 0; at < len(idx); at += batch {
-				end := min(at+batch, len(idx))
-				req := make([]core.Path, 0, end-at)
-				for _, k := range idx[at:end] {
-					req = append(req, paths[k])
-				}
-				results, err := client.ResolveBatch(req)
-				if err != nil {
-					errs <- err
+	errs := make([]error, len(clients))
+	zipfEach(clients, e14Seed, e14Lookups, len(paths), func(i int, client *cluster.Client, idx []int) {
+		for at := 0; at < len(idx); at += batch {
+			end := min(at+batch, len(idx))
+			req := make([]core.Path, 0, end-at)
+			for _, k := range idx[at:end] {
+				req = append(req, paths[k])
+			}
+			results, err := client.ResolveBatch(req)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for _, res := range results {
+				if res.Err != nil {
+					errs[i] = res.Err
 					return
 				}
-				for _, res := range results {
-					if res.Err != nil {
-						errs <- res.Err
-						return
-					}
-				}
 			}
-		}(i, client)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	wireReqs := cl.Metrics().Served
 	lookups := e14Clients * e14Lookups
-	hits, misses := 0, 0
-	for _, client := range clients {
-		m := client.Metrics()
-		hits += m.Hits
-		misses += m.Misses
-	}
+	m := totals(clients)
 
 	// The coherence probe: every client of every shard, every name.
-	resolvers := make([]coherence.Resolver, len(clients))
-	for i, client := range clients {
-		resolvers[i] = client
-	}
-	rep := coherence.MeasureResolvers(w, resolvers, paths)
+	rep := coherence.MeasureResolvers(w, probes(clients), paths)
 
 	return []string{
 		itoa(shards), itoa(batch), itoa(lookups), itoa(wireReqs),
 		f2(float64(wireReqs) / float64(lookups)),
-		f2(float64(hits) / float64(hits+misses)),
+		f2(float64(m.Hits) / float64(m.Hits+m.Misses)),
 		f2(rep.StrictDegree()),
 	}, nil
+}
+
+// zipfEach runs run on one goroutine per client, each over its own Zipf
+// draw of n indices into [0, names) seeded seed+i, and returns when every
+// one has.
+func zipfEach(clients []*cluster.Client, seed int64, n, names int, run func(i int, c *cluster.Client, idx []int)) {
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i, c, workload.New(seed+int64(i)).Zipf(n, names))
+		}()
+	}
+	wg.Wait()
+}
+
+// probes lists the clients, then extra, as the resolvers a coherence probe
+// compares.
+func probes(clients []*cluster.Client, extra ...coherence.Resolver) []coherence.Resolver {
+	rs := make([]coherence.Resolver, 0, len(clients)+len(extra))
+	for _, c := range clients {
+		rs = append(rs, c)
+	}
+	return append(rs, extra...)
+}
+
+// totals sums the clients' counters.
+func totals(clients []*cluster.Client) (t cluster.ClientMetrics) {
+	for _, c := range clients {
+		m := c.Metrics()
+		t.Hits += m.Hits
+		t.Misses += m.Misses
+		t.Coalesced += m.Coalesced
+		t.Purges += m.Purges
+		t.EntriesPurged += m.EntriesPurged
+		t.Failovers += m.Failovers
+		t.Invalidations += m.Invalidations
+	}
+	return t
 }

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"namecoherence/internal/cluster"
 	"namecoherence/internal/coherence"
 	"namecoherence/internal/core"
 	"namecoherence/internal/faultnet"
-	"namecoherence/internal/workload"
 )
 
 const (
@@ -112,55 +110,38 @@ func e15() (*Table, error) {
 // coherence across every client afterwards.
 func e15Phase(cl *cluster.Cluster, clients []*cluster.Client,
 	paths []core.Path, name string) ([]string, error) {
-	failoversBefore := 0
-	for _, c := range clients {
-		failoversBefore += c.Metrics().Failovers
-	}
-
+	failoversBefore := totals(clients).Failovers
 	type outcome struct {
 		ok, total int
 		maxWait   time.Duration
 	}
 	outcomes := make([]outcome, len(clients))
-	var wg sync.WaitGroup
-	for i, client := range clients {
-		wg.Add(1)
-		go func(i int, client *cluster.Client) {
-			defer wg.Done()
-			gen := workload.New(e15Seed + int64(i))
-			for _, k := range gen.Zipf(e15Lookups, len(paths)) {
-				start := now()
-				_, err := client.Resolve(paths[k])
-				wait := since(start)
-				outcomes[i].total++
-				if err == nil {
-					outcomes[i].ok++
-				}
-				if wait > outcomes[i].maxWait {
-					outcomes[i].maxWait = wait
-				}
+	zipfEach(clients, e15Seed, e15Lookups, len(paths), func(i int, client *cluster.Client, idx []int) {
+		for _, k := range idx {
+			start := now()
+			_, err := client.Resolve(paths[k])
+			wait := since(start)
+			outcomes[i].total++
+			if err == nil {
+				outcomes[i].ok++
 			}
-		}(i, client)
-	}
-	wg.Wait()
-
-	ok, total, failovers := 0, 0, -failoversBefore
-	var maxWait time.Duration
-	for i, c := range clients {
-		ok += outcomes[i].ok
-		total += outcomes[i].total
-		failovers += c.Metrics().Failovers
-		if outcomes[i].maxWait > maxWait {
-			maxWait = outcomes[i].maxWait
+			if wait > outcomes[i].maxWait {
+				outcomes[i].maxWait = wait
+			}
 		}
+	})
+
+	ok, total := 0, 0
+	var maxWait time.Duration
+	for _, o := range outcomes {
+		ok += o.ok
+		total += o.total
+		maxWait = max(maxWait, o.maxWait)
 	}
+	failovers := totals(clients).Failovers - failoversBefore
 
 	// The coherence probe: every client, every name, failover included.
-	resolvers := make([]coherence.Resolver, len(clients))
-	for i, client := range clients {
-		resolvers[i] = client
-	}
-	rep := coherence.MeasureResolvers(cl.World, resolvers, paths)
+	rep := coherence.MeasureResolvers(cl.World, probes(clients), paths)
 
 	return []string{
 		name, itoa(total), itoa(ok),

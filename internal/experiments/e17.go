@@ -188,42 +188,25 @@ func e17Phase(push bool) ([]string, error) {
 	// every reader one (each reader primed over the whole tree, so it holds
 	// a subscribed connection to every shard's primary, and 96 writes come
 	// nowhere near the server's pending bound). Bounded all the same.
-	invals := func() int {
-		n := 0
-		for _, r := range readers {
-			n += r.Metrics().Invalidations
-		}
-		return n
-	}
 	if push {
 		owed := int(wrote.Load()) * len(readers)
-		for i := 0; i < 500 && invals() < owed; i++ {
+		for i := 0; i < 500 && totals(readers).Invalidations < owed; i++ {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	cl.DrainReplication()
 
 	// Probe the rebound names: every reader against the ground truth.
-	resolvers := make([]coherence.Resolver, 0, len(readers)+1)
-	for _, r := range readers {
-		resolvers = append(resolvers, r)
-	}
-	resolvers = append(resolvers, routedResolver{cl})
-	rep := coherence.MeasureResolvers(w, resolvers, victims)
+	rep := coherence.MeasureResolvers(w, probes(readers, routedResolver{cl}), victims)
 
-	hits, misses := 0, 0
-	for _, r := range readers {
-		m := r.Metrics()
-		hits += m.Hits
-		misses += m.Misses
-	}
+	m := totals(readers)
 	mode := "poll"
 	if push {
 		mode = "push"
 	}
 	return []string{
-		mode, itoa(int(wrote.Load())), itoa(int(lookups.Load())), itoa(hits),
-		itoa(invals()), f2(rep.StrictDegree()), f2(rep.WeakDegree()),
-		fmt.Sprintf("%.4f", float64(hits)/float64(max(1, hits+misses))),
+		mode, itoa(int(wrote.Load())), itoa(int(lookups.Load())), itoa(m.Hits),
+		itoa(m.Invalidations), f2(rep.StrictDegree()), f2(rep.WeakDegree()),
+		fmt.Sprintf("%.4f", float64(m.Hits)/float64(max(1, m.Hits+m.Misses))),
 	}, nil
 }

@@ -18,10 +18,11 @@
 // paper's way).
 //
 // Store adds a revision-history manifest (shard revision → root hash,
-// written atomically) for crash recovery, Diff for O(changed) comparison
-// of two roots, CatchUp for replica bring-up that copies only missing
-// subtrees, and Encoder, which keeps repeated snapshots of one subtree
-// proportional to what changed. When a serving shard is committed is not
-// decided here: internal/cluster, which owns the shard's write lock and
-// commit log, flushes it periodically and at Close (cluster.WithSnapStore).
+// written atomically by cas.Publish, as the blobs are) for crash
+// recovery, Diff for O(changed) comparison of two roots, CatchUp for
+// replica bring-up that copies only missing subtrees, and Encoder, which
+// keeps repeated snapshots of one subtree proportional to what changed.
+// When a serving shard is committed is not decided here:
+// internal/cluster, which owns the shard's write lock and commit log,
+// flushes it periodically and at Close (cluster.WithSnapStore).
 package snapstore

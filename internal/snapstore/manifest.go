@@ -42,10 +42,10 @@ type manifest struct {
 }
 
 // Commit appends (shard, rev, root) to the revision history and, for
-// durable stores, rewrites the manifest atomically (temp + fsync + rename
-// + dir fsync): a crash leaves either the old manifest or the new one,
-// never a torn file. Committing the shard's current recovery point again
-// is a no-op.
+// durable stores, rewrites the manifest through cas.Publish, the blobs'
+// own durable write: a crash leaves either the old manifest or the new
+// one, never a torn file. Committing the shard's current recovery point
+// again is a no-op.
 func (s *Store) Commit(shard int, rev uint64, root cas.Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -63,8 +63,12 @@ func (s *Store) Commit(shard int, rev uint64, root cas.Hash) error {
 	}
 	next := manifest{Version: 1, History: history}
 	if s.dir != "" {
-		if err := writeManifest(s.dir, next); err != nil {
-			return err
+		data, err := json.MarshalIndent(next, "", "  ")
+		if err != nil {
+			return fmt.Errorf("encode manifest: %w", err)
+		}
+		if err := cas.Publish(filepath.Join(s.dir, manifestName), append(data, '\n'), nil); err != nil {
+			return fmt.Errorf("manifest %w", err)
 		}
 	}
 	s.man = next
@@ -101,53 +105,4 @@ func readManifest(dir string) (manifest, error) {
 		return manifest{}, fmt.Errorf("parse manifest: %w: %w", ErrBadSnapshot, err)
 	}
 	return m, nil
-}
-
-// writeManifest atomically replaces dir's manifest.
-func writeManifest(dir string, m manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encode manifest: %w", err)
-	}
-	f, err := os.CreateTemp(dir, "manifest-*")
-	if err != nil {
-		return fmt.Errorf("manifest temp: %w", err)
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		return cleanup(fmt.Errorf("manifest write: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("manifest fsync: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("manifest close: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("manifest publish: %w", err)
-	}
-	if err := syncDirFsync(dir); err != nil {
-		return fmt.Errorf("manifest dir fsync: %w", err)
-	}
-	return nil
-}
-
-// syncDirFsync fsyncs a directory so a rename within it is durable.
-func syncDirFsync(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -3,6 +3,9 @@ package snapstore
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"namecoherence/internal/cas"
@@ -552,6 +555,43 @@ func TestDurableStoreSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameSignature(t, signature(t, tr), signature(t, tr2))
+}
+
+// TestCrashMidManifestPublishIsSweptAtOpen: a writer that dies between
+// the manifest temp's write and its rename leaves the temp beside
+// MANIFEST.json. Open removes it, and the recovery point is still the
+// last commit that published.
+func TestCrashMidManifestPublishIsSweptAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := cas.Sum([]byte("committed"))
+	if err := st.Commit(0, 7, root); err != nil {
+		t.Fatal(err)
+	}
+	crash := errors.New("simulated crash")
+	var tmp string
+	err = cas.Publish(filepath.Join(dir, manifestName), []byte(`{"version": 1, "hist`),
+		func(path string) error { tmp = path; return crash })
+	if !errors.Is(err, crash) {
+		t.Fatalf("publish through a crashing writer = %v, want the crash", err)
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("the crash left no temp: %v", err)
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("temp %s survived Open: %v", filepath.Base(tmp), err)
+	}
+	if last, ok := st2.Latest(0); !ok || last.Rev != 7 || last.Root != root.String() {
+		t.Fatalf("Latest(0) after the crash = %+v, %v; want rev 7 at %s", last, ok, root)
+	}
 }
 
 func TestRestoreMissingBlobIsBadSnapshot(t *testing.T) {

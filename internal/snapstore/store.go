@@ -38,13 +38,16 @@ func New(cs *cas.Store) *Store {
 }
 
 // Open opens (creating if needed) a durable Store rooted at dir: blobs in
-// dir/objects with write-then-rename + fsync durability, manifest in
-// dir/MANIFEST.json written atomically. Temp files abandoned by a crashed
-// writer are swept at open.
+// dir/objects and the manifest in dir/MANIFEST.json, each written by
+// cas.Publish. Temp files a crashed writer abandoned, the manifest's
+// beside it in dir and the blobs' in their buckets, are swept at open.
 func Open(dir string) (*Store, error) {
 	local, err := cas.OpenLocal(filepath.Join(dir, objectsDir))
 	if err != nil {
 		return nil, err
+	}
+	if _, err := cas.SweepTemps(dir); err != nil {
+		return nil, fmt.Errorf("sweep crashed writes: %w", err)
 	}
 	if _, err := local.SweepTemps(); err != nil {
 		return nil, fmt.Errorf("sweep crashed writes: %w", err)
