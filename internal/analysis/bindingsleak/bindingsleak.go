@@ -2,14 +2,17 @@
 // a context object's binding map is the total function the coherence
 // machinery measures, so it must change only through the owning type's
 // accessor methods (Bind/Unbind), which hold its lock and keep the
-// watch/revision bookkeeping honest. The analyzer finds every map-typed
-// struct field named "bindings" and reports:
+// watch/revision bookkeeping honest. The analyzer finds every struct field
+// named "bindings" whose type is a map or a struct (a hand-rolled table,
+// as core.BasicContext's is) and reports:
 //
 //   - any access to the field outside a method of the owning type, and
 //   - any escape of the raw map from inside a method — returning it,
 //     passing it to a non-builtin call, storing it in a composite literal,
 //     or sending it on a channel. Hand out a copy (Snapshot/Clone), never
-//     the map.
+//     the map. A struct-typed table's own methods are contained uses: a
+//     copy of the struct would share its slots, so passing the struct
+//     itself is an escape, calling its methods is not.
 package bindingsleak
 
 import (
@@ -65,8 +68,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// bindingFields maps each map-typed struct field named "bindings" to the
-// named type that owns it.
+// bindingFields maps each map- or struct-typed struct field named
+// "bindings" to the named type that owns it.
 func bindingFields(pkg *types.Package) map[*types.Var]*types.Named {
 	owners := make(map[*types.Var]*types.Named)
 	scope := pkg.Scope()
@@ -88,7 +91,8 @@ func bindingFields(pkg *types.Package) map[*types.Var]*types.Named {
 			if f.Name() != "bindings" {
 				continue
 			}
-			if _, isMap := f.Type().Underlying().(*types.Map); isMap {
+			switch f.Type().Underlying().(type) {
+			case *types.Map, *types.Struct:
 				owners[f] = named
 			}
 		}

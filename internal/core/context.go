@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -23,11 +22,11 @@ type Context interface {
 	Names() []Name
 }
 
-// BasicContext is the standard mutable Context backed by a map. The zero
-// value is not usable; construct with NewContext.
+// BasicContext is the standard mutable Context backed by one binding table
+// (see table). The zero value is an empty, unwatched context.
 type BasicContext struct {
 	mu       sync.RWMutex
-	bindings map[Name]Entity
+	bindings table
 	onChange func(Change) // change hook, nil until SetWatch; never replaced
 	watchDir Entity       // the directory the hook was installed for (see SetWatch)
 }
@@ -36,13 +35,13 @@ var _ Context = (*BasicContext)(nil)
 
 // NewContext returns an empty context.
 func NewContext() *BasicContext {
-	return &BasicContext{bindings: make(map[Name]Entity)}
+	return &BasicContext{}
 }
 
 // Lookup returns the entity bound to name, or Undefined.
 func (c *BasicContext) Lookup(n Name) Entity {
 	c.mu.RLock()
-	e := c.bindings[n]
+	e := c.bindings.get(n)
 	c.mu.RUnlock()
 	return e
 }
@@ -51,31 +50,22 @@ func (c *BasicContext) Lookup(n Name) Entity {
 // was installed for (Undefined while unwatched), read under the one lock.
 func (c *BasicContext) lookupWatched(n Name) (e, dir Entity) {
 	c.mu.RLock()
-	e, dir = c.bindings[n], c.watchDir
+	e, dir = c.bindings.get(n), c.watchDir
 	c.mu.RUnlock()
 	return e, dir
 }
 
 // Bind binds name to entity. Binding to Undefined removes the binding, so
 // that Names reflects only defined bindings.
-//
-// The key is stored as its own compact copy: names usually arrive as
-// substrings of something much larger (a spec line, a wire frame), and
-// sibling keys allocated together are compared within a cache line or two
-// instead of one line each — and do not keep the larger text alive.
 func (c *BasicContext) Bind(n Name, e Entity) {
 	c.mu.Lock()
-	hook := c.onChange
 	var old Entity
-	if hook != nil {
-		old = c.bindings[n]
-	}
 	if e.IsUndefined() {
-		delete(c.bindings, n)
+		old = c.bindings.del(n)
 	} else {
-		c.bindings[Name(strings.Clone(string(n)))] = e
+		old = c.bindings.put(n, e)
 	}
-	dir := c.watchDir
+	hook, dir := c.onChange, c.watchDir
 	c.mu.Unlock()
 	if hook != nil {
 		hook(Change{Dir: dir, Name: n, Old: old, New: e})
@@ -90,10 +80,8 @@ func (c *BasicContext) Unbind(n Name) {
 // Names returns the bound names in sorted order.
 func (c *BasicContext) Names() []Name {
 	c.mu.RLock()
-	names := make([]Name, 0, len(c.bindings))
-	for n := range c.bindings {
-		names = append(names, n)
-	}
+	names := make([]Name, 0, c.bindings.n)
+	c.bindings.each(func(n Name, _ Entity) { names = append(names, n) })
 	c.mu.RUnlock()
 	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
 	return names
@@ -103,16 +91,7 @@ func (c *BasicContext) Names() []Name {
 // context inheritance (a child "inherits the context of its parent", §5.1)
 // is modelled by cloning at fork time.
 func (c *BasicContext) Clone() *BasicContext {
-	return &BasicContext{bindings: c.Snapshot()}
-}
-
-// Snapshot returns a copy of the binding map.
-func (c *BasicContext) Snapshot() map[Name]Entity {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	m := make(map[Name]Entity, len(c.bindings))
-	for n, e := range c.bindings {
-		m[n] = e
-	}
-	return m
+	return &BasicContext{bindings: c.bindings.clone()}
 }

@@ -96,7 +96,6 @@ func TestWatchHookMayReenterContext(t *testing.T) {
 				t.Errorf("hook saw %v for %q, want %v", got, n, ent)
 			}
 			c.Names()
-			c.Snapshot()
 		}},
 		{"bind another name", func(c *BasicContext, n Name, ent Entity) {
 			if n != "echo" {

@@ -30,6 +30,7 @@ type World struct {
 	count     int // entities created; rows at or past it are unused
 	nextGroup GroupID
 	members   map[GroupID][]EntityID
+	dirs      []BasicContext // the rest of the chunk NewContextObject hands out
 }
 
 // chunkRows is how many rows the table grows by: 32 KiB at a time.
@@ -100,8 +101,18 @@ func (w *World) NewObject(label string) Entity {
 
 // NewContextObject creates an object whose state is a fresh context — the
 // model's directory. It returns both the entity and its context.
+//
+// Contexts are handed out of 64-context chunks, as entity rows are: they
+// live as long as the World, and allocated one by one they sat among a
+// build's same-sized garbage, each pinning a mostly empty span.
 func (w *World) NewContextObject(label string) (Entity, *BasicContext) {
-	c := NewContext()
+	w.mu.Lock()
+	if len(w.dirs) == 0 {
+		w.dirs = make([]BasicContext, 64)
+	}
+	c := &w.dirs[0]
+	w.dirs = w.dirs[1:]
+	w.mu.Unlock()
 	return w.newEntity(KindObject, label, c), c
 }
 

@@ -594,6 +594,36 @@ func TestCrashMidManifestPublishIsSweptAtOpen(t *testing.T) {
 	}
 }
 
+// TestLegacyManifestTempIsSweptAtOpen: builds before cas.Publish wrote
+// MANIFEST.json through "manifest-*" temps. One a crash left beside the
+// manifest is removed by Open, which still recovers the last commit.
+func TestLegacyManifestTempIsSweptAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := cas.Sum([]byte("committed"))
+	if err := st.Commit(0, 7, root); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "manifest-123456")
+	if err := os.WriteFile(legacy, []byte(`{"version": 1, "hist`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("legacy temp survived Open: %v", err)
+	}
+	if last, ok := st2.Latest(0); !ok || last.Rev != 7 || last.Root != root.String() {
+		t.Fatalf("Latest(0) after the sweep = %+v, %v; want rev 7 at %s", last, ok, root)
+	}
+}
+
 func TestRestoreMissingBlobIsBadSnapshot(t *testing.T) {
 	st := newMemStore()
 	var missing cas.Hash

@@ -3,6 +3,7 @@ package snapstore
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -18,6 +19,10 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 
 // objectsDir is the blob directory inside a Store's data directory.
 const objectsDir = "objects"
+
+// legacyManifestTemp prefixes the temps builds before cas.Publish wrote
+// MANIFEST.json through; one that a crash left is never read, only swept.
+const legacyManifestTemp = "manifest-"
 
 // Store is a snapshot repository: a cas.Store holding Merkle node blobs
 // plus a revision-history manifest. Safe for concurrent use; concurrent
@@ -40,7 +45,8 @@ func New(cs *cas.Store) *Store {
 // Open opens (creating if needed) a durable Store rooted at dir: blobs in
 // dir/objects and the manifest in dir/MANIFEST.json, each written by
 // cas.Publish. Temp files a crashed writer abandoned, the manifest's
-// beside it in dir and the blobs' in their buckets, are swept at open.
+// beside it in dir and the blobs' in their buckets, are swept at open —
+// and so is a legacyManifestTemp file left by an older build.
 func Open(dir string) (*Store, error) {
 	local, err := cas.OpenLocal(filepath.Join(dir, objectsDir))
 	if err != nil {
@@ -48,6 +54,12 @@ func Open(dir string) (*Store, error) {
 	}
 	if _, err := cas.SweepTemps(dir); err != nil {
 		return nil, fmt.Errorf("sweep crashed writes: %w", err)
+	}
+	legacy, _ := filepath.Glob(filepath.Join(dir, legacyManifestTemp+"*"))
+	for _, path := range legacy {
+		if err := os.Remove(path); err != nil {
+			return nil, fmt.Errorf("sweep crashed writes: %w", err)
+		}
 	}
 	if _, err := local.SweepTemps(); err != nil {
 		return nil, fmt.Errorf("sweep crashed writes: %w", err)
