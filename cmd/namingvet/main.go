@@ -1,17 +1,16 @@
 // Command namingvet is the repo's invariant checker: a multichecker over
-// the internal/analysis suite, runnable standalone
-//
-//	go run ./cmd/namingvet ./...
-//
-// or as a vet tool, which is how CI runs it on every PR:
+// the internal/analysis suite. It loads the named packages (default
+// ./...), analyzes them in dependency order and prints one line per
+// finding; CI runs it on every PR:
 //
 //	go build -o bin/namingvet ./cmd/namingvet
-//	go vet -vettool=$PWD/bin/namingvet ./...
+//	./bin/namingvet ./...
 //
-// Each analyzer guards one invariant the cluster's correctness rests on;
-// see DESIGN.md §"Static analysis & invariants". The suite is
-// interprocedural: per-function summaries flow between packages as vet
-// facts, so a deadline set in internal/cluster satisfies I/O performed in
+// Exit status: 0 clean, 1 tool failure, 2 findings. Each analyzer guards
+// one invariant the cluster's correctness rests on; see DESIGN.md
+// §"Static analysis & invariants". The suite is interprocedural:
+// per-function summaries flow from each package to its importers, so a
+// deadline set in internal/cluster satisfies I/O performed in
 // internal/nameserver, and a name that never passed a canonicalizer is
 // caught no matter how many calls separate it from the wire.
 package main

@@ -1,8 +1,7 @@
 package main
 
-// End-to-end tests of the two invocation modes: standalone (our own
-// loader) and `go vet -vettool` (the unitchecker protocol, driven by the
-// real go command).
+// End-to-end tests of the built binary: it is silent on clean packages,
+// reports seeded bugs, and refuses flags it does not define.
 
 import (
 	"os"
@@ -42,18 +41,39 @@ func buildVet(t *testing.T) string {
 	return bin
 }
 
-func TestVettoolCleanPackage(t *testing.T) {
+func TestStandaloneCleanPackages(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
+		t.Skip("builds a binary and type-checks module packages")
 	}
 	bin := buildVet(t)
-	// internal/cluster imports internal/nameserver, so this also exercises
-	// the facts files (.vetx) flowing between units under the go command.
-	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/lru", "./internal/nameserver", "./internal/cluster")
+	// internal/cluster imports internal/nameserver and internal/lru, so
+	// their facts flow into its analysis in the same run.
+	cmd := exec.Command(bin, "./internal/lru", "./internal/nameserver", "./internal/cluster")
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("vettool flagged a clean package: %v\n%s", err, out)
+		t.Fatalf("namingvet flagged a clean package: %v\n%s", err, out)
+	}
+}
+
+// TestForeignFlagsRefused: the flags another driver would pass (the go
+// command's -V=full and -flags probes, a -json report) are no flags of
+// namingvet's, so such an invocation exits 1 instead of analyzing nothing.
+func TestForeignFlagsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildVet(t)
+	for _, flag := range []string{"-V=full", "-flags", "-json"} {
+		cmd := exec.Command(bin, flag, "./internal/lru")
+		cmd.Dir = repoRoot(t)
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("namingvet %s: exit = %v, want exit status 1\n%s", flag, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "unknown flag "+flag) {
+			t.Errorf("namingvet %s: output does not name the unknown flag:\n%s", flag, out)
+		}
 	}
 }
 

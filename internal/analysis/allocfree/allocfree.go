@@ -3,10 +3,10 @@
 // //namingvet:allocfree — together with everything it transitively
 // reaches — must not allocate on the steady path. The evidence comes from
 // the framework's allocation facts (Allocates/EscapesToHeap, computed by
-// the escape-analysis pass in internal/analysis and serialized through
-// .vetx), so the rule holds across package boundaries: a helper three
-// packages away that starts boxing into an interface breaks the build of
-// the annotated root, at the root.
+// the escape-analysis pass in internal/analysis and carried to every
+// importer in its summaries), so the rule holds across package
+// boundaries: a helper three packages away that starts boxing into an
+// interface breaks the build of the annotated root, at the root.
 //
 // Cold branches are carved out with //namingvet:allocfree-exempt: on a
 // function's doc comment the whole body is off the steady path (error

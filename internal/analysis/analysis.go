@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -308,6 +309,18 @@ func inScope(path string, scope []string) bool {
 		}
 	}
 	return false
+}
+
+// SortedKeys returns m's keys in sorted order, so whatever walks a map —
+// fact propagation, edge emission — does it deterministically
+// (detrand would want nothing less).
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // WalkStack walks one subtree, calling fn with each node and the stack of

@@ -27,7 +27,7 @@ type Package struct {
 
 	// FactsOnly marks a module dependency that was loaded to compute
 	// interprocedural summaries but was not named by the load patterns:
-	// drivers compute its facts and skip its diagnostics.
+	// Run computes its facts and skips its diagnostics.
 	FactsOnly bool
 }
 
@@ -46,7 +46,7 @@ type listedPackage struct {
 // Load resolves patterns with `go list -export -deps` run in dir and
 // type-checks every matched non-standard package against the gc export
 // data of its dependencies. Non-standard dependency packages that the
-// patterns did not name are returned too, marked FactsOnly, so drivers can
+// patterns did not name are returned too, marked FactsOnly, so Run can
 // accumulate their interprocedural summaries. Packages come back in
 // dependency order (-deps lists a package only after its imports), which
 // is exactly the order facts accumulation needs. The go toolchain does the
@@ -100,7 +100,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
-		pkg, err := Check(fset, t.ImportPath, files, imp, "")
+		pkg, err := Check(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -110,9 +110,8 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// exportImporter returns a types.Importer that reads gc export data files
-// (as produced by `go list -export` or by the go command for vet) through
-// lookup by import path.
+// exportImporter returns a types.Importer that reads the gc export data
+// files `go list -export` produced, looked up by import path.
 func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
@@ -124,7 +123,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 }
 
 // Check parses and type-checks one package from its file list.
-func Check(fset *token.FileSet, path string, filenames []string, imp types.Importer, goVersion string) (*Package, error) {
+func Check(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -142,9 +141,8 @@ func Check(fset *token.FileSet, path string, filenames []string, imp types.Impor
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor("gc", runtime.GOARCH),
-		GoVersion: goVersion,
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {

@@ -3,7 +3,7 @@
 // conn-shaped value, Dial* calls, time.Sleep, channel sends and receives,
 // select statements with no default, ranging over a channel,
 // sync.WaitGroup.Wait, and sync.Cond.Wait held alongside a second lock —
-// plus calls, across packages via .vetx facts, to any function whose
+// plus calls, in this package or an imported one, to any function whose
 // MayPark summary says it reaches one of those, with the call chain down
 // to the parking operation in the message. A name server that parks while
 // holding the lock that guards its caches or connection pool wedges every

@@ -50,13 +50,12 @@ import (
 	"path/filepath"
 )
 
-// LockAcq is the serialized evidence that calling a function may acquire
-// one lock.
+// LockAcq is the evidence that calling a function may acquire one lock.
 type LockAcq struct {
 	// Write: some reachable acquisition is a Lock (not just RLock).
-	Write bool `json:",omitempty"`
+	Write bool
 	// Via is a human-readable sample chain down to the acquiring call.
-	Via string `json:",omitempty"`
+	Via string
 }
 
 // LockEdge is one acquisition-order edge: Held was held at a point where
@@ -64,16 +63,16 @@ type LockAcq struct {
 type LockEdge struct {
 	Held string
 	Acq  string
-	Via  string `json:",omitempty"`
+	Via  string
 
 	// The rest places the edge in the body that made it, for lockorder's
-	// reports, and is not serialized: imported edges carry none of it.
+	// reports, which read it on the package's own edges only.
 	// Pos is the acquisition, or the call whose callee acquires Acq
 	// (Callee, nil for a direct acquisition); HeldWrite and AcqWrite are
 	// the two modes, which name a re-acquisition's deadlock.
-	Pos                 token.Pos   `json:"-"`
-	Callee              *types.Func `json:"-"`
-	HeldWrite, AcqWrite bool        `json:"-"`
+	Pos                 token.Pos
+	Callee              *types.Func
+	HeldWrite, AcqWrite bool
 }
 
 // HeldLock is one entry of a held-set snapshot.

@@ -2,9 +2,9 @@
 // acquisition order. The facts layer (analysis.lockFlow) records, per
 // function, which locks may be held when each other lock is acquired —
 // lock identity being receiver type + field path, so the same lock keys
-// identically in every package — and exports the edges through .vetx
-// facts. This analyzer folds every package's edges into one module-global
-// acquisition graph and reports:
+// identically in every package — and carries the edges to every importer
+// in its summaries. This analyzer folds every package's edges into one
+// module-global acquisition graph and reports:
 //
 //   - ordering cycles: an edge A→B contributed by this package whose
 //     reverse path B⇝A exists anywhere in the module. Two goroutines

@@ -15,63 +15,63 @@ type FuncSummary struct {
 	// SetsDeadline: the function sets a conn deadline on every analysis
 	// path that matters to us — it calls Set(Read|Write)?Deadline, or a
 	// function whose summary says so (transitive).
-	SetsDeadline bool `json:",omitempty"`
+	SetsDeadline bool
 	// ConnIO: the function reaches wire I/O — a Read/Write on a
 	// conn-shaped value, or a Dial* call (transitive).
-	ConnIO bool `json:",omitempty"`
+	ConnIO bool
 	// UnguardedIO: the function performs wire I/O that is not preceded by
 	// a deadline inside its own body (see conndeadline v2). A caller that
 	// invokes an UnguardedIO function without first setting a deadline
 	// inherits the problem.
-	UnguardedIO bool `json:",omitempty"`
+	UnguardedIO bool
 	// Canonicalizes: the function is a name-canonicalization point — it
 	// carries a //namingvet:canonicalizer directive, or trivially wraps
 	// one (its return statements forward a canonicalizer call).
-	Canonicalizes bool `json:",omitempty"`
+	Canonicalizes bool
 	// ReachesCanon: the function calls a canonicalizer, directly or
 	// transitively. wirecanon uses this for its "core.Path in, wire I/O
 	// out, never canonicalized" rule.
-	ReachesCanon bool `json:",omitempty"`
+	ReachesCanon bool
 	// RevBumps: the function is a revision-advance point — it carries a
 	// //namingvet:revbump directive (Server.Bump, Server.SetRevision).
-	RevBumps bool `json:",omitempty"`
+	RevBumps bool
 	// ReachesRevBump: the function calls a revision-advance point,
 	// directly or transitively. mutbump uses this for its "mutates a
 	// binding, never bumps the revision" rule.
-	ReachesRevBump bool `json:",omitempty"`
+	ReachesRevBump bool
 	// Allocates: the body itself contains steady-path heap-allocation
 	// evidence (direct only; see alloc.go for the evidence catalogue).
 	// Sites on a //namingvet:allocfree-exempt line and bodies of exempt
 	// functions contribute nothing.
-	Allocates bool `json:",omitempty"`
+	Allocates bool
 	// EscapesToHeap: calling the function may allocate — it Allocates
 	// itself or reaches a function that does (transitive, with exempt
 	// call sites and exempt callees excluded). allocfree reports any
 	// //namingvet:allocfree root whose closure has this set.
-	EscapesToHeap bool `json:",omitempty"`
+	EscapesToHeap bool
 	// AllocVia, when EscapesToHeap is set, is a human-readable sample of
 	// one allocation the function reaches — nested across packages, so a
 	// diagnostic at an annotated root can show the whole chain down to
 	// the allocating expression.
-	AllocVia string `json:",omitempty"`
+	AllocVia string
 	// AcquiresLocks maps lock identities (see lockorder.go: receiver type
 	// + field path, "(*nameserver.Server).mu") to evidence that calling
 	// the function may acquire that lock, directly or transitively.
-	AcquiresLocks map[string]LockAcq `json:",omitempty"`
+	AcquiresLocks map[string]LockAcq
 	// LockEdges lists the acquisition-order edges observed in the body:
 	// Held was held at a point where Acq was acquired (directly or via a
 	// call whose summary acquires it). lockorder folds every package's
 	// edges into one module-global graph and reports its cycles.
-	LockEdges []LockEdge `json:",omitempty"`
+	LockEdges []LockEdge
 	// MayPark: the function's own goroutine may park indefinitely — on a
 	// channel send/receive, a select with no default, a range over a
 	// channel, or a parking call classifyCall knows (conn Read/Write, Dial*,
 	// time.Sleep, WaitGroup.Wait, Cond.Wait) — directly or transitively.
 	// lockblock reports callers that invoke it under a held mutex.
-	MayPark bool `json:",omitempty"`
+	MayPark bool
 	// ParkVia, when MayPark is set, samples one parking operation the
 	// function reaches, nested across packages like AllocVia.
-	ParkVia string `json:",omitempty"`
+	ParkVia string
 }
 
 // Summaries maps FuncKey strings to summaries. Keys use types.Func.FullName

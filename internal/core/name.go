@@ -19,14 +19,23 @@ const Separator = "/"
 // ParsePath splits a textual compound name on Separator, dropping empty
 // components. Whether the text was absolute (began with the separator) is
 // a scheme-level notion; use SplitPathString to preserve it.
+//
+// It allocates once, the exactly-sized Path: the first pass counts the
+// non-empty components, the second cuts them out of s in place.
 func ParsePath(s string) Path {
-	parts := strings.Split(s, Separator)
-	p := make(Path, 0, len(parts))
-	for _, part := range parts {
-		if part == "" {
-			continue
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] != Separator[0] && (i == 0 || s[i-1] == Separator[0]) {
+			n++
 		}
-		p = append(p, Name(part))
+	}
+	p := make(Path, 0, n)
+	for s != "" {
+		var part string
+		part, s, _ = strings.Cut(s, Separator)
+		if part != "" {
+			p = append(p, Name(part))
+		}
 	}
 	return p
 }

@@ -29,6 +29,14 @@ func TestParsePath(t *testing.T) {
 	}
 }
 
+// TestParsePathAllocatesOnce: the Path itself is ParsePath's only
+// allocation; the components are cut out of the input string.
+func TestParsePathAllocatesOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = ParsePath("a/b/c") }); n != 1 {
+		t.Fatalf("ParsePath(\"a/b/c\") makes %v allocations, want 1", n)
+	}
+}
+
 func TestSplitPathString(t *testing.T) {
 	tests := []struct {
 		give    string

@@ -33,13 +33,18 @@ func (s *Store) diffNodes(path core.Path, a, b cas.Hash, out *[]Change) error {
 	if a == b {
 		return nil
 	}
-	na, err := s.loadNode(a)
-	if err != nil {
-		return err
+	// A zero hash is a binding absent on that side: it has no node.
+	var na, nb *Node
+	var err error
+	if !a.IsZero() {
+		if _, na, err = loadNode(s.cs, a); err != nil {
+			return err
+		}
 	}
-	nb, err := s.loadNode(b)
-	if err != nil {
-		return err
+	if !b.IsZero() {
+		if _, nb, err = loadNode(s.cs, b); err != nil {
+			return err
+		}
 	}
 	// Only a dir/dir pair can be compared binding-by-binding; anything
 	// else is one changed subtree.
@@ -85,22 +90,6 @@ func (s *Store) diffNodes(path core.Path, a, b cas.Hash, out *[]Change) error {
 	return nil
 }
 
-// loadNode fetches and decodes one node blob; a zero hash is nil (absent).
-func (s *Store) loadNode(h cas.Hash) (*Node, error) {
-	if h.IsZero() {
-		return nil, nil
-	}
-	data, err := s.cs.Get(h)
-	if err != nil {
-		return nil, fmt.Errorf("diff load %s: %w", h, err)
-	}
-	n, err := DecodeNode(data)
-	if err != nil {
-		return nil, fmt.Errorf("diff decode %s: %w", h, err)
-	}
-	return n, nil
-}
-
 // CatchUp copies the blob graph under root from this store into dst,
 // pruning every subtree whose root blob dst already holds: because blobs
 // are written post-order (children before parents, both here and in
@@ -122,13 +111,9 @@ func (s *Store) catchUp(dst cas.Backend, h cas.Hash, copied, pruned *int) error 
 		*pruned++
 		return nil
 	}
-	data, err := s.cs.Get(h)
+	data, node, err := loadNode(s.cs, h)
 	if err != nil {
-		return fmt.Errorf("catch-up load %s: %w", h, err)
-	}
-	node, err := DecodeNode(data)
-	if err != nil {
-		return fmt.Errorf("catch-up decode %s: %w", h, err)
+		return err
 	}
 	if node.Kind == KindDir {
 		for _, e := range node.Entries {

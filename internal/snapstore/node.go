@@ -156,6 +156,22 @@ func DecodeNode(data []byte) (*Node, error) {
 	return n, nil
 }
 
+// loadNode fetches the blob stored under h and decodes it, returning the
+// raw bytes too (CatchUp copies them on as read). A blob that is missing or
+// does not decode leaves the graph under some root incomplete, so both
+// failures wrap ErrBadSnapshot.
+func loadNode(cs *cas.Store, h cas.Hash) ([]byte, *Node, error) {
+	data, err := cs.Get(h)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w: %w", h, ErrBadSnapshot, err)
+	}
+	n, err := DecodeNode(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w: %w", h, ErrBadSnapshot, err)
+	}
+	return data, n, nil
+}
+
 // appendPath appends a compound name: component count, then each simple
 // name length-prefixed.
 func appendPath(buf []byte, p core.Path) []byte {

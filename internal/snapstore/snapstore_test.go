@@ -632,3 +632,24 @@ func TestRestoreMissingBlobIsBadSnapshot(t *testing.T) {
 		t.Fatalf("restore of missing root = %v, want ErrBadSnapshot", err)
 	}
 }
+
+// TestMissingBlobIsBadSnapshotEverywhere: Diff and CatchUp read blobs
+// through the same loader as Restore, so a blob the store does not hold
+// is a bad snapshot to all three.
+func TestMissingBlobIsBadSnapshotEverywhere(t *testing.T) {
+	st := newMemStore()
+	tr := dirtree.New(core.NewWorld(), "root")
+	buildSample(t, tr)
+	root, err := st.Snapshot(tr.W, tr.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var missing cas.Hash
+	missing[0] = 0xAB
+	if _, err := st.Diff(root, missing); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("diff against a missing root = %v, want ErrBadSnapshot", err)
+	}
+	if _, _, err := st.CatchUp(cas.NewMem(), missing); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("catch-up of a missing root = %v, want ErrBadSnapshot", err)
+	}
+}

@@ -13,8 +13,8 @@ import (
 	"namecoherence/internal/dirtree"
 )
 
-// ErrBadSnapshot is wrapped by Restore errors: the blob graph under the
-// given root is malformed or incomplete.
+// ErrBadSnapshot is wrapped by Restore, Diff and CatchUp errors: the blob
+// graph under the given root is malformed or incomplete.
 var ErrBadSnapshot = errors.New("bad snapshot")
 
 // objectsDir is the blob directory inside a Store's data directory.
@@ -240,13 +240,9 @@ func (rs *restorer) restore(h cas.Hash, label string, stack []core.Entity) (core
 	if e, ok := rs.memo[h]; ok {
 		return e, 0, nil
 	}
-	data, err := rs.cs.Get(h)
+	_, node, err := loadNode(rs.cs, h)
 	if err != nil {
-		return core.Undefined, 0, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	node, err := DecodeNode(data)
-	if err != nil {
-		return core.Undefined, 0, fmt.Errorf("%s: %w: %w", h, ErrBadSnapshot, err)
+		return core.Undefined, 0, err
 	}
 	switch node.Kind {
 	case KindDir:

@@ -172,7 +172,7 @@ grep -o '"attempted":[0-9]*,"failed":[0-9]*' "$logs/smoke.log" | tr -c '0-9\n' '
 	awk '{ a += $1; f += $2 } END { printf "%d runs, %.0f million operations, %d failed\n", NR, a / 1e6, f }' >"$work/smoke.ops"
 
 say "namingvet over the module"
-go vet -vettool="$bin/namingvet" ./... >"$logs/namingvet.log" 2>&1
+"$bin/namingvet" ./... >"$logs/namingvet.log" 2>&1
 unset GOCOVERDIR
 
 # covdata also holds namecoherence/bench/{nsload,echo}; `go tool cover`
