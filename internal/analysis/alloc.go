@@ -14,8 +14,8 @@
 // a channel, captured by an escaping closure, or passed to an interface
 // parameter. Passing a pointer or slice to a concrete parameter is assumed
 // non-leaking (the common case; the compiler assumes the opposite, but an
-// enforcement tool that flagged every helper call would only breed ignore
-// directives).
+// enforcement tool that flagged every helper call would only breed
+// exemptions).
 //
 // //namingvet:allocfree-exempt on a function's doc comment drops the whole
 // body from the evidence (cold teardown, error construction); on or above
@@ -121,6 +121,31 @@ func allocFlow(pkg *Package, pf *PackageFacts) {
 	})
 }
 
+// indexExempts is the package's one scan of its comments: it records every
+// //namingvet:allocfree-exempt directive and the lines it covers, its own
+// and the next, so the comment may sit above or beside the exempt
+// statement.
+func (pf *PackageFacts) indexExempts(pkg *Package) {
+	pf.exemptLines = make(map[string]map[int]bool)
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !directiveMatches(c.Text, AllocFreeExemptDirective) {
+					continue
+				}
+				posn := pkg.Fset.Position(c.Pos())
+				byLine := pf.exemptLines[posn.Filename]
+				if byLine == nil {
+					byLine = make(map[int]bool)
+					pf.exemptLines[posn.Filename] = byLine
+				}
+				byLine[posn.Line], byLine[posn.Line+1] = true, true
+				pf.exempts = append(pf.exempts, c)
+			}
+		}
+	}
+}
+
 // auditAllocExempt reports allocfree-exempt directives that exempt nothing:
 // with the exemption switched off, the covered lines contain no allocation
 // site and no call that would propagate EscapesToHeap, so the directive is
@@ -180,7 +205,7 @@ func auditAllocExempt(pkg *Package, pf *PackageFacts) []Finding {
 		}
 	}
 	// Everything else is a line directive covering its own and the next line.
-	for _, c := range pf.directives.exempts {
+	for _, c := range pf.exempts {
 		if docDirective[c] {
 			continue
 		}

@@ -13,8 +13,8 @@
 // teardown, reconnect); on or above a line it covers just that line
 // (a routing bootstrap that copies its table, an error return
 // constructing its message). Exemptions are deliberate and
-// grep-able — unlike //namingvet:ignore, they are part of the discipline,
-// not a suppression of it.
+// grep-able: they are part of the discipline, not a suppression of it,
+// and the unused-exemption audit reports one that exempts nothing.
 //
 // Like the rest of the suite, absence of evidence never convicts: calls
 // into packages without facts (the standard library beyond the known

@@ -18,7 +18,7 @@ import (
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and ignore directives.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc states the invariant the analyzer guards.
 	Doc string
@@ -43,9 +43,9 @@ type Pass struct {
 	// package by the driver and shared by every analyzer.
 	Facts *PackageFacts
 
-	// Report delivers one diagnostic. Diagnostics on _test.go files and
-	// diagnostics suppressed by a namingvet:ignore directive are dropped
-	// by the driver.
+	// Report delivers one diagnostic. Diagnostics on _test.go files are
+	// dropped by the driver; nothing else is: an exemption is a rule of
+	// the analyzer that needs it, never a comment at the site.
 	Report func(Diagnostic)
 }
 
@@ -72,159 +72,10 @@ func (f Finding) String() string {
 		f.Posn.Filename, f.Posn.Line, f.Posn.Column, f.Analyzer, f.Message)
 }
 
-// SuppressName tags the findings of the unused-suppression audit: a
-// directive that suppresses no diagnostic is itself reported, so stale
-// exemptions get burned down instead of rotting.
+// SuppressName tags the findings of the unused-exemption audit: an
+// allocfree-exempt directive that exempts nothing is itself reported, so
+// stale exemptions get burned down instead of rotting.
 const SuppressName = "suppress"
-
-// ignoreDirective is one parsed //namingvet:ignore or file-ignore comment,
-// shared by every line it covers so suppressions can be traced back to it.
-type ignoreDirective struct {
-	names    []string
-	fileWide bool
-	posn     token.Position
-	used     map[string]bool // analyzer name -> suppressed something
-}
-
-// ignoreIndex records, from the package's one scan of its comments, which
-// analyzers are suppressed where, from
-//
-//	//namingvet:ignore name1,name2 -- reason
-//
-// directives (suppressing the directive's line and the following line, so
-// the comment may sit above or beside the flagged expression) and
-//
-//	//namingvet:file-ignore name -- reason
-//
-// directives (suppressing a whole file), and which lines a
-// //namingvet:allocfree-exempt directive covers (its own and the next, for
-// the same reason): allocation evidence there is dropped, and call edges
-// there do not propagate allocation facts.
-type ignoreIndex struct {
-	files       map[string][]*ignoreDirective         // filename -> file-wide directives
-	lines       map[string]map[int][]*ignoreDirective // filename -> line -> directives
-	directives  []*ignoreDirective
-	exempts     []*ast.Comment          // allocfree-exempt directives, doc comments included
-	exemptLines map[string]map[int]bool // filename -> lines an exempts entry covers
-}
-
-func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
-	idx := &ignoreIndex{
-		files:       make(map[string][]*ignoreDirective),
-		lines:       make(map[string]map[int][]*ignoreDirective),
-		exemptLines: make(map[string]map[int]bool),
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if directiveMatches(c.Text, AllocFreeExemptDirective) {
-					posn := fset.Position(c.Pos())
-					byLine := idx.exemptLines[posn.Filename]
-					if byLine == nil {
-						byLine = make(map[int]bool)
-						idx.exemptLines[posn.Filename] = byLine
-					}
-					byLine[posn.Line], byLine[posn.Line+1] = true, true
-					idx.exempts = append(idx.exempts, c)
-					continue
-				}
-				text, fileWide := strings.CutPrefix(c.Text, "//namingvet:file-ignore ")
-				if !fileWide {
-					var ok bool
-					text, ok = strings.CutPrefix(c.Text, "//namingvet:ignore ")
-					if !ok {
-						continue
-					}
-				}
-				rawNames, _, _ := strings.Cut(text, "--")
-				d := &ignoreDirective{
-					fileWide: fileWide,
-					posn:     fset.Position(c.Pos()),
-					used:     make(map[string]bool),
-				}
-				for _, name := range strings.Split(rawNames, ",") {
-					if name = strings.TrimSpace(name); name != "" {
-						d.names = append(d.names, name)
-					}
-				}
-				if len(d.names) == 0 {
-					continue
-				}
-				idx.directives = append(idx.directives, d)
-				if fileWide {
-					idx.files[d.posn.Filename] = append(idx.files[d.posn.Filename], d)
-					continue
-				}
-				byLine := idx.lines[d.posn.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]*ignoreDirective)
-					idx.lines[d.posn.Filename] = byLine
-				}
-				for _, line := range []int{d.posn.Line, d.posn.Line + 1} {
-					byLine[line] = append(byLine[line], d)
-				}
-			}
-		}
-	}
-	return idx
-}
-
-func (d *ignoreDirective) matches(analyzer string) bool {
-	for _, name := range d.names {
-		if name == analyzer {
-			return true
-		}
-	}
-	return false
-}
-
-// ignored reports whether a diagnostic at posn is suppressed, marking every
-// directive that suppresses it as used for the audit.
-func (idx *ignoreIndex) ignored(analyzer string, posn token.Position) bool {
-	hit := false
-	for _, d := range idx.files[posn.Filename] {
-		if d.matches(analyzer) {
-			d.used[analyzer] = true
-			hit = true
-		}
-	}
-	for _, d := range idx.lines[posn.Filename][posn.Line] {
-		if d.matches(analyzer) {
-			d.used[analyzer] = true
-			hit = true
-		}
-	}
-	return hit
-}
-
-// audit reports, after every analyzer has run, each directive name that
-// matched no diagnostic. A name outside the run set suppressed nothing
-// either — cmd/namingvet runs the whole suite, so it names an analyzer
-// that is gone or never was — and is reported as such. Directives in
-// _test.go files are skipped: they never see diagnostics at all.
-func (idx *ignoreIndex) audit(ran map[string]bool) []Finding {
-	var findings []Finding
-	for _, d := range idx.directives {
-		if strings.HasSuffix(d.posn.Filename, "_test.go") {
-			continue
-		}
-		kind := "ignore"
-		if d.fileWide {
-			kind = "file-ignore"
-		}
-		for _, name := range d.names {
-			if d.used[name] {
-				continue
-			}
-			msg := fmt.Sprintf("unused suppression: this %s directive matches no %s diagnostic", kind, name)
-			if !ran[name] {
-				msg = fmt.Sprintf("unused suppression: this %s directive names %s, which is no analyzer in this run", kind, name)
-			}
-			findings = append(findings, Finding{Analyzer: SuppressName, Posn: d.posn, Message: msg})
-		}
-	}
-	return findings
-}
 
 // RunAnalyzers runs every analyzer over one type-checked package and
 // returns the surviving findings plus the package's merged summaries
@@ -252,22 +103,14 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 			if strings.HasSuffix(posn.Filename, "_test.go") {
 				return
 			}
-			if facts.directives.ignored(a.Name, posn) {
-				return
-			}
 			findings = append(findings, Finding{Analyzer: a.Name, Posn: posn, Message: d.Message})
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
-	}
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	findings = append(findings, facts.directives.audit(ran)...)
-	if ran["allocfree"] {
-		findings = append(findings, auditAllocExempt(pkg, facts)...)
+		if a.Name == "allocfree" {
+			findings = append(findings, auditAllocExempt(pkg, facts)...)
+		}
 	}
 	return findings, facts.All, nil
 }
@@ -407,7 +250,7 @@ func IsNamedType(t types.Type, pkgPath, name string) bool {
 }
 
 // HasMethods reports whether t's method set includes every named method
-// (by name only — the conn-ish duck test classifyCall and conndeadline use).
+// (by name only — the test ConnShaped is made of).
 func HasMethods(t types.Type, names ...string) bool {
 	ms := types.NewMethodSet(t)
 	if _, ok := t.Underlying().(*types.Interface); !ok {

@@ -14,12 +14,16 @@
 //   - The obligation flows caller-ward: calling a function whose exported
 //     UnguardedIO fact is set, without a preceding deadline, is reported
 //     at the call site — across package boundaries, via facts.
-//   - Idle-loop reads are exempt: a read in a `for {}` loop of a
-//     method whose owner's Close closes the conn (the server's idle
-//     accept-and-wait pattern) blocks on purpose; Close unhangs it. So
-//     does the read a `Read([]byte) (int, error)` method of such an owner
-//     forwards to the conn: it is the loop's read, reached through the
-//     decoder's buffer.
+//   - The idle read is exempt: the read a `Read([]byte) (int, error)`
+//     method forwards to the conn, when its owner's Close closes the conn.
+//     Both wire ends fill their decoder's bufio.Reader through such a
+//     Read, so it is where a serve or reply loop waits for the peer; it
+//     blocks on purpose, and Close unhangs it.
+//   - A conn handed over is reported at the handoff: passed as an
+//     io.Reader or io.Writer to a function with no summary (bufio.NewReader,
+//     io.ReadFull, io.Copy), it does its I/O where no rule can look. An
+//     owner fills a bufio.Reader through its forwarding Read and drains a
+//     bufio.Writer through a Write that arms the deadline itself.
 package conndeadline
 
 import (
@@ -32,7 +36,7 @@ import (
 // Analyzer is the conndeadline analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "conndeadline",
-	Doc:  "requires a SetDeadline before net.Conn wire I/O and before calls to functions that do it unguarded, and forbids raw net.Dial in transport packages",
+	Doc:  "requires a SetDeadline before net.Conn wire I/O and before calls to functions that do it unguarded, and forbids raw net.Dial and handing a conn to code it cannot see in transport packages",
 	Run:  run,
 	// Scope limits the analyzer to packages whose import path has one of
 	// these segments. Deadlines are a transport concern; in-memory packages
@@ -54,7 +58,8 @@ func run(pass *analysis.Pass) (any, error) {
 				ev.Desc, ff.Decl.Name.Name)
 		}
 	}
-	// Raw net.Dial stays a structural check: it needs no dataflow.
+	// Raw net.Dial and the conn handoff stay structural checks: they need
+	// no dataflow.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -62,18 +67,40 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			callee := analysis.CalleeFunc(pass.TypesInfo, call)
-			if callee == nil || callee.Name() != "Dial" {
+			if callee == nil {
 				return true
 			}
-			recv := callee.Type().(*types.Signature).Recv()
-			if recv == nil && callee.Pkg() != nil && callee.Pkg().Path() == "net" {
+			sig := callee.Type().(*types.Signature)
+			if callee.Name() == "Dial" && sig.Recv() == nil && callee.Pkg() != nil && callee.Pkg().Path() == "net" {
 				pass.Reportf(call.Pos(),
 					"raw net.Dial is unbounded; use net.DialTimeout so a dead replica costs one timeout")
+			}
+			if _, known := pass.Facts.All[analysis.FuncKey(callee)]; known {
+				return true
+			}
+			for i, arg := range call.Args {
+				if ioParam(sig, i) && analysis.ConnShaped(pass.TypesInfo.TypeOf(arg)) {
+					pass.Reportf(arg.Pos(),
+						"conn handed to %s, whose I/O on it no deadline rule can see; fill through a Read or drain through a Write its owner declares",
+						calleeLabel(pass, callee))
+				}
 			}
 			return true
 		})
 	}
 	return nil, nil
+}
+
+// ioParam reports whether call argument i of sig lands in an io.Reader or
+// io.Writer parameter.
+func ioParam(sig *types.Signature, i int) bool {
+	var t types.Type
+	if last := sig.Params().Len() - 1; sig.Variadic() && i >= last {
+		t = sig.Params().At(last).Type().(*types.Slice).Elem()
+	} else {
+		t = sig.Params().At(i).Type()
+	}
+	return analysis.IsNamedType(t, "io", "Reader") || analysis.IsNamedType(t, "io", "Writer")
 }
 
 // calleeLabel renders a callee for a diagnostic: pkg-qualified for

@@ -14,7 +14,7 @@ func TestConnDeadline(t *testing.T) {
 // TestConnDeadlineFlow covers the v2 call-graph rules: helpers reported
 // at their own I/O whoever calls them, call-site reports against
 // UnguardedIO callees (local and cross-package, via facts), and the
-// idle-loop read exemption.
+// idle-read exemption for an owner's forwarding Read.
 func TestConnDeadlineFlow(t *testing.T) {
 	analysistest.Run(t, conndeadline.Analyzer, "flow/cluster")
 }
@@ -26,10 +26,12 @@ func TestConnDeadlineRecall(t *testing.T) {
 	analysistest.Run(t, conndeadline.Analyzer, "recall")
 }
 
-// TestConnDeadlineBufioBlindSpot documents the hole DESIGN §6 records: a
-// deadline-free read through a bufio.Reader over a conn is reported by
-// nothing. When conndeadline learns to follow the wrap this test fails at
-// blindspot/cluster's readReply; that line then takes its want.
-func TestConnDeadlineBufioBlindSpot(t *testing.T) {
-	analysistest.Run(t, conndeadline.Analyzer, "blindspot/cluster")
+// TestConnDeadlineHandoff pins the handoff rule: a conn passed as an
+// io.Reader or io.Writer to a function with no summary (bufio, io) is
+// reported where it is handed over, since the I/O it does there is out of
+// every deadline rule's sight. Filling through an owner's forwarding Read,
+// draining through a deadline-arming Write and handing over an *os.File
+// stay silent.
+func TestConnDeadlineHandoff(t *testing.T) {
+	analysistest.Run(t, conndeadline.Analyzer, "handoff/cluster")
 }

@@ -50,12 +50,6 @@ func okDial(addr string, d time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, d)
 }
 
-// okIgnored documents an intentional unbounded read.
-func (c *client) okIgnored(buf []byte) (int, error) {
-	//namingvet:ignore conndeadline -- idle reads block until the peer speaks; Close unblocks them
-	return c.conn.Read(buf)
-}
-
 // okLazyRearm re-arms the write deadline only when less than half the
 // horizon remains — the pipelined client's amortized write bound. The
 // Set is condition-wrapped but still lexically precedes the write, which

@@ -1,12 +1,13 @@
 // Package clusterflow exercises conndeadline's call-graph rules: a helper's
 // unguarded I/O is reported at the I/O whoever calls it, unguarded calls to
-// UnguardedIO functions at the call site — across packages too — and
-// idle-loop reads under a conn-closing Close are exempt.
+// UnguardedIO functions at the call site — across packages too — and the
+// read a conn-closing owner's Read forwards is exempt.
 // (The directory is named "cluster" so the testdata package path lands in
 // the analyzer's scope.)
 package clusterflow
 
 import (
+	"bufio"
 	"net"
 	"time"
 
@@ -81,38 +82,43 @@ func (c *client) storesValue(resp []byte) error {
 	return f(resp)
 }
 
-// server's idle read is exempt: it blocks until the peer speaks, and
+// server's idle read is exempt: its serve loop fills a bufio.Reader
+// through server.Read, which forwards to the conn, so the loop's wait for
+// the peer is that forwarded read. It blocks until the peer speaks, and
 // server.Close closes the conn out from under it.
 type server struct {
 	conn net.Conn
+	br   *bufio.Reader
 }
 
 func (s *server) Close() error {
 	return s.conn.Close()
 }
 
+func (s *server) Read(p []byte) (int, error) {
+	return s.conn.Read(p)
+}
+
 func (s *server) serveLoop() error {
+	s.br = bufio.NewReader(s)
 	for {
-		var req [1]byte
-		if _, err := s.conn.Read(req[:]); err != nil {
+		if _, err := s.br.ReadByte(); err != nil {
 			return err
 		}
 	}
 }
 
-// leakyServer looks like the idle pattern, but its Close closes no conn,
-// so nothing can ever unhang the read: the exemption does not apply.
-type leakyServer struct {
+// rawServer's Close closes its conn too, but its loop reads the conn
+// itself: a bare loop is no exemption, so the read is reported.
+type rawServer struct {
 	conn net.Conn
-	done bool
 }
 
-func (s *leakyServer) Close() error {
-	s.done = true
-	return nil
+func (s *rawServer) Close() error {
+	return s.conn.Close()
 }
 
-func (s *leakyServer) loop() error {
+func (s *rawServer) loop() error {
 	for {
 		var req [1]byte
 		if _, err := s.conn.Read(req[:]); err != nil { // want `conn read without a preceding SetDeadline in loop`

@@ -6,6 +6,7 @@
 package nameserver
 
 import (
+	"bufio"
 	"net"
 	"time"
 )
@@ -14,14 +15,20 @@ import (
 // must not pin the connection's writer forever.
 const serveWriteTimeout = 10 * time.Second
 
-// server serves one connection; Close closes it, which is what unhangs
-// the idle request read below.
+// server serves one connection, filling its decoder through Read, which
+// forwards to the conn; Close closes the conn, which is what unhangs that
+// idle request read.
 type server struct {
 	conn net.Conn
+	br   *bufio.Reader
 }
 
 func (s *server) Close() error {
 	return s.conn.Close()
+}
+
+func (s *server) Read(p []byte) (int, error) {
+	return s.conn.Read(p)
 }
 
 // Server.ServeConn, before the fix: the request read is the idle read Close
@@ -29,11 +36,11 @@ func (s *server) Close() error {
 // stopped reading wedged the server's writer.
 func (s *server) ServeConn() error {
 	for {
-		var req [1]byte
-		if _, err := s.conn.Read(req[:]); err != nil {
+		req, err := s.br.ReadByte()
+		if err != nil {
 			return err
 		}
-		if _, err := s.conn.Write(req[:]); err != nil { // want `conn write without a preceding SetDeadline in ServeConn`
+		if _, err := s.conn.Write([]byte{req}); err != nil { // want `conn write without a preceding SetDeadline in ServeConn`
 			return err
 		}
 	}
@@ -42,12 +49,12 @@ func (s *server) ServeConn() error {
 // Fixed: every response write is bounded by serveWriteTimeout.
 func (s *server) ServeConnFixed() error {
 	for {
-		var req [1]byte
-		if _, err := s.conn.Read(req[:]); err != nil {
+		req, err := s.br.ReadByte()
+		if err != nil {
 			return err
 		}
 		_ = s.conn.SetWriteDeadline(time.Now().Add(serveWriteTimeout))
-		if _, err := s.conn.Write(req[:]); err != nil {
+		if _, err := s.conn.Write([]byte{req}); err != nil {
 			return err
 		}
 	}

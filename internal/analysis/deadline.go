@@ -81,20 +81,17 @@ func summaryOf(pf *PackageFacts, callee *types.Func) FuncSummary {
 	return pf.All[FuncKey(callee)]
 }
 
-// idleExempt reports whether the read cs is an idle read: a decode/read
-// inside an unconditional for-loop of a method whose receiver type's Close
-// (transitively, same package) closes a conn-shaped value — or the read an
-// io.Reader adapter on such a type forwards (see forwardsRead), which is
-// the same idle read one call further down: the loop's decoder fills
-// through it. Such a read blocks until the peer speaks or the owner's
-// Close closes the conn under it — a deadline would turn idle connections
-// into spurious errors.
+// idleExempt reports whether the read cs is an idle read: the read an
+// io.Reader adapter forwards to the conn (see forwardsRead), on an owner
+// whose Close (transitively, same package) closes a conn-shaped value.
+// Both wire ends fill their decoder's bufio.Reader through such a Read, so
+// this is every serve or reply loop's wait for the peer, one call further
+// down. It blocks until the peer speaks or the owner's Close closes the
+// conn under it — a deadline would turn idle connections into spurious
+// errors.
 func idleExempt(pkg *Package, pf *PackageFacts, ff *FuncFacts, cs CallSite) bool {
 	named := RecvNamed(ff.Fn)
-	if cs.kind != parkConnRead || named == nil {
-		return false
-	}
-	if !inBareLoop(ff.Decl.Body, cs.Call.Pos()) && !forwardsRead(pkg, ff, cs.Call) {
+	if cs.kind != parkConnRead || named == nil || !forwardsRead(pkg, ff, cs.Call) {
 		return false
 	}
 	return closeClosesConn(pf, named)
@@ -123,25 +120,6 @@ func forwardsRead(pkg *Package, ff *FuncFacts, call *ast.CallExpr) bool {
 	}
 	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	return ok && pkg.Info.Uses[arg] == buf
-}
-
-// inBareLoop reports whether pos sits inside a `for { … }` loop (no
-// condition, no post statement) within body.
-func inBareLoop(body *ast.BlockStmt, pos token.Pos) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		loop, ok := n.(*ast.ForStmt)
-		if ok && loop.Cond == nil && loop.Post == nil && loop.Init == nil &&
-			loop.Body.Pos() <= pos && pos < loop.Body.End() {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // closeClosesConn reports whether the named type has a Close method in this

@@ -31,9 +31,7 @@ func okDuration(d time.Duration) time.Duration {
 	return d + 5*time.Millisecond
 }
 
-// okSeeded: a fixed-seed source threaded explicitly is what the workload
-// generator does; the analyzer still flags the rand symbols, so seams
-// carry a file-ignore directive (see clock.go).
+// okTimer: timers and durations read no wall clock.
 func okTimer(ch chan struct{}) {
 	t := time.NewTimer(time.Second)
 	defer t.Stop()

@@ -1,7 +1,5 @@
-// The allowlisted clock seam: the one file in a deterministic package
-// that may read the wall clock, marked by a file-ignore directive.
-
-//namingvet:file-ignore detrand -- single wall-clock seam; tests stub now
+// The clock seam: the one package-level var in a deterministic package
+// whose whole value is a wall-clock func, uncalled.
 
 package experiments
 

@@ -1,7 +1,6 @@
-// The experiments package's one wall-clock seam, marked by a file-ignore
-// directive: the fixed form of E15 reads the clock through it.
-
-//namingvet:file-ignore detrand -- sole wall-clock seam; tests stub now
+// The experiments package's one wall-clock seam, a package-level var whose
+// whole value is time.Now: the fixed form of E15 reads the clock through
+// it.
 
 package experiments
 

@@ -35,10 +35,3 @@ func TestLockblockCrossPackage(t *testing.T) {
 func TestLockblockRecall(t *testing.T) {
 	analysistest.Run(t, lockblock.Analyzer, "recall")
 }
-
-// TestSuppressUnknownName pins the audit's rule for names outside the run:
-// a directive naming an analyzer that no longer exists (lockheld, folded
-// into lockblock) suppresses nothing and is reported, not skipped.
-func TestSuppressUnknownName(t *testing.T) {
-	analysistest.Run(t, lockblock.Analyzer, "renamed")
-}

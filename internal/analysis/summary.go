@@ -152,15 +152,18 @@ type PackageFacts struct {
 	Graph *CallGraph
 
 	byFn map[*types.Func]*FuncFacts
-	// directives indexes the package's //namingvet: line directives; the
-	// allocation flow reads its exempt lines and RunAnalyzers its ignores.
-	directives *ignoreIndex
+	// exempts lists the package's //namingvet:allocfree-exempt directives,
+	// doc comments included, and exemptLines the lines each covers (see
+	// indexExempts): the allocation flow drops its evidence there, and the
+	// unused-exemption audit weighs each directive.
+	exempts     []*ast.Comment
+	exemptLines map[string]map[int]bool // filename -> covered lines
 }
 
 // AllocExemptAt reports whether posn sits on a line covered by a
 // //namingvet:allocfree-exempt directive.
 func (pf *PackageFacts) AllocExemptAt(posn token.Position) bool {
-	return pf.directives.exemptLines[posn.Filename][posn.Line]
+	return pf.exemptLines[posn.Filename][posn.Line]
 }
 
 // OwnFacts returns the facts for a function declared in this package, or
@@ -203,11 +206,11 @@ const WireDecoderDirective = "//namingvet:wiredecoder"
 func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 	g := BuildCallGraph(pkg)
 	pf := &PackageFacts{
-		All:        make(Summaries, len(imported)+len(g.Order)),
-		Graph:      g,
-		byFn:       make(map[*types.Func]*FuncFacts, len(g.Order)),
-		directives: buildIgnoreIndex(pkg.Fset, pkg.Files),
+		All:   make(Summaries, len(imported)+len(g.Order)),
+		Graph: g,
+		byFn:  make(map[*types.Func]*FuncFacts, len(g.Order)),
 	}
+	pf.indexExempts(pkg)
 	for k, v := range imported {
 		pf.All[k] = v
 	}
@@ -294,18 +297,13 @@ func (k callKind) parks() bool { return k != noPark && k < setDeadline }
 // The deadline setters guard the deadline flow's I/O, and a conn Close is
 // what makes an idle read exempt.
 //
-// os.File passes the conn duck test (it has SetDeadline for pipes), but
-// file I/O is a durability concern, not a transport one: a file write
-// blocks for one disk flush, not for as long as a hung peer pleases, a
-// deadline on a disk file is meaningless, and serializing a manifest
-// rewrite under its store's lock is the intended pattern. casimmut guards
-// file writes with the fsync rule instead.
+// A receiver is a conn when it is ConnShaped.
 func classifyCall(callee *types.Func) (callKind, string) {
 	recv := callee.Type().(*types.Signature).Recv()
-	connShaped := func() bool { return recv != nil && HasMethods(recv.Type(), "Read", "Write", "SetDeadline") }
+	connShaped := func() bool { return recv != nil && ConnShaped(recv.Type()) }
 	switch name := callee.Name(); {
 	case name == "Read" || name == "Write":
-		if connShaped() && !IsNamedType(recv.Type(), "os", "File") {
+		if connShaped() {
 			if name == "Read" {
 				return parkConnRead, "conn read"
 			}
@@ -332,6 +330,17 @@ func classifyCall(callee *types.Func) (callKind, string) {
 		}
 	}
 	return noPark, ""
+}
+
+// ConnShaped is the conn duck test: t has Read, Write and SetDeadline
+// methods. os.File passes it (it has SetDeadline for pipes) and is left
+// out: file I/O is a durability concern, not a transport one. A file write
+// blocks for one disk flush, not for as long as a hung peer pleases, a
+// deadline on a disk file is meaningless, and serializing a manifest
+// rewrite under its store's lock is the intended pattern. casimmut guards
+// file writes with the fsync rule instead.
+func ConnShaped(t types.Type) bool {
+	return HasMethods(t, "Read", "Write", "SetDeadline") && !IsNamedType(t, "os", "File")
 }
 
 // hasDirective reports whether the doc comment group contains the given

@@ -1,9 +1,8 @@
 // The single wall-clock seam for the experiments package. Experiments
 // must be deterministic given a seed (detrand enforces this); latency
 // measurement is the one legitimate wall-clock use, so it is funneled
-// through these two hooks, which a test can stub.
-
-//namingvet:file-ignore detrand -- sole wall-clock seam; everything else in the package goes through now/since
+// through these two hooks, which a test can stub. detrand knows the seam
+// by its shape: now is a package-level var whose whole value is time.Now.
 
 package experiments
 

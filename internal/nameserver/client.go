@@ -95,7 +95,7 @@ type Client struct {
 	conn    net.Conn
 	bw      *bufio.Writer // guarded by wtoken; drains through wd
 	wd      deadlineWriter
-	br      *bufio.Reader // guarded by rtoken (and by NewClient during negotiation)
+	br      *bufio.Reader // guarded by rtoken (and by NewClient during negotiation); fills through Read
 	timeout time.Duration // per-call bound; immutable after the options run
 
 	wtoken chan struct{} // capacity 1; held while encoding and flushing
@@ -176,11 +176,11 @@ func WithTimeout(d time.Duration) ClientOption {
 func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 	c := &Client{
 		conn:    conn,
-		br:      bufio.NewReader(conn),
 		wtoken:  make(chan struct{}, 1),
 		rtoken:  make(chan struct{}, 1),
 		pending: make(map[uint64]*pendingCall),
 	}
+	c.br = bufio.NewReader(c)
 	for _, o := range opts {
 		o.apply(c)
 	}
@@ -337,10 +337,9 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 // flushing for — a slice of it. lead never reads the connection for a
 // frame once its own call is done: a partial frame is the next leader's.
 // With no deadline an idle read blocks until the server speaks; Close
-// unblocks it by closing the conn (the read goes through bufio, which
-// conndeadline never sees). With a per-call timeout the leader cannot
-// select on its timer while blocked in the read, so it arms the
-// connection's read deadline with its own call's expiry instead: a
+// unblocks it by closing the conn (see Read). With a per-call timeout the
+// leader cannot select on its timer while blocked in the read, so it arms
+// the connection's read deadline with its own call's expiry instead: a
 // deadline-failed read poisons the client exactly as withdraw would have —
 // a call timeout always poisons, so trading the torn stream for a dead conn
 // loses nothing. Each leader re-arms on taking the token, so the deadline
@@ -371,6 +370,15 @@ func (c *Client) lead(pc *pendingCall, deadline time.Time) bool {
 			return done
 		}
 	}
+}
+
+// Read is the decoder's source, not for callers: br fills through it, and
+// it forwards to the conn. It is the client's idle read — the one a
+// leader without a timeout blocks in until the server speaks — and Close
+// unblocks it by closing the conn, so conndeadline exempts it as it does
+// the server's connState.Read.
+func (c *Client) Read(p []byte) (int, error) {
+	return c.conn.Read(p)
 }
 
 // readOne reads and delivers one frame while holding the read token. A

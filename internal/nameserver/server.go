@@ -385,6 +385,7 @@ type workerScratch struct {
 	req     request
 	path    core.Path
 	results []result
+	one     [1][]string // a single resolve's path, as a batch of one (see handle)
 	// Decode state: the raw frame (filled under dtoken,
 	// parsed after release, so workers parse in parallel), the backing
 	// arrays for the decoded request's Path/Paths, and the intern table
@@ -505,24 +506,21 @@ func (s *Server) respond(st *connState, resp *response, subscribe bool) {
 }
 
 // handle serves one non-mutating wire request from sc.req, resolving into
-// the worker's scratch buffers.
+// the worker's scratch buffers. A single resolve is a batch of one: its
+// path goes through the batch loop from the scratch's one-element slot.
 //
-// The resolve cases return a revision consistent with the bindings they
-// read, re-resolving until the revision settles. The revision is sampled
+// A resolve returns a revision consistent with the bindings it read,
+// re-resolving until the revision settles. The revision is sampled
 // after resolution — sampling before would let a concurrent Bump pair a
 // fresh binding with a stale revision, deferring a revision-tracked
 // cache's purge by one round-trip and breaking its staleness bound. If the
 // revision moved while resolving, the resolution raced a binding
 // change and is retried against the newer revision; if it never settles,
 // the pre-resolution revision is returned, which at worst forces the
-// client to purge again next trip (conservative, never stale). The retry
-// loop is written out in both cases rather than lifted into a helper
-// taking a resolve closure: handle is on serveRequests' allocfree path,
-// and the loop is the price of keeping it closure-free.
+// client to purge again next trip (conservative, never stale).
 func (s *Server) handle(sc *workerScratch) response {
 	req := &sc.req
-	switch {
-	case req.Routes:
+	if req.Routes {
 		s.mu.Lock()
 		routes := s.routes
 		s.mu.Unlock()
@@ -531,35 +529,31 @@ func (s *Server) handle(sc *workerScratch) response {
 		}
 		//namingvet:allocfree-exempt -- cold: routing bootstrap copies the table
 		return response{Routes: routes.Clone()}
-	case req.Paths != nil:
-		results := sc.results[:0]
-		rev := s.Revision()
-		for attempt := 0; ; attempt++ {
-			results = results[:0]
-			for _, raw := range req.Paths {
-				results = append(results, s.resolveOne(&sc.path, raw))
-			}
-			after := s.Revision()
-			if after == rev || attempt == 3 {
-				break
-			}
-			rev = after
-		}
-		sc.results = results
-		return response{Rev: rev, Results: results}
-	default:
-		var res result
-		rev := s.Revision()
-		for attempt := 0; ; attempt++ {
-			res = s.resolveOne(&sc.path, req.Path)
-			after := s.Revision()
-			if after == rev || attempt == 3 {
-				break
-			}
-			rev = after
-		}
-		return response{Ent: res.ID, Kind: res.Kind, Rev: rev, Err: res.Err, Dir: res.Dir}
 	}
+	paths := req.Paths
+	if paths == nil {
+		sc.one[0] = req.Path
+		paths = sc.one[:]
+	}
+	results := sc.results[:0]
+	rev := s.Revision()
+	for attempt := 0; ; attempt++ {
+		results = results[:0]
+		for _, raw := range paths {
+			results = append(results, s.resolveOne(&sc.path, raw))
+		}
+		after := s.Revision()
+		if after == rev || attempt == 3 {
+			break
+		}
+		rev = after
+	}
+	sc.results = results
+	if req.Paths != nil {
+		return response{Rev: rev, Results: results}
+	}
+	res := results[0]
+	return response{Ent: res.ID, Kind: res.Kind, Rev: rev, Err: res.Err, Dir: res.Dir}
 }
 
 // resolveOne resolves one wire path in the exported context, rebuilding it
