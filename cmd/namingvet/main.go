@@ -11,8 +11,8 @@
 // §"Static analysis & invariants". The suite is interprocedural:
 // per-function summaries flow from each package to its importers, so a
 // deadline set in internal/cluster satisfies I/O performed in
-// internal/nameserver, and a name that never passed a canonicalizer is
-// caught no matter how many calls separate it from the wire.
+// internal/nameserver, and an allocation or a parked call is caught no
+// matter how many calls separate it from the root that forbids it.
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 	"namecoherence/internal/analysis/lockorder"
 	"namecoherence/internal/analysis/mutbump"
 	"namecoherence/internal/analysis/registrycheck"
-	"namecoherence/internal/analysis/wirecanon"
 )
 
 // suite is the full analyzer set; shared with the benchmark.
@@ -42,7 +41,6 @@ var suite = []*analysis.Analyzer{
 	bindingsleak.Analyzer,
 	detrand.Analyzer,
 	casimmut.Analyzer,
-	wirecanon.Analyzer,
 	goroleak.Analyzer,
 	registrycheck.Analyzer,
 	mutbump.Analyzer,

@@ -14,9 +14,6 @@ type CallSite struct {
 	// Call is the call expression; its position orders the call against
 	// deadline events and places call-site diagnostics.
 	Call *ast.CallExpr
-	// Returned: the call is itself one of a return statement's results,
-	// which is how a thin wrapper forwards a canonicalizer.
-	Returned bool
 	// kind is what classifyCall makes of Callee.
 	kind callKind
 }
@@ -24,8 +21,8 @@ type CallSite struct {
 // CallGraph is the static call structure of one package: every declared
 // function, in declaration order, with the calls its body makes. Nested
 // function literals are folded into the enclosing declaration — for the
-// summary properties (reaches conn I/O, sets a deadline, canonicalizes) a
-// closure's work is the declaring function's work.
+// summary properties (reaches conn I/O, sets a deadline, bumps the
+// revision) a closure's work is the declaring function's work.
 type CallGraph struct {
 	// Order lists the package's declared functions in source order.
 	Order []*types.Func
@@ -45,7 +42,6 @@ func BuildCallGraph(pkg *Package) *CallGraph {
 		Decls: make(map[*types.Func]*ast.FuncDecl),
 		Calls: make(map[*types.Func][]CallSite),
 	}
-	returned := make(map[*ast.CallExpr]bool)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			var obj *types.Func
@@ -56,17 +52,10 @@ func BuildCallGraph(pkg *Package) *CallGraph {
 				}
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ReturnStmt:
-					for _, res := range n.Results {
-						if call, ok := res.(*ast.CallExpr); ok {
-							returned[call] = true
-						}
-					}
-				case *ast.CallExpr:
-					if callee := CalleeFunc(pkg.Info, n); callee != nil && obj != nil {
+				if call, ok := n.(*ast.CallExpr); ok && obj != nil {
+					if callee := CalleeFunc(pkg.Info, call); callee != nil {
 						kind, _ := classifyCall(callee)
-						g.Calls[obj] = append(g.Calls[obj], CallSite{Callee: callee, Call: n, Returned: returned[n], kind: kind})
+						g.Calls[obj] = append(g.Calls[obj], CallSite{Callee: callee, Call: call, kind: kind})
 					}
 				}
 				return true

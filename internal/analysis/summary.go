@@ -24,14 +24,6 @@ type FuncSummary struct {
 	// invokes an UnguardedIO function without first setting a deadline
 	// inherits the problem.
 	UnguardedIO bool
-	// Canonicalizes: the function is a name-canonicalization point — it
-	// carries a //namingvet:canonicalizer directive, or trivially wraps
-	// one (its return statements forward a canonicalizer call).
-	Canonicalizes bool
-	// ReachesCanon: the function calls a canonicalizer, directly or
-	// transitively. wirecanon uses this for its "core.Path in, wire I/O
-	// out, never canonicalized" rule.
-	ReachesCanon bool
 	// RevBumps: the function is a revision-advance point — it carries a
 	// //namingvet:revbump directive (Server.Bump, Server.SetRevision).
 	RevBumps bool
@@ -121,12 +113,6 @@ type FuncFacts struct {
 	// the body is off the steady path (error teardown, cold setup) and
 	// contributes no allocation evidence.
 	AllocExempt bool
-	// WireDecoder: the declaration carries //namingvet:wiredecoder — it
-	// is the receive boundary, writing wire Path/Paths fields from bytes
-	// that arrived off the wire. wirecanon's field-flow rule (canonicalize
-	// before embedding) is a send-side obligation, so it skips these;
-	// the receive side re-validates names where they are used instead.
-	WireDecoder bool
 	// LockAcquires, LockCalls, BlockOps and LockExits are the body's
 	// lock-discipline events with held-set snapshots, collected by the one
 	// held-set scan (lockorder.go). lockblock and lockexit report from
@@ -172,10 +158,6 @@ func (pf *PackageFacts) OwnFacts(fn *types.Func) *FuncFacts {
 	return pf.byFn[fn]
 }
 
-// CanonicalizerDirective in a function's doc comment marks it as a
-// §6 canonicalization point: its results are wire-coherent names.
-const CanonicalizerDirective = "//namingvet:canonicalizer"
-
 // RevBumpDirective in a function's doc comment marks it as a revision
 // advance: callers mutating bindings discharge the coherence obligation
 // by reaching one of these before replying.
@@ -191,12 +173,6 @@ const AllocFreeDirective = "//namingvet:allocfree"
 // statement line (optionally with `-- reason`) just that line is. Error
 // construction, teardown, and one-time setup live behind it.
 const AllocFreeExemptDirective = "//namingvet:allocfree-exempt"
-
-// WireDecoderDirective in a function's doc comment marks it as a wire
-// receive boundary: it decodes Path/Paths fields from bytes off the
-// wire, so wirecanon's send-side canonicalization rule does not apply
-// to its stores (the decoded names are re-validated where used).
-const WireDecoderDirective = "//namingvet:wiredecoder"
 
 // ComputeFacts builds the package's call graph, computes per-function
 // summaries as a fixpoint over same-package calls plus imported facts, and
@@ -218,11 +194,9 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 	for _, fn := range g.Order {
 		decl := g.Decls[fn]
 		ff := &FuncFacts{Fn: fn, Decl: decl}
-		ff.Summary.Canonicalizes = hasDirective(decl.Doc, CanonicalizerDirective)
 		ff.Summary.RevBumps = hasDirective(decl.Doc, RevBumpDirective)
 		ff.AllocFreeRoot = hasDirective(decl.Doc, AllocFreeDirective)
 		ff.AllocExempt = hasDirective(decl.Doc, AllocFreeExemptDirective)
-		ff.WireDecoder = hasDirective(decl.Doc, WireDecoderDirective)
 		pf.Own = append(pf.Own, ff)
 		pf.byFn[fn] = ff
 	}
@@ -233,14 +207,10 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 			cal := summaryOf(pf, cs.Callee)
 			s.SetsDeadline = s.SetsDeadline || cs.kind == setDeadline || cal.SetsDeadline
 			s.ConnIO = s.ConnIO || cs.kind == parkConnRead || cs.kind == parkConnWrite || cs.kind == parkDial || cal.ConnIO
-			s.Canonicalizes = s.Canonicalizes || cs.Returned && cal.Canonicalizes
-			s.ReachesCanon = s.ReachesCanon || cal.Canonicalizes || cal.ReachesCanon
 			s.ReachesRevBump = s.ReachesRevBump || cal.RevBumps || cal.ReachesRevBump
 		}
-		s.ReachesCanon = s.ReachesCanon || s.Canonicalizes
 		s.ReachesRevBump = s.ReachesRevBump || s.RevBumps
 		return s.SetsDeadline != before.SetsDeadline || s.ConnIO != before.ConnIO ||
-			s.Canonicalizes != before.Canonicalizes || s.ReachesCanon != before.ReachesCanon ||
 			s.ReachesRevBump != before.ReachesRevBump
 	})
 

@@ -151,9 +151,10 @@ func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, error) {
 func (c *Client) writeConn(dir core.Path, name core.Name) (int, *sharedConn, error) {
 	full := make(core.Path, 0, len(dir)+1)
 	full = append(append(full, dir...), name)
-	// A non-canonical name fails here, before the dial: the wire client
-	// re-canonicalizes, but routing a bad name would burn a connection.
-	if _, err := nameserver.CanonicalWirePath(full); err != nil {
+	// A non-canonical name fails here, before the dial: the wire client's
+	// send check would refuse it too, but routing a bad name would burn a
+	// connection.
+	if err := nameserver.CheckWireCanonical(full); err != nil {
 		return 0, nil, err
 	}
 	shard := c.routes.ShardFor(full)

@@ -235,6 +235,52 @@ func TestWriteFailsCleanlyWhenPrimaryDead(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalWriteRefusedBeforeDial: with every shard's primary down,
+// a write whose directory or name is not wire-canonical fails with
+// ErrNotCanonical, not with the error the dead primary would give: the
+// name is checked before a connection is taken for it (§6), so a bad name
+// neither burns a dial nor charges a primary's breaker. A canonical write
+// beside it meets the dead primary.
+func TestNonCanonicalWriteRefusedBeforeDial(t *testing.T) {
+	cl := startReplicated(t, 2, 2)
+	client, err := Dial("tcp", cl.Addrs()[0], fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	target, err := cl.Trees[0].Lookup(core.ParsePath("usr/bin/ls"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < cl.Shards(); shard++ {
+		cl.Fault(shard, 0).SetMode(faultnet.Reset)
+	}
+
+	for _, w := range []struct {
+		dir  core.Path
+		name core.Name
+	}{
+		{core.ParsePath("usr/bin"), "a/b"},
+		{core.ParsePath("usr/bin"), ""},
+		{nil, "usr/bin"},
+		{core.Path{"usr", "bin/x"}, "ok"},
+		{core.Path{"usr", ""}, "ok"},
+	} {
+		if err := client.Bind(w.dir, w.name, target); !errors.Is(err, nameserver.ErrNotCanonical) {
+			t.Errorf("Bind(%q, %q) = %v, want ErrNotCanonical", w.dir, w.name, err)
+		}
+		if err := client.Unbind(w.dir, w.name); !errors.Is(err, nameserver.ErrNotCanonical) {
+			t.Errorf("Unbind(%q, %q) = %v, want ErrNotCanonical", w.dir, w.name, err)
+		}
+		if _, err := client.Mkcontext(w.dir, w.name); !errors.Is(err, nameserver.ErrNotCanonical) {
+			t.Errorf("Mkcontext(%q, %q) = %v, want ErrNotCanonical", w.dir, w.name, err)
+		}
+	}
+	if err := client.Bind(core.ParsePath("usr/bin"), "fresh", target); err == nil || errors.Is(err, nameserver.ErrNotCanonical) {
+		t.Fatalf("canonical Bind with the primaries dead = %v, want the dead primary's error", err)
+	}
+}
+
 // TestRefusedWriteClearsPrimaryBreaker: a write the primary refuses is an
 // answer, as a refused read is. It clears the failures charged against the
 // primary's breaker instead of leaving them to open it.

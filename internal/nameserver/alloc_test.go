@@ -27,21 +27,21 @@ func allocFloor(t *testing.T, name string, want float64, f func()) {
 }
 
 // TestServerResolveAllocFree pins the server's whole resolve path —
-// handle → resolveOne → checkWireCanonical → World.Resolve — at zero
+// handle → resolveOne → CheckWireCanonical → World.Resolve — at zero
 // allocations once the worker's scratch has warmed up. This is the
 // decode→resolve→encode worker loop minus decode and encode.
 func TestServerResolveAllocFree(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
 
-	sc := &workerScratch{req: request{Path: []string{"usr", "bin", "ls"}}}
+	sc := &workerScratch{req: request{Path: core.Path{"usr", "bin", "ls"}}}
 	allocFloor(t, "handle/resolve", 0, func() {
 		if resp := s.handle(sc); resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
 	})
 
-	sc = &workerScratch{req: request{Paths: [][]string{
+	sc = &workerScratch{req: request{Paths: []core.Path{
 		{"usr", "bin", "ls"},
 		{"usr", "bin"},
 		{"usr"},
@@ -75,11 +75,12 @@ func TestCachedResolveAllocFloor(t *testing.T) {
 }
 
 // TestRoundTripAllocFloor pins the full uncached round-trip — call
-// bookkeeping, send, the server worker pool, lead — at the measured
-// floor. The one remaining allocation is the canonical wire path the
-// request retains until its response; the call record and its done
-// channel are reused (callPool), and encode and decode themselves
-// allocate nothing on either end (EXPERIMENTS.md records the trajectory).
+// bookkeeping, the send check, send, the server worker pool, lead — at
+// zero allocations. The request carries the caller's path as it is and the
+// server decodes into its worker's path scratch, so no copy of the name is
+// made on either end; the call record and its done channel are reused
+// (callPool), and encode and decode allocate nothing (EXPERIMENTS.md
+// records the trajectory).
 func TestRoundTripAllocFloor(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -89,7 +90,7 @@ func TestRoundTripAllocFloor(t *testing.T) {
 	if got, err := c.Resolve(p); err != nil || got != f {
 		t.Fatalf("prime Resolve = %v, %v", got, err)
 	}
-	allocFloor(t, "Resolve/round-trip", 1, func() {
+	allocFloor(t, "Resolve/round-trip", 0, func() {
 		if _, err := c.Resolve(p); err != nil {
 			t.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func TestRevisionSampledAfterResolution(t *testing.T) {
 	}
 	s = NewServer(w, wrapped)
 
-	resp := s.handle(&workerScratch{req: request{Path: []string{"usr", "bin", "ls"}}})
+	resp := s.handle(&workerScratch{req: request{Path: core.Path{"usr", "bin", "ls"}}})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCanonicalWirePath(t *testing.T) {
-	if _, err := CanonicalWirePath(core.ParsePath("usr/bin/ls")); err != nil {
+	if err := CheckWireCanonical(core.ParsePath("usr/bin/ls")); err != nil {
 		t.Fatalf("valid path rejected: %v", err)
 	}
 	bad := []core.Path{
@@ -19,14 +19,14 @@ func TestCanonicalWirePath(t *testing.T) {
 		{"usr/bin", "ls"}, // ditto, first component
 	}
 	for _, p := range bad {
-		if _, err := CanonicalWirePath(p); !errors.Is(err, ErrNotCanonical) {
-			t.Fatalf("CanonicalWirePath(%q) err = %v, want ErrNotCanonical", p, err)
+		if err := CheckWireCanonical(p); !errors.Is(err, ErrNotCanonical) {
+			t.Fatalf("CheckWireCanonical(%q) err = %v, want ErrNotCanonical", p, err)
 		}
 	}
 }
 
 // FuzzWireKey holds AppendWireKey to the two functions its one pass
-// replaces: it fails iff CanonicalWirePath fails, with the same error text;
+// replaces: it fails iff CheckWireCanonical fails, with the same error text;
 // on success it appends exactly p.String(); and the bytes already in the
 // buffer are left as they were either way. raw decodes to a path by
 // splitting on NUL, so components can be empty or hold separators and
@@ -50,9 +50,9 @@ func FuzzWireKey(f *testing.F) {
 		}
 		b := append(make([]byte, 0, len(prefix)), prefix...)
 		got, err := AppendWireKey(b, p)
-		_, want := CanonicalWirePath(p)
+		want := CheckWireCanonical(p)
 		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
-			t.Fatalf("AppendWireKey(%q) err = %v, CanonicalWirePath err = %v", p, err, want)
+			t.Fatalf("AppendWireKey(%q) err = %v, CheckWireCanonical err = %v", p, err, want)
 		}
 		if string(got[:min(len(got), len(prefix))]) != prefix {
 			t.Fatalf("AppendWireKey(%q) overwrote the prefix %q: %q", p, prefix, got)
@@ -130,7 +130,7 @@ func TestServerRevalidatesWirePaths(t *testing.T) {
 	s := NewServer(w, tr.RootContext())
 	r, _ := rawPipe(t, s)
 
-	for _, raw := range [][]string{{"usr", "bin/ls"}, {"usr", ""}, nil} {
+	for _, raw := range []core.Path{{"usr", "bin/ls"}, {"usr", ""}, nil} {
 		r.send(request{ID: 1, Path: raw})
 		if resp := r.recv(); !strings.Contains(resp.Err, "not wire-canonical") {
 			t.Fatalf("handcrafted request %q: Err = %q, want wire-canonical rejection", raw, resp.Err)
@@ -138,7 +138,7 @@ func TestServerRevalidatesWirePaths(t *testing.T) {
 	}
 
 	// A batch gets per-result rejections; the good element still resolves.
-	r.send(request{ID: 2, Paths: [][]string{{"usr", "bin", "ls"}, {"usr", "bin/ls"}}})
+	r.send(request{ID: 2, Paths: []core.Path{{"usr", "bin", "ls"}, {"usr", "bin/ls"}}})
 	resp := r.recv()
 	if len(resp.Results) != 2 {
 		t.Fatalf("Results = %d, want 2", len(resp.Results))

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,7 +257,9 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 }
 
 // send encodes pc's request into the write buffer and sees it onto the
-// wire. It is entered holding the write token and returns without it.
+// wire. It is entered holding the write token and returns without it. A
+// request that carries a non-canonical name (request.checkCanonical) or
+// would not fit in a frame is refused here, and nothing of it is written.
 //
 // Buffered bytes are flushed by whoever is about to stop using the CPU,
 // never per frame. A caller outside a pipeline is about to wait for its
@@ -281,8 +282,8 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 // be abandoned (only the wait for the token gives up on a timeout): it
 // leaves through this same tail, flushing what it finds or handing on to a
 // later yielder or holder in turn, and the last of them finds the token
-// free. A holder whose own request is too big to send leaves the same
-// way: it writes none of its own, but flushes what it finds. So the busy
+// free. A holder whose own request is refused leaves the same way: it
+// writes none of its own, but flushes what it finds. So the busy
 // case returns rather than queue — which is what keeps a caller whose
 // request may already be at the server from ever blocking here instead of
 // reading: over an unbuffered transport the server's flush, the token
@@ -290,12 +291,19 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 //
 //namingvet:allocfree
 func (c *Client) send(pc *pendingCall, pipelined bool) error {
-	// Append-encode into the token-guarded scratch: the request's bytes
-	// are built and written with zero heap traffic.
-	c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
-	if len(c.wbuf) > maxFrame {
-		// The server would refuse the frame and drop the stream: refuse it
-		// here instead, having written none of it (see call). Frames that
+	// Check, then append-encode into the token-guarded scratch: the
+	// request's bytes are built and written with zero heap traffic.
+	refused := pc.req.checkCanonical()
+	if refused == nil {
+		c.wbuf = appendRequest(c.wbuf[:0], &pc.req)
+		if len(c.wbuf) > maxFrame {
+			refused = errRequestTooBig
+		}
+	}
+	if refused != nil {
+		// A name the far side would resolve differently (§6), or a frame
+		// the server would refuse and drop the stream for: refuse it here
+		// instead, having written none of it (see call). Frames that
 		// yielders left behind a busy token still leave, as below.
 		var err error
 		if c.bw.Buffered() > 0 {
@@ -305,7 +313,7 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 		if err != nil {
 			return err
 		}
-		return errRequestTooBig
+		return refused
 	}
 	err := writeFrame(c.bw, c.wbuf)
 	if err == nil && pipelined {
@@ -494,7 +502,7 @@ func reqLabel(req *request) string {
 	case req.Paths != nil:
 		return fmt.Sprintf("resolve batch of %d", len(req.Paths))
 	default:
-		return fmt.Sprintf("resolve %q", strings.Join(req.Path, core.Separator))
+		return fmt.Sprintf("resolve %q", req.Path.String())
 	}
 }
 
@@ -569,7 +577,7 @@ func (c *Client) call(req request) (response, error) {
 			return c.withdraw(pc, os.ErrDeadlineExceeded)
 		}
 	}
-	if err := c.send(pc, pipelined); errors.Is(err, errRequestTooBig) {
+	if err := c.send(pc, pipelined); errors.Is(err, errRequestTooBig) || errors.Is(err, ErrNotCanonical) {
 		return c.withdraw(pc, err)
 	} else if err != nil {
 		c.fail(fmt.Errorf("send request: %w", err))
@@ -622,8 +630,8 @@ func (c *Client) finish(pc *pendingCall) (response, error) {
 // stands. A call that timed out (os.ErrDeadlineExceeded) also poisons the
 // client: the wire may still owe us the late response, so the stream's
 // pipeline depth is no longer known and the only safe sequel is a fresh
-// connection. A request refused before it was sent (errRequestTooBig) left
-// the stream as it was.
+// connection. A request refused before it was sent (errRequestTooBig,
+// ErrNotCanonical) left the stream as it was.
 func (c *Client) withdraw(pc *pendingCall, err error) (response, error) {
 	c.pmu.Lock()
 	_, waiting := c.pending[pc.req.ID]
@@ -685,12 +693,7 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 // p's final component was looked up in — 0 when the server cannot say, in
 // which case every pushed Invalidation concerns the answer.
 func (c *Client) ResolveRev(p core.Path) (e core.Entity, dir core.EntityID, rev uint64, err error) {
-	raw, err := CanonicalWirePath(p)
-	if err != nil {
-		return core.Undefined, 0, 0, err
-	}
-	req := request{Path: raw}
-	resp, err := c.call(req)
+	resp, err := c.call(request{Path: p})
 	if err != nil {
 		return core.Undefined, 0, 0, err
 	}
@@ -706,12 +709,7 @@ func (c *Client) ResolveRev(p core.Path) (e core.Entity, dir core.EntityID, rev 
 // whose request or answer would not fit in one frame fails whole, as this
 // call's own error: a *RemoteError when the server refused the answer.
 func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, error) {
-	raws, err := canonicalWirePaths(paths)
-	if err != nil {
-		return nil, 0, err
-	}
-	req := request{Paths: raws}
-	resp, err := c.call(req)
+	resp, err := c.call(request{Paths: paths})
 	if err != nil {
 		return nil, 0, err
 	}

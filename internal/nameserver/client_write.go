@@ -8,7 +8,6 @@ package nameserver
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"namecoherence/internal/core"
@@ -18,33 +17,20 @@ import (
 // root) to target, an entity previously resolved over this protocol.
 // Returns the revision the bind committed at.
 func (c *Client) Bind(dir core.Path, name core.Name, target core.Entity) (uint64, error) {
-	req, err := mutationRequest(OpBind, dir, name)
-	if err != nil {
-		return 0, err
-	}
-	req.Target = uint64(target.ID)
-	req.TargetKind = uint8(target.Kind)
-	return c.mutate(req)
+	return c.mutate(request{Op: OpBind, Path: dir, Name: string(name),
+		Target: uint64(target.ID), TargetKind: uint8(target.Kind)})
 }
 
 // Unbind removes the binding for name in the server directory at dir.
 // Returns the revision the unbind committed at.
 func (c *Client) Unbind(dir core.Path, name core.Name) (uint64, error) {
-	req, err := mutationRequest(OpUnbind, dir, name)
-	if err != nil {
-		return 0, err
-	}
-	return c.mutate(req)
+	return c.mutate(request{Op: OpUnbind, Path: dir, Name: string(name)})
 }
 
 // Mkcontext creates a directory bound as name under the server directory
 // at dir, returning the created entity and its commit revision.
 func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, uint64, error) {
-	req, err := mutationRequest(OpMkcontext, dir, name)
-	if err != nil {
-		return core.Undefined, 0, err
-	}
-	resp, err := c.call(req)
+	resp, err := c.call(request{Op: OpMkcontext, Path: dir, Name: string(name)})
 	if err != nil {
 		return core.Undefined, 0, err
 	}
@@ -61,33 +47,9 @@ func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, uint64, 
 // replicator needs. Returns the replica's revision after the apply.
 func (c *Client) ReplicaApply(am AppliedMutation) (uint64, error) {
 	m := am.m
-	req, err := mutationRequest(m.op, m.dir, m.name)
-	if err != nil {
-		return 0, err
-	}
-	req.Target = uint64(m.target.ID)
-	req.TargetKind = uint8(m.target.Kind)
-	req.AtRev = m.atRev
-	req.Twin = uint64(m.twin)
-	return c.mutate(req)
-}
-
-// mutationRequest validates the directory path and binding name
-// client-side (§6: a name is converted to canonical form before it is
-// embedded in a message) and builds the wire request.
-func mutationRequest(op uint8, dir core.Path, name core.Name) (request, error) {
-	var raw []string
-	if len(dir) > 0 {
-		var err error
-		raw, err = CanonicalWirePath(dir)
-		if err != nil {
-			return request{}, err
-		}
-	}
-	if err := checkWireCanonical(core.Path{name}); err != nil {
-		return request{}, fmt.Errorf("binding name %q: %w", string(name), ErrNotCanonical)
-	}
-	return request{Op: op, Path: raw, Name: string(name)}, nil
+	return c.mutate(request{Op: m.op, Path: m.dir, Name: string(m.name),
+		Target: uint64(m.target.ID), TargetKind: uint8(m.target.Kind),
+		AtRev: m.atRev, Twin: uint64(m.twin)})
 }
 
 // mutate runs one mutation round-trip. Even a refused mutation's reply

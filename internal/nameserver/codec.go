@@ -7,15 +7,16 @@
 //
 // Every message is one frame: a uvarint byte length followed by exactly
 // that many body bytes. The body is the message's fields in struct
-// declaration order (wire.go is the schema; registrycheck verifies the
-// codec covers every field of every registered type), written with
-// internal/varenc's primitives — uvarints, strict 0/1 bools,
-// length-prefixed strings — and read with its sticky-error Reader, the
-// same ones snapstore's node blobs use. Beyond those:
+// declaration order (wire.go is the schema; TestWireRoundTrip fills every
+// field of every type reachable from request and response and requires it
+// back), written with internal/varenc's primitives — uvarints, strict 0/1
+// bools, length-prefixed strings — and read with its sticky-error Reader,
+// the same ones snapstore's node blobs use. Beyond those:
 //
 //   - single-byte fields (uint8) are one raw byte
 //   - slices are a uvarint count followed by the elements; a zero count
 //     decodes to nil (nil and empty collapse; no caller tells them apart)
+//   - a path (core.Path) is a slice of components, each a string
 //   - the one pointer field (response.Routes) is a presence bool, then
 //     the RouteInfo body if present
 //
@@ -26,7 +27,9 @@
 // frame and drop the stream. A response that would be larger goes out as
 // an error response naming the bound (see connState.encode). A request
 // that would be larger fails as its own call, and nothing is sent (see
-// Client.send).
+// Client.send); so does a request carrying a name that is not
+// wire-canonical (request.checkCanonical). The codec itself encodes any
+// value: the §6 check belongs to the send path, not to the bytes.
 //
 // # Negotiation
 //
@@ -51,6 +54,7 @@ import (
 	"sort"
 	"syscall"
 
+	"namecoherence/internal/core"
 	"namecoherence/internal/varenc"
 )
 
@@ -201,19 +205,13 @@ func (in *strIntern) get(b []byte) string {
 }
 
 // appendRequest appends req's binary body — every request field, in
-// declaration order (registrycheck holds it to that).
+// declaration order.
 func appendRequest(b []byte, req *request) []byte {
 	b = binary.AppendUvarint(b, req.ID)
-	b = binary.AppendUvarint(b, uint64(len(req.Path)))
-	for _, s := range req.Path {
-		b = varenc.AppendString(b, s)
-	}
+	b = appendPath(b, req.Path)
 	b = binary.AppendUvarint(b, uint64(len(req.Paths)))
 	for _, p := range req.Paths {
-		b = binary.AppendUvarint(b, uint64(len(p)))
-		for _, s := range p {
-			b = varenc.AppendString(b, s)
-		}
+		b = appendPath(b, p)
 	}
 	b = varenc.AppendBool(b, req.Routes)
 	b = varenc.AppendBool(b, req.Subscribe)
@@ -226,51 +224,44 @@ func appendRequest(b []byte, req *request) []byte {
 	return b
 }
 
+// appendPath appends a path: its component count, then each component.
+func appendPath(b []byte, p core.Path) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p)))
+	for _, n := range p {
+		b = varenc.AppendString(b, string(n))
+	}
+	return b
+}
+
 // parseRequest decodes one request body into req, backing the Path and
 // Paths slices with the worker's scratch buffers and interning the
-// string components (the working set of names repeats across frames).
-// The decoded request is valid until the same scratch parses its next
-// frame — exactly the lifetime the worker loop needs.
+// components (the working set of names repeats across frames). The
+// decoded request is valid until the same scratch parses its next frame —
+// exactly the lifetime the worker loop needs.
 //
-// The server re-validates decoded paths where they are used (resolveOne
-// checks wire-canonical form): the receive boundary trusts no peer's
-// encoder, so nothing here vouches for coherence.
-//
-//namingvet:wiredecoder
+// Nothing here vouches for coherence: the receive boundary trusts no
+// peer's encoder, so the server re-validates names where it uses them
+// (resolveOne, applyMutation).
 func parseRequest(data []byte, req *request, sc *workerScratch) error {
 	r := varenc.NewReader(data)
 	req.ID = r.Uvarint()
-	if n := r.Count(); n == 0 {
+	sc.reqPath = parsePath(&r, sc.reqPath, &sc.names)
+	req.Path = sc.reqPath
+	if len(req.Path) == 0 {
 		req.Path = nil
-	} else {
-		if cap(sc.reqPath) < n {
-			//namingvet:allocfree-exempt -- amortized: path scratch grows to the high-water mark once
-			sc.reqPath = make([]string, 0, n)
-		}
-		ss := sc.reqPath[:0]
-		for i := 0; i < n; i++ {
-			ss = append(ss, sc.names.get(r.Bytes()))
-		}
-		sc.reqPath = ss
-		req.Path = ss
 	}
 	if n := r.Count(); n == 0 {
 		req.Paths = nil
 	} else {
 		if cap(sc.reqPaths) < n {
 			//namingvet:allocfree-exempt -- amortized: batch scratch grows to the high-water mark once
-			grown := make([][]string, n)
+			grown := make([]core.Path, n)
 			copy(grown, sc.reqPaths)
 			sc.reqPaths = grown
 		}
 		outer := sc.reqPaths[:n]
 		for i := range outer {
-			m := r.Count()
-			inner := outer[i][:0]
-			for j := 0; j < m; j++ {
-				inner = append(inner, sc.names.get(r.Bytes()))
-			}
-			outer[i] = inner
+			outer[i] = parsePath(&r, outer[i], &sc.names)
 		}
 		req.Paths = outer
 	}
@@ -283,6 +274,17 @@ func parseRequest(data []byte, req *request, sc *workerScratch) error {
 	req.AtRev = r.Uvarint()
 	req.Twin = r.Uvarint()
 	return r.End()
+}
+
+// parsePath decodes one path into p's backing array, interning each
+// component; the array grows to the connection's longest path once. A
+// failure sticks in r for the enclosing message to report.
+func parsePath(r *varenc.Reader, p core.Path, names *strIntern) core.Path {
+	p = p[:0]
+	for n := r.Count(); n > 0; n-- {
+		p = append(p, core.Name(names.get(r.Bytes())))
+	}
+	return p
 }
 
 // appendResult appends one batch result's fields.

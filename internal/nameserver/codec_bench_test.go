@@ -6,13 +6,17 @@ package nameserver
 // end-to-end, where transport synchronization dominates; this pair is
 // where the codec itself is visible.
 
-import "testing"
+import (
+	"testing"
+
+	"namecoherence/internal/core"
+)
 
 // codecBenchMessages returns the steady-path message pair: a depth-3
 // resolve request and its successful response (mirrors the round-trip
 // benchmark's workload).
 func codecBenchMessages() (request, response) {
-	return request{ID: 7, Path: []string{"usr", "bin", "ls"}},
+	return request{ID: 7, Path: core.Path{"usr", "bin", "ls"}},
 		response{ID: 7, Ent: 42, Kind: 1, Rev: 9}
 }
 

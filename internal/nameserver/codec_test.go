@@ -1,24 +1,25 @@
 package nameserver
 
-// Unit tests for the hand-rolled binary wire codec: agreement with gob
-// field-for-field on every registered wire type, byte-stable encoding,
-// dirty-scratch overwrite semantics, and hard errors (never panics) on
-// malformed input. The fuzz target in fuzz_test.go extends the malformed
-// cases to arbitrary bytes.
+// Unit tests for the hand-rolled binary wire codec: byte-stable encoding,
+// nil-for-empty collapse, dirty-scratch overwrite semantics, and hard
+// errors (never panics) on malformed input. TestWireRoundTrip (wire_test.go)
+// holds every field of every wire type to decode(encode(v)) == v, and the
+// fuzz targets in fuzz_test.go extend the malformed cases to arbitrary
+// bytes.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"unsafe"
 
-	"namecoherence/internal/varenc"
+	"namecoherence/internal/core"
 )
 
-// binaryRoundTrip encodes v with the binary codec and decodes it back,
-// returning the decoded value. Fails the test on any codec error.
+// binaryRoundTrip encodes a request or response with the binary codec and
+// decodes it back, returning the decoded value. Fails the test on any
+// codec error.
 func binaryRoundTrip(t *testing.T, v any) any {
 	t.Helper()
 	switch v := v.(type) {
@@ -29,15 +30,6 @@ func binaryRoundTrip(t *testing.T, v any) any {
 			t.Fatalf("parseRequest: %v", err)
 		}
 		return out
-	case result:
-		r := varenc.NewReader(appendResult(nil, &v))
-		var out result
-		var errs strIntern
-		parseResult(&r, &out, &errs)
-		if err := r.End(); err != nil {
-			t.Fatalf("parseResult: %v", err)
-		}
-		return out
 	case response:
 		var out response
 		var errs strIntern
@@ -45,52 +37,9 @@ func binaryRoundTrip(t *testing.T, v any) any {
 			t.Fatalf("parseResponse: %v", err)
 		}
 		return out
-	case RouteInfo:
-		r := varenc.NewReader(appendRouteInfo(nil, &v))
-		out := parseRouteInfo(&r)
-		if err := r.End(); err != nil {
-			t.Fatalf("parseRouteInfo: %v", err)
-		}
-		return *out
 	default:
-		t.Fatalf("no binary round-trip case for %T — add one when extending the wire set", v)
+		t.Fatalf("%T is not a message: clients send requests, servers send responses", v)
 		return nil
-	}
-}
-
-// gobRoundTrip encodes v with gob and decodes it back.
-func gobRoundTrip(t *testing.T, v any) any {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	out := reflect.New(reflect.TypeOf(v))
-	if err := gob.NewDecoder(&buf).Decode(out.Interface()); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	return out.Elem().Interface()
-}
-
-// TestBinaryGobAgreement decodes every registered wire type through both
-// codecs and requires identical results. Both codecs collapse empty
-// collections to nil (gob by zero-omission, the binary codec by decoding
-// count zero as nil), so the decoded values — not the inputs — are the
-// comparable pair. The registry sweep makes a new wire type without a
-// binary case a test failure, mirroring registrycheck's static rule.
-func TestBinaryGobAgreement(t *testing.T) {
-	values := populated()
-	for name := range wireTypes {
-		if _, ok := values[name]; !ok {
-			t.Fatalf("wire type %q has no populated test value", name)
-		}
-	}
-	for name, v := range values {
-		viaGob := gobRoundTrip(t, v)
-		viaBinary := binaryRoundTrip(t, v)
-		if !reflect.DeepEqual(viaGob, viaBinary) {
-			t.Errorf("%s: codecs disagree:\n gob    %#v\n binary %#v", name, viaGob, viaBinary)
-		}
 	}
 }
 
@@ -123,12 +72,13 @@ func TestBinaryByteStable(t *testing.T) {
 	}
 }
 
-// TestBinaryNilEmptyCollapse pins the codec's zero-omission parity with
-// gob: empty-but-non-nil collections encode as count zero and decode as
-// nil. The protocol depends on this only in one place — req.Paths != nil
-// discriminates a batch — and clients never send an empty non-nil batch.
+// TestBinaryNilEmptyCollapse pins the codec's nil-for-empty rule:
+// empty-but-non-nil collections encode as count zero and decode as nil.
+// The protocol depends on this only in one place — a non-empty req.Paths
+// discriminates a batch — and an empty batch never leaves a client: it is
+// a resolve of the empty path, which the send check refuses.
 func TestBinaryNilEmptyCollapse(t *testing.T) {
-	in := request{ID: 5, Path: []string{}, Paths: [][]string{}}
+	in := request{ID: 5, Path: core.Path{}, Paths: []core.Path{}}
 	out := binaryRoundTrip(t, in).(request)
 	if out.Path != nil || out.Paths != nil {
 		t.Errorf("empty collections decoded non-nil: %#v", out)
@@ -160,11 +110,11 @@ func TestBinaryDirtyScratchOverwrite(t *testing.T) {
 
 	// A shrinking batch must not resurrect components from the larger
 	// batch that previously occupied the scratch's inner slices.
-	big := request{ID: 2, Paths: [][]string{{"a", "b", "c"}, {"d", "e"}, {"f"}}}
+	big := request{ID: 2, Paths: []core.Path{{"a", "b", "c"}, {"d", "e"}, {"f"}}}
 	if err := parseRequest(appendRequest(nil, &big), &req, &sc); err != nil {
 		t.Fatal(err)
 	}
-	small := request{ID: 3, Paths: [][]string{{"x"}, {"y", "z"}}}
+	small := request{ID: 3, Paths: []core.Path{{"x"}, {"y", "z"}}}
 	if err := parseRequest(appendRequest(nil, &small), &req, &sc); err != nil {
 		t.Fatal(err)
 	}

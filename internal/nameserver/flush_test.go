@@ -219,8 +219,7 @@ func (r *rawConn) recv() response {
 }
 
 func resolveReq(id uint64, p core.Path) request {
-	raw, _ := CanonicalWirePath(p)
-	return request{ID: id, Path: raw}
+	return request{ID: id, Path: p}
 }
 
 // TestServerAnswersBurstInOneWrite: 64 requests that arrive in one read
@@ -318,7 +317,7 @@ func TestTwoCallersWriteAtOnce(t *testing.T) {
 func TestReadsAnsweredWhileMutationWaits(t *testing.T) {
 	const workers = 4
 	bind := func(id uint64, name string, target core.Entity) request {
-		return request{ID: id, Op: OpBind, Path: []string{"dir"}, Name: name,
+		return request{ID: id, Op: OpBind, Path: core.Path{"dir"}, Name: name,
 			Target: uint64(target.ID), TargetKind: uint8(target.Kind)}
 	}
 	for _, tc := range []struct {

@@ -2,12 +2,11 @@ package nameserver
 
 // Native fuzz targets for the binary wire codec. The decoder's contract
 // under fuzzing: arbitrary bytes never panic it and never read past the
-// frame; any bytes it accepts decode to a value whose re-encoding is
-// stable (encode→decode→encode is a fixed point) and which survives a
-// gob round-trip unchanged — the two codecs may never disagree about a
-// value either one produced. CI runs each target briefly on every push;
-// `go test -fuzz FuzzBinaryRequest ./internal/nameserver` explores
-// further.
+// frame, and any bytes it accepts decode to a value whose re-encoding is
+// stable (encode→decode→encode is a fixed point). A decoded request whose
+// names are not canonical is one the send check must refuse. CI runs each
+// target briefly on every push; `go test -fuzz FuzzBinaryRequest
+// ./internal/nameserver` explores further.
 
 import (
 	"bufio"
@@ -15,13 +14,15 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"namecoherence/internal/core"
 )
 
 func FuzzBinaryRequest(f *testing.F) {
 	req := populated()["request"].(request)
 	f.Add(appendRequest(nil, &req))
 	f.Add(appendRequest(nil, &request{ID: 1}))
-	f.Add(appendRequest(nil, &request{ID: 2, Paths: [][]string{{"a"}, {}, {"b", "c"}}}))
+	f.Add(appendRequest(nil, &request{ID: 2, Paths: []core.Path{{"a"}, {}, {"b", "c"}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 16)) // maximal varints
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -42,10 +43,31 @@ func FuzzBinaryRequest(f *testing.F) {
 		if stable := appendRequest(nil, &again); !bytes.Equal(body, stable) {
 			t.Fatalf("request re-encode not byte-stable:\n %x\n %x", body, stable)
 		}
-		if viaGob := gobRoundTrip(t, req).(request); !reflect.DeepEqual(req, viaGob) {
-			t.Fatalf("codecs disagree on accepted request:\n binary %#v\n gob    %#v", req, viaGob)
+		if err := req.checkCanonical(); canonicalByText(&req) != (err == nil) {
+			t.Fatalf("send check on %#v: %v, but canonical by text: %v", req, err, canonicalByText(&req))
+		} else if err != nil && !errors.Is(err, ErrNotCanonical) {
+			t.Fatalf("send check refused %#v with %v, want ErrNotCanonical", req, err)
 		}
 	})
+}
+
+// canonicalByText states what the send check enforces without using it:
+// every path a request carries survives a render and re-parse unchanged
+// (no component is empty or holds the separator), a resolve — and every
+// element of a batch — names something, and a mutation's Name parses as
+// exactly itself.
+func canonicalByText(req *request) bool {
+	same := func(p core.Path) bool { return core.ParsePath(p.String()).Equal(p) }
+	resolve := req.Op == opNone && !req.Routes && !req.Subscribe && len(req.Paths) == 0
+	if !same(req.Path) || resolve && len(req.Path) == 0 {
+		return false
+	}
+	for _, p := range req.Paths {
+		if len(p) == 0 || !same(p) {
+			return false
+		}
+	}
+	return req.Op == opNone || core.ParsePath(req.Name).Equal(core.Path{core.Name(req.Name)})
 }
 
 func FuzzBinaryResponse(f *testing.F) {
@@ -74,9 +96,6 @@ func FuzzBinaryResponse(f *testing.F) {
 		}
 		if stable := appendResponse(nil, &again); !bytes.Equal(body, stable) {
 			t.Fatalf("response re-encode not byte-stable:\n %x\n %x", body, stable)
-		}
-		if viaGob := gobRoundTrip(t, resp).(response); !reflect.DeepEqual(resp, viaGob) {
-			t.Fatalf("codecs disagree on accepted response:\n binary %#v\n gob    %#v", resp, viaGob)
 		}
 	})
 }

@@ -141,7 +141,7 @@ func responseFrames(t *testing.T, reqs []request) []byte {
 	var out, body []byte
 	for _, req := range reqs {
 		var n uint64
-		if _, err := fmt.Sscanf(req.Path[len(req.Path)-1], "f%d", &n); err != nil {
+		if _, err := fmt.Sscanf(string(req.Path[len(req.Path)-1]), "f%d", &n); err != nil {
 			t.Fatal(err)
 		}
 		body = appendResponse(body[:0], &response{ID: req.ID, Ent: 100 + n, Kind: uint8(core.KindObject)})
@@ -303,11 +303,7 @@ func TestBatchResultsNotAliased(t *testing.T) {
 	batch := func(paths ...string) request {
 		req := request{}
 		for _, p := range paths {
-			raw, err := CanonicalWirePath(core.ParsePath(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Paths = append(req.Paths, raw)
+			req.Paths = append(req.Paths, core.ParsePath(p))
 		}
 		return req
 	}
@@ -410,13 +406,9 @@ func TestOversizedRequestFlushesYieldersFrames(t *testing.T) {
 	// Call 1 saw one other call in flight and flushes alone; call 2 saw two,
 	// yields, and hands the token to this batch, which spends a while
 	// encoding more than maxFrame bytes.
-	raw, err := CanonicalWirePath(core.ParsePath("dir/f0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := make([][]string, maxFrame/4)
+	paths := make([]core.Path, maxFrame/4)
 	for i := range paths {
-		paths[i] = raw
+		paths[i] = core.ParsePath("dir/f0")
 	}
 	big := make(chan error, 1)
 	go func() {

@@ -53,11 +53,11 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 		return core.Undefined, 0, ErrReadOnly
 	}
 	if len(m.dir) > 0 {
-		if err := checkWireCanonical(m.dir); err != nil {
+		if err := CheckWireCanonical(m.dir); err != nil {
 			return core.Undefined, 0, err
 		}
 	}
-	if err := checkWireCanonical(core.Path{m.name}); err != nil {
+	if badComponent(m.name) {
 		return core.Undefined, 0, fmt.Errorf("name %q: %w", string(m.name), ErrNotCanonical)
 	}
 
@@ -188,13 +188,9 @@ func (s *Server) joinTwinGroup(twin core.EntityID, created core.Entity) {
 //
 //namingvet:allocfree-exempt -- writes allocate per mutation by design; only the resolve path is steady
 func (s *Server) handleMutation(req *request) response {
-	p := make(core.Path, len(req.Path))
-	for i, c := range req.Path {
-		p[i] = core.Name(c)
-	}
 	m := mutation{
 		op:     req.Op,
-		dir:    p,
+		dir:    req.Path.Clone(), // the record outlives the worker's scratch
 		name:   core.Name(req.Name),
 		target: core.Entity{ID: core.EntityID(req.Target), Kind: core.Kind(req.TargetKind)},
 		atRev:  req.AtRev,

@@ -93,7 +93,7 @@ func selectiveServer(t *testing.T, conn net.Conn, holdPath string, release <-cha
 			if req, ok = r.recvReq(); !ok {
 				break
 			}
-			if len(req.Path) == 1 && req.Path[0] == holdPath {
+			if len(req.Path) == 1 && string(req.Path[0]) == holdPath {
 				held = append(held, req)
 				continue
 			}

@@ -1,10 +1,13 @@
 package nameserver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,7 +228,9 @@ func TestPrefixOnlyPeersPinLittleHeap(t *testing.T) {
 // plus one worker per GOMAXPROCS, all started up front (3 goroutines at
 // GOMAXPROCS 2), and about 9 KiB of heap (amd64; goroutine stacks are not
 // heap). Starting workers on demand (ROADMAP item 12) flips the goroutine
-// count to at most one per idle connection.
+// count to at most one per idle connection. The goroutines are counted
+// from a goroutine profile by the server functions on their stacks, so
+// the runtime's and other tests' goroutines cannot move the count.
 func TestIdleConnectionsCost(t *testing.T) {
 	const (
 		peers = 32
@@ -259,8 +264,37 @@ func TestIdleConnectionsCost(t *testing.T) {
 		return m.HeapAlloc
 	}
 
+	// serving counts the goroutines that serve a connection: ServeConn
+	// itself, or a worker in serveRequests.
+	serving := func() int {
+		var b bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, g := range strings.Split(b.String(), "\n\n") {
+			if strings.Contains(g, "nameserver.(*Server).ServeConn(") || strings.Contains(g, "nameserver.(*Server).serveRequests(") {
+				n++
+			}
+		}
+		return n
+	}
+	// settle waits up to ten seconds for serving() to read want, and
+	// returns what it read last.
+	settle := func(want int) int {
+		got := serving()
+		for deadline := time.Now().Add(10 * time.Second); got != want && time.Now().Before(deadline); got = serving() {
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	// Connections that earlier tests closed may still be winding down.
+	if n := settle(0); n != 0 {
+		t.Fatalf("%d goroutines still serve connections of earlier tests", n)
+	}
+
 	wantEach := 1 + runtime.GOMAXPROCS(0)
-	goBefore, heapBefore := runtime.NumGoroutine(), heap()
+	heapBefore := heap()
 	for i := 0; i < peers; i++ {
 		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
 		if err != nil {
@@ -276,16 +310,12 @@ func TestIdleConnectionsCost(t *testing.T) {
 		}
 	}
 	// The workers start just after the reply is written.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine()-goBefore < peers*wantEach && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	goEach := (runtime.NumGoroutine() - goBefore) / peers
+	got := settle(peers * wantEach)
 	heapEach := int64(heap()-heapBefore) / peers
-	t.Logf("an idle connection costs %d goroutines and %d bytes of server heap (GOMAXPROCS %d)",
-		goEach, heapEach, runtime.GOMAXPROCS(0))
-	if goEach != wantEach {
-		t.Errorf("an idle connection costs %d goroutines, documented %d (1 + GOMAXPROCS)", goEach, wantEach)
+	t.Logf("%d idle connections are served by %d goroutines and hold %d bytes of server heap each (GOMAXPROCS %d)",
+		peers, got, heapEach, runtime.GOMAXPROCS(0))
+	if got != peers*wantEach {
+		t.Errorf("%d idle connections are served by %d goroutines, documented %d (1 + GOMAXPROCS each)", peers, got, peers*wantEach)
 	}
 	if heapEach > perPeer {
 		t.Errorf("an idle connection holds %d bytes of server heap, want <= %d", heapEach, perPeer)

@@ -383,16 +383,15 @@ func (s *Server) pushInvalidations(st *connState, seen uint64) {
 // intern table absorbs the connection's recurring names.
 type workerScratch struct {
 	req     request
-	path    core.Path
 	results []result
-	one     [1][]string // a single resolve's path, as a batch of one (see handle)
+	one     [1]core.Path // a single resolve's path, as a batch of one (see handle)
 	// Decode state: the raw frame (filled under dtoken,
 	// parsed after release, so workers parse in parallel), the backing
 	// arrays for the decoded request's Path/Paths, and the intern table
-	// for its strings.
+	// for its components.
 	frame    []byte
-	reqPath  []string
-	reqPaths [][]string
+	reqPath  core.Path
+	reqPaths []core.Path
 	names    strIntern
 }
 
@@ -539,8 +538,8 @@ func (s *Server) handle(sc *workerScratch) response {
 	rev := s.Revision()
 	for attempt := 0; ; attempt++ {
 		results = results[:0]
-		for _, raw := range paths {
-			results = append(results, s.resolveOne(&sc.path, raw))
+		for _, p := range paths {
+			results = append(results, s.resolveOne(p))
 		}
 		after := s.Revision()
 		if after == rev || attempt == 3 {
@@ -556,19 +555,12 @@ func (s *Server) handle(sc *workerScratch) response {
 	return response{Ent: res.ID, Kind: res.Kind, Rev: rev, Err: res.Err, Dir: res.Dir}
 }
 
-// resolveOne resolves one wire path in the exported context, rebuilding it
-// into the caller's scratch path (amortized: the backing array is reused
-// across requests). The path is re-validated here even though well-behaved
-// clients canonicalize before sending: the wire trusts no peer's parser
-// (§6 — coherence is checked where the name is used, not only where it was
-// made).
-func (s *Server) resolveOne(scratch *core.Path, raw []string) result {
-	p := (*scratch)[:0]
-	for _, c := range raw {
-		p = append(p, core.Name(c))
-	}
-	*scratch = p
-	if err := checkWireCanonical(p); err != nil {
+// resolveOne resolves one decoded wire path in the exported context. The
+// path is re-validated here even though well-behaved clients check it
+// before sending: the wire trusts no peer's encoder (§6 — coherence is
+// checked where the name is used, not only where it was made).
+func (s *Server) resolveOne(p core.Path) result {
+	if err := CheckWireCanonical(p); err != nil {
 		return result{Err: err.Error()}
 	}
 	e, dir, err := s.world.ResolveIn(s.export, p)

@@ -1,7 +1,8 @@
 // Wire protocol of the name service: every type that crosses a
-// connection is declared (and listed in wireTypes) here, in one place, so
-// the protocol surface is auditable at a glance and the round-trip tests
-// cannot miss a type.
+// connection is declared here, in one place, so the protocol surface is
+// auditable at a glance. request and response are the two messages; every
+// other wire type is reached through their fields, which is how the
+// round-trip test (TestWireRoundTrip) finds and fills each one.
 //
 // The protocol is tagged and multiplexed: every request carries a
 // client-assigned ID, the server echoes it in the response, and neither
@@ -10,6 +11,8 @@
 // them on a worker pool and writes answers as they complete.
 
 package nameserver
+
+import "namecoherence/internal/core"
 
 // Mutation opcodes carried in request.Op. Zero means "not a mutation":
 // the request is a resolve, batch, routing fetch, or subscription. The
@@ -36,12 +39,13 @@ type request struct {
 	// Clients assign IDs monotonically per connection; the server treats
 	// them as opaque.
 	ID uint64
-	// Path is the compound name, one component per element. For a
-	// mutation it names the directory being mutated (empty: the export
-	// root).
-	Path []string
-	// Paths, when non-nil, is a batch of compound names.
-	Paths [][]string
+	// Path is the compound name, each component a length-prefixed string
+	// on the wire. For a mutation it names the directory being mutated
+	// (empty: the export root). A client sends its caller's path as it is:
+	// the send check (checkCanonical) vouches for it.
+	Path core.Path
+	// Paths, when non-empty, is a batch of compound names.
+	Paths []core.Path
 	// Routes requests the server's routing table.
 	Routes bool
 	// Subscribe registers this connection for push invalidation: from the
@@ -140,15 +144,4 @@ type RouteInfo struct {
 	// of the same subtree, so any of them can answer for the shard — the
 	// weak-coherence contract of §3, applied to the servers themselves.
 	Replicas [][]string
-}
-
-// wireTypes enumerates every type that crosses the wire, keyed by a
-// stable name. New wire types must be added here: registrycheck holds the
-// table equal to what the codec functions in codec.go encode, and the
-// round-trip tests iterate it.
-var wireTypes = map[string]any{
-	"request":   request{},
-	"result":    result{},
-	"response":  response{},
-	"RouteInfo": RouteInfo{},
 }

@@ -1,21 +1,22 @@
 package nameserver
 
 import (
-	"bytes"
-	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"namecoherence/internal/core"
 )
 
-// populated returns a representative, fully-populated value of each wire
-// type. Every field is non-zero so a field silently dropped by gob (for
-// example by becoming unexported) fails the round-trip comparison.
+// populated returns a representative, fully-populated request, response
+// and routing table: the fixed values the codec tests and the fuzz seeds
+// are built from.
 func populated() map[string]any {
 	return map[string]any{
 		"request": request{
 			ID:         11,
-			Path:       []string{"usr", "alice", "bin"},
-			Paths:      [][]string{{"a"}, {"b", "c"}},
+			Path:       core.Path{"usr", "alice", "bin"},
+			Paths:      []core.Path{{"a"}, {"b", "c"}},
 			Routes:     true,
 			Subscribe:  true,
 			Op:         OpBind,
@@ -24,12 +25,6 @@ func populated() map[string]any {
 			TargetKind: 2,
 			AtRev:      41,
 			Twin:       17,
-		},
-		"result": result{
-			ID:   42,
-			Kind: 3,
-			Err:  "no such name",
-			Dir:  40,
 		},
 		"response": response{
 			ID:   7,
@@ -60,48 +55,135 @@ func populated() map[string]any {
 	}
 }
 
-// TestWireRoundTrip gob-encodes and decodes a populated value of every
-// registered wire type and requires the result to be identical.
-func TestWireRoundTrip(t *testing.T) {
-	values := populated()
-	for name := range wireTypes {
-		if _, ok := values[name]; !ok {
-			t.Fatalf("wire type %q has no populated test value; add one to populated()", name)
+// filler builds a wire value by reflection: every field gets a value
+// distinct from every other field's, and every collection n elements. It
+// recurses through field types, so each type a message reaches — result
+// and RouteInfo today — is filled without being listed anywhere. A kind
+// it has no rule for, or a field it cannot set, fails the test: a wire
+// type the codec tests cannot fill is one they cannot check.
+type filler struct {
+	t    *testing.T
+	n    int
+	next int
+	// nilEmpty leaves an empty collection nil rather than empty, which is
+	// what the codec decodes every empty collection to.
+	nilEmpty bool
+}
+
+func (f *filler) fill(v reflect.Value, where string) {
+	f.t.Helper()
+	f.next++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Uint8:
+		v.SetUint(uint64(1 + f.next%255))
+	case reflect.Uint64:
+		v.SetUint(uint64(f.next) << 20) // past one varint byte
+	case reflect.Int:
+		v.SetInt(int64(f.next))
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", f.next))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem(), where)
+	case reflect.Slice:
+		if f.n == 0 && f.nilEmpty {
+			return
 		}
-	}
-	for name, v := range values {
-		if _, ok := wireTypes[name]; !ok {
-			t.Fatalf("test value %q is not in the wireTypes registry", name)
+		v.Set(reflect.MakeSlice(v.Type(), f.n, f.n))
+		for i := 0; i < f.n; i++ {
+			f.fill(v.Index(i), fmt.Sprintf("%s[%d]", where, i))
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
+	case reflect.Map:
+		if f.n == 0 && f.nilEmpty {
+			return
 		}
-		out := reflect.New(reflect.TypeOf(v))
-		if err := gob.NewDecoder(&buf).Decode(out.Interface()); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < f.n; i++ {
+			key := reflect.New(v.Type().Key()).Elem()
+			f.fill(key, where+" key")
+			val := reflect.New(v.Type().Elem()).Elem()
+			f.fill(val, where+"["+fmt.Sprint(key)+"]")
+			v.SetMapIndex(key, val)
 		}
-		got := out.Elem().Interface()
-		if !reflect.DeepEqual(got, v) {
-			t.Errorf("%s: round trip mismatch:\n got %#v\nwant %#v", name, got, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			field := v.Type().Field(i)
+			if !field.IsExported() {
+				f.t.Errorf("%s.%s: unexported, so no test can fill it", where, field.Name)
+				continue
+			}
+			f.fill(v.Field(i), where+"."+field.Name)
 		}
+	default:
+		f.t.Errorf("%s: no fill rule for a %s; teach this test the codec's encoding of it", where, v.Type())
 	}
 }
 
-// TestWireRegistryComplete requires every wire struct in wireTypes to
-// have all fields exported: an unexported field would be silently dropped
-// by gob, corrupting the protocol without an error.
+// filled returns a T built by a filler (see filler).
+func filled[T any](t *testing.T, n int, nilEmpty bool) T {
+	t.Helper()
+	var v T
+	f := &filler{t: t, n: n, nilEmpty: nilEmpty}
+	f.fill(reflect.ValueOf(&v).Elem(), reflect.TypeOf(v).Name())
+	return v
+}
+
+// TestWireRegistryComplete walks the wire's type registry — every type
+// reachable through the fields of request and response, listed nowhere by
+// hand — and requires every struct among them to export each field: the
+// round-trip test fills fields by reflection, and a field it cannot set
+// is one the codec tests cannot check.
 func TestWireRegistryComplete(t *testing.T) {
-	for name, v := range wireTypes {
-		rt := reflect.TypeOf(v)
-		if rt.Kind() != reflect.Struct {
-			t.Errorf("%s: wire type is %s, want struct", name, rt.Kind())
-			continue
+	seen := map[reflect.Type]bool{}
+	var walk func(rt reflect.Type, where string)
+	walk = func(rt reflect.Type, where string) {
+		if seen[rt] {
+			return
 		}
-		for i := 0; i < rt.NumField(); i++ {
-			if f := rt.Field(i); !f.IsExported() {
-				t.Errorf("%s: field %s is unexported and would be dropped by gob", name, f.Name)
+		seen[rt] = true
+		switch rt.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			walk(rt.Elem(), where)
+		case reflect.Map:
+			walk(rt.Key(), where+" key")
+			walk(rt.Elem(), where)
+		case reflect.Struct:
+			for i := 0; i < rt.NumField(); i++ {
+				f := rt.Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s: unexported, so no test can fill it", where, f.Name)
+					continue
+				}
+				walk(f.Type, where+"."+f.Name)
 			}
+		}
+	}
+	walk(reflect.TypeOf(request{}), "request")
+	walk(reflect.TypeOf(response{}), "response")
+}
+
+// TestWireRoundTrip fills every field of both messages, and of every
+// type reached through their fields, with distinct non-zero values, and
+// requires the codec to give back exactly what it was given:
+// decode(encode(v)) == v. A field an encoder or decoder skips, or a type
+// reached through a field that has no codec, comes back different. With
+// empty collections the comparison follows the codec's nil-for-empty rule:
+// an empty slice or map decodes as nil.
+func TestWireRoundTrip(t *testing.T) {
+	pairs := []struct{ in, want any }{
+		{request{}, request{}},
+		{response{}, response{}},
+	}
+	for _, n := range []int{0, 1, 3} {
+		pairs = append(pairs,
+			struct{ in, want any }{filled[request](t, n, false), filled[request](t, n, true)},
+			struct{ in, want any }{filled[response](t, n, false), filled[response](t, n, true)})
+	}
+	for _, pair := range pairs {
+		if got := binaryRoundTrip(t, pair.in); !reflect.DeepEqual(got, pair.want) {
+			t.Errorf("%T did not round-trip:\n got  %#v\n want %#v", pair.in, got, pair.want)
 		}
 	}
 }
