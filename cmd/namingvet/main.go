@@ -1,7 +1,9 @@
 // Command namingvet is the repo's invariant checker: a multichecker over
 // the internal/analysis suite. It loads the named packages (default
 // ./...), analyzes them in dependency order and prints one line per
-// finding; CI runs it on every PR:
+// finding. `go test ./...` runs the same suite over the whole module
+// (TestModuleInvariants, beside the module's shape guards); the binary is
+// for ad hoc runs and for scripts/loadmap.sh:
 //
 //	go build -o bin/namingvet ./cmd/namingvet
 //	./bin/namingvet ./...
