@@ -40,7 +40,8 @@ import (
 // result holds the parsed measurements for one benchmark name. The
 // allocation pair is pointer-typed so runs without -benchmem omit the
 // fields instead of reporting a fictitious zero — an allocs_per_op of 0
-// is a claim (the allocfree paths make exactly that claim), not a default.
+// is a claim (the wire's steady paths, held by their AllocsPerRun floors,
+// make exactly that claim), not a default.
 type result struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`

@@ -13,13 +13,14 @@
 // §"Static analysis & invariants". The suite is interprocedural:
 // per-function summaries flow from each package to its importers, so a
 // deadline set in internal/cluster satisfies I/O performed in
-// internal/nameserver, and an allocation or a parked call is caught no
-// matter how many calls separate it from the root that forbids it.
+// internal/nameserver, and a call that may park is caught under a held
+// lock no matter how many calls separate it from the lock. No analyzer
+// models performance: the steady path's zero-allocation rule is held by
+// the testing.AllocsPerRun floors, which read the real allocator.
 package main
 
 import (
 	"namecoherence/internal/analysis"
-	"namecoherence/internal/analysis/allocfree"
 	"namecoherence/internal/analysis/bindingsleak"
 	"namecoherence/internal/analysis/casimmut"
 	"namecoherence/internal/analysis/conndeadline"
@@ -46,7 +47,6 @@ var suite = []*analysis.Analyzer{
 	goroleak.Analyzer,
 	registrycheck.Analyzer,
 	mutbump.Analyzer,
-	allocfree.Analyzer,
 }
 
 func main() {

@@ -1,13 +1,15 @@
 package main
 
-// End-to-end tests of the built binary: it is silent on clean packages,
+// End-to-end tests of the built binary: it is silent on a clean package,
 // reports seeded bugs, and refuses flags it does not define.
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,39 +32,56 @@ func repoRoot(t testing.TB) string {
 	}
 }
 
-func buildVet(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "namingvet")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/namingvet")
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build namingvet: %v\n%s", err, out)
-	}
-	return bin
+// vet is the binary under test, built once per package run by the first
+// test that needs it and removed by TestMain.
+var vet struct {
+	once     sync.Once
+	dir, bin string
+	err      error
 }
 
-func TestStandaloneCleanPackages(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and type-checks module packages")
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if vet.dir != "" {
+		_ = os.RemoveAll(vet.dir)
 	}
-	bin := buildVet(t)
-	// internal/cluster imports internal/nameserver and internal/lru, so
-	// their facts flow into its analysis in the same run.
-	cmd := exec.Command(bin, "./internal/lru", "./internal/nameserver", "./internal/cluster")
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("namingvet flagged a clean package: %v\n%s", err, out)
+	os.Exit(code)
+}
+
+func buildVet(t *testing.T) string {
+	t.Helper()
+	root := repoRoot(t)
+	vet.once.Do(func() {
+		if vet.dir, vet.err = os.MkdirTemp("", "namingvet-test-"); vet.err != nil {
+			return
+		}
+		vet.bin = filepath.Join(vet.dir, "namingvet")
+		cmd := exec.Command("go", "build", "-o", vet.bin, "./cmd/namingvet")
+		cmd.Dir = root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			vet.err = fmt.Errorf("go build namingvet: %v\n%s", err, out)
+		}
+	})
+	if vet.err != nil {
+		t.Fatal(vet.err)
 	}
+	return vet.bin
 }
 
 // TestForeignFlagsRefused: the flags another driver would pass (the go
 // command's -V=full and -flags probes, a -json report) are no flags of
 // namingvet's, so such an invocation exits 1 instead of analyzing nothing.
+// Without them the same package is analyzed, clean, with exit status 0.
 func TestForeignFlagsRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
 	bin := buildVet(t)
+	clean := exec.Command(bin, "./internal/lru")
+	clean.Dir = repoRoot(t)
+	if out, err := clean.CombinedOutput(); err != nil {
+		t.Fatalf("namingvet ./internal/lru: %v, want exit status 0 on a clean package\n%s", err, out)
+	}
 	for _, flag := range []string{"-V=full", "-flags", "-json"} {
 		cmd := exec.Command(bin, flag, "./internal/lru")
 		cmd.Dir = repoRoot(t)

@@ -309,11 +309,8 @@ func beyondWire(f *srcFile) bool {
 // fixtures not.
 func analysisFiles(f *srcFile) bool { return f.under("internal/analysis") && !f.testdata() }
 
-// analysisTop is package analysis itself, tests included: the facts layer.
-func analysisTop(f *srcFile) bool { return path.Dir(f.rel) == "internal/analysis" }
-
-// self is this file, the one place the vet-protocol and ignore-directive
-// tombstones may be spelled.
+// self is this file, the one place the vet-protocol, ignore-directive and
+// allocfree tombstones may be spelled.
 const self = "cmd/namingvet/module_test.go"
 
 type guard struct {
@@ -333,7 +330,7 @@ var guards = []guard{
 	// function body, and what every such walker has is a type-switch
 	// clause for *ast.IfStmt alone: the one that reads the statement's
 	// Init, Cond, Body and Else in order. (A clause listing *ast.IfStmt
-	// among other parents, as the escape classifier's does, reads none.)
+	// among other node types reads none.)
 	{"one-walker", func(m *module, r reporter) {
 		var sites []token.Pos
 		m.inspect(analysisFiles, func(f *srcFile, n ast.Node) {
@@ -359,7 +356,7 @@ var guards = []guard{
 			"shipped code assembles a server outside internal/cluster")
 	}},
 	// snapstore is the durable form of a graph.
-	{"one-serializer", tombstoneDir("internal/persist",
+	{"one-serializer", tombstone("internal/persist",
 		"internal/persist exists again: snapstore is the one graph serializer")},
 	// A server announces a revision advance from nameserver/commitlog.go
 	// and nowhere else, so the OnMutation hook stays deleted.
@@ -551,37 +548,6 @@ var guards = []guard{
 			"LockAcquires", "LockCalls"),
 			"one edge builder: lockorder reports from the facts layer's LockEdges and Reacquires, not from the lock events")
 	}},
-	// The facts layer walks ancestors for escape in allocScan.escapes
-	// alone: one backward loop over an []ast.Node stack (in a test, which
-	// has no types, over any slice).
-	{"one-escape-classifier", func(m *module, r reporter) {
-		var sites []token.Pos
-		m.inspect(analysisTop, func(f *srcFile, n ast.Node) {
-			if s := backwardLoop(n); s != nil {
-				if t := f.typeOf(s); t == nil || isNodeSlice(t) {
-					sites = append(sites, n.Pos())
-				}
-			}
-		})
-		r.atMostOne(sites, "one escape classifier: a second ancestor walk is back in the facts layer; classify through allocScan.escapes")
-	}},
-	// The facts layer reads //namingvet: line directives in indexExempts's
-	// one range over a file's comments.
-	{"one-directive-scan", func(m *module, r reporter) {
-		var sites []token.Pos
-		m.inspect(analysisTop, func(f *srcFile, n ast.Node) {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return
-			}
-			if sel, ok := rs.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Comments" {
-				if t := f.typeOf(sel.X); t == nil || analysis.IsNamedType(t, "go/ast", "File") {
-					sites = append(sites, rs.Pos())
-				}
-			}
-		})
-		r.atMostOne(sites, "one directive scan: a second comment scan is back in the facts layer; index directives in indexExempts")
-	}},
 	// A pointer is unwrapped to its named type in analysis.NamedOf alone:
 	// one type assertion to *types.Pointer whose value is kept.
 	{"one-named-type-helper", func(m *module, r reporter) {
@@ -607,7 +573,7 @@ var guards = []guard{
 	// Ablation A5 charges the contexts a resolution consulted from its
 	// LookupTrail, so internal/trace's counting Context wrapper stays
 	// deleted.
-	{"one-load-count", tombstoneDir("internal/trace",
+	{"one-load-count", tombstone("internal/trace",
 		"internal/trace exists again: A5 counts load from the resolution trail")},
 	// treespec's Split and Build read a spec through one line parser and
 	// one scan loop (eachLine): one bufio.Scanner, or one strings or bytes
@@ -681,25 +647,9 @@ var guards = []guard{
 	// loop, so the go vet unit protocol and its .vetx facts encoding stay
 	// deleted: in Go, in CI's YAML and in the scripts.
 	{"one-analysis-driver", func(m *module, r reporter) {
-		words := []string{"PackageVetx", "VetxOutput", "EncodeFacts", "DecodeFacts", "factsMagic", "-vettool"}
-		for _, rel := range m.text {
-			if rel == self {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(m.root, rel))
-			if err != nil {
-				r.atPosn(token.Position{Filename: rel}, err.Error())
-				continue
-			}
-			for i, line := range strings.Split(string(data), "\n") {
-				for _, w := range words {
-					if col := strings.Index(line, w); col >= 0 {
-						r.atPosn(token.Position{Filename: filepath.Join(m.root, rel), Line: i + 1, Column: col + 1},
-							"one analysis driver: the go vet unit protocol or its facts encoding is back; namingvet runs through analysis.Run")
-					}
-				}
-			}
-		}
+		m.spellings(r, func(string) bool { return true },
+			"one analysis driver: the go vet unit protocol or its facts encoding is back; namingvet runs through analysis.Run",
+			"PackageVetx", "VetxOutput", "EncodeFacts", "DecodeFacts", "factsMagic", "-vettool")
 	}},
 	// An analyzer exempts a shape it can name (the clock seam, an owner's
 	// forwarding Read), never a site a comment points at, so the per-site
@@ -729,13 +679,48 @@ var guards = []guard{
 			}
 		}
 	}},
+	// The steady path's zero-allocation rule is held by measurement alone:
+	// the testing.AllocsPerRun floors read the real allocator, where
+	// allocfree's lexical escape model under-reported (it saw through no
+	// interface call, generic or function value) and asked for exemption
+	// comments at the sites. So its directives, its package and its facts
+	// file stay deleted.
+	{"allocation-by-measurement", func(m *module, r reporter) {
+		const msg = "allocation by measurement: allocfree is back; hold a steady path with an AllocsPerRun floor"
+		tombstone("internal/analysis/allocfree", msg)(m, r)
+		tombstone("internal/analysis/alloc.go", msg)(m, r)
+		m.spellings(r, func(rel string) bool { return path.Ext(rel) == ".go" }, msg, "namingvet:allocfree")
+	}},
 }
 
-// tombstoneDir is a guard that a deleted package's directory stays absent.
-func tombstoneDir(dir, msg string) func(*module, reporter) {
+// tombstone is a guard that a deleted package's directory, or a deleted
+// file, stays absent.
+func tombstone(rel, msg string) func(*module, reporter) {
 	return func(m *module, r reporter) {
-		if _, err := os.Stat(filepath.Join(m.root, dir)); err == nil {
-			r.atPosn(token.Position{Filename: filepath.Join(m.root, dir)}, msg)
+		if _, err := os.Stat(filepath.Join(m.root, rel)); err == nil {
+			r.atPosn(token.Position{Filename: filepath.Join(m.root, rel)}, msg)
+		}
+	}
+}
+
+// spellings reports every line of a text file keep accepts, this file
+// excepted, that spells one of words.
+func (m *module) spellings(r reporter, keep func(rel string) bool, msg string, words ...string) {
+	for _, rel := range m.text {
+		if rel == self || !keep(rel) {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(m.root, rel))
+		if err != nil {
+			r.atPosn(token.Position{Filename: rel}, err.Error())
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, w := range words {
+				if col := strings.Index(line, w); col >= 0 {
+					r.atPosn(token.Position{Filename: filepath.Join(m.root, rel), Line: i + 1, Column: col + 1}, msg)
+				}
+			}
 		}
 	}
 }
@@ -790,37 +775,4 @@ func holdsMutations(t types.Type) bool {
 	}
 	c, ok := t.Underlying().(interface{ Elem() types.Type })
 	return ok && analysis.IsNamedType(c.Elem(), mod+"/internal/nameserver", "AppliedMutation")
-}
-
-// isNodeSlice reports whether t is []ast.Node.
-func isNodeSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	return ok && analysis.IsNamedType(s.Elem(), "go/ast", "Node")
-}
-
-// backwardLoop returns s when n is `for i := len(s) - 1; i >= 0; i--`, and
-// nil otherwise.
-func backwardLoop(n ast.Node) ast.Expr {
-	loop, ok := n.(*ast.ForStmt)
-	if !ok {
-		return nil
-	}
-	init, ok := loop.Init.(*ast.AssignStmt)
-	post, _ := loop.Post.(*ast.IncDecStmt)
-	cond, _ := loop.Cond.(*ast.BinaryExpr)
-	if !ok || post == nil || post.Tok != token.DEC || cond == nil || cond.Op != token.GEQ || len(init.Rhs) != 1 {
-		return nil
-	}
-	start, ok := init.Rhs[0].(*ast.BinaryExpr)
-	if !ok || start.Op != token.SUB {
-		return nil
-	}
-	length, ok := start.X.(*ast.CallExpr)
-	if !ok || len(length.Args) != 1 {
-		return nil
-	}
-	if fun, ok := length.Fun.(*ast.Ident); !ok || fun.Name != "len" {
-		return nil
-	}
-	return length.Args[0]
 }

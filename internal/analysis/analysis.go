@@ -72,11 +72,6 @@ func (f Finding) String() string {
 		f.Posn.Filename, f.Posn.Line, f.Posn.Column, f.Analyzer, f.Message)
 }
 
-// SuppressName tags the findings of the unused-exemption audit: an
-// allocfree-exempt directive that exempts nothing is itself reported, so
-// stale exemptions get burned down instead of rotting.
-const SuppressName = "suppress"
-
 // RunAnalyzers runs every analyzer over one type-checked package and
 // returns the surviving findings plus the package's merged summaries
 // (imported ∪ own) for feeding into dependent packages. Findings on
@@ -107,9 +102,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported Summaries) ([]Fi
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
-		}
-		if a.Name == "allocfree" {
-			findings = append(findings, auditAllocExempt(pkg, facts)...)
 		}
 	}
 	return findings, facts.All, nil

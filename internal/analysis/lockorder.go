@@ -13,8 +13,8 @@
 //   - LockExits: every return, and every reachable closing brace, of the
 //     body and of each literal nested in it, reached with a lock held.
 //
-// A fixpoint then folds callee facts caller-ward, exactly like the alloc
-// and deadline flows: AcquiresLocks is the transitive set of locks a call
+// A fixpoint then folds callee facts caller-ward, exactly like the
+// deadline flow: AcquiresLocks is the transitive set of locks a call
 // may take (with a sample call chain), MayPark taints callers of parking
 // functions, and LockEdges is the per-function slice of the module-global
 // acquisition graph ("Held was held when Acq was acquired") whose cycles
@@ -267,6 +267,12 @@ func funcLabel(fn *types.Func) string {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
+}
+
+// typeLabel renders a type compactly (package-qualified by name, not full
+// path).
+func typeLabel(t types.Type) string {
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }
 
 // posLabel renders a position as "file.go:NN".

@@ -31,21 +31,6 @@ type FuncSummary struct {
 	// directly or transitively. mutbump uses this for its "mutates a
 	// binding, never bumps the revision" rule.
 	ReachesRevBump bool
-	// Allocates: the body itself contains steady-path heap-allocation
-	// evidence (direct only; see alloc.go for the evidence catalogue).
-	// Sites on a //namingvet:allocfree-exempt line and bodies of exempt
-	// functions contribute nothing.
-	Allocates bool
-	// EscapesToHeap: calling the function may allocate — it Allocates
-	// itself or reaches a function that does (transitive, with exempt
-	// call sites and exempt callees excluded). allocfree reports any
-	// //namingvet:allocfree root whose closure has this set.
-	EscapesToHeap bool
-	// AllocVia, when EscapesToHeap is set, is a human-readable sample of
-	// one allocation the function reaches — nested across packages, so a
-	// diagnostic at an annotated root can show the whole chain down to
-	// the allocating expression.
-	AllocVia string
 	// AcquiresLocks maps lock identities (see lockorder.go: receiver type
 	// + field path, "(*nameserver.Server).mu") to evidence that calling
 	// the function may acquire that lock, directly or transitively.
@@ -62,7 +47,8 @@ type FuncSummary struct {
 	// lockblock reports callers that invoke it under a held mutex.
 	MayPark bool
 	// ParkVia, when MayPark is set, samples one parking operation the
-	// function reaches, nested across packages like AllocVia.
+	// function reaches, nested across packages, so a diagnostic at the
+	// caller can show the whole chain down to the parking operation.
 	ParkVia string
 }
 
@@ -85,13 +71,6 @@ type WireEvent struct {
 	Callee *types.Func
 }
 
-// AllocSite is one steady-path allocation observed in a function body:
-// the expression's position and a description of why it allocates.
-type AllocSite struct {
-	Pos  token.Pos
-	Desc string
-}
-
 // FuncFacts couples a declared function's syntax with its computed summary
 // and the event list conndeadline reports from.
 type FuncFacts struct {
@@ -99,20 +78,6 @@ type FuncFacts struct {
 	Decl    *ast.FuncDecl
 	Summary FuncSummary
 	Events  []WireEvent
-	// Allocs lists the body's non-exempt allocation sites in lexical
-	// order (empty for //namingvet:allocfree-exempt functions).
-	Allocs []AllocSite
-	// allocEvidence is every allocation site of the body, exempt ones
-	// included: the evidence the unused-exemption audit weighs.
-	allocEvidence []AllocSite
-	// AllocFreeRoot: the declaration carries //namingvet:allocfree — the
-	// function and everything it transitively reaches must not allocate
-	// on the steady path.
-	AllocFreeRoot bool
-	// AllocExempt: the declaration carries //namingvet:allocfree-exempt —
-	// the body is off the steady path (error teardown, cold setup) and
-	// contributes no allocation evidence.
-	AllocExempt bool
 	// LockAcquires, LockCalls, BlockOps and LockExits are the body's
 	// lock-discipline events with held-set snapshots, collected by the one
 	// held-set scan (lockorder.go). lockblock and lockexit report from
@@ -137,42 +102,13 @@ type PackageFacts struct {
 	// Graph is the package's call graph.
 	Graph *CallGraph
 
-	byFn map[*types.Func]*FuncFacts
-	// exempts lists the package's //namingvet:allocfree-exempt directives,
-	// doc comments included, and exemptLines the lines each covers (see
-	// indexExempts): the allocation flow drops its evidence there, and the
-	// unused-exemption audit weighs each directive.
-	exempts     []*ast.Comment
-	exemptLines map[string]map[int]bool // filename -> covered lines
-}
-
-// AllocExemptAt reports whether posn sits on a line covered by a
-// //namingvet:allocfree-exempt directive.
-func (pf *PackageFacts) AllocExemptAt(posn token.Position) bool {
-	return pf.exemptLines[posn.Filename][posn.Line]
-}
-
-// OwnFacts returns the facts for a function declared in this package, or
-// nil for imported/undeclared functions.
-func (pf *PackageFacts) OwnFacts(fn *types.Func) *FuncFacts {
-	return pf.byFn[fn]
+	byFn map[*types.Func]*FuncFacts // Own by function, for summaryOf
 }
 
 // RevBumpDirective in a function's doc comment marks it as a revision
 // advance: callers mutating bindings discharge the coherence obligation
 // by reaching one of these before replying.
 const RevBumpDirective = "//namingvet:revbump"
-
-// AllocFreeDirective in a function's doc comment declares the function an
-// allocation-free root: it and everything it transitively reaches must not
-// allocate on the steady path (allocfree enforces it).
-const AllocFreeDirective = "//namingvet:allocfree"
-
-// AllocFreeExemptDirective marks cold code the allocfree discipline skips:
-// on a function's doc comment the whole body is exempt; on or above a
-// statement line (optionally with `-- reason`) just that line is. Error
-// construction, teardown, and one-time setup live behind it.
-const AllocFreeExemptDirective = "//namingvet:allocfree-exempt"
 
 // ComputeFacts builds the package's call graph, computes per-function
 // summaries as a fixpoint over same-package calls plus imported facts, and
@@ -186,7 +122,6 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		Graph: g,
 		byFn:  make(map[*types.Func]*FuncFacts, len(g.Order)),
 	}
-	pf.indexExempts(pkg)
 	for k, v := range imported {
 		pf.All[k] = v
 	}
@@ -195,8 +130,6 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		decl := g.Decls[fn]
 		ff := &FuncFacts{Fn: fn, Decl: decl}
 		ff.Summary.RevBumps = hasDirective(decl.Doc, RevBumpDirective)
-		ff.AllocFreeRoot = hasDirective(decl.Doc, AllocFreeDirective)
-		ff.AllocExempt = hasDirective(decl.Doc, AllocFreeExemptDirective)
 		pf.Own = append(pf.Own, ff)
 		pf.byFn[fn] = ff
 	}
@@ -215,7 +148,6 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 	})
 
 	deadlineFlow(pkg, pf)
-	allocFlow(pkg, pf)
 	lockFlow(pkg, pf)
 
 	for _, ff := range pf.Own {
@@ -321,20 +253,10 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		return false
 	}
 	for _, c := range doc.List {
-		if directiveMatches(c.Text, directive) {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), directive)
+		if ok && (rest == "" || strings.HasPrefix(strings.TrimLeft(rest, " \t"), "--")) {
 			return true
 		}
 	}
 	return false
-}
-
-// directiveMatches reports whether the comment text is the directive, bare
-// or with a `-- reason` tail.
-func directiveMatches(text, directive string) bool {
-	text = strings.TrimSpace(text)
-	if text == directive {
-		return true
-	}
-	rest, ok := strings.CutPrefix(text, directive)
-	return ok && strings.HasPrefix(strings.TrimLeft(rest, " \t"), "--")
 }

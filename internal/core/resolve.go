@@ -95,7 +95,6 @@ func (w *World) walk(c Context, p Path, trail []Entity) (Entity, Entity, error) 
 	for i, n := range p {
 		e, dir := lookupIn(cur, n)
 		if e.IsUndefined() {
-			//namingvet:allocfree-exempt -- cold: failed resolution constructs its error
 			return Undefined, Undefined, &NotFoundError{Path: p.Clone(), Depth: i}
 		}
 		if trail != nil {
@@ -106,7 +105,6 @@ func (w *World) walk(c Context, p Path, trail []Entity) (Entity, Entity, error) 
 		}
 		next, ok := w.ContextOf(e)
 		if !ok {
-			//namingvet:allocfree-exempt -- cold: failed resolution constructs its error
 			return Undefined, Undefined, &NotContextError{Entity: e, Path: p.Clone(), Depth: i}
 		}
 		cur = next

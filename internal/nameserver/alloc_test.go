@@ -1,17 +1,46 @@
 //go:build !race
 
-// Allocation-floor regression tests for the //namingvet:allocfree wire
-// roots. allocfree proves the annotated paths reach no allocating code
-// outside their exempted cold calls; these tests pin the measured floors at
-// runtime, so a change that reintroduces a per-request allocation fails
-// go test even if nobody reads a benchmark. Excluded under -race: the race
-// runtime adds its own allocations and would skew every floor.
+// Allocation floors for the wire's steady paths: resolution cost must not
+// grow with load (DESIGN §3a), so a request that finds its buffers warm
+// touches the allocator on neither end. testing.AllocsPerRun counts every
+// goroutine's mallocs, so a floor over a live connection holds the server,
+// the client's persistent goroutines and the caller to the count together.
+// Each steady branch of the four wire loops runs under at least one floor:
+//
+//   - Client.send: the check, the encode and the serial flush
+//     (TestRoundTripAllocFloor; a batch's encode, TestBatchRoundTripAllocFloor);
+//     the pipelined caller's yield, retake and shared flush
+//     (TestPipelinedCallsAllocFloor).
+//   - Client.lead: the loop that reads until its own call is done
+//     (TestRoundTripAllocFloor); arming the read deadline under WithTimeout
+//     (TestTimedRoundTripAllocFloor); delivering a whole burst to other
+//     callers (TestPipelinedCallsAllocFloor); the standing reader of a
+//     subscribed client (TestPushedFrameAllocFloor).
+//   - Client.readOne: a response parsed into its live call
+//     (TestRoundTripAllocFloor, and a batch's results,
+//     TestBatchRoundTripAllocFloor); a push frame parsed into the scratch
+//     and handed to the subscriber (TestPushedFrameAllocFloor).
+//   - Server.serveRequests: decode, resolve and respond for one name
+//     (TestRoundTripAllocFloor; handle alone, TestServerResolveAllocFree)
+//     and for a batch (TestBatchRoundTripAllocFloor); respond behind
+//     pending frames (TestRespondDrainsFramesAllocFree) and under a
+//     pipelined burst (TestPipelinedCallsAllocFloor); the push goroutine
+//     it starts (TestPushedFrameAllocFloor).
+//
+// Off the steady path, and so under no floor: a refused or failed call (it
+// formats its error), a subscription's first request, a routing fetch,
+// mutations (handleMutation), and a client's death (fail).
+//
+// Excluded under -race: the race runtime adds its own allocations and
+// would skew every floor.
 package nameserver
 
 import (
 	"bufio"
 	"io"
+	"sync"
 	"testing"
+	"time"
 
 	"namecoherence/internal/core"
 )
@@ -22,7 +51,7 @@ import (
 func allocFloor(t *testing.T, name string, want float64, f func()) {
 	t.Helper()
 	if got := testing.AllocsPerRun(200, f); got > want {
-		t.Errorf("%s: %.1f allocs/op, want ≤ %.0f — an allocation crept onto an allocfree wire path", name, got, want)
+		t.Errorf("%s: %.1f allocs/op, want ≤ %.0f — an allocation crept onto a steady wire path", name, got, want)
 	}
 }
 
@@ -97,10 +126,125 @@ func TestRoundTripAllocFloor(t *testing.T) {
 	})
 }
 
+// TestBatchRoundTripAllocFloor pins a three-path ResolveBatchRev over the
+// pipe at its measured four allocations, all on the client and all owed to
+// the caller: the results array the answer hands over (parseResponse
+// grows it by append, three allocations for three results) and the
+// BatchResult slice returned. The server's batch decode, resolve and
+// encode reuse the worker's scratch.
+func TestBatchRoundTripAllocFloor(t *testing.T) {
+	w, tr, _ := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	c := pipeClient(t, s)
+
+	batch := []core.Path{core.ParsePath("usr/bin/ls"), core.ParsePath("usr/bin"), core.ParsePath("usr")}
+	if _, _, err := c.ResolveBatchRev(batch); err != nil {
+		t.Fatal(err)
+	}
+	allocFloor(t, "ResolveBatchRev/three-paths", 4, func() {
+		if _, _, err := c.ResolveBatchRev(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTimedRoundTripAllocFloor: under WithTimeout the leader arms the
+// connection's read deadline with its call's expiry (see lead). Over TCP
+// that re-arms the poller's timer in place, so a timed round trip is as
+// free as an untimed one. (net.Pipe's deadline makes a timer per arm,
+// which is why this floor runs over loopback.)
+func TestTimedRoundTripAllocFloor(t *testing.T) {
+	w, tr, paths := flushTree(t)
+	c, _, _ := countedTCP(t, NewServer(w, tr.RootContext()), WithTimeout(time.Minute))
+	if _, err := c.Resolve(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	allocFloor(t, "Resolve/timed-round-trip", 0, func() {
+		if _, err := c.Resolve(paths[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPipelinedCallsAllocFloor: eight callers share one client, so every
+// call is pipelined and takes send's yield path (yield, the last one back
+// retakes the token and flushes for the rest), a leader delivers frames to
+// callers other than its own, and several server workers answer at once.
+// The callers are persistent goroutines, each making one call per run, so
+// the count is the calls' alone: zero. Fewer request writes than calls
+// shows the yield path ran.
+func TestPipelinedCallsAllocFloor(t *testing.T) {
+	w, tr, f := exportedTree(t)
+	c, client, _ := countedTCP(t, NewServer(w, tr.RootContext()))
+
+	const callers = 8
+	p := core.ParsePath("usr/bin/ls")
+	start := make(chan struct{})
+	answers := make(chan core.Entity, callers)
+	var wg sync.WaitGroup
+	defer func() {
+		close(start)
+		wg.Wait()
+	}()
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range start {
+				e, err := c.Resolve(p)
+				if err != nil {
+					t.Error(err)
+				}
+				answers <- e
+			}
+		}()
+	}
+	round := func() {
+		for i := 0; i < callers; i++ {
+			start <- struct{}{}
+		}
+		for i := 0; i < callers; i++ {
+			if e := <-answers; e != f {
+				t.Fatalf("pipelined Resolve = %v, want %v", e, f)
+			}
+		}
+	}
+	round()
+	before := client.Writes.Load()
+	allocFloor(t, "Resolve/eight-pipelined-callers", 0, round)
+	// AllocsPerRun makes one warm-up run before the 200 it counts.
+	if calls, got := int64(201*callers), client.Writes.Load()-before; got >= calls {
+		t.Errorf("%d request writes for %d pipelined calls: no caller's frame rode another's flush", got, calls)
+	}
+}
+
+// TestPushedFrameAllocFloor: a Bump appends to the commit log, the
+// connection's push goroutine encodes the frame and flushes it, and the
+// subscribed client's standing reader parses it into its scratch and
+// hands it to the callback. The whole trip is free once the log's tail
+// array has grown: AllocsPerRun averages its rare re-growth to zero.
+func TestPushedFrameAllocFloor(t *testing.T) {
+	w, tr, _ := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	c := pipeClient(t, s)
+
+	pushed := make(chan uint64, 1)
+	if err := c.Subscribe(func(rev uint64) { pushed <- rev }); err != nil {
+		t.Fatal(err)
+	}
+	bump := func() {
+		s.Bump()
+		if rev := <-pushed; rev != s.Revision() {
+			t.Fatalf("pushed frame at revision %d, server at %d", rev, s.Revision())
+		}
+	}
+	bump()
+	allocFloor(t, "Bump/pushed-frame", 0, bump)
+}
+
 // TestBinaryEncodeDecodeAllocFree pins the codec itself — append into a
 // warm buffer, parse into warm scratch — at zero allocations for both
-// message types on the steady path. This is the tentpole's core claim;
-// allocfree proves it statically, this holds it at runtime.
+// message types on the steady path.
 func TestBinaryEncodeDecodeAllocFree(t *testing.T) {
 	req := populated()["request"].(request)
 	resp := populated()["response"].(response)

@@ -30,12 +30,10 @@ func badComponent(n core.Name) bool {
 // leaves (request.checkCanonical), the server where a name is used.
 func CheckWireCanonical(p core.Path) error {
 	if !p.IsValid() {
-		//namingvet:allocfree-exempt -- cold: a rejected name formats its error
 		return fmt.Errorf("path %q: %w", p.String(), ErrNotCanonical)
 	}
 	for _, n := range p {
 		if badComponent(n) {
-			//namingvet:allocfree-exempt -- cold: a rejected name formats its error
 			return fmt.Errorf("component %q of %q contains %q: %w",
 				string(n), p.String(), core.Separator, ErrNotCanonical)
 		}
@@ -51,7 +49,6 @@ func CheckWireCanonical(p core.Path) error {
 // carries none); a mutation's Name must be one good component.
 func (req *request) checkCanonical() error {
 	if req.Op != opNone && badComponent(core.Name(req.Name)) {
-		//namingvet:allocfree-exempt -- cold: a rejected name formats its error
 		return fmt.Errorf("binding name %q: %w", req.Name, ErrNotCanonical)
 	}
 	resolve := req.Op == opNone && !req.Routes && !req.Subscribe && len(req.Paths) == 0

@@ -288,8 +288,6 @@ func DialTimeout(network, addr string, timeout time.Duration, opts ...ClientOpti
 // request may already be at the server from ever blocking here instead of
 // reading: over an unbuffered transport the server's flush, the token
 // holder's write and this wait would otherwise close a cycle.
-//
-//namingvet:allocfree
 func (c *Client) send(pc *pendingCall, pipelined bool) error {
 	// Check, then append-encode into the token-guarded scratch: the
 	// request's bytes are built and written with zero heap traffic.
@@ -355,8 +353,6 @@ func (c *Client) send(pc *pendingCall, pipelined bool) error {
 // pc's completion signal: it has not when the stream died first, and then
 // the caller receives it (fail leaves no call pending, and whoever took pc
 // out of the table — this reader, or a concurrent fail — delivers).
-//
-//namingvet:allocfree
 func (c *Client) lead(pc *pendingCall, deadline time.Time) bool {
 	if !deadline.IsZero() {
 		_ = c.conn.SetReadDeadline(deadline)
@@ -395,8 +391,6 @@ func (c *Client) Read(p []byte) (int, error) {
 // to the caller outright, never aliased by the scratch the next frame
 // reuses. Push frames and responses to abandoned calls parse into the
 // token-guarded scratch instead.
-//
-//namingvet:allocfree
 func (c *Client) readOne() error {
 	body, err := readFrame(c.br, &c.rbuf)
 	if err != nil {
@@ -434,8 +428,6 @@ func (c *Client) readOne() error {
 // recvFailure classifies a dead read stream for fail: a deadline read
 // poisons like a call timeout, EOF means the server went away, anything
 // else is a transport fault.
-//
-//namingvet:allocfree-exempt -- cold: a dying stream formats its epitaph
 func recvFailure(err error) error {
 	var nerr net.Error
 	switch {
@@ -464,8 +456,6 @@ func (c *Client) invalidate(resp *response) {
 // calls fail fast, and the connection is closed (unhanging any reader and
 // any in-progress write). Only the first error sticks; later calls keep
 // reporting it.
-//
-//namingvet:allocfree-exempt -- cold: poisoning gathers the stranded calls once, at death
 func (c *Client) fail(err error) {
 	c.pmu.Lock()
 	if c.broken == nil {

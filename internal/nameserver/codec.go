@@ -144,7 +144,6 @@ func growFrame(br *bufio.Reader, buf *[]byte, n int) ([]byte, error) {
 	b := (*buf)[:0]
 	for len(b) < n {
 		if len(b) == cap(b) {
-			//namingvet:allocfree-exempt -- amortized: the frame buffer grows to the high-water mark once, by what arrives
 			b = slices.Grow(b, min(n-len(b), max(len(b), frameChunk)))
 		}
 		m, err := io.ReadFull(br, b[len(b):min(cap(b), n)])
@@ -195,10 +194,8 @@ func (in *strIntern) get(b []byte) string {
 		return s
 	}
 	if in.m == nil || len(in.m) >= internLimit {
-		//namingvet:allocfree-exempt -- amortized: the intern table (re)builds on first use or overflow
 		in.m = make(map[string]string, 64)
 	}
-	//namingvet:allocfree-exempt -- amortized: each distinct string interns once
 	s := string(b)
 	in.m[s] = s
 	return s
@@ -254,7 +251,6 @@ func parseRequest(data []byte, req *request, sc *workerScratch) error {
 		req.Paths = nil
 	} else {
 		if cap(sc.reqPaths) < n {
-			//namingvet:allocfree-exempt -- amortized: batch scratch grows to the high-water mark once
 			grown := make([]core.Path, n)
 			copy(grown, sc.reqPaths)
 			sc.reqPaths = grown
@@ -364,8 +360,6 @@ func parseResponse(data []byte, resp *response, errs *strIntern) error {
 // pairs (deterministic bytes, so identical tables encode identically),
 // then Default, Addrs, and Replicas. Bootstrap-only, so the sort's
 // allocation is off the steady path.
-//
-//namingvet:allocfree-exempt -- bootstrap-only frame: a routing table crosses the wire once per client
 func appendRouteInfo(b []byte, ri *RouteInfo) []byte {
 	keys := make([]string, 0, len(ri.Prefixes))
 	for k := range ri.Prefixes {
@@ -395,8 +389,6 @@ func appendRouteInfo(b []byte, ri *RouteInfo) []byte {
 // parseRouteInfo decodes a routing table. Bootstrap-only: it allocates
 // freely — the table is handed to the caller and outlives the frame. A
 // failure sticks in r for the enclosing message to report.
-//
-//namingvet:allocfree-exempt -- bootstrap-only frame: a routing table crosses the wire once per client
 func parseRouteInfo(r *varenc.Reader) *RouteInfo {
 	ri := &RouteInfo{}
 	if n := r.Count(); n > 0 {

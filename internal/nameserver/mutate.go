@@ -183,10 +183,8 @@ func (s *Server) joinTwinGroup(twin core.EntityID, created core.Entity) {
 
 // handleMutation serves one wire mutation request. Mutations allocate per
 // write by design — a fresh path for the mutation record, error text on
-// refusal — so the whole body sits outside the read path's allocfree
-// discipline until write batching gives it a steady state worth guarding.
-//
-//namingvet:allocfree-exempt -- writes allocate per mutation by design; only the resolve path is steady
+// refusal — so no allocation floor covers it, unlike the read path,
+// until write batching gives it a steady state worth guarding.
 func (s *Server) handleMutation(req *request) response {
 	m := mutation{
 		op:     req.Op,

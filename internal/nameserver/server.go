@@ -402,8 +402,6 @@ type workerScratch struct {
 // single-streamed while up to s.workers resolutions run concurrently —
 // and a serial client's request runs decode→resolve→encode on one
 // goroutine with no handoffs at all.
-//
-//namingvet:allocfree
 func (s *Server) serveRequests(st *connState) {
 	var sc workerScratch
 	// Declared outside the loop: resp's address reaches respond, so an
@@ -483,7 +481,6 @@ func (s *Server) respond(st *connState, resp *response, subscribe bool) {
 		if !st.subscribed {
 			st.subscribed = true
 			st.pusher.Add(1)
-			//namingvet:allocfree-exempt -- cold: once per subscription
 			go func(seen uint64) {
 				defer st.pusher.Done()
 				s.pushInvalidations(st, seen)
@@ -526,7 +523,6 @@ func (s *Server) handle(sc *workerScratch) response {
 		if routes == nil {
 			return response{Err: "no routing table: server is not a cluster member"}
 		}
-		//namingvet:allocfree-exempt -- cold: routing bootstrap copies the table
 		return response{Routes: routes.Clone()}
 	}
 	paths := req.Paths
