@@ -1,6 +1,6 @@
 package main
 
-// End-to-end tests of the built binary: it is silent on a clean package,
+// End-to-end tests of the built binary: it is silent on clean packages,
 // reports seeded bugs, and refuses flags it does not define.
 
 import (
@@ -68,20 +68,28 @@ func buildVet(t *testing.T) string {
 	return vet.bin
 }
 
+func TestStandaloneCleanPackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and type-checks module packages")
+	}
+	bin := buildVet(t)
+	// internal/cluster imports internal/nameserver and internal/lru, so
+	// their facts flow into its analysis in the same run.
+	cmd := exec.Command(bin, "./internal/lru", "./internal/nameserver", "./internal/cluster")
+	cmd.Dir = repoRoot(t)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("namingvet flagged a clean package: %v\n%s", err, out)
+	}
+}
+
 // TestForeignFlagsRefused: the flags another driver would pass (the go
 // command's -V=full and -flags probes, a -json report) are no flags of
 // namingvet's, so such an invocation exits 1 instead of analyzing nothing.
-// Without them the same package is analyzed, clean, with exit status 0.
 func TestForeignFlagsRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
 	bin := buildVet(t)
-	clean := exec.Command(bin, "./internal/lru")
-	clean.Dir = repoRoot(t)
-	if out, err := clean.CombinedOutput(); err != nil {
-		t.Fatalf("namingvet ./internal/lru: %v, want exit status 0 on a clean package\n%s", err, out)
-	}
 	for _, flag := range []string{"-V=full", "-flags", "-json"} {
 		cmd := exec.Command(bin, flag, "./internal/lru")
 		cmd.Dir = repoRoot(t)
