@@ -14,15 +14,15 @@
 // per-function summaries flow from each package to its importers, so a
 // deadline set in internal/cluster satisfies I/O performed in
 // internal/nameserver, and a call that may park is caught under a held
-// lock no matter how many calls separate it from the lock. No analyzer
-// models performance: the steady path's zero-allocation rule is held by
-// the testing.AllocsPerRun floors, which read the real allocator.
+// lock no matter how many calls separate it from the lock. Every analyzer
+// is a general Go rule. None models performance (the AllocsPerRun floors
+// hold the steady path at zero allocations) or a contract about this
+// module's own types, which a test or a guard beside its code holds.
 package main
 
 import (
 	"namecoherence/internal/analysis"
 	"namecoherence/internal/analysis/bindingsleak"
-	"namecoherence/internal/analysis/casimmut"
 	"namecoherence/internal/analysis/conndeadline"
 	"namecoherence/internal/analysis/detrand"
 	"namecoherence/internal/analysis/errwrap"
@@ -30,8 +30,6 @@ import (
 	"namecoherence/internal/analysis/lockblock"
 	"namecoherence/internal/analysis/lockexit"
 	"namecoherence/internal/analysis/lockorder"
-	"namecoherence/internal/analysis/mutbump"
-	"namecoherence/internal/analysis/registrycheck"
 )
 
 // suite is the full analyzer set; shared with the benchmark.
@@ -43,10 +41,7 @@ var suite = []*analysis.Analyzer{
 	errwrap.Analyzer,
 	bindingsleak.Analyzer,
 	detrand.Analyzer,
-	casimmut.Analyzer,
 	goroleak.Analyzer,
-	registrycheck.Analyzer,
-	mutbump.Analyzer,
 }
 
 func main() {

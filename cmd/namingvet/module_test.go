@@ -305,12 +305,17 @@ func beyondWire(f *srcFile) bool {
 	return f.pkg != nil && !f.under("internal/cluster") && !f.under("internal/nameserver")
 }
 
+// durable is shipped internal/cas and internal/snapstore.
+func durable(f *srcFile) bool {
+	return f.pkg != nil && (f.under("internal/cas") || f.under("internal/snapstore"))
+}
+
 // analysisFiles is internal/analysis and its analyzers, tests included,
 // fixtures not.
 func analysisFiles(f *srcFile) bool { return f.under("internal/analysis") && !f.testdata() }
 
-// self is this file, the one place the vet-protocol, ignore-directive and
-// allocfree tombstones may be spelled.
+// self is this file, the one place the vet-protocol, ignore-directive,
+// allocfree and revbump tombstones may be spelled.
 const self = "cmd/namingvet/module_test.go"
 
 type guard struct {
@@ -373,6 +378,33 @@ var guards = []guard{
 				return
 			}
 			r.at(id.Pos(), "internal/cluster queues mutations itself again: backups read the primary's commit log")
+		})
+	}},
+	// Every binding change a server makes goes through applyMutation,
+	// which nameserver's TestEveryAppliedMutationBumpsOnce holds to one
+	// revision bump per applied mutation. So in shipped internal/nameserver
+	// and internal/cluster, only applyMutation names the Bind or Unbind of
+	// a context-shaped value.
+	{"one-mutation-path", func(m *module, r reporter) {
+		wire := func(f *srcFile) bool { return f.pkg != nil && !beyondWire(f) }
+		m.inspect(wire, func(f *srcFile, n ast.Node) {
+			if fd, ok := n.(*ast.FuncDecl); !ok || fd.Name.Name == "applyMutation" && recvBase(fd) == "Server" {
+				return
+			}
+			ast.Inspect(n, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := f.pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Name() != "Bind" && fn.Name() != "Unbind" {
+					return true
+				}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && analysis.HasMethods(recv.Type(), "Lookup", "Bind", "Unbind", "Names") {
+					r.at(sel.Sel.Pos(), "one mutation path: a binding changes outside Server.applyMutation, where no revision bump is held to it")
+				}
+				return true
+			})
 		})
 	}},
 	// cluster.Client's noteRevision/pushed is the only revision-tracked
@@ -619,14 +651,11 @@ var guards = []guard{
 	}},
 	// Blobs and MANIFEST.json are published by one crash protocol (temp,
 	// write, fsync, close, rename, dir fsync), cas.Publish. Its tmp- temps
-	// are what snapstore.Open sweeps and it is what casimmut holds to
-	// fsync-before-success; a second copy was one neither saw (the
+	// are what snapstore.Open sweeps and it is what durable-publish holds
+	// to fsync-before-success; a second copy was one neither saw (the
 	// manifest's temps outlived a crash). So shipped internal/cas and
 	// internal/snapstore use os.Rename once and os.CreateTemp once.
 	{"one-durable-write", func(m *module, r reporter) {
-		durable := func(f *srcFile) bool {
-			return f.pkg != nil && (f.under("internal/cas") || f.under("internal/snapstore"))
-		}
 		for _, key := range []string{"os.Rename", "os.CreateTemp"} {
 			switch sites := m.uses(durable, key); len(sites) {
 			case 0:
@@ -642,6 +671,105 @@ var guards = []guard{
 	// helper stays deleted.
 	{"one-dir-fsync", func(m *module, r reporter) {
 		r.all(m.idents(anyFile, "syncDirFsync"), "one durable write: syncDirFsync is back; a directory is fsynced by cas.Publish")
+	}},
+	// snapstore commits a manifest naming blobs the moment Put returns
+	// nil, so a write that reports success is on disk: the one file write
+	// of shipped internal/cas and internal/snapstore is cas.Publish's, a
+	// Sync on that file follows it before the file is closed, and syncDir
+	// follows the rename.
+	{"durable-publish", func(m *module, r reporter) {
+		const msg = "durable publish: "
+		cas := m.pkgs[mod+"/internal/cas"]
+		publish, _ := cas.Types.Scope().Lookup("Publish").(*types.Func)
+		g := analysis.BuildCallGraph(cas)
+		pub := g.Decls[publish]
+		if pub == nil {
+			r.atPosn(token.Position{Filename: filepath.Join(m.root, "internal/cas")}, msg+"cas.Publish is gone")
+			return
+		}
+		writes := m.uses(durable, "(*os.File).Write", "(*os.File).WriteString", "(*os.File).WriteAt", "os.WriteFile")
+		for _, w := range writes {
+			if len(writes) > 1 || w < pub.Pos() || w >= pub.End() {
+				r.at(w, msg+"a file is written outside cas.Publish, or twice; publish through it")
+			}
+		}
+		// Publish's calls in source order: the write, then a Sync and a
+		// Close on the file written; os.Rename, then syncDir.
+		var write, synced, closed, renamed, dirSynced bool
+		var file types.Object
+		for _, cs := range g.Calls[publish] {
+			var recv types.Object
+			if sel, ok := cs.Call.Fun.(*ast.SelectorExpr); ok {
+				x, _ := sel.X.(*ast.Ident)
+				recv = cas.Info.Uses[x]
+			}
+			switch key, open := cs.Callee.FullName(), write && !closed && recv == file; {
+			case key == "(*os.File).Write" && !write:
+				write, file = true, recv
+			case key == "(*os.File).Sync" && open:
+				synced = true
+			case key == "(*os.File).Close" && open:
+				closed = true
+			case key == "os.Rename":
+				renamed = true
+			case key == mod+"/internal/cas.syncDir" && renamed:
+				dirSynced = true
+			}
+		}
+		if !synced || !closed {
+			r.at(pub.Name.Pos(), msg+"cas.Publish must Sync the file it wrote before it closes it")
+		}
+		if !dirSynced {
+			r.at(pub.Name.Pos(), msg+"cas.Publish must fsync the directory (syncDir) after its rename")
+		}
+	}},
+	// Every request field is served: read in shipped internal/nameserver
+	// code outside the request's own codec (appendRequest, parseRequest),
+	// or the wire carries a request kind the server silently ignores. A
+	// bare store into a field is not a read.
+	{"request-fields-served", func(m *module, r reporter) {
+		st := m.pkgs[mod+"/internal/nameserver"].Types.Scope().Lookup("request").Type().Underlying().(*types.Struct)
+		read := make(map[types.Object]bool)
+		for _, f := range m.files {
+			if !shippedIn("internal/nameserver")(f) {
+				continue
+			}
+			markRead := func(e ast.Node) {
+				ast.Inspect(e, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && f.pkg.Info.Selections[sel] != nil {
+						read[f.pkg.Info.Selections[sel].Obj()] = true
+					}
+					return true
+				})
+			}
+			ast.Inspect(f.syntax, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl: // the codec reads every field and serves none
+					return n.Recv != nil || n.Name.Name != "appendRequest" && n.Name.Name != "parseRequest"
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							markRead(sel.X) // a bare store reads only what it selects from
+						} else {
+							markRead(lhs) // req.Paths[k] = v reads Paths to index it
+						}
+					}
+					for _, rhs := range n.Rhs {
+						markRead(rhs)
+					}
+					return false
+				case *ast.SelectorExpr:
+					markRead(n)
+					return false
+				}
+				return true
+			})
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if field := st.Field(i); !read[field] {
+				r.at(field.Pos(), "request fields served: request."+field.Name()+" is read by no handler, only by the request's codec")
+			}
+		}
 	}},
 	// namingvet runs every package through analysis.Run's in-memory facts
 	// loop, so the go vet unit protocol and its .vetx facts encoding stay
@@ -690,6 +818,18 @@ var guards = []guard{
 		tombstone("internal/analysis/allocfree", msg)(m, r)
 		tombstone("internal/analysis/alloc.go", msg)(m, r)
 		m.spellings(r, func(rel string) bool { return path.Ext(rel) == ".go" }, msg, "namingvet:allocfree")
+	}},
+	// The module's own contracts are held beside their code (nameserver's
+	// TestEveryAppliedMutationBumpsOnce, cas's TestBackendContract and the
+	// guards above), so mutbump, casimmut and registrycheck stay deleted,
+	// with the revbump directive and the summary facts it fed.
+	{"contracts-where-they-live", func(m *module, r reporter) {
+		const msg = "contracts where they live: a module contract is back in namingvet; hold it by a test or guard beside its code"
+		for _, dir := range []string{"mutbump", "casimmut", "registrycheck"} {
+			tombstone("internal/analysis/"+dir, msg)(m, r)
+		}
+		m.spellings(r, func(rel string) bool { return path.Ext(rel) == ".go" }, msg,
+			"namingvet:revbump", "RevBumpDirective", "ReachesRevBump", "hasDirective")
 	}},
 }
 

@@ -21,8 +21,8 @@ type CallSite struct {
 // CallGraph is the static call structure of one package: every declared
 // function, in declaration order, with the calls its body makes. Nested
 // function literals are folded into the enclosing declaration — for the
-// summary properties (reaches conn I/O, sets a deadline, bumps the
-// revision) a closure's work is the declaring function's work.
+// summary properties (sets a deadline, may park) a closure's work is the
+// declaring function's work.
 type CallGraph struct {
 	// Order lists the package's declared functions in source order.
 	Order []*types.Func

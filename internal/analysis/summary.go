@@ -16,21 +16,11 @@ type FuncSummary struct {
 	// path that matters to us — it calls Set(Read|Write)?Deadline, or a
 	// function whose summary says so (transitive).
 	SetsDeadline bool
-	// ConnIO: the function reaches wire I/O — a Read/Write on a
-	// conn-shaped value, or a Dial* call (transitive).
-	ConnIO bool
 	// UnguardedIO: the function performs wire I/O that is not preceded by
 	// a deadline inside its own body (see conndeadline v2). A caller that
 	// invokes an UnguardedIO function without first setting a deadline
 	// inherits the problem.
 	UnguardedIO bool
-	// RevBumps: the function is a revision-advance point — it carries a
-	// //namingvet:revbump directive (Server.Bump, Server.SetRevision).
-	RevBumps bool
-	// ReachesRevBump: the function calls a revision-advance point,
-	// directly or transitively. mutbump uses this for its "mutates a
-	// binding, never bumps the revision" rule.
-	ReachesRevBump bool
 	// AcquiresLocks maps lock identities (see lockorder.go: receiver type
 	// + field path, "(*nameserver.Server).mu") to evidence that calling
 	// the function may acquire that lock, directly or transitively.
@@ -105,11 +95,6 @@ type PackageFacts struct {
 	byFn map[*types.Func]*FuncFacts // Own by function, for summaryOf
 }
 
-// RevBumpDirective in a function's doc comment marks it as a revision
-// advance: callers mutating bindings discharge the coherence obligation
-// by reaching one of these before replying.
-const RevBumpDirective = "//namingvet:revbump"
-
 // ComputeFacts builds the package's call graph, computes per-function
 // summaries as a fixpoint over same-package calls plus imported facts, and
 // runs the deadline-flow pass (guarded events, call-site exoneration,
@@ -127,9 +112,7 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 	}
 
 	for _, fn := range g.Order {
-		decl := g.Decls[fn]
-		ff := &FuncFacts{Fn: fn, Decl: decl}
-		ff.Summary.RevBumps = hasDirective(decl.Doc, RevBumpDirective)
+		ff := &FuncFacts{Fn: fn, Decl: g.Decls[fn]}
 		pf.Own = append(pf.Own, ff)
 		pf.byFn[fn] = ff
 	}
@@ -139,12 +122,8 @@ func ComputeFacts(pkg *Package, imported Summaries) *PackageFacts {
 		for _, cs := range pf.Graph.Calls[ff.Fn] {
 			cal := summaryOf(pf, cs.Callee)
 			s.SetsDeadline = s.SetsDeadline || cs.kind == setDeadline || cal.SetsDeadline
-			s.ConnIO = s.ConnIO || cs.kind == parkConnRead || cs.kind == parkConnWrite || cs.kind == parkDial || cal.ConnIO
-			s.ReachesRevBump = s.ReachesRevBump || cal.RevBumps || cal.ReachesRevBump
 		}
-		s.ReachesRevBump = s.ReachesRevBump || s.RevBumps
-		return s.SetsDeadline != before.SetsDeadline || s.ConnIO != before.ConnIO ||
-			s.ReachesRevBump != before.ReachesRevBump
+		return s.SetsDeadline != before.SetsDeadline
 	})
 
 	deadlineFlow(pkg, pf)
@@ -194,8 +173,8 @@ func (k callKind) parks() bool { return k != noPark && k < setDeadline }
 // classifyCall is the one catalogue of the calls the facts layer reads
 // meaning into, with the text diagnostics name them by. The park kinds
 // are the calls that can park the calling goroutine for as long as
-// something outside it pleases: the wire kinds feed ConnIO and the
-// deadline flow, and every park kind is a BlockOp for the lock family.
+// something outside it pleases: the wire kinds feed the deadline flow,
+// and every park kind is a BlockOp for the lock family.
 // The deadline setters guard the deadline flow's I/O, and a conn Close is
 // what makes an idle read exempt.
 //
@@ -239,24 +218,8 @@ func classifyCall(callee *types.Func) (callKind, string) {
 // out: file I/O is a durability concern, not a transport one. A file write
 // blocks for one disk flush, not for as long as a hung peer pleases, a
 // deadline on a disk file is meaningless, and serializing a manifest
-// rewrite under its store's lock is the intended pattern. casimmut guards
-// file writes with the fsync rule instead.
+// rewrite under its store's lock is the intended pattern. A file write's
+// durability is TestModuleInvariants' durable-publish guard instead.
 func ConnShaped(t types.Type) bool {
 	return HasMethods(t, "Read", "Write", "SetDeadline") && !IsNamedType(t, "os", "File")
-}
-
-// hasDirective reports whether the doc comment group contains the given
-// //namingvet:… directive as a full line, optionally followed by a
-// `-- reason` tail.
-func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), directive)
-		if ok && (rest == "" || strings.HasPrefix(strings.TrimLeft(rest, " \t"), "--")) {
-			return true
-		}
-	}
-	return false
 }

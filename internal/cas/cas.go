@@ -58,10 +58,12 @@ var (
 // survives a crash of the process (for backends with any notion of
 // durability — Mem's "durability" is the life of the process).
 type Backend interface {
-	// Put stores data under h. The caller promises h == Sum(data) and must
-	// not modify data after Put returns (casimmut enforces both sides).
+	// Put stores data under h. The caller promises h == Sum(data). Put
+	// keeps no reference to data: it is the caller's again once Put
+	// returns (TestBackendContract holds every backend to this).
 	Put(h Hash, data []byte) error
-	// Get returns the blob stored under h, or ErrNotFound.
+	// Get returns the blob stored under h, or ErrNotFound. The bytes are
+	// the caller's: writing into them changes no stored blob.
 	Get(h Hash) ([]byte, error)
 	// Has reports whether a blob is stored under h, without reading it.
 	Has(h Hash) (bool, error)
@@ -108,8 +110,8 @@ func (s *Store) Backend() Backend { return s.backend }
 
 // Put hashes data and stores it, skipping the backend write when a blob
 // with the same hash already exists (content addressing makes the
-// existence check sufficient: same hash, same bytes). The caller must not
-// modify data after Put returns.
+// existence check sufficient: same hash, same bytes). data is the
+// caller's again once Put returns: no backend keeps it.
 func (s *Store) Put(data []byte) (Hash, error) {
 	h := Sum(data)
 	ok, err := s.backend.Has(h)

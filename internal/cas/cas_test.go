@@ -20,6 +20,45 @@ func backends(t *testing.T) map[string]Backend {
 	}
 }
 
+// TestBackendContract is what every Backend owes its callers, run over
+// each implementation in backends: Put keeps no reference to data and Get
+// returns bytes the caller owns, so writing into either leaves the stored
+// blob whole; putting a stored blob again is a no-op; Has and List see
+// exactly what was put.
+func TestBackendContract(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			data := []byte("a blob's bytes")
+			want, h := bytes.Clone(data), Sum(data)
+			if ok, err := b.Has(h); err != nil || ok {
+				t.Fatalf("Has before Put = %v, %v", ok, err)
+			}
+			if err := b.Put(h, data); err != nil {
+				t.Fatal(err)
+			}
+			data[0] = 'X' // the caller reuses its buffer
+			got, err := b.Get(h)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Get after a write into Put's data = %q, %v; want %q", got, err, want)
+			}
+			got[0] = 'Y' // the caller writes into what Get returned
+			if err := b.Put(h, want); err != nil {
+				t.Fatalf("putting a stored blob again: %v", err)
+			}
+			if again, err := b.Get(h); err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("Get after a write into Get's result and a re-Put = %q, %v; want %q", again, err, want)
+			}
+			var listed []Hash
+			if err := b.List(func(x Hash) error { listed = append(listed, x); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := b.Has(h); err != nil || !ok || len(listed) != 1 || listed[0] != h {
+				t.Fatalf("Has = %v, %v; List = %v; want %s alone", ok, err, listed, h)
+			}
+		})
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {

@@ -15,8 +15,11 @@
 // layers hashing, blob verification, and dedup accounting over any
 // Backend.
 //
-// Invariants (enforced by the casimmut analyzer):
-//   - a blob's bytes are never written after Put returns;
-//   - every function here that writes a file reaches an fsync before
-//     reporting success.
+// Invariants:
+//   - a stored blob's bytes never change: Put keeps no reference to the
+//     caller's data and Get returns bytes the caller owns
+//     (TestBackendContract, run over every backend);
+//   - a file is written in one place, Publish, which fsyncs it before
+//     closing and renaming it, and fsyncs the directory after the rename
+//     (the durable-publish guard of cmd/namingvet's TestModuleInvariants).
 package cas

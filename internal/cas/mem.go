@@ -3,8 +3,8 @@ package cas
 import "sync"
 
 // Mem is an in-memory Backend: a map guarded by a mutex. It copies blobs
-// on the way in and out, so no caller can mutate a stored blob — the
-// immutability contract holds even against buggy callers.
+// on the way in and out, as the Backend contract asks: a caller's later
+// write into either slice changes no stored blob.
 type Mem struct {
 	mu    sync.RWMutex
 	blobs map[Hash][]byte

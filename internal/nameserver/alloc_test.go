@@ -17,9 +17,10 @@
 //     callers (TestPipelinedCallsAllocFloor); the standing reader of a
 //     subscribed client (TestPushedFrameAllocFloor).
 //   - Client.readOne: a response parsed into its live call
-//     (TestRoundTripAllocFloor, and a batch's results,
-//     TestBatchRoundTripAllocFloor); a push frame parsed into the scratch
-//     and handed to the subscriber (TestPushedFrameAllocFloor).
+//     (TestRoundTripAllocFloor, and a batch's results in one array sized
+//     by the frame's count, TestBatchRoundTripAllocFloor); a push frame
+//     parsed into the scratch and handed to the subscriber
+//     (TestPushedFrameAllocFloor).
 //   - Server.serveRequests: decode, resolve and respond for one name
 //     (TestRoundTripAllocFloor; handle alone, TestServerResolveAllocFree)
 //     and for a batch (TestBatchRoundTripAllocFloor); respond behind
@@ -127,11 +128,10 @@ func TestRoundTripAllocFloor(t *testing.T) {
 }
 
 // TestBatchRoundTripAllocFloor pins a three-path ResolveBatchRev over the
-// pipe at its measured four allocations, all on the client and all owed to
-// the caller: the results array the answer hands over (parseResponse
-// grows it by append, three allocations for three results) and the
-// BatchResult slice returned. The server's batch decode, resolve and
-// encode reuse the worker's scratch.
+// pipe at its measured two allocations, both on the client and both owed
+// to the caller: the results array the answer hands over (parseResponse
+// sizes it once by the frame's count) and the BatchResult slice returned.
+// The server's batch decode, resolve and encode reuse the worker's scratch.
 func TestBatchRoundTripAllocFloor(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -141,7 +141,7 @@ func TestBatchRoundTripAllocFloor(t *testing.T) {
 	if _, _, err := c.ResolveBatchRev(batch); err != nil {
 		t.Fatal(err)
 	}
-	allocFloor(t, "ResolveBatchRev/three-paths", 4, func() {
+	allocFloor(t, "ResolveBatchRev/three-paths", 2, func() {
 		if _, _, err := c.ResolveBatchRev(batch); err != nil {
 			t.Fatal(err)
 		}

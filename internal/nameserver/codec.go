@@ -338,8 +338,16 @@ func parseResponse(data []byte, resp *response, errs *strIntern) error {
 	if n := r.Count(); n == 0 {
 		resp.Results = nil
 	} else {
+		// One array, sized once by the count. A result takes at least 4
+		// bytes (ID, Kind, Err's length, Dir), so a count the frame cannot
+		// hold gets no more than len(data)/4 slots, and the loop stops at
+		// the first failure: a hostile maxFrame body costs at most
+		// maxFrame/4 results before it is refused.
 		rs := resp.Results[:0]
-		for i := 0; i < n; i++ {
+		if cap(rs) < n {
+			rs = make([]result, 0, min(n, len(data)/4))
+		}
+		for i := 0; i < n && r.Err() == nil; i++ {
 			var res result
 			parseResult(&r, &res, errs)
 			rs = append(rs, res)

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -209,5 +210,35 @@ func TestBinaryMalformed(t *testing.T) {
 	var out3 request
 	if err := parseRequest(bomb, &out3, &sc); err == nil {
 		t.Error("count exceeding the frame parsed without error")
+	}
+}
+
+// overcounted returns a response body of at most size bytes (exactly
+// maxFrame for maxFrame) whose batch count claims one result per byte
+// after it, four times what those bytes can hold (a result takes at least
+// 4), so it must fail to parse. ID, Ent, Kind, Rev and Err are zero.
+func overcounted(size int) []byte {
+	n := size - 5 - 3 // a three-byte count
+	return append(binary.AppendUvarint(make([]byte, 5), uint64(n)), make([]byte, n)...)
+}
+
+// TestOvercountedBatchAllocation: a maxFrame response whose count claims
+// more results than its bytes can hold fails to parse, having allocated no
+// more than the maxFrame/4 results the bytes could hold, not the count's
+// worth.
+func TestOvercountedBatchAllocation(t *testing.T) {
+	body := overcounted(maxFrame)
+	var resp response
+	var errs strIntern
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := parseResponse(body, &resp, &errs)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a response counting more results than its bytes hold parsed")
+	}
+	bound := uint64(maxFrame/4)*uint64(unsafe.Sizeof(result{})) + 64<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("parsing a %d-byte overcounted response allocated %d bytes, want ≤ %d (maxFrame/4 results)", len(body), got, bound)
 	}
 }

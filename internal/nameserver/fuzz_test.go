@@ -80,6 +80,7 @@ func FuzzBinaryResponse(f *testing.F) {
 	f.Add(appendResponse(nil, &response{ID: 4, Rev: 7, Results: []result{{ID: 1, Kind: 2, Dir: 9}, {Err: "missing"}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x80}, 12)) // non-terminating varint
+	f.Add(overcounted(64))                // a batch count its bytes cannot hold
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var errs strIntern
 		var resp response

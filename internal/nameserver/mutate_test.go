@@ -2,6 +2,9 @@ package nameserver
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -137,11 +140,30 @@ func TestReadOnlyServer(t *testing.T) {
 // TestMkcontextAutoWatch is the regression for the WatchExport hole:
 // directories created after watch time were unwatched, so a bind inside a
 // freshly made context mutated the graph without a revision bump and
-// revision-tracked caches went silently stale.
+// revision-tracked caches went silently stale. A made directory is watched
+// before its name first resolves: holding s.mu parks the mkcontext in its
+// parent's change hook (exportWatch's bump), after the name resolves and
+// before the hook would watch the new directory itself.
 func TestMkcontextAutoWatch(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
 	s.WatchExport(tr.Root)
+	s.mu.Lock()
+	made := make(chan error, 1)
+	go func() {
+		_, _, err := s.applyMutation(mutation{op: OpMkcontext, dir: core.ParsePath("usr"), name: "early"})
+		made <- err
+	}()
+	e, err := w.Resolve(tr.RootContext(), core.ParsePath("usr/early"))
+	for ; err != nil && len(made) == 0; e, err = w.Resolve(tr.RootContext(), core.ParsePath("usr/early")) {
+		runtime.Gosched()
+	}
+	ctx, _ := w.ContextOf(e)
+	watched := core.IsWatched(ctx)
+	s.mu.Unlock()
+	if err := <-made; err != nil || !watched {
+		t.Fatalf("mkcontext: %v; watched when its name first resolved: %t, want true", err, watched)
+	}
 	c := pipeClient(t, s)
 	pushed := make(chan uint64, 16)
 	if err := c.Subscribe(func(rev uint64) { pushed <- rev }); err != nil {
@@ -299,5 +321,166 @@ func TestPushInvalidationCallback(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("onInval callback never ran")
+	}
+}
+
+// TestEveryAppliedMutationBumpsOnce is the write path's revision discipline
+// (§5: a binding change is observable, so the revision moves with the
+// graph) run as a property: seeded random sequences through every entry
+// point a mutation has — wire Bind, Unbind and Mkcontext, in-process
+// Server.Bind and Unbind, replicated applies, and (on a watched export) a
+// server-local ctx.Bind — with refusals mixed in. The model is "revision =
+// applied mutations": an applied mutation moves the revision and the
+// commit log's head by exactly one before the call returns, and its reply
+// carries the new revision; a refusal moves neither. A replicated apply
+// also adopts the primary's tag when it is ahead (one more log entry, the
+// jump) and never moves backwards.
+func TestEveryAppliedMutationBumpsOnce(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1987, 20261020} {
+		for _, watched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/watched=%t", seed, watched), func(t *testing.T) {
+				bumpProperty(t, seed, watched)
+			})
+		}
+	}
+}
+
+func bumpProperty(t *testing.T, seed int64, watched bool) {
+	w, tr, f := exportedTree(t)
+	g, err := tr.Create(core.ParsePath("etc/motd"), "hi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(w, tr.RootContext())
+	if watched {
+		s.WatchExport(tr.Root)
+	}
+	ro := NewServer(w, tr.RootContext(), WithReadOnly())
+	c, roc := pipeClient(t, s), pipeClient(t, ro)
+	rng := rand.New(rand.NewSource(seed))
+
+	// The model: the server's revision and log head, its directories (three
+	// predate the run), each file name's target and the directories made.
+	var rev, head uint64
+	dirs := []core.Path{nil, core.ParsePath("usr"), core.ParsePath("usr/bin")}
+	bound := make(map[string]core.Entity)
+	made := make(map[string]bool)
+	seen := make(map[string]int)
+	step := 0
+	// settle advances the model by one call's outcome (refused, applied or
+	// converged, then a replica tag adopted when ahead) and checks the server.
+	settle := func(what, refusal string, reply uint64, err error, refused, mutated bool, tag uint64) {
+		t.Helper()
+		if refused {
+			what = refusal
+		}
+		seen[what]++
+		if !refused {
+			if mutated {
+				rev, head = rev+1, head+1
+			}
+			if tag > rev {
+				rev, head = tag, head+1
+				seen["replica tag ahead adopted"]++
+			}
+		}
+		switch {
+		case refused != (err != nil):
+			t.Fatalf("step %d, %s: err = %v, want refused = %t", step, what, err, refused)
+		case !refused && reply != rev:
+			t.Fatalf("step %d, %s: reply at revision %d, model %d", step, what, reply, rev)
+		case s.Revision() != rev || s.log.head.Load() != head || ro.log.head.Load() != 0:
+			t.Fatalf("step %d, %s: revision %d, log head %d, read-only head %d; model %d, %d, 0", step, what, s.Revision(), s.log.head.Load(), ro.log.head.Load(), rev, head)
+		}
+	}
+	for ; step < 400; step++ {
+		i := rng.Intn(len(dirs))
+		dir := dirs[i]
+		name := core.Name("abc"[rng.Intn(3)])
+		mk := core.Name(fmt.Sprintf("m%d", rng.Intn(2)))
+		k, mkKey := dir.Append(name).String(), dir.Append(mk).String()
+		cur, target := bound[k], []core.Entity{f, g}[rng.Intn(2)]
+		refusal := "refused: not bound"
+		if !cur.IsUndefined() {
+			refusal = "refused: already bound"
+		}
+		switch op := rng.Intn(10); {
+		case op == 0:
+			what := "wire bind"
+			if i >= 3 {
+				what = "wire bind in a made directory"
+			}
+			r, err := c.Bind(dir, name, target)
+			settle(what, refusal, r, err, !cur.IsUndefined(), true, 0)
+			if cur.IsUndefined() {
+				bound[k] = target
+			}
+		case op == 1:
+			r, err := c.Unbind(dir, name)
+			settle("wire unbind", refusal, r, err, cur.IsUndefined(), true, 0)
+			delete(bound, k)
+		case op == 2:
+			_, r, err := c.Mkcontext(dir, mk)
+			settle("wire mkcontext", "refused: already bound", r, err, made[mkKey], true, 0)
+			if !made[mkKey] {
+				made[mkKey], dirs = true, append(dirs, dir.Append(mk))
+			}
+		case op == 3 && cur.IsUndefined():
+			r, err := s.Bind(dir, name, target)
+			settle("in-process bind", "", r, err, false, true, 0)
+			bound[k] = target
+		case op == 3:
+			r, err := s.Unbind(dir, name)
+			settle("in-process unbind", "", r, err, false, true, 0)
+			delete(bound, k)
+		case op == 4 || op == 5:
+			// Tags: the next revision (a primary in step), one not ahead (a late
+			// or re-sent frame), one ahead (lost frames). A bind applies where the
+			// name is free, an unbind where it is bound; another target is refused.
+			tag := []uint64{rev + 1, 1 + uint64(rng.Int63n(int64(rev)+1)), rev + 2 + uint64(rng.Intn(3))}[rng.Intn(3)]
+			m := mutation{op: []uint8{OpBind, OpUnbind, OpMkcontext}[rng.Intn(3)], dir: dir, name: name, target: target, atRev: tag}
+			refused, mutated := m.op == OpBind && !cur.IsUndefined() && cur != target, cur.IsUndefined() == (m.op == OpBind)
+			if m.op == OpMkcontext {
+				m.name, mutated = mk, !made[mkKey]
+			}
+			what := "replica apply"
+			if !mutated {
+				what = "replica re-apply, converged"
+			}
+			r, err := c.ReplicaApply(AppliedMutation{m})
+			settle(what, "replica refused: bound elsewhere", r, err, refused, mutated, tag)
+			switch {
+			case refused || !mutated:
+			case m.op == OpBind:
+				bound[k] = target
+			case m.op == OpUnbind:
+				delete(bound, k)
+			default:
+				made[mkKey], dirs = true, append(dirs, dir.Append(mk))
+			}
+		case op == 6 && watched:
+			ctx, err := s.mutationContext(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur.IsUndefined() {
+				ctx.Bind(name, target)
+				bound[k] = target
+			} else {
+				ctx.Unbind(name)
+				delete(bound, k)
+			}
+			settle("in-process ctx.Bind, watched", "", s.Revision(), nil, false, true, 0)
+		case op == 7:
+			r, err := roc.Bind(dir, name, target)
+			settle("", "refused: read-only", r, err, true, false, 0)
+		case op == 8:
+			r, err := s.Bind(dir, name+"/x", target)
+			settle("", "refused: non-canonical", r, err, true, false, 0)
+		}
+	}
+	// Every kind of call settle names ran (15 watched, 14 not): the seed covered them all.
+	if kinds := len(seen); kinds != 14 && !watched || kinds != 15 && watched {
+		t.Errorf("seed %d ran %d kinds of call: %v", seed, kinds, seen)
 	}
 }

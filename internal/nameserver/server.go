@@ -572,8 +572,6 @@ func (s *Server) resolveOne(p core.Path) result {
 // frame itself when subscribed — bounding cache staleness to one request.
 // Call it whenever the exported naming graph changes in a way no watch
 // reports; WatchExport bumps automatically, and its frames say what changed.
-//
-//namingvet:revbump
 func (s *Server) Bump() { s.bump(commit{}) }
 
 // bump commits one revision advance: its entry is appended to the log —
@@ -581,8 +579,6 @@ func (s *Server) Bump() { s.bump(commit{}) }
 // revision become readable. A response that carries the new revision
 // therefore finds the entry already owed to its own connection, and is
 // written behind it.
-//
-//namingvet:revbump
 func (s *Server) bump(what commit) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -602,8 +598,6 @@ func (s *Server) Revision() uint64 { return s.rev.Load() }
 // past it, or the coherent-cache purge rule would admit stale entries as
 // current. An advance notifies subscribers exactly like Bump: a jump says
 // nothing about what changed on the way.
-//
-//namingvet:revbump
 func (s *Server) SetRevision(rev uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
